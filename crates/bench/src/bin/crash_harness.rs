@@ -26,7 +26,10 @@
 //! 4. the victim's NDJSON trace (`trace.ndjson`, both incarnations
 //!    appended) shows the restarted incarnation finishing its WAL replay
 //!    *before* it cast its first vote — recovery ordering, reconstructed
-//!    from the event timeline rather than inferred from exit state.
+//!    from the event timeline rather than inferred from exit state;
+//! 5. a client that dialed replica 0's gateway while all this went on got
+//!    a `Committed` ack for every transaction it submitted — the deployed
+//!    binary serves clients, not only the in-process harness.
 //!
 //! Exit status is the CI verdict; data directories are left in place on
 //! failure (and printed) so they can be uploaded as artifacts.
@@ -37,10 +40,18 @@ use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
 use sft_core::{scan_wal, WalRecord, WAL_FILE_NAME};
+use sft_loadgen::{run_client, ClientConfig};
 use sft_obs::names;
+use sft_types::ReplicaId;
 
 /// The replica that gets killed and restarted.
 const VICTIM: usize = 1;
+
+/// The replica the client dials (never the victim).
+const GATEWAY: usize = 0;
+
+/// Transactions the client submits and must see committed.
+const CLIENT_TXNS: u64 = 4;
 
 /// Per-node NDJSON trace file, appended across incarnations.
 const TRACE_FILE_NAME: &str = "trace.ndjson";
@@ -249,6 +260,32 @@ fn verify_recovery_timeline(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// Dials `addr` (retrying while the node is still coming up), submits
+/// [`CLIENT_TXNS`] transactions at the standard-commit strength, and
+/// returns how many came back `Committed`.
+fn client_acks(addr: std::net::SocketAddr, f: u64, budget: Duration) -> Result<u64, String> {
+    let config = ClientConfig {
+        total: CLIENT_TXNS,
+        window: 2,
+        ack_at: f,
+        deadline: budget,
+        ..ClientConfig::smoke(addr, ReplicaId::new(GATEWAY as u16), 1000)
+    };
+    let give_up = Instant::now() + budget;
+    loop {
+        match run_client(&config) {
+            Ok(report) => return Ok(report.committed),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
+                if Instant::now() >= give_up {
+                    return Err(format!("replica {GATEWAY}'s gateway never came up: {e}"));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(e) => return Err(format!("client: {e}")),
+        }
+    }
+}
+
 fn read_commit_file(dir: &Path) -> Result<Vec<String>, String> {
     let path = dir.join("commit.out");
     let body =
@@ -320,6 +357,15 @@ fn run(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("spawning replica {id}: {e}"))?;
         children.push((id, child));
     }
+    // A real client rides along for the whole run, crash included.
+    let gateway: std::net::SocketAddr = peers
+        .split(',')
+        .nth(GATEWAY)
+        .and_then(|addr| addr.parse().ok())
+        .ok_or("unparseable gateway address")?;
+    let f = (args.n as u64 - 1) / 3;
+    let budget = args.budget / 2;
+    let client = std::thread::spawn(move || client_acks(gateway, f, budget));
 
     // Phase 1: wait until the victim has durable consensus state worth
     // losing, then SIGKILL it mid-run — no shutdown path runs.
@@ -384,6 +430,15 @@ fn run(args: &Args) -> Result<(), String> {
         return Err("restarted victim made no progress past its pre-crash prefix".to_string());
     }
     verify_recovery_timeline(&dirs[VICTIM])?;
+    let acked = client
+        .join()
+        .map_err(|_| "client thread panicked".to_string())??;
+    if acked < CLIENT_TXNS {
+        return Err(format!(
+            "the fleet acked {acked} of {CLIENT_TXNS} client transactions as Committed"
+        ));
+    }
+    println!("crash-harness: {acked} client transactions acked Committed by a real sft-node");
     println!(
         "crash-harness OK: prefixes agree on {} replicas; victim kept {} pre-crash blocks \
          and committed {} more after restart",

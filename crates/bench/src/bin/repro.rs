@@ -707,6 +707,7 @@ fn drive_crash<E: ReplicaEngine>(
             drain_step: config.delay,
         },
     );
+    runner.keep_persist_log();
 
     let crash_at = SimTime::ZERO + period * (args.epochs / 3).max(1);
     runner.run_until(crash_at);

@@ -183,7 +183,15 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     if opts.id as usize >= n {
         return Err(format!("id {} out of range for {} peers", opts.id, n));
     }
-    let config = SimConfig::new(n, opts.epochs).with_protocol(opts.protocol);
+    // The deployed replica serves live clients: leaders drain their own
+    // mempools into real transaction batches (an empty pool still makes a
+    // block, so rounds keep their pace), exactly what the loadgen harness
+    // builds — not the synthetic descriptors of the latency experiments,
+    // under which an admitted transaction would never be proposed.
+    let config = SimConfig::new(n, opts.epochs)
+        .with_protocol(opts.protocol)
+        .with_batch_size(BATCH_TXNS)
+        .with_live_clients(true);
     let delta = SimDuration::from_micros(opts.delta.as_micros() as u64);
     match opts.protocol {
         Protocol::Streamlet => {
@@ -192,11 +200,18 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
         }
         Protocol::Fbft => {
             let timeout = SimDuration::from_micros(opts.base_timeout.as_micros() as u64);
-            let engine = build_fbft_engines(&config, timeout).remove(opts.id as usize);
+            let mut engine = build_fbft_engines(&config, timeout).remove(opts.id as usize);
+            // The round pace every wall-clock cluster runs at.
+            engine
+                .replica_mut()
+                .set_round_pace(sft_fbft::ROUND_INTERVAL, sft_fbft::ROUND_BURST);
             drive(engine, opts, ProtocolTag::Fbft)
         }
     }
 }
+
+/// Transactions per proposed block, at most (`sft-loadgen`'s default).
+const BATCH_TXNS: u32 = 64;
 
 /// Messages pending same-instant self-delivery (a node hears its own
 /// broadcasts without a network round trip, as in every harness).

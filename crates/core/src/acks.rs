@@ -50,7 +50,9 @@ pub struct AckTracker {
     /// Submissions located in a committed block, awaiting its strength
     /// upgrade to their `ack_at` threshold. Keyed by block id.
     watch: HashMap<HashValue, Vec<(HashValue, PendingAck)>>,
-    /// Blocks whose payload was already scanned against `pending`.
+    /// Blocks whose payload was already scanned against `pending`. Swept
+    /// against the store whenever it outgrows it, so it never outlives the
+    /// replica's retention horizon by more than a constant factor.
     scanned: HashSet<HashValue>,
     /// Emitted acks awaiting [`drain`](Self::drain).
     ready: Vec<ClientAck>,
@@ -103,6 +105,12 @@ impl AckTracker {
         }
         let block_id = update.block_id();
         if !self.pending.is_empty() && self.scanned.insert(block_id) {
+            if self.scanned.len() > 2 * store.len() {
+                // Pruned blocks get no further strength upgrades, so the
+                // acks still waiting on one can never fire either.
+                self.scanned.retain(|id| store.contains(*id));
+                self.watch.retain(|id, _| store.contains(*id));
+            }
             if let Some(block) = store.get(block_id) {
                 if let Payload::Transactions(txns) = block.payload() {
                     for txn in txns {

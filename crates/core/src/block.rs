@@ -233,7 +233,9 @@ impl fmt::Display for BlockStoreError {
 
 impl std::error::Error for BlockStoreError {}
 
-/// An append-only index of all delivered blocks, rooted at genesis.
+/// An index of delivered blocks, rooted at genesis. Append-only except for
+/// [`prune_below`](Self::prune_below), which drops whole rounds from the
+/// old end once a replica's retention horizon has passed them.
 ///
 /// # Examples
 ///
@@ -312,6 +314,23 @@ impl BlockStore {
         }
         self.blocks.insert(block.id(), block);
         Ok(true)
+    }
+
+    /// Drops every block whose round is below `floor` (genesis always
+    /// stays) and returns the dropped ids, so id-keyed bookkeeping elsewhere
+    /// can forget them too. Ancestor walks simply end where the retained
+    /// chain does; a block whose parent was dropped can no longer be
+    /// inserted ([`BlockStoreError::UnknownParent`]).
+    pub fn prune_below(&mut self, floor: Round) -> Vec<HashValue> {
+        let mut dropped = Vec::new();
+        self.blocks.retain(|id, block| {
+            let keep = block.round() >= floor || block.is_genesis();
+            if !keep {
+                dropped.push(*id);
+            }
+            keep
+        });
+        dropped
     }
 
     /// Looks up a block by id.
@@ -610,6 +629,29 @@ mod tests {
         assert!(store
             .common_ancestor(HashValue::of(b"nope"), b3.id())
             .is_none());
+    }
+
+    #[test]
+    fn pruning_drops_old_rounds_and_walks_end_at_the_gap() {
+        let mut store = BlockStore::new();
+        let genesis_id = store.genesis_id();
+        let b1 = extend(&mut store, genesis_id, 1);
+        let b2 = extend(&mut store, b1.id(), 2);
+        let b3 = extend(&mut store, b2.id(), 3);
+        let mut dropped = store.prune_below(Round::new(3));
+        dropped.sort();
+        let mut expected = vec![b1.id(), b2.id()];
+        expected.sort();
+        assert_eq!(dropped, expected);
+        assert!(store.contains(genesis_id), "genesis is never pruned");
+        assert!(store.contains(b3.id()));
+        assert_eq!(store.ancestors(b3.id()).count(), 0, "the parent is gone");
+        assert!(!store.extends(b3.id(), b1.id()));
+        // A late sibling of a pruned block can no longer attach.
+        let late = Block::new(&b1, Round::new(9), ReplicaId::new(1), Payload::empty());
+        assert_eq!(store.insert(late), Err(BlockStoreError::UnknownParent));
+        // Descendants of retained blocks still do.
+        extend(&mut store, b3.id(), 4);
     }
 
     #[test]

@@ -15,6 +15,75 @@
 
 use std::fmt;
 
+use sft_types::Round;
+
+/// The default retention horizon, in rounds behind a replica's committed
+/// tip (see [`Retention`]). A peer that falls further behind than this
+/// cannot be served by block sync any more and needs state transfer.
+pub const RETENTION_ROUNDS: u64 = 256;
+
+/// A replica's retention horizon: everything it keys by round or block —
+/// blocks, votes, certificates, endorsement tallies — is dropped once it
+/// lies more than `rounds` behind the committed tip, so memory and
+/// per-round cost do not depend on how long the replica has run.
+///
+/// Sweeps are batched: one becomes due each time another eighth of the
+/// horizon has accumulated above the floor, which keeps at most 9/8 of a
+/// horizon resident while a sweep's cost — linear in what is resident —
+/// stays a handful of operations per round, amortized.
+///
+/// # Examples
+///
+/// ```
+/// use sft_core::Retention;
+/// use sft_types::Round;
+///
+/// let mut retention = Retention::new(16);
+/// assert_eq!(retention.advance(Round::new(17)), None, "a sweep every 2 rounds");
+/// assert_eq!(retention.advance(Round::new(18)), Some(Round::new(2)));
+/// assert_eq!(retention.floor(), Round::new(2));
+/// assert_eq!(retention.advance(Round::new(19)), None);
+/// assert_eq!(retention.advance(Round::new(23)), Some(Round::new(7)));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Retention {
+    rounds: u64,
+    floor: Round,
+}
+
+impl Default for Retention {
+    fn default() -> Self {
+        Self::new(RETENTION_ROUNDS)
+    }
+}
+
+impl Retention {
+    /// A horizon of `rounds` rounds (at least one) behind the committed tip.
+    pub fn new(rounds: u64) -> Self {
+        Self {
+            rounds: rounds.max(1),
+            floor: Round::ZERO,
+        }
+    }
+
+    /// Everything below this round has been swept; arrivals for it are
+    /// stale.
+    pub fn floor(&self) -> Round {
+        self.floor
+    }
+
+    /// Called with the committed tip's round after every commit: returns
+    /// the new floor when a sweep is due, and remembers it.
+    pub fn advance(&mut self, committed_tip: Round) -> Option<Round> {
+        let floor = committed_tip.saturating_sub(self.rounds);
+        if floor.as_u64() < self.floor.as_u64() + (self.rounds / 8).max(1) {
+            return None;
+        }
+        self.floor = floor;
+        Some(floor)
+    }
+}
+
 /// Static protocol parameters: the replica count `n` and the design fault
 /// threshold `f`.
 ///

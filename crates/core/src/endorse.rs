@@ -10,7 +10,7 @@
 //! committed block is reported as a [`StrongCommitUpdate`] — the entry type
 //! of the §5 commit log.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use sft_crypto::HashValue;
 use sft_types::{
@@ -22,9 +22,10 @@ use crate::{Block, BlockStore, ProtocolConfig};
 
 /// Computes the [`EndorseInfo`] an honest voter attaches when voting for
 /// `block`, from the `(round, id)` history of every block it ever voted
-/// for. Shared by the height-based and round-based replicas — the marker
-/// maintenance of §3.2 and the interval computation of §3.4 are protocol
-/// independent.
+/// for — the *specification* of the §3.2 marker and the §3.4 interval set.
+/// Replicas do not call this per vote: they carry a [`VoterState`], which
+/// maintains the same answer incrementally (the paper's "one integer per
+/// vote" bookkeeping), and the property suite pins the two together.
 ///
 /// - [`EndorseMode::Vanilla`] — no info.
 /// - [`EndorseMode::Marker`] — the highest round of any previously voted
@@ -34,6 +35,10 @@ use crate::{Block, BlockStore, ProtocolConfig};
 ///   where `fork_round` is the round of `F`'s common ancestor with `block`.
 ///   Rounds *below* the fork point stay endorsed — the refinement the
 ///   single marker gives up.
+///
+/// Cost: one walk up `block`'s ancestors plus one pass over
+/// `voted_blocks` — `O(|voted| + depth)`; interval mode additionally walks
+/// each *conflicting* vote's branch back to the fork point.
 ///
 /// # Examples
 ///
@@ -57,34 +62,202 @@ pub fn honest_endorse_info(
     voted_blocks: &[(Round, HashValue)],
     block: &Block,
 ) -> EndorseInfo {
-    let conflicting = |id: &HashValue| !store.extends(block.id(), *id);
+    if mode == EndorseMode::Vanilla {
+        return EndorseInfo::None;
+    }
+    // The one ancestor walk: every strict ancestor of `block` the store
+    // still holds, by id.
+    let ancestors: HashSet<HashValue> = strict_ancestors(store, block).map(Block::id).collect();
+    let conflicting = voted_blocks
+        .iter()
+        .filter(|(_, id)| !ancestors.contains(id));
     match mode {
         EndorseMode::Vanilla => EndorseInfo::None,
-        EndorseMode::Marker => {
-            let marker = voted_blocks
-                .iter()
-                .filter(|(_, id)| conflicting(id))
+        EndorseMode::Marker => EndorseInfo::Marker(
+            conflicting
                 .map(|(round, _)| *round)
                 .max()
-                .unwrap_or(Round::ZERO);
-            EndorseInfo::Marker(marker)
-        }
+                .unwrap_or_default(),
+        ),
         EndorseMode::Interval => {
             let mut set = RoundIntervalSet::full_range(Round::new(1), block.round());
-            for (round, id) in voted_blocks {
-                if !conflicting(id) {
-                    continue;
-                }
-                let fork_round = store
-                    .common_ancestor(*id, block.id())
-                    .map(Block::round)
-                    .unwrap_or(Round::ZERO);
+            for (round, id) in conflicting {
+                let fork_round = fork_round(store, &ancestors, block, *id);
                 if fork_round < *round {
                     set.subtract(fork_round.next(), *round);
                 }
             }
             EndorseInfo::Intervals(set)
         }
+    }
+}
+
+/// `block`'s strict ancestors held by `store`, nearest first. Starts from
+/// the parent link, so `block` itself need not be stored.
+fn strict_ancestors<'a>(
+    store: &'a BlockStore,
+    block: &Block,
+) -> impl Iterator<Item = &'a Block> + 'a {
+    std::iter::successors(store.get(block.parent_id()), move |ancestor| {
+        (!ancestor.is_genesis())
+            .then(|| store.get(ancestor.parent_id()))
+            .flatten()
+    })
+}
+
+/// The round of the deepest block shared by `from`'s and `block`'s paths to
+/// genesis (either endpoint counts as its own ancestor) — the fork point
+/// `r_l` of the §3.4 window. Round 0 when the paths do not meet inside the
+/// store, which withholds endorsement all the way down.
+fn fork_round(
+    store: &BlockStore,
+    ancestors_of_block: &HashSet<HashValue>,
+    block: &Block,
+    from: HashValue,
+) -> Round {
+    let mut cursor = from;
+    while let Some(candidate) = store.get(cursor) {
+        if cursor == block.id() || ancestors_of_block.contains(&cursor) {
+            return candidate.round();
+        }
+        if candidate.is_genesis() {
+            break;
+        }
+        cursor = candidate.parent_id();
+    }
+    Round::ZERO
+}
+
+/// The bookkeeping an honest voter carries from one vote to the next: the
+/// last block it voted for and the [`EndorseInfo`] that vote carried. That
+/// is the paper's O(1) marker maintenance (§3.2) — and its §3.4
+/// generalization — in place of re-deriving the info from the whole voting
+/// history on every vote:
+///
+/// - the new block **extends** the last voted block (found by walking the
+///   gap between them): nothing new conflicts, so the marker carries over
+///   unchanged and the interval set only grows by `(last.round,
+///   block.round]`;
+/// - it **does not**: the last voted block is the highest-round conflict,
+///   so the marker becomes its round; the interval windows are recomputed
+///   with [`honest_endorse_info`] over the votes still inside the
+///   retention horizon, and nothing below the horizon is endorsed again.
+///
+/// Both replicas embed one, feed it every vote they cast, and restore it
+/// after a crash from the replayed `VoteSent` records themselves — the
+/// vote *is* the state.
+///
+/// # Examples
+///
+/// ```
+/// use sft_core::{Block, BlockStore, VoterState};
+/// use sft_crypto::KeyRegistry;
+/// use sft_types::{EndorseInfo, EndorseMode, Payload, ReplicaId, Round, StrongVote};
+///
+/// let key = KeyRegistry::deterministic(4).key_pair(0).unwrap();
+/// let mut store = BlockStore::new();
+/// let b1 = Block::new(store.genesis(), Round::new(1), ReplicaId::new(1), Payload::empty());
+/// let fork = Block::new(store.genesis(), Round::new(2), ReplicaId::new(2), Payload::empty());
+/// store.insert(b1.clone()).unwrap();
+/// store.insert(fork.clone()).unwrap();
+///
+/// let mut voter = VoterState::new(EndorseMode::Marker);
+/// let info = voter.endorse_info(&store, &b1);
+/// assert_eq!(info, EndorseInfo::Marker(Round::ZERO));
+/// voter.record(&StrongVote::new(b1.vote_data(), info, &key));
+/// // Switching branches: the abandoned vote's round becomes the marker.
+/// assert_eq!(voter.endorse_info(&store, &fork), EndorseInfo::Marker(Round::new(1)));
+/// ```
+#[derive(Clone, Debug)]
+pub struct VoterState {
+    mode: EndorseMode,
+    last: Option<LastVote>,
+    /// Interval mode only: `(round, id)` of every vote at or above
+    /// `floor` — what a branch switch recomputes its windows from.
+    retained: Vec<(Round, HashValue)>,
+    /// Rounds below this are outside the retention horizon.
+    floor: Round,
+}
+
+#[derive(Clone, Debug)]
+struct LastVote {
+    round: Round,
+    block_id: HashValue,
+    info: EndorseInfo,
+}
+
+impl VoterState {
+    /// A voter that has not voted yet.
+    pub fn new(mode: EndorseMode) -> Self {
+        Self {
+            mode,
+            last: None,
+            retained: Vec::new(),
+            floor: Round::ZERO,
+        }
+    }
+
+    /// The round of the last recorded vote (0 before the first) — the
+    /// whole of the vote-once rule, since rounds only move forward.
+    pub fn last_voted_round(&self) -> Round {
+        self.last.as_ref().map_or(Round::ZERO, |last| last.round)
+    }
+
+    /// The info to attach to a vote for `block`.
+    pub fn endorse_info(&self, store: &BlockStore, block: &Block) -> EndorseInfo {
+        let Some(last) = &self.last else {
+            return honest_endorse_info(self.mode, store, &[], block);
+        };
+        let extends_last = strict_ancestors(store, block)
+            .find(|ancestor| ancestor.round() <= last.round)
+            .is_some_and(|ancestor| ancestor.id() == last.block_id);
+        match (self.mode, &last.info, extends_last) {
+            (EndorseMode::Vanilla, ..) => EndorseInfo::None,
+            (EndorseMode::Marker, EndorseInfo::Marker(marker), true) => {
+                EndorseInfo::Marker(*marker)
+            }
+            (EndorseMode::Marker, ..) => EndorseInfo::Marker(last.round),
+            (EndorseMode::Interval, EndorseInfo::Intervals(set), true) => {
+                let mut set = set.clone();
+                set.insert(last.round.next(), block.round());
+                EndorseInfo::Intervals(set)
+            }
+            (EndorseMode::Interval, ..) => {
+                let mut info = honest_endorse_info(self.mode, store, &self.retained, block);
+                if let (EndorseInfo::Intervals(set), true) = (&mut info, self.floor > Round::ZERO) {
+                    // Votes below the horizon are forgotten; so is any
+                    // claim to endorse the rounds they covered.
+                    set.clamp(self.floor, block.round());
+                }
+                info
+            }
+        }
+    }
+
+    /// Records a vote this replica cast — when casting it, and again when
+    /// a restart replays its `VoteSent` record.
+    pub fn record(&mut self, vote: &StrongVote) {
+        if self
+            .last
+            .as_ref()
+            .is_some_and(|last| vote.round() <= last.round)
+        {
+            return;
+        }
+        if self.mode == EndorseMode::Interval {
+            self.retained.push((vote.round(), vote.data().block_id()));
+        }
+        self.last = Some(LastVote {
+            round: vote.round(),
+            block_id: vote.data().block_id(),
+            info: vote.endorse().clone(),
+        });
+    }
+
+    /// Forgets votes below `floor` (the last vote always stays).
+    pub fn prune_below(&mut self, floor: Round) {
+        self.floor = floor;
+        self.retained.retain(|(round, _)| *round >= floor);
     }
 }
 
@@ -264,6 +437,17 @@ impl EndorsementTracker {
             }
         }
         grown
+    }
+
+    /// Forgets the tallies of `pruned` blocks — the ids a
+    /// [`BlockStore::prune_below`] just dropped. Later votes can no longer
+    /// reach them (walks end where the store does), so their strength
+    /// stays at whatever was last reported.
+    pub fn forget(&mut self, pruned: &[HashValue]) {
+        for id in pruned {
+            self.endorsers.remove(id);
+            self.reported_level.remove(id);
+        }
     }
 
     /// Number of distinct replicas endorsing `block_id`.

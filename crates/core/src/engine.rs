@@ -235,7 +235,34 @@ pub trait ReplicaEngine {
     /// Block-sync counters (requests sent, blocks admitted, …).
     fn sync_stats(&self) -> SyncStats;
 
-    /// The replica's block store, for resolving committed chains into
-    /// transaction counts.
+    /// The replica's block store: every block inside its retention
+    /// horizon (older committed blocks have been pruned).
     fn store(&self) -> &BlockStore;
+
+    /// Transactions carried by the committed chain, counted as each block
+    /// commits.
+    fn txns_committed(&self) -> u64;
+
+    /// What the replica currently holds in memory — the numbers a
+    /// retention horizon keeps independent of how long it has run.
+    fn resident(&self) -> ResidentState;
+
+    /// Consumes the engine into its committed chain and strong-commit
+    /// log, for a final report assembled without copying either.
+    fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>)
+    where
+        Self: Sized;
+}
+
+/// A replica's resident-state gauges (see [`ReplicaEngine::resident`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ResidentState {
+    /// Blocks in the store, genesis included.
+    pub blocks: usize,
+    /// Votes held by the vote tracker.
+    pub votes: usize,
+    /// Quorum certificates held for block sync.
+    pub certs: usize,
+    /// Mempool dedup entries ([`Mempool::dedup_entries`](crate::Mempool::dedup_entries)).
+    pub dedup_entries: usize,
 }

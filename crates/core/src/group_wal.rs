@@ -213,6 +213,12 @@ impl GroupCommitWal {
         })
     }
 
+    /// Threads this log owns: its writer, until [`finish`](Self::finish)
+    /// joins it.
+    pub fn thread_count(&self) -> usize {
+        usize::from(self.writer.is_some())
+    }
+
     /// The highest sequence number assigned so far (0 before the first
     /// append) — what a full [`barrier`](DurableWal::barrier) waits for.
     pub fn last_seq(&self) -> PersistSeq {

@@ -38,6 +38,8 @@ use crate::BlockStore;
 #[derive(Clone, Debug, Default)]
 pub struct CommitLedger {
     committed: Vec<HashValue>,
+    /// Membership index over `committed`, minus whatever
+    /// [`forget`](Self::forget) dropped.
     committed_ids: HashSet<HashValue>,
     safety_violation: bool,
 }
@@ -53,9 +55,24 @@ impl CommitLedger {
         &self.committed
     }
 
-    /// True if `id` is committed.
+    /// Consumes the ledger into the committed chain, oldest block first.
+    pub fn into_chain(self) -> Vec<HashValue> {
+        self.committed
+    }
+
+    /// True if `id` is committed and has not been [forgotten](Self::forget).
     pub fn contains(&self, id: HashValue) -> bool {
         self.committed_ids.contains(&id)
+    }
+
+    /// Drops `pruned` — the ids a [`BlockStore::prune_below`] just removed
+    /// — from the membership index. [`chain`](Self::chain) keeps every id;
+    /// only [`contains`](Self::contains) stops answering for blocks the
+    /// store no longer holds, which no finalization walk can reach anyway.
+    pub fn forget(&mut self, pruned: &[HashValue]) {
+        for id in pruned {
+            self.committed_ids.remove(id);
+        }
     }
 
     /// The most recently committed block, if any.

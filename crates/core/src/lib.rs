@@ -15,6 +15,14 @@
 //!   commit with the strength `x` of Definition 1 and emit
 //!   [`StrongCommitUpdate`](sft_types::StrongCommitUpdate) entries for the
 //!   §5 commit log.
+//! - [`VoterState`] — the voter's side of §3.2 / §3.4: the last vote and
+//!   the endorsement info it carried, from which the next vote's info
+//!   follows in O(gap) — the paper's "one integer per vote".
+//!   [`honest_endorse_info`] is its whole-history specification.
+//! - [`Retention`] — the one horizon, a fixed number of rounds behind the
+//!   committed tip, below which a replica prunes everything it keys by
+//!   round or block, so its memory and per-round cost do not depend on
+//!   how long it has run.
 //! - [`SyncManager`] / [`BlockResponse`] — the block-sync / catch-up
 //!   subprotocol: detect certified-but-unknown blocks, fetch them in
 //!   bounded verified segments, and admit nothing the certificate chain
@@ -56,9 +64,9 @@ pub mod wal;
 
 pub use acks::AckTracker;
 pub use block::{Ancestors, Block, BlockStore, BlockStoreError};
-pub use config::ProtocolConfig;
-pub use endorse::{honest_endorse_info, EndorsementTracker};
-pub use engine::{EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route};
+pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
+pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
+pub use engine::{EngineStep, MsgKind, OutboundMsg, ReplicaEngine, ResidentState, Route};
 pub use group_wal::{DurableWal, GroupCommitWal, WriteThroughWal};
 pub use ledger::CommitLedger;
 pub use mempool::{Admission, Mempool, PayloadSource};

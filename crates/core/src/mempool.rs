@@ -3,22 +3,79 @@
 //! The paper's workload model (§4) assumes "sufficiently many transactions
 //! are generated and submitted by the clients so that any leader always has
 //! enough"; this module supplies the replica-side half of that: a FIFO pool
-//! of client transactions with id-level deduplication, batch draining under
-//! the [`BatchConfig`] caps, and lazy removal of transactions observed in
-//! other leaders' blocks (so successive leaders do not re-propose what the
-//! chain already carries). Everything is deterministic — iteration order is
-//! submission order — so two replicas fed the same client stream drain
-//! byte-identical batches.
+//! of deduplicated client transactions, batch draining
+//! under the [`BatchConfig`] caps, and lazy removal of transactions
+//! observed in other leaders' blocks (so successive leaders do not
+//! re-propose what the chain already carries). Everything is deterministic
+//! — iteration order is submission order — so two replicas fed the same
+//! client stream drain byte-identical batches.
+//!
+//! ## The dedup contract
+//!
+//! Two identities, one per stage of a transaction's life:
+//!
+//! - **Before commit** a transaction is its id — the hash over client,
+//!   sequence number *and payload*. The pool remembers the ids it holds,
+//!   the ids it drained, and the ids carried by blocks it has seen stored
+//!   (each with the block's round, dropped once the retention horizon
+//!   passes it). Transactions are unsigned, so anything weaker would let
+//!   one leader's never-committed proposal of forged `(client, seq)`
+//!   numbers shadow the client's real requests.
+//! - **Once committed** a transaction is its `(client, seq)` pair. Per
+//!   client the pool keeps one watermark (every sequence number below it
+//!   is on the committed chain) plus the sparse set of committed numbers
+//!   above it, so a client that numbers its requests contiguously costs
+//!   O(1) memory however many it commits. Gaps are tolerated up to
+//!   [`DEDUP_WINDOW`] out-of-order numbers per client; past that the
+//!   oldest gap is closed, and the numbers skipped in it answer
+//!   [`Admission::Duplicate`] from then on.
 //!
 //! The [`PayloadSource`] enum is the small strategy knob the replicas
 //! thread through their propose paths: drain real batches from the mempool,
 //! or describe a synthetic batch (the latency experiments' mode, where only
 //! the payload *size* matters).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use sft_crypto::HashValue;
 use sft_types::{BatchConfig, Payload, Round, Transaction};
+
+/// Most sequence numbers remembered *above* one client's contiguous
+/// watermark before the oldest gap below them is closed.
+pub const DEDUP_WINDOW: usize = 1024;
+
+/// The sequence numbers of one client on the committed chain.
+#[derive(Clone, Debug, Default)]
+struct SeenSeqs {
+    /// Every sequence number below this is committed.
+    watermark: u64,
+    /// Committed numbers at or above the watermark.
+    above: BTreeSet<u64>,
+}
+
+impl SeenSeqs {
+    fn contains(&self, seq: u64) -> bool {
+        seq < self.watermark || self.above.contains(&seq)
+    }
+
+    fn insert(&mut self, seq: u64) {
+        if seq < self.watermark || !self.above.insert(seq) {
+            return;
+        }
+        if self.above.len() > DEDUP_WINDOW {
+            // Close the oldest gap: whatever it skipped is forfeited.
+            self.watermark = *self.above.first().expect("non-empty");
+        }
+        // `u64::MAX` has no successor to move the watermark to: it stays
+        // in `above`.
+        while let Some(next) = self.watermark.checked_add(1) {
+            if !self.above.remove(&self.watermark) {
+                break;
+            }
+            self.watermark = next;
+        }
+    }
+}
 
 /// Where a proposing replica gets its block payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,20 +113,21 @@ impl PayloadSource {
 ///
 /// Every outcome is explicit so it can flow back to the submitting client
 /// as a [`sft_types::ClientAck`]: `Busy` is the backpressure signal of a
-/// pool at capacity, `Duplicate` the dedup signal of an id the replica
-/// already holds (or already committed).
+/// pool at capacity, `Duplicate` the dedup signal of a transaction the
+/// replica already holds (or already saw on chain).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
     /// Admitted into the pool; the transaction will ride a future batch.
     Admitted,
-    /// The id was already submitted, drained, or observed in a block.
+    /// The transaction was already submitted, drained, or observed in a
+    /// block, or its `(client, seq)` is on the committed chain.
     Duplicate,
     /// The pool is at its count or byte cap — retry after commits drain it.
     Busy,
 }
 
-/// A deterministic FIFO transaction pool with id-level deduplication and
-/// explicit admission control.
+/// A deterministic FIFO transaction pool with deduplication and explicit
+/// admission control.
 ///
 /// # Examples
 ///
@@ -105,10 +163,17 @@ pub struct Mempool {
     /// via [`mark_included`](Self::mark_included); those are skipped lazily
     /// on drain, so removal is O(1) per transaction.
     queue: VecDeque<Transaction>,
-    /// Ids currently queued and not yet drained or marked included.
-    pending: HashSet<HashValue>,
-    /// Ids ever drained or observed in a stored block — the dedup horizon.
-    seen: HashSet<HashValue>,
+    /// Transactions queued and not yet drained or marked included, by id,
+    /// with their encoded size.
+    pending: HashMap<HashValue, u64>,
+    /// Transactions drained here or carried by a stored block, by id, with
+    /// that block's round — `None` for a batch drained here whose block has
+    /// not been stored yet. Pruned behind the retention horizon.
+    in_flight: HashMap<HashValue, Option<Round>>,
+    /// Per client, the sequence numbers on the committed chain — the part
+    /// of the dedup state that lives forever, independent of how many
+    /// transactions that is.
+    committed: HashMap<u64, SeenSeqs>,
     /// Encoded bytes of pending transactions (tracks `pending`, not the
     /// lazily trimmed `queue`).
     pending_bytes: u64,
@@ -122,8 +187,9 @@ impl Default for Mempool {
     fn default() -> Self {
         Self {
             queue: VecDeque::new(),
-            pending: HashSet::new(),
-            seen: HashSet::new(),
+            pending: HashMap::new(),
+            in_flight: HashMap::new(),
+            committed: HashMap::new(),
             pending_bytes: 0,
             max_pending: usize::MAX,
             max_pending_bytes: u64::MAX,
@@ -170,13 +236,32 @@ impl Mempool {
         self.pending_bytes
     }
 
+    /// Entries the dedup state holds: per client one watermark plus the
+    /// out-of-order committed numbers above it, and one per transaction in
+    /// flight inside the retention horizon — the resident-state gauge that
+    /// must not grow with the number of committed transactions.
+    pub fn dedup_entries(&self) -> usize {
+        let committed: usize = self.committed.values().map(|c| 1 + c.above.len()).sum();
+        committed + self.in_flight.len()
+    }
+
+    fn is_committed(&self, txn: &Transaction) -> bool {
+        self.committed
+            .get(&txn.client())
+            .is_some_and(|seqs| seqs.contains(txn.seq()))
+    }
+
     /// Attempts to admit `txn`, reporting the explicit [`Admission`]
-    /// verdict: `Duplicate` for an id already pending, drained, or observed
-    /// in a block; `Busy` when a cap is hit (the backpressure a client
-    /// gateway surfaces to the socket); `Admitted` otherwise.
+    /// verdict: `Duplicate` for a transaction already pending, drained, or
+    /// observed in a block, or whose `(client, seq)` is committed; `Busy`
+    /// when a cap is hit (the backpressure a client gateway surfaces to the
+    /// socket); `Admitted` otherwise.
     pub fn try_submit(&mut self, txn: Transaction) -> Admission {
+        if self.is_committed(&txn) {
+            return Admission::Duplicate;
+        }
         let id = txn.id();
-        if self.seen.contains(&id) || self.pending.contains(&id) {
+        if self.pending.contains_key(&id) || self.in_flight.contains_key(&id) {
             return Admission::Duplicate;
         }
         let txn_bytes = sft_types::Encode::encoded_len(&txn) as u64;
@@ -185,7 +270,7 @@ impl Mempool {
         {
             return Admission::Busy;
         }
-        self.pending.insert(id);
+        self.pending.insert(id, txn_bytes);
         self.pending_bytes += txn_bytes;
         self.queue.push_back(txn);
         Admission::Admitted
@@ -197,21 +282,50 @@ impl Mempool {
         self.try_submit(txn) == Admission::Admitted
     }
 
-    /// Removes the ids of `txns` from the pool without draining them —
-    /// called when a *stored* block carries them, so this replica's next
-    /// leadership slot does not re-propose transactions the chain already
-    /// holds. Ids never submitted are still recorded as seen (late client
-    /// submissions of included transactions are rejected).
-    pub fn mark_included<'a>(&mut self, txns: impl IntoIterator<Item = &'a Transaction>) {
+    fn unqueue(&mut self, id: &HashValue) {
+        if let Some(bytes) = self.pending.remove(id) {
+            self.pending_bytes = self.pending_bytes.saturating_sub(bytes);
+        }
+    }
+
+    /// Removes `txns` from the pool without draining them — called when a
+    /// *stored* block of round `round` carries them, so this replica's next
+    /// leadership slot does not re-propose transactions the chain may
+    /// already hold. Transactions never submitted are still remembered
+    /// (late client submissions of included transactions are rejected)
+    /// until [`prune_below`](Self::prune_below) passes `round`. The block
+    /// may never commit, so identity here is the full transaction id:
+    /// a forged `(client, seq)` with another payload shadows nothing.
+    pub fn mark_included<'a>(
+        &mut self,
+        txns: impl IntoIterator<Item = &'a Transaction>,
+        round: Round,
+    ) {
         for txn in txns {
             let id = txn.id();
-            if self.pending.remove(&id) {
-                self.pending_bytes = self
-                    .pending_bytes
-                    .saturating_sub(sft_types::Encode::encoded_len(txn) as u64);
-            }
-            self.seen.insert(id);
+            self.unqueue(&id);
+            self.in_flight.insert(id, Some(round));
         }
+    }
+
+    /// Records `txns` as carried by the committed chain: from here on their
+    /// `(client, seq)` pairs answer [`Admission::Duplicate`] whatever the
+    /// payload, in O(clients) memory.
+    pub fn mark_committed<'a>(&mut self, txns: impl IntoIterator<Item = &'a Transaction>) {
+        for txn in txns {
+            self.committed
+                .entry(txn.client())
+                .or_default()
+                .insert(txn.seq());
+        }
+    }
+
+    /// Forgets the in-flight transactions of blocks below `floor`: those
+    /// blocks have committed (their `(client, seq)` pairs are remembered
+    /// for good) or never will.
+    pub fn prune_below(&mut self, floor: Round) {
+        self.in_flight
+            .retain(|_, round| round.is_none_or(|round| round >= floor));
     }
 
     /// Drains the next batch under the [`BatchConfig`] caps: submission
@@ -225,21 +339,25 @@ impl Mempool {
             let Some(txn) = self.queue.front() else {
                 break;
             };
-            // Lazily drop entries removed by `mark_included`.
-            if !self.pending.contains(&txn.id()) {
+            // Lazily drop entries removed by `mark_included`, and those
+            // whose `(client, seq)` committed under another payload.
+            let id = txn.id();
+            let Some(&txn_bytes) = self.pending.get(&id) else {
+                self.queue.pop_front();
+                continue;
+            };
+            if self.is_committed(txn) {
+                self.unqueue(&id);
                 self.queue.pop_front();
                 continue;
             }
-            let txn_bytes = sft_types::Encode::encoded_len(txn) as u64;
             if !drained.is_empty() && bytes + txn_bytes > batch.max_bytes {
                 break;
             }
             bytes += txn_bytes;
             let txn = self.queue.pop_front().expect("front checked");
-            let id = txn.id();
-            self.pending.remove(&id);
-            self.pending_bytes = self.pending_bytes.saturating_sub(txn_bytes);
-            self.seen.insert(id);
+            self.unqueue(&id);
+            self.in_flight.insert(id, None);
             drained.push(txn);
         }
         drained
@@ -298,14 +416,14 @@ mod tests {
             pool.submit(txn(seq, 8));
         }
         let in_block = [txn(0, 8), txn(2, 8)];
-        pool.mark_included(in_block.iter());
+        pool.mark_included(in_block.iter(), Round::new(1));
         assert_eq!(pool.len(), 2);
         let batch = pool.next_batch(BatchConfig::with_max_txns(10));
         let seqs: Vec<u64> = batch.iter().map(Transaction::seq).collect();
         assert_eq!(seqs, vec![1, 3], "included txns skipped");
         assert!(!pool.submit(txn(0, 8)), "included ids stay rejected");
         // Marking an id never submitted still blocks later submission.
-        pool.mark_included([txn(9, 8)].iter());
+        pool.mark_included([txn(9, 8)].iter(), Round::new(1));
         assert!(!pool.submit(txn(9, 8)));
     }
 
@@ -340,12 +458,124 @@ mod tests {
         let mut pool = Mempool::with_caps(usize::MAX, 130);
         assert_eq!(pool.try_submit(txn(0, 100)), Admission::Admitted);
         assert_eq!(pool.try_submit(txn(1, 100)), Admission::Busy);
-        pool.mark_included([txn(0, 100)].iter());
+        pool.mark_included([txn(0, 100)].iter(), Round::new(1));
         assert_eq!(pool.pending_bytes(), 0);
         assert_eq!(pool.try_submit(txn(1, 100)), Admission::Admitted);
         // Marking an id that was never pending does not underflow.
-        pool.mark_included([txn(9, 100)].iter());
+        pool.mark_included([txn(9, 100)].iter(), Round::new(1));
         assert_eq!(pool.pending_bytes(), 124);
+    }
+
+    /// Drains everything pending as one block of `round` and commits it.
+    fn commit_all(pool: &mut Mempool, round: u64) {
+        let block = pool.next_batch(BatchConfig::with_max_txns(u32::MAX));
+        pool.mark_included(block.iter(), Round::new(round));
+        pool.mark_committed(block.iter());
+    }
+
+    #[test]
+    fn dedup_state_does_not_grow_with_committed_transactions() {
+        let mut pool = Mempool::new();
+        for seq in 0..10_000 {
+            assert!(pool.submit(txn(seq, 8)));
+            if seq % 100 == 99 {
+                let round = seq / 100 + 1;
+                commit_all(&mut pool, round);
+                pool.prune_below(Round::new(round.saturating_sub(4)));
+            }
+        }
+        assert_eq!(
+            pool.dedup_entries(),
+            1 + 500,
+            "one watermark for one client, plus the five blocks inside the horizon"
+        );
+        assert!(!pool.submit(txn(0, 8)), "old numbers stay rejected");
+        assert!(!pool.submit(txn(9_999, 8)));
+        assert!(pool.submit(txn(10_000, 8)));
+    }
+
+    #[test]
+    fn committed_dedup_ignores_the_payload_and_tolerates_out_of_order_numbers() {
+        let mut pool = Mempool::new();
+        // Committed out of order: 2 before 0 and 1.
+        pool.mark_committed([txn(2, 8)].iter());
+        assert_eq!(pool.dedup_entries(), 2, "watermark 0 plus the stray 2");
+        assert!(!pool.submit(txn(2, 99)), "same (client, seq), new payload");
+        assert!(pool.submit(txn(0, 8)));
+        assert!(pool.submit(txn(1, 8)));
+        commit_all(&mut pool, 1);
+        pool.prune_below(Round::new(2));
+        assert_eq!(pool.dedup_entries(), 1, "the gap closed: watermark 3");
+        // Another client's numbering is independent.
+        assert!(pool.submit(Transaction::new(8, 2, vec![])));
+    }
+
+    #[test]
+    fn a_gap_older_than_the_window_is_forfeited() {
+        let mut pool = Mempool::new();
+        // Sequence number 0 is skipped for good.
+        let later: Vec<Transaction> = (1..=DEDUP_WINDOW as u64 + 1).map(|s| txn(s, 0)).collect();
+        pool.mark_committed(later.iter());
+        assert_eq!(pool.dedup_entries(), 1, "window overflowed and collapsed");
+        assert!(!pool.submit(txn(0, 0)), "the skipped number is forfeited");
+        assert!(pool.submit(txn(DEDUP_WINDOW as u64 + 2, 0)));
+    }
+
+    #[test]
+    fn the_last_sequence_number_commits_without_overflow() {
+        let mut pool = Mempool::new();
+        let top: Vec<Transaction> = (u64::MAX - 2..=u64::MAX).map(|s| txn(s, 0)).collect();
+        pool.mark_committed(top.iter());
+        // Close the gap below them so the contiguous run reaches the top.
+        let fill: Vec<Transaction> = (u64::MAX - 2 - DEDUP_WINDOW as u64..u64::MAX - 2)
+            .map(|s| txn(s, 0))
+            .collect();
+        pool.mark_committed(fill.iter());
+        for t in &top {
+            assert!(!pool.submit(t.clone()), "seq {} is committed", t.seq());
+        }
+        assert!(!pool.submit(txn(5, 0)), "below the watermark");
+        assert_eq!(
+            pool.dedup_entries(),
+            2,
+            "watermark u64::MAX plus u64::MAX itself"
+        );
+    }
+
+    #[test]
+    fn a_forged_uncommitted_inclusion_shadows_nothing() {
+        let mut pool = Mempool::new();
+        assert!(pool.submit(txn(0, 8)));
+        // A stored, never-committed block carries forged transactions under
+        // this client's sequence numbers (other payloads).
+        let forged: Vec<Transaction> = (0..2_000).map(|s| txn(s, 9)).collect();
+        pool.mark_included(forged.iter(), Round::new(3));
+        assert_eq!(pool.len(), 1, "the genuine pending request stays queued");
+        assert!(
+            pool.submit(txn(1, 8)),
+            "later genuine requests are admitted"
+        );
+        assert!(
+            !pool.submit(forged[5].clone()),
+            "the forged one itself is known"
+        );
+        // Once the horizon passes the block, even that memory goes.
+        pool.prune_below(Round::new(4));
+        assert_eq!(pool.dedup_entries(), 0);
+        assert_eq!(pool.next_batch(BatchConfig::with_max_txns(8)).len(), 2);
+    }
+
+    #[test]
+    fn a_pending_number_committed_under_another_payload_is_not_proposed() {
+        let mut pool = Mempool::new();
+        assert!(pool.submit(txn(0, 8)));
+        assert!(pool.submit(txn(1, 8)));
+        pool.mark_committed([txn(0, 99)].iter());
+        let batch = pool.next_batch(BatchConfig::with_max_txns(8));
+        let seqs: Vec<u64> = batch.iter().map(Transaction::seq).collect();
+        assert_eq!(seqs, vec![1]);
+        assert!(pool.is_empty());
+        assert_eq!(pool.pending_bytes(), 0);
     }
 
     #[test]

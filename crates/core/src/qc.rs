@@ -8,7 +8,7 @@
 //! the endorsement tally of [`crate::EndorsementTracker`] says *how many
 //! faults a commit of it survives*.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -152,6 +152,9 @@ pub enum VoteOutcome {
     /// The author already voted for a *different* block in the same round;
     /// the vote is ignored and the author recorded as an equivocator.
     Equivocation,
+    /// The vote's round is below the tracker's retention floor
+    /// ([`VoteTracker::prune_below`]) — ignored, unverified.
+    Stale,
 }
 
 /// Aggregates strong-votes into quorum certificates.
@@ -183,9 +186,7 @@ pub struct VoteTracker {
     /// certification hands the set to the [`QuorumCertificate`] by sharing;
     /// `Arc::make_mut` keeps later inserts copy-free until (at most once) a
     /// vote arrives after certification.
-    by_block: HashMap<HashValue, (VoteData, Arc<SignerSet>)>,
-    /// Blocks that already produced a certificate (emit-once).
-    certified: HashSet<HashValue>,
+    by_block: HashMap<HashValue, Tally>,
     /// First block each replica voted for in each round, for equivocation
     /// detection.
     first_vote: HashMap<(Round, ReplicaId), HashValue>,
@@ -203,6 +204,31 @@ pub struct VoteTracker {
     stats: SigStats,
     /// Claimed authors of signatures a batch check rejected.
     forged: Vec<ReplicaId>,
+    /// Votes for rounds below this are [`VoteOutcome::Stale`].
+    floor: Round,
+}
+
+/// The votes counted for one block.
+#[derive(Clone, Debug)]
+struct Tally {
+    data: VoteData,
+    signers: Arc<SignerSet>,
+    /// Set when the block produced its certificate (emit-once).
+    certified: bool,
+}
+
+impl Tally {
+    fn new(data: VoteData, n: usize) -> Self {
+        Self {
+            data,
+            signers: Arc::new(SignerSet::new(n)),
+            certified: false,
+        }
+    }
+
+    fn certificate(&self) -> QuorumCertificate {
+        QuorumCertificate::new(self.data, Arc::clone(&self.signers))
+    }
 }
 
 /// A counted vote held until (and after) its signature is checked.
@@ -221,13 +247,13 @@ impl VoteTracker {
             registry,
             policy: VerifyPolicy::OnArrival,
             by_block: HashMap::new(),
-            certified: HashSet::new(),
             first_vote: HashMap::new(),
             equivocators: Vec::new(),
             stored: HashMap::new(),
             newly_verified: Vec::new(),
             stats: SigStats::default(),
             forged: Vec::new(),
+            floor: Round::ZERO,
         }
     }
 
@@ -266,6 +292,9 @@ impl VoteTracker {
     /// Counts one vote, verifying per [`VerifyPolicy`]. See
     /// [`VoteOutcome`] for the cases.
     pub fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome {
+        if vote.round() < self.floor {
+            return VoteOutcome::Stale;
+        }
         match self.policy {
             VerifyPolicy::OnArrival => self.add_on_arrival(vote),
             VerifyPolicy::OnQuorum => self.add_on_quorum(vote),
@@ -298,18 +327,18 @@ impl VoteTracker {
         }
 
         let n = self.config.n();
-        let (_, signers) = self
+        let tally = self
             .by_block
             .entry(block_id)
-            .or_insert_with(|| (*vote.data(), Arc::new(SignerSet::new(n))));
-        if !Arc::make_mut(signers).insert(author) {
+            .or_insert_with(|| Tally::new(*vote.data(), n));
+        if !Arc::make_mut(&mut tally.signers).insert(author) {
             return VoteOutcome::Duplicate;
         }
-        let count = signers.len();
+        let count = tally.signers.len();
         self.newly_verified.push(vote.clone());
-        if count >= self.config.quorum() && self.certified.insert(block_id) {
-            let (data, signers) = &self.by_block[&block_id];
-            return VoteOutcome::Certified(QuorumCertificate::new(*data, Arc::clone(signers)));
+        if count >= self.config.quorum() && !tally.certified {
+            tally.certified = true;
+            return VoteOutcome::Certified(tally.certificate());
         }
         VoteOutcome::Counted(count)
     }
@@ -409,7 +438,7 @@ impl VoteTracker {
     fn insert_fresh(&mut self, vote: &StrongVote) -> VoteOutcome {
         let block_id = vote.data().block_id();
         let author = vote.author();
-        let already_certified = self.certified.contains(&block_id);
+        let already_certified = self.is_certified(block_id);
         if already_certified && !self.verify_one(vote) {
             // Post-certification stragglers verify individually: they can
             // still upgrade endorsement strength, so their signatures
@@ -417,14 +446,14 @@ impl VoteTracker {
             return VoteOutcome::BadSignature;
         }
         let n = self.config.n();
-        let (_, signers) = self
+        let tally = self
             .by_block
             .entry(block_id)
-            .or_insert_with(|| (*vote.data(), Arc::new(SignerSet::new(n))));
-        if !Arc::make_mut(signers).insert(author) {
+            .or_insert_with(|| Tally::new(*vote.data(), n));
+        if !Arc::make_mut(&mut tally.signers).insert(author) {
             return VoteOutcome::Duplicate;
         }
-        let count = signers.len();
+        let count = tally.signers.len();
         self.first_vote.insert((vote.round(), author), block_id);
         self.stored.insert(
             (block_id, author),
@@ -458,11 +487,12 @@ impl VoteTracker {
     /// digest is hashed once and shared across every signing preimage in
     /// the batch — the precompute half of the batched path.
     fn try_certify(&mut self, block_id: HashValue) -> Option<QuorumCertificate> {
-        if self.certified.contains(&block_id) {
-            return None;
-        }
-        let (data, signers) = self.by_block.get(&block_id)?;
-        if signers.len() < self.config.quorum() {
+        let Tally {
+            data,
+            signers,
+            certified,
+        } = self.by_block.get(&block_id)?;
+        if *certified || signers.len() < self.config.quorum() {
             return None;
         }
         // Signer-set iteration is index-ordered, so the batch (and with
@@ -512,20 +542,20 @@ impl VoteTracker {
                 }
             }
         }
-        let (data, signers) = self.by_block.get(&block_id)?;
-        if signers.len() < self.config.quorum() {
+        let tally = self.by_block.get_mut(&block_id)?;
+        if tally.signers.len() < self.config.quorum() {
             return None;
         }
-        self.certified.insert(block_id);
-        Some(QuorumCertificate::new(*data, Arc::clone(signers)))
+        tally.certified = true;
+        Some(tally.certificate())
     }
 
     /// Removes a forged vote's traces: the signer-set count, the
     /// first-vote record, and the stored copy.
     fn rollback(&mut self, block_id: HashValue, author: ReplicaId) {
-        if let Some((data, signers)) = self.by_block.get_mut(&block_id) {
-            Arc::make_mut(signers).remove(author);
-            let key = (data.block_round(), author);
+        if let Some(tally) = self.by_block.get_mut(&block_id) {
+            Arc::make_mut(&mut tally.signers).remove(author);
+            let key = (tally.data.block_round(), author);
             if self.first_vote.get(&key) == Some(&block_id) {
                 self.first_vote.remove(&key);
             }
@@ -536,7 +566,9 @@ impl VoteTracker {
 
     /// Number of verified votes currently counted for `block_id`.
     pub fn votes_for(&self, block_id: HashValue) -> usize {
-        self.by_block.get(&block_id).map_or(0, |(_, s)| s.len())
+        self.by_block
+            .get(&block_id)
+            .map_or(0, |tally| tally.signers.len())
     }
 
     /// The block of `round` with the most verified votes here (ties broken
@@ -547,14 +579,34 @@ impl VoteTracker {
     pub fn leading_block_at(&self, round: Round) -> Option<HashValue> {
         self.by_block
             .iter()
-            .filter(|(_, (data, _))| data.block_round() == round)
-            .max_by_key(|(id, (_, signers))| (signers.len(), **id))
+            .filter(|(_, tally)| tally.data.block_round() == round)
+            .max_by_key(|(id, tally)| (tally.signers.len(), **id))
             .map(|(id, _)| *id)
     }
 
     /// True if `block_id` has reached the classic quorum.
     pub fn is_certified(&self, block_id: HashValue) -> bool {
-        self.certified.contains(&block_id)
+        self.by_block
+            .get(&block_id)
+            .is_some_and(|tally| tally.certified)
+    }
+
+    /// Forgets every vote, tally, and first-vote record for rounds below
+    /// `floor`; later votes for those rounds answer
+    /// [`VoteOutcome::Stale`]. Equivocators already caught stay caught.
+    pub fn prune_below(&mut self, floor: Round) {
+        self.floor = self.floor.max(floor);
+        let floor = self.floor;
+        self.by_block
+            .retain(|_, tally| tally.data.block_round() >= floor);
+        self.first_vote.retain(|(round, _), _| *round >= floor);
+        self.stored.retain(|_, stored| stored.vote.round() >= floor);
+    }
+
+    /// Votes currently held (one per counted `(round, author)`) — the
+    /// resident-state gauge a retention horizon keeps bounded.
+    pub fn resident_votes(&self) -> usize {
+        self.first_vote.len()
     }
 
     /// Replicas caught equivocating (voting for two blocks in one round).

@@ -47,6 +47,7 @@
 //! or multi-signature over the vote data) closes that gap and slots into
 //! [`QuorumCertificate`] when the real networking layer lands.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use sft_crypto::HashValue;
@@ -137,6 +138,13 @@ pub struct SyncStats {
     pub blocks_admitted: u64,
     /// Responses rejected by verification.
     pub responses_rejected: u64,
+    /// Fetch targets given up on after every attempt went unanswered —
+    /// non-zero on a replica that fell further behind than its peers'
+    /// retention horizon and now needs state transfer, not block sync.
+    pub targets_abandoned: u64,
+    /// Orphaned proposals released into the store because their parent
+    /// arrived by the normal path ([`SyncManager::note_stored`]).
+    pub orphans_adopted: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -210,19 +218,26 @@ pub struct SyncManager {
     /// Fetch targets: blocks known to exist but absent from the store
     /// (certified, or hash-chained below a certified block), plus blocks
     /// held locally whose *certificate* is wanted
-    /// ([`note_want`](Self::note_want)). Ordered so request issue order is
-    /// deterministic.
-    missing: BTreeMap<HashValue, FetchKind>,
+    /// ([`note_want`](Self::note_want)), each with the target's round.
+    /// Ordered so request issue order is deterministic.
+    missing: BTreeMap<HashValue, (FetchKind, Round)>,
     inflight: HashMap<HashValue, InFlight>,
-    /// Requests issued per target; targets past the attempt cap are
-    /// abandoned (a want for a certificate that never existed must not
-    /// retry forever).
-    attempts: HashMap<HashValue, u32>,
-    /// Verified blocks waiting for their parents, by block id.
-    orphans: HashMap<HashValue, Block>,
+    /// Requests issued per target, with the target's round; targets past
+    /// the attempt cap are abandoned (a want for a certificate that never
+    /// existed must not retry forever). An abandoned target keeps its
+    /// entry — noting it again does not register it again — until it is
+    /// admitted after all or the retention floor passes its round.
+    attempts: HashMap<HashValue, (u32, Round)>,
+    /// Verified blocks waiting for their parents, by block id; the flag is
+    /// set on blocks that arrived as verified proposals (the only orphans
+    /// a replica may still vote for once they attach).
+    orphans: HashMap<HashValue, (Block, bool)>,
     /// Orphan ids waiting on each missing parent.
     waiting_on: HashMap<HashValue, Vec<HashValue>>,
     peer_cursor: u64,
+    /// Rounds below this are outside the retention horizon: certificates,
+    /// wants, and orphans for them are dropped as stale.
+    floor: Round,
     stats: SyncStats,
     /// Metrics sink for retry counts and response latencies; no-op by
     /// default ([`set_recorder`](Self::set_recorder) turns it live).
@@ -243,6 +258,7 @@ impl SyncManager {
             orphans: HashMap::new(),
             waiting_on: HashMap::new(),
             peer_cursor: 0,
+            floor: Round::ZERO,
             stats: SyncStats::default(),
             recorder: sft_obs::RecorderCell::default(),
         }
@@ -289,13 +305,14 @@ impl SyncManager {
     /// Records a well-formed certificate. If the certified block is not in
     /// `store`, it becomes a missing target to fetch.
     pub fn note_certificate(&mut self, qc: &QuorumCertificate, store: &BlockStore) {
-        if qc.round() == Round::ZERO || !qc.is_well_formed(&self.config) {
+        if qc.round() == Round::ZERO || qc.round() < self.floor || !qc.is_well_formed(&self.config)
+        {
             return;
         }
         let id = qc.block_id();
         self.certs.entry(id).or_insert_with(|| qc.clone());
-        if !store.contains(id) && !self.orphans.contains_key(&id) {
-            self.missing.insert(id, FetchKind::Blocks);
+        if !store.contains(id) && !self.orphans.contains_key(&id) && !self.abandoned(id) {
+            self.missing.insert(id, (FetchKind::Blocks, qc.round()));
         }
     }
 
@@ -303,44 +320,107 @@ impl SyncManager {
     /// never seen it certified, and a peer's proposal just treated it as
     /// certified (e.g. proposed on top of it). Under message loss a
     /// quorum's votes can land on some replicas and not others; fetching
-    /// the certificate re-converges them. No-op if the certificate is
-    /// already known.
-    pub fn note_want(&mut self, id: HashValue) {
-        if !self.certs.contains_key(&id) && !self.orphans.contains_key(&id) {
+    /// the certificate re-converges them. `round` is the block's round.
+    /// No-op if the certificate is already known.
+    pub fn note_want(&mut self, id: HashValue, round: Round) {
+        if round >= self.floor
+            && !self.certs.contains_key(&id)
+            && !self.orphans.contains_key(&id)
+            && !self.abandoned(id)
+        {
             // Never downgrade a full-block fetch already underway.
-            self.missing.entry(id).or_insert(FetchKind::Certificate);
+            self.missing
+                .entry(id)
+                .or_insert((FetchKind::Certificate, round));
         }
     }
 
-    /// Pools a verified block whose parent is unknown (an orphaned
-    /// proposal, typically) and registers the parent as a missing target.
-    /// The caller vouches for the block's provenance (signature already
-    /// checked); admission still goes through [`BlockStore::insert`]'s
-    /// structural checks once the parent arrives.
-    pub fn note_orphan_block(&mut self, block: Block, store: &BlockStore) {
-        if self.orphans.len() >= MAX_ORPHANS || store.contains(block.id()) {
+    /// Pools a verified block whose parent is unknown and registers the
+    /// parent as a missing target. The caller vouches for the block's
+    /// provenance (signature already checked) and says whether it arrived
+    /// as a proposal (`from_proposal`) or inside a fetched segment;
+    /// admission still goes through [`BlockStore::insert`]'s structural
+    /// checks once the parent arrives.
+    ///
+    /// A block whose parent lies below the retention floor, or was given
+    /// up on, is dropped: the parent is gone for good, so the block could
+    /// never attach.
+    pub fn note_orphan_block(&mut self, block: Block, from_proposal: bool, store: &BlockStore) {
+        if self.orphans.len() >= MAX_ORPHANS
+            || store.contains(block.id())
+            || block.parent_round() < self.floor
+            || self.abandoned(block.parent_id())
+        {
             return;
         }
         let id = block.id();
         let parent = block.parent_id();
-        if self.orphans.insert(id, block).is_none() {
-            self.waiting_on.entry(parent).or_default().push(id);
+        let parent_round = block.parent_round();
+        match self.orphans.entry(id) {
+            // Pooled from a segment, now also seen as a proposal.
+            Entry::Occupied(mut pooled) => pooled.get_mut().1 |= from_proposal,
+            Entry::Vacant(slot) => {
+                slot.insert((block, from_proposal));
+                self.waiting_on.entry(parent).or_default().push(id);
+            }
         }
         self.missing.remove(&id);
         if !store.contains(parent) {
-            self.missing.insert(parent, FetchKind::Blocks);
+            self.missing
+                .insert(parent, (FetchKind::Blocks, parent_round));
         }
     }
 
-    /// Tells the manager a block arrived through the normal protocol path
-    /// (a proposal), clearing any bookkeeping that would otherwise keep
-    /// re-fetching it.
-    pub fn note_stored(&mut self, id: HashValue) {
-        self.missing.remove(&id);
-        self.inflight.remove(&id);
-        if let Some(block) = self.orphans.remove(&id) {
+    /// Tells the manager block `id` arrived through the normal protocol
+    /// path (a proposal): clears the bookkeeping that would otherwise keep
+    /// re-fetching it, and inserts every pooled orphan that was waiting on
+    /// it, cascading. Returns the orphans now in `store`, parents first,
+    /// each with whether it had arrived as a proposal — the caller owes
+    /// each the processing a block arriving in order would have had.
+    pub fn note_stored(&mut self, id: HashValue, store: &mut BlockStore) -> Vec<(HashValue, bool)> {
+        self.note_admitted(id);
+        if let Some((block, _)) = self.orphans.remove(&id) {
             self.unindex_waiting(block.parent_id(), id);
         }
+        let released = self.flush_orphans(store, vec![id]);
+        self.stats.orphans_adopted +=
+            released.iter().filter(|(_, proposal)| *proposal).count() as u64;
+        released
+    }
+
+    /// Drops everything keyed below `floor` — certificates, fetch targets,
+    /// pooled orphans — and treats later arrivals for those rounds as
+    /// stale. Requests for a dropped block go unanswered
+    /// ([`serve`](Self::serve) needs its certificate).
+    pub fn prune_below(&mut self, floor: Round) {
+        self.floor = self.floor.max(floor);
+        let floor = self.floor;
+        self.certs.retain(|_, qc| qc.round() >= floor);
+        let stale: Vec<HashValue> = self
+            .missing
+            .iter()
+            .filter(|(_, (_, round))| *round < floor)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in stale {
+            self.unwant(id);
+        }
+        self.attempts.retain(|_, (_, round)| *round >= floor);
+        let stale: Vec<(HashValue, HashValue)> = self
+            .orphans
+            .values()
+            .filter(|(block, _)| block.parent_round() < floor)
+            .map(|(block, _)| (block.id(), block.parent_id()))
+            .collect();
+        for (id, parent) in stale {
+            self.orphans.remove(&id);
+            self.unindex_waiting(parent, id);
+        }
+    }
+
+    /// Certificates currently held — the resident-state gauge.
+    pub fn resident_certs(&self) -> usize {
+        self.certs.len()
     }
 
     fn unindex_waiting(&mut self, parent: HashValue, id: HashValue) {
@@ -363,19 +443,21 @@ impl SyncManager {
             .max_inflight
             .saturating_sub(self.inflight.values().filter(|f| live(f)).count());
         let mut out = Vec::new();
-        let targets: Vec<(HashValue, FetchKind)> =
-            self.missing.iter().map(|(id, kind)| (*id, *kind)).collect();
-        for (target, kind) in targets {
+        let targets: Vec<(HashValue, FetchKind, Round)> = self
+            .missing
+            .iter()
+            .map(|(id, (kind, round))| (*id, *kind, *round))
+            .collect();
+        for (target, kind, round) in targets {
             if budget == 0 {
                 break;
             }
             if self.inflight.get(&target).is_some_and(&live) {
                 continue;
             }
-            let attempts = self.attempts.entry(target).or_insert(0);
+            let (attempts, _) = self.attempts.entry(target).or_insert((0, round));
             if *attempts >= MAX_FETCH_ATTEMPTS {
-                self.missing.remove(&target);
-                self.inflight.remove(&target);
+                self.abandon(target);
                 continue;
             }
             *attempts += 1;
@@ -519,11 +601,12 @@ impl SyncManager {
                 return Vec::new();
             }
             for block in blocks {
-                self.note_orphan_block(block.clone(), store);
+                self.note_orphan_block(block.clone(), false, store);
             }
         }
         // Anything pooled beneath the admitted blocks can now attach.
-        admitted.extend(self.flush_orphans(store, admitted.clone()));
+        let released = self.flush_orphans(store, admitted.clone());
+        admitted.extend(released.into_iter().map(|(id, _)| id));
         self.stats.blocks_admitted += admitted.len() as u64;
         // A certificate-only want (the block was already held) is now
         // satisfied; without this the target would be re-requested forever.
@@ -533,14 +616,50 @@ impl SyncManager {
         admitted
     }
 
+    /// True once every attempt at `id` went unanswered: it is not asked
+    /// for again (whoever names it) until the retention floor passes it.
+    fn abandoned(&self, id: HashValue) -> bool {
+        self.attempts
+            .get(&id)
+            .is_some_and(|(attempts, _)| *attempts >= MAX_FETCH_ATTEMPTS)
+    }
+
     fn note_admitted(&mut self, id: HashValue) {
+        self.unwant(id);
+        self.attempts.remove(&id);
+    }
+
+    fn unwant(&mut self, id: HashValue) {
         self.missing.remove(&id);
         self.inflight.remove(&id);
     }
 
+    /// Gives up on `target`: no peer answered for it in
+    /// `MAX_FETCH_ATTEMPTS` tries. Everything pooled above it can never
+    /// attach, so the orphans waiting on it (transitively) go too and the
+    /// manager stops reporting itself as syncing. The attempt count stays
+    /// at the cap, which is what [`abandoned`](Self::abandoned) reads.
+    fn abandon(&mut self, target: HashValue) {
+        self.unwant(target);
+        self.stats.targets_abandoned += 1;
+        self.recorder.add(sft_obs::names::SYNC_ABANDONED, 1);
+        let mut doomed = vec![target];
+        while let Some(parent) = doomed.pop() {
+            for id in self.waiting_on.remove(&parent).unwrap_or_default() {
+                self.orphans.remove(&id);
+                doomed.push(id);
+            }
+        }
+    }
+
     /// Inserts every pooled orphan whose ancestry just became available,
-    /// cascading. Returns the admitted ids in insertion order.
-    fn flush_orphans(&mut self, store: &mut BlockStore, roots: Vec<HashValue>) -> Vec<HashValue> {
+    /// cascading. Returns the admitted ids in insertion order, each with
+    /// its arrived-as-a-proposal flag.
+    fn flush_orphans(
+        &mut self,
+        store: &mut BlockStore,
+        roots: Vec<HashValue>,
+    ) -> Vec<(HashValue, bool)> {
         let mut admitted = Vec::new();
         let mut queue: VecDeque<HashValue> = roots.into();
         while let Some(parent) = queue.pop_front() {
@@ -549,12 +668,12 @@ impl SyncManager {
             };
             ids.sort(); // deterministic order among sibling orphans
             for id in ids {
-                let Some(block) = self.orphans.remove(&id) else {
+                let Some((block, from_proposal)) = self.orphans.remove(&id) else {
                     continue;
                 };
                 if store.insert(block).is_ok_and(|fresh| fresh) {
                     self.note_admitted(id);
-                    admitted.push(id);
+                    admitted.push((id, from_proposal));
                     queue.push_back(id);
                 }
             }
@@ -779,13 +898,64 @@ mod tests {
     }
 
     #[test]
+    fn an_abandoned_target_is_not_asked_for_again_until_the_floor_passes_it() {
+        let (_, blocks) = chain(3);
+        let mut sync = SyncManager::new(cfg(), ReplicaId::new(0));
+        // A want for a certificate no peer ever answers.
+        sync.note_want(blocks[1].id(), blocks[1].round());
+        let mut now = SimTime::ZERO;
+        while sync.is_syncing() {
+            sync.take_requests(now);
+            now += SimDuration::from_millis(900);
+        }
+        assert_eq!(sync.stats().requests_sent, u64::from(MAX_FETCH_ATTEMPTS));
+        assert_eq!(sync.stats().targets_abandoned, 1);
+
+        // Every retransmitted timeout or proposal names it again; so does
+        // a child proposal chasing it as its parent.
+        sync.note_want(blocks[1].id(), blocks[1].round());
+        assert!(sync.take_requests(now).is_empty());
+        let behind = BlockStore::new();
+        sync.note_orphan_block(blocks[2].clone(), true, &behind);
+        assert!(!sync.is_syncing(), "nothing pooled on a parent given up on");
+        assert_eq!(sync.stats().requests_sent, u64::from(MAX_FETCH_ATTEMPTS));
+        assert_eq!(sync.stats().targets_abandoned, 1);
+
+        // The memory of it is bounded by the horizon, like everything else.
+        sync.prune_below(blocks[2].round());
+        assert!(sync.attempts.is_empty());
+    }
+
+    #[test]
+    fn note_stored_releases_waiting_orphans_with_their_provenance() {
+        let (_, blocks) = chain(3);
+        let mut store = BlockStore::new();
+        let mut sync = SyncManager::new(cfg(), ReplicaId::new(0));
+        // Child and grandchild overtake the parent: one as a proposal, one
+        // out of a fetched segment.
+        sync.note_orphan_block(blocks[2].clone(), false, &store);
+        sync.note_orphan_block(blocks[1].clone(), true, &store);
+        assert!(sync.is_syncing());
+        store.insert(blocks[0].clone()).unwrap();
+        let released = sync.note_stored(blocks[0].id(), &mut store);
+        assert_eq!(
+            released,
+            vec![(blocks[1].id(), true), (blocks[2].id(), false)]
+        );
+        assert!(store.contains(blocks[2].id()));
+        assert!(!sync.is_syncing());
+        assert_eq!(sync.stats().orphans_adopted, 1);
+    }
+
+    #[test]
     fn note_stored_clears_bookkeeping() {
         let (_, blocks) = chain(2);
         let behind = BlockStore::new();
         let mut sync = SyncManager::new(cfg(), ReplicaId::new(0));
         sync.note_certificate(&quorum_qc(&blocks[1]), &behind);
         sync.take_requests(SimTime::ZERO);
-        sync.note_stored(blocks[1].id());
+        let mut store = BlockStore::new();
+        assert!(sync.note_stored(blocks[1].id(), &mut store).is_empty());
         assert!(!sync.is_syncing());
         assert!(sync.take_requests(SimTime::from_millis(5000)).is_empty());
     }

@@ -6,11 +6,12 @@
 //! bootstrap deadline: the round-1 proposal is the only event nothing
 //! precedes, so the engine reports an initial deadline at `SimTime::ZERO`
 //! and fires [`FbftReplica::try_propose_chained`] on its first tick
-//! (exactly what the old event-loop driver did by hand).
+//! (exactly what the old event-loop driver did by hand). A proposal the
+//! round pace held back goes out the same way, on the tick it comes due.
 
 use sft_core::{
     AckTracker, Admission, BlockStore, EngineObs, EngineStep, MsgKind, OutboundMsg, ReplicaEngine,
-    SyncStats, WalRecord,
+    ResidentState, SyncStats, WalRecord,
 };
 use sft_crypto::{HashValue, SigStats};
 use sft_obs::{names, PhaseTimer, SharedRecorder};
@@ -175,9 +176,9 @@ impl ReplicaEngine for FbftEngine {
 
     fn on_tick(&mut self, now: SimTime) -> EngineStep {
         let mut step = EngineStep::empty();
-        if !self.booted {
+        if !self.booted || self.replica.proposal_held() {
             self.booted = true;
-            if let Some(proposal) = self.replica.try_propose_chained() {
+            if let Some(proposal) = self.replica.try_propose_chained(now) {
                 step.outbound.push(OutboundMsg::broadcast(
                     MsgKind::Proposal,
                     FbftMessage::Proposal(proposal).to_bytes(),
@@ -261,5 +262,17 @@ impl ReplicaEngine for FbftEngine {
 
     fn store(&self) -> &BlockStore {
         self.replica.store()
+    }
+
+    fn txns_committed(&self) -> u64 {
+        self.replica.txns_committed()
+    }
+
+    fn resident(&self) -> ResidentState {
+        self.replica.resident()
+    }
+
+    fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>) {
+        self.replica.into_commit_record()
     }
 }

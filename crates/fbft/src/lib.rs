@@ -10,7 +10,8 @@
 //! - [`TwoChainState`] — the chain-agnostic 2-chain commit and locking
 //!   rule (Fig 2/3), small enough to test exhaustively;
 //! - [`Pacemaker`] — deterministic round synchronization: advance on QC or
-//!   TC, round-robin leaders, timeout back-off;
+//!   TC, round-robin leaders, timeout back-off, and the optional round
+//!   pace a wall-clock replica runs at ([`ROUND_INTERVAL`]);
 //! - [`FbftProposal`] / [`FbftMessage`] — self-justifying wire messages
 //!   (each proposal ships the QC it extends, plus the TC after a timeout);
 //! - [`FbftReplica`] — the state machine tying them together with the
@@ -50,7 +51,7 @@ pub mod two_chain;
 
 pub use engine::FbftEngine;
 pub use message::{FbftMessage, FbftProposal};
-pub use pacemaker::{Pacemaker, RoundEntry};
+pub use pacemaker::{Pacemaker, RoundEntry, ROUND_BURST, ROUND_INTERVAL};
 pub use replica::{FbftReplica, StepOutcome};
 pub use two_chain::TwoChainState;
 // The catch-up subprotocol is shared machinery; re-export the pieces a

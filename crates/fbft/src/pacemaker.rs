@@ -18,10 +18,53 @@
 //! Everything here is deterministic: deadlines are computed from the entry
 //! instant and a base timeout with exponential back-off on consecutive
 //! timeout-entered rounds, so a simulation replays byte-identically.
+//!
+//! ## Round pacing
+//!
+//! By default rounds follow each other as fast as certificates form. A
+//! replica on a wall clock can instead be given a *pace*
+//! ([`Pacemaker::set_pace`]): a minimum spacing between rounds and a burst
+//! allowance, enforced as a virtual schedule (the generic cell rate
+//! algorithm). Every round entered moves the schedule one interval on; the
+//! leader of the current round may propose once the clock is within the
+//! burst allowance of the schedule ([`Pacemaker::propose_at`]). While a
+//! replica is inside its allowance — the first rounds of a run, or the
+//! rounds after a stall — nothing waits, so a short run never notices.
+//! Past it, proposals fall on a grid one interval apart, and because the
+//! grid is kept by the schedule and not by "one interval after the last
+//! proposal", the time a round takes to certify does not add to it: the
+//! round rate is the clock's, not the scheduler's. Every replica counts
+//! the same rounds, so every leader keeps the same grid.
 
 use std::fmt;
 
 use sft_types::{ReplicaId, Round, SimDuration, SimTime};
+
+/// The round spacing a deployed replica runs at unless told otherwise:
+/// above the time a round takes to certify on loopback for every cluster
+/// shape the repo runs (n ≤ 10, blocks up to 128 KiB written through a
+/// group-commit log: 1.5–4.6 ms on two cores), so the grid, not the
+/// machine, sets the round rate.
+pub const ROUND_INTERVAL: SimDuration = SimDuration::from_millis(7);
+
+/// The burst allowance that goes with [`ROUND_INTERVAL`], in rounds:
+/// enough that a cluster's first commits (a dozen rounds) and every smoke
+/// run of a few dozen rounds go unpaced, small enough (0.22 s of schedule)
+/// that what is left of it a few seconds into a run is nothing.
+pub const ROUND_BURST: u64 = 32;
+
+/// The virtual schedule behind [`Pacemaker::set_pace`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Pace {
+    /// Schedule time added per round entered.
+    interval: SimDuration,
+    /// How far the schedule may run ahead of the clock before the leader
+    /// has to wait: `burst × interval`.
+    allowance: SimDuration,
+    /// Where the schedule stands: the current round is due at
+    /// `schedule − allowance`.
+    schedule: SimTime,
+}
 
 /// Why the pacemaker entered its current round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,6 +110,8 @@ pub struct Pacemaker {
     /// ahead after every firing, so a round that stays open keeps
     /// re-broadcasting its timeout message.
     next_fire: SimTime,
+    /// The round-rate limit, if one is set (see the module docs).
+    pace: Option<Pace>,
 }
 
 /// Cap on the back-off exponent: timeouts grow at most `2^6 = 64×` the
@@ -95,7 +140,37 @@ impl Pacemaker {
             entry: RoundEntry::Genesis,
             consecutive_timeouts: 0,
             next_fire: now + base_timeout,
+            pace: None,
         }
+    }
+
+    /// Limits this replica to one round per `interval`, after an allowance
+    /// of `burst` rounds that may follow each other as fast as certificates
+    /// form (and that refills whenever the replica runs slower than the
+    /// limit). Set it before the first round closes. See the module docs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero.
+    pub fn set_pace(&mut self, interval: SimDuration, burst: u64) {
+        assert!(!interval.is_zero(), "a zero interval paces nothing");
+        self.pace = Some(Pace {
+            interval,
+            allowance: interval * burst,
+            schedule: self.entered_at,
+        });
+    }
+
+    /// The earliest instant the leader of the current round may propose:
+    /// [`SimTime::ZERO`] (always in the past) unless a pace is set and this
+    /// replica has used up its burst allowance.
+    pub fn propose_at(&self) -> SimTime {
+        self.pace.map_or(SimTime::ZERO, |pace| {
+            SimTime::ZERO
+                + pace
+                    .schedule
+                    .saturating_since(SimTime::ZERO + pace.allowance)
+        })
     }
 
     /// The round this replica is currently in.
@@ -173,6 +248,17 @@ impl Pacemaker {
     }
 
     fn enter(&mut self, round: Round, entry: RoundEntry, now: SimTime) {
+        if let Some(pace) = &mut self.pace {
+            // One interval of schedule per round entered, never behind the
+            // clock (an idle or slow stretch earns no more than the
+            // allowance) and never more than one round past the allowance
+            // ahead of it: a restart replaying its log, or a straggler
+            // jumping a thousand rounds on one certificate, enters them all
+            // at one instant and must not come out owing seconds.
+            let skipped = round.as_u64() - self.round.as_u64();
+            let ahead = pace.schedule.max(now) + pace.interval * skipped;
+            pace.schedule = ahead.min(now + pace.allowance + pace.interval);
+        }
         self.round = round;
         self.entry = entry;
         self.entered_at = now;
@@ -200,6 +286,13 @@ mod tests {
 
     fn pm() -> Pacemaker {
         Pacemaker::new(4, SimDuration::from_millis(400), SimTime::ZERO)
+    }
+
+    /// One round per 10 ms after a burst of three.
+    fn paced() -> Pacemaker {
+        let mut pm = pm();
+        pm.set_pace(SimDuration::from_millis(10), 3);
+        pm
     }
 
     #[test]
@@ -300,6 +393,70 @@ mod tests {
         b.on_qc_round(Round::new(3), t);
         assert_eq!(a.current_round(), b.current_round());
         assert_eq!(a.current_round(), Round::new(4));
+    }
+
+    #[test]
+    fn an_unpaced_leader_may_always_propose() {
+        let mut pm = pm();
+        assert_eq!(pm.propose_at(), SimTime::ZERO);
+        pm.on_qc_round(Round::new(1), SimTime::from_millis(3));
+        assert_eq!(pm.propose_at(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn pace_lets_a_burst_through_then_holds_a_grid() {
+        let mut pm = paced();
+        // Rounds certify 1 ms apart: the first three enter inside the
+        // allowance, so their leaders need not wait.
+        for round in 1..=3u64 {
+            let now = SimTime::from_millis(round);
+            pm.on_qc_round(Round::new(round), now);
+            assert!(
+                pm.propose_at() <= now,
+                "round {} is inside the burst",
+                round + 1
+            );
+        }
+        // The next is ahead of the limit: due one interval after the last
+        // one's slot (1 ms), however quickly its certificate formed.
+        pm.on_qc_round(Round::new(4), SimTime::from_millis(4));
+        assert_eq!(pm.propose_at(), SimTime::from_millis(11));
+        // From here the grid holds whether a round takes 1 ms or 9 ms to
+        // certify: certification time does not add to the spacing.
+        pm.on_qc_round(Round::new(5), SimTime::from_millis(12));
+        assert_eq!(pm.propose_at(), SimTime::from_millis(21));
+        pm.on_qc_round(Round::new(6), SimTime::from_millis(30));
+        assert_eq!(pm.propose_at(), SimTime::from_millis(31));
+    }
+
+    #[test]
+    fn a_slow_stretch_refills_the_allowance_and_no_more() {
+        let mut pm = paced();
+        // Nothing for a second, then rounds 1 ms apart again: three go
+        // through at once (the allowance), the fourth waits.
+        let t = SimTime::from_secs(1);
+        for round in 1..=3u64 {
+            pm.on_qc_round(Round::new(round), t);
+            assert!(pm.propose_at() <= t);
+        }
+        pm.on_qc_round(Round::new(4), t);
+        assert_eq!(pm.propose_at(), t + SimDuration::from_millis(10));
+    }
+
+    #[test]
+    fn entering_many_rounds_at_one_instant_owes_one_interval() {
+        let mut pm = paced();
+        // A restart replaying 1000 certificates, or a straggler jumping
+        // 1000 rounds on one: the schedule is capped one round past the
+        // allowance, not 10 s out.
+        let t = SimTime::from_secs(2);
+        for round in 1..=1000u64 {
+            pm.on_qc_round(Round::new(round), t);
+        }
+        assert_eq!(pm.propose_at(), t + SimDuration::from_millis(10));
+        let mut jumper = paced();
+        jumper.on_tc_round(Round::new(1000), t);
+        assert_eq!(jumper.propose_at(), t + SimDuration::from_millis(10));
     }
 
     #[test]

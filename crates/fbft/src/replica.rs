@@ -1,12 +1,12 @@
 //! The SFT-DiemBFT replica state machine.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use sft_core::{
-    honest_endorse_info, Admission, Block, BlockStore, CommitLedger, EndorsementTracker, Mempool,
-    PayloadSource, ProtocolConfig, QuorumCertificate, SyncManager, SyncStats, VoteOutcome,
-    VoteTracker, WalRecord,
+    Admission, Block, BlockStore, CommitLedger, EndorsementTracker, Mempool, PayloadSource,
+    ProtocolConfig, QuorumCertificate, ResidentState, Retention, SyncManager, SyncStats,
+    VoteOutcome, VoteTracker, VoterState, WalRecord,
 };
 use sft_crypto::{HashValue, KeyPair, KeyRegistry, SigStats};
 use sft_types::{
@@ -112,7 +112,6 @@ pub struct FbftReplica {
     id: ReplicaId,
     config: ProtocolConfig,
     key_pair: KeyPair,
-    endorse_mode: EndorseMode,
     store: BlockStore,
     votes: VoteTracker,
     endorsements: EndorsementTracker,
@@ -125,15 +124,18 @@ pub struct FbftReplica {
     /// The TC that justified entering the current round, if it was entered
     /// on the timeout path (shipped with this replica's next proposal).
     last_tc: Option<TimeoutCertificate>,
-    /// Rounds this replica already voted in (vote-once rule).
-    voted_rounds: HashSet<Round>,
-    /// Every block this replica ever voted for, for marker/interval
-    /// computation (§3.2 / §3.4).
-    voted_blocks: Vec<(Round, HashValue)>,
-    /// Rounds this replica already proposed in (propose-once rule).
-    proposed_rounds: HashSet<Round>,
+    /// The last vote this replica cast and the endorsement info it
+    /// carried: the vote-once rule and the §3.2 / §3.4 marker maintenance.
+    voter: VoterState,
+    /// The highest round this replica proposed in (propose-once rule).
+    last_proposed_round: Round,
+    /// A chained proposal is ready but ahead of the round pace: the
+    /// replica's deadline is the instant it comes due.
+    proposal_held: bool,
     ledger: CommitLedger,
     commit_log: Vec<StrongCommitUpdate>,
+    /// Transactions carried by the committed chain, counted at commit.
+    txns_committed: u64,
     /// Where chained proposals get their payloads; `None` disables
     /// self-chaining (callers drive [`try_propose`](Self::try_propose)
     /// explicitly, as the unit tests do).
@@ -141,9 +143,10 @@ pub struct FbftReplica {
     /// Client transactions awaiting inclusion (drained by the mempool
     /// payload source; pruned when other leaders' blocks carry them).
     mempool: Mempool,
-    /// Digests of certificates already absorbed — re-deliveries (a QC rides
-    /// every proposal that extends it) skip the pacemaker/commit walk.
-    processed_qcs: HashSet<HashValue>,
+    /// Certificates already absorbed, by (round, digest) — re-deliveries (a
+    /// QC rides every proposal that extends it) skip the pacemaker/commit
+    /// walk.
+    processed_qcs: BTreeSet<(Round, HashValue)>,
     /// Block-sync state: certified-but-unknown targets, in-flight fetches,
     /// and the orphan pool (§ "Block sync" in the README).
     sync: SyncManager,
@@ -154,13 +157,12 @@ pub struct FbftReplica {
     /// the write-ahead-log records a crash-safe harness persists before
     /// sending this replica's messages.
     wal: Vec<WalRecord>,
-    /// Digests of certificates already written to the WAL buffer. Separate
-    /// from `processed_qcs`, which deliberately re-processes a QC while its
+    /// Certificates already written to the WAL buffer. Separate from
+    /// `processed_qcs`, which deliberately re-processes a QC while its
     /// block is absent — the log wants each certificate exactly once.
-    logged_qcs: HashSet<HashValue>,
-    /// Rounds whose TC was already written to the WAL buffer (one TC per
-    /// round suffices for recovery: replay only needs the round jump).
-    logged_tcs: HashSet<Round>,
+    logged_qcs: BTreeSet<(Round, HashValue)>,
+    /// How far behind the committed tip state is kept (see [`Retention`]).
+    retention: Retention,
 }
 
 impl FbftReplica {
@@ -190,7 +192,6 @@ impl FbftReplica {
             id: ReplicaId::new(id),
             config,
             key_pair,
-            endorse_mode: mode,
             store: BlockStore::new(),
             votes: VoteTracker::new(config, registry.clone()),
             endorsements: EndorsementTracker::new(config),
@@ -199,14 +200,15 @@ impl FbftReplica {
             pacemaker: Pacemaker::new(config.n(), base_timeout, now),
             high_qc: QuorumCertificate::genesis(config.n()),
             last_tc: None,
-            voted_rounds: HashSet::new(),
-            voted_blocks: Vec::new(),
-            proposed_rounds: HashSet::new(),
+            voter: VoterState::new(mode),
+            last_proposed_round: Round::ZERO,
+            proposal_held: false,
             ledger: CommitLedger::new(),
             commit_log: Vec::new(),
+            txns_committed: 0,
             payload_source: None,
             mempool: Mempool::new(),
-            processed_qcs: HashSet::new(),
+            processed_qcs: BTreeSet::new(),
             sync: {
                 let mut sync = SyncManager::new(config, ReplicaId::new(id));
                 // Re-ask a different peer after two exchanges' worth of
@@ -216,9 +218,23 @@ impl FbftReplica {
             },
             deferred_commits: Vec::new(),
             wal: Vec::new(),
-            logged_qcs: HashSet::new(),
-            logged_tcs: HashSet::new(),
+            logged_qcs: BTreeSet::new(),
+            retention: Retention::default(),
         }
+    }
+
+    /// Replaces the retention horizon ([`sft_core::RETENTION_ROUNDS`] by
+    /// default) with `rounds` behind the committed tip. Tests shrink it to
+    /// exercise pruning in short runs; set it before the first message.
+    pub fn set_retention(&mut self, rounds: u64) {
+        self.retention = Retention::new(rounds);
+    }
+
+    /// Paces this replica's rounds: at most one per `interval` once `burst`
+    /// rounds have gone through unpaced (see [`Pacemaker::set_pace`]). What
+    /// a replica on a wall clock runs with; virtual-time runs leave it off.
+    pub fn set_round_pace(&mut self, interval: SimDuration, burst: u64) {
+        self.pacemaker.set_pace(interval, burst);
     }
 
     /// Configures where chained proposals get their payloads and enables
@@ -289,16 +305,50 @@ impl FbftReplica {
         &self.high_qc
     }
 
-    /// The replica's block store (all delivered blocks).
+    /// The replica's block store: every delivered block inside the
+    /// retention horizon.
     pub fn store(&self) -> &BlockStore {
         &self.store
     }
 
-    /// The next instant this replica's round timer fires (the round
-    /// deadline, or the next timeout retransmission once it has fired —
-    /// the timer is always armed).
+    /// Transactions carried by the committed chain.
+    pub fn txns_committed(&self) -> u64 {
+        self.txns_committed
+    }
+
+    /// What this replica currently holds in memory.
+    pub fn resident(&self) -> ResidentState {
+        ResidentState {
+            blocks: self.store.len(),
+            votes: self.votes.resident_votes(),
+            certs: self.sync.resident_certs(),
+            dedup_entries: self.mempool.dedup_entries(),
+        }
+    }
+
+    /// Consumes the replica into its committed chain and commit log.
+    pub fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>) {
+        (self.ledger.into_chain(), self.commit_log)
+    }
+
+    /// The next instant this replica wants [`on_tick`](Self::on_tick): its
+    /// round timer (the round deadline, or the next timeout retransmission
+    /// once it has fired — the timer is always armed), or sooner when a
+    /// proposal is waiting for the round pace.
     pub fn next_deadline(&self) -> SimTime {
-        self.pacemaker.deadline()
+        let timer = self.pacemaker.deadline();
+        if self.proposal_held {
+            timer.min(self.pacemaker.propose_at())
+        } else {
+            timer
+        }
+    }
+
+    /// True while a chained proposal waits for the round pace; the caller
+    /// retries [`try_propose_chained`](Self::try_propose_chained) at
+    /// [`next_deadline`](Self::next_deadline).
+    pub fn proposal_held(&self) -> bool {
+        self.proposal_held
     }
 
     /// The committed chain, oldest block first (genesis excluded).
@@ -313,7 +363,8 @@ impl FbftReplica {
     }
 
     /// The highest strength level recorded for a committed block, or `None`
-    /// if the block is not committed.
+    /// if the block is not committed (or has aged out of the retention
+    /// horizon).
     pub fn commit_level(&self, block_id: HashValue) -> Option<u64> {
         if !self.ledger.contains(block_id) {
             return None;
@@ -347,7 +398,7 @@ impl FbftReplica {
         self.store
             .insert(block.clone())
             .expect("parent is in the store");
-        self.proposed_rounds.insert(round);
+        self.last_proposed_round = round;
         Some(FbftProposal::new(
             block,
             self.high_qc.clone(),
@@ -360,16 +411,18 @@ impl FbftReplica {
     /// it yet.
     pub fn may_propose(&self) -> bool {
         let round = self.pacemaker.current_round();
-        Self::leader(self.config, round) == self.id && !self.proposed_rounds.contains(&round)
+        Self::leader(self.config, round) == self.id && round > self.last_proposed_round
     }
 
     /// The pipelined propose path: if a [`PayloadSource`] is configured and
     /// this replica leads its current round, drains the next payload and
     /// proposes on the high-QC. Called internally after every
     /// round-advancing event; drivers call it once at startup to bootstrap
-    /// round 1.
-    pub fn try_propose_chained(&mut self) -> Option<FbftProposal> {
+    /// round 1, and again whenever a proposal the round pace held back
+    /// ([`proposal_held`](Self::proposal_held)) comes due.
+    pub fn try_propose_chained(&mut self, now: SimTime) -> Option<FbftProposal> {
         let source = self.payload_source?;
+        self.proposal_held = false;
         // Every failure mode of `try_propose` must be ruled out *before*
         // draining the mempool — a drained batch is marked seen, so handing
         // it to a propose call that then fails would lose the transactions
@@ -378,6 +431,12 @@ impl FbftReplica {
         // block it never received, e.g. the other half of an equivocation
         // split.
         if !self.may_propose() || !self.store.contains(self.high_qc.block_id()) {
+            return None;
+        }
+        if now < self.pacemaker.propose_at() {
+            // Ahead of the pace: leave the mempool alone (what arrives in
+            // the meantime rides this block) and come back when it is due.
+            self.proposal_held = true;
             return None;
         }
         let payload = source.next_payload(&mut self.mempool, self.pacemaker.current_round());
@@ -392,17 +451,20 @@ impl FbftReplica {
     /// be broadcast to all replicas; a returned chained proposal likewise.
     pub fn on_proposal(&mut self, proposal: &FbftProposal, now: SimTime) -> StepOutcome {
         let mut out = self.absorb_proposal(proposal, now);
-        out.next_proposal = self.try_propose_chained();
+        out.next_proposal = self.try_propose_chained(now);
         out.sync_requests = self.sync.take_requests(now);
         out
     }
 
     fn absorb_proposal(&mut self, proposal: &FbftProposal, now: SimTime) -> StepOutcome {
         let mut out = StepOutcome::default();
+        let block = proposal.block();
+        if block.round() < self.retention.floor() {
+            return out; // stale: older than anything this replica still keeps
+        }
         if !proposal.verify(self.votes.registry()) || !proposal.is_justified(&self.config) {
             return out;
         }
-        let block = proposal.block();
         if block.proposer() != Self::leader(self.config, block.round()) {
             return out;
         }
@@ -418,40 +480,63 @@ impl FbftReplica {
         }
         // Record the block regardless of the voting decision — descendants
         // and certificates may arrive later. Orphans (parent not yet
-        // delivered — e.g. this replica is catching up after a partition)
+        // delivered — the parent's proposal is still in flight on another
+        // connection, or this replica is catching up after a partition)
         // are pooled with the sync manager, which is already fetching the
         // parent: the proposal's own QC certifies it and was absorbed just
         // above.
         match self.store.insert(block.clone()) {
-            Ok(_) => self.sync.note_stored(block.id()),
+            Ok(_) => {}
             Err(sft_core::BlockStoreError::UnknownParent) => {
-                self.sync.note_orphan_block(block.clone(), &self.store);
+                self.sync
+                    .note_orphan_block(block.clone(), true, &self.store);
                 return out;
             }
             Err(_) => return out,
         }
-        // The chain now carries these transactions: stop offering them.
-        if let Payload::Transactions(txns) = block.payload() {
-            self.mempool.mark_included(txns.iter());
+        out.vote = self.adopt(block.id(), true);
+        // The block may be the parent an orphaned proposal was waiting
+        // for: the released children get the same treatment, in order
+        // (fetched segments carry no leader signature, so only those that
+        // had arrived as proposals may be voted for), and commits that
+        // were waiting on the gap land now.
+        for (id, from_proposal) in self.sync.note_stored(block.id(), &mut self.store) {
+            let vote = self.adopt(id, from_proposal);
+            out.vote = out.vote.take().or(vote);
         }
+        let settled = self.settle_deferred();
+        self.commit_log.extend(settled.iter().copied());
+        out.updates.extend(settled);
+        out
+    }
+
+    /// The part of the proposal path that runs once a block is in the
+    /// store: its transactions stop being offered, and — if it arrived as
+    /// a verified proposal (`may_vote`) for the current round — the voting
+    /// rule fires.
+    fn adopt(&mut self, id: HashValue, may_vote: bool) -> Option<StrongVote> {
+        let block = self.store.get(id)?;
         let round = block.round();
-        if round != self.pacemaker.current_round() || self.voted_rounds.contains(&round) {
-            return out;
+        if let Payload::Transactions(txns) = block.payload() {
+            self.mempool.mark_included(txns.iter(), round);
+        }
+        if !may_vote
+            || round != self.pacemaker.current_round()
+            || round <= self.voter.last_voted_round()
+        {
+            return None;
         }
         let data = block.vote_data();
         if !self.two_chain.safe_to_vote(&data) {
-            return out;
+            return None;
         }
-        let endorse =
-            honest_endorse_info(self.endorse_mode, &self.store, &self.voted_blocks, block);
-        self.voted_rounds.insert(round);
-        self.voted_blocks.push((round, block.id()));
+        let endorse = self.voter.endorse_info(&self.store, block);
         let vote = StrongVote::new(data, endorse, &self.key_pair);
+        self.voter.record(&vote);
         // Write-ahead: the harness persists this record before the vote is
         // routed, so a restart can never contradict it.
         self.wal.push(WalRecord::VoteSent(vote.clone()));
-        out.vote = Some(vote);
-        out
+        Some(vote)
     }
 
     /// Handles a broadcast strong-vote (including this replica's own).
@@ -461,7 +546,7 @@ impl FbftReplica {
     /// proposal with the fresh QC riding it.
     pub fn on_vote(&mut self, vote: &StrongVote, now: SimTime) -> StepOutcome {
         let mut out = self.absorb_vote(vote, now);
-        out.next_proposal = self.try_propose_chained();
+        out.next_proposal = self.try_propose_chained(now);
         out.sync_requests = self.sync.take_requests(now);
         out
     }
@@ -519,7 +604,7 @@ impl FbftReplica {
         // in our own tracker names it — and the certificate comes with it.
         if msg.high_qc_round() > self.high_qc.round() {
             if let Some(id) = self.votes.leading_block_at(msg.high_qc_round()) {
-                self.sync.note_want(id);
+                self.sync.note_want(id, msg.high_qc_round());
             }
         }
         // Stale timeouts (for rounds this replica already left) still die
@@ -534,7 +619,7 @@ impl FbftReplica {
         }
         // One chain attempt for whatever round the message landed us in
         // (catch-up jump or freshly formed TC alike).
-        out.next_proposal = self.try_propose_chained();
+        out.next_proposal = self.try_propose_chained(now);
         out.sync_requests = self.sync.take_requests(now);
         out
     }
@@ -561,35 +646,78 @@ impl FbftReplica {
         if !touched.contains(&target) && self.store.contains(target) {
             touched.push(target);
         }
-        for id in &touched {
-            if let Some(Payload::Transactions(txns)) =
-                self.store.get(*id).map(Block::payload).cloned()
-            {
-                self.mempool.mark_included(txns.iter());
-            }
+        for id in touched {
+            // Recovered blocks are stored, never voted on: a replica that
+            // needed block sync is behind the round they were proposed in.
+            self.adopt(id, false);
             // The certificate that flagged the block missing can now run
             // its full course: round advancement and the 2-chain walk.
             // (`process_qc` deliberately did not cache the digest while the
             // block was absent.)
-            if let Some(qc) = self.sync.certificate_for(*id).cloned() {
+            if let Some(qc) = self.sync.certificate_for(id).cloned() {
                 out.updates.extend(self.process_qc(&qc, now));
             }
         }
-        for id in self
-            .ledger
-            .finalize_deferred(&self.store, &mut self.deferred_commits)
-        {
-            if let Some(block) = self.store.get(id).cloned() {
-                self.wal.push(WalRecord::BlockCommitted(block));
-            }
-            if let Some(update) = self.endorsements.take_level_update(id, &self.store) {
-                out.updates.push(update);
-            }
-        }
+        out.updates.extend(self.settle_deferred());
         self.commit_log.extend(out.updates.iter().copied());
-        out.next_proposal = self.try_propose_chained();
+        out.next_proposal = self.try_propose_chained(now);
         out.sync_requests = self.sync.take_requests(now);
         out
+    }
+
+    /// Re-attempts the commits the 2-chain rule declared while their chain
+    /// still had holes; called whenever blocks arrived out of order.
+    fn settle_deferred(&mut self) -> Vec<StrongCommitUpdate> {
+        if self.deferred_commits.is_empty() {
+            return Vec::new();
+        }
+        let committed = self
+            .ledger
+            .finalize_deferred(&self.store, &mut self.deferred_commits);
+        self.commit_blocks(committed)
+    }
+
+    /// Commit-time bookkeeping for blocks the ledger just finalized: the
+    /// durable record, the transaction counter, the first strength grade,
+    /// and — commits being what moves the retention horizon — the sweep.
+    fn commit_blocks(&mut self, committed: Vec<HashValue>) -> Vec<StrongCommitUpdate> {
+        let mut updates = Vec::new();
+        for id in committed {
+            if let Some(block) = self.store.get(id) {
+                self.txns_committed += block.payload().txn_count() as u64;
+                if let Payload::Transactions(txns) = block.payload() {
+                    self.mempool.mark_committed(txns.iter());
+                }
+                self.wal.push(WalRecord::BlockCommitted(block.clone()));
+            }
+            updates.extend(self.endorsements.take_level_update(id, &self.store));
+        }
+        self.prune();
+        updates
+    }
+
+    /// The one place state ages out: once the committed tip has moved far
+    /// enough, everything keyed by a round or block below the new floor is
+    /// dropped, and later arrivals for those rounds are ignored as stale.
+    /// What survives is the committed chain's ids, the commit log, and the
+    /// counters.
+    fn prune(&mut self) {
+        let Some(tip) = self.ledger.tip().and_then(|id| self.store.get(id)) else {
+            return;
+        };
+        let Some(floor) = self.retention.advance(tip.round()) else {
+            return;
+        };
+        let pruned = self.store.prune_below(floor);
+        self.ledger.forget(&pruned);
+        self.endorsements.forget(&pruned);
+        self.votes.prune_below(floor);
+        self.sync.prune_below(floor);
+        self.voter.prune_below(floor);
+        let oldest_kept = (floor, HashValue::zero());
+        self.processed_qcs = self.processed_qcs.split_off(&oldest_kept);
+        self.logged_qcs = self.logged_qcs.split_off(&oldest_kept);
+        self.mempool.prune_below(floor);
     }
 
     /// Block-sync counters (requests sent, blocks recovered, …).
@@ -645,17 +773,18 @@ impl FbftReplica {
         // A QC rides every proposal extending it, so each is re-delivered
         // round after round; all of processing below is idempotent per
         // certificate, so a digest already absorbed is skipped outright.
-        if self.processed_qcs.contains(&qc.digest()) {
+        let key = (qc.round(), qc.digest());
+        if self.processed_qcs.contains(&key) {
             return Vec::new();
         }
-        if !qc.is_well_formed(&self.config) {
+        if !qc.is_well_formed(&self.config) || qc.round() < self.retention.floor() {
             return Vec::new();
         }
         // Log each certificate exactly once (the genesis QC replays as a
         // no-op, so logging it is harmless). This must *not* share
         // `processed_qcs`: that set deliberately skips caching while the
         // certified block is absent, and re-deliveries would re-log.
-        if qc.round() > Round::ZERO && self.logged_qcs.insert(qc.digest()) {
+        if qc.round() > Round::ZERO && self.logged_qcs.insert(key) {
             self.wal.push(WalRecord::QcFormed(qc.clone()));
         }
         // Sync bookkeeping: record the certificate (it may be served to
@@ -668,7 +797,7 @@ impl FbftReplica {
         // proposal or a block-sync response) must re-run it on the next
         // delivery or it would never finalize the chain.
         if self.store.contains(qc.data().block_id()) {
-            self.processed_qcs.insert(qc.digest());
+            self.processed_qcs.insert(key);
         }
         if qc.round() > self.high_qc.round() {
             self.high_qc = qc.clone();
@@ -678,35 +807,27 @@ impl FbftReplica {
             self.last_tc = None;
             self.timeouts.prune_below(self.pacemaker.current_round());
         }
-        let mut updates = Vec::new();
-        if let Some((committed_id, _)) = self.two_chain.on_qc(qc.data()) {
-            let committed = self.ledger.finalize_through(&self.store, committed_id);
-            if committed.is_empty() && !self.ledger.contains(committed_id) {
-                // The 2-chain rule fired but the local chain has holes (the
-                // committed block or an ancestor is still being fetched):
-                // the 2-chain state is already past this round and will
-                // never re-commit it, so remember the target and finalize
-                // once sync fills the gap.
-                if !self.deferred_commits.contains(&committed_id) {
-                    self.deferred_commits.push(committed_id);
-                }
-            }
-            for id in committed {
-                if let Some(block) = self.store.get(id).cloned() {
-                    self.wal.push(WalRecord::BlockCommitted(block));
-                }
-                if let Some(update) = self.endorsements.take_level_update(id, &self.store) {
-                    updates.push(update);
-                }
+        let Some((committed_id, _)) = self.two_chain.on_qc(qc.data()) else {
+            return Vec::new();
+        };
+        let committed = self.ledger.finalize_through(&self.store, committed_id);
+        if committed.is_empty() && !self.ledger.contains(committed_id) {
+            // The 2-chain rule fired but the local chain has holes (the
+            // committed block or an ancestor is still being fetched): the
+            // 2-chain state is already past this round and will never
+            // re-commit it, so remember the target and finalize once the
+            // gap fills.
+            if !self.deferred_commits.contains(&committed_id) {
+                self.deferred_commits.push(committed_id);
             }
         }
-        updates
+        self.commit_blocks(committed)
     }
 
     /// Adopts `tc` as the justification of the round it closed, logging it
     /// for crash recovery (once per round — replay only needs the jump).
     fn adopt_tc(&mut self, tc: TimeoutCertificate) {
-        if self.logged_tcs.insert(tc.round()) {
+        if self.last_tc.as_ref().map(TimeoutCertificate::round) != Some(tc.round()) {
             self.wal.push(WalRecord::TcFormed(tc.clone()));
         }
         self.last_tc = Some(tc);
@@ -723,8 +844,9 @@ impl FbftReplica {
     ///
     /// Replaying a log front to back restores exactly the promises the log
     /// recorded: `VoteSent` re-arms the vote-once rule and the marker
-    /// history (the replica can never equivocate against its pre-crash
-    /// self), `QcFormed` re-runs certificate processing (high-QC, round,
+    /// bookkeeping — the record carries the endorsement info the vote did,
+    /// which is all [`VoterState`] needs (the replica can never equivocate
+    /// against its pre-crash self), `QcFormed` re-runs certificate processing (high-QC, round,
     /// 2-chain lock, commits — certified-but-unknown blocks become sync
     /// targets again), `TcFormed` re-applies the round jump, and
     /// `BlockCommitted` restores the block and the committed prefix.
@@ -733,11 +855,7 @@ impl FbftReplica {
     /// they are already in the log being replayed.
     pub fn replay(&mut self, record: &WalRecord, now: SimTime) {
         match record {
-            WalRecord::VoteSent(vote) => {
-                self.voted_rounds.insert(vote.round());
-                self.voted_blocks
-                    .push((vote.round(), vote.data().block_id()));
-            }
+            WalRecord::VoteSent(vote) => self.voter.record(vote),
             WalRecord::QcFormed(qc) => {
                 let updates = self.process_qc(qc, now);
                 self.commit_log.extend(updates.iter().copied());
@@ -750,23 +868,23 @@ impl FbftReplica {
             }
             WalRecord::BlockCommitted(block) => {
                 match self.store.insert(block.clone()) {
-                    Ok(_) => self.sync.note_stored(block.id()),
+                    Ok(_) => {
+                        self.sync.note_stored(block.id(), &mut self.store);
+                    }
                     Err(sft_core::BlockStoreError::UnknownParent) => {
-                        self.sync.note_orphan_block(block.clone(), &self.store);
+                        self.sync
+                            .note_orphan_block(block.clone(), false, &self.store);
                     }
                     Err(_) => {}
                 }
-                // Replayed commits re-seed the dedup horizon, so a client
+                // Replayed commits re-seed the dedup state, so a client
                 // re-submitting across the crash still gets `Duplicate`.
                 if let Payload::Transactions(txns) = block.payload() {
-                    self.mempool.mark_included(txns.iter());
+                    self.mempool.mark_committed(txns.iter());
                 }
                 let committed = self.ledger.finalize_through(&self.store, block.id());
-                for id in committed {
-                    if let Some(update) = self.endorsements.take_level_update(id, &self.store) {
-                        self.commit_log.push(update);
-                    }
-                }
+                let updates = self.commit_blocks(committed);
+                self.commit_log.extend(updates);
             }
         }
         self.wal.clear();
@@ -790,6 +908,7 @@ impl fmt::Debug for FbftReplica {
 mod tests {
     use super::*;
     use sft_types::EndorseInfo;
+    use std::collections::HashSet;
 
     fn system(n: usize) -> Vec<FbftReplica> {
         let config = ProtocolConfig::for_replicas(n);
@@ -1026,6 +1145,117 @@ mod tests {
         }
     }
 
+    /// Regression: over TCP, proposal r + 1 regularly overtakes proposal r
+    /// on another connection. The overtaken replica pooled the child as an
+    /// orphan and — when the parent then arrived by the normal path —
+    /// never took it back out: no vote for the child, and if that replica
+    /// led round r + 2 it could not propose (the high-QC block was "missing"),
+    /// so the round died in a pacemaker timeout.
+    #[test]
+    fn orphaned_proposal_is_adopted_when_its_parent_arrives_by_the_normal_path() {
+        use sft_core::PayloadSource;
+        let mut replicas = system(4);
+        let now = SimTime::ZERO;
+        // Replica 0 leads round 4; it is the one the network reorders.
+        let r0 = replicas
+            .remove(0)
+            .with_payload_source(PayloadSource::Synthetic {
+                txn_count: 1,
+                txn_bytes: 1,
+            });
+        replicas.insert(0, r0);
+        run_round(&mut replicas, now);
+        assert!(replicas.iter().all(|r| r.current_round() == Round::new(2)));
+
+        // Round 2: the proposal reaches everyone but replica 0; the votes
+        // (broadcast) reach everyone, so replica 0 certifies a block it
+        // has not seen and moves on to round 3.
+        let p2 = replicas[2].try_propose(Payload::empty()).expect("leader");
+        let votes: Vec<_> = (1..4)
+            .filter_map(|i| replicas[i].on_proposal(&p2, now).vote)
+            .collect();
+        assert_eq!(votes.len(), 3);
+        for vote in &votes {
+            for replica in replicas.iter_mut() {
+                replica.on_vote(vote, now);
+            }
+        }
+        assert_eq!(replicas[0].current_round(), Round::new(3));
+
+        // Round 3's proposal overtakes round 2's on the way to replica 0:
+        // child before parent. Nothing to vote on yet.
+        let p3 = replicas[3].try_propose(Payload::empty()).expect("leader");
+        assert!(replicas[0].on_proposal(&p3, now).vote.is_none());
+        assert!(!replicas[0].store().contains(p3.block().id()));
+
+        // The parent lands by the normal path: the child is adopted and,
+        // its round still being current, voted for in the same step.
+        let out = replicas[0].on_proposal(&p2, now);
+        let vote = out.vote.expect("the adopted child gets its vote");
+        assert_eq!(vote.data().block_id(), p3.block().id());
+        assert!(replicas[0].store().contains(p3.block().id()));
+        assert_eq!(replicas[0].sync_stats().orphans_adopted, 1);
+
+        // Everyone votes round 3; replica 0 then leads round 4 and chains
+        // its proposal off the QC — no tick was ever fired.
+        let mut votes: Vec<_> = (1..4)
+            .filter_map(|i| replicas[i].on_proposal(&p3, now).vote)
+            .collect();
+        votes.push(vote);
+        let proposals: Vec<_> = votes
+            .iter()
+            .filter_map(|vote| replicas[0].on_vote(vote, now).next_proposal)
+            .collect();
+        assert_eq!(proposals.len(), 1, "the next leader proposes exactly once");
+        assert_eq!(proposals[0].block().round(), Round::new(4));
+        assert_eq!(proposals[0].block().parent_id(), p3.block().id());
+    }
+
+    #[test]
+    fn arrivals_for_pruned_rounds_are_ignored_and_resident_state_stays_bounded() {
+        const HORIZON: u64 = 8;
+        let mut replicas = system(4);
+        for r in replicas.iter_mut() {
+            r.set_retention(HORIZON);
+        }
+        let now = SimTime::ZERO;
+        let p1 = run_round(&mut replicas, now);
+        let old_vote = StrongVote::new(
+            p1.block().vote_data(),
+            EndorseInfo::Marker(Round::ZERO),
+            &KeyRegistry::deterministic(4).key_pair(3).unwrap(),
+        );
+        let p2 = run_round(&mut replicas, now);
+        for _ in 0..60 {
+            run_round(&mut replicas, now);
+        }
+        let r = &mut replicas[0];
+        assert_eq!(r.committed_chain().len(), 61, "the chain ids all survive");
+        assert!(!r.store().contains(p1.block().id()), "round 1 was pruned");
+        let resident = r.resident();
+        assert!(
+            resident.blocks <= 2 * HORIZON as usize,
+            "{} blocks resident",
+            resident.blocks
+        );
+        assert!(resident.votes <= 4 * 2 * HORIZON as usize);
+        assert!(resident.certs <= 2 * HORIZON as usize);
+
+        // A late vote, a late proposal (with the QC it carries), and a
+        // sync request for the pruned rounds: all dropped, nothing grows,
+        // nothing panics.
+        let log_len = r.commit_log().len();
+        assert!(r.on_vote(&old_vote, now).updates.is_empty());
+        let out = r.on_proposal(&p2, now);
+        assert!(out.vote.is_none() && out.updates.is_empty() && out.sync_requests.is_empty());
+        let request = BlockRequest::new(ReplicaId::new(3), p1.block().id(), 8);
+        assert!(r.on_sync_request(&request).is_none());
+        assert_eq!(r.resident(), resident);
+        assert_eq!(r.commit_log().len(), log_len);
+        assert!(!r.is_syncing(), "a stale certificate is not a fetch target");
+        assert_eq!(r.commit_level(p1.block().id()), None, "aged out");
+    }
+
     #[test]
     fn chained_propose_on_unknown_high_qc_keeps_the_mempool_intact() {
         use sft_core::PayloadSource;
@@ -1070,6 +1300,53 @@ mod tests {
             replicas[2].mempool().len(),
             before,
             "no batch was drained into the failed propose"
+        );
+    }
+
+    #[test]
+    fn a_paced_leader_holds_its_proposal_until_it_is_due_and_drains_nothing_before() {
+        use sft_core::PayloadSource;
+        use sft_types::BatchConfig;
+        // One round per 10 ms with no burst allowance: replica 2 becomes
+        // the leader of round 2 the instant round 1 certifies (t = 1 ms),
+        // and round 2 is due one interval after that.
+        let mut replicas = system(4);
+        let r2 = replicas
+            .remove(2)
+            .with_payload_source(PayloadSource::Mempool(BatchConfig::with_max_txns(8)));
+        replicas.insert(2, r2);
+        replicas[2].set_round_pace(SimDuration::from_millis(10), 0);
+        replicas[2].submit(Transaction::new(5, 0, vec![0; 8]));
+
+        let now = SimTime::from_millis(1);
+        let proposal = replicas[1].try_propose(Payload::empty()).expect("leader");
+        let votes: Vec<_> = replicas
+            .iter_mut()
+            .filter_map(|r| r.on_proposal(&proposal, now).vote)
+            .collect();
+        for vote in &votes {
+            let out = replicas[2].on_vote(vote, now);
+            assert!(out.next_proposal.is_none(), "ahead of the pace");
+        }
+        assert_eq!(replicas[2].current_round(), Round::new(2));
+        assert!(replicas[2].proposal_held());
+        let due = SimTime::from_millis(11);
+        assert_eq!(replicas[2].next_deadline(), due, "wake me when it is due");
+        assert_eq!(replicas[2].mempool().len(), 1, "nothing drained yet");
+
+        // A transaction that arrives while the proposal waits rides it.
+        replicas[2].submit(Transaction::new(5, 1, vec![0; 8]));
+        assert!(replicas[2]
+            .try_propose_chained(SimTime::from_millis(10))
+            .is_none());
+        let sent = replicas[2].try_propose_chained(due).expect("due now");
+        assert_eq!(sent.block().round(), Round::new(2));
+        assert_eq!(sent.block().payload().txn_count(), 2);
+        assert!(!replicas[2].proposal_held());
+        assert_eq!(
+            replicas[2].next_deadline(),
+            replicas[2].pacemaker().deadline(),
+            "back to the round timer"
         );
     }
 }

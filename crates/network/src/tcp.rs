@@ -135,6 +135,9 @@ pub struct TcpCluster {
     /// Accepted client connections by gateway-assigned id.
     clients: HashMap<u64, ClientConn>,
     next_conn: u64,
+    /// Read buffer for [`Transport::poll_clients`], which runs on every
+    /// step of the run loop: kept, not allocated and zeroed per call.
+    client_chunk: Vec<u8>,
     /// One multiplexing reader per endpoint.
     readers: Vec<JoinHandle<()>>,
     /// The single writer thread draining every ring.
@@ -268,11 +271,20 @@ impl TcpCluster {
             listeners,
             clients: HashMap::new(),
             next_conn: 0,
+            client_chunk: vec![0u8; 64 * 1024],
             readers,
             writer: Some(writer),
             recorder: sft_obs::noop(),
             flush_recorder,
         })
+    }
+
+    /// Threads this cluster owns: one reader per endpoint plus the writer.
+    /// The number a thread budget should be held to — unlike a
+    /// process-wide count, it does not move when another cluster runs
+    /// beside this one.
+    pub fn thread_count(&self) -> usize {
+        self.readers.len() + usize::from(self.writer.is_some())
     }
 
     /// The socket address clients dial to reach `replica`'s gateway —
@@ -496,14 +508,14 @@ impl Transport for TcpCluster {
         }
         // Service every connection: retry pushed-back acks, then read.
         let mut out = Vec::new();
-        let mut chunk = vec![0u8; 64 * 1024];
         let mut decoded = Vec::new();
+        let chunk = &mut self.client_chunk;
         self.clients.retain(|&conn, client| {
             if !flush_client(client) {
                 return false;
             }
             loop {
-                match client.stream.read(&mut chunk) {
+                match client.stream.read(chunk) {
                     Ok(0) => return false, // client hung up
                     Ok(read) => {
                         if client.decoder.ingest(&chunk[..read], &mut decoded).is_err() {

@@ -154,12 +154,28 @@ pub mod names {
     /// Standard commits observed (first commit-log entry per round).
     pub const CONSENSUS_COMMITS: &str = "consensus_commits";
 
+    // ---- resident state (gauges: max over replicas at report time) ----
+
+    /// Blocks held in a replica's store, genesis included.
+    pub const RESIDENT_BLOCKS: &str = "resident_blocks";
+    /// Votes held by a replica's vote tracker.
+    pub const RESIDENT_VOTES: &str = "resident_votes";
+    /// Quorum certificates held for block sync.
+    pub const RESIDENT_CERTS: &str = "resident_certs";
+    /// Mempool dedup entries (one watermark per client plus stragglers).
+    pub const DEDUP_ENTRIES: &str = "dedup_entries";
+    /// Orphaned proposals adopted once their parent arrived.
+    pub const ORPHANS_ADOPTED: &str = "orphans_adopted";
+
     // ---- block-sync (SyncManager) ----
 
     /// Request-sent → response-admitted latency (protocol µs).
     pub const SYNC_RESPONSE_US: &str = "sync_response_us";
     /// Fetches re-sent after an earlier attempt went unanswered.
     pub const SYNC_RETRIES: &str = "sync_retries";
+    /// Fetch targets given up on after every attempt went unanswered — a
+    /// replica that is further behind than its peers' retention horizon.
+    pub const SYNC_ABANDONED: &str = "sync_abandoned";
 
     // ---- transport counters, split per MsgKind ----
 

@@ -31,6 +31,13 @@ pub trait Recorder: Send + Sync {
         let _ = (counter, delta);
     }
 
+    /// Sets the named gauge to `value` (last write wins). Gauges share the
+    /// counter namespace and come out of [`snapshot`](Recorder::snapshot)
+    /// among the counters.
+    fn set(&self, gauge: &'static str, value: u64) {
+        let _ = (gauge, value);
+    }
+
     /// Records one sample into the named histogram.
     fn observe(&self, hist: &'static str, value: u64) {
         let _ = (hist, value);
@@ -111,6 +118,7 @@ mod tests {
         let rec = noop();
         assert!(!rec.enabled());
         rec.add("counter", 3);
+        rec.set("gauge", 9);
         rec.observe("hist", 42);
         rec.trace(&TraceEvent::new("ev", 0, &[]));
         assert!(rec.snapshot().is_empty());

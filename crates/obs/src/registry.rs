@@ -85,6 +85,11 @@ impl Recorder for Registry {
         *inner.counters.entry(counter).or_insert(0) += delta;
     }
 
+    fn set(&self, gauge: &'static str, value: u64) {
+        let mut inner = self.inner.lock().expect("registry lock");
+        inner.counters.insert(gauge, value);
+    }
+
     fn observe(&self, hist: &'static str, value: u64) {
         let mut inner = self.inner.lock().expect("registry lock");
         inner.hists.entry(hist).or_default().record(value);
@@ -175,6 +180,14 @@ mod tests {
             snap.counters,
             vec![("a_counter".to_string(), 2), ("b_counter".to_string(), 4)]
         );
+    }
+
+    #[test]
+    fn gauges_overwrite_and_snapshot_among_the_counters() {
+        let reg = Registry::new();
+        reg.set("resident", 7);
+        reg.set("resident", 5);
+        assert_eq!(reg.snapshot().counter("resident"), Some(5));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod fbft_driver;
 pub mod runner;
 pub mod streamlet_driver;
 
-use sft_core::{BlockStore, PayloadSource, SyncStats};
+use sft_core::{PayloadSource, SyncStats};
 use sft_crypto::HashValue;
 use sft_network::{NetworkStats, ProtocolTag};
 use sft_types::{
@@ -73,25 +73,6 @@ pub use fbft_driver::{build_fbft_engines, FbftMischief, FbftSimulation};
 pub use runner::{run_engine, EngineRunner, Mischief, NoMischief, RunPlan, RunnerConfig};
 pub use sft_network::{FaultSchedule, Partition, SimTransport, TcpCluster, Transport};
 pub use streamlet_driver::{build_streamlet_engines, Simulation, StreamletMischief};
-
-/// The throughput numerator both drivers report: the transaction count of
-/// the longest committed chain across replicas, each chain's blocks
-/// resolved against that replica's own store. One definition, shared, so
-/// the cross-protocol comparison can never diverge between drivers.
-pub(crate) fn max_committed_txns<'a>(
-    nodes: impl Iterator<Item = (&'a [HashValue], &'a BlockStore)>,
-) -> u64 {
-    nodes
-        .map(|(chain, store)| {
-            chain
-                .iter()
-                .filter_map(|id| store.get(*id))
-                .map(|block| block.payload().txn_count() as u64)
-                .sum()
-        })
-        .max()
-        .unwrap_or(0)
-}
 
 /// Per-replica fault model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -582,8 +563,16 @@ pub fn run_over_tcp_serving(
             runner.run()
         }
         Protocol::Fbft => {
+            // On a wall clock rounds are paced (Streamlet's epochs already
+            // are): the round rate is the grid's, not the scheduler's.
+            let mut engines = build_fbft_engines(config, pacing.base_timeout);
+            for engine in &mut engines {
+                engine
+                    .replica_mut()
+                    .set_round_pace(sft_fbft::ROUND_INTERVAL, sft_fbft::ROUND_BURST);
+            }
             let mut runner = EngineRunner::new(
-                build_fbft_engines(config, pacing.base_timeout),
+                engines,
                 behaviors,
                 cluster,
                 NoMischief,
@@ -673,9 +662,10 @@ pub struct SimReport {
     pub timelines: Vec<Vec<(SimTime, StrongCommitUpdate)>>,
     /// Aggregate network traffic.
     pub net: NetworkStats,
-    /// Transactions carried by the longest committed chain (batched mode
-    /// counts drained client transactions; synthetic mode counts described
-    /// ones) — the numerator of the throughput metric.
+    /// Transactions carried by the longest committed chain, counted by
+    /// each replica as its blocks commit (batched mode counts drained
+    /// client transactions; synthetic mode counts described ones) — the
+    /// numerator of the throughput metric.
     pub txns_committed: u64,
     /// Virtual time at the end of the run.
     pub elapsed: SimTime,

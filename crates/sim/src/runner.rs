@@ -133,10 +133,13 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     mischief: M,
     config: RunnerConfig,
     timelines: Vec<Vec<(SimTime, StrongCommitUpdate)>>,
-    /// Per-replica write-ahead logs: every durable record the engines
-    /// emitted, appended *before* the messages it justifies were routed —
-    /// the in-memory stand-in for the on-disk WAL a real node keeps.
-    persisted: Vec<Vec<WalRecord>>,
+    /// Per-replica write-ahead logs, when a crash test asked for them
+    /// ([`keep_persist_log`](Self::keep_persist_log)): every durable
+    /// record the engines emitted, appended *before* the messages it
+    /// justifies were routed — the in-memory stand-in for the on-disk WAL a
+    /// real node keeps. `None` otherwise: a second copy of every committed
+    /// block is not something a long run should carry.
+    persisted: Option<Vec<Vec<WalRecord>>>,
     /// Per-replica durable logs, when the run is pipelined: every persist
     /// record is appended here too, and every outbound message is gated on
     /// the watermark covering the replica's last appended sequence —
@@ -185,7 +188,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             mischief,
             config,
             timelines: vec![Vec::new(); n],
-            persisted: vec![Vec::new(); n],
+            persisted: None,
             wals: None,
             last_seq: vec![0; n],
             drain_used: 0,
@@ -224,10 +227,26 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         &self.engines[i]
     }
 
+    /// Starts mirroring every persisted record into an in-memory log per
+    /// replica, readable through [`persisted`](Self::persisted) — what the
+    /// crash-restart tests replay into a replacement engine. Call before
+    /// the run starts.
+    pub fn keep_persist_log(&mut self) {
+        self.persisted = Some(vec![Vec::new(); self.engines.len()]);
+    }
+
     /// Replica `i`'s write-ahead log so far, in persistence order — what
     /// a crash at this instant would leave on disk.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`keep_persist_log`](Self::keep_persist_log) was
+    /// called first.
     pub fn persisted(&self, i: usize) -> &[WalRecord] {
-        &self.persisted[i]
+        &self
+            .persisted
+            .as_ref()
+            .expect("keep_persist_log() turns the in-memory WAL mirror on")[i]
     }
 
     /// Swaps in a replacement engine for replica `i` and returns the old
@@ -292,7 +311,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 wal.barrier().expect("wal barrier");
             }
         }
-        self.report()
+        self.into_report()
     }
 
     /// Advances through every scheduled event at or before `until`, then
@@ -461,7 +480,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 wait.finish(&*self.recorder, names::PHASE_PERSIST_WAIT_NS);
             }
         }
-        self.persisted[i].extend(step.persist);
+        if let Some(persisted) = &mut self.persisted {
+            persisted[i].extend(step.persist);
+        }
         persist.finish(&*self.recorder, names::PHASE_PERSIST_NS);
         self.timelines[i].extend(step.updates.into_iter().map(|u| (now, u)));
         let route = PhaseTimer::start(&*self.recorder);
@@ -631,18 +652,36 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             })
     }
 
-    /// Snapshot of the current run state as a report.
+    /// Snapshot of the current run state as a report (copies the chains,
+    /// logs and timelines; the run can continue).
     pub fn report(&self) -> SimReport {
-        let chains: Vec<Vec<sft_crypto::HashValue>> = self
+        let (chains, commit_logs) = self
             .engines
             .iter()
-            .map(|e| e.committed_chain().to_vec())
-            .collect();
-        let commit_logs = self
+            .map(|e| (e.committed_chain().to_vec(), e.commit_log().to_vec()))
+            .unzip();
+        let mut report = self.report_scalars();
+        report.chains = chains;
+        report.commit_logs = commit_logs;
+        report.timelines = self.timelines.clone();
+        report
+    }
+
+    /// The final report, assembled by moving the chains, logs and
+    /// timelines out of the engines instead of copying them.
+    fn into_report(mut self) -> SimReport {
+        let mut report = self.report_scalars();
+        report.timelines = std::mem::take(&mut self.timelines);
+        (report.chains, report.commit_logs) = self
             .engines
-            .iter()
-            .map(|e| e.commit_log().to_vec())
-            .collect();
+            .into_iter()
+            .map(ReplicaEngine::into_commit_record)
+            .unzip();
+        report
+    }
+
+    /// Everything in a report except the per-replica vectors.
+    fn report_scalars(&self) -> SimReport {
         let safety_violations = self.engines.iter().filter(|e| e.safety_violated()).count();
         let equivocators_detected = self
             .engines
@@ -650,11 +689,12 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             .map(ReplicaEngine::equivocators_observed)
             .max()
             .unwrap_or(0);
-        let txns_committed = crate::max_committed_txns(
-            self.engines
-                .iter()
-                .map(|e| (e.committed_chain(), e.store())),
-        );
+        let txns_committed = self
+            .engines
+            .iter()
+            .map(ReplicaEngine::txns_committed)
+            .max()
+            .unwrap_or(0);
         let (sync_requests, sync_blocks_fetched, recovered_replicas) = crate::sync_report_fields(
             self.engines
                 .iter()
@@ -673,10 +713,23 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             .wals
             .as_ref()
             .map_or(0, |wals| wals.iter().map(|w| w.fsyncs()).sum());
+        if self.recorder.enabled() {
+            let residents: Vec<_> = self.engines.iter().map(ReplicaEngine::resident).collect();
+            let gauge = |pick: fn(&sft_core::ResidentState) -> u64| {
+                residents.iter().map(pick).max().unwrap_or(0)
+            };
+            let rec = &self.recorder;
+            rec.set(names::RESIDENT_BLOCKS, gauge(|r| r.blocks as u64));
+            rec.set(names::RESIDENT_VOTES, gauge(|r| r.votes as u64));
+            rec.set(names::RESIDENT_CERTS, gauge(|r| r.certs as u64));
+            rec.set(names::DEDUP_ENTRIES, gauge(|r| r.dedup_entries as u64));
+            let adopted = self.engines.iter().map(|e| e.sync_stats().orphans_adopted);
+            rec.set(names::ORPHANS_ADOPTED, adopted.max().unwrap_or(0));
+        }
         SimReport {
-            chains,
-            commit_logs,
-            timelines: self.timelines.clone(),
+            chains: Vec::new(),
+            commit_logs: Vec::new(),
+            timelines: Vec::new(),
             net: self.transport.stats(),
             txns_committed,
             elapsed: self.transport.now(),

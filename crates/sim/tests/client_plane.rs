@@ -207,6 +207,7 @@ fn wal_replay_restores_client_dedup_across_restart() {
             drain_step: config.delay,
         },
     );
+    runner.keep_persist_log();
     let end = SimTime::ZERO + period * 8;
     runner.run_until(end);
     let report = runner.report();

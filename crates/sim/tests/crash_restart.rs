@@ -63,6 +63,7 @@ fn crash_restart_streamlet(n: usize, epochs: u64) {
             drain_step: config.delay,
         },
     );
+    runner.keep_persist_log();
 
     // Run a third of the schedule, then kill -9 the victim: its engine
     // (all in-memory state) is dropped on the floor; only the WAL the
@@ -135,6 +136,7 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
             drain_step: config.delay,
         },
     );
+    runner.keep_persist_log();
 
     // SFT-DiemBFT self-paces at ~2δ per round; crash mid-pipeline.
     let crash_at = SimTime::ZERO + config.delay * target_rounds;

@@ -11,7 +11,7 @@
 
 use sft_core::{
     AckTracker, Admission, BlockStore, EngineObs, EngineStep, MsgKind, OutboundMsg, ReplicaEngine,
-    SyncStats, WalRecord,
+    ResidentState, SyncStats, WalRecord,
 };
 use sft_crypto::{HashValue, SigStats};
 use sft_obs::{names, PhaseTimer, SharedRecorder};
@@ -243,5 +243,17 @@ impl ReplicaEngine for StreamletEngine {
 
     fn store(&self) -> &BlockStore {
         self.replica.store()
+    }
+
+    fn txns_committed(&self) -> u64 {
+        self.replica.txns_committed()
+    }
+
+    fn resident(&self) -> ResidentState {
+        self.replica.resident()
+    }
+
+    fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>) {
+        self.replica.into_commit_record()
     }
 }

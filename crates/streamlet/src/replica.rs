@@ -1,17 +1,17 @@
 //! The SFT-Streamlet replica state machine.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use sft_core::{
-    honest_endorse_info, Admission, Block, BlockStore, BlockStoreError, CommitLedger,
-    EndorsementTracker, Mempool, PayloadSource, ProtocolConfig, SyncManager, SyncStats,
-    VoteOutcome, VoteTracker, WalRecord,
+    Admission, Block, BlockStore, BlockStoreError, CommitLedger, EndorsementTracker, Mempool,
+    PayloadSource, ProtocolConfig, ResidentState, Retention, SyncManager, SyncStats, VoteOutcome,
+    VoteTracker, VoterState, WalRecord,
 };
 use sft_crypto::{HashValue, KeyPair, KeyRegistry, SigStats};
 use sft_types::{
-    BlockRequest, EndorseMode, Payload, ReplicaId, Round, SimDuration, SimTime, StrongCommitUpdate,
-    StrongVote, Transaction, VerifyPolicy,
+    BlockRequest, EndorseMode, Height, Payload, ReplicaId, Round, SimDuration, SimTime,
+    StrongCommitUpdate, StrongVote, Transaction, VerifyPolicy,
 };
 
 use crate::message::Proposal;
@@ -80,21 +80,26 @@ pub struct Replica {
     id: ReplicaId,
     config: ProtocolConfig,
     key_pair: KeyPair,
-    endorse_mode: EndorseMode,
     store: BlockStore,
     votes: VoteTracker,
     endorsements: EndorsementTracker,
-    notarized: HashSet<HashValue>,
+    /// Notarized block ids with their rounds (genesis at round 0).
+    notarized: HashMap<HashValue, Round>,
     /// Notarized children per block id, the index the incremental commit
     /// rule walks instead of rescanning the whole notarized set.
     notarized_children: HashMap<HashValue, Vec<HashValue>>,
+    /// The tip of a longest notarized chain among stored blocks, with the
+    /// (height, round, id) key it won by — maintained as blocks notarize
+    /// instead of rescanning the notarized set per proposal.
+    tip: (Height, Round, HashValue),
     epoch: Round,
-    voted_epochs: HashSet<Round>,
-    /// Every block this replica ever voted for, for marker/interval
-    /// computation (§3.2 / §3.4).
-    voted_blocks: Vec<(Round, HashValue)>,
+    /// The last vote this replica cast and the endorsement info it
+    /// carried: the vote-once rule and the §3.2 / §3.4 marker maintenance.
+    voter: VoterState,
     ledger: CommitLedger,
     commit_log: Vec<StrongCommitUpdate>,
+    /// Transactions carried by the committed chain, counted at commit.
+    txns_committed: u64,
     /// Where [`begin_epoch_sourced`](Self::begin_epoch_sourced) gets its
     /// payloads; `None` means callers always supply payloads explicitly.
     payload_source: Option<PayloadSource>,
@@ -110,9 +115,12 @@ pub struct Replica {
     /// Durable consensus events pending write-ahead persistence, drained
     /// by the engine into `EngineStep::persist`.
     wal: Vec<WalRecord>,
-    /// Digests of certificates already logged, so re-certification paths
-    /// (sync recovery, replay) never duplicate a `QcFormed` record.
-    logged_qcs: HashSet<HashValue>,
+    /// Certificates already logged, by (round, digest), so
+    /// re-certification paths (sync recovery, replay) never duplicate a
+    /// `QcFormed` record.
+    logged_qcs: BTreeSet<(Round, HashValue)>,
+    /// How far behind the committed tip state is kept (see [`Retention`]).
+    retention: Retention,
 }
 
 impl Replica {
@@ -131,30 +139,37 @@ impl Replica {
             .key_pair(u64::from(id))
             .expect("key for this replica");
         let store = BlockStore::new();
-        let mut notarized = HashSet::new();
-        notarized.insert(store.genesis_id());
+        let genesis_id = store.genesis_id();
         Self {
             id: ReplicaId::new(id),
             config,
             key_pair,
-            endorse_mode: mode,
             votes: VoteTracker::new(config, registry),
             endorsements: EndorsementTracker::new(config),
             store,
-            notarized,
+            notarized: HashMap::from([(genesis_id, Round::ZERO)]),
             notarized_children: HashMap::new(),
+            tip: (Height::ZERO, Round::ZERO, genesis_id),
             epoch: Round::ZERO,
-            voted_epochs: HashSet::new(),
-            voted_blocks: Vec::new(),
+            voter: VoterState::new(mode),
             ledger: CommitLedger::new(),
             commit_log: Vec::new(),
+            txns_committed: 0,
             payload_source: None,
             mempool: Mempool::new(),
             sync: SyncManager::new(config, ReplicaId::new(id)),
             deferred_commits: Vec::new(),
             wal: Vec::new(),
-            logged_qcs: HashSet::new(),
+            logged_qcs: BTreeSet::new(),
+            retention: Retention::default(),
         }
+    }
+
+    /// Replaces the retention horizon ([`sft_core::RETENTION_ROUNDS`] by
+    /// default) with `rounds` behind the committed tip. Tests shrink it to
+    /// exercise pruning in short runs; set it before the first message.
+    pub fn set_retention(&mut self, rounds: u64) {
+        self.retention = Retention::new(rounds);
     }
 
     /// Sets the block-sync retry timeout (how long to wait for a response
@@ -219,14 +234,36 @@ impl Replica {
         ReplicaId::new((epoch.as_u64() % config.n() as u64) as u16)
     }
 
-    /// The replica's block store (all delivered blocks).
+    /// The replica's block store: every delivered block inside the
+    /// retention horizon.
     pub fn store(&self) -> &BlockStore {
         &self.store
     }
 
-    /// True if `block_id` has reached the `2f + 1` notarization quorum.
+    /// Transactions carried by the committed chain.
+    pub fn txns_committed(&self) -> u64 {
+        self.txns_committed
+    }
+
+    /// What this replica currently holds in memory.
+    pub fn resident(&self) -> ResidentState {
+        ResidentState {
+            blocks: self.store.len(),
+            votes: self.votes.resident_votes(),
+            certs: self.sync.resident_certs(),
+            dedup_entries: self.mempool.dedup_entries(),
+        }
+    }
+
+    /// Consumes the replica into its committed chain and commit log.
+    pub fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>) {
+        (self.ledger.into_chain(), self.commit_log)
+    }
+
+    /// True if `block_id` has reached the `2f + 1` notarization quorum (and
+    /// is still inside the retention horizon).
     pub fn is_notarized(&self, block_id: HashValue) -> bool {
-        self.notarized.contains(&block_id)
+        self.notarized.contains_key(&block_id)
     }
 
     /// The committed chain, oldest block first (genesis excluded).
@@ -241,7 +278,8 @@ impl Replica {
     }
 
     /// The highest strength level recorded for a committed block, or `None`
-    /// if the block is not committed.
+    /// if the block is not committed (or has aged out of the retention
+    /// horizon).
     pub fn commit_level(&self, block_id: HashValue) -> Option<u64> {
         if !self.ledger.contains(block_id) {
             return None;
@@ -320,30 +358,58 @@ impl Replica {
     /// the tip of a longest notarized chain. The vote must be broadcast to
     /// all replicas (the caller owns transport).
     pub fn on_proposal(&mut self, proposal: &Proposal) -> Option<StrongVote> {
+        let block = proposal.block();
+        if block.round() < self.retention.floor() {
+            return None; // stale: older than anything this replica still keeps
+        }
         if !proposal.verify(self.votes_registry()) {
             return None;
         }
-        let block = proposal.block();
         if block.proposer() != Self::leader(self.config, block.round()) {
             return None;
         }
         // Record the block regardless of the voting decision — descendants
-        // may arrive later. Orphans (unknown parent — e.g. this replica
-        // missed epochs behind a partition) are pooled with the sync
-        // manager, which chases the missing ancestry.
+        // may arrive later. Orphans (unknown parent — the parent's proposal
+        // is still in flight, or this replica missed epochs behind a
+        // partition) are pooled with the sync manager, which chases the
+        // missing ancestry.
         match self.store.insert(block.clone()) {
-            Ok(_) => self.sync.note_stored(block.id()),
+            Ok(_) => {}
             Err(BlockStoreError::UnknownParent) => {
-                self.sync.note_orphan_block(block.clone(), &self.store);
+                self.sync
+                    .note_orphan_block(block.clone(), true, &self.store);
                 return None;
             }
             Err(_) => return None,
         }
-        // The chain now carries these transactions: stop offering them.
-        if let Payload::Transactions(txns) = block.payload() {
-            self.mempool.mark_included(txns.iter());
+        let mut vote = self.adopt(block.id(), true);
+        // The block may be the parent an orphaned proposal was waiting
+        // for: the released children get the same treatment, in order
+        // (fetched segments carry no leader signature, so only those that
+        // had arrived as proposals may be voted for).
+        for (id, from_proposal) in self.sync.note_stored(block.id(), &mut self.store) {
+            vote = vote.or(self.adopt(id, from_proposal));
         }
-        if block.round() != self.epoch || self.voted_epochs.contains(&block.round()) {
+        vote
+    }
+
+    /// The part of the proposal path that runs once a block is in the
+    /// store: its transactions stop being offered, a certificate that
+    /// formed before the block arrived is indexed, and — if it arrived as
+    /// a verified proposal (`may_vote`) for the current epoch — the
+    /// Streamlet voting rule fires.
+    fn adopt(&mut self, id: HashValue, may_vote: bool) -> Option<StrongVote> {
+        if let Some(round) = self.notarized.get(&id).copied() {
+            self.note_notarized(id, round);
+        }
+        let block = self.store.get(id)?;
+        if let Payload::Transactions(txns) = block.payload() {
+            self.mempool.mark_included(txns.iter(), block.round());
+        }
+        if !may_vote
+            || block.round() != self.epoch
+            || block.round() <= self.voter.last_voted_round()
+        {
             return None;
         }
         if !self.extends_longest_notarized(block) {
@@ -351,16 +417,14 @@ impl Replica {
             // never saw that quorum (its votes were lost), fetch the
             // certificate so later proposals on this chain can win votes —
             // the re-convergence path for notarized sets under loss.
-            if !self.notarized.contains(&block.parent_id()) {
-                self.sync.note_want(block.parent_id());
+            if !self.notarized.contains_key(&block.parent_id()) {
+                self.sync.note_want(block.parent_id(), block.parent_round());
             }
             return None;
         }
-        let endorse =
-            honest_endorse_info(self.endorse_mode, &self.store, &self.voted_blocks, block);
-        self.voted_epochs.insert(block.round());
-        self.voted_blocks.push((block.round(), block.id()));
+        let endorse = self.voter.endorse_info(&self.store, block);
         let vote = StrongVote::new(block.vote_data(), endorse, &self.key_pair);
+        self.voter.record(&vote);
         // Write-ahead: the harness persists this record before the vote is
         // routed, so a restart can never contradict it.
         self.wal.push(WalRecord::VoteSent(vote.clone()));
@@ -383,34 +447,28 @@ impl Replica {
             grown.extend(self.endorsements.record_vote(&verified, &self.store));
         }
         let newly_certified = match outcome {
-            VoteOutcome::BadSignature | VoteOutcome::Equivocation | VoteOutcome::Duplicate => None,
+            VoteOutcome::BadSignature
+            | VoteOutcome::Equivocation
+            | VoteOutcome::Duplicate
+            | VoteOutcome::Stale => None,
             VoteOutcome::Certified(qc) => {
                 // Votes are broadcast, so a replica can certify a block it
                 // never received (a lost proposal): the sync manager
                 // records the certificate and, if needed, fetches the block.
                 self.sync.note_certificate(&qc, &self.store);
-                if self.logged_qcs.insert(qc.digest()) {
+                if self.logged_qcs.insert((qc.round(), qc.digest())) {
                     self.wal.push(WalRecord::QcFormed(qc.clone()));
                 }
-                Some(qc.block_id())
+                Some((qc.block_id(), qc.round()))
             }
             VoteOutcome::Counted(_) => None,
         };
 
         let mut updates = Vec::new();
-        if let Some(block_id) = newly_certified {
-            self.note_notarized(block_id);
-            for committed_id in self.apply_commit_rule(block_id) {
-                if let Some(block) = self.store.get(committed_id).cloned() {
-                    self.wal.push(WalRecord::BlockCommitted(block));
-                }
-                if let Some(update) = self
-                    .endorsements
-                    .take_level_update(committed_id, &self.store)
-                {
-                    updates.push(update);
-                }
-            }
+        if let Some((block_id, round)) = newly_certified {
+            self.note_notarized(block_id, round);
+            let committed = self.apply_commit_rule(block_id);
+            updates = self.commit_blocks(committed);
         }
         // Endorsements may have raised the strength of blocks committed
         // earlier (possibly far in the past): report each increase once.
@@ -428,15 +486,13 @@ impl Replica {
     /// The tip of a longest notarized chain (ties broken by round then id,
     /// so all replicas with the same notarized set pick the same tip).
     fn tip(&self) -> &Block {
-        self.notarized
-            .iter()
-            .filter_map(|id| self.store.get(*id))
-            .max_by(|a, b| (a.height(), a.round(), a.id()).cmp(&(b.height(), b.round(), b.id())))
-            .expect("genesis is always notarized")
+        self.store
+            .get(self.tip.2)
+            .expect("the tip is stored: sweeps re-pick one they prune")
     }
 
     fn extends_longest_notarized(&self, block: &Block) -> bool {
-        if !self.notarized.contains(&block.parent_id()) {
+        if !self.notarized.contains_key(&block.parent_id()) {
             return false;
         }
         let max_height = self.tip().height();
@@ -463,7 +519,7 @@ impl Replica {
         let parent_id = block.parent_id();
         let parent_round = block.parent_round();
         let parent_linked =
-            self.notarized.contains(&parent_id) && parent_round.precedes(block_round);
+            self.notarized.contains_key(&parent_id) && parent_round.precedes(block_round);
 
         // Candidate middles of consecutive-round windows containing the
         // newly certified block (genesis counts as a window's oldest
@@ -473,7 +529,7 @@ impl Replica {
         // (grandparent, parent, certified) — middle = parent.
         if parent_linked && parent_round > Round::ZERO {
             if let Some(parent) = self.store.get(parent_id) {
-                if self.notarized.contains(&parent.parent_id())
+                if self.notarized.contains_key(&parent.parent_id())
                     && parent.parent_round().precedes(parent_round)
                 {
                     middles.push(parent_id);
@@ -535,15 +591,81 @@ impl Replica {
         }
     }
 
-    /// Marks `block_id` notarized and indexes it under its parent for the
-    /// incremental commit rule.
-    fn note_notarized(&mut self, block_id: HashValue) {
-        self.notarized.insert(block_id);
-        if let Some(parent_id) = self.store.get(block_id).map(Block::parent_id) {
-            let children = self.notarized_children.entry(parent_id).or_default();
-            if !children.contains(&block_id) {
-                children.push(block_id);
+    /// Marks `block_id` (of `round`) notarized and, once the block is
+    /// stored, indexes it under its parent for the incremental commit rule
+    /// and lets it contend for the tip. Idempotent: called again when a
+    /// block certified before it arrived finally lands.
+    fn note_notarized(&mut self, block_id: HashValue, round: Round) {
+        self.notarized.insert(block_id, round);
+        let Some(block) = self.store.get(block_id) else {
+            return;
+        };
+        let children = self
+            .notarized_children
+            .entry(block.parent_id())
+            .or_default();
+        if !children.contains(&block_id) {
+            children.push(block_id);
+        }
+        self.tip = self.tip.max((block.height(), block.round(), block_id));
+    }
+
+    /// Commit-time bookkeeping for blocks the ledger just finalized: the
+    /// durable record, the transaction counter, the first strength grade,
+    /// and — commits being what moves the retention horizon — the sweep.
+    fn commit_blocks(&mut self, committed: Vec<HashValue>) -> Vec<StrongCommitUpdate> {
+        let mut updates = Vec::new();
+        for id in committed {
+            if let Some(block) = self.store.get(id) {
+                self.txns_committed += block.payload().txn_count() as u64;
+                if let Payload::Transactions(txns) = block.payload() {
+                    self.mempool.mark_committed(txns.iter());
+                }
+                self.wal.push(WalRecord::BlockCommitted(block.clone()));
             }
+            updates.extend(self.endorsements.take_level_update(id, &self.store));
+        }
+        self.prune();
+        updates
+    }
+
+    /// The one place state ages out: once the committed tip has moved far
+    /// enough, everything keyed by a round or block below the new floor is
+    /// dropped, and later arrivals for those rounds are ignored as stale.
+    /// What survives is the committed chain's ids, the commit log, and the
+    /// counters.
+    fn prune(&mut self) {
+        let Some(tip) = self.ledger.tip().and_then(|id| self.store.get(id)) else {
+            return;
+        };
+        let Some(floor) = self.retention.advance(tip.round()) else {
+            return;
+        };
+        let pruned = self.store.prune_below(floor);
+        self.ledger.forget(&pruned);
+        self.endorsements.forget(&pruned);
+        self.votes.prune_below(floor);
+        self.sync.prune_below(floor);
+        self.voter.prune_below(floor);
+        let genesis_id = self.store.genesis_id();
+        self.notarized
+            .retain(|id, round| *round >= floor || *id == genesis_id);
+        let store = &self.store;
+        self.notarized_children
+            .retain(|parent, _| store.contains(*parent));
+        self.logged_qcs = self.logged_qcs.split_off(&(floor, HashValue::zero()));
+        self.mempool.prune_below(floor);
+        // With at most f faults the tip sits above the committed tip and
+        // is never swept. Beyond f a longest notarized chain can be a
+        // stale fork; if the sweep took its tip, pick the next best.
+        if !self.store.contains(self.tip.2) {
+            self.tip = self
+                .notarized
+                .keys()
+                .filter_map(|id| self.store.get(*id))
+                .map(|block| (block.height(), block.round(), block.id()))
+                .max()
+                .expect("genesis is never pruned");
         }
     }
 
@@ -558,8 +680,10 @@ impl Replica {
     /// Re-applies one recovered write-ahead-log record at restart.
     ///
     /// Replay restores exactly what the log promised durability for: vote
-    /// dedup (the recovered replica never votes twice in an epoch its
-    /// pre-crash self voted in), the notarized set behind formed
+    /// dedup and the marker bookkeeping — a `VoteSent` record carries the
+    /// endorsement info the vote did, which is all [`VoterState`] needs
+    /// (the recovered replica never votes twice in an epoch its pre-crash
+    /// self voted in), the notarized set behind formed
     /// certificates, and the committed prefix. Records are chronological,
     /// so committed blocks replay parent-first and always attach.
     /// Endorsement tallies are *not* persisted: strength grades resume
@@ -568,27 +692,18 @@ impl Replica {
     pub fn replay(&mut self, record: &WalRecord) {
         match record {
             WalRecord::VoteSent(vote) => {
-                let round = vote.round();
-                self.voted_epochs.insert(round);
-                self.voted_blocks.push((round, vote.data().block_id()));
-                if round > self.epoch {
-                    self.epoch = round;
-                }
+                self.voter.record(vote);
+                self.epoch = self.epoch.max(vote.round());
             }
             WalRecord::QcFormed(qc) => {
                 self.sync.note_certificate(qc, &self.store);
-                self.logged_qcs.insert(qc.digest());
+                self.logged_qcs.insert((qc.round(), qc.digest()));
                 let block_id = qc.block_id();
                 if self.store.contains(block_id) {
-                    self.note_notarized(block_id);
-                    for committed_id in self.apply_commit_rule(block_id) {
-                        if let Some(update) = self
-                            .endorsements
-                            .take_level_update(committed_id, &self.store)
-                        {
-                            self.commit_log.push(update);
-                        }
-                    }
+                    self.note_notarized(block_id, qc.round());
+                    let committed = self.apply_commit_rule(block_id);
+                    let updates = self.commit_blocks(committed);
+                    self.commit_log.extend(updates);
                 }
             }
             // Streamlet has no timeout certificates; a foreign record in
@@ -596,32 +711,28 @@ impl Replica {
             WalRecord::TcFormed(_) => {}
             WalRecord::BlockCommitted(block) => {
                 match self.store.insert(block.clone()) {
-                    Ok(_) => self.sync.note_stored(block.id()),
+                    Ok(_) => {
+                        self.sync.note_stored(block.id(), &mut self.store);
+                    }
                     Err(BlockStoreError::UnknownParent) => {
-                        self.sync.note_orphan_block(block.clone(), &self.store);
+                        self.sync
+                            .note_orphan_block(block.clone(), false, &self.store);
                     }
                     Err(_) => {}
                 }
-                // Replayed commits re-seed the dedup horizon, so a client
+                // Replayed commits re-seed the dedup state, so a client
                 // re-submitting across the crash still gets `Duplicate`.
                 if let Payload::Transactions(txns) = block.payload() {
-                    self.mempool.mark_included(txns.iter());
+                    self.mempool.mark_committed(txns.iter());
                 }
                 if self.store.contains(block.id()) {
                     // A committed block necessarily carried a quorum.
-                    self.note_notarized(block.id());
-                    for committed_id in self.ledger.finalize_through(&self.store, block.id()) {
-                        if let Some(update) = self
-                            .endorsements
-                            .take_level_update(committed_id, &self.store)
-                        {
-                            self.commit_log.push(update);
-                        }
-                    }
+                    self.note_notarized(block.id(), block.round());
+                    let committed = self.ledger.finalize_through(&self.store, block.id());
+                    let updates = self.commit_blocks(committed);
+                    self.commit_log.extend(updates);
                 }
-                if block.round() > self.epoch {
-                    self.epoch = block.round();
-                }
+                self.epoch = self.epoch.max(block.round());
             }
         }
         // Replay-derived records are already in the log being replayed:
@@ -668,48 +779,36 @@ impl Replica {
             touched.push(target);
         }
         let mut updates = Vec::new();
-        for id in &touched {
-            if let Some(Payload::Transactions(txns)) =
-                self.store.get(*id).map(Block::payload).cloned()
-            {
-                self.mempool.mark_included(txns.iter());
-            }
+        for id in touched {
+            // Recovered blocks are stored, never voted on: a replica that
+            // needed block sync is behind the epoch they were proposed in.
+            self.adopt(id, false);
             // A block counts as notarized here if this replica certified
             // it itself (possibly while the block was still unknown) or a
             // verified sync response carried its certificate. Index it and
             // let the commit rule see the recovered windows.
-            let certified = self.notarized.contains(id) || self.sync.certificate_for(*id).is_some();
-            if certified && self.store.contains(*id) {
-                if let Some(qc) = self.sync.certificate_for(*id).cloned() {
-                    if self.logged_qcs.insert(qc.digest()) {
-                        self.wal.push(WalRecord::QcFormed(qc));
-                    }
-                }
-                self.note_notarized(*id);
-                for committed_id in self.apply_commit_rule(*id) {
-                    if let Some(block) = self.store.get(committed_id).cloned() {
-                        self.wal.push(WalRecord::BlockCommitted(block));
-                    }
-                    if let Some(update) = self
-                        .endorsements
-                        .take_level_update(committed_id, &self.store)
-                    {
-                        updates.push(update);
-                    }
+            let certificate = self.sync.certificate_for(id).cloned();
+            let round = match (&certificate, self.notarized.get(&id)) {
+                (Some(qc), _) => qc.round(),
+                (None, Some(round)) => *round,
+                (None, None) => continue,
+            };
+            if !self.store.contains(id) {
+                continue;
+            }
+            if let Some(qc) = certificate {
+                if self.logged_qcs.insert((qc.round(), qc.digest())) {
+                    self.wal.push(WalRecord::QcFormed(qc));
                 }
             }
+            self.note_notarized(id, round);
+            let committed = self.apply_commit_rule(id);
+            updates.extend(self.commit_blocks(committed));
         }
-        for id in self
+        let committed = self
             .ledger
-            .finalize_deferred(&self.store, &mut self.deferred_commits)
-        {
-            if let Some(block) = self.store.get(id).cloned() {
-                self.wal.push(WalRecord::BlockCommitted(block));
-            }
-            if let Some(update) = self.endorsements.take_level_update(id, &self.store) {
-                updates.push(update);
-            }
-        }
+            .finalize_deferred(&self.store, &mut self.deferred_commits);
+        updates.extend(self.commit_blocks(committed));
         self.commit_log.extend(updates.iter().copied());
         updates
     }
@@ -771,6 +870,68 @@ mod tests {
         Replica::new(id, config, registry, EndorseMode::Marker)
     }
 
+    /// Runs one epoch by hand: everyone enters it, the leader proposes,
+    /// every replica but `skip` sees the proposal, all votes reach all.
+    fn run_epoch(replicas: &mut [Replica], epoch: u64, skip: Option<usize>) -> Proposal {
+        let epoch = Round::new(epoch);
+        let leader = Replica::leader(replicas[0].config(), epoch).as_usize();
+        let proposal = replicas[leader]
+            .begin_epoch(epoch, Payload::empty())
+            .expect("leader proposes");
+        for r in replicas.iter_mut() {
+            r.begin_epoch(epoch, Payload::empty());
+        }
+        let votes: Vec<StrongVote> = (0..replicas.len())
+            .filter(|i| Some(*i) != skip)
+            .filter_map(|i| replicas[i].on_proposal(&proposal))
+            .collect();
+        for vote in &votes {
+            for r in replicas.iter_mut() {
+                r.on_vote(vote);
+            }
+        }
+        proposal
+    }
+
+    #[test]
+    fn arrivals_for_pruned_epochs_are_ignored_and_resident_state_stays_bounded() {
+        const HORIZON: u64 = 8;
+        let mut replicas: Vec<Replica> = (0..4).map(replica).collect();
+        for r in replicas.iter_mut() {
+            r.set_retention(HORIZON);
+        }
+        let p1 = run_epoch(&mut replicas, 1, None);
+        let old_vote = StrongVote::new(
+            p1.block().vote_data(),
+            sft_types::EndorseInfo::Marker(Round::ZERO),
+            &KeyRegistry::deterministic(4).key_pair(3).unwrap(),
+        );
+        for epoch in 2..=62 {
+            run_epoch(&mut replicas, epoch, None);
+        }
+        let r = &mut replicas[0];
+        assert_eq!(r.committed_chain().len(), 61, "the chain ids all survive");
+        assert!(!r.store().contains(p1.block().id()), "epoch 1 was pruned");
+        assert!(!r.is_notarized(p1.block().id()));
+        let resident = r.resident();
+        assert!(
+            resident.blocks <= 2 * HORIZON as usize,
+            "{} blocks resident",
+            resident.blocks
+        );
+        assert!(resident.votes <= 4 * 2 * HORIZON as usize);
+        assert!(resident.certs <= 2 * HORIZON as usize);
+
+        // A late vote, a late proposal, and a sync request for the pruned
+        // epoch: all dropped, nothing grows, nothing panics.
+        assert!(r.on_vote(&old_vote).is_empty());
+        assert!(r.on_proposal(&p1).is_none());
+        let request = BlockRequest::new(ReplicaId::new(3), p1.block().id(), 8);
+        assert!(r.on_sync_request(&request).is_none());
+        assert_eq!(r.resident(), resident);
+        assert!(!r.is_syncing());
+    }
+
     #[test]
     fn sourced_epoch_advances_even_without_a_payload_source() {
         // A source-less replica returns no proposal but must still follow
@@ -779,6 +940,37 @@ mod tests {
         let mut r = replica(1);
         assert!(r.begin_epoch_sourced(Round::new(1)).is_none());
         assert_eq!(r.epoch(), Round::new(1));
+    }
+
+    /// Regression: a proposal overtaken by its child on another connection
+    /// used to leave the child in the orphan pool for good once the parent
+    /// arrived by the normal path.
+    #[test]
+    fn orphaned_proposal_is_adopted_when_its_parent_arrives_by_the_normal_path() {
+        let mut replicas: Vec<Replica> = (0..4).map(replica).collect();
+        run_epoch(&mut replicas, 1, None);
+        // Epoch 2 notarizes without replica 0 ever seeing the proposal.
+        let p2 = run_epoch(&mut replicas, 2, Some(0));
+        assert!(replicas[0].is_notarized(p2.block().id()));
+        assert!(!replicas[0].store().contains(p2.block().id()));
+
+        // Epoch 3: the child reaches replica 0 before its parent does.
+        let epoch = Round::new(3);
+        let p3 = replicas[3]
+            .begin_epoch(epoch, Payload::empty())
+            .expect("leader proposes");
+        replicas[0].begin_epoch(epoch, Payload::empty());
+        assert!(
+            replicas[0].on_proposal(&p3).is_none(),
+            "orphan: no vote yet"
+        );
+        // The parent lands: the child is adopted and voted for at once.
+        let vote = replicas[0]
+            .on_proposal(&p2)
+            .expect("the adopted child gets its vote");
+        assert_eq!(vote.data().block_id(), p3.block().id());
+        assert!(replicas[0].store().contains(p3.block().id()));
+        assert_eq!(replicas[0].sync_stats().orphans_adopted, 1);
     }
 
     #[test]

@@ -39,16 +39,26 @@ pub struct Transaction {
     client: u64,
     seq: u64,
     payload: Vec<u8>,
+    /// Hashed once, when the transaction is built or decoded: admission,
+    /// batching, the payload digest, inclusion and commit bookkeeping and
+    /// ack routing all ask for it, and the payload can be kilobytes.
+    id: HashValue,
 }
 
 impl Transaction {
     /// Creates a transaction from client id, per-client sequence number,
     /// and payload bytes.
     pub fn new(client: u64, seq: u64, payload: Vec<u8>) -> Self {
+        let id = Hasher::new("txn")
+            .field(&client.to_be_bytes())
+            .field(&seq.to_be_bytes())
+            .field(&payload)
+            .finish();
         Self {
             client,
             seq,
             payload,
+            id,
         }
     }
 
@@ -69,11 +79,7 @@ impl Transaction {
 
     /// The transaction id: a domain-separated hash of all fields.
     pub fn id(&self) -> HashValue {
-        Hasher::new("txn")
-            .field(&self.client.to_be_bytes())
-            .field(&self.seq.to_be_bytes())
-            .field(&self.payload)
-            .finish()
+        self.id
     }
 }
 
@@ -116,11 +122,7 @@ impl Decode for Transaction {
         let (head, tail) = buf.split_at(len);
         let payload = head.to_vec();
         *buf = tail;
-        Ok(Self {
-            client,
-            seq,
-            payload,
-        })
+        Ok(Self::new(client, seq, payload))
     }
 }
 
