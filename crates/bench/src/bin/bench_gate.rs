@@ -11,6 +11,8 @@
 //! counterpart seed the baseline and pass — that is the first-run path
 //! `scripts/bench_gate` relies on. Exits non-zero on any regression.
 
+#![deny(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -34,6 +34,8 @@
 //! Exit status is the CI verdict; data directories are left in place on
 //! failure (and printed) so they can be uploaded as artifacts.
 
+#![deny(unsafe_code)]
+
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};

@@ -11,6 +11,8 @@
 //! `<out>/<metric>.svg` with one curve per summary file and one point
 //! per snapshot. See `sft_bench::plot` for the chart format.
 
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -40,6 +40,8 @@
 //! `scripts/bench_gate`, so future changes are compared against a recorded
 //! baseline instead of asserted fast.
 
+#![deny(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::process::ExitCode;
 

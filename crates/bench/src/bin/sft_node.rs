@@ -34,6 +34,8 @@
 //! `<data-dir>/commit.out`, one block hash per line. See the
 //! `sft_bench::node` module docs for the recovery semantics.
 
+#![deny(unsafe_code)]
+
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;

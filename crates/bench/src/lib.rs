@@ -16,6 +16,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod gate;
 pub mod node;

@@ -181,7 +181,8 @@ impl GroupCommitWal {
     /// Spawns the writer thread over `sink`. `wake` (if given) runs
     /// after every watermark advance — transports hook their writer
     /// notifier here so a completed fsync releases gated frames
-    /// immediately instead of on the next retry tick.
+    /// (`TcpCluster`'s writer sleeps until signalled; it has no retry
+    /// tick for a closed gate).
     ///
     /// # Errors
     ///

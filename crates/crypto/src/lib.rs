@@ -25,6 +25,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod hash;

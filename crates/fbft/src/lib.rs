@@ -42,6 +42,7 @@
 //! to vote for any proposal whose parent round is lower than its lock.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod engine;
 pub mod message;

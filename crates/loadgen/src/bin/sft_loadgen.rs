@@ -26,6 +26,8 @@
 //! violations, or any client socket error — the same contract the
 //! `loadgen-smoke` CI job enforces.
 
+#![deny(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::time::Duration;

@@ -3,11 +3,14 @@
 //!
 //! A connection's byte stream carries length-prefixed [`Envelope`]
 //! frames: a hello naming the peer first, payload frames after. The
-//! cluster's multiplexing endpoint readers and the node transport's
-//! per-connection readers feed whatever bytes the socket produced into
-//! one [`FrameDecoder`] per connection and get back fully validated
-//! [`Delivery`]s — or a violation, after which the connection must be
+//! cluster's readiness-driven I/O thread and the node transport's
+//! per-connection blocking readers both call
+//! [`FrameDecoder::read_from`] — one `read` of whatever the socket has,
+//! fed into the connection's decoder — and get back fully validated
+//! [`Delivery`]s, or [`Closed`], after which the connection must be
 //! dropped (a transport does not forward bytes it cannot vouch for).
+
+use std::io::{self, Read};
 
 use sft_types::{Dest, Envelope, ProtocolTag, ReplicaId, SimTime};
 
@@ -29,6 +32,10 @@ pub(crate) struct FrameDecoder {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Violation;
 
+/// The connection is over: EOF, a socket error, or a [`Violation`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Closed;
+
 impl FrameDecoder {
     pub(crate) fn new(owner: ReplicaId, protocol: ProtocolTag) -> Self {
         Self {
@@ -43,6 +50,38 @@ impl FrameDecoder {
     /// gateways use it to address acks back down the connection.
     pub(crate) fn src(&self) -> Option<ReplicaId> {
         self.claimed_src
+    }
+
+    /// One `read` of `stream` into `chunk`, ingested. Returns the byte
+    /// count: `chunk.len()` means the socket may hold more, `0` that a
+    /// non-blocking socket had nothing. Frames completed by a violating
+    /// read are not appended to `out`.
+    ///
+    /// # Errors
+    ///
+    /// [`Closed`] on EOF, a socket error, or bytes that break protocol.
+    pub(crate) fn read_from(
+        &mut self,
+        stream: &mut impl Read,
+        chunk: &mut [u8],
+        out: &mut Vec<Delivery>,
+    ) -> Result<usize, Closed> {
+        loop {
+            match stream.read(chunk) {
+                Ok(0) => return Err(Closed),
+                Ok(read) => {
+                    let valid = out.len();
+                    if self.ingest(&chunk[..read], out).is_err() {
+                        out.truncate(valid);
+                        return Err(Closed);
+                    }
+                    return Ok(read);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(Closed),
+            }
+        }
     }
 
     /// Buffers `bytes` and appends every complete, valid frame to `out`
@@ -138,6 +177,36 @@ mod tests {
         assert_eq!(out[1].payload[..], [9]);
         assert!(out.iter().all(|d| d.from == ReplicaId::new(2)));
         assert!(out.iter().all(|d| d.to == ReplicaId::new(0)));
+    }
+
+    #[test]
+    fn read_from_ingests_one_read_and_reports_eof_and_violations_as_closed() {
+        let mut stream = hello(2, 0);
+        stream.extend(payload_frame(2, 0, vec![7]));
+        let mut decoder = FrameDecoder::new(ReplicaId::new(0), ProtocolTag::Fbft);
+        let mut chunk = [0u8; 1024];
+        let mut out = Vec::new();
+        let mut reader = &stream[..];
+        assert_eq!(
+            decoder.read_from(&mut reader, &mut chunk, &mut out),
+            Ok(stream.len())
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            decoder.read_from(&mut reader, &mut chunk, &mut out),
+            Err(Closed),
+            "EOF"
+        );
+        // A read that breaks protocol contributes nothing — not even the
+        // valid frame ahead of the violation — and keeps what was there.
+        let mut bad = payload_frame(2, 0, vec![8]);
+        bad.extend(payload_frame(3, 0, vec![9])); // source switch
+        assert_eq!(
+            decoder.read_from(&mut &bad[..], &mut chunk, &mut out),
+            Err(Closed)
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].payload[..], [7]);
     }
 
     #[test]

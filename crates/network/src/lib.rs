@@ -14,8 +14,7 @@
 //! the transport models exactly that: every message sent at time `t` is
 //! delivered at `t + δ`, and the network keeps exact per-message byte
 //! accounting (for the message-complexity experiments) instead of shaping
-//! traffic. Real async networking (the FeBFT-style socket layer) will slot
-//! in behind the same envelope shape in a later PR.
+//! traffic.
 //!
 //! ## Determinism
 //!
@@ -47,10 +46,14 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod frame;
+mod inbox;
 pub mod node;
 mod outbox;
+#[allow(unsafe_code)] // the one `poll(2)` call; scripts/check_unsafe holds the line
+mod readiness;
 pub mod tcp;
 
 use std::collections::VecDeque;

@@ -22,11 +22,11 @@
 //! generic engine loop drives a replica here — `sft-node` is that loop
 //! plus a write-ahead log.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,6 +35,7 @@ use sft_obs::{names, SharedRecorder};
 use sft_types::{Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
 
 use crate::frame::FrameDecoder;
+use crate::inbox::{Inbound, Inbox};
 use crate::outbox::OutRing;
 use crate::{ClientDelivery, Delivery, NetworkStats, Transport};
 
@@ -79,9 +80,11 @@ pub struct NodeTransport {
     /// Outbound side per replica id; the own-id slot is `None`
     /// (self-delivery is the harness's job, as with every transport).
     peers: Vec<Option<PeerOut>>,
-    inbound: Receiver<Delivery>,
-    staged: VecDeque<Delivery>,
-    next_seq: u64,
+    /// Peer deliveries and client requests on one queue, so the run
+    /// loop blocked in `poll_deliver` wakes on either (the listener
+    /// doubles as the client gateway: a hello tagged
+    /// [`ProtocolTag::Client`] makes the connection a client, not a peer).
+    inbox: Inbox,
     stats: NetworkStats,
     /// Connections lost, inbound readers and outbound writers combined.
     disconnects: Arc<AtomicU64>,
@@ -90,10 +93,6 @@ pub struct NodeTransport {
     /// The local listener's address (waking the acceptor at drop).
     listen_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    /// Client-plane frames queued by client readers (the listener doubles
-    /// as the client gateway: a hello tagged [`ProtocolTag::Client`]
-    /// makes the connection a client, not a peer).
-    client_inbound: Receiver<ClientDelivery>,
     /// Write halves of live client connections, for acks.
     client_conns: ClientConns,
     /// Frame-level counters (no-op unless bound observed); writer
@@ -156,8 +155,7 @@ impl NodeTransport {
         let listener = TcpListener::bind(listen)?;
         let listen_addr = listener.local_addr()?;
 
-        let (inbound_tx, inbound) = mpsc::channel::<Delivery>();
-        let (client_tx, client_inbound) = mpsc::channel::<ClientDelivery>();
+        let (inbound_tx, inbox) = Inbox::new();
         let client_conns: ClientConns = Arc::new(Mutex::new(HashMap::new()));
         let received = Arc::new(AtomicU64::new(0));
         let disconnects = Arc::new(AtomicU64::new(0));
@@ -166,7 +164,6 @@ impl NodeTransport {
         let acceptor = std::thread::Builder::new()
             .name(format!("sft-node-accept-{}", id.as_u16()))
             .spawn({
-                let inbound_tx = inbound_tx.clone();
                 let client_conns = Arc::clone(&client_conns);
                 let received = Arc::clone(&received);
                 let disconnects = Arc::clone(&disconnects);
@@ -177,7 +174,6 @@ impl NodeTransport {
                         id,
                         protocol,
                         inbound_tx,
-                        client_tx,
                         client_conns,
                         received,
                         disconnects,
@@ -217,15 +213,12 @@ impl NodeTransport {
             protocol,
             start: Instant::now(),
             peers: outs,
-            inbound,
-            staged: VecDeque::new(),
-            next_seq: 0,
+            inbox,
             stats: NetworkStats::default(),
             disconnects,
             shutdown,
             listen_addr,
             acceptor: Some(acceptor),
-            client_inbound,
             client_conns,
             recorder,
         })
@@ -261,16 +254,12 @@ impl NodeTransport {
         self
     }
 
-    /// Enqueues one pre-framed buffer toward `to`. A full or closed
-    /// ring is a counted drop — the writer is down or hopelessly
-    /// behind, and the peer will block-sync what it missed.
-    fn enqueue(&mut self, to: ReplicaId, frame: Arc<[u8]>, payload_len: usize) {
-        self.enqueue_gated(to, frame, payload_len, None);
-    }
-
-    /// [`enqueue`](Self::enqueue) with an optional durability gate the
-    /// peer's writer thread honors before putting the frame on the wire.
-    fn enqueue_gated(
+    /// Enqueues one pre-framed buffer toward `to`, behind an optional
+    /// durability gate the peer's writer thread honors before putting
+    /// the frame on the wire. A full or closed ring is a counted drop —
+    /// the writer is down or hopelessly behind, and the peer will
+    /// block-sync what it missed.
+    fn enqueue(
         &mut self,
         to: ReplicaId,
         frame: Arc<[u8]>,
@@ -293,11 +282,17 @@ impl NodeTransport {
         }
     }
 
-    /// Stamps a popped delivery with arrival order.
-    fn stage(&mut self, mut delivery: Delivery) {
-        delivery.seq = self.next_seq;
-        self.next_seq += 1;
-        self.staged.push_back(delivery);
+    /// Frames `payload` once and enqueues it toward every peer.
+    fn fan_out(&mut self, from: ReplicaId, payload: &Arc<[u8]>, gate: Option<&SendGate>) {
+        debug_assert_eq!(from, self.id, "a node only sends as itself");
+        let env = Envelope::broadcast(from, self.protocol, Arc::clone(payload));
+        let frame: Arc<[u8]> = env.to_frame().into();
+        for to in 0..self.n as u16 {
+            let to = ReplicaId::new(to);
+            if to != from {
+                self.enqueue(to, Arc::clone(&frame), payload.len(), gate.cloned());
+            }
+        }
     }
 }
 
@@ -309,20 +304,11 @@ impl Transport for NodeTransport {
     fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>) {
         debug_assert_eq!(from, self.id, "a node only sends as itself");
         let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        self.enqueue(to, frame, payload.len());
+        self.enqueue(to, env.to_frame().into(), payload.len(), None);
     }
 
     fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>) {
-        debug_assert_eq!(from, self.id, "a node only sends as itself");
-        let env = Envelope::broadcast(from, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        for to in 0..self.n as u16 {
-            let to = ReplicaId::new(to);
-            if to != from {
-                self.enqueue(to, Arc::clone(&frame), payload.len());
-            }
-        }
+        self.fan_out(from, &payload, None);
     }
 
     fn supports_gating(&self) -> bool {
@@ -332,49 +318,16 @@ impl Transport for NodeTransport {
     fn send_gated(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
         debug_assert_eq!(from, self.id, "a node only sends as itself");
         let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        self.enqueue_gated(to, frame, payload.len(), Some(gate));
+        self.enqueue(to, env.to_frame().into(), payload.len(), Some(gate));
     }
 
     fn broadcast_gated(&mut self, from: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        debug_assert_eq!(from, self.id, "a node only sends as itself");
-        let env = Envelope::broadcast(from, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        for to in 0..self.n as u16 {
-            let to = ReplicaId::new(to);
-            if to != from {
-                self.enqueue_gated(to, Arc::clone(&frame), payload.len(), Some(gate.clone()));
-            }
-        }
+        self.fan_out(from, &payload, Some(&gate));
     }
 
     fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery> {
-        while let Ok(d) = self.inbound.try_recv() {
-            self.stage(d);
-        }
-        if self.staged.is_empty() {
-            let now = self.now();
-            if deadline > now {
-                let wait = Duration::from_micros((deadline - now).as_micros());
-                match self.inbound.recv_timeout(wait) {
-                    Ok(d) => {
-                        self.stage(d);
-                        while let Ok(more) = self.inbound.try_recv() {
-                            self.stage(more);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
-                }
-            }
-        }
-        let now = self.now();
-        self.staged
-            .drain(..)
-            .map(|mut d| {
-                d.deliver_at = now;
-                d
-            })
-            .collect()
+        self.inbox.wait(self.now(), deadline);
+        self.inbox.take_peers(self.now())
     }
 
     fn now(&self) -> SimTime {
@@ -388,7 +341,7 @@ impl Transport for NodeTransport {
     fn is_idle(&self) -> bool {
         // A lone endpoint cannot know what peers still have in flight;
         // "idle" is only "nothing locally staged".
-        self.staged.is_empty()
+        !self.inbox.has_staged_peers()
     }
 
     fn stats(&self) -> NetworkStats {
@@ -398,11 +351,7 @@ impl Transport for NodeTransport {
     }
 
     fn poll_clients(&mut self) -> Vec<ClientDelivery> {
-        let mut out = Vec::new();
-        while let Ok(d) = self.client_inbound.try_recv() {
-            out.push(d);
-        }
-        out
+        self.inbox.take_clients()
     }
 
     fn send_client(&mut self, conn: u64, replica: ReplicaId, payload: Arc<[u8]>) {
@@ -451,8 +400,7 @@ fn accept_loop(
     listener: TcpListener,
     owner: ReplicaId,
     protocol: ProtocolTag,
-    inbound: Sender<Delivery>,
-    client_tx: Sender<ClientDelivery>,
+    inbound: Sender<Inbound>,
     client_conns: ClientConns,
     received: Arc<AtomicU64>,
     disconnects: Arc<AtomicU64>,
@@ -469,7 +417,6 @@ fn accept_loop(
             .name(format!("sft-node-reader-{}", owner.as_u16()))
             .spawn({
                 let inbound = inbound.clone();
-                let client_tx = client_tx.clone();
                 let client_conns = Arc::clone(&client_conns);
                 let next_conn = Arc::clone(&next_conn);
                 let received = Arc::clone(&received);
@@ -480,7 +427,6 @@ fn accept_loop(
                         owner,
                         protocol,
                         &inbound,
-                        &client_tx,
                         &client_conns,
                         &next_conn,
                         &received,
@@ -498,8 +444,7 @@ fn serve_inbound(
     mut stream: TcpStream,
     owner: ReplicaId,
     protocol: ProtocolTag,
-    inbound: &Sender<Delivery>,
-    client_tx: &Sender<ClientDelivery>,
+    inbound: &Sender<Inbound>,
     client_conns: &ClientConns,
     next_conn: &AtomicU64,
     received: &AtomicU64,
@@ -519,7 +464,7 @@ fn serve_inbound(
         }
     };
     if tag == ProtocolTag::Client {
-        client_reader_loop(stream, buffered, owner, client_tx, client_conns, next_conn);
+        client_reader_loop(stream, buffered, owner, inbound, client_conns, next_conn);
     } else {
         reader_loop(stream, buffered, owner, protocol, inbound, received);
         disconnects.fetch_add(1, Ordering::SeqCst);
@@ -534,7 +479,7 @@ fn reader_loop(
     buffered: Vec<u8>,
     owner: ReplicaId,
     protocol: ProtocolTag,
-    inbound: &Sender<Delivery>,
+    inbound: &Sender<Inbound>,
     received: &AtomicU64,
 ) {
     let mut decoder = FrameDecoder::new(owner, protocol);
@@ -546,30 +491,28 @@ fn reader_loop(
     loop {
         for delivery in decoded.drain(..) {
             received.fetch_add(1, Ordering::SeqCst);
-            if inbound.send(delivery).is_err() {
+            if inbound.send(Inbound::Peer(delivery)).is_err() {
                 return; // transport gone
             }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return, // EOF or error: peer closed
-            Ok(read) => {
-                if decoder.ingest(&chunk[..read], &mut decoded).is_err() {
-                    return; // protocol violation: refuse the peer
-                }
-            }
+        if decoder
+            .read_from(&mut stream, &mut chunk, &mut decoded)
+            .is_err()
+        {
+            return; // peer closed, or broke protocol: refuse it
         }
     }
 }
 
 /// Blocking reader for one client connection: registers the write half
 /// for acks once the hello binds an identity, then pushes every decoded
-/// client frame to the gateway queue. Deregisters itself on any exit so
-/// acks to a departed client become counted no-ops.
+/// client frame to the shared inbound queue. Deregisters itself on any
+/// exit so acks to a departed client become counted no-ops.
 fn client_reader_loop(
     mut stream: TcpStream,
     buffered: Vec<u8>,
     owner: ReplicaId,
-    client_tx: &Sender<ClientDelivery>,
+    inbound: &Sender<Inbound>,
     client_conns: &ClientConns,
     next_conn: &AtomicU64,
 ) {
@@ -597,22 +540,20 @@ fn client_reader_loop(
     let mut chunk = vec![0u8; 64 * 1024];
     'serve: loop {
         for delivery in decoded.drain(..) {
-            let frame = ClientDelivery {
+            let request = ClientDelivery {
                 conn,
                 replica: owner,
                 payload: delivery.payload,
             };
-            if client_tx.send(frame).is_err() {
+            if inbound.send(Inbound::Client(request)).is_err() {
                 break 'serve; // transport gone
             }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break, // client hung up
-            Ok(read) => {
-                if decoder.ingest(&chunk[..read], &mut decoded).is_err() {
-                    break; // protocol violation: refuse the client
-                }
-            }
+        if decoder
+            .read_from(&mut stream, &mut chunk, &mut decoded)
+            .is_err()
+        {
+            break; // client hung up, or broke protocol: refuse it
         }
     }
     client_conns.lock().expect("client registry").remove(&conn);
@@ -751,12 +692,18 @@ mod tests {
             Envelope::to_peer(me, ReplicaId::new(0), ProtocolTag::Client, vec![9, 9]).to_frame();
         sock.write_all(&request).unwrap();
 
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut got = Vec::new();
-        while got.is_empty() && Instant::now() < deadline {
-            got = a.poll_clients();
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // A run loop waiting for peer traffic wakes on the client's
+        // request (no peer frame and no deadline comes to its rescue),
+        // with nothing to deliver to the engine.
+        let blocked = Instant::now();
+        assert!(a
+            .poll_deliver(a.now() + SimDuration::from_secs(10))
+            .is_empty());
+        assert!(
+            blocked.elapsed() < Duration::from_secs(5),
+            "poll_deliver slept through a client request"
+        );
+        let got = a.poll_clients();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].replica, ReplicaId::new(0));
         assert_eq!(got[0].payload[..], [9, 9]);

@@ -1,21 +1,16 @@
 //! Outbound-ring machinery shared by the socket transports.
 //!
 //! Both real-socket transports queue pre-framed buffers per peer and
-//! drain them from writer threads. The queue used to be an `mpsc`
-//! channel with one dedicated writer thread per connection — `n(n − 1)`
-//! threads for the in-process mesh, which stops scaling long before the
-//! paper's larger replica counts (n = 121 would need ~14k writer
-//! threads). An [`OutRing`] is the channel's replacement: a bounded
-//! `VecDeque` under a mutex, with a condvar for the blocking consumers
-//! and a partial-write cursor so a *single* non-blocking writer thread
-//! can round-robin every connection and resume a half-written frame
-//! where it left off.
-//!
-//! Two drain styles share the type:
+//! drain them from writer threads. An [`OutRing`] is that queue: a
+//! bounded `VecDeque` under a mutex, with a condvar for the blocking
+//! consumers and a partial-write cursor so a *single* non-blocking
+//! writer thread can round-robin every connection and resume a
+//! half-written frame where it left off. Two drain styles share the type:
 //!
 //! - [`OutRing::flush_nonblocking`] — the cluster's one writer thread
-//!   flushes each ring onto its non-blocking socket until it would
-//!   block, then moves to the next connection;
+//!   flushes each ring onto its non-blocking socket, every gate-open
+//!   frame of a pass in one vectored write, until it would block, then
+//!   moves to the next connection;
 //! - [`OutRing::front_blocking`] / [`OutRing::advance`] — a
 //!   [`NodeTransport`](crate::NodeTransport) per-peer writer peeks the
 //!   front frame, blocking-writes it on its reconnecting socket, and
@@ -23,13 +18,13 @@
 //!   frame on the next connection).
 //!
 //! A [`Notifier`] is the single wake-up channel of the cluster's writer
-//! thread: every enqueue on any ring signals it, so the thread sleeps —
-//! not spins — while the mesh is quiet.
+//! thread: enqueues signal it, so the thread sleeps — not spins — while
+//! the mesh is quiet.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use sft_types::SendGate;
@@ -40,13 +35,21 @@ use sft_types::SendGate;
 /// of growing without bound.
 pub(crate) const RING_DEPTH: usize = 1024;
 
+/// Frames gathered into one vectored write (the kernel takes at most
+/// `IOV_MAX` = 1024 slices): a step's worth of acks in one syscall.
+const MAX_BATCH: usize = 256;
+
 /// What one non-blocking flush pass over a ring concluded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Flush {
     /// Ring drained; more frames may arrive later.
     Clean,
-    /// The socket would block with frames still queued; retry later.
+    /// The socket would block with frames still queued; retry later
+    /// (kernel buffers drain without anything to signal it).
     Blocked,
+    /// The front frame's durability gate is closed. Nothing to retry:
+    /// the WAL writer's wake hook signals the moment the watermark moves.
+    Gated,
     /// Ring drained *and* closed: no frame will ever follow. The caller
     /// should shut the connection down and forget it.
     Done,
@@ -72,14 +75,17 @@ struct RingState {
     offset: usize,
     /// No further frames will be accepted; consumers drain and stop.
     closed: bool,
+    /// Threads asleep on `wake`: with none, a push or pop skips the
+    /// notify — a futex syscall whether or not anyone listens.
+    waiting: usize,
 }
 
 /// One peer connection's bounded outbound frame queue. See the
 /// [module docs](self) for how the two transports drain it.
 pub(crate) struct OutRing {
     state: Mutex<RingState>,
-    /// Woken on every push, pop, and close — producers wait here for
-    /// space, blocking consumers for frames.
+    /// Woken on push, pop, and close while anyone waits — producers
+    /// wait here for space, blocking consumers for frames.
     wake: Condvar,
 }
 
@@ -90,9 +96,25 @@ impl OutRing {
                 queue: VecDeque::new(),
                 offset: 0,
                 closed: false,
+                waiting: 0,
             }),
             wake: Condvar::new(),
         })
+    }
+
+    /// Sleeps on `wake` until the next push, pop, or close.
+    fn wait<'a>(&self, mut state: MutexGuard<'a, RingState>) -> MutexGuard<'a, RingState> {
+        state.waiting += 1;
+        let mut state = self.wake.wait(state).expect("ring lock");
+        state.waiting -= 1;
+        state
+    }
+
+    /// Wakes whoever sleeps in [`wait`](Self::wait), if anyone does.
+    fn notify(&self, state: &RingState) {
+        if state.waiting > 0 {
+            self.wake.notify_all();
+        }
     }
 
     /// Enqueues without blocking. `false` — the caller counts a drop —
@@ -111,7 +133,7 @@ impl OutRing {
             return false;
         }
         state.queue.push_back(QueuedFrame { bytes: frame, gate });
-        self.wake.notify_all();
+        self.notify(&state);
         true
     }
 
@@ -129,13 +151,13 @@ impl OutRing {
     pub(crate) fn push_blocking_gated(&self, frame: Arc<[u8]>, gate: Option<SendGate>) -> bool {
         let mut state = self.state.lock().expect("ring lock");
         while !state.closed && state.queue.len() >= RING_DEPTH {
-            state = self.wake.wait(state).expect("ring lock");
+            state = self.wait(state);
         }
         if state.closed {
             return false;
         }
         state.queue.push_back(QueuedFrame { bytes: frame, gate });
-        self.wake.notify_all();
+        self.notify(&state);
         true
     }
 
@@ -144,7 +166,7 @@ impl OutRing {
     pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("ring lock");
         state.closed = true;
-        self.wake.notify_all();
+        self.notify(&state);
     }
 
     /// Waits until a frame is available and returns a handle to the
@@ -163,7 +185,7 @@ impl OutRing {
             if state.closed {
                 return None;
             }
-            state = self.wake.wait(state).expect("ring lock");
+            state = self.wait(state);
         }
     }
 
@@ -171,58 +193,65 @@ impl OutRing {
     pub(crate) fn advance(&self) {
         let mut state = self.state.lock().expect("ring lock");
         state.queue.pop_front();
-        self.wake.notify_all();
+        self.notify(&state);
     }
 
     /// Writes queued frames onto a non-blocking `stream` until the ring
-    /// drains, the socket pushes back, or the front frame's durability
-    /// gate is still closed (reported as [`Flush::Blocked`] — the
-    /// writer's timed retry doubles as the gate poll, and the WAL
-    /// writer's wake hook signals it the moment the fsync lands).
-    /// Resumes any half-written frame at its cursor; a frame's gate is
-    /// only consulted before its first byte, which is sound because
-    /// gates open monotonically. Returns whether any bytes were written
-    /// and the resulting [`Flush`] status. The lock is never held
-    /// across a write syscall.
-    pub(crate) fn flush_nonblocking(&self, stream: &mut TcpStream) -> (bool, Flush) {
-        let mut wrote = false;
+    /// drains, the socket pushes back ([`Flush::Blocked`]), or the front
+    /// frame's durability gate is still closed ([`Flush::Gated`]). Each
+    /// round gathers the frames up to the first closed gate (at most
+    /// [`MAX_BATCH`]) into one `write_vectored` and resumes a
+    /// half-written frame at its cursor. A gate is only consulted before
+    /// its frame's first byte, which is sound because gates open
+    /// monotonically. Returns how many writes moved bytes and the
+    /// [`Flush`] status. The lock is never held across a write syscall.
+    pub(crate) fn flush_nonblocking(&self, stream: &mut TcpStream) -> (u64, Flush) {
+        let mut writes = 0;
+        let mut batch: Vec<Arc<[u8]>> = Vec::new();
         loop {
-            let (frame, offset) = {
+            let offset = {
                 let state = self.state.lock().expect("ring lock");
-                match state.queue.front() {
-                    Some(front) => {
-                        if state.offset == 0
-                            && front.gate.as_ref().is_some_and(|gate| !gate.is_open())
-                        {
-                            return (wrote, Flush::Blocked);
-                        }
-                        (Arc::clone(&front.bytes), state.offset)
+                batch.clear();
+                for (i, frame) in state.queue.iter().take(MAX_BATCH).enumerate() {
+                    let mid_frame = i == 0 && state.offset > 0;
+                    if !mid_frame && frame.gate.as_ref().is_some_and(|gate| !gate.is_open()) {
+                        break;
                     }
-                    None => {
-                        let status = if state.closed {
-                            Flush::Done
-                        } else {
-                            Flush::Clean
-                        };
-                        return (wrote, status);
-                    }
+                    batch.push(Arc::clone(&frame.bytes));
                 }
+                if batch.is_empty() {
+                    let status = match state.queue.front() {
+                        Some(_) => Flush::Gated,
+                        None if state.closed => Flush::Done,
+                        None => Flush::Clean,
+                    };
+                    return (writes, status);
+                }
+                state.offset
             };
-            match stream.write(&frame[offset..]) {
-                Ok(0) => return (wrote, Flush::Dead),
+            let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|f| IoSlice::new(f)).collect();
+            slices[0] = IoSlice::new(&batch[0][offset..]);
+            match stream.write_vectored(&slices) {
+                Ok(0) => return (writes, Flush::Dead),
                 Ok(written) => {
-                    wrote = true;
+                    writes += 1;
                     let mut state = self.state.lock().expect("ring lock");
-                    state.offset += written;
-                    if state.offset >= frame.len() {
+                    // Frames the write covered whole are done; what is
+                    // left of `written` is the cursor into the next one.
+                    let mut cursor = offset + written;
+                    for frame in &batch {
+                        if cursor < frame.len() {
+                            break;
+                        }
+                        cursor -= frame.len();
                         state.queue.pop_front();
-                        state.offset = 0;
-                        self.wake.notify_all();
                     }
+                    state.offset = cursor;
+                    self.notify(&state);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (wrote, Flush::Blocked),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (writes, Flush::Blocked),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return (wrote, Flush::Dead),
+                Err(_) => return (writes, Flush::Dead),
             }
         }
     }
@@ -246,11 +275,15 @@ impl Notifier {
         })
     }
 
-    /// Raises the flag and wakes the writer.
+    /// Raises the flag and wakes the writer. A flag already up means the
+    /// writer has been woken and has not looked yet: the burst of
+    /// enqueues behind one step costs one futex wake, not one each.
     pub(crate) fn signal(&self) {
         let mut dirty = self.dirty.lock().expect("notifier lock");
-        *dirty = true;
-        self.wake.notify_one();
+        if !*dirty {
+            *dirty = true;
+            self.wake.notify_one();
+        }
     }
 
     /// Sleeps until signalled (or `timeout`, when given) and lowers the
@@ -323,6 +356,7 @@ mod tests {
     fn closed_gate_blocks_the_flush_until_the_watermark_covers_it() {
         use sft_types::Watermark;
         let (mut tx, mut rx) = socket_pair();
+        rx.set_nonblocking(true).unwrap();
         let ring = OutRing::new();
         let wm = Watermark::new();
         assert!(ring.push(frame(1, 2)));
@@ -331,25 +365,68 @@ mod tests {
             ring.push(frame(3, 2)),
             "ungated frame queued behind the gate"
         );
-        // First flush: the ungated frame goes out, the gated one holds
-        // everything behind it (FIFO — gating never reorders).
-        let (wrote, status) = ring.flush_nonblocking(&mut tx);
-        assert!(wrote);
-        assert_eq!(status, Flush::Blocked, "closed gate reports Blocked");
-        let mut got = [0u8; 2];
-        rx.read_exact(&mut got).unwrap();
-        assert_eq!(got, [1, 1]);
-        // Still blocked on retry while the watermark lags.
+        // First flush: the vectored write gathers the open frame and
+        // stops at the gate, which holds everything behind it (FIFO —
+        // gating never reorders).
+        let (writes, status) = ring.flush_nonblocking(&mut tx);
+        assert_eq!(writes, 1);
+        assert_eq!(status, Flush::Gated, "closed gate is not socket pushback");
+        let mut got = [0u8; 8];
+        assert_eq!(rx.read(&mut got).unwrap(), 2, "nothing gated was written");
+        assert_eq!(got[..2], [1, 1]);
+        // Still gated on retry while the watermark lags.
         wm.advance(2);
-        assert_eq!(ring.flush_nonblocking(&mut tx).1, Flush::Blocked);
-        // Watermark covers the gate: both remaining frames drain in order.
+        assert_eq!(ring.flush_nonblocking(&mut tx), (0, Flush::Gated));
+        assert_eq!(
+            rx.read(&mut got).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "not one byte past the gate"
+        );
+        // Watermark covers the gate: both remaining frames leave in
+        // order, in one write.
         wm.advance(3);
-        let (wrote, status) = ring.flush_nonblocking(&mut tx);
-        assert!(wrote);
-        assert_eq!(status, Flush::Clean);
+        assert_eq!(ring.flush_nonblocking(&mut tx), (1, Flush::Clean));
+        rx.set_nonblocking(false).unwrap();
         let mut rest = [0u8; 4];
         rx.read_exact(&mut rest).unwrap();
         assert_eq!(rest, [2, 2, 3, 3]);
+    }
+
+    #[test]
+    fn a_gate_mid_batch_ends_the_vectored_write_there() {
+        use sft_types::Watermark;
+        let (mut tx, mut rx) = socket_pair();
+        let ring = OutRing::new();
+        let wm = Watermark::new();
+        wm.advance(1);
+        // open, open (gate already covered), closed, open.
+        assert!(ring.push(frame(1, 1)));
+        assert!(ring.push_gated(frame(2, 1), Some(SendGate::new(wm.clone(), 1))));
+        assert!(ring.push_gated(frame(3, 1), Some(SendGate::new(wm.clone(), 2))));
+        assert!(ring.push(frame(4, 1)));
+        assert_eq!(ring.flush_nonblocking(&mut tx), (1, Flush::Gated));
+        let mut got = [0u8; 2];
+        rx.read_exact(&mut got).unwrap();
+        assert_eq!(got, [1, 2]);
+        wm.advance(2);
+        assert_eq!(ring.flush_nonblocking(&mut tx), (1, Flush::Clean));
+        rx.read_exact(&mut got).unwrap();
+        assert_eq!(got, [3, 4]);
+    }
+
+    #[test]
+    fn many_small_frames_leave_in_one_write() {
+        let (mut tx, mut rx) = socket_pair();
+        let ring = OutRing::new();
+        for i in 0..128u8 {
+            assert!(ring.push(frame(i, 3)));
+        }
+        assert_eq!(ring.flush_nonblocking(&mut tx), (1, Flush::Clean));
+        let mut got = [0u8; 128 * 3];
+        rx.read_exact(&mut got).unwrap();
+        for (i, bytes) in got.chunks(3).enumerate() {
+            assert_eq!(bytes, [i as u8; 3], "send order survives the gather");
+        }
     }
 
     #[test]
@@ -371,9 +448,7 @@ mod tests {
         let ring = OutRing::new();
         assert!(ring.push(frame(1, 3)));
         assert!(ring.push(frame(2, 2)));
-        let (wrote, status) = ring.flush_nonblocking(&mut tx);
-        assert!(wrote);
-        assert_eq!(status, Flush::Clean);
+        assert_eq!(ring.flush_nonblocking(&mut tx), (1, Flush::Clean));
         let mut got = [0u8; 5];
         rx.read_exact(&mut got).unwrap();
         assert_eq!(got, [1, 1, 1, 2, 2]);
@@ -387,8 +462,8 @@ mod tests {
         // flush must hit WouldBlock partway through.
         let big = frame(9, 32 * 1024 * 1024);
         assert!(ring.push(Arc::clone(&big)));
-        let (wrote, status) = ring.flush_nonblocking(&mut tx);
-        assert!(wrote);
+        let (writes, status) = ring.flush_nonblocking(&mut tx);
+        assert!(writes > 0);
         assert_eq!(status, Flush::Blocked, "kernel buffer filled mid-frame");
         // Drain the receiving side, then resume: the cursor picks up
         // exactly where the first pass stopped.
@@ -416,9 +491,11 @@ mod tests {
         let ring = OutRing::new();
         assert!(ring.push(frame(4, 2)));
         ring.close();
-        let (wrote, status) = ring.flush_nonblocking(&mut tx);
-        assert!(wrote, "close drains queued frames before reporting done");
-        assert_eq!(status, Flush::Done);
+        assert_eq!(
+            ring.flush_nonblocking(&mut tx),
+            (1, Flush::Done),
+            "close drains queued frames before reporting done"
+        );
     }
 
     #[test]

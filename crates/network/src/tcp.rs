@@ -1,33 +1,39 @@
 //! Real-socket transport: a loopback TCP mesh speaking length-prefixed
 //! [`Envelope`] frames.
 //!
-//! Hand-rolled on `std::net` + threads — the build environment has no
-//! registry access, so there is no async runtime to lean on, and none is
-//! needed: the FeBFT shape (typed envelopes consumed from an
-//! executor-agnostic transport) works just as well over a small poll
-//! loop on non-blocking sockets.
+//! Hand-rolled on `std::net` + threads — there is no registry access,
+//! hence no async runtime, and none is needed: the FeBFT shape (typed
+//! envelopes consumed from an executor-agnostic transport) works just as
+//! well over two threads that sleep until a socket has work for them.
 //!
 //! ## Architecture
 //!
 //! A [`TcpCluster`] hosts `n` replica endpoints in one process, connected
-//! full-mesh over `127.0.0.1` ephemeral ports. The thread model is
-//! O(n), not O(n²) — at n = 121 the previous
-//! one-thread-per-direction design would have needed ~29k threads for
-//! 14 520 connections; this one needs 122:
+//! full-mesh over `127.0.0.1` ephemeral ports: one TCP connection per
+//! ordered pair `(i → j)` — 14 520 at n = 121 — on **two threads for any
+//! n**, neither of which polls:
 //!
-//! - every ordered pair `(i → j)` still gets its own TCP connection, but
-//!   outbound frames queue on a per-connection `OutRing` and **one
-//!   writer thread** drains all `n(n − 1)` rings onto non-blocking
-//!   sockets, resuming partial writes where the kernel pushed back. A
-//!   broadcast enqueues one shared pre-framed buffer on `n − 1` rings
-//!   (encode once, `Arc` fan-out, exactly like the simulator), and a
-//!   full ring blocks the sender — bounded memory, no silent loss;
-//! - each endpoint gets **one reader thread** multiplexing its `n − 1`
-//!   accepted connections: non-blocking reads feed per-connection
-//!   `FrameDecoder`s, validated [`Delivery`]s land in one **shared
-//!   inbound queue** the run loop polls, and an idle endpoint backs off
-//!   its poll sleep (10 µs doubling to 2 ms) so quiet meshes cost
-//!   near-zero CPU without adding tail latency under load.
+//! - **one writer thread** drains every per-connection `OutRing` onto its
+//!   non-blocking socket — every gate-open frame of a pass in one
+//!   vectored write, partial writes resumed where the kernel pushed back.
+//!   A broadcast enqueues one shared pre-framed buffer on `n − 1` rings
+//!   (encode once, `Arc` fan-out, exactly like the simulator), and a full
+//!   ring blocks the sender — bounded memory, no silent loss. The writer
+//!   sleeps until an enqueue or a completed fsync (the WAL's wake hook)
+//!   signals it; only a socket that pushed back arms a retry timer,
+//!   because a kernel buffer draining signals nobody;
+//! - **one I/O thread** blocks in `poll(2)` (the `readiness` module) over
+//!   the `n(n − 1)` inbound peer sockets, the `n` listeners, every client
+//!   socket and a wake-up socket, and reads only what is ready.
+//!   Per-connection `FrameDecoder`s turn the bytes into validated
+//!   deliveries on **one inbound queue** — so a run loop blocked in
+//!   [`Transport::poll_deliver`] wakes on a peer frame and a client
+//!   request alike, and [`Transport::poll_clients`] is a drain with no
+//!   syscall in it. An idle cluster costs no CPU at all.
+//!
+//! The listeners double as the client gateway: a connection accepted
+//! after the mesh is up is a client's, and its acks leave through an
+//! `OutRing` of its own on the same writer thread.
 //!
 //! Frames that fail to decode, carry the wrong [`ProtocolTag`], or name
 //! a `Dest::Peer` other than the receiving endpoint terminate that
@@ -39,11 +45,13 @@
 //! construction, expressed as [`SimTime`] — engines built for the
 //! simulator run unchanged; only the meaning of a microsecond differs.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::collections::HashMap;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,13 +60,11 @@ use sft_obs::{names, PhaseTimer, SharedRecorder};
 use sft_types::{Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
 
 use crate::frame::FrameDecoder;
+use crate::inbox::{Inbound, Inbox};
 use crate::outbox::{Flush, Notifier, OutRing};
+use crate::readiness::PollSet;
 use crate::{ClientDelivery, Delivery, NetworkStats, Transport};
 
-/// Endpoint readers back off their poll sleep from here…
-const READ_IDLE_MIN: Duration = Duration::from_micros(10);
-/// …up to here while their connections stay silent.
-const READ_IDLE_MAX: Duration = Duration::from_millis(2);
 /// Writer retry interval while some socket is pushing back: kernel
 /// buffers drain without any enqueue to signal it, so the wait must
 /// time out.
@@ -71,16 +77,38 @@ struct WriterConn {
     ring: Arc<OutRing>,
 }
 
-/// One accepted client connection, owned by the gateway and serviced
-/// from the run-loop thread (no thread of its own): the non-blocking
-/// socket, the [`ProtocolTag::Client`] decoder, the replica whose
-/// listener accepted it, and any ack bytes the kernel pushed back on.
-struct ClientConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    replica: ReplicaId,
-    /// Framed ack bytes not yet accepted by the socket.
-    unsent: VecDeque<u8>,
+/// Where a client's acks go: its ring, and the identity its hello
+/// claimed (what the ack frames are addressed to).
+struct ClientOut {
+    ring: Arc<OutRing>,
+    dest: ReplicaId,
+}
+
+/// What the run loop, the writer thread and the I/O thread share.
+struct Shared {
+    /// Wakes the writer thread after an enqueue on any ring.
+    notifier: Arc<Notifier>,
+    /// Read through a slot: both threads start before `set_recorder`.
+    recorder: Mutex<SharedRecorder>,
+    /// Set by `Drop`: the writer makes one last pass and exits.
+    closing: AtomicBool,
+    /// Write halves of freshly accepted client connections, on their way
+    /// from the I/O thread to the writer thread.
+    accepted: Mutex<Vec<WriterConn>>,
+    /// Client connections by gateway-assigned id, from hello to hang-up.
+    clients: Mutex<HashMap<u64, ClientOut>>,
+    /// Peer frames queued for the run loop (`is_idle` compares it with
+    /// `stats.messages`).
+    received: AtomicU64,
+    /// Peer connections lost (EOF, socket error, protocol violation):
+    /// a dropped peer is a counted event in [`Transport::stats`].
+    disconnects: AtomicU64,
+}
+
+impl Shared {
+    fn recorder(&self) -> SharedRecorder {
+        self.recorder.lock().expect("recorder slot").clone()
+    }
 }
 
 /// An `n`-endpoint loopback TCP mesh implementing [`Transport`]. See the
@@ -112,48 +140,27 @@ pub struct TcpCluster {
     /// `rings[from][to]`; the diagonal is `None` (self-delivery is the
     /// harness's job, as with every transport).
     rings: Vec<Vec<Option<Arc<OutRing>>>>,
-    /// Wakes the writer thread after an enqueue on any ring.
-    notifier: Arc<Notifier>,
-    inbound: Receiver<Delivery>,
-    /// Deliveries popped from `inbound` ahead of a deadline cut.
-    staged: VecDeque<Delivery>,
-    /// Frames accepted and pushed by reader threads (compared against
-    /// `stats.messages` for idleness).
-    received: Arc<AtomicU64>,
-    /// Peer connections the reader threads lost (EOF, socket error, or a
-    /// protocol violation) — surfaced through [`Transport::stats`] so a
-    /// dropped peer is a counted event, not a silent thread exit.
-    disconnects: Arc<AtomicU64>,
+    shared: Arc<Shared>,
+    /// Peer deliveries and client requests, as the I/O thread queued them.
+    inbox: Inbox,
     delivered: u64,
-    next_seq: u64,
     stats: NetworkStats,
-    /// The endpoints' listeners, retained (non-blocking) after mesh
-    /// construction: they double as the client gateway, with accepts and
-    /// reads serviced by [`Transport::poll_clients`] on the run-loop
-    /// thread — the gateway adds zero threads to the O(n) budget.
-    listeners: Vec<TcpListener>,
-    /// Accepted client connections by gateway-assigned id.
-    clients: HashMap<u64, ClientConn>,
-    next_conn: u64,
-    /// Read buffer for [`Transport::poll_clients`], which runs on every
-    /// step of the run loop: kept, not allocated and zeroed per call.
-    client_chunk: Vec<u8>,
-    /// One multiplexing reader per endpoint.
-    readers: Vec<JoinHandle<()>>,
-    /// The single writer thread draining every ring.
+    /// Where each endpoint listens: the mesh was accepted there, clients
+    /// dial it now.
+    addrs: Vec<SocketAddr>,
+    /// Shut down on drop, which makes the I/O thread's end readable: its
+    /// cue to exit.
+    wake: UnixStream,
+    io: Option<JoinHandle<()>>,
     writer: Option<JoinHandle<()>>,
     /// Frame-level counters; no-op until [`set_recorder`](Self::set_recorder).
     recorder: SharedRecorder,
-    /// The writer thread's view of the recorder (it is spawned before
-    /// `set_recorder` can run, so it reads through this shared slot).
-    flush_recorder: Arc<Mutex<SharedRecorder>>,
 }
 
 impl TcpCluster {
     /// Binds `n` endpoints on `127.0.0.1` ephemeral ports, connects the
-    /// full mesh, and spawns the writer and per-endpoint reader threads
-    /// (`n + 1` threads total). Frames not tagged `protocol` are
-    /// rejected at the readers.
+    /// full mesh, and spawns the writer and I/O threads. Frames not
+    /// tagged `protocol` are rejected on arrival.
     ///
     /// # Errors
     ///
@@ -168,10 +175,7 @@ impl TcpCluster {
             .iter()
             .map(TcpListener::local_addr)
             .collect::<io::Result<_>>()?;
-
-        let (inbound_tx, inbound) = mpsc::channel::<Delivery>();
-        let received = Arc::new(AtomicU64::new(0));
-        let disconnects = Arc::new(AtomicU64::new(0));
+        let (wake, woken) = UnixStream::pair()?;
 
         // Connect the mesh: for each ordered pair (from → to), `from`
         // dials `to`'s listener and immediately sends a one-frame hello
@@ -182,9 +186,9 @@ impl TcpCluster {
         let mut rings: Vec<Vec<Option<Arc<OutRing>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
         let mut writer_conns: Vec<WriterConn> = Vec::with_capacity(n * n.saturating_sub(1));
-        let mut accepted_by: Vec<Vec<TcpStream>> = (0..n).map(|_| Vec::new()).collect();
+        let mut sources = vec![Source::Wake(woken)];
         for (from, row) in rings.iter_mut().enumerate() {
-            for (to, accepted_row) in accepted_by.iter_mut().enumerate() {
+            for (to, listener) in listeners.iter().enumerate() {
                 if from == to {
                     continue;
                 }
@@ -207,120 +211,97 @@ impl TcpCluster {
                 });
                 row[to] = Some(ring);
 
-                let (accepted, _) = listeners[to].accept()?;
+                let (accepted, _) = listener.accept()?;
                 accepted.set_nodelay(true)?;
                 accepted.set_nonblocking(true)?;
-                accepted_row.push(accepted);
+                let decoder = FrameDecoder::new(ReplicaId::new(to as u16), protocol);
+                sources.push(Source::Peer(accepted, decoder));
             }
         }
-        let mut readers = Vec::with_capacity(n);
-        for (owner, streams) in accepted_by.into_iter().enumerate() {
-            if streams.is_empty() {
-                continue; // n = 1: no peers, no reader
-            }
-            let owner = ReplicaId::new(owner as u16);
-            let inbound_tx = inbound_tx.clone();
-            let received = Arc::clone(&received);
-            let disconnects = Arc::clone(&disconnects);
-            readers.push(
-                std::thread::Builder::new()
-                    .name(format!("sft-tcp-reader-{}", owner.as_u16()))
-                    .spawn(move || {
-                        endpoint_reader_loop(
-                            streams,
-                            owner,
-                            protocol,
-                            inbound_tx,
-                            received,
-                            disconnects,
-                        );
-                    })?,
-            );
+        // The mesh is fully connected; from here on the listeners serve
+        // clients only.
+        for (replica, listener) in listeners.into_iter().enumerate() {
+            listener.set_nonblocking(true)?;
+            sources.push(Source::Listener(listener, ReplicaId::new(replica as u16)));
         }
-        drop(inbound_tx);
 
-        let notifier = Notifier::new();
-        let flush_recorder = Arc::new(Mutex::new(sft_obs::noop()));
+        let shared = Arc::new(Shared {
+            notifier: Notifier::new(),
+            recorder: Mutex::new(sft_obs::noop()),
+            closing: AtomicBool::new(false),
+            accepted: Mutex::new(Vec::new()),
+            clients: Mutex::new(HashMap::new()),
+            received: AtomicU64::new(0),
+            disconnects: AtomicU64::new(0),
+        });
+        let (inbound, inbox) = Inbox::new();
+        let io = std::thread::Builder::new()
+            .name("sft-tcp-io".into())
+            .spawn({
+                let shared = Arc::clone(&shared);
+                move || io_loop(sources, &inbound, &shared)
+            })?;
         let writer = std::thread::Builder::new()
             .name("sft-tcp-writer".into())
             .spawn({
-                let notifier = Arc::clone(&notifier);
-                let flush_recorder = Arc::clone(&flush_recorder);
-                move || flush_loop(writer_conns, &notifier, &flush_recorder)
+                let shared = Arc::clone(&shared);
+                move || flush_loop(writer_conns, &shared)
             })?;
-
-        // The mesh is fully connected; from here on the listeners serve
-        // clients only, polled non-blocking from the run-loop thread.
-        for listener in &listeners {
-            listener.set_nonblocking(true)?;
-        }
 
         Ok(Self {
             n,
             protocol,
             start: Instant::now(),
             rings,
-            notifier,
-            inbound,
-            staged: VecDeque::new(),
-            received,
-            disconnects,
+            shared,
+            inbox,
             delivered: 0,
-            next_seq: 0,
             stats: NetworkStats::default(),
-            listeners,
-            clients: HashMap::new(),
-            next_conn: 0,
-            client_chunk: vec![0u8; 64 * 1024],
-            readers,
+            addrs,
+            wake,
+            io: Some(io),
             writer: Some(writer),
             recorder: sft_obs::noop(),
-            flush_recorder,
         })
     }
 
-    /// Threads this cluster owns: one reader per endpoint plus the writer.
-    /// The number a thread budget should be held to — unlike a
+    /// Threads this cluster owns: the writer and the I/O thread, for any
+    /// `n`. The number a thread budget should be held to — unlike a
     /// process-wide count, it does not move when another cluster runs
     /// beside this one.
     pub fn thread_count(&self) -> usize {
-        self.readers.len() + usize::from(self.writer.is_some())
+        usize::from(self.io.is_some()) + usize::from(self.writer.is_some())
     }
 
     /// The socket address clients dial to reach `replica`'s gateway —
     /// the same listener the mesh was accepted on.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error raised while reading the local address.
-    pub fn client_addr(&self, replica: ReplicaId) -> io::Result<SocketAddr> {
-        self.listeners[replica.as_usize()].local_addr()
+    pub fn client_addr(&self, replica: ReplicaId) -> SocketAddr {
+        self.addrs[replica.as_usize()]
     }
 
     /// Installs a live recorder: every enqueued frame counts into
-    /// `net_frames_sent` / `net_frame_bytes`, and every writer pass that
-    /// moved bytes times itself into `phase_net_flush_ns`.
+    /// `net_frames_sent` / `net_frame_bytes`, every writer pass that
+    /// moved bytes times itself into `phase_net_flush_ns` and counts its
+    /// `net_write_syscalls`, and the I/O thread counts
+    /// `net_reader_wakeups` and `net_read_syscalls`.
     pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        *self.flush_recorder.lock().expect("recorder slot") = recorder.clone();
+        *self.shared.recorder.lock().expect("recorder slot") = recorder.clone();
         self.recorder = recorder;
     }
 
-    /// A hook that wakes the writer thread — hand this to the
-    /// group-commit WAL so a completed fsync releases durability-gated
-    /// frames immediately instead of on the writer's next timed retry.
+    /// A hook that wakes the writer thread. Hand it to the group-commit
+    /// WAL whose watermark gates this cluster's frames: the writer does
+    /// not poll a closed gate, so a completed fsync releases the frames
+    /// behind it only through this signal.
     pub fn writer_wake_hook(&self) -> Box<dyn Fn() + Send + Sync> {
-        let notifier = Arc::clone(&self.notifier);
+        let notifier = Arc::clone(&self.shared.notifier);
         Box::new(move || notifier.signal())
     }
 
-    /// Enqueues one pre-framed buffer on the `from → to` ring.
-    fn enqueue(&mut self, from: ReplicaId, to: ReplicaId, frame: Arc<[u8]>, payload_len: usize) {
-        self.enqueue_gated(from, to, frame, payload_len, None);
-    }
-
-    /// [`enqueue`](Self::enqueue) with an optional durability gate the
-    /// writer thread honors before flushing the frame.
-    fn enqueue_gated(
+    /// Enqueues one pre-framed buffer on the `from → to` ring, behind an
+    /// optional durability gate the writer thread honors before flushing
+    /// the frame.
+    fn enqueue(
         &mut self,
         from: ReplicaId,
         to: ReplicaId,
@@ -343,29 +324,35 @@ impl TcpCluster {
             return;
         };
         if ring.push_blocking_gated(frame, gate) {
-            self.notifier.signal();
+            self.shared.notifier.signal();
         } else {
             self.stats.dropped += 1;
         }
     }
 
-    /// Severs the `from → to` connection — what the receiving endpoint
-    /// observes when the sender's process dies. The writer drains any
-    /// queued frames, shuts the socket down, the receiver's reader EOFs
-    /// and counts a disconnect in [`Transport::stats`]; later sends on
-    /// the severed link count as drops.
-    pub fn sever(&mut self, from: ReplicaId, to: ReplicaId) {
-        if let Some(ring) = self.rings[from.as_usize()][to.as_usize()].take() {
-            ring.close();
-            self.notifier.signal();
+    /// Frames `payload` once and enqueues it toward every other endpoint.
+    fn fan_out(&mut self, from: ReplicaId, payload: &Arc<[u8]>, gate: Option<&SendGate>) {
+        let env = Envelope::broadcast(from, self.protocol, Arc::clone(payload));
+        // One encoding, one frame, n − 1 reference-counted enqueues.
+        let frame: Arc<[u8]> = env.to_frame().into();
+        for to in 0..self.n as u16 {
+            let to = ReplicaId::new(to);
+            if to != from {
+                self.enqueue(from, to, Arc::clone(&frame), payload.len(), gate.cloned());
+            }
         }
     }
 
-    /// Stamps a popped delivery with arrival order.
-    fn stage(&mut self, mut delivery: Delivery) {
-        delivery.seq = self.next_seq;
-        self.next_seq += 1;
-        self.staged.push_back(delivery);
+    /// Severs the `from → to` connection — what the receiving endpoint
+    /// observes when the sender's process dies. The writer drains any
+    /// queued frames, shuts the socket down, the I/O thread reads the
+    /// EOF and counts a disconnect in [`Transport::stats`]; later sends
+    /// on the severed link count as drops.
+    pub fn sever(&mut self, from: ReplicaId, to: ReplicaId) {
+        if let Some(ring) = self.rings[from.as_usize()][to.as_usize()].take() {
+            ring.close();
+            self.shared.notifier.signal();
+        }
     }
 }
 
@@ -376,20 +363,11 @@ impl Transport for TcpCluster {
 
     fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>) {
         let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        self.enqueue(from, to, frame, payload.len());
+        self.enqueue(from, to, env.to_frame().into(), payload.len(), None);
     }
 
     fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>) {
-        let env = Envelope::broadcast(from, self.protocol, Arc::clone(&payload));
-        // One encoding, one frame, n − 1 reference-counted enqueues.
-        let frame: Arc<[u8]> = env.to_frame().into();
-        for to in 0..self.n as u16 {
-            let to = ReplicaId::new(to);
-            if to != from {
-                self.enqueue(from, to, Arc::clone(&frame), payload.len());
-            }
-        }
+        self.fan_out(from, &payload, None);
     }
 
     fn supports_gating(&self) -> bool {
@@ -398,58 +376,16 @@ impl Transport for TcpCluster {
 
     fn send_gated(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
         let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        self.enqueue_gated(from, to, frame, payload.len(), Some(gate));
+        self.enqueue(from, to, env.to_frame().into(), payload.len(), Some(gate));
     }
 
     fn broadcast_gated(&mut self, from: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        let env = Envelope::broadcast(from, self.protocol, Arc::clone(&payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        for to in 0..self.n as u16 {
-            let to = ReplicaId::new(to);
-            if to != from {
-                self.enqueue_gated(
-                    from,
-                    to,
-                    Arc::clone(&frame),
-                    payload.len(),
-                    Some(gate.clone()),
-                );
-            }
-        }
+        self.fan_out(from, &payload, Some(&gate));
     }
 
     fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery> {
-        // Drain whatever already arrived.
-        while let Ok(d) = self.inbound.try_recv() {
-            self.stage(d);
-        }
-        // Nothing yet: block until the first arrival or the deadline.
-        if self.staged.is_empty() {
-            let now = self.now();
-            if deadline > now {
-                let wait = Duration::from_micros((deadline - now).as_micros());
-                match self.inbound.recv_timeout(wait) {
-                    Ok(d) => {
-                        self.stage(d);
-                        // Collect anything that arrived in the same burst.
-                        while let Ok(more) = self.inbound.try_recv() {
-                            self.stage(more);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
-                }
-            }
-        }
-        let now = self.now();
-        let out: Vec<Delivery> = self
-            .staged
-            .drain(..)
-            .map(|mut d| {
-                d.deliver_at = now;
-                d
-            })
-            .collect();
+        self.inbox.wait(self.now(), deadline);
+        let out = self.inbox.take_peers(self.now());
         self.delivered += out.len() as u64;
         out
     }
@@ -463,151 +399,77 @@ impl Transport for TcpCluster {
     }
 
     fn is_idle(&self) -> bool {
-        // Everything sent has been received by a reader *and* popped by
-        // the run loop. Exact on loopback, where frames are never lost.
-        self.staged.is_empty()
+        // Everything sent has been received by the I/O thread *and*
+        // popped by the run loop. Exact on loopback, where frames are
+        // never lost.
+        !self.inbox.has_staged_peers()
             && self.delivered + self.stats.dropped >= self.stats.messages
-            && self.received.load(Ordering::SeqCst) + self.stats.dropped >= self.stats.messages
+            && self.shared.received.load(Ordering::SeqCst) + self.stats.dropped
+                >= self.stats.messages
     }
 
     fn stats(&self) -> NetworkStats {
         let mut stats = self.stats;
-        stats.disconnects = self.disconnects.load(Ordering::SeqCst);
+        stats.disconnects = self.shared.disconnects.load(Ordering::SeqCst);
         stats
     }
 
     fn poll_clients(&mut self) -> Vec<ClientDelivery> {
-        // Accept whoever dialed since the last poll.
-        for (replica, listener) in self.listeners.iter().enumerate() {
-            let replica = ReplicaId::new(replica as u16);
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nodelay(true).is_err()
-                            || stream.set_nonblocking(true).is_err()
-                        {
-                            continue; // died before it said anything
-                        }
-                        let conn = self.next_conn;
-                        self.next_conn += 1;
-                        self.clients.insert(
-                            conn,
-                            ClientConn {
-                                stream,
-                                decoder: FrameDecoder::new(replica, ProtocolTag::Client),
-                                replica,
-                                unsent: VecDeque::new(),
-                            },
-                        );
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
-        }
-        // Service every connection: retry pushed-back acks, then read.
-        let mut out = Vec::new();
-        let mut decoded = Vec::new();
-        let chunk = &mut self.client_chunk;
-        self.clients.retain(|&conn, client| {
-            if !flush_client(client) {
-                return false;
-            }
-            loop {
-                match client.stream.read(chunk) {
-                    Ok(0) => return false, // client hung up
-                    Ok(read) => {
-                        if client.decoder.ingest(&chunk[..read], &mut decoded).is_err() {
-                            decoded.clear();
-                            return false; // protocol violation
-                        }
-                        for delivery in decoded.drain(..) {
-                            out.push(ClientDelivery {
-                                conn,
-                                replica: client.replica,
-                                payload: delivery.payload,
-                            });
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return false,
-                }
-            }
-        });
-        out
+        self.inbox.take_clients()
     }
 
     fn send_client(&mut self, conn: u64, replica: ReplicaId, payload: Arc<[u8]>) {
-        let Some(client) = self.clients.get_mut(&conn) else {
-            return; // connection gone; clients own retries
-        };
-        // Address the ack to the identity the client's hello claimed.
-        let Some(dest) = client.decoder.src() else {
-            return; // never said hello, nothing to address
+        let (ring, dest) = {
+            let clients = self.shared.clients.lock().expect("client registry");
+            let Some(client) = clients.get(&conn) else {
+                return; // connection gone; clients own retries
+            };
+            (Arc::clone(&client.ring), client.dest)
         };
         let frame = Envelope::to_peer(replica, dest, ProtocolTag::Client, payload).to_frame();
-        client.unsent.extend(frame);
-        if !flush_client(client) {
-            self.clients.remove(&conn);
+        // A client that stopped reading fills its ring and then holds the
+        // run loop here, like a peer would: backpressure, not loss. One
+        // that hung up closed its ring, and the ack is dropped.
+        if ring.push_blocking_gated(frame.into(), None) {
+            self.shared.notifier.signal();
         }
     }
-}
-
-/// Pushes a client connection's queued ack bytes at its non-blocking
-/// socket. Returns false when the connection is dead.
-fn flush_client(client: &mut ClientConn) -> bool {
-    while !client.unsent.is_empty() {
-        let (head, _) = client.unsent.as_slices();
-        match client.stream.write(head) {
-            Ok(0) => return false,
-            Ok(wrote) => {
-                client.unsent.drain(..wrote);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    true
 }
 
 impl Drop for TcpCluster {
     fn drop(&mut self) {
-        // Closing every ring ends the writer loop (it drains, shuts the
-        // sockets down, and exits), which EOFs the readers.
-        for row in std::mem::take(&mut self.rings) {
-            for ring in row.into_iter().flatten() {
-                ring.close();
-            }
-        }
-        self.notifier.signal();
-        if let Some(handle) = self.writer.take() {
+        // The writer makes one last pass and exits, the I/O thread when
+        // its wake socket hangs up. Nothing still queued matters: every
+        // receiver is an endpoint of this same cluster.
+        self.shared.closing.store(true, Ordering::SeqCst);
+        self.shared.notifier.signal();
+        let _ = self.wake.shutdown(Shutdown::Both);
+        for handle in [self.writer.take(), self.io.take()].into_iter().flatten() {
             let _ = handle.join();
-        }
-        for reader in std::mem::take(&mut self.readers) {
-            let _ = reader.join();
         }
     }
 }
 
 /// The cluster's single writer: round-robins every connection, flushing
 /// its ring onto the non-blocking socket. Sleeps on the notifier while
-/// the mesh is quiet (with a short timeout while some kernel buffer is
-/// pushing back), exits once every connection is done or dead. Each
-/// pass that moved bytes records itself as `phase_net_flush_ns`.
-fn flush_loop(mut conns: Vec<WriterConn>, notifier: &Notifier, recorder: &Mutex<SharedRecorder>) {
+/// there is nothing to write — behind a closed durability gate too: the
+/// WAL's wake hook announces its opening — and arms [`FLUSH_RETRY`] only
+/// while some kernel buffer pushes back. A pass that moved bytes records
+/// `phase_net_flush_ns` and its `net_write_syscalls`.
+fn flush_loop(mut conns: Vec<WriterConn>, shared: &Shared) {
     loop {
-        let recorder = recorder.lock().expect("recorder slot").clone();
+        // Read before the pass: a close flagged mid-pass gets one more.
+        let closing = shared.closing.load(Ordering::SeqCst);
+        conns.append(&mut shared.accepted.lock().expect("accepted clients"));
+        let recorder = shared.recorder();
         let flush = PhaseTimer::start(&*recorder);
-        let mut wrote = false;
+        let mut writes = 0;
         let mut blocked = false;
         conns.retain_mut(|conn| {
-            let (moved, status) = conn.ring.flush_nonblocking(&mut conn.stream);
-            wrote |= moved;
+            let (wrote, status) = conn.ring.flush_nonblocking(&mut conn.stream);
+            writes += wrote;
             match status {
-                Flush::Clean => true,
+                Flush::Clean | Flush::Gated => true,
                 Flush::Blocked => {
                     blocked = true;
                     true
@@ -617,96 +479,196 @@ fn flush_loop(mut conns: Vec<WriterConn>, notifier: &Notifier, recorder: &Mutex<
                     false
                 }
                 Flush::Dead => {
-                    // Later sends on this ring fail and count as drops.
+                    // Later sends on this ring fail and count as drops;
+                    // the reading side of the socket sees it end.
                     conn.ring.close();
+                    let _ = conn.stream.shutdown(Shutdown::Both);
                     false
                 }
             }
         });
-        if wrote {
+        if writes > 0 {
             flush.finish(&*recorder, names::PHASE_NET_FLUSH_NS);
+            recorder.add(names::NET_WRITE_SYSCALLS, writes);
         }
-        // Exit *before* waiting: the signal that announced the last
-        // ring's close was consumed by the pass that just drained it,
-        // and no further signal will ever arrive.
-        if conns.is_empty() {
+        if closing {
             return;
         }
-        notifier.wait(blocked.then_some(FLUSH_RETRY));
+        shared.notifier.wait(blocked.then_some(FLUSH_RETRY));
     }
 }
 
-/// One endpoint's reader: multiplexes all its accepted connections with
-/// non-blocking reads into per-connection [`FrameDecoder`]s, pushing
-/// validated deliveries into the shared inbound queue. Every connection
-/// lost — EOF, socket error, or protocol violation — bumps
+/// One descriptor the I/O thread waits on.
+enum Source {
+    /// Readable (hung up) once the cluster shuts its end down.
+    Wake(UnixStream),
+    /// An endpoint's listener, accepting that replica's clients.
+    Listener(TcpListener, ReplicaId),
+    /// The accepted end of one mesh connection.
+    Peer(TcpStream, FrameDecoder),
+    /// The reading half of a client connection: its gateway-assigned id
+    /// and the ring feeding the writing half, which the writer owns.
+    Client(TcpStream, FrameDecoder, u64, Arc<OutRing>),
+}
+
+impl Source {
+    fn fd(&self) -> RawFd {
+        match self {
+            Source::Wake(s) => s.as_raw_fd(),
+            Source::Listener(l, _) => l.as_raw_fd(),
+            Source::Peer(s, _) | Source::Client(s, ..) => s.as_raw_fd(),
+        }
+    }
+}
+
+/// Reads `stream` into `decoder` until it has no more (a read that did
+/// not fill `chunk` emptied the socket; had it not, `poll` reports the
+/// socket again). Returns whether the connection is still open.
+fn read_ready(
+    stream: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    chunk: &mut [u8],
+    decoded: &mut Vec<Delivery>,
+    reads: &mut u64,
+) -> bool {
+    loop {
+        *reads += 1;
+        match decoder.read_from(stream, chunk, decoded) {
+            Ok(read) if read == chunk.len() => {}
+            Ok(_) => return true,
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Accepts every connection waiting on `listener` as a client of
+/// `replica`: the reading half joins the I/O thread's sources, the
+/// writing half goes to the writer thread. Returns false when the
+/// listener itself failed (it is then dropped rather than polled hot).
+fn accept_clients(
+    listener: &TcpListener,
+    replica: ReplicaId,
+    next_conn: &mut u64,
+    shared: &Shared,
+    accepted: &mut Vec<Source>,
+) -> bool {
+    use io::ErrorKind::{ConnectionAborted, Interrupted, WouldBlock};
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == WouldBlock => return true,
+            Err(e) if matches!(e.kind(), Interrupted | ConnectionAborted) => continue,
+            Err(_) => return false,
+        };
+        let Ok(write_half) = stream.try_clone() else {
+            continue;
+        };
+        if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
+            continue; // died before it said anything
+        }
+        let ring = OutRing::new();
+        shared
+            .accepted
+            .lock()
+            .expect("accepted clients")
+            .push(WriterConn {
+                stream: write_half,
+                ring: Arc::clone(&ring),
+            });
+        let decoder = FrameDecoder::new(replica, ProtocolTag::Client);
+        accepted.push(Source::Client(stream, decoder, *next_conn, ring));
+        *next_conn += 1;
+    }
+}
+
+/// The cluster's single reader: blocks in `poll(2)` over every source
+/// and services the ready ones — accepts clients, reads sockets into
+/// their decoders, and queues what they yield on `inbound`. Every peer
+/// connection lost — EOF, socket error, or protocol violation — bumps
 /// `disconnects`, so a dropped peer is observable in [`NetworkStats`]
-/// instead of vanishing silently. While every connection is quiet the
-/// poll sleep doubles from [`READ_IDLE_MIN`] to [`READ_IDLE_MAX`].
-fn endpoint_reader_loop(
-    streams: Vec<TcpStream>,
-    owner: ReplicaId,
-    protocol: ProtocolTag,
-    inbound: Sender<Delivery>,
-    received: Arc<AtomicU64>,
-    disconnects: Arc<AtomicU64>,
-) {
-    let mut conns: Vec<Option<(TcpStream, FrameDecoder)>> = streams
-        .into_iter()
-        .map(|s| Some((s, FrameDecoder::new(owner, protocol))))
-        .collect();
+/// instead of vanishing silently. Each wake-up counts into
+/// `net_reader_wakeups`, its reads into `net_read_syscalls`. Exits when
+/// the cluster drops (its wake end, or the queue's receiver).
+fn io_loop(mut sources: Vec<Source>, inbound: &Sender<Inbound>, shared: &Shared) {
+    let mut poll = PollSet::default();
+    for source in &sources {
+        poll.push(source.fd());
+    }
     let mut chunk = vec![0u8; 64 * 1024];
     let mut decoded = Vec::new();
-    let mut idle = READ_IDLE_MIN;
+    let mut accepted = Vec::new();
+    let mut next_conn = 0u64;
     loop {
-        let mut progressed = false;
-        let mut live = 0usize;
-        for slot in &mut conns {
-            let Some((stream, decoder)) = slot.as_mut() else {
+        poll.wait()
+            .expect("poll(2) over descriptors this thread owns");
+        let mut reads = 0;
+        // Backwards, so a removal (the last source takes the vacated
+        // index) only ever moves a source this pass has already seen.
+        for i in (0..sources.len()).rev() {
+            if !poll.is_ready(i) {
                 continue;
-            };
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    disconnects.fetch_add(1, Ordering::SeqCst);
-                    *slot = None;
+            }
+            let open = match &mut sources[i] {
+                Source::Wake(_) => return,
+                Source::Listener(listener, replica) => {
+                    accept_clients(listener, *replica, &mut next_conn, shared, &mut accepted)
                 }
-                Ok(read) => {
-                    progressed = true;
-                    if decoder.ingest(&chunk[..read], &mut decoded).is_err() {
-                        disconnects.fetch_add(1, Ordering::SeqCst);
-                        *slot = None;
-                        decoded.clear();
-                        continue;
-                    }
+                Source::Peer(stream, decoder) => {
+                    let open = read_ready(stream, decoder, &mut chunk, &mut decoded, &mut reads);
                     for delivery in decoded.drain(..) {
-                        received.fetch_add(1, Ordering::SeqCst);
-                        if inbound.send(delivery).is_err() {
+                        shared.received.fetch_add(1, Ordering::SeqCst);
+                        if inbound.send(Inbound::Peer(delivery)).is_err() {
                             return; // cluster gone
                         }
                     }
-                    live += 1;
+                    if !open {
+                        shared.disconnects.fetch_add(1, Ordering::SeqCst);
+                    }
+                    open
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::Interrupted =>
-                {
-                    live += 1;
+                Source::Client(stream, decoder, conn, ring) => {
+                    let greeted = decoder.src().is_some();
+                    let open = read_ready(stream, decoder, &mut chunk, &mut decoded, &mut reads);
+                    // Acks are addressed to the identity the hello
+                    // claimed, so a client is routable from there on.
+                    if let (false, Some(dest)) = (greeted, decoder.src()) {
+                        let ring = Arc::clone(ring);
+                        let mut clients = shared.clients.lock().expect("client registry");
+                        clients.insert(*conn, ClientOut { ring, dest });
+                    }
+                    for delivery in decoded.drain(..) {
+                        let request = ClientDelivery {
+                            conn: *conn,
+                            replica: delivery.to,
+                            payload: delivery.payload,
+                        };
+                        if inbound.send(Inbound::Client(request)).is_err() {
+                            return; // cluster gone
+                        }
+                    }
+                    if !open {
+                        // Hung up or broke protocol: unroute it and let
+                        // the writer drop the other half of the socket.
+                        let mut clients = shared.clients.lock().expect("client registry");
+                        clients.remove(conn);
+                        ring.close();
+                        shared.notifier.signal();
+                    }
+                    open
                 }
-                Err(_) => {
-                    disconnects.fetch_add(1, Ordering::SeqCst);
-                    *slot = None;
-                }
+            };
+            if !open {
+                sources.swap_remove(i);
+                poll.swap_remove(i);
             }
         }
-        if live == 0 {
-            return; // every connection closed
+        for source in accepted.drain(..) {
+            poll.push(source.fd());
+            sources.push(source);
         }
-        if progressed {
-            idle = READ_IDLE_MIN;
-        } else {
-            std::thread::sleep(idle);
-            idle = (idle * 2).min(READ_IDLE_MAX);
-        }
+        let recorder = shared.recorder();
+        recorder.add(names::NET_READER_WAKEUPS, 1);
+        recorder.add(names::NET_READ_SYSCALLS, reads);
     }
 }
 
@@ -714,6 +676,7 @@ fn endpoint_reader_loop(
 mod tests {
     use super::*;
     use sft_types::SimDuration;
+    use std::io::Read;
 
     fn collect(cluster: &mut TcpCluster, want: usize) -> Vec<Delivery> {
         let deadline = cluster.now() + SimDuration::from_secs(10);
@@ -822,7 +785,7 @@ mod tests {
     fn client_gateway_routes_requests_in_and_acks_back() {
         let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
         let replica = ReplicaId::new(1);
-        let mut sock = TcpStream::connect(cluster.client_addr(replica).unwrap()).unwrap();
+        let mut sock = TcpStream::connect(cluster.client_addr(replica)).unwrap();
         sock.set_nodelay(true).unwrap();
         // A client identity is just the u16 its hello claims — it shares
         // the namespace with nothing (client frames never reach engines).
@@ -865,7 +828,7 @@ mod tests {
     fn client_speaking_a_replica_protocol_is_disconnected() {
         let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
         let replica = ReplicaId::new(0);
-        let mut sock = TcpStream::connect(cluster.client_addr(replica).unwrap()).unwrap();
+        let mut sock = TcpStream::connect(cluster.client_addr(replica)).unwrap();
         // Consensus-tagged frames through the client door are a
         // violation: the gateway must never forward them to an engine.
         let bogus =
@@ -883,7 +846,7 @@ mod tests {
         let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
         let replica = ReplicaId::new(0);
         {
-            let mut sock = TcpStream::connect(cluster.client_addr(replica).unwrap()).unwrap();
+            let mut sock = TcpStream::connect(cluster.client_addr(replica)).unwrap();
             let hello =
                 Envelope::to_peer(ReplicaId::new(5), replica, ProtocolTag::Client, Vec::new())
                     .to_frame();
@@ -901,6 +864,70 @@ mod tests {
         cluster.poll_clients();
         cluster.send_client(0, replica, vec![2].into());
         cluster.send_client(999, replica, vec![3].into());
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_gets_every_ack_whole_once_it_reads_again() {
+        const ACKS: u32 = 10_000;
+        const ACK_LEN: usize = 4096; // 40 MB in all: no socket buffer hides that
+        let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
+        let replica = ReplicaId::new(0);
+        let mut sock = TcpStream::connect(cluster.client_addr(replica)).unwrap();
+        let me = ReplicaId::new(9);
+        for payload in [Vec::new(), vec![1]] {
+            let frame = Envelope::to_peer(me, replica, ProtocolTag::Client, payload).to_frame();
+            sock.write_all(&frame).unwrap();
+        }
+        let conn = poll_clients_until(&mut cluster, 5)[0].conn;
+
+        // The sender owns the cluster and counts what it has queued; it
+        // stalls in `send_client` once the ring and the kernel are full.
+        let sent = Arc::new(AtomicU64::new(0));
+        let sender = std::thread::spawn({
+            let sent = Arc::clone(&sent);
+            move || {
+                for i in 0..ACKS {
+                    let mut ack = vec![0u8; ACK_LEN];
+                    ack[..4].copy_from_slice(&i.to_be_bytes());
+                    cluster.send_client(conn, replica, ack.into());
+                    sent.fetch_add(1, Ordering::SeqCst);
+                }
+                cluster // keep it alive until every ack is read
+            }
+        });
+        // Not reading, until the sender has made no progress for 100 ms.
+        let mut seen = 0;
+        loop {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = sent.load(Ordering::SeqCst);
+            if now == seen {
+                break;
+            }
+            seen = now;
+        }
+        assert!(seen < u64::from(ACKS), "pushback reached the sender");
+
+        // Reading again: every ack arrives, whole and in order.
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = vec![0u8; 256 * 1024];
+        let mut next = 0u32;
+        while next < ACKS {
+            let read = sock.read(&mut chunk).expect("acks keep coming");
+            assert!(read > 0, "gateway closed with acks outstanding");
+            buf.extend_from_slice(&chunk[..read]);
+            let mut used = 0;
+            while let Some((env, len)) = Envelope::decode_frame(&buf[used..]).unwrap() {
+                used += len;
+                assert_eq!(env.payload.len(), ACK_LEN, "no ack torn");
+                assert_eq!(env.payload[..4], next.to_be_bytes(), "in send order");
+                next += 1;
+            }
+            buf.drain(..used);
+        }
+        assert!(buf.is_empty(), "nothing after the last ack");
+        drop(sender.join().unwrap());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Scale stress for the loopback TCP mesh: the event-driven thread model
-//! must hold its O(n) thread budget and lose nothing under an
+//! Scale stress for the loopback TCP mesh: the readiness-driven thread
+//! model must hold its two-thread budget and lose nothing under an
 //! all-to-all broadcast storm at n = 31 (f = 10, the first of the
 //! paper's large sweep sizes).
 
@@ -9,24 +9,20 @@ use sft_network::{ProtocolTag, TcpCluster, Transport};
 use sft_types::{ReplicaId, SimDuration};
 
 #[test]
-fn n31_broadcast_storm_loses_nothing_on_an_o_n_thread_budget() {
+fn n31_broadcast_storm_loses_nothing_on_two_threads() {
     const N: usize = 31;
     const ROUNDS: usize = 8;
 
     let mut cluster = TcpCluster::loopback(N, ProtocolTag::Streamlet).unwrap();
 
-    // The whole point of the rewrite: n reader threads + 1 writer, not
-    // n(n − 1) writers + n(n − 1) readers (~1.9k threads at n = 31).
-    // Counted from the handles the cluster itself holds, so tests running
-    // beside this one (each with a mesh of its own) cannot move it.
-    let spawned = cluster.thread_count();
-    assert!(
-        spawned <= N + 2,
-        "mesh construction spawned {spawned} threads; budget is n + 2"
-    );
+    // One writer and one I/O thread for all 930 connections, not a
+    // thread per endpoint (33) or per direction (~1.9k). Counted from
+    // the handles the cluster itself holds, so tests running beside this
+    // one (each with a mesh of its own) cannot move it.
+    assert_eq!(cluster.thread_count(), 2);
 
     // Every replica broadcasts every round: n × rounds × (n − 1)
-    // deliveries in flight through one writer thread and n readers.
+    // deliveries in flight through one writer thread and one reader.
     let mut expected = 0usize;
     for round in 0..ROUNDS {
         for from in 0..N as u16 {
@@ -54,7 +50,7 @@ fn n31_broadcast_storm_loses_nothing_on_an_o_n_thread_budget() {
 
 /// The full pipelined runtime at n = 31 — mesh, one group-commit WAL
 /// writer per replica, and the shared signature-verification pool — still
-/// holds an O(n) thread budget: (n readers + 1 writer) for the mesh, n
+/// holds an O(n) thread budget: 2 for the mesh whatever its size, n
 /// WAL writers, and a fixed pool of [`sft_crypto::pool_workers`] crypto
 /// workers. Nothing in the pipeline spawns per-message or per-connection
 /// threads.
@@ -94,11 +90,11 @@ fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
     let spawned = cluster.thread_count()
         + wals.iter().map(GroupCommitWal::thread_count).sum::<usize>()
         + sft_crypto::pool_workers();
-    let budget = (N + 2) + N + sft_crypto::pool_workers();
+    let budget = 2 + N + sft_crypto::pool_workers();
     assert!(
         spawned <= budget,
         "pipelined runtime spawned {spawned} threads; budget is \
-         (n + 2) mesh + n wal writers + {} crypto workers = {budget}",
+         2 mesh + n wal writers + {} crypto workers = {budget}",
         sft_crypto::pool_workers()
     );
 

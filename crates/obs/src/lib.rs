@@ -33,6 +33,7 @@
 //! The full metric catalog lives in [`names`].
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod clock;
 mod hist;
@@ -201,6 +202,16 @@ pub mod names {
     pub const NET_FRAMES_SENT: &str = "net_frames_sent";
     /// Total framed bytes enqueued toward peers.
     pub const NET_FRAME_BYTES: &str = "net_frame_bytes";
+
+    /// Times the `TcpCluster` I/O thread woke from `poll(2)` with at
+    /// least one socket ready.
+    pub const NET_READER_WAKEUPS: &str = "net_reader_wakeups";
+    /// `read` calls the `TcpCluster` I/O thread issued (one per ready
+    /// socket, more only while reads keep filling the 64 KiB buffer).
+    pub const NET_READ_SYSCALLS: &str = "net_read_syscalls";
+    /// Vectored writes of the `TcpCluster` writer thread that moved
+    /// bytes (one carries every gate-open frame queued on a connection).
+    pub const NET_WRITE_SYSCALLS: &str = "net_write_syscalls";
 
     // ---- real-socket transport health ----
 

@@ -56,6 +56,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod fbft_driver;
 pub mod runner;
@@ -533,9 +534,9 @@ pub fn run_over_tcp_serving(
     if let Some(recorder) = &recorder {
         cluster.set_recorder(std::sync::Arc::clone(recorder));
     }
-    let addrs = (0..config.n as u16)
+    let addrs: Vec<_> = (0..config.n as u16)
         .map(|id| cluster.client_addr(ReplicaId::new(id)))
-        .collect::<std::io::Result<Vec<_>>>()?;
+        .collect();
     ready(&addrs);
     // Unlike the simulator's in-memory sinks, TCP runs persist to real
     // files: the fsyncs (and the group-commit win over them) are real.
@@ -614,8 +615,8 @@ type TcpWals = (
 /// Builds the file-backed per-replica durable logs for a TCP run (and the
 /// scratch directory root to remove afterwards), or `(None, None)` under
 /// [`DurabilityMode::InMemory`]. Group-commit logs get the cluster's
-/// writer wake hook, so a completed fsync immediately releases the frames
-/// it gates instead of waiting out the writer's retry tick.
+/// writer wake hook: a completed fsync releases the frames it gates
+/// through that signal alone (the writer does not poll a closed gate).
 fn tcp_wals(
     config: &SimConfig,
     cluster: &TcpCluster,

@@ -10,6 +10,7 @@
 //! `repro --transport tcp` variant; this test keeps the path covered by
 //! plain `cargo test` with a small, fast configuration.
 
+use sft_obs::names;
 use sft_sim::{run_over_tcp, Protocol, SimConfig, TcpPacing};
 
 fn tcp_matches_sim(protocol: Protocol) {
@@ -20,7 +21,8 @@ fn tcp_matches_sim(protocol: Protocol) {
     assert!(sim_report.agreement());
     assert!(sim_report.max_committed() >= 3);
 
-    let tcp_report = run_over_tcp(&config, TcpPacing::default()).expect("loopback mesh");
+    let recorded = config.clone().with_recording(true);
+    let tcp_report = run_over_tcp(&recorded, TcpPacing::default()).expect("loopback mesh");
 
     assert!(tcp_report.agreement(), "{protocol:?}: tcp replicas agree");
     assert_eq!(tcp_report.safety_violations, 0);
@@ -31,6 +33,27 @@ fn tcp_matches_sim(protocol: Protocol) {
     tcp_report
         .check_committed_prefix_of(&sim_report)
         .unwrap_or_else(|e| panic!("{protocol:?}: {e}"));
+
+    // A recorded run can say what the socket core cost per block: the
+    // I/O thread reads only sockets `poll` reported, and a vectored
+    // write never takes more syscalls than it carries frames.
+    let count = |name| tcp_report.metrics.counter(name).unwrap_or(0);
+    let (wakeups, reads) = (
+        count(names::NET_READER_WAKEUPS),
+        count(names::NET_READ_SYSCALLS),
+    );
+    let (writes, frames) = (
+        count(names::NET_WRITE_SYSCALLS),
+        count(names::NET_FRAMES_SENT),
+    );
+    assert!(
+        wakeups >= 1 && reads >= wakeups,
+        "{wakeups} wakeups, {reads} reads"
+    );
+    assert!(
+        writes >= 1 && writes <= frames,
+        "{writes} writes, {frames} frames"
+    );
 }
 
 #[test]
@@ -39,8 +62,8 @@ fn streamlet_over_tcp_commits_the_sim_prefix() {
 }
 
 /// The same parity claim at the first large sweep size. n = 31 means
-/// 930 live connections through one writer thread and 31 endpoint
-/// readers — the scale the event-driven mesh exists for. Epochs are few:
+/// 930 live connections through one writer thread and one I/O thread —
+/// the scale the readiness-driven mesh exists for. Epochs are few:
 /// the point is that a wide mesh agrees with the simulator, not a long
 /// chain.
 #[test]

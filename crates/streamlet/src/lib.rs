@@ -32,6 +32,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod engine;
 pub mod message;

@@ -37,6 +37,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bitset;
 pub mod client;

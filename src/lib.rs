@@ -36,6 +36,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use sft_core as core;
 pub use sft_crypto as crypto;
