@@ -450,7 +450,6 @@ fn absorb<S: Transport>(
     inbox: &mut Inbox,
     recorder: &dyn Recorder,
 ) -> Result<(), String> {
-    let mut step = step;
     let persist = PhaseTimer::start(recorder);
     if !step.persist.is_empty() {
         let wait = PhaseTimer::start(recorder);
@@ -460,7 +459,6 @@ fn absorb<S: Transport>(
             }
         }
         wait.finish(recorder, names::PHASE_PERSIST_WAIT_NS);
-        step.persist_seq = (*last_seq > 0).then_some(*last_seq);
     }
     persist.finish(recorder, names::PHASE_PERSIST_NS);
     let route = PhaseTimer::start(recorder);

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use sft_types::Round;
+use sft_types::{ReplicaId, Round};
 
 /// The default retention horizon, in rounds behind a replica's committed
 /// tip (see [`Retention`]). A peer that falls further behind than this
@@ -36,7 +36,7 @@ pub const RETENTION_ROUNDS: u64 = 256;
 ///
 /// ```
 /// use sft_core::Retention;
-/// use sft_types::Round;
+/// use sft_types::{ReplicaId, Round};
 ///
 /// let mut retention = Retention::new(16);
 /// assert_eq!(retention.advance(Round::new(17)), None, "a sweep every 2 rounds");
@@ -138,6 +138,12 @@ impl ProtocolConfig {
         self.f
     }
 
+    /// The leader of `round` (Streamlet: epoch): round-robin over all `n`
+    /// replicas — the one definition of the schedule.
+    pub fn leader(&self, round: Round) -> ReplicaId {
+        ReplicaId::new((round.as_u64() % self.n as u64) as u16)
+    }
+
     /// The classic certification quorum `2f + 1`.
     pub const fn quorum(&self) -> usize {
         2 * self.f + 1
@@ -204,6 +210,15 @@ mod tests {
         assert_eq!(ProtocolConfig::for_replicas(7).f(), 2);
         assert_eq!(ProtocolConfig::for_replicas(10).f(), 3);
         assert_eq!(ProtocolConfig::for_replicas(100).f(), 33);
+    }
+
+    #[test]
+    fn round_robin_leaders_wrap() {
+        let cfg = ProtocolConfig::for_replicas(4);
+        assert_eq!(cfg.leader(Round::new(1)), ReplicaId::new(1));
+        assert_eq!(cfg.leader(Round::new(3)), ReplicaId::new(3));
+        assert_eq!(cfg.leader(Round::new(4)), ReplicaId::new(0));
+        assert_eq!(cfg.leader(Round::new(9)), ReplicaId::new(1));
     }
 
     #[test]

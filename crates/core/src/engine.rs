@@ -25,12 +25,10 @@
 use std::sync::Arc;
 
 use sft_crypto::{HashValue, SigStats};
-use sft_types::{
-    ClientAck, ClientRequest, PersistSeq, ReplicaId, Round, SimTime, StrongCommitUpdate,
-};
+use sft_types::{ClientAck, ClientRequest, ReplicaId, Round, SimTime, StrongCommitUpdate};
 
 use crate::wal::WalRecord;
-use crate::{BlockStore, SyncStats};
+use crate::{BlockStore, ChainKernel, SyncStats};
 
 /// What kind of protocol message an outbound payload encodes. The tag is
 /// harness-facing metadata only — it never goes on the wire (the payload
@@ -106,14 +104,6 @@ pub struct EngineStep {
     /// log *before* routing `outbound` — the write-ahead discipline that
     /// makes a restarted replica honor its pre-crash votes.
     pub persist: Vec<WalRecord>,
-    /// Set by a pipelined harness after appending `persist` to a
-    /// group-commit WAL: the persist sequence of the step's *last*
-    /// record. `outbound` may hit the wire only once the durability
-    /// watermark covers this sequence (persist-before-send, gated at the
-    /// transport instead of fsynced inline). `None` means nothing to
-    /// gate on — either the step persisted nothing or the harness runs
-    /// write-through.
-    pub persist_seq: Option<PersistSeq>,
 }
 
 impl EngineStep {
@@ -132,9 +122,22 @@ impl EngineStep {
 /// A consensus replica as its transport sees it: opaque payloads in,
 /// [`EngineStep`]s out, plus the deadline and reporting surface a run
 /// harness needs. See the [module docs](self) for the contract.
+///
+/// An engine supplies its message handling, its clock and its
+/// [`ChainKernel`]; the client plane and everything a harness reports on
+/// are answered from the kernel.
 pub trait ReplicaEngine {
-    /// This replica's id.
-    fn id(&self) -> ReplicaId;
+    /// The replica's protocol-agnostic state.
+    fn kernel(&self) -> &ChainKernel;
+
+    /// Mutable access to the kernel (harness setup and the client plane).
+    fn kernel_mut(&mut self) -> &mut ChainKernel;
+
+    /// Consumes the engine into its kernel, for a final report assembled
+    /// without copying the chain or the log.
+    fn into_kernel(self) -> ChainKernel
+    where
+        Self: Sized;
 
     /// Ingests one delivered payload at `now`. Undecodable bytes are
     /// ignored (a transport can carry garbage; the codec's rejection is
@@ -150,6 +153,10 @@ pub trait ReplicaEngine {
     /// `now`, or the run loop could not make progress.
     fn on_tick(&mut self, now: SimTime) -> EngineStep;
 
+    /// The replica's current round (Streamlet: epoch) — the progress
+    /// measure self-pacing run plans stop on.
+    fn round(&self) -> Round;
+
     /// Drains block-sync fetches due at `now` (new targets and expired
     /// retries) as point-to-point requests. Engines that surface sync
     /// requests through their event steps instead return nothing here.
@@ -158,100 +165,112 @@ pub trait ReplicaEngine {
         EngineStep::empty()
     }
 
+    /// Re-applies one recovered write-ahead-log record at restart instant
+    /// `now`, before the engine's first tick. Replaying a log front to
+    /// back restores vote dedup (no equivocation against the pre-crash
+    /// self), the locked round and high-QC, and the committed prefix.
+    fn restore(&mut self, record: &WalRecord, now: SimTime);
+
+    /// Signature-verification counters accumulated by the replica's vote
+    /// (and, where the protocol has them, timeout) aggregation — the
+    /// evidence behind the verify-on-quorum scaling claim (individual
+    /// verifies drop from O(n²) to O(n) per certified round).
+    fn sig_stats(&self) -> SigStats {
+        self.kernel().sig_stats()
+    }
+
+    /// This replica's id.
+    fn id(&self) -> ReplicaId {
+        self.kernel().id()
+    }
+
     /// Submits one client transaction at `now` — the public ingestion API
-    /// every harness and transport feeds (the driver-side mempool pre-feed
-    /// this replaces is gone).
+    /// every harness and transport feeds.
     ///
     /// Returns `None` when the transaction was admitted (the strength-graded
     /// [`ClientAck::Committed`] arrives later via
     /// [`drain_acks`](Self::drain_acks)), or an immediate
-    /// [`ClientAck::Busy`] / [`ClientAck::Duplicate`] rejection. The default
-    /// is an engine without a mempool: every submission bounces `Busy`.
+    /// [`ClientAck::Busy`] / [`ClientAck::Duplicate`] rejection.
     fn submit(&mut self, req: &ClientRequest, now: SimTime) -> Option<ClientAck> {
-        let _ = now;
-        Some(ClientAck::Busy {
-            txn_id: req.txn_id(),
-        })
+        self.kernel_mut().submit_request(req, now)
     }
 
     /// Takes the strength-graded commit acks emitted since the last drain:
     /// one [`ClientAck::Committed`] per admitted submission, fired the
     /// moment its block's strong-commit level reached the requested
-    /// `ack_at`. Engines without client ingestion emit none.
+    /// `ack_at`.
     fn drain_acks(&mut self) -> Vec<ClientAck> {
-        Vec::new()
+        self.kernel_mut().drain_acks()
     }
 
-    /// Re-applies one recovered write-ahead-log record at restart instant
-    /// `now`, before the engine's first tick. Replaying a log front to
-    /// back restores vote dedup (no equivocation against the pre-crash
-    /// self), the locked round and high-QC, and the committed prefix.
-    /// Engines without durable state ignore the record.
-    fn restore(&mut self, record: &WalRecord, now: SimTime) {
-        let _ = (record, now);
-    }
-
-    /// Installs a metrics/trace recorder. Engines that record forward it
-    /// to their [`EngineObs`](crate::EngineObs) and sync manager; the
-    /// default keeps the free no-op recorder.
+    /// Installs a metrics/trace recorder; the default is the free no-op
+    /// recorder.
     fn set_recorder(&mut self, recorder: sft_obs::SharedRecorder) {
-        let _ = recorder;
+        self.kernel_mut().set_recorder(recorder);
     }
 
     /// Total endorsement-frontier walk steps taken so far — the
-    /// amortization counter behind the `walk_steps` bench field. Engines
-    /// without an endorsement tracker report 0.
+    /// amortization counter behind the `walk_steps` bench field.
     fn endorsement_walk_steps(&self) -> u64 {
-        0
+        self.kernel().walk_steps()
     }
-
-    /// Signature-verification counters accumulated by the replica's vote
-    /// and timeout aggregation — the evidence behind the verify-on-quorum
-    /// scaling claim (individual verifies drop from O(n²) to O(n) per
-    /// certified round). Engines without signature checking report zeros.
-    fn sig_stats(&self) -> SigStats {
-        SigStats::default()
-    }
-
-    /// The replica's current round (Streamlet: epoch) — the progress
-    /// measure self-pacing run plans stop on.
-    fn round(&self) -> Round;
 
     /// True while the replica is still chasing missing blocks.
-    fn is_syncing(&self) -> bool;
+    fn is_syncing(&self) -> bool {
+        self.kernel().is_syncing()
+    }
 
     /// The committed chain, oldest first (genesis excluded).
-    fn committed_chain(&self) -> &[HashValue];
+    fn committed_chain(&self) -> &[HashValue] {
+        self.kernel().committed_chain()
+    }
 
     /// The strong-commit log (§5), in occurrence order.
-    fn commit_log(&self) -> &[StrongCommitUpdate];
+    fn commit_log(&self) -> &[StrongCommitUpdate] {
+        self.kernel().commit_log()
+    }
 
     /// True if the replica ever observed conflicting committed chains.
-    fn safety_violated(&self) -> bool;
+    fn safety_violated(&self) -> bool {
+        self.kernel().safety_violated()
+    }
 
     /// How many distinct equivocators this replica's vote tracker caught.
-    fn equivocators_observed(&self) -> usize;
+    fn equivocators_observed(&self) -> usize {
+        self.kernel().equivocators().len()
+    }
 
     /// Block-sync counters (requests sent, blocks admitted, …).
-    fn sync_stats(&self) -> SyncStats;
+    fn sync_stats(&self) -> SyncStats {
+        self.kernel().sync_stats()
+    }
 
     /// The replica's block store: every block inside its retention
     /// horizon (older committed blocks have been pruned).
-    fn store(&self) -> &BlockStore;
+    fn store(&self) -> &BlockStore {
+        self.kernel().store()
+    }
 
     /// Transactions carried by the committed chain, counted as each block
     /// commits.
-    fn txns_committed(&self) -> u64;
+    fn txns_committed(&self) -> u64 {
+        self.kernel().txns_committed()
+    }
 
     /// What the replica currently holds in memory — the numbers a
     /// retention horizon keeps independent of how long it has run.
-    fn resident(&self) -> ResidentState;
+    fn resident(&self) -> ResidentState {
+        self.kernel().resident()
+    }
 
     /// Consumes the engine into its committed chain and strong-commit
     /// log, for a final report assembled without copying either.
     fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>)
     where
-        Self: Sized;
+        Self: Sized,
+    {
+        self.into_kernel().into_commit_record()
+    }
 }
 
 /// A replica's resident-state gauges (see [`ReplicaEngine::resident`]).

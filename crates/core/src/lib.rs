@@ -27,6 +27,11 @@
 //!   subprotocol: detect certified-but-unknown blocks, fetch them in
 //!   bounded verified segments, and admit nothing the certificate chain
 //!   does not vouch for.
+//! - [`ChainKernel`] — all of the above owned by one struct, with the
+//!   sequences that tie them together (block intake, the voter half of
+//!   §3.2, vote intake, commit bookkeeping, the retention sweep, WAL
+//!   buffering and replay, the client plane) defined once. Both protocol
+//!   replicas hold one; [`ReplicaEngine`] reports from it.
 //!
 //! The split mirrors the paper's own layering: *certification* (may this
 //! block extend the chain?) is classic BFT and lives in [`VoteTracker`];
@@ -46,6 +51,45 @@
 //! assert_eq!(cfg.strength_of(3), Some(1));
 //! assert_eq!(cfg.strength_of(4), Some(2)); // the 2f ceiling
 //! ```
+//!
+//! ## What a protocol must still supply
+//!
+//! A proposal rule, a voting rule and a commit rule. Here are the smallest
+//! possible ones — extend genesis, vote for the current round's proposal,
+//! "certified is committed" — over four kernels:
+//!
+//! ```
+//! use sft_core::{ChainKernel, ProtocolConfig};
+//! use sft_crypto::KeyRegistry;
+//! use sft_types::{EndorseMode, Payload, Round};
+//!
+//! let (config, keys) = (ProtocolConfig::for_replicas(4), KeyRegistry::deterministic(4));
+//! let mut kernels: Vec<ChainKernel> = (0..4)
+//!     .map(|id| ChainKernel::new(id, config, keys.clone(), EndorseMode::Marker))
+//!     .collect();
+//! let round = Round::new(1);
+//! let leader = &mut kernels[config.leader(round).as_usize()];
+//! let genesis = leader.store().genesis_id();
+//! let block = leader.extend(genesis, round, Payload::empty()).unwrap(); // proposal rule
+//! let votes: Vec<_> = kernels
+//!     .iter_mut()
+//!     .filter(|k| k.admits(&block))
+//!     .filter_map(|k| k.accept_block(&block, |_, b, _| b.round() == round).vote) // voting rule
+//!     .collect();
+//! for k in kernels.iter_mut() {
+//!     for vote in &votes {
+//!         let (certified, grown) = k.add_vote(vote);
+//!         if let Some(qc) = certified {
+//!             k.log_qc(&qc);
+//!             k.commit_through(qc.block_id()); // commit rule
+//!             k.prune();
+//!         }
+//!         k.grade(grown);
+//!     }
+//!     assert_eq!(k.committed_chain(), [block.id()]);
+//!     assert_eq!(k.commit_level(block.id()), Some(config.max_strength()));
+//! }
+//! ```
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -56,6 +100,7 @@ pub mod config;
 pub mod endorse;
 pub mod engine;
 pub mod group_wal;
+pub mod kernel;
 pub mod ledger;
 pub mod mempool;
 pub mod obs;
@@ -69,6 +114,7 @@ pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
 pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
 pub use engine::{EngineStep, MsgKind, OutboundMsg, ReplicaEngine, ResidentState, Route};
 pub use group_wal::{DurableWal, GroupCommitWal, WriteThroughWal};
+pub use kernel::{ChainKernel, Intake};
 pub use ledger::CommitLedger;
 pub use mempool::{Admission, Mempool, PayloadSource};
 pub use obs::EngineObs;

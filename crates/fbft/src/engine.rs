@@ -9,15 +9,10 @@
 //! (exactly what the old event-loop driver did by hand). A proposal the
 //! round pace held back goes out the same way, on the tick it comes due.
 
-use sft_core::{
-    AckTracker, Admission, BlockStore, EngineObs, EngineStep, MsgKind, OutboundMsg, ReplicaEngine,
-    ResidentState, SyncStats, WalRecord,
-};
-use sft_crypto::{HashValue, SigStats};
-use sft_obs::{names, PhaseTimer, SharedRecorder};
-use sft_types::{
-    ClientAck, ClientRequest, Decode, Encode, ReplicaId, Round, SimTime, StrongCommitUpdate,
-};
+use sft_core::{ChainKernel, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, WalRecord};
+use sft_crypto::SigStats;
+use sft_obs::{names, PhaseTimer};
+use sft_types::{Decode, Encode, ReplicaId, Round, SimTime};
 
 use crate::message::FbftMessage;
 use crate::replica::{FbftReplica, StepOutcome};
@@ -50,9 +45,6 @@ use crate::replica::{FbftReplica, StepOutcome};
 pub struct FbftEngine {
     replica: FbftReplica,
     booted: bool,
-    obs: EngineObs,
-    /// Client submissions awaiting their strength-graded commit acks.
-    acks: AckTracker,
 }
 
 impl FbftEngine {
@@ -61,8 +53,6 @@ impl FbftEngine {
         Self {
             replica,
             booted: false,
-            obs: EngineObs::new(),
-            acks: AckTracker::new(),
         }
     }
 
@@ -80,53 +70,56 @@ impl FbftEngine {
     /// old driver's send order: the vote first, then block-sync requests,
     /// then the chained next-round proposal.
     fn absorb(&mut self, out: StepOutcome, now: SimTime) -> EngineStep {
-        let mut step = EngineStep::empty();
+        let mut outbound = Vec::new();
         if let Some(vote) = out.vote {
-            self.obs.voted(vote.round(), now);
-            step.outbound.push(OutboundMsg::broadcast(
+            self.kernel_mut().obs().voted(vote.round(), now);
+            outbound.push(OutboundMsg::broadcast(
                 MsgKind::Vote,
                 FbftMessage::Vote(vote).to_bytes(),
             ));
         }
         for (peer, request) in out.sync_requests {
-            step.outbound.push(OutboundMsg::to(
+            outbound.push(OutboundMsg::to(
                 peer,
                 MsgKind::SyncRequest,
                 FbftMessage::SyncRequest(request).to_bytes(),
             ));
         }
         if let Some(proposal) = out.next_proposal {
-            step.outbound.push(OutboundMsg::broadcast(
+            outbound.push(OutboundMsg::broadcast(
                 MsgKind::Proposal,
                 FbftMessage::Proposal(proposal).to_bytes(),
             ));
         }
-        step.updates = out.updates;
-        step.persist = self.replica.drain_wal();
-        self.obs.wal_records(&step.persist, now);
-        self.obs.updates(&step.updates, now);
-        for update in &step.updates {
-            self.acks.observe(update, self.replica.store(), now);
-        }
-        step
+        self.kernel_mut().finish_step(outbound, out.updates, now)
     }
 }
 
 impl ReplicaEngine for FbftEngine {
-    fn id(&self) -> ReplicaId {
-        self.replica.id()
+    fn kernel(&self) -> &ChainKernel {
+        self.replica.kernel()
+    }
+
+    fn kernel_mut(&mut self) -> &mut ChainKernel {
+        self.replica.kernel_mut()
+    }
+
+    fn into_kernel(self) -> ChainKernel {
+        self.replica.into_kernel()
     }
 
     fn on_envelope(&mut self, _from: ReplicaId, payload: &[u8], now: SimTime) -> EngineStep {
-        let decode = PhaseTimer::start(&**self.obs.recorder());
+        let decode = PhaseTimer::start(&**self.kernel().recorder());
         let decoded = FbftMessage::from_bytes(payload);
-        decode.finish(&**self.obs.recorder(), names::PHASE_DECODE_NS);
+        decode.finish(&**self.kernel().recorder(), names::PHASE_DECODE_NS);
         let Ok(msg) = decoded else {
             return EngineStep::empty(); // transports can carry garbage
         };
         match msg {
             FbftMessage::Proposal(proposal) => {
-                self.obs.proposal_seen(proposal.block().round(), now);
+                self.kernel_mut()
+                    .obs()
+                    .proposal_seen(proposal.block().round(), now);
                 let out = self.replica.on_proposal(&proposal, now);
                 self.absorb(out, now)
             }
@@ -134,11 +127,11 @@ impl ReplicaEngine for FbftEngine {
                 // Time vote-ingest steps that ran a deferred batch check:
                 // the batch dominates such a step, so its duration is the
                 // batch-verify phase.
-                let batches = self.replica.sig_stats().batch_calls;
-                let verify = PhaseTimer::start(&**self.obs.recorder());
+                let batches = self.kernel().sig_stats().batch_calls;
+                let verify = PhaseTimer::start(&**self.kernel().recorder());
                 let out = self.replica.on_vote(&vote, now);
-                if self.replica.sig_stats().batch_calls > batches {
-                    verify.finish(&**self.obs.recorder(), names::PHASE_BATCH_VERIFY_NS);
+                if self.kernel().sig_stats().batch_calls > batches {
+                    verify.finish(&**self.kernel().recorder(), names::PHASE_BATCH_VERIFY_NS);
                 }
                 self.absorb(out, now)
             }
@@ -150,7 +143,7 @@ impl ReplicaEngine for FbftEngine {
                 // Serving is read-only; the requester verifies everything
                 // against the certificate chain.
                 let mut step = EngineStep::empty();
-                if let Some(response) = self.replica.on_sync_request(&request) {
+                if let Some(response) = self.kernel_mut().serve_sync(&request) {
                     step.outbound.push(OutboundMsg::to(
                         request.requester(),
                         MsgKind::SyncResponse,
@@ -175,57 +168,27 @@ impl ReplicaEngine for FbftEngine {
     }
 
     fn on_tick(&mut self, now: SimTime) -> EngineStep {
-        let mut step = EngineStep::empty();
+        let mut outbound = Vec::new();
         if !self.booted || self.replica.proposal_held() {
             self.booted = true;
             if let Some(proposal) = self.replica.try_propose_chained(now) {
-                step.outbound.push(OutboundMsg::broadcast(
+                outbound.push(OutboundMsg::broadcast(
                     MsgKind::Proposal,
                     FbftMessage::Proposal(proposal).to_bytes(),
                 ));
             }
         }
         if let Some(timeout) = self.replica.on_tick(now) {
-            step.outbound.push(OutboundMsg::broadcast(
+            outbound.push(OutboundMsg::broadcast(
                 MsgKind::Timeout,
                 FbftMessage::Timeout(timeout).to_bytes(),
             ));
         }
-        step.persist = self.replica.drain_wal();
-        self.obs.wal_records(&step.persist, now);
-        step
+        self.kernel_mut().finish_step(outbound, Vec::new(), now)
     }
 
     fn restore(&mut self, record: &WalRecord, now: SimTime) {
         self.replica.replay(record, now);
-    }
-
-    fn submit(&mut self, req: &ClientRequest, now: SimTime) -> Option<ClientAck> {
-        let txn_id = req.txn_id();
-        let verdict = self.replica.submit(req.txn.clone());
-        self.acks.record_admission(verdict == Admission::Admitted);
-        match verdict {
-            Admission::Admitted => {
-                self.acks.register(txn_id, req.ack_at, now);
-                None
-            }
-            Admission::Duplicate => Some(ClientAck::Duplicate { txn_id }),
-            Admission::Busy => Some(ClientAck::Busy { txn_id }),
-        }
-    }
-
-    fn drain_acks(&mut self) -> Vec<ClientAck> {
-        self.acks.drain()
-    }
-
-    fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.replica.set_recorder(recorder.clone());
-        self.acks.set_recorder(recorder.clone());
-        self.obs.set_recorder(recorder);
-    }
-
-    fn endorsement_walk_steps(&self) -> u64 {
-        self.replica.walk_steps()
     }
 
     fn sig_stats(&self) -> SigStats {
@@ -234,45 +197,5 @@ impl ReplicaEngine for FbftEngine {
 
     fn round(&self) -> Round {
         self.replica.current_round()
-    }
-
-    fn is_syncing(&self) -> bool {
-        self.replica.is_syncing()
-    }
-
-    fn committed_chain(&self) -> &[HashValue] {
-        self.replica.committed_chain()
-    }
-
-    fn commit_log(&self) -> &[StrongCommitUpdate] {
-        self.replica.commit_log()
-    }
-
-    fn safety_violated(&self) -> bool {
-        self.replica.safety_violated()
-    }
-
-    fn equivocators_observed(&self) -> usize {
-        self.replica.observed_equivocators().len()
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        self.replica.sync_stats()
-    }
-
-    fn store(&self) -> &BlockStore {
-        self.replica.store()
-    }
-
-    fn txns_committed(&self) -> u64 {
-        self.replica.txns_committed()
-    }
-
-    fn resident(&self) -> ResidentState {
-        self.replica.resident()
-    }
-
-    fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>) {
-        self.replica.into_commit_record()
     }
 }

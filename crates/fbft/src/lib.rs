@@ -31,7 +31,7 @@
 //! | 2-chain commit (consecutive certified rounds) | [`TwoChainState::on_qc`] (standard commit, strength `f`) |
 //! | round synchronization / timeouts | [`Pacemaker`], [`sft_types::TimeoutMsg`], [`sft_types::TimeoutCertificate`] |
 //! | strong-votes with markers / intervals (§3.2, §3.4) | [`sft_types::EndorseMode`], shared [`sft_core::honest_endorse_info`] |
-//! | graded commit strength `x ≤ 2f` (Def. 1) | [`FbftReplica::commit_level`], commit-log entries |
+//! | graded commit strength `x ≤ 2f` (Def. 1) | [`sft_core::ChainKernel::commit_level`], commit-log entries |
 //!
 //! ## The 2-chain rule in brief
 //!

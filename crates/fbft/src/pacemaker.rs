@@ -38,7 +38,7 @@
 
 use std::fmt;
 
-use sft_types::{ReplicaId, Round, SimDuration, SimTime};
+use sft_types::{Round, SimDuration, SimTime};
 
 /// The round spacing a deployed replica runs at unless told otherwise:
 /// above the time a round takes to certify on loopback for every cluster
@@ -84,11 +84,10 @@ pub enum RoundEntry {
 ///
 /// ```
 /// use sft_fbft::Pacemaker;
-/// use sft_types::{ReplicaId, Round, SimDuration, SimTime};
+/// use sft_types::{Round, SimDuration, SimTime};
 ///
-/// let mut pm = Pacemaker::new(4, SimDuration::from_millis(400), SimTime::ZERO);
+/// let mut pm = Pacemaker::new(SimDuration::from_millis(400), SimTime::ZERO);
 /// assert_eq!(pm.current_round(), Round::new(1));
-/// assert_eq!(pm.leader_of(Round::new(1)), ReplicaId::new(1)); // round-robin
 /// // A QC for round 1 advances to round 2.
 /// let t = SimTime::from_millis(200);
 /// assert_eq!(pm.on_qc_round(Round::new(1), t), Some(Round::new(2)));
@@ -97,7 +96,6 @@ pub enum RoundEntry {
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Pacemaker {
-    n: usize,
     base_timeout: SimDuration,
     round: Round,
     entered_at: SimTime,
@@ -119,8 +117,8 @@ pub struct Pacemaker {
 const MAX_BACKOFF_EXP: u32 = 6;
 
 impl Pacemaker {
-    /// Creates a pacemaker for an `n`-replica system, entering round 1 at
-    /// `now` with the given base round timeout.
+    /// Creates a pacemaker entering round 1 at `now` with the given base
+    /// round timeout.
     ///
     /// The base timeout must exceed one proposal-plus-vote exchange
     /// (`> 2δ`) for the happy path to ever complete; 4δ is a comfortable
@@ -128,12 +126,10 @@ impl Pacemaker {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or the timeout is zero.
-    pub fn new(n: usize, base_timeout: SimDuration, now: SimTime) -> Self {
-        assert!(n > 0, "need at least one replica");
+    /// Panics if the timeout is zero.
+    pub fn new(base_timeout: SimDuration, now: SimTime) -> Self {
         assert!(!base_timeout.is_zero(), "zero timeout would always fire");
         Self {
-            n,
             base_timeout,
             round: Round::new(1),
             entered_at: now,
@@ -181,18 +177,6 @@ impl Pacemaker {
     /// How the current round was entered.
     pub fn entry(&self) -> RoundEntry {
         self.entry
-    }
-
-    /// The deterministic round-robin leader of `round` in an `n`-replica
-    /// system — the single source of the leader schedule (the replica
-    /// delegates here, so a future rotation change lands in one place).
-    pub fn leader_for(n: usize, round: Round) -> ReplicaId {
-        ReplicaId::new((round.as_u64() % n as u64) as u16)
-    }
-
-    /// The deterministic round-robin leader of `round`.
-    pub fn leader_of(&self, round: Round) -> ReplicaId {
-        Self::leader_for(self.n, round)
     }
 
     /// The instant the round timer next fires: the round's deadline, or —
@@ -285,7 +269,7 @@ mod tests {
     use super::*;
 
     fn pm() -> Pacemaker {
-        Pacemaker::new(4, SimDuration::from_millis(400), SimTime::ZERO)
+        Pacemaker::new(SimDuration::from_millis(400), SimTime::ZERO)
     }
 
     /// One round per 10 ms after a burst of three.
@@ -301,15 +285,6 @@ mod tests {
         assert_eq!(pm.current_round(), Round::new(1));
         assert_eq!(pm.entry(), RoundEntry::Genesis);
         assert_eq!(pm.deadline(), SimTime::from_millis(400));
-    }
-
-    #[test]
-    fn round_robin_leaders_wrap() {
-        let pm = pm();
-        assert_eq!(pm.leader_of(Round::new(1)), ReplicaId::new(1));
-        assert_eq!(pm.leader_of(Round::new(3)), ReplicaId::new(3));
-        assert_eq!(pm.leader_of(Round::new(4)), ReplicaId::new(0));
-        assert_eq!(pm.leader_of(Round::new(9)), ReplicaId::new(1));
     }
 
     #[test]
@@ -462,7 +437,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero timeout")]
     fn zero_timeout_panics() {
-        Pacemaker::new(4, SimDuration::ZERO, SimTime::ZERO);
+        Pacemaker::new(SimDuration::ZERO, SimTime::ZERO);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl Model {
 /// Walks one event sequence, checking the pacemaker against the model
 /// after every event.
 fn check_sequence(seq: &[Event]) {
-    let mut pm = Pacemaker::new(4, BASE, SimTime::ZERO);
+    let mut pm = Pacemaker::new(BASE, SimTime::ZERO);
     let mut model = Model::new();
     let mut now = SimTime::ZERO;
 
@@ -189,7 +189,7 @@ fn qc_tc_races_converge_from_every_reachable_state() {
     }
 
     let replay = |events: &[Event]| {
-        let mut pm = Pacemaker::new(4, BASE, SimTime::ZERO);
+        let mut pm = Pacemaker::new(BASE, SimTime::ZERO);
         let mut now = SimTime::ZERO;
         for &event in events {
             now += SimDuration::from_millis(1);

@@ -20,7 +20,7 @@ use sft_network::{SimNetwork, SimTransport};
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
 
 use crate::runner::{EngineRunner, Mischief, RunPlan, RunnerConfig};
-use crate::{Behavior, SimConfig, SimReport};
+use crate::{SimConfig, SimReport};
 
 /// SFT-DiemBFT's protocol-specific Byzantine payloads: conflicting twin
 /// proposals (sharing the honest proposal's QC/TC justification) and
@@ -90,13 +90,11 @@ impl Mischief<FbftEngine> for FbftMischief {
 }
 
 /// Builds the SFT-DiemBFT engine set for `config`: one [`FbftEngine`] per
-/// replica with the configured payload source and the deterministic client
-/// workload fed through the mempool's admission path (the paper's
-/// "sufficiently many transactions" assumption, §4 — the same `submit`
-/// every live client goes through, minus the ack registration). Stalling
-/// leaders get no payload source, which disables
-/// their chaining path while every other part of the protocol runs
-/// normally.
+/// replica, its kernel seeded with the configured payload source and the
+/// deterministic client workload (the paper's "sufficiently many
+/// transactions" assumption, §4 — `SimConfig::seed_kernel`). A source-less
+/// (stalling) leader's chaining path is disabled while every other part of
+/// the protocol runs normally.
 ///
 /// Public so non-sim transports (the TCP repro path) can run the exact
 /// same replica set over real sockets; they pass their own `base_timeout`
@@ -107,11 +105,9 @@ pub fn build_fbft_engines(
 ) -> Vec<FbftEngine> {
     let protocol = ProtocolConfig::for_replicas(config.n);
     let registry = KeyRegistry::deterministic(config.n);
-    let source = config.payload_source();
     let workload = config.client_workload();
     (0..config.n as u16)
         .map(|id| {
-            let behavior = config.behaviors[id as usize];
             let mut replica = FbftReplica::new(
                 id,
                 protocol,
@@ -121,16 +117,7 @@ pub fn build_fbft_engines(
                 SimTime::ZERO,
             )
             .with_verify_policy(config.verify_policy);
-            if behavior != Behavior::StallLeader {
-                replica = replica.with_payload_source(source);
-            }
-            if let Some(cap) = config.mempool_txn_cap {
-                replica.set_mempool_caps(cap as usize, u64::MAX);
-            }
-            for txn in &workload {
-                let admitted = replica.submit(txn.clone());
-                debug_assert_eq!(admitted, sft_core::Admission::Admitted);
-            }
+            config.seed_kernel(replica.kernel_mut(), id, &workload);
             FbftEngine::new(replica)
         })
         .collect()

@@ -62,7 +62,7 @@ pub mod fbft_driver;
 pub mod runner;
 pub mod streamlet_driver;
 
-use sft_core::{PayloadSource, SyncStats};
+use sft_core::{ChainKernel, PayloadSource, SyncStats};
 use sft_crypto::HashValue;
 use sft_network::{NetworkStats, ProtocolTag};
 use sft_types::{
@@ -450,6 +450,25 @@ impl SimConfig {
                 )
             })
             .collect()
+    }
+
+    /// What both protocols' engine builders do to replica `id`'s fresh
+    /// kernel: the payload source (stalling leaders get none — their whole
+    /// deviation is "never propose", and everything else runs normally),
+    /// the mempool cap, and `workload` fed through the mempool's admission
+    /// path — the same `submit` every live client goes through, minus the
+    /// ack registration (the harness is not waiting on acks).
+    pub(crate) fn seed_kernel(&self, kernel: &mut ChainKernel, id: u16, workload: &[Transaction]) {
+        if self.behaviors[id as usize] != Behavior::StallLeader {
+            kernel.set_payload_source(self.payload_source());
+        }
+        if let Some(cap) = self.mempool_txn_cap {
+            kernel.set_mempool_caps(cap as usize, u64::MAX);
+        }
+        for txn in workload {
+            let admitted = kernel.submit(txn.clone());
+            debug_assert_eq!(admitted, sft_core::Admission::Admitted);
+        }
     }
 
     /// Runs the simulation to completion under the configured protocol.

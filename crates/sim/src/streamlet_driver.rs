@@ -17,7 +17,7 @@ use sft_streamlet::{Message, Proposal, Replica, StreamletEngine};
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
 
 use crate::runner::{EngineRunner, Mischief, RunPlan, RunnerConfig};
-use crate::{Behavior, SimConfig, SimReport};
+use crate::{SimConfig, SimReport};
 
 /// Streamlet's protocol-specific Byzantine payloads: conflicting twin
 /// proposals and forged zero-marker votes.
@@ -79,12 +79,10 @@ impl Mischief<StreamletEngine> for StreamletMischief {
 }
 
 /// Builds the Streamlet engine set for `config`: one [`StreamletEngine`]
-/// per replica with the configured payload source and the deterministic
-/// client workload fed through the mempool's admission path (the same
-/// `submit` every live client goes through, minus the ack registration —
-/// the harness is not waiting on acks). Stalling leaders get no payload source — their
-/// whole deviation is "never propose", and a source-less engine still
-/// follows the epoch clock (and votes) like everyone else.
+/// per replica, its kernel seeded with the configured payload source and
+/// the deterministic client workload (`SimConfig::seed_kernel`). A
+/// source-less (stalling) engine still follows the epoch clock (and votes)
+/// like everyone else.
 ///
 /// Public so non-sim transports (the TCP repro path) can run the exact
 /// same replica set over real sockets; they pass their own `period`
@@ -95,25 +93,15 @@ pub fn build_streamlet_engines(
 ) -> Vec<StreamletEngine> {
     let protocol = ProtocolConfig::for_replicas(config.n);
     let registry = KeyRegistry::deterministic(config.n);
-    let source = config.payload_source();
     let workload = config.client_workload();
     (0..config.n as u16)
         .map(|id| {
-            let behavior = config.behaviors[id as usize];
-            let mut replica = Replica::new(id, protocol, registry.clone(), config.endorse_mode)
-                .with_verify_policy(config.verify_policy)
-                // Two epochs of silence before re-asking another peer.
-                .with_sync_retry(config.delay * 4);
-            if behavior != Behavior::StallLeader {
-                replica = replica.with_payload_source(source);
-            }
-            if let Some(cap) = config.mempool_txn_cap {
-                replica.set_mempool_caps(cap as usize, u64::MAX);
-            }
-            for txn in &workload {
-                let admitted = replica.submit(txn.clone());
-                debug_assert_eq!(admitted, sft_core::Admission::Admitted);
-            }
+            let mut replica = Replica::new(id, protocol, registry.clone(), config.endorse_mode);
+            let kernel = replica.kernel_mut();
+            kernel.set_verify_policy(config.verify_policy);
+            // Two epochs of silence before re-asking another peer.
+            kernel.set_sync_retry(config.delay * 4);
+            config.seed_kernel(kernel, id, &workload);
             StreamletEngine::new(replica, period, config.epochs)
         })
         .collect()

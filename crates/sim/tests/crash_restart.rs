@@ -224,7 +224,7 @@ fn streamlet_amnesiac_restart_equivocates_recovered_does_not() {
     let replica = |id: u16| Replica::new(id, config, registry.clone(), EndorseMode::Marker);
     let genesis = Block::genesis();
     let epoch = Round::new(1);
-    let leader = Replica::leader(config, epoch);
+    let leader = config.leader(epoch);
     let leader_key = registry.key_pair(u64::from(leader.as_u16())).unwrap();
 
     // Pre-crash: the victim votes for the leader's epoch-1 proposal A.
@@ -233,8 +233,9 @@ fn streamlet_amnesiac_restart_equivocates_recovered_does_not() {
     let block_a = Block::new(&genesis, epoch, leader, Payload::synthetic(1, 1, 1));
     let vote_a = victim
         .on_proposal(&Proposal::new(block_a, &leader_key))
+        .vote
         .expect("first proposal of the epoch wins the vote");
-    let wal = through_wal_codec(&victim.drain_wal());
+    let wal = through_wal_codec(&victim.kernel_mut().drain_wal());
     assert!(
         wal.iter().any(|r| matches!(r, WalRecord::VoteSent(_))),
         "the vote was logged before it was sent"
@@ -252,12 +253,13 @@ fn streamlet_amnesiac_restart_equivocates_recovered_does_not() {
     amnesiac.begin_epoch(epoch, Payload::empty());
     let vote_b = amnesiac
         .on_proposal(&twin)
+        .vote
         .expect("without the WAL the restarted replica double-votes");
     let mut observer = replica(1);
     observer.on_vote(&vote_a);
     observer.on_vote(&vote_b);
     assert_eq!(
-        observer.observed_equivocators(),
+        observer.kernel().equivocators(),
         [vote_a.author()],
         "a WAL-less restart is indistinguishable from a Byzantine replica"
     );
@@ -268,19 +270,20 @@ fn streamlet_amnesiac_restart_equivocates_recovered_does_not() {
         recovered.replay(record);
     }
     assert!(
-        recovered.on_proposal(&twin).is_none(),
+        recovered.on_proposal(&twin).vote.is_none(),
         "replay restores vote dedup: no equivocation against the \
          pre-crash self"
     );
     // Liveness is intact: the next epoch's proposal still wins a vote.
     let epoch2 = Round::new(2);
-    let leader2 = Replica::leader(config, epoch2);
+    let leader2 = config.leader(epoch2);
     let leader2_key = registry.key_pair(u64::from(leader2.as_u16())).unwrap();
     let block_c = Block::new(&genesis, epoch2, leader2, Payload::synthetic(1, 1, 3));
     recovered.begin_epoch(epoch2, Payload::empty());
     assert!(
         recovered
             .on_proposal(&Proposal::new(block_c, &leader2_key))
+            .vote
             .is_some(),
         "recovery only suppresses double votes, not future ones"
     );
@@ -307,7 +310,7 @@ fn fbft_amnesiac_restart_equivocates_recovered_does_not() {
     };
     let genesis = Block::genesis();
     let round = Round::new(1);
-    let leader = FbftReplica::leader(config, round);
+    let leader = config.leader(round);
     let leader_key = registry.key_pair(u64::from(leader.as_u16())).unwrap();
     let now = SimTime::ZERO;
 
@@ -319,7 +322,7 @@ fn fbft_amnesiac_restart_equivocates_recovered_does_not() {
         .on_proposal(&proposal_a, now)
         .vote
         .expect("round-1 proposal wins the vote");
-    let wal = through_wal_codec(&victim.drain_wal());
+    let wal = through_wal_codec(&victim.kernel_mut().drain_wal());
     assert!(
         wal.iter().any(|r| matches!(r, WalRecord::VoteSent(_))),
         "the vote was logged before it was sent"
@@ -339,7 +342,7 @@ fn fbft_amnesiac_restart_equivocates_recovered_does_not() {
     observer.on_vote(&vote_a, now);
     observer.on_vote(&vote_b, now);
     assert_eq!(
-        observer.observed_equivocators(),
+        observer.kernel().equivocators(),
         [vote_a.author()],
         "a WAL-less restart is indistinguishable from a Byzantine replica"
     );

@@ -216,7 +216,7 @@ fn fbft_cost_and_memory_do_not_depend_on_run_length() {
     let config = long_config(Protocol::Fbft);
     let mut engines = build_fbft_engines(&config, config.base_timeout);
     for engine in &mut engines {
-        engine.replica_mut().set_retention(HORIZON);
+        engine.kernel_mut().set_retention(HORIZON);
     }
     // A happy-path round is one proposal delay plus one vote delay.
     let plan = RunPlan::PastRound(Round::new(ROUNDS));
@@ -230,7 +230,7 @@ fn streamlet_cost_and_memory_do_not_depend_on_run_length() {
     let period = config.delay * 2;
     let mut engines = build_streamlet_engines(&config, period);
     for engine in &mut engines {
-        engine.replica_mut().set_retention(HORIZON);
+        engine.kernel_mut().set_retention(HORIZON);
     }
     let (rates, report, wal) = long_run(
         runner(&config, engines, RunPlan::UntilQuiescent, None),
@@ -252,7 +252,7 @@ fn partitioned_fbft_run(rounds_cut: u64, rounds_total: u64) -> SimReport {
     let faults = FaultSchedule::partition(vec![ReplicaId::new(3)], heal_at);
     let mut engines = build_fbft_engines(&config, config.base_timeout);
     for engine in &mut engines {
-        engine.replica_mut().set_retention(HORIZON);
+        engine.kernel_mut().set_retention(HORIZON);
     }
     let plan = RunPlan::PastRound(Round::new(rounds_total));
     runner(&config, engines, plan, Some(faults)).run()

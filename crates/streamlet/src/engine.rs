@@ -9,16 +9,9 @@
 //! the self-pacing SFT-DiemBFT — and lets the clock be wall time when the
 //! engine runs over sockets.
 
-use sft_core::{
-    AckTracker, Admission, BlockStore, EngineObs, EngineStep, MsgKind, OutboundMsg, ReplicaEngine,
-    ResidentState, SyncStats, WalRecord,
-};
-use sft_crypto::{HashValue, SigStats};
-use sft_obs::{names, PhaseTimer, SharedRecorder};
-use sft_types::{
-    ClientAck, ClientRequest, Decode, Encode, ReplicaId, Round, SimDuration, SimTime,
-    StrongCommitUpdate,
-};
+use sft_core::{ChainKernel, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, WalRecord};
+use sft_obs::{names, PhaseTimer};
+use sft_types::{Decode, Encode, ReplicaId, Round, SimDuration, SimTime};
 
 use crate::message::Message;
 use crate::replica::Replica;
@@ -48,9 +41,6 @@ pub struct StreamletEngine {
     max_epochs: u64,
     /// Next epoch to open (1-based).
     next_epoch: u64,
-    obs: EngineObs,
-    /// Client submissions awaiting their strength-graded commit acks.
-    acks: AckTracker,
 }
 
 impl StreamletEngine {
@@ -62,8 +52,6 @@ impl StreamletEngine {
             period,
             max_epochs,
             next_epoch: 1,
-            obs: EngineObs::new(),
-            acks: AckTracker::new(),
         }
     }
 
@@ -83,43 +71,56 @@ impl StreamletEngine {
 }
 
 impl ReplicaEngine for StreamletEngine {
-    fn id(&self) -> ReplicaId {
-        self.replica.id()
+    fn kernel(&self) -> &ChainKernel {
+        self.replica.kernel()
+    }
+
+    fn kernel_mut(&mut self) -> &mut ChainKernel {
+        self.replica.kernel_mut()
+    }
+
+    fn into_kernel(self) -> ChainKernel {
+        self.replica.into_kernel()
     }
 
     fn on_envelope(&mut self, _from: ReplicaId, payload: &[u8], now: SimTime) -> EngineStep {
-        let decode = PhaseTimer::start(&**self.obs.recorder());
+        let decode = PhaseTimer::start(&**self.kernel().recorder());
         let decoded = Message::from_bytes(payload);
-        decode.finish(&**self.obs.recorder(), names::PHASE_DECODE_NS);
+        decode.finish(&**self.kernel().recorder(), names::PHASE_DECODE_NS);
         let Ok(msg) = decoded else {
             return EngineStep::empty(); // transports can carry garbage
         };
-        let mut step = EngineStep::empty();
+        let mut outbound = Vec::new();
+        let mut updates = Vec::new();
         match msg {
             Message::Proposal(proposal) => {
-                self.obs.proposal_seen(proposal.block().round(), now);
-                if let Some(vote) = self.replica.on_proposal(&proposal) {
-                    self.obs.voted(vote.round(), now);
-                    step.outbound.push(OutboundMsg::broadcast(
+                self.kernel_mut()
+                    .obs()
+                    .proposal_seen(proposal.block().round(), now);
+                let intake = self.replica.on_proposal(&proposal);
+                if let Some(vote) = intake.vote {
+                    self.kernel_mut().obs().voted(vote.round(), now);
+                    outbound.push(OutboundMsg::broadcast(
                         MsgKind::Vote,
                         Message::Vote(vote).to_bytes(),
                     ));
                 }
+                updates = intake.updates;
             }
             Message::Vote(vote) => {
                 // Time vote-ingest steps that ran a deferred batch check:
                 // the batch dominates such a step, so its duration is the
                 // batch-verify phase.
-                let batches = self.replica.sig_stats().batch_calls;
-                let verify = PhaseTimer::start(&**self.obs.recorder());
-                step.updates = self.replica.on_vote(&vote);
-                if self.replica.sig_stats().batch_calls > batches {
-                    verify.finish(&**self.obs.recorder(), names::PHASE_BATCH_VERIFY_NS);
+                let batches = self.kernel().sig_stats().batch_calls;
+                let verify = PhaseTimer::start(&**self.kernel().recorder());
+                updates = self.replica.on_vote(&vote);
+                if self.kernel().sig_stats().batch_calls > batches {
+                    verify.finish(&**self.kernel().recorder(), names::PHASE_BATCH_VERIFY_NS);
                 }
             }
             Message::SyncRequest(request) => {
-                if let Some(response) = self.replica.on_sync_request(&request) {
-                    step.outbound.push(OutboundMsg::to(
+                if let Some(response) = self.kernel_mut().serve_sync(&request) {
+                    outbound.push(OutboundMsg::to(
                         request.requester(),
                         MsgKind::SyncResponse,
                         Message::SyncResponse(response).to_bytes(),
@@ -127,16 +128,10 @@ impl ReplicaEngine for StreamletEngine {
                 }
             }
             Message::SyncResponse(response) => {
-                step.updates = self.replica.on_sync_response(&response, now);
+                updates = self.replica.on_sync_response(&response, now);
             }
         }
-        step.persist = self.replica.drain_wal();
-        self.obs.wal_records(&step.persist, now);
-        self.obs.updates(&step.updates, now);
-        for update in &step.updates {
-            self.acks.observe(update, self.replica.store(), now);
-        }
-        step
+        self.kernel_mut().finish_step(outbound, updates, now)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -144,22 +139,20 @@ impl ReplicaEngine for StreamletEngine {
     }
 
     fn on_tick(&mut self, now: SimTime) -> EngineStep {
-        let mut step = EngineStep::empty();
+        let mut outbound = Vec::new();
         // Open every epoch whose start has passed (a wall-clock run can
         // overshoot a deadline; catch up in order).
         while self.next_epoch <= self.max_epochs && self.epoch_open_at(self.next_epoch) <= now {
             let epoch = Round::new(self.next_epoch);
             self.next_epoch += 1;
             if let Some(proposal) = self.replica.begin_epoch_sourced(epoch) {
-                step.outbound.push(OutboundMsg::broadcast(
+                outbound.push(OutboundMsg::broadcast(
                     MsgKind::Proposal,
                     Message::Proposal(proposal).to_bytes(),
                 ));
             }
         }
-        step.persist = self.replica.drain_wal();
-        self.obs.wal_records(&step.persist, now);
-        step
+        self.kernel_mut().finish_step(outbound, Vec::new(), now)
     }
 
     fn restore(&mut self, record: &WalRecord, _now: SimTime) {
@@ -171,7 +164,7 @@ impl ReplicaEngine for StreamletEngine {
 
     fn poll_sync(&mut self, now: SimTime) -> EngineStep {
         let mut step = EngineStep::empty();
-        for (peer, request) in self.replica.take_sync_requests(now) {
+        for (peer, request) in self.kernel_mut().take_sync_requests(now) {
             step.outbound.push(OutboundMsg::to(
                 peer,
                 MsgKind::SyncRequest,
@@ -181,79 +174,7 @@ impl ReplicaEngine for StreamletEngine {
         step
     }
 
-    fn submit(&mut self, req: &ClientRequest, now: SimTime) -> Option<ClientAck> {
-        let txn_id = req.txn_id();
-        let verdict = self.replica.submit(req.txn.clone());
-        self.acks.record_admission(verdict == Admission::Admitted);
-        match verdict {
-            Admission::Admitted => {
-                self.acks.register(txn_id, req.ack_at, now);
-                None
-            }
-            Admission::Duplicate => Some(ClientAck::Duplicate { txn_id }),
-            Admission::Busy => Some(ClientAck::Busy { txn_id }),
-        }
-    }
-
-    fn drain_acks(&mut self) -> Vec<ClientAck> {
-        self.acks.drain()
-    }
-
-    fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.replica.set_recorder(recorder.clone());
-        self.acks.set_recorder(recorder.clone());
-        self.obs.set_recorder(recorder);
-    }
-
-    fn endorsement_walk_steps(&self) -> u64 {
-        self.replica.walk_steps()
-    }
-
-    fn sig_stats(&self) -> SigStats {
-        self.replica.sig_stats()
-    }
-
     fn round(&self) -> Round {
         self.replica.epoch()
-    }
-
-    fn is_syncing(&self) -> bool {
-        self.replica.is_syncing()
-    }
-
-    fn committed_chain(&self) -> &[HashValue] {
-        self.replica.committed_chain()
-    }
-
-    fn commit_log(&self) -> &[StrongCommitUpdate] {
-        self.replica.commit_log()
-    }
-
-    fn safety_violated(&self) -> bool {
-        self.replica.safety_violated()
-    }
-
-    fn equivocators_observed(&self) -> usize {
-        self.replica.observed_equivocators().len()
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        self.replica.sync_stats()
-    }
-
-    fn store(&self) -> &BlockStore {
-        self.replica.store()
-    }
-
-    fn txns_committed(&self) -> u64 {
-        self.replica.txns_committed()
-    }
-
-    fn resident(&self) -> ResidentState {
-        self.replica.resident()
-    }
-
-    fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>) {
-        self.replica.into_commit_record()
     }
 }

@@ -17,18 +17,17 @@
 //! | notarization at `2f + 1` votes | [`Replica::on_vote`] via [`sft_core::VoteTracker`] |
 //! | three-consecutive-epochs commit | [`Replica::on_vote`] (standard commit, strength `f`) |
 //! | strong-votes with markers (§3.2) | [`EndorseMode::Marker`], [`sft_types::EndorseInfo`] |
-//! | graded commit strength `x ≤ 2f` (Def. 1) | [`Replica::commit_level`], commit-log entries |
+//! | graded commit strength `x ≤ 2f` (Def. 1) | [`sft_core::ChainKernel::commit_level`], commit-log entries |
 //!
 //! ## Example
 //!
 //! ```
 //! use sft_core::ProtocolConfig;
-//! use sft_streamlet::Replica;
 //! use sft_types::Round;
 //!
 //! let config = ProtocolConfig::for_replicas(7);
 //! // Leaders rotate round-robin over all n replicas.
-//! assert_eq!(Replica::leader(config, Round::new(8)).as_u16(), 1);
+//! assert_eq!(config.leader(Round::new(8)).as_u16(), 1);
 //! ```
 
 #![deny(missing_docs)]
