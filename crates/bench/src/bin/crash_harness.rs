@@ -9,9 +9,6 @@
 //!   --kill-after-records K  kill the victim once its WAL holds >= K
 //!                           records               (default 8)
 //!   --data-root DIR       keep data dirs here instead of a temp dir
-//!   --wal-mode M          sync-every | group-commit, forwarded to every
-//!                         node: the recovery contract must hold under
-//!                         the pipelined WAL too (default sync-every)
 //! ```
 //!
 //! The harness spawns `n` `sft-node` processes on free loopback ports,
@@ -65,7 +62,6 @@ struct Args {
     budget: Duration,
     kill_after_records: usize,
     data_root: Option<PathBuf>,
-    wal_mode: String,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -76,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
         budget: Duration::from_secs(60),
         kill_after_records: 8,
         data_root: None,
-        wal_mode: "sync-every".to_string(),
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = raw.iter();
@@ -120,13 +115,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("bad record count {v:?}"))?;
             }
             "--data-root" => args.data_root = Some(value("--data-root")?.into()),
-            "--wal-mode" => {
-                let v = value("--wal-mode")?;
-                if v != "sync-every" && v != "group-commit" {
-                    return Err(format!("unknown wal mode {v:?}"));
-                }
-                args.wal_mode = v.clone();
-            }
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
@@ -176,11 +164,6 @@ fn spawn_node(
             &args.epochs.to_string(),
             "--budget-ms",
             &args.budget.as_millis().to_string(),
-            // The durability discipline under test: the kill −9 /
-            // recovery contract must hold under group commit exactly as
-            // it does under write-through.
-            "--wal-mode",
-            &args.wal_mode,
             // Long linger: finished peers keep answering block-sync so
             // the restarted victim can catch up before anyone exits.
             "--linger-ms",

@@ -712,7 +712,7 @@ fn drive_crash<E: ReplicaEngine>(
     runner.keep_persist_log();
 
     let crash_at = SimTime::ZERO + period * (args.epochs / 3).max(1);
-    runner.run_until(crash_at);
+    runner.run_until(crash_at).map_err(|e| e.to_string())?;
     let pre_crash = runner.engine(victim).committed_chain().to_vec();
     let wal_records = runner.persisted(victim).len();
     if wal_records == 0 {
@@ -726,7 +726,7 @@ fn drive_crash<E: ReplicaEngine>(
 
     if restart {
         let restart_at = crash_at + period * 2;
-        runner.run_until(restart_at);
+        runner.run_until(restart_at).map_err(|e| e.to_string())?;
         let replayed = through_wal_codec(runner.persisted(victim))?;
         let mut fresh = build().remove(victim);
         for record in &replayed {
@@ -752,10 +752,12 @@ fn drive_crash<E: ReplicaEngine>(
     let mut at = runner.transport().now();
     while at < end {
         at += config.delay;
-        runner.run_until(at);
+        runner.run_until(at).map_err(|e| e.to_string())?;
     }
     for step in 1..=60u64 {
-        runner.run_until(end + config.delay * step);
+        runner
+            .run_until(end + config.delay * step)
+            .map_err(|e| e.to_string())?;
     }
 
     let report = runner.report();

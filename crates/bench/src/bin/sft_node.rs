@@ -11,11 +11,6 @@
 //!   --epochs E             target epochs/rounds         (default 20)
 //!   --budget-ms MS         hard wall-clock budget       (default 60000)
 //!   --linger-ms MS         serve peers after finishing  (default 2000)
-//!   --sync-every K         fsync every K WAL records    (default 1)
-//!   --wal-mode M           sync-every | group-commit    (default sync-every);
-//!                          group-commit batches fsyncs on a writer thread
-//!                          and gates outbound frames on its durability
-//!                          watermark (--sync-every is ignored)
 //!   --delta-ms MS          pacing unit δ                (default 25)
 //!   --base-timeout-ms MS   fbft base round timeout      (default 1000)
 //!   --start-at-unix-ms T   cluster genesis instant as UNIX millis; pass
@@ -30,7 +25,9 @@
 //!
 //! On startup the node replays `<data-dir>/wal.log` (recovering from a
 //! crash at any point, torn tails included) and only then joins the
-//! protocol; at exit it writes its committed chain to
+//! protocol. The log is group-committed: a writer thread batches fsyncs
+//! and every outbound frame waits for the durability watermark to cover
+//! the records that justify it. At exit it writes its committed chain to
 //! `<data-dir>/commit.out`, one block hash per line. See the
 //! `sft_bench::node` module docs for the recovery semantics.
 
@@ -40,7 +37,7 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sft_bench::node::{run_node, NodeOpts, WalMode};
+use sft_bench::node::{run_node, NodeOpts};
 use sft_sim::Protocol;
 
 fn parse_ms(value: &str, what: &str) -> Result<Duration, String> {
@@ -59,8 +56,6 @@ fn parse_args() -> Result<NodeOpts, String> {
     let mut epochs = 20u64;
     let mut budget = Duration::from_secs(60);
     let mut linger = Duration::from_secs(2);
-    let mut sync_every = 1u64;
-    let mut wal_mode = WalMode::SyncEvery;
     let mut delta = Duration::from_millis(25);
     let mut base_timeout = Duration::from_millis(1000);
     let mut start_at: Option<Duration> = None;
@@ -102,21 +97,6 @@ fn parse_args() -> Result<NodeOpts, String> {
             }
             "--budget-ms" => budget = parse_ms(value("--budget-ms")?, "budget")?,
             "--linger-ms" => linger = parse_ms(value("--linger-ms")?, "linger")?,
-            "--sync-every" => {
-                let v = value("--sync-every")?;
-                sync_every = v
-                    .parse()
-                    .ok()
-                    .filter(|k| *k >= 1)
-                    .ok_or_else(|| format!("bad sync interval {v:?}; need >= 1"))?;
-            }
-            "--wal-mode" => {
-                wal_mode = match value("--wal-mode")?.as_str() {
-                    "sync-every" => WalMode::SyncEvery,
-                    "group-commit" => WalMode::GroupCommit,
-                    other => return Err(format!("unknown wal mode {other:?}")),
-                };
-            }
             "--delta-ms" => delta = parse_ms(value("--delta-ms")?, "delta")?,
             "--base-timeout-ms" => {
                 base_timeout = parse_ms(value("--base-timeout-ms")?, "base timeout")?;
@@ -145,8 +125,6 @@ fn parse_args() -> Result<NodeOpts, String> {
         epochs,
         budget,
         linger,
-        sync_every,
-        wal_mode,
         delta,
         base_timeout,
         start_at,

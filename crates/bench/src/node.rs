@@ -2,15 +2,24 @@
 //! engine, one [`NodeTransport`] endpoint, one write-ahead log.
 //!
 //! This is the deployment shape the paper assumes — `n` independent
-//! processes that only share a network — assembled from the exact pieces
-//! the simulator tests: the engines come from the same builders
-//! ([`build_streamlet_engines`] / [`build_fbft_engines`]), the loop
-//! mirrors the generic `EngineRunner` event loop, and durability follows
-//! the same write-ahead discipline: every record in
-//! [`EngineStep::persist`] is appended to the log *before* any message it
-//! justifies is routed. On startup the node replays `wal.log` into a
-//! fresh engine, so a `kill -9` + restart resumes exactly the pre-crash
-//! voting history — never equivocating against its former self.
+//! processes that only share a network — and it is the simulator's run
+//! loop, not a copy of it: [`run_node`] builds the same engines
+//! ([`build_streamlet_engines`] / [`build_paced_fbft_engines`]), keeps
+//! the one its id names, and hands it to the same [`EngineRunner`] every
+//! test and the benchmark drive — hosting 1 of the transport's `n`
+//! replicas instead of all of them. What stays here is what only a
+//! process has: recovery (replay `wal.log` into the fresh engine before
+//! it hears anything, so a `kill -9` + restart resumes exactly the
+//! pre-crash voting history — never equivocating against its former
+//! self), the stop rule (budget / target round / not syncing / linger)
+//! and `commit.out`.
+//!
+//! Durability has one discipline, group commit with gated sends: the
+//! runner appends every [`EngineStep::persist`](sft_core::EngineStep)
+//! record to the log *before* routing the messages it justifies, and each
+//! frame waits in the transport's peer writers until the log's watermark
+//! covers it — an fsync per record's guarantee without the fsync stall
+//! on the engine thread.
 //!
 //! ## Data directory
 //!
@@ -21,19 +30,19 @@
 //!                         written atomically at exit
 //! ```
 
-use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sft_core::{DurableWal, EngineStep, GroupCommitWal, ReplicaEngine, Route, WalRecord, WalStore};
+use sft_core::{DurableWal, ReplicaEngine, WalStore};
 use sft_network::{NodeTransport, ProtocolTag, Transport};
-use sft_obs::{names, PhaseTimer, Recorder, Registry, SharedRecorder, TraceEvent, TraceSink};
-use sft_sim::{build_fbft_engines, build_streamlet_engines, Protocol, SimConfig};
-use sft_types::{
-    ClientFrame, Decode, Encode, PersistSeq, ReplicaId, Round, SendGate, SimDuration, SimTime,
+use sft_obs::{names, Registry, SharedRecorder, TraceEvent, TraceSink};
+use sft_sim::{
+    build_paced_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief,
+    Protocol, RunPlan, RunnerConfig, SimConfig,
 };
+use sft_types::{ReplicaId, Round, SimDuration, SimTime};
 
 /// Everything that parameterizes one node process. Parsed from the
 /// `sft-node` command line; constructed directly by in-process tests.
@@ -57,14 +66,6 @@ pub struct NodeOpts {
     /// How long to keep serving votes and sync responses after reaching
     /// the target, so slower peers (a restarted crasher, say) can finish.
     pub linger: Duration,
-    /// fsync batching: sync the log every this many appended records
-    /// (1 = every record durable before its message leaves; larger
-    /// values trade a bounded durability window for fewer fsyncs).
-    /// Ignored under [`WalMode::GroupCommit`], whose writer thread
-    /// batches adaptively without widening the durability window.
-    pub sync_every: u64,
-    /// How the log is written and sends are held back (see [`WalMode`]).
-    pub wal_mode: WalMode,
     /// The pacing unit δ: Streamlet epochs span `2δ` of wall clock.
     pub delta: Duration,
     /// SFT-DiemBFT base round timeout.
@@ -80,80 +81,6 @@ pub struct NodeOpts {
     /// and crash-safe line-framed tracing (the crash harness reads the
     /// resulting timeline back to verify recovery ordering).
     pub trace_out: Option<PathBuf>,
-}
-
-impl NodeOpts {
-    /// The replica count implied by the address table.
-    pub fn n(&self) -> usize {
-        self.peers.len()
-    }
-}
-
-/// How the node writes its log and when outbound frames may leave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WalMode {
-    /// The classic inline discipline: appends (and their
-    /// `sync_every`-batched fsyncs) run on the engine thread, *before*
-    /// the step's messages are handed to the transport.
-    #[default]
-    SyncEvery,
-    /// The pipelined discipline: appends enqueue to a dedicated
-    /// WAL-writer thread that batches fsyncs adaptively, and every
-    /// outbound frame carries a [`SendGate`] holding it in the
-    /// transport's peer writers until the durability watermark covers
-    /// the records that justify it. Same guarantee as `sync_every = 1`
-    /// — no frame leaves before its records are on disk — without an
-    /// fsync stall on the engine thread.
-    GroupCommit,
-}
-
-/// The node's log under either [`WalMode`], unified for the event loop.
-enum NodeWal {
-    Classic(WalStore),
-    Group(GroupCommitWal),
-}
-
-impl NodeWal {
-    /// Appends one record; returns its persist sequence under the
-    /// pipelined mode (`None` classically — persistence is already
-    /// complete when this returns, nothing to gate).
-    fn append(&mut self, record: &WalRecord) -> Result<Option<PersistSeq>, String> {
-        match self {
-            NodeWal::Classic(wal) => wal
-                .append(record)
-                .map(|()| None)
-                .map_err(|e| format!("wal append: {e}")),
-            NodeWal::Group(wal) => wal
-                .append(record)
-                .map(Some)
-                .map_err(|e| format!("wal append: {e}")),
-        }
-    }
-
-    /// The gate outbound frames must clear, given the node's last
-    /// appended sequence — pipelined mode only.
-    fn gate(&self, last_seq: PersistSeq) -> Option<SendGate> {
-        match self {
-            NodeWal::Classic(_) => None,
-            NodeWal::Group(wal) => (last_seq > 0).then(|| SendGate::new(wal.watermark(), last_seq)),
-        }
-    }
-
-    /// Records appended during this incarnation.
-    fn appended(&self) -> u64 {
-        match self {
-            NodeWal::Classic(wal) => wal.appended(),
-            NodeWal::Group(wal) => wal.last_seq(),
-        }
-    }
-
-    /// Settles the log at shutdown: everything appended is durable.
-    fn finish(self) -> Result<(), String> {
-        match self {
-            NodeWal::Classic(mut wal) => wal.flush().map_err(|e| format!("wal flush: {e}")),
-            NodeWal::Group(wal) => wal.finish().map_err(|e| format!("wal finish: {e}")),
-        }
-    }
 }
 
 /// What a finished node reports back (and prints).
@@ -179,7 +106,7 @@ pub struct NodeOutcome {
 ///
 /// Returns a description of any socket or WAL failure.
 pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
-    let n = opts.n();
+    let n = opts.peers.len();
     if opts.id as usize >= n {
         return Err(format!("id {} out of range for {} peers", opts.id, n));
     }
@@ -192,20 +119,16 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
         .with_protocol(opts.protocol)
         .with_batch_size(BATCH_TXNS)
         .with_live_clients(true);
-    let delta = SimDuration::from_micros(opts.delta.as_micros() as u64);
+    let delta = sim_duration(opts.delta);
     match opts.protocol {
         Protocol::Streamlet => {
             let engine = build_streamlet_engines(&config, delta * 2).remove(opts.id as usize);
-            drive(engine, opts, ProtocolTag::Streamlet)
+            serve(engine, opts, ProtocolTag::Streamlet)
         }
         Protocol::Fbft => {
-            let timeout = SimDuration::from_micros(opts.base_timeout.as_micros() as u64);
-            let mut engine = build_fbft_engines(&config, timeout).remove(opts.id as usize);
-            // The round pace every wall-clock cluster runs at.
-            engine
-                .replica_mut()
-                .set_round_pace(sft_fbft::ROUND_INTERVAL, sft_fbft::ROUND_BURST);
-            drive(engine, opts, ProtocolTag::Fbft)
+            let timeout = sim_duration(opts.base_timeout);
+            let engine = build_paced_fbft_engines(&config, timeout).remove(opts.id as usize);
+            serve(engine, opts, ProtocolTag::Fbft)
         }
     }
 }
@@ -213,14 +136,16 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
 /// Transactions per proposed block, at most (`sft-loadgen`'s default).
 const BATCH_TXNS: u32 = 64;
 
-/// Messages pending same-instant self-delivery (a node hears its own
-/// broadcasts without a network round trip, as in every harness).
-type Inbox = VecDeque<(ReplicaId, Arc<[u8]>)>;
+/// A wall-clock duration on the transport's microsecond clock.
+fn sim_duration(d: Duration) -> SimDuration {
+    SimDuration::from_micros(d.as_micros() as u64)
+}
 
-/// The node event loop around one engine: recover from the WAL, then
-/// deliver / tick / sync until the target round is passed (plus linger)
-/// or the wall-clock budget runs out.
-fn drive<E: ReplicaEngine>(
+/// One replica's life around the shared run loop: recover `engine` from
+/// the WAL, host it in an [`EngineRunner`] over this process's
+/// [`NodeTransport`], and step the runner until the target round is
+/// passed (plus linger) or the wall-clock budget runs out.
+fn serve<E: ReplicaEngine>(
     mut engine: E,
     opts: &NodeOpts,
     tag: ProtocolTag,
@@ -241,9 +166,8 @@ fn drive<E: ReplicaEngine>(
         Some(registry) => registry,
         None => sft_obs::noop(),
     };
-    engine.set_recorder(Arc::clone(&recorder));
 
-    let store = WalStore::open(&opts.data_dir, opts.sync_every).map_err(|e| format!("wal: {e}"))?;
+    let store = WalStore::open(&opts.data_dir, 1).map_err(|e| format!("wal: {e}"))?;
     let mut transport = NodeTransport::bind_observed(
         ReplicaId::new(opts.id),
         tag,
@@ -265,6 +189,7 @@ fn drive<E: ReplicaEngine>(
     // voting history, locked state, and committed prefix. The replay-done
     // trace event is the recovery milestone the crash harness orders the
     // first outbound vote against.
+    engine.set_recorder(Arc::clone(&recorder));
     let recovered = store.replay_into(&mut engine, transport.now());
     if recovered > 0 {
         eprintln!(
@@ -282,40 +207,46 @@ fn drive<E: ReplicaEngine>(
         transport.now().as_micros(),
         &[("records", recovered as u64)],
     ));
-    // Recovery always reads through the classic store; the pipelined
-    // mode upgrades it afterwards, handing the file to the WAL-writer
-    // thread. Gate waiters wake through the watermark's own condvar, so
-    // no transport wake hook is needed here.
-    let mut wal = match opts.wal_mode {
-        WalMode::SyncEvery => NodeWal::Classic(store),
-        WalMode::GroupCommit => NodeWal::Group(
-            store
-                .into_group_commit(Arc::clone(&recorder), None)
-                .map_err(|e| format!("wal writer: {e}"))?,
-        ),
-    };
-    // The node's last appended persist sequence: what its outbound
-    // frames are gated on under the pipelined mode.
-    let mut last_seq: PersistSeq = 0;
+    // Recovery reads through the classic store; the file then goes to the
+    // WAL-writer thread. Gate waiters wake through the watermark's own
+    // condvar, so no transport wake hook is needed here.
+    let wal = store
+        .into_group_commit(Arc::clone(&recorder), None)
+        .map_err(|e| format!("wal writer: {e}"))?;
+    let durable = wal.watermark();
 
-    let id = ReplicaId::new(opts.id);
     let target = Round::new(opts.epochs);
-    let step = SimDuration::from_micros(opts.delta.as_micros() as u64);
-    let budget_end = transport.now() + SimDuration::from_micros(opts.budget.as_micros() as u64);
-    let linger = SimDuration::from_micros(opts.linger.as_micros() as u64);
-    let mut done_at: Option<SimTime> = None;
-    let mut inbox: Inbox = VecDeque::new();
-    // Which client connection awaits each admitted transaction's ack.
-    let mut ack_routes: HashMap<sft_crypto::HashValue, u64> = HashMap::new();
+    let step = sim_duration(opts.delta);
+    let budget_end = transport.now() + sim_duration(opts.budget);
+    let linger = sim_duration(opts.linger);
+    let mut runner = EngineRunner::new(
+        vec![engine],
+        vec![Behavior::Honest],
+        transport,
+        NoMischief,
+        // Only `run` reads the plan and its bounds; this loop has its own
+        // stop rule and paces the runner through `run_until`.
+        RunnerConfig {
+            plan: RunPlan::PastRound(target),
+            horizon: budget_end,
+            drain_bound: 0,
+            drain_step: step,
+        },
+    );
+    runner.set_recorder(Arc::clone(&recorder));
+    runner.set_wals(vec![Box::new(wal)]);
 
+    let wal_err = |e: sft_core::WalError| format!("wal: {e}");
+    let mut done_at: Option<SimTime> = None;
     loop {
-        let now = transport.now();
+        let now = runner.transport().now();
         if now >= budget_end {
             break;
         }
         // Done when the protocol ran its course — an exhausted epoch
         // clock (Streamlet) or the target round passed (fbft) — and no
         // catch-up fetch is pending.
+        let engine = runner.engine(0);
         let course_run = engine.next_deadline().is_none() || engine.round() > target;
         if course_run && !engine.is_syncing() {
             let at = *done_at.get_or_insert(now);
@@ -323,163 +254,37 @@ fn drive<E: ReplicaEngine>(
                 break;
             }
         }
-        // Wait for traffic until the next engine deadline (or one pacing
-        // step, so the linger/budget clocks keep being checked).
-        let mut wake = now + step;
-        if let Some(deadline) = engine.next_deadline() {
-            wake = wake.min(deadline.max(now));
-        }
-        for d in transport.poll_deliver(wake) {
-            inbox.push_back((d.from, d.payload));
-        }
-        let now = transport.now();
-        // Client gateway ingress: submissions admitted now are eligible
-        // for the next proposal this node builds; Busy/Duplicate verdicts
-        // are answered on the spot.
-        for c in transport.poll_clients() {
-            let Ok(ClientFrame::Request(req)) = ClientFrame::from_bytes(&c.payload) else {
-                continue;
-            };
-            let txn_id = req.txn_id();
-            match engine.submit(&req, now) {
-                Some(verdict) => {
-                    let bytes: Arc<[u8]> = ClientFrame::Ack(verdict).to_bytes().into();
-                    transport.send_client(c.conn, id, bytes);
-                }
-                None => {
-                    ack_routes.insert(txn_id, c.conn);
-                }
-            }
-        }
-        loop {
-            while let Some((from, bytes)) = inbox.pop_front() {
-                let timer = PhaseTimer::start(&*recorder);
-                let step = engine.on_envelope(from, &bytes, now);
-                timer.finish(&*recorder, names::PHASE_ON_ENVELOPE_NS);
-                absorb(
-                    step,
-                    id,
-                    &mut wal,
-                    &mut last_seq,
-                    &mut transport,
-                    &mut inbox,
-                    &*recorder,
-                )?;
-            }
-            let mut fired = false;
-            if engine.next_deadline().is_some_and(|d| d <= now) {
-                fired = true;
-                let timer = PhaseTimer::start(&*recorder);
-                let step = engine.on_tick(now);
-                timer.finish(&*recorder, names::PHASE_ON_TICK_NS);
-                absorb(
-                    step,
-                    id,
-                    &mut wal,
-                    &mut last_seq,
-                    &mut transport,
-                    &mut inbox,
-                    &*recorder,
-                )?;
-            }
-            if fired || !inbox.is_empty() {
-                continue;
-            }
-            let step = engine.poll_sync(now);
-            absorb(
-                step,
-                id,
-                &mut wal,
-                &mut last_seq,
-                &mut transport,
-                &mut inbox,
-                &*recorder,
-            )?;
-            if inbox.is_empty() {
-                break;
-            }
-        }
-        // Stream newly ready strength-graded acks back to their clients.
-        for ack in engine.drain_acks() {
-            if let Some(conn) = ack_routes.remove(&ack.txn_id()) {
-                let bytes: Arc<[u8]> = ClientFrame::Ack(ack).to_bytes().into();
-                transport.send_client(conn, id, bytes);
-            }
-        }
+        // Returns at the first arrival, or after one pacing step, so the
+        // linger/budget clocks keep being checked.
+        runner.run_until(now + step).map_err(wal_err)?;
     }
 
-    let appended = wal.appended();
-    wal.finish()?;
+    let round = runner.engine(0).round().as_u64();
+    let mut report = runner.finish().map_err(wal_err)?;
     recorder.trace(&TraceEvent::new(
         names::EV_NODE_STOP,
-        transport.now().as_micros(),
-        &[("round", engine.round().as_u64())],
+        report.elapsed.as_micros(),
+        &[("round", round)],
     ));
     if let Some(registry) = &registry {
         registry.flush_sink();
     }
-    let committed: Vec<String> = engine
-        .committed_chain()
+    let committed: Vec<String> = report
+        .chains
+        .remove(0)
         .iter()
         .map(|h| format!("{h}"))
         .collect();
     write_commit_file(opts, &committed)?;
     Ok(NodeOutcome {
         recovered,
-        appended,
+        // `finish` waited for the watermark to cover every append, and
+        // sequences count this incarnation's records from 1.
+        appended: durable.get(),
         committed,
-        disconnects: transport.stats().disconnects,
-        round: engine.round().as_u64(),
+        disconnects: report.net.disconnects,
+        round,
     })
-}
-
-/// Write-ahead discipline, then routing: persist the step's durable
-/// records, then send its messages (broadcasts loop back through the
-/// inbox so the node hears itself). Classically "persist" means the
-/// fsync already happened by the time a message is handed over; under
-/// the pipelined mode it means the message carries a [`SendGate`] the
-/// transport's peer writers hold until the watermark covers
-/// `last_seq`. The engine's own loopback delivery is never gated — a
-/// node hearing itself early cannot equivocate against itself.
-fn absorb<S: Transport>(
-    step: EngineStep,
-    id: ReplicaId,
-    wal: &mut NodeWal,
-    last_seq: &mut PersistSeq,
-    transport: &mut S,
-    inbox: &mut Inbox,
-    recorder: &dyn Recorder,
-) -> Result<(), String> {
-    let persist = PhaseTimer::start(recorder);
-    if !step.persist.is_empty() {
-        let wait = PhaseTimer::start(recorder);
-        for record in &step.persist {
-            if let Some(seq) = wal.append(record)? {
-                *last_seq = seq;
-            }
-        }
-        wait.finish(recorder, names::PHASE_PERSIST_WAIT_NS);
-    }
-    persist.finish(recorder, names::PHASE_PERSIST_NS);
-    let route = PhaseTimer::start(recorder);
-    for out in step.outbound {
-        let gate = wal.gate(*last_seq);
-        match (out.route, gate) {
-            (Route::Broadcast, Some(gate)) => {
-                transport.broadcast_gated(id, Arc::clone(&out.bytes), gate);
-                inbox.push_back((id, out.bytes));
-            }
-            (Route::Broadcast, None) => {
-                transport.broadcast(id, Arc::clone(&out.bytes));
-                inbox.push_back((id, out.bytes));
-            }
-            (Route::To(peer), _) if peer == id => inbox.push_back((id, out.bytes)),
-            (Route::To(peer), Some(gate)) => transport.send_gated(id, peer, out.bytes, gate),
-            (Route::To(peer), None) => transport.send(id, peer, out.bytes),
-        }
-    }
-    route.finish(recorder, names::PHASE_ROUTE_NS);
-    Ok(())
 }
 
 /// The file the crash harness compares across replicas.

@@ -315,60 +315,12 @@ fn recovery_from_every_crash_point_yields_the_durable_prefix() {
 // Fsync crash points: the group-commit watermark never outruns the disk.
 // ---------------------------------------------------------------------------
 
-/// The fsync-failing sibling of [`TornSink`]: appends always land in the
-/// byte image, but the k-th sync (and every one after — the process is
-/// "dead") fails, and only bytes present at the last *successful* sync
-/// count as durable. This models a crash between `write(2)` and
-/// `fsync(2)`: the page cache held the tail, the platter never saw it.
-#[derive(Clone)]
-struct FsyncCrashSink {
-    state: std::sync::Arc<std::sync::Mutex<FsyncCrashState>>,
-}
-
-struct FsyncCrashState {
-    bytes: Vec<u8>,
-    /// Byte length covered by the last successful sync — the crash image.
-    durable_len: usize,
-    syncs: u64,
-    fail_at: u64,
-}
-
-impl FsyncCrashSink {
-    fn new(fail_at: u64) -> Self {
-        Self {
-            state: std::sync::Arc::new(std::sync::Mutex::new(FsyncCrashState {
-                bytes: Vec::new(),
-                durable_len: 0,
-                syncs: 0,
-                fail_at,
-            })),
-        }
-    }
-
-    /// The bytes a reboot would find: everything through the last
-    /// successful fsync, nothing after.
-    fn crash_image(&self) -> Vec<u8> {
-        let state = self.state.lock().unwrap();
-        state.bytes[..state.durable_len].to_vec()
-    }
-}
-
-impl WalSink for FsyncCrashSink {
-    fn append(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.state.lock().unwrap().bytes.extend_from_slice(frame);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        let mut state = self.state.lock().unwrap();
-        state.syncs += 1;
-        if state.syncs >= state.fail_at {
-            return Err(io::Error::other("injected fsync crash"));
-        }
-        state.durable_len = state.bytes.len();
-        Ok(())
-    }
-}
+// Shared with `sim/tests/runner_seams.rs`, which also asks it whether the
+// crash has happened yet.
+#[allow(dead_code)]
+#[path = "support/fsync_crash.rs"]
+mod fsync_crash;
+use fsync_crash::FsyncCrashSink;
 
 /// The pipelined-sends safety property, at the layer that enforces it:
 /// a [`SendGate`](sft_types::SendGate) minted for each appended record

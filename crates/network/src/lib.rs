@@ -70,19 +70,40 @@ pub use tcp::TcpCluster;
 /// A network as a run harness sees it: sends tagged by source replica, a
 /// poll that waits for (or, in simulation, advances virtual time to)
 /// deliveries, and a time source. [`SimTransport`] implements it over the
-/// deterministic [`SimNetwork`]; [`TcpCluster`] implements it over real
-/// loopback sockets — the same generic run loop drives either.
+/// deterministic [`SimNetwork`]; [`TcpCluster`] and [`NodeTransport`]
+/// implement it over real sockets — the same generic run loop drives any
+/// of them.
+///
+/// There is **one** way to send: [`send_to`](Self::send_to), which takes
+/// the destination and an optional durability gate.
+/// [`send`](Self::send) and [`broadcast`](Self::broadcast) are ungated
+/// shorthands for it, not separate paths.
 pub trait Transport {
     /// Number of replicas this transport connects.
     fn replica_count(&self) -> usize;
 
-    /// Sends `payload` point-to-point from `from` to `to`.
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>);
+    /// Sends `payload` from `from` to `dest`: one named peer, or every
+    /// other replica (the buffer is encoded once and shared; byte
+    /// accounting still charges every recipient).
+    ///
+    /// With a `gate`, the frame may reach the wire only once the gate is
+    /// open — the durability watermark covers the WAL records justifying
+    /// the message. Socket transports enqueue at once and hold the frame
+    /// in their writer threads, so the caller never waits on an fsync;
+    /// the simulator waits for the gate before sending, which is exactly
+    /// write-through there (its virtual clock does not advance while the
+    /// caller waits). Either way persist-before-send holds.
+    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>);
 
-    /// Sends `payload` from `from` to every other replica. The buffer is
-    /// encoded once and shared; byte accounting still charges every
-    /// recipient.
-    fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>);
+    /// Ungated point-to-point [`send_to`](Self::send_to).
+    fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>) {
+        self.send_to(from, Dest::Peer(to), payload, None);
+    }
+
+    /// Ungated broadcast [`send_to`](Self::send_to).
+    fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>) {
+        self.send_to(from, Dest::Broadcast, payload, None);
+    }
 
     /// Waits until at least one delivery is available or `deadline` is
     /// reached, and returns everything deliverable at that point. The
@@ -123,36 +144,6 @@ pub trait Transport {
     /// retries — acks are not replicated state).
     fn send_client(&mut self, conn: u64, replica: ReplicaId, payload: Arc<[u8]>) {
         let _ = (conn, replica, payload);
-    }
-
-    /// True when [`send_gated`](Self::send_gated) enqueues without
-    /// blocking — the transport's own writer threads hold gated frames
-    /// until the durability watermark covers them. The default `false`
-    /// means the gated sends fall back to waiting *before* enqueueing,
-    /// which preserves the persist-before-send invariant but keeps the
-    /// caller on the hook for the fsync latency.
-    fn supports_gating(&self) -> bool {
-        false
-    }
-
-    /// [`send`](Self::send), but the frame may reach the wire only once
-    /// `gate` is open (the durability watermark covers the WAL records
-    /// justifying this message). The default implementation waits for
-    /// the gate inline and then sends — correct everywhere (and exactly
-    /// write-through under the deterministic simulator, whose virtual
-    /// clock does not advance while the caller waits); socket transports
-    /// override it to enqueue immediately and gate in their writer
-    /// threads.
-    fn send_gated(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        gate.wait_open();
-        self.send(from, to, payload);
-    }
-
-    /// [`broadcast`](Self::broadcast) with a durability gate; same
-    /// contract and default as [`send_gated`](Self::send_gated).
-    fn broadcast_gated(&mut self, from: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        gate.wait_open();
-        self.broadcast(from, payload);
     }
 }
 
@@ -479,12 +470,14 @@ impl Transport for SimTransport {
         self.n
     }
 
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>) {
-        self.net.send(from, to, payload);
-    }
-
-    fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>) {
-        self.net.broadcast(from, self.n, payload);
+    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>) {
+        if let Some(gate) = gate {
+            gate.wait_open();
+        }
+        match dest {
+            Dest::Peer(to) => self.net.send(from, to, payload),
+            Dest::Broadcast => self.net.broadcast(from, self.n, payload),
+        }
     }
 
     fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery> {

@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sft_obs::{names, SharedRecorder};
-use sft_types::{Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
+use sft_types::{Dest, Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
 
 use crate::frame::FrameDecoder;
 use crate::inbox::{Inbound, Inbox};
@@ -281,19 +281,6 @@ impl NodeTransport {
             self.stats.dropped += 1;
         }
     }
-
-    /// Frames `payload` once and enqueues it toward every peer.
-    fn fan_out(&mut self, from: ReplicaId, payload: &Arc<[u8]>, gate: Option<&SendGate>) {
-        debug_assert_eq!(from, self.id, "a node only sends as itself");
-        let env = Envelope::broadcast(from, self.protocol, Arc::clone(payload));
-        let frame: Arc<[u8]> = env.to_frame().into();
-        for to in 0..self.n as u16 {
-            let to = ReplicaId::new(to);
-            if to != from {
-                self.enqueue(to, Arc::clone(&frame), payload.len(), gate.cloned());
-            }
-        }
-    }
 }
 
 impl Transport for NodeTransport {
@@ -301,28 +288,26 @@ impl Transport for NodeTransport {
         self.n
     }
 
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>) {
+    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>) {
         debug_assert_eq!(from, self.id, "a node only sends as itself");
-        let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        self.enqueue(to, env.to_frame().into(), payload.len(), None);
-    }
-
-    fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>) {
-        self.fan_out(from, &payload, None);
-    }
-
-    fn supports_gating(&self) -> bool {
-        true // gated frames enqueue instantly; peer writers wait
-    }
-
-    fn send_gated(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        debug_assert_eq!(from, self.id, "a node only sends as itself");
-        let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        self.enqueue(to, env.to_frame().into(), payload.len(), Some(gate));
-    }
-
-    fn broadcast_gated(&mut self, from: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        self.fan_out(from, &payload, Some(&gate));
+        let len = payload.len();
+        let env = Envelope {
+            src: from,
+            dest,
+            protocol: self.protocol,
+            payload,
+        };
+        let frame: Arc<[u8]> = env.to_frame().into();
+        match dest {
+            Dest::Peer(to) => self.enqueue(to, frame, len, gate),
+            Dest::Broadcast => {
+                for to in (0..self.n as u16).map(ReplicaId::new) {
+                    if to != from {
+                        self.enqueue(to, Arc::clone(&frame), len, gate.clone());
+                    }
+                }
+            }
+        }
     }
 
     fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery> {

@@ -57,7 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sft_obs::{names, PhaseTimer, SharedRecorder};
-use sft_types::{Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
+use sft_types::{Dest, Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
 
 use crate::frame::FrameDecoder;
 use crate::inbox::{Inbound, Inbox};
@@ -330,19 +330,6 @@ impl TcpCluster {
         }
     }
 
-    /// Frames `payload` once and enqueues it toward every other endpoint.
-    fn fan_out(&mut self, from: ReplicaId, payload: &Arc<[u8]>, gate: Option<&SendGate>) {
-        let env = Envelope::broadcast(from, self.protocol, Arc::clone(payload));
-        // One encoding, one frame, n − 1 reference-counted enqueues.
-        let frame: Arc<[u8]> = env.to_frame().into();
-        for to in 0..self.n as u16 {
-            let to = ReplicaId::new(to);
-            if to != from {
-                self.enqueue(from, to, Arc::clone(&frame), payload.len(), gate.cloned());
-            }
-        }
-    }
-
     /// Severs the `from → to` connection — what the receiving endpoint
     /// observes when the sender's process dies. The writer drains any
     /// queued frames, shuts the socket down, the I/O thread reads the
@@ -361,26 +348,27 @@ impl Transport for TcpCluster {
         self.n
     }
 
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>) {
-        let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        self.enqueue(from, to, env.to_frame().into(), payload.len(), None);
-    }
-
-    fn broadcast(&mut self, from: ReplicaId, payload: Arc<[u8]>) {
-        self.fan_out(from, &payload, None);
-    }
-
-    fn supports_gating(&self) -> bool {
-        true // gated frames enqueue instantly; the writer thread waits
-    }
-
-    fn send_gated(&mut self, from: ReplicaId, to: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        let env = Envelope::to_peer(from, to, self.protocol, Arc::clone(&payload));
-        self.enqueue(from, to, env.to_frame().into(), payload.len(), Some(gate));
-    }
-
-    fn broadcast_gated(&mut self, from: ReplicaId, payload: Arc<[u8]>, gate: SendGate) {
-        self.fan_out(from, &payload, Some(&gate));
+    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>) {
+        let len = payload.len();
+        // One encoding, one frame; a broadcast is n − 1 reference-counted
+        // enqueues of it.
+        let env = Envelope {
+            src: from,
+            dest,
+            protocol: self.protocol,
+            payload,
+        };
+        let frame: Arc<[u8]> = env.to_frame().into();
+        match dest {
+            Dest::Peer(to) => self.enqueue(from, to, frame, len, gate),
+            Dest::Broadcast => {
+                for to in (0..self.n as u16).map(ReplicaId::new) {
+                    if to != from {
+                        self.enqueue(from, to, Arc::clone(&frame), len, gate.clone());
+                    }
+                }
+            }
+        }
     }
 
     fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery> {

@@ -52,7 +52,7 @@ pub use trace::{read_trace, OwnedTraceEvent, TraceEvent, TraceSink};
 /// Histograms additionally surface as `<name>_{count,p50,p90,p99,max}`
 /// scalars in `BENCH_*.json` (see [`MetricsSnapshot::flat_fields`]).
 pub mod names {
-    // ---- run_engine phase timings (histograms, wall nanoseconds) ----
+    // ---- run-loop (`EngineRunner`) phase timings (histograms, wall nanoseconds) ----
 
     /// Decoding one inbound envelope into a protocol message.
     pub const PHASE_DECODE_NS: &str = "phase_decode_ns";

@@ -16,17 +16,16 @@
 use sft_core::{Block, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_fbft::{FbftEngine, FbftMessage, FbftProposal, FbftReplica};
-use sft_network::{SimNetwork, SimTransport};
+use sft_network::SimTransport;
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
 
-use crate::runner::{EngineRunner, Mischief, RunPlan, RunnerConfig};
+use crate::runner::{EngineRunner, Mischief, RunPlan};
 use crate::{SimConfig, SimReport};
 
 /// SFT-DiemBFT's protocol-specific Byzantine payloads: conflicting twin
 /// proposals (sharing the honest proposal's QC/TC justification) and
 /// forged zero-marker votes.
 pub struct FbftMischief {
-    registry: KeyRegistry,
     /// Blocks each (Byzantine) node already forged a vote for.
     forged: Vec<std::collections::HashSet<HashValue>>,
 }
@@ -34,19 +33,13 @@ pub struct FbftMischief {
 impl FbftMischief {
     fn new(n: usize) -> Self {
         Self {
-            registry: KeyRegistry::deterministic(n),
             forged: vec![Default::default(); n],
         }
     }
 }
 
 impl Mischief<FbftEngine> for FbftMischief {
-    fn twin(
-        &mut self,
-        node: usize,
-        engine: &FbftEngine,
-        proposal_bytes: &[u8],
-    ) -> Option<(Vec<u8>, Vec<u8>)> {
+    fn twin(&mut self, engine: &FbftEngine, proposal_bytes: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
         let Ok(FbftMessage::Proposal(honest)) = FbftMessage::from_bytes(proposal_bytes) else {
             return None;
         };
@@ -54,12 +47,11 @@ impl Mischief<FbftEngine> for FbftMischief {
         let round = honest.block().round();
         let conflicting_payload = Payload::synthetic(1, 1, u64::MAX - round.as_u64());
         let twin_block = Block::new(&parent, round, engine.id(), conflicting_payload);
-        let key_pair = self.registry.key_pair(node as u64).expect("key for node");
         let twin = FbftProposal::new(
             twin_block,
             honest.qc().clone(),
             honest.tc().cloned(),
-            &key_pair,
+            engine.kernel().key_pair(),
         );
         Some((
             proposal_bytes.to_vec(),
@@ -67,23 +59,17 @@ impl Mischief<FbftEngine> for FbftMischief {
         ))
     }
 
-    fn forge_vote(
-        &mut self,
-        node: usize,
-        _engine: &FbftEngine,
-        incoming: &[u8],
-    ) -> Option<Vec<u8>> {
+    fn forge_vote(&mut self, engine: &FbftEngine, incoming: &[u8]) -> Option<Vec<u8>> {
         let Ok(FbftMessage::Proposal(proposal)) = FbftMessage::from_bytes(incoming) else {
             return None;
         };
-        if !self.forged[node].insert(proposal.block().id()) {
+        if !self.forged[engine.id().as_usize()].insert(proposal.block().id()) {
             return None;
         }
-        let key_pair = self.registry.key_pair(node as u64).expect("key for node");
         let vote = StrongVote::new(
             proposal.block().vote_data(),
             EndorseInfo::Marker(Round::ZERO),
-            &key_pair,
+            engine.kernel().key_pair(),
         );
         Some(FbftMessage::Vote(vote).to_bytes())
     }
@@ -123,6 +109,24 @@ pub fn build_fbft_engines(
         .collect()
 }
 
+/// [`build_fbft_engines`] for a wall clock: every replica paces its
+/// rounds on the [`sft_fbft::ROUND_INTERVAL`] grid after a
+/// [`sft_fbft::ROUND_BURST`]-round burst, so the round rate of a real
+/// cluster (`run_over_tcp*`, `sft-node`) is the grid's, not the
+/// scheduler's. Virtual-time runs are never paced.
+pub fn build_paced_fbft_engines(
+    config: &SimConfig,
+    base_timeout: sft_types::SimDuration,
+) -> Vec<FbftEngine> {
+    let mut engines = build_fbft_engines(config, base_timeout);
+    for engine in &mut engines {
+        engine
+            .replica_mut()
+            .set_round_pace(sft_fbft::ROUND_INTERVAL, sft_fbft::ROUND_BURST);
+    }
+    engines
+}
+
 type Runner = EngineRunner<FbftEngine, SimTransport, FbftMischief>;
 
 /// The SFT-DiemBFT simulator. Most callers use
@@ -142,38 +146,19 @@ impl FbftSimulation {
     /// Panics if `config.behaviors` is not exactly `n` entries.
     pub fn new(config: SimConfig) -> Self {
         assert_eq!(config.behaviors.len(), config.n, "one behavior per replica");
-        let protocol = ProtocolConfig::for_replicas(config.n);
-        let engines = build_fbft_engines(&config, config.base_timeout);
-        let mischief = FbftMischief::new(config.n);
-        let mut net = SimNetwork::new(config.delay);
-        if let Some(faults) = &config.faults {
-            net = net.with_faults(faults.clone());
-        }
-        let transport = SimTransport::new(net, config.n);
-        let mut runner = EngineRunner::new(
-            engines,
-            config.behaviors.clone(),
-            transport,
-            mischief,
-            RunnerConfig {
-                plan: RunPlan::PastRound(Round::new(config.epochs)),
-                horizon: SimTime::ZERO + config.run_horizon,
-                drain_bound: config.drain_sync_bound,
-                drain_step: config.delay,
-            },
+        let runner = crate::build_runner(
+            &config,
+            build_fbft_engines(&config, config.base_timeout),
+            config.sim_transport(),
+            FbftMischief::new(config.n),
+            RunPlan::PastRound(Round::new(config.epochs)),
+            config.delay,
+            crate::sim_instruments(&config),
         );
-        let recorder: sft_obs::SharedRecorder = if config.recording {
-            std::sync::Arc::new(sft_obs::Registry::new())
-        } else {
-            sft_obs::noop()
-        };
-        if config.recording {
-            runner.set_recorder(std::sync::Arc::clone(&recorder));
+        Self {
+            runner,
+            protocol: ProtocolConfig::for_replicas(config.n),
         }
-        if let Some(wals) = crate::sim_wals(&config, &recorder) {
-            runner.set_wals(wals);
-        }
-        Self { runner, protocol }
     }
 
     /// The protocol configuration derived from `n`.
@@ -190,7 +175,7 @@ impl FbftSimulation {
     /// honest replica is still block-syncing (or no event can ever fire
     /// again, or the time horizon trips) and reports.
     pub fn run(self) -> SimReport {
-        self.runner.run()
+        self.runner.run().expect(crate::IN_MEMORY_SINKS)
     }
 
     /// Snapshot of the current run state as a report.

@@ -1,11 +1,11 @@
 //! # sft-sim
 //!
-//! The run harness for the SFT protocol family: one generic
-//! [`run_engine`] loop ([`EngineRunner`]) drives any
-//! [`ReplicaEngine`](sft_core::ReplicaEngine) set over any
-//! [`Transport`] — the deterministic in-process [`SimTransport`] or the
-//! real-socket [`TcpCluster`] — with pluggable Byzantine behaviors per
-//! replica.
+//! The run harness for the SFT protocol family: one replica run loop
+//! ([`EngineRunner`]) drives any [`ReplicaEngine`]
+//! set over any [`Transport`] — the deterministic in-process
+//! [`SimTransport`], the real-socket [`TcpCluster`], or (hosting one
+//! replica per process, in `sft-node`) a `NodeTransport` — with pluggable
+//! Byzantine behaviors per replica.
 //!
 //! Under [`SimTransport`] there is no real networking and no wall-clock
 //! anywhere, so every run with the same [`SimConfig`] produces
@@ -62,16 +62,19 @@ pub mod fbft_driver;
 pub mod runner;
 pub mod streamlet_driver;
 
-use sft_core::{ChainKernel, PayloadSource, SyncStats};
+use std::sync::Arc;
+
+use sft_core::{ChainKernel, DurableWal, PayloadSource, ReplicaEngine, SyncStats};
 use sft_crypto::HashValue;
-use sft_network::{NetworkStats, ProtocolTag};
+use sft_network::{NetworkStats, ProtocolTag, SimNetwork};
+use sft_obs::SharedRecorder;
 use sft_types::{
     BatchConfig, EndorseMode, ReplicaId, Round, SimDuration, SimTime, StrongCommitUpdate,
     Transaction, VerifyPolicy,
 };
 
-pub use fbft_driver::{build_fbft_engines, FbftMischief, FbftSimulation};
-pub use runner::{run_engine, EngineRunner, Mischief, NoMischief, RunPlan, RunnerConfig};
+pub use fbft_driver::{build_fbft_engines, build_paced_fbft_engines, FbftMischief, FbftSimulation};
+pub use runner::{EngineRunner, Mischief, NoMischief, RunPlan, RunnerConfig};
 pub use sft_network::{FaultSchedule, Partition, SimTransport, TcpCluster, Transport};
 pub use streamlet_driver::{build_streamlet_engines, Simulation, StreamletMischief};
 
@@ -203,34 +206,82 @@ pub struct SimConfig {
     pub durability: DurabilityMode,
 }
 
-/// The per-replica durable logs a simulated run installs for `config`:
-/// in-memory sinks under the configured persistence discipline — the
-/// sequencing, gating, and group boundaries are exercised for real while
-/// the "disk" stays a byte vector — or `None` for the zero-overhead
-/// classic harness. `recorder` receives the WAL fsync/group-size metrics
-/// (pass the runner's registry, or [`sft_obs::noop`]).
-pub(crate) fn sim_wals(
+/// One durable log per replica of a run.
+type Wals = Vec<Box<dyn DurableWal>>;
+
+/// What a run observes and persists with: the live recorder when
+/// [`SimConfig::recording`] is on, and the per-replica durable logs
+/// unless the run is [`DurabilityMode::InMemory`].
+type Instruments = (Option<SharedRecorder>, Option<Wals>);
+
+/// The one place a [`SimConfig`] becomes an [`EngineRunner`], for the
+/// simulator and the loopback-TCP harness alike: pacing and safety bounds
+/// from `config` (`drain_step` is the transport's δ), one behavior per
+/// engine, then the run's instruments.
+pub(crate) fn build_runner<E: ReplicaEngine, T: Transport, M: Mischief<E>>(
     config: &SimConfig,
-    recorder: &sft_obs::SharedRecorder,
-) -> Option<Vec<Box<dyn sft_core::DurableWal>>> {
-    use sft_core::{DurableWal, GroupCommitWal, MemSink, WriteThroughWal};
-    use std::sync::Arc;
-    let build = |mode: DurabilityMode| -> Box<dyn DurableWal> {
-        match mode {
+    engines: Vec<E>,
+    transport: T,
+    mischief: M,
+    plan: RunPlan,
+    drain_step: SimDuration,
+    (recorder, wals): Instruments,
+) -> EngineRunner<E, T, M> {
+    let mut runner = EngineRunner::new(
+        engines,
+        config.behaviors.clone(),
+        transport,
+        mischief,
+        RunnerConfig {
+            plan,
+            horizon: SimTime::ZERO + config.run_horizon,
+            drain_bound: config.drain_sync_bound,
+            drain_step,
+        },
+    );
+    if let Some(recorder) = recorder {
+        runner.set_recorder(recorder);
+    }
+    if let Some(wals) = wals {
+        runner.set_wals(wals);
+    }
+    runner
+}
+
+/// The registry a recording run reports into; `None` keeps the free
+/// no-op recorder.
+fn run_recorder(config: &SimConfig) -> Option<SharedRecorder> {
+    config
+        .recording
+        .then(|| Arc::new(sft_obs::Registry::new()) as SharedRecorder)
+}
+
+/// Why a simulated run's WAL cannot fail (what [`sim_instruments`] builds).
+pub(crate) const IN_MEMORY_SINKS: &str = "a simulated run's WAL sinks are in memory";
+
+/// A simulated run's [`Instruments`]: its durable logs sit on in-memory
+/// sinks under the configured persistence discipline — the sequencing,
+/// gating, and group boundaries are exercised for real while the "disk"
+/// stays a byte vector.
+pub(crate) fn sim_instruments(config: &SimConfig) -> Instruments {
+    use sft_core::{GroupCommitWal, MemSink, WriteThroughWal};
+    let recorder = run_recorder(config);
+    let wal_recorder = || recorder.clone().unwrap_or_else(sft_obs::noop);
+    let build = || -> Box<dyn DurableWal> {
+        match config.durability {
             DurabilityMode::InMemory => unreachable!("no wal in memory-only mode"),
             DurabilityMode::WriteThrough => {
-                Box::new(WriteThroughWal::new(MemSink::new(), Arc::clone(recorder)))
+                Box::new(WriteThroughWal::new(MemSink::new(), wal_recorder()))
             }
             DurabilityMode::GroupCommit => Box::new(
-                GroupCommitWal::spawn(MemSink::new(), Arc::clone(recorder), None)
+                GroupCommitWal::spawn(MemSink::new(), wal_recorder(), None)
                     .expect("spawn wal writer"),
             ),
         }
     };
-    match config.durability {
-        DurabilityMode::InMemory => None,
-        mode => Some((0..config.n).map(|_| build(mode)).collect()),
-    }
+    let wals = (config.durability != DurabilityMode::InMemory)
+        .then(|| (0..config.n).map(|_| build()).collect());
+    (recorder, wals)
 }
 
 /// The default post-schedule drain bound for a run of `epochs`.
@@ -413,6 +464,16 @@ impl SimConfig {
         self.with_faults(FaultSchedule::partition(vec![straggler], heal_at))
     }
 
+    /// The simulated network of this configuration: delay δ, the fault
+    /// schedule if any, `n` endpoints.
+    pub(crate) fn sim_transport(&self) -> SimTransport {
+        let mut net = SimNetwork::new(self.delay);
+        if let Some(faults) = &self.faults {
+            net = net.with_faults(faults.clone());
+        }
+        SimTransport::new(net, self.n)
+    }
+
     /// The payload source replicas propose from under this configuration.
     pub(crate) fn payload_source(&self) -> PayloadSource {
         if self.batch_size > 0 {
@@ -507,14 +568,15 @@ impl Default for TcpPacing {
 
 /// Runs `config`'s replica set — the exact engines [`SimConfig::run`]
 /// would build — over a loopback TCP mesh instead of the simulator, under
-/// the generic [`run_engine`] loop. This is the transport-parity harness
+/// the same [`EngineRunner`] loop. This is the transport-parity harness
 /// `repro --transport tcp` and the `tcp_parity` suite share: content
 /// determinism means the TCP run commits the sim run's chain (check with
 /// [`SimReport::check_committed_prefix_of`]); only its length can differ.
 ///
 /// # Errors
 ///
-/// Returns any socket error raised while building the mesh.
+/// Returns any socket error raised while building the mesh, and any WAL
+/// failure of a durable run.
 pub fn run_over_tcp(config: &SimConfig, pacing: TcpPacing) -> std::io::Result<SimReport> {
     run_over_tcp_serving(config, pacing, |_| {})
 }
@@ -532,26 +594,29 @@ pub fn run_over_tcp(config: &SimConfig, pacing: TcpPacing) -> std::io::Result<Si
 ///
 /// # Errors
 ///
-/// Returns any socket error raised while building the mesh.
+/// Returns any socket error raised while building the mesh, and any WAL
+/// failure of a durable run.
 pub fn run_over_tcp_serving(
     config: &SimConfig,
     pacing: TcpPacing,
     ready: impl FnOnce(&[std::net::SocketAddr]),
 ) -> std::io::Result<SimReport> {
-    let behaviors = config.behaviors.clone();
-    let horizon = SimTime::ZERO + pacing.horizon;
-    // One registry serves the transport's frame counters and the
-    // runner's phase timings alike, so the report's metrics are whole.
-    let recorder = config
-        .recording
-        .then(|| std::sync::Arc::new(sft_obs::Registry::new()) as sft_obs::SharedRecorder);
+    // On a wall clock the runaway guard is the pacing's, not the
+    // virtual-time default.
+    let config = &SimConfig {
+        run_horizon: pacing.horizon,
+        ..config.clone()
+    };
     let tag = match config.protocol {
         Protocol::Streamlet => ProtocolTag::Streamlet,
         Protocol::Fbft => ProtocolTag::Fbft,
     };
     let mut cluster = TcpCluster::loopback(config.n, tag)?;
+    // One registry serves the transport's frame counters and the
+    // runner's phase timings alike, so the report's metrics are whole.
+    let recorder = run_recorder(config);
     if let Some(recorder) = &recorder {
-        cluster.set_recorder(std::sync::Arc::clone(recorder));
+        cluster.set_recorder(Arc::clone(recorder));
     }
     let addrs: Vec<_> = (0..config.n as u16)
         .map(|id| cluster.client_addr(ReplicaId::new(id)))
@@ -560,76 +625,45 @@ pub fn run_over_tcp_serving(
     // Unlike the simulator's in-memory sinks, TCP runs persist to real
     // files: the fsyncs (and the group-commit win over them) are real.
     let (wals, wal_root) = tcp_wals(config, &cluster, recorder.as_ref())?;
+    let instruments = (recorder, wals);
     let report = match config.protocol {
-        Protocol::Streamlet => {
-            let mut runner = EngineRunner::new(
-                build_streamlet_engines(config, pacing.delta * 2),
-                behaviors,
-                cluster,
-                NoMischief,
-                RunnerConfig {
-                    plan: RunPlan::UntilQuiescent,
-                    horizon,
-                    drain_bound: config.drain_sync_bound,
-                    drain_step: pacing.delta,
-                },
-            );
-            if let Some(recorder) = recorder {
-                runner.set_recorder(recorder);
-            }
-            if let Some(wals) = wals {
-                runner.set_wals(wals);
-            }
-            runner.run()
-        }
-        Protocol::Fbft => {
-            // On a wall clock rounds are paced (Streamlet's epochs already
-            // are): the round rate is the grid's, not the scheduler's.
-            let mut engines = build_fbft_engines(config, pacing.base_timeout);
-            for engine in &mut engines {
-                engine
-                    .replica_mut()
-                    .set_round_pace(sft_fbft::ROUND_INTERVAL, sft_fbft::ROUND_BURST);
-            }
-            let mut runner = EngineRunner::new(
-                engines,
-                behaviors,
-                cluster,
-                NoMischief,
-                RunnerConfig {
-                    plan: RunPlan::PastRound(Round::new(config.epochs)),
-                    horizon,
-                    drain_bound: config.drain_sync_bound,
-                    drain_step: pacing.delta,
-                },
-            );
-            if let Some(recorder) = recorder {
-                runner.set_recorder(recorder);
-            }
-            if let Some(wals) = wals {
-                runner.set_wals(wals);
-            }
-            runner.run()
-        }
+        Protocol::Streamlet => build_runner(
+            config,
+            build_streamlet_engines(config, pacing.delta * 2),
+            cluster,
+            NoMischief,
+            RunPlan::UntilQuiescent,
+            pacing.delta,
+            instruments,
+        )
+        .run(),
+        Protocol::Fbft => build_runner(
+            config,
+            build_paced_fbft_engines(config, pacing.base_timeout),
+            cluster,
+            NoMischief,
+            RunPlan::PastRound(Round::new(config.epochs)),
+            pacing.delta,
+            instruments,
+        )
+        .run(),
     };
     // The runner (and with it every WAL-writer thread) is gone; the logs
     // were scratch state for this run only.
     if let Some(root) = wal_root {
         let _ = std::fs::remove_dir_all(root);
     }
-    Ok(report)
+    report.map_err(wal_io_error)
+}
+
+/// A WAL failure as the `io::Error` the TCP harness reports.
+fn wal_io_error(e: sft_core::WalError) -> std::io::Error {
+    std::io::Error::other(e.to_string())
 }
 
 /// Monotone discriminator for concurrent/successive TCP runs in one
 /// process, so their scratch WAL directories never collide.
 static TCP_WAL_RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// The per-replica durable logs for a TCP run plus the scratch directory
-/// root to remove afterwards; both `None` under [`DurabilityMode::InMemory`].
-type TcpWals = (
-    Option<Vec<Box<dyn sft_core::DurableWal>>>,
-    Option<std::path::PathBuf>,
-);
 
 /// Builds the file-backed per-replica durable logs for a TCP run (and the
 /// scratch directory root to remove afterwards), or `(None, None)` under
@@ -639,29 +673,28 @@ type TcpWals = (
 fn tcp_wals(
     config: &SimConfig,
     cluster: &TcpCluster,
-    recorder: Option<&sft_obs::SharedRecorder>,
-) -> std::io::Result<TcpWals> {
+    recorder: Option<&SharedRecorder>,
+) -> std::io::Result<(Option<Wals>, Option<std::path::PathBuf>)> {
     if config.durability == DurabilityMode::InMemory {
         return Ok((None, None));
     }
     let run = TCP_WAL_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let root = std::env::temp_dir().join(format!("sft-wal-{}-{run}", std::process::id()));
-    let wal_err = |e: sft_core::WalError| std::io::Error::other(e.to_string());
-    let mut wals: Vec<Box<dyn sft_core::DurableWal>> = Vec::with_capacity(config.n);
+    let mut wals: Wals = Vec::with_capacity(config.n);
     for id in 0..config.n {
         let dir = root.join(format!("replica-{id}"));
         std::fs::create_dir_all(&dir)?;
-        let store = sft_core::WalStore::open(&dir, 1).map_err(wal_err)?;
-        let recorder = recorder.map_or_else(sft_obs::noop, std::sync::Arc::clone);
+        let store = sft_core::WalStore::open(&dir, 1).map_err(wal_io_error)?;
+        let recorder = recorder.map_or_else(sft_obs::noop, Arc::clone);
         wals.push(match config.durability {
             DurabilityMode::InMemory => unreachable!("handled above"),
             DurabilityMode::WriteThrough => {
-                Box::new(store.into_write_through(recorder).map_err(wal_err)?)
+                Box::new(store.into_write_through(recorder).map_err(wal_io_error)?)
             }
             DurabilityMode::GroupCommit => Box::new(
                 store
                     .into_group_commit(recorder, Some(cluster.writer_wake_hook()))
-                    .map_err(wal_err)?,
+                    .map_err(wal_io_error)?,
             ),
         });
     }

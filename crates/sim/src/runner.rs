@@ -1,14 +1,24 @@
-//! The generic engine run loop: one discrete event loop that drives any
-//! [`ReplicaEngine`] over any [`Transport`].
+//! The replica run loop: one discrete event loop that drives any
+//! [`ReplicaEngine`] over any [`Transport`], hosting 1…n of the
+//! transport's replicas.
 //!
-//! This is the layer cut that used to be duplicated across
-//! `streamlet_driver` and `fbft_driver`: decode-free dispatch (engines eat
-//! envelope bytes), same-instant cascades (a replica hears its own
-//! broadcasts without paying the network delay), deadline firing, the
-//! bounded post-run sync drain, Byzantine behavior filtering, and
-//! [`SimReport`] assembly all live here exactly once. The protocol crates
-//! contribute engines; the drivers contribute only construction and the
-//! protocol-specific Byzantine payloads ([`Mischief`]).
+//! Everything outside the engines happens here, exactly once: client
+//! ingress → `submit` → verdict or ack route; decode-free dispatch
+//! (engines eat envelope bytes); same-instant cascades (a replica hears
+//! its own broadcasts without paying the network delay); deadline firing
+//! and block-sync polling; persist → gate → route; ack return; the bounded
+//! post-run sync drain; Byzantine behavior filtering; [`SimReport`]
+//! assembly. The simulator and the loopback-TCP harness host all `n`
+//! replicas in one runner; `sft-node` hosts the one replica its process
+//! is — same loop, so what the tests and the benchmark drive is what
+//! ships. The protocol crates contribute engines; the drivers contribute
+//! only construction and the protocol-specific Byzantine payloads
+//! ([`Mischief`]).
+//!
+//! Engines are found by [`ReplicaEngine::id`]; a delivery for a replica
+//! hosted elsewhere is dropped. Index-taking accessors (`engine(i)`, …)
+//! index the hosted engines in the order given — the replica id when all
+//! `n` are hosted.
 //!
 //! ## Behaviors without protocol knowledge
 //!
@@ -29,13 +39,15 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use sft_core::{DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalRecord};
+use sft_core::{
+    DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError, WalRecord,
+};
 use sft_crypto::HashValue;
 use sft_network::Transport;
 use sft_obs::{names, PhaseTimer, SharedRecorder};
 use sft_types::{
-    ClientFrame, Decode, Encode, PersistSeq, ReplicaId, Round, SendGate, SimDuration, SimTime,
-    StrongCommitUpdate,
+    ClientFrame, Decode, Dest, Encode, PersistSeq, ReplicaId, Round, SendGate, SimDuration,
+    SimTime, StrongCommitUpdate,
 };
 
 use crate::{Behavior, SimReport};
@@ -69,22 +81,18 @@ pub enum RunPlan {
 
 /// The protocol-specific payloads Byzantine behaviors need: everything
 /// else about the fault model is generic routing policy in the runner.
+/// `engine` is the misbehaving replica's.
 pub trait Mischief<E: ReplicaEngine> {
     /// Twin an equivocating leader's proposal: returns the two conflicting
     /// encodings (the honest half and a sibling with a different payload)
     /// for split-brain delivery, or `None` if `proposal_bytes` cannot be
     /// twinned (the runner then broadcasts it honestly).
-    fn twin(
-        &mut self,
-        node: usize,
-        engine: &E,
-        proposal_bytes: &[u8],
-    ) -> Option<(Vec<u8>, Vec<u8>)>;
+    fn twin(&mut self, engine: &E, proposal_bytes: &[u8]) -> Option<(Vec<u8>, Vec<u8>)>;
 
     /// The forged vote an equivocator broadcasts for an ingested proposal
     /// (at most once per block), or `None` if `incoming` is not a proposal
     /// or was already voted on.
-    fn forge_vote(&mut self, node: usize, engine: &E, incoming: &[u8]) -> Option<Vec<u8>>;
+    fn forge_vote(&mut self, engine: &E, incoming: &[u8]) -> Option<Vec<u8>>;
 }
 
 /// The no-op [`Mischief`]: every replica is honest. This is what real
@@ -93,11 +101,11 @@ pub trait Mischief<E: ReplicaEngine> {
 pub struct NoMischief;
 
 impl<E: ReplicaEngine> Mischief<E> for NoMischief {
-    fn twin(&mut self, _: usize, _: &E, _: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+    fn twin(&mut self, _: &E, _: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
         None
     }
 
-    fn forge_vote(&mut self, _: usize, _: &E, _: &[u8]) -> Option<Vec<u8>> {
+    fn forge_vote(&mut self, _: &E, _: &[u8]) -> Option<Vec<u8>> {
         None
     }
 }
@@ -124,11 +132,14 @@ pub struct RunnerConfig {
 /// transport delay.
 type Inbox = VecDeque<(ReplicaId, ReplicaId, Arc<[u8]>)>;
 
-/// The generic run harness: `n` engines, their behaviors, one transport,
-/// and one [`Mischief`] hook. See the [module docs](self).
+/// The run loop: the hosted engines, their behaviors, one transport, and
+/// one [`Mischief`] hook. See the [module docs](self).
 pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     engines: Vec<E>,
     behaviors: Vec<Behavior>,
+    /// Replica id → index into `engines`; `None` for the transport's
+    /// replicas hosted elsewhere.
+    slots: Vec<Option<usize>>,
     transport: T,
     mischief: M,
     config: RunnerConfig,
@@ -165,8 +176,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `engines` and `behaviors` disagree in length or the
-    /// transport connects a different number of replicas.
+    /// Panics if `engines` and `behaviors` disagree in length, or an
+    /// engine's id is hosted twice or is not one of the transport's
+    /// replicas.
     pub fn new(
         engines: Vec<E>,
         behaviors: Vec<Behavior>,
@@ -175,15 +187,17 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         config: RunnerConfig,
     ) -> Self {
         assert_eq!(engines.len(), behaviors.len(), "one behavior per replica");
-        assert_eq!(
-            engines.len(),
-            transport.replica_count(),
-            "transport sized for the replica set"
-        );
+        let mut slots = vec![None; transport.replica_count()];
+        for (slot, engine) in engines.iter().enumerate() {
+            let id = engine.id().as_usize();
+            assert!(id < slots.len(), "transport sized for the replica set");
+            assert!(slots[id].replace(slot).is_none(), "one engine per replica");
+        }
         let n = engines.len();
         Self {
             engines,
             behaviors,
+            slots,
             transport,
             mischief,
             config,
@@ -207,7 +221,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         self.recorder = recorder;
     }
 
-    /// Installs one durable log per replica and switches the run to the
+    /// Installs one durable log per hosted replica and switches the run to the
     /// pipelined persistence discipline: every persist record is appended
     /// to the replica's [`DurableWal`] before its step's messages are
     /// routed, and every outbound message carries a [`SendGate`] that
@@ -216,7 +230,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `wals` is not exactly one log per replica.
+    /// Panics if `wals` is not exactly one log per hosted replica.
     pub fn set_wals(&mut self, wals: Vec<Box<dyn DurableWal>>) {
         assert_eq!(wals.len(), self.engines.len(), "one wal per replica");
         self.wals = Some(wals);
@@ -276,7 +290,11 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     }
 
     /// Runs to completion per the configured [`RunPlan`] and reports.
-    pub fn run(mut self) -> SimReport {
+    ///
+    /// # Errors
+    ///
+    /// Returns the first WAL failure; see [`run_until`](Self::run_until).
+    pub fn run(mut self) -> Result<SimReport, WalError> {
         loop {
             if let RunPlan::PastRound(target) = self.config.plan {
                 if self.honest_min_round() > target && !self.sync_active() {
@@ -284,7 +302,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 }
             }
             match self.next_event_time() {
-                Some(t) if t <= self.config.horizon => self.step_instant(t),
+                Some(t) if t <= self.config.horizon => self.step_instant(t)?,
                 Some(_) => break, // horizon tripped: runaway guard
                 None => {
                     // Nothing scheduled. Keep time moving in drain steps
@@ -295,38 +313,54 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                     {
                         self.drain_used += 1;
                         let t = self.transport.now() + self.config.drain_step;
-                        self.step_instant(t);
+                        self.step_instant(t)?;
                     } else {
                         break;
                     }
                 }
             }
         }
-        // Settle durability before reporting: every appended record is
-        // fsynced (so the fsync count is stable) and every gated frame's
-        // watermark is reachable — nothing is left waiting on a sync that
-        // will never come.
-        if let Some(wals) = &mut self.wals {
-            for wal in wals.iter_mut() {
-                wal.barrier().expect("wal barrier");
-            }
+        self.finish()
+    }
+
+    /// Ends the run, as [`run`](Self::run) does and a caller pacing it
+    /// through [`run_until`](Self::run_until) must: settles durability —
+    /// every appended record is fsynced (so the fsync count is stable)
+    /// and no gated frame is left waiting on a sync that will never come
+    /// — and reports.
+    ///
+    /// # Errors
+    ///
+    /// Returns the WAL failure that kept the log from becoming durable.
+    pub fn finish(mut self) -> Result<SimReport, WalError> {
+        for wal in self.wals.iter_mut().flatten() {
+            wal.barrier()?;
         }
-        self.into_report()
+        Ok(self.into_report())
     }
 
     /// Advances through every scheduled event at or before `until`, then
     /// to `until` itself — the incremental API benchmarks drive epochs
-    /// with.
-    pub fn run_until(&mut self, until: SimTime) {
+    /// with, and `sft-node` wraps its stop rule around. On a socket
+    /// transport it returns early when traffic arrives before `until`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first WAL append failure. The failed step routed
+    /// nothing, and frames already gated on a record that never became
+    /// durable stay held by the transport. The engines are now ahead of
+    /// their logs: the run is over, drop the runner.
+    pub fn run_until(&mut self, until: SimTime) -> Result<(), WalError> {
         while let Some(next) = self.next_event_time() {
             if next > until {
                 break;
             }
-            self.step_instant(next);
+            self.step_instant(next)?;
         }
         if self.transport.now() < until {
-            self.step_instant(until);
+            self.step_instant(until)?;
         }
+        Ok(())
     }
 
     /// The earliest pending event: a transport delivery or a live replica's
@@ -352,7 +386,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// off them — iterating until the instant produces nothing further
     /// (self-deliveries cascade within it), then draining due block-sync
     /// fetches.
-    fn step_instant(&mut self, target: SimTime) {
+    fn step_instant(&mut self, target: SimTime) -> Result<(), WalError> {
         // A freshly restarted engine can report a deadline already in the
         // past (its clock resumes where the pre-crash replica left off);
         // overdue work fires at the current instant — time never rewinds.
@@ -370,17 +404,18 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         self.serve_clients(now);
         loop {
             while let Some((to, from, bytes)) = inbox.pop_front() {
-                self.handle(to, from, bytes, now, &mut inbox);
+                self.handle(to, from, bytes, now, &mut inbox)?;
             }
-            if self.fire_due_ticks(now, &mut inbox) || !inbox.is_empty() {
+            if self.fire_due_ticks(now, &mut inbox)? || !inbox.is_empty() {
                 continue;
             }
-            self.poll_sync(now, &mut inbox);
+            self.poll_sync(now, &mut inbox)?;
             if inbox.is_empty() {
                 break;
             }
         }
         self.flush_acks();
+        Ok(())
     }
 
     /// The client-ingress leg: drains the transport's client gateway,
@@ -391,8 +426,10 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// empty poll) on transports without a client gateway.
     fn serve_clients(&mut self, now: SimTime) {
         for delivery in self.transport.poll_clients() {
-            let i = delivery.replica.as_usize();
-            if i >= self.engines.len() || self.behaviors[i] == Behavior::Silent {
+            let Some(i) = self.slot(delivery.replica) else {
+                continue; // addressed to a replica hosted elsewhere
+            };
+            if self.behaviors[i] == Behavior::Silent {
                 continue;
             }
             let Ok(ClientFrame::Request(req)) = ClientFrame::from_bytes(&delivery.payload) else {
@@ -442,10 +479,12 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         bytes: Arc<[u8]>,
         now: SimTime,
         inbox: &mut Inbox,
-    ) {
-        let i = to.as_usize();
+    ) -> Result<(), WalError> {
+        let Some(i) = self.slot(to) else {
+            return Ok(()); // addressed to a replica hosted elsewhere
+        };
         if self.behaviors[i] == Behavior::Silent {
-            return;
+            return Ok(());
         }
         let timer = PhaseTimer::start(&*self.recorder);
         let step = self.engines[i].on_envelope(from, &bytes, now);
@@ -454,19 +493,32 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         // clean-history marker, in place of the honest vote the policy
         // below discards.
         if self.behaviors[i] == Behavior::Equivocate {
-            if let Some(forged) = self.mischief.forge_vote(i, &self.engines[i], &bytes) {
+            if let Some(forged) = self.mischief.forge_vote(&self.engines[i], &bytes) {
                 self.route(i, OutboundMsg::broadcast(MsgKind::Vote, forged), inbox);
             }
         }
-        self.absorb(i, step, now, inbox);
+        self.absorb(i, step, now, inbox)
+    }
+
+    /// The index of the hosted engine that is replica `id`, if this
+    /// runner hosts it.
+    fn slot(&self, id: ReplicaId) -> Option<usize> {
+        *self.slots.get(id.as_usize())?
     }
 
     /// Records a step's commit-log entries on node `i`'s timeline and
     /// routes its outbound messages through the behavior filter.
-    fn absorb(&mut self, i: usize, step: EngineStep, now: SimTime, inbox: &mut Inbox) {
+    fn absorb(
+        &mut self,
+        i: usize,
+        step: EngineStep,
+        now: SimTime,
+        inbox: &mut Inbox,
+    ) -> Result<(), WalError> {
         // Write-ahead discipline: durable records land in the log before
         // any message they justify is routed, so a crash after a send can
-        // never find the log missing the vote that went out. With durable
+        // never find the log missing the vote that went out — and a
+        // failed append returns before anything is routed. With durable
         // logs installed, `append` only *enqueues* (group commit) or
         // fsyncs inline (write-through); what the hot path actually waits
         // is recorded separately as the persist-wait phase.
@@ -475,7 +527,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             if let Some(wals) = &mut self.wals {
                 let wait = PhaseTimer::start(&*self.recorder);
                 for record in &step.persist {
-                    self.last_seq[i] = wals[i].append(record).expect("wal append");
+                    self.last_seq[i] = wals[i].append(record)?;
                 }
                 wait.finish(&*self.recorder, names::PHASE_PERSIST_WAIT_NS);
             }
@@ -490,6 +542,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             self.route_filtered(i, out, inbox);
         }
         route.finish(&*self.recorder, names::PHASE_ROUTE_NS);
+        Ok(())
     }
 
     /// Behavior policy for one outbound message — see the module docs.
@@ -522,19 +575,19 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// recipients share the buffer) and loop back to the sender
     /// immediately; point-to-point sends pay the transport delay.
     ///
-    /// Pipelined runs route through the transport's gated entry points,
-    /// so the frame is held (in the transport, off the engine loop) until
-    /// the WAL watermark covers the records that justify it. The sender's
-    /// own loopback delivery is *not* gated: a replica hearing its own
-    /// message early cannot equivocate against itself, and its WAL replay
-    /// restores the same state after a crash.
+    /// Pipelined runs attach the replica's gate, so the frame is held (in
+    /// the transport, off the engine loop) until the WAL watermark covers
+    /// the records that justify it. The sender's own loopback delivery is
+    /// *not* gated: a replica hearing its own message early cannot
+    /// equivocate against itself, and its WAL replay restores the same
+    /// state after a crash.
     fn route(&mut self, i: usize, out: OutboundMsg, inbox: &mut Inbox) {
         let from = self.engines[i].id();
         if self.recorder.enabled() {
             // One message per transport recipient, mirroring the
             // aggregate NetworkStats accounting but split per kind.
             let recipients = match out.route {
-                Route::Broadcast => (self.engines.len() - 1) as u64,
+                Route::Broadcast => (self.transport.replica_count() - 1) as u64,
                 Route::To(_) => 1,
             };
             let kind = kind_index(out.kind);
@@ -543,21 +596,14 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 .add(names::NET_BYTES[kind], recipients * out.bytes.len() as u64);
         }
         let gate = self.gate_for(i);
-        match (out.route, gate) {
-            (Route::Broadcast, Some(gate)) => {
-                self.transport
-                    .broadcast_gated(from, Arc::clone(&out.bytes), gate);
-                inbox.push_back((from, from, out.bytes));
+        let dest = match out.route {
+            Route::Broadcast => {
+                inbox.push_back((from, from, Arc::clone(&out.bytes)));
+                Dest::Broadcast
             }
-            (Route::Broadcast, None) => {
-                self.transport.broadcast(from, Arc::clone(&out.bytes));
-                inbox.push_back((from, from, out.bytes));
-            }
-            (Route::To(peer), Some(gate)) => {
-                self.transport.send_gated(from, peer, out.bytes, gate);
-            }
-            (Route::To(peer), None) => self.transport.send(from, peer, out.bytes),
-        }
+            Route::To(peer) => Dest::Peer(peer),
+        };
+        self.transport.send_to(from, dest, out.bytes, gate);
     }
 
     /// Split-brain delivery of an equivocating leader's twin proposals:
@@ -565,12 +611,12 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// (so it casts the conflicting votes honest trackers will flag). Each
     /// twin is encoded once; its recipients share the buffer.
     fn split_brain(&mut self, i: usize, honest: Arc<[u8]>, inbox: &mut Inbox) {
-        let Some((a, b)) = self.mischief.twin(i, &self.engines[i], &honest) else {
+        let Some((a, b)) = self.mischief.twin(&self.engines[i], &honest) else {
             self.route(i, OutboundMsg::broadcast(MsgKind::Proposal, honest), inbox);
             return;
         };
         let halves: [Arc<[u8]>; 2] = [a.into(), b.into()];
-        let n = self.engines.len();
+        let n = self.transport.replica_count();
         let from = self.engines[i].id();
         for to in 0..n as u16 {
             let target = ReplicaId::new(to);
@@ -588,7 +634,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
 
     /// Fires every live engine whose deadline has passed. Returns whether
     /// any deadline was consumed (the instant may need another cascade).
-    fn fire_due_ticks(&mut self, now: SimTime, inbox: &mut Inbox) -> bool {
+    fn fire_due_ticks(&mut self, now: SimTime, inbox: &mut Inbox) -> Result<bool, WalError> {
         let mut fired = false;
         for i in 0..self.engines.len() {
             if self.behaviors[i] == Behavior::Silent {
@@ -599,22 +645,23 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 let timer = PhaseTimer::start(&*self.recorder);
                 let step = self.engines[i].on_tick(now);
                 timer.finish(&*self.recorder, names::PHASE_ON_TICK_NS);
-                self.absorb(i, step, now, inbox);
+                self.absorb(i, step, now, inbox)?;
             }
         }
-        fired
+        Ok(fired)
     }
 
     /// Drains every live engine's due block-sync fetches, sent
     /// point-to-point to the chosen peers.
-    fn poll_sync(&mut self, now: SimTime, inbox: &mut Inbox) {
+    fn poll_sync(&mut self, now: SimTime, inbox: &mut Inbox) -> Result<(), WalError> {
         for i in 0..self.engines.len() {
             if self.behaviors[i] == Behavior::Silent {
                 continue;
             }
             let step = self.engines[i].poll_sync(now);
-            self.absorb(i, step, now, inbox);
+            self.absorb(i, step, now, inbox)?;
         }
+        Ok(())
     }
 
     /// True while catch-up work remains on the replicas the plan cares
@@ -745,17 +792,4 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             metrics: self.recorder.snapshot(),
         }
     }
-}
-
-/// One-call form of the generic loop: builds an [`EngineRunner`] and runs
-/// it to completion. This is the entry point the `repro --transport tcp`
-/// path uses — the same loop the simulator runs, over real sockets.
-pub fn run_engine<E: ReplicaEngine, T: Transport, M: Mischief<E>>(
-    engines: Vec<E>,
-    behaviors: Vec<Behavior>,
-    transport: T,
-    mischief: M,
-    config: RunnerConfig,
-) -> SimReport {
-    EngineRunner::new(engines, behaviors, transport, mischief, config).run()
 }

@@ -12,17 +12,16 @@
 
 use sft_core::{Block, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
-use sft_network::{SimNetwork, SimTransport};
+use sft_network::SimTransport;
 use sft_streamlet::{Message, Proposal, Replica, StreamletEngine};
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
 
-use crate::runner::{EngineRunner, Mischief, RunPlan, RunnerConfig};
+use crate::runner::{EngineRunner, Mischief, RunPlan};
 use crate::{SimConfig, SimReport};
 
 /// Streamlet's protocol-specific Byzantine payloads: conflicting twin
 /// proposals and forged zero-marker votes.
 pub struct StreamletMischief {
-    registry: KeyRegistry,
     /// Blocks each (Byzantine) node already cast a forged vote for, to
     /// avoid unbounded duplicates.
     forged: Vec<std::collections::HashSet<HashValue>>,
@@ -31,7 +30,6 @@ pub struct StreamletMischief {
 impl StreamletMischief {
     fn new(n: usize) -> Self {
         Self {
-            registry: KeyRegistry::deterministic(n),
             forged: vec![Default::default(); n],
         }
     }
@@ -40,7 +38,6 @@ impl StreamletMischief {
 impl Mischief<StreamletEngine> for StreamletMischief {
     fn twin(
         &mut self,
-        node: usize,
         engine: &StreamletEngine,
         proposal_bytes: &[u8],
     ) -> Option<(Vec<u8>, Vec<u8>)> {
@@ -51,28 +48,21 @@ impl Mischief<StreamletEngine> for StreamletMischief {
         let epoch = honest.block().round();
         let conflicting_payload = Payload::synthetic(1, 1, u64::MAX - epoch.as_u64());
         let twin_block = Block::new(&parent, epoch, engine.id(), conflicting_payload);
-        let key_pair = self.registry.key_pair(node as u64).expect("key for node");
-        let twin = Proposal::new(twin_block, &key_pair);
+        let twin = Proposal::new(twin_block, engine.kernel().key_pair());
         Some((proposal_bytes.to_vec(), Message::Proposal(twin).to_bytes()))
     }
 
-    fn forge_vote(
-        &mut self,
-        node: usize,
-        _engine: &StreamletEngine,
-        incoming: &[u8],
-    ) -> Option<Vec<u8>> {
+    fn forge_vote(&mut self, engine: &StreamletEngine, incoming: &[u8]) -> Option<Vec<u8>> {
         let Ok(Message::Proposal(proposal)) = Message::from_bytes(incoming) else {
             return None;
         };
-        if !self.forged[node].insert(proposal.block().id()) {
+        if !self.forged[engine.id().as_usize()].insert(proposal.block().id()) {
             return None;
         }
-        let key_pair = self.registry.key_pair(node as u64).expect("key for node");
         let vote = StrongVote::new(
             proposal.block().vote_data(),
             EndorseInfo::Marker(Round::ZERO),
-            &key_pair,
+            engine.kernel().key_pair(),
         );
         Some(Message::Vote(vote).to_bytes())
     }
@@ -128,41 +118,19 @@ impl Simulation {
     /// Panics if `config.behaviors` is not exactly `n` entries.
     pub fn new(config: SimConfig) -> Self {
         assert_eq!(config.behaviors.len(), config.n, "one behavior per replica");
-        let protocol = ProtocolConfig::for_replicas(config.n);
         let period = config.delay * 2;
-        let engines = build_streamlet_engines(&config, period);
-        let mischief = StreamletMischief::new(config.n);
-        let mut net = SimNetwork::new(config.delay);
-        if let Some(faults) = &config.faults {
-            net = net.with_faults(faults.clone());
-        }
-        let transport = SimTransport::new(net, config.n);
-        let mut runner = EngineRunner::new(
-            engines,
-            config.behaviors.clone(),
-            transport,
-            mischief,
-            RunnerConfig {
-                plan: RunPlan::UntilQuiescent,
-                horizon: SimTime::ZERO + config.run_horizon,
-                drain_bound: config.drain_sync_bound,
-                drain_step: config.delay,
-            },
+        let runner = crate::build_runner(
+            &config,
+            build_streamlet_engines(&config, period),
+            config.sim_transport(),
+            StreamletMischief::new(config.n),
+            RunPlan::UntilQuiescent,
+            config.delay,
+            crate::sim_instruments(&config),
         );
-        let recorder: sft_obs::SharedRecorder = if config.recording {
-            std::sync::Arc::new(sft_obs::Registry::new())
-        } else {
-            sft_obs::noop()
-        };
-        if config.recording {
-            runner.set_recorder(std::sync::Arc::clone(&recorder));
-        }
-        if let Some(wals) = crate::sim_wals(&config, &recorder) {
-            runner.set_wals(wals);
-        }
         Self {
             runner,
-            protocol,
+            protocol: ProtocolConfig::for_replicas(config.n),
             period,
         }
     }
@@ -175,7 +143,7 @@ impl Simulation {
     /// Runs all configured epochs, lets catch-up traffic settle, and
     /// reports.
     pub fn run(self) -> SimReport {
-        self.runner.run()
+        self.runner.run().expect(crate::IN_MEMORY_SINKS)
     }
 
     /// Advances the run through the end of `epoch` (an epoch spans two
@@ -183,7 +151,8 @@ impl Simulation {
     /// time with this.
     pub fn run_epoch(&mut self, epoch: Round) {
         self.runner
-            .run_until(SimTime::ZERO + self.period * epoch.as_u64());
+            .run_until(SimTime::ZERO + self.period * epoch.as_u64())
+            .expect(crate::IN_MEMORY_SINKS);
     }
 
     /// Snapshot of the current run state as a report.

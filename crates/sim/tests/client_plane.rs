@@ -209,7 +209,7 @@ fn wal_replay_restores_client_dedup_across_restart() {
     );
     runner.keep_persist_log();
     let end = SimTime::ZERO + period * 8;
-    runner.run_until(end);
+    runner.run_until(end).unwrap();
     let report = runner.report();
     assert!(
         report.txns_committed > 0,

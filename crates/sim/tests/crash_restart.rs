@@ -69,7 +69,7 @@ fn crash_restart_streamlet(n: usize, epochs: u64) {
     // (all in-memory state) is dropped on the floor; only the WAL the
     // runner persisted ahead of its sends survives.
     let crash_at = SimTime::ZERO + period * (epochs / 3);
-    runner.run_until(crash_at);
+    runner.run_until(crash_at).unwrap();
     let pre_crash_chain = runner.engine(victim).committed_chain().to_vec();
     assert!(
         !runner.persisted(victim).is_empty(),
@@ -80,7 +80,7 @@ fn crash_restart_streamlet(n: usize, epochs: u64) {
     // Two epochs of downtime, then restart: a fresh engine replays the
     // recovered records before its first tick.
     let restart_at = crash_at + period * 2;
-    runner.run_until(restart_at);
+    runner.run_until(restart_at).unwrap();
     let mut fresh = build_streamlet_engines(&config, period).remove(victim);
     for record in &through_wal_codec(runner.persisted(victim)) {
         fresh.restore(record, restart_at);
@@ -91,9 +91,9 @@ fn crash_restart_streamlet(n: usize, epochs: u64) {
     // Finish the schedule, then drain catch-up traffic in δ steps (each
     // step fires the sync poll and retry timers run() would drive).
     let end = SimTime::ZERO + period * epochs;
-    runner.run_until(end);
+    runner.run_until(end).unwrap();
     for step in 1..=60u64 {
-        runner.run_until(end + config.delay * step);
+        runner.run_until(end + config.delay * step).unwrap();
     }
 
     let report = runner.report();
@@ -140,7 +140,7 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
 
     // SFT-DiemBFT self-paces at ~2δ per round; crash mid-pipeline.
     let crash_at = SimTime::ZERO + config.delay * target_rounds;
-    runner.run_until(crash_at);
+    runner.run_until(crash_at).unwrap();
     let pre_crash_chain = runner.engine(victim).committed_chain().to_vec();
     assert!(
         !runner.persisted(victim).is_empty(),
@@ -149,7 +149,7 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
     runner.set_behavior(victim, Behavior::Silent);
 
     let restart_at = crash_at + config.base_timeout * 2;
-    runner.run_until(restart_at);
+    runner.run_until(restart_at).unwrap();
     let mut fresh = build_fbft_engines(&config, config.base_timeout).remove(victim);
     for record in &through_wal_codec(runner.persisted(victim)) {
         fresh.restore(record, restart_at);
@@ -163,7 +163,7 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
     let mut at = runner.transport().now();
     while at < end {
         at += config.delay;
-        runner.run_until(at);
+        runner.run_until(at).unwrap();
     }
 
     let report = runner.report();

@@ -134,10 +134,10 @@ fn fbft_f2_disciplines_agree() {
 // ---------------------------------------------------------------------------
 
 /// Wraps [`SimTransport`] to audit the pipelined discipline with real
-/// protocol traffic: every frame the runner routes through the gated
-/// entry points must clear its [`SendGate`](sft_types::SendGate) —
-/// watermark covering the persist sequence that justifies it — before
-/// the frame is handed to the network.
+/// protocol traffic: every frame the runner routes with a
+/// [`SendGate`](sft_types::SendGate) must clear it — watermark covering
+/// the persist sequence that justifies it — before the frame is handed to
+/// the network.
 struct GateAudit {
     inner: sft_network::SimTransport,
     gated: std::sync::Arc<std::sync::atomic::AtomicU64>,
@@ -161,17 +161,17 @@ impl sft_sim::Transport for GateAudit {
         self.inner.replica_count()
     }
 
-    fn send(
+    fn send_to(
         &mut self,
         from: sft_types::ReplicaId,
-        to: sft_types::ReplicaId,
+        dest: sft_network::Dest,
         p: std::sync::Arc<[u8]>,
+        gate: Option<sft_types::SendGate>,
     ) {
-        self.inner.send(from, to, p);
-    }
-
-    fn broadcast(&mut self, from: sft_types::ReplicaId, p: std::sync::Arc<[u8]>) {
-        self.inner.broadcast(from, p);
+        if let Some(gate) = &gate {
+            self.clear(gate);
+        }
+        self.inner.send_to(from, dest, p, None);
     }
 
     fn poll_deliver(&mut self, deadline: sft_types::SimTime) -> Vec<sft_network::Delivery> {
@@ -192,31 +192,6 @@ impl sft_sim::Transport for GateAudit {
 
     fn stats(&self) -> sft_network::NetworkStats {
         self.inner.stats()
-    }
-
-    fn supports_gating(&self) -> bool {
-        true
-    }
-
-    fn send_gated(
-        &mut self,
-        from: sft_types::ReplicaId,
-        to: sft_types::ReplicaId,
-        p: std::sync::Arc<[u8]>,
-        gate: sft_types::SendGate,
-    ) {
-        self.clear(&gate);
-        self.inner.send(from, to, p);
-    }
-
-    fn broadcast_gated(
-        &mut self,
-        from: sft_types::ReplicaId,
-        p: std::sync::Arc<[u8]>,
-        gate: sft_types::SendGate,
-    ) {
-        self.clear(&gate);
-        self.inner.broadcast(from, p);
     }
 }
 
@@ -255,7 +230,7 @@ fn audit_run<E: sft_core::ReplicaEngine>(
         })
         .collect();
     runner.set_wals(wals);
-    let report = runner.run();
+    let report = runner.run().expect("in-memory sinks");
     let gated = gated.load(std::sync::atomic::Ordering::Relaxed);
     (report, gated)
 }

@@ -95,11 +95,17 @@ fn long_run<E: ReplicaEngine>(
 ) -> (Vec<[f64; 3]>, SimReport, Vec<WalRecord>) {
     runner.keep_persist_log();
     let start = Steps::sample(&runner);
-    runner.run_until(SimTime::ZERO + round_span * WINDOW);
+    runner
+        .run_until(SimTime::ZERO + round_span * WINDOW)
+        .unwrap();
     let early = Steps::sample(&runner);
-    runner.run_until(SimTime::ZERO + round_span * (ROUNDS - WINDOW));
+    runner
+        .run_until(SimTime::ZERO + round_span * (ROUNDS - WINDOW))
+        .unwrap();
     let late_start = Steps::sample(&runner);
-    runner.run_until(SimTime::ZERO + round_span * ROUNDS);
+    runner
+        .run_until(SimTime::ZERO + round_span * ROUNDS)
+        .unwrap();
     let end = Steps::sample(&runner);
     assert!(
         early.round >= WINDOW - 8 && end.round >= ROUNDS - 8,
@@ -255,7 +261,7 @@ fn partitioned_fbft_run(rounds_cut: u64, rounds_total: u64) -> SimReport {
         engine.kernel_mut().set_retention(HORIZON);
     }
     let plan = RunPlan::PastRound(Round::new(rounds_total));
-    runner(&config, engines, plan, Some(faults)).run()
+    runner(&config, engines, plan, Some(faults)).run().unwrap()
 }
 
 #[test]

@@ -68,6 +68,24 @@ impl StreamletEngine {
     fn epoch_open_at(&self, epoch: u64) -> SimTime {
         SimTime::ZERO + self.period * (epoch - 1)
     }
+
+    /// Opens every epoch whose start has passed (a wall-clock run can
+    /// overshoot a deadline; catch up in order) and returns the proposals
+    /// this replica leads them with.
+    fn open_due_epochs(&mut self, now: SimTime) -> Vec<OutboundMsg> {
+        let mut outbound = Vec::new();
+        while self.next_epoch <= self.max_epochs && self.epoch_open_at(self.next_epoch) <= now {
+            let epoch = Round::new(self.next_epoch);
+            self.next_epoch += 1;
+            if let Some(proposal) = self.replica.begin_epoch_sourced(epoch) {
+                outbound.push(OutboundMsg::broadcast(
+                    MsgKind::Proposal,
+                    Message::Proposal(proposal).to_bytes(),
+                ));
+            }
+        }
+        outbound
+    }
 }
 
 impl ReplicaEngine for StreamletEngine {
@@ -94,6 +112,13 @@ impl ReplicaEngine for StreamletEngine {
         let mut updates = Vec::new();
         match msg {
             Message::Proposal(proposal) => {
+                // The epoch clock is `now`, not the last tick the run loop
+                // got round to: over loopback sockets the leader's proposal
+                // can be dequeued before this replica's own tick for the
+                // same epoch, and a proposal for an epoch not yet opened
+                // wins no vote. (Never the case in virtual time, where a
+                // proposal arrives δ after every tick of its epoch.)
+                outbound = self.open_due_epochs(now);
                 self.kernel_mut()
                     .obs()
                     .proposal_seen(proposal.block().round(), now);
@@ -139,19 +164,7 @@ impl ReplicaEngine for StreamletEngine {
     }
 
     fn on_tick(&mut self, now: SimTime) -> EngineStep {
-        let mut outbound = Vec::new();
-        // Open every epoch whose start has passed (a wall-clock run can
-        // overshoot a deadline; catch up in order).
-        while self.next_epoch <= self.max_epochs && self.epoch_open_at(self.next_epoch) <= now {
-            let epoch = Round::new(self.next_epoch);
-            self.next_epoch += 1;
-            if let Some(proposal) = self.replica.begin_epoch_sourced(epoch) {
-                outbound.push(OutboundMsg::broadcast(
-                    MsgKind::Proposal,
-                    Message::Proposal(proposal).to_bytes(),
-                ));
-            }
-        }
+        let outbound = self.open_due_epochs(now);
         self.kernel_mut().finish_step(outbound, Vec::new(), now)
     }
 
