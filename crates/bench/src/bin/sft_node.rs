@@ -23,9 +23,10 @@
 //!                          no-op path
 //! ```
 //!
-//! On startup the node replays `<data-dir>/wal.log` (recovering from a
-//! crash at any point, torn tails included) and only then joins the
-//! protocol. The log is group-committed: a writer thread batches fsyncs
+//! On startup the node names the SHA-256 kernel its CPU selected
+//! (`sha-ni` or `portable`) on stderr, replays `<data-dir>/wal.log`
+//! (recovering from a crash at any point, torn tails included) and only
+//! then joins the protocol. The log is group-committed: a writer thread batches fsyncs
 //! and every outbound frame waits for the durability watermark to cover
 //! the records that justify it. At exit it writes its committed chain to
 //! `<data-dir>/commit.out`, one block hash per line. See the
@@ -140,6 +141,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Which hash path a run's numbers came from, for whoever reads its log.
+    eprintln!(
+        "sft-node {}: sha256 kernel {}",
+        opts.id,
+        sft_crypto::sha256::Sha256::kernel()
+    );
     match run_node(&opts) {
         Ok(outcome) => {
             println!(

@@ -108,17 +108,20 @@ impl WalRecord {
     /// Panics if the encoded body exceeds [`MAX_WAL_BODY_LEN`] (a record
     /// that large could never be recovered, so logging it is a bug).
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.encoded_len() + WAL_HEADER_LEN);
-        self.encode(&mut body);
+        // Header first, as zeros; the body is encoded straight behind it
+        // and the header filled in once the body's length and checksum are
+        // known. Not pre-sized: `encoded_len` would encode the whole record
+        // once more just to count it.
+        let mut frame = vec![0u8; WAL_HEADER_LEN];
+        self.encode(&mut frame);
+        let body_len = frame.len() - WAL_HEADER_LEN;
         assert!(
-            body.len() <= MAX_WAL_BODY_LEN,
-            "WAL record body {}B exceeds MAX_WAL_BODY_LEN",
-            body.len()
+            body_len <= MAX_WAL_BODY_LEN,
+            "WAL record body {body_len}B exceeds MAX_WAL_BODY_LEN"
         );
-        let mut frame = Vec::with_capacity(WAL_HEADER_LEN + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&body_checksum(&body).to_be_bytes());
-        frame.extend_from_slice(&body);
+        let checksum = body_checksum(&frame[WAL_HEADER_LEN..]);
+        frame[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
+        frame[4..WAL_HEADER_LEN].copy_from_slice(&checksum.to_be_bytes());
         frame
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Verifying a forming quorum certificate means checking `2f + 1` (or
 //! `f + x + 1`) signatures that all cover the *same* vote data. Checking
-//! them one at a time costs one registry lookup, one message framing and
-//! one constant-time comparison each. [`KeyRegistry::verify_batch`] does
+//! them one at a time costs one registry lookup and one constant-time
+//! comparison each. [`KeyRegistry::verify_batch`] does
 //! the whole set in a single pass: every MAC is computed once, each
 //! item's *contribution* `Sha256(i ‖ computed) ⊕ Sha256(i ‖ claimed)`
 //! is cached and XOR-folded into one accumulator, and a single
@@ -15,8 +15,8 @@
 //! The aggregate-then-bisect shape mirrors real batch verification for
 //! aggregatable schemes (BLS-style): a threshold scheme can slot in
 //! behind the same API. For the HMAC stand-in the concrete savings are
-//! the shared message framing, the single pass over the registry, and
-//! the one-comparison accept path. Folding raw `computed ⊕ claimed`
+//! the single pass over the registry and the one-comparison accept
+//! path. Folding raw `computed ⊕ claimed`
 //! differences would be unsound here: a Byzantine relayer who flips the
 //! same bit in two honest signatures makes both differences equal that
 //! flip mask, and they cancel. Hashing each side with the item index as
@@ -160,7 +160,6 @@ impl KeyRegistry {
         let mut contributions: Vec<[u8; 32]> = Vec::with_capacity(items.len());
         let mut map: Vec<usize> = Vec::with_capacity(items.len());
         let mut acc = [0u8; 32];
-        let mut framed = Vec::new();
         for (index, item) in items.iter().enumerate() {
             if item.signature.signer() != item.signer {
                 forged.push(index);
@@ -170,10 +169,7 @@ impl KeyRegistry {
                 forged.push(index);
                 continue;
             };
-            framed.clear();
-            framed.extend_from_slice(&item.signer.to_be_bytes());
-            framed.extend_from_slice(item.message);
-            let computed = secret.mac(&framed);
+            let computed = secret.mac(item.signer, item.message);
             let mut contribution = side(index, &computed);
             fold(&mut contribution, &side(index, item.signature.tag()));
             fold(&mut acc, &contribution);

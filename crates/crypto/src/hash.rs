@@ -167,6 +167,31 @@ mod tests {
         assert_ne!(one, two);
     }
 
+    /// The 8-byte length prefixes only ever buffer: a hash costs the blocks
+    /// its bytes fill — ⌈(tag and field framing + payload + padding) / 64⌉ —
+    /// and not one compression more, however the `update`s fall.
+    #[test]
+    fn short_framing_updates_cost_no_compression_of_their_own() {
+        use crate::sha256::{BLOCKS_COMPRESSED, BLOCK_LEN};
+        let blocks = || BLOCKS_COMPRESSED.with(std::cell::Cell::get);
+        let payload = vec![0x5au8; 4096];
+
+        let before = blocks();
+        let framed = Hasher::new("txn").field(&payload);
+        let absorbed = 8 + "txn".len() + 8 + payload.len();
+        assert_eq!(blocks() - before, (absorbed / BLOCK_LEN) as u64);
+        let _ = framed.finish();
+        // Padding: the 0x80 marker and the 8-byte bit length.
+        assert_eq!(
+            blocks() - before,
+            (absorbed + 1 + 8).div_ceil(BLOCK_LEN) as u64
+        );
+
+        let before = blocks();
+        let _ = Hasher::new("txn").finish();
+        assert_eq!(blocks() - before, 1);
+    }
+
     #[test]
     fn ordering_is_bytewise() {
         let lo = HashValue::from_bytes([0u8; 32]);

@@ -13,23 +13,28 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::hmac::{ct_eq, hmac_sha256};
+use crate::hmac::{ct_eq, HmacKey};
 use crate::rng::RngCore;
 use crate::signature::Signature;
 
 /// Length of secret keys in bytes.
 pub const SECRET_KEY_LEN: usize = 32;
 
-/// A replica's secret signing key.
+/// A replica's secret signing key, held as its HMAC midstates: the key
+/// bytes are absorbed once, here, not once per signature.
 #[derive(Clone)]
-pub struct SecretKey([u8; SECRET_KEY_LEN]);
+pub struct SecretKey(HmacKey);
 
 impl SecretKey {
+    fn from_bytes(bytes: [u8; SECRET_KEY_LEN]) -> Self {
+        Self(HmacKey::new(&bytes))
+    }
+
     /// Generates a fresh random key.
     pub fn generate<R: RngCore>(rng: &mut R) -> Self {
         let mut bytes = [0u8; SECRET_KEY_LEN];
         rng.fill_bytes(&mut bytes);
-        Self(bytes)
+        Self::from_bytes(bytes)
     }
 
     /// Deterministic key for replica `index` — used by tests and by
@@ -38,11 +43,13 @@ impl SecretKey {
         let mut bytes = [0u8; SECRET_KEY_LEN];
         bytes[..8].copy_from_slice(&index.to_be_bytes());
         bytes[8..16].copy_from_slice(&0x5f74_6b65_795f_7631u64.to_be_bytes());
-        Self(crate::sha256::Sha256::digest(&bytes))
+        Self::from_bytes(crate::sha256::Sha256::digest(&bytes))
     }
 
-    pub(crate) fn mac(&self, message: &[u8]) -> [u8; 32] {
-        hmac_sha256(&self.0, message)
+    /// The authenticator over (signer, message): the MAC of
+    /// `signer ‖ message`, streamed rather than concatenated.
+    pub(crate) fn mac(&self, signer: u64, message: &[u8]) -> [u8; 32] {
+        self.0.mac(&[&signer.to_be_bytes(), message])
     }
 }
 
@@ -85,10 +92,7 @@ impl KeyPair {
 
     /// Signs `message`, producing an authenticator over (signer, message).
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let mut framed = Vec::with_capacity(8 + message.len());
-        framed.extend_from_slice(&self.signer.to_be_bytes());
-        framed.extend_from_slice(message);
-        Signature::from_tag(self.signer, self.secret.mac(&framed))
+        Signature::from_tag(self.signer, self.secret.mac(self.signer, message))
     }
 }
 
@@ -151,10 +155,7 @@ impl KeyRegistry {
         let Some(secret) = self.secrets.get(signer as usize) else {
             return false;
         };
-        let mut framed = Vec::with_capacity(8 + message.len());
-        framed.extend_from_slice(&signer.to_be_bytes());
-        framed.extend_from_slice(message);
-        ct_eq(&secret.mac(&framed), sig.tag())
+        ct_eq(&secret.mac(signer, message), sig.tag())
     }
 }
 
@@ -216,6 +217,28 @@ mod tests {
         assert_ne!(s1.tag(), s2.tag());
         assert_eq!(random.len(), 2);
         assert!(!det.is_empty());
+    }
+
+    /// The streamed, cached-midstate signature is plain
+    /// `HMAC(key, signer ‖ message)`, on random keys, signers and lengths.
+    #[test]
+    fn sign_is_hmac_over_signer_then_message() {
+        use crate::hmac::tests::hmac_by_definition;
+        let mut rng = SplitMix64::new(0x51C7);
+        for _ in 0..200 {
+            let mut key = [0u8; SECRET_KEY_LEN];
+            rng.fill_bytes(&mut key);
+            let signer = rng.next_u64();
+            let mut message = vec![0u8; (rng.next_u64() % 200) as usize];
+            rng.fill_bytes(&mut message);
+            let pair = KeyPair::new(signer, SecretKey::from_bytes(key));
+            let mut framed = signer.to_be_bytes().to_vec();
+            framed.extend_from_slice(&message);
+            assert_eq!(
+                pair.sign(&message).tag(),
+                &hmac_by_definition(&key, &framed)
+            );
+        }
     }
 
     #[test]

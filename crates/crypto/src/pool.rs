@@ -119,15 +119,11 @@ struct OwnedItem {
 /// Computes the fold contributions for one shard, in shard order.
 fn shard_contributions(registry: &KeyRegistry, shard: &[OwnedItem]) -> Vec<[u8; 32]> {
     let mut out = Vec::with_capacity(shard.len());
-    let mut framed = Vec::new();
     for item in shard {
         let secret = registry
             .secret(item.signer)
             .expect("shard items are pre-checked against the registry");
-        framed.clear();
-        framed.extend_from_slice(&item.signer.to_be_bytes());
-        framed.extend_from_slice(&item.message);
-        let computed = secret.mac(&framed);
+        let computed = secret.mac(item.signer, &item.message);
         let mut contribution = side(item.index, &computed);
         fold(&mut contribution, &side(item.index, &item.tag));
         out.push(contribution);
@@ -316,7 +312,7 @@ mod tests {
         for _ in 0..8 {
             let mut sigs: Vec<Signature> = (0..31u64).map(|i| signed(&reg, i, msg)).collect();
             for victim in 0..31usize {
-                if crate::rng::RngCore::next_u64(&mut rng) % 4 == 0 {
+                if crate::rng::RngCore::next_u64(&mut rng).is_multiple_of(4) {
                     let mut tag = *sigs[victim].tag();
                     tag[victim % SIGNATURE_LEN] ^= 0x01;
                     sigs[victim] = Signature::from_tag(victim as u64, tag);

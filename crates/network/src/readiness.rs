@@ -5,8 +5,9 @@
 //! and a blocking reader per connection is the O(n²) thread model the
 //! mesh left behind. [`PollSet`] is the missing primitive: `poll(2)`,
 //! reached through the one foreign declaration below (std already
-//! links libc, so this adds no dependency). It is the workspace's only
-//! `unsafe`; `scripts/check_unsafe` keeps it that way.
+//! links libc, so this adds no dependency). It is this crate's only
+//! `unsafe` and one of two in the workspace; `scripts/check_unsafe` keeps
+//! it that way.
 
 use std::io;
 use std::os::fd::RawFd;
