@@ -26,7 +26,10 @@
 //!    from the event timeline rather than inferred from exit state;
 //! 5. a client that dialed replica 0's gateway while all this went on got
 //!    a `Committed` ack for every transaction it submitted — the deployed
-//!    binary serves clients, not only the in-process harness.
+//!    binary serves clients, not only the in-process harness;
+//! 6. just before the kill, no live node ran more threads than
+//!    [`NODE_THREADS`] (read from `/proc/<pid>/status`) — a budget that
+//!    does not grow with `n` or with the number of clients.
 //!
 //! Exit status is the CI verdict; data directories are left in place on
 //! failure (and printed) so they can be uploaded as artifacts.
@@ -54,6 +57,50 @@ const CLIENT_TXNS: u64 = 4;
 
 /// Per-node NDJSON trace file, appended across incarnations.
 const TRACE_FILE_NAME: &str = "trace.ndjson";
+
+/// Threads one `sft-node` runs for any `n`: the engine's, the
+/// group-commit WAL writer, and the transport's I/O thread, writer and
+/// dialer.
+const NODE_THREADS: usize = 5;
+
+/// The per-node thread budget at `n`: [`NODE_THREADS`], plus the fixed
+/// signature-verification pool once a quorum batch can reach its
+/// parallel threshold.
+fn thread_budget(n: usize) -> usize {
+    let pool = if n >= sft_crypto::PARALLEL_THRESHOLD {
+        sft_crypto::pool_workers()
+    } else {
+        0
+    };
+    NODE_THREADS + pool
+}
+
+/// Verdict 6: every live node's `Threads:` count from
+/// `/proc/<pid>/status`, printed, and held to [`thread_budget`].
+fn check_thread_counts(children: &[(usize, Child)], n: usize) -> Result<(), String> {
+    let budget = thread_budget(n);
+    let mut counts = Vec::with_capacity(children.len());
+    for (id, child) in children {
+        let path = format!("/proc/{}/status", child.id());
+        let status = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+        let threads: usize = status
+            .lines()
+            .find_map(|line| line.strip_prefix("Threads:"))
+            .and_then(|count| count.trim().parse().ok())
+            .ok_or_else(|| format!("{path} names no thread count"))?;
+        counts.push(format!("{id}:{threads}"));
+        if threads > budget {
+            return Err(format!(
+                "replica {id} runs {threads} threads; the budget is {budget} at n = {n}"
+            ));
+        }
+    }
+    println!(
+        "crash-harness: threads per node (replica:count) {} — budget {budget}",
+        counts.join(" ")
+    );
+    Ok(())
+}
 
 struct Args {
     protocol: String,
@@ -366,6 +413,12 @@ fn run(args: &Args) -> Result<(), String> {
             ));
         }
         std::thread::sleep(Duration::from_millis(20));
+    }
+    if let Err(message) = check_thread_counts(&children, args.n) {
+        for (_, child) in &mut children {
+            let _ = child.kill();
+        }
+        return Err(message);
     }
     let (_, mut victim_child) = children.remove(VICTIM);
     victim_child.kill().map_err(|e| format!("kill -9: {e}"))?;

@@ -151,13 +151,14 @@ fn main() -> ExitCode {
         Ok(outcome) => {
             println!(
                 "sft-node {}: round {}, {} blocks committed, {} WAL records recovered, \
-                 {} appended, {} disconnects",
+                 {} appended, {} disconnects, {} dropped",
                 opts.id,
                 outcome.round,
                 outcome.committed.len(),
                 outcome.recovered,
                 outcome.appended,
                 outcome.disconnects,
+                outcome.dropped,
             );
             ExitCode::SUCCESS
         }

@@ -17,9 +17,15 @@
 //! Durability has one discipline, group commit with gated sends: the
 //! runner appends every [`EngineStep::persist`](sft_core::EngineStep)
 //! record to the log *before* routing the messages it justifies, and each
-//! frame waits in the transport's peer writers until the log's watermark
-//! covers it — an fsync per record's guarantee without the fsync stall
-//! on the engine thread.
+//! frame waits in the transport's writer until the log's watermark covers
+//! it — an fsync per record's guarantee without the fsync stall on the
+//! engine thread. The log's writer thread wakes the transport's writer
+//! when an fsync completes ([`NodeTransport::writer_wake_hook`]), so a
+//! gated frame leaves the moment it may, and nothing polls a closed gate.
+//!
+//! A node process runs five threads for any `n` (below the crypto pool's
+//! parallel-verification threshold): the engine's, the log's writer, and
+//! the transport's I/O thread, writer and dialer.
 //!
 //! ## Data directory
 //!
@@ -95,6 +101,10 @@ pub struct NodeOutcome {
     /// Peer connections lost over the run (see
     /// [`NetworkStats::disconnects`](sft_network::NetworkStats)).
     pub disconnects: u64,
+    /// Frames and acks the transport dropped rather than wait for a peer
+    /// or client that was down or not reading (see
+    /// [`NetworkStats::dropped`](sft_network::NetworkStats)).
+    pub dropped: u64,
     /// The round the engine ended on.
     pub round: u64,
 }
@@ -208,10 +218,10 @@ fn serve<E: ReplicaEngine>(
         &[("records", recovered as u64)],
     ));
     // Recovery reads through the classic store; the file then goes to the
-    // WAL-writer thread. Gate waiters wake through the watermark's own
-    // condvar, so no transport wake hook is needed here.
+    // WAL-writer thread, whose completed fsyncs wake the transport's
+    // writer: that signal alone releases the frames they gate.
     let wal = store
-        .into_group_commit(Arc::clone(&recorder), None)
+        .into_group_commit(Arc::clone(&recorder), Some(transport.writer_wake_hook()))
         .map_err(|e| format!("wal writer: {e}"))?;
     let durable = wal.watermark();
 
@@ -283,6 +293,7 @@ fn serve<E: ReplicaEngine>(
         appended: durable.get(),
         committed,
         disconnects: report.net.disconnects,
+        dropped: report.net.dropped,
         round,
     })
 }

@@ -181,8 +181,8 @@ impl GroupCommitWal {
     /// Spawns the writer thread over `sink`. `wake` (if given) runs
     /// after every watermark advance — transports hook their writer
     /// notifier here so a completed fsync releases gated frames
-    /// (`TcpCluster`'s writer sleeps until signalled; it has no retry
-    /// tick for a closed gate).
+    /// (the socket transports' writer sleeps until signalled; it has no
+    /// retry tick for a closed gate).
     ///
     /// # Errors
     ///

@@ -1,9 +1,11 @@
 //! # sft-network
 //!
 //! The transport layer of the SFT stack: the [`Transport`] trait every
-//! run harness drives, its two implementations — the deterministic
-//! in-process [`SimNetwork`] (via [`SimTransport`]) and the real-socket
-//! [`TcpCluster`] — and the shared wire [`Envelope`] both speak.
+//! run harness drives, its implementations — the deterministic
+//! in-process [`SimNetwork`] (via [`SimTransport`]), and over real
+//! sockets the loopback mesh [`TcpCluster`] and the single replica
+//! endpoint [`NodeTransport`], two constructions of one socket core,
+//! [`SocketTransport`] — and the shared wire [`Envelope`] they all speak.
 //!
 //! The deterministic half: a [`SimNetwork`] queues encoded messages with
 //! an injected one-way delay δ and delivers them in a platform-independent
@@ -54,6 +56,7 @@ pub mod node;
 mod outbox;
 #[allow(unsafe_code)] // the one `poll(2)` call; scripts/check_unsafe holds the line
 mod readiness;
+mod socket;
 pub mod tcp;
 
 use std::collections::VecDeque;
@@ -65,6 +68,7 @@ use sft_types::{ReplicaId, SendGate, SimDuration, SimTime};
 
 pub use node::NodeTransport;
 pub use sft_types::{Dest, Envelope, ProtocolTag};
+pub use socket::SocketTransport;
 pub use tcp::TcpCluster;
 
 /// A network as a run harness sees it: sends tagged by source replica, a

@@ -3,110 +3,62 @@
 //! [`TcpCluster`](crate::TcpCluster) hosts all `n` endpoints in one
 //! process and connects the mesh at construction — fine for tests, useless
 //! for a real deployment where each replica is its own process that must
-//! survive peers being down, crashing, and coming back. [`NodeTransport`]
-//! is the per-process half of the same design:
+//! survive peers being down, crashing, and coming back. A
+//! [`NodeTransport`] is one replica's endpoint on the same socket core
+//! ([`SocketTransport`]), on **three threads for any `n` and any number of
+//! clients**:
 //!
-//! - one listener accepts inbound connections from any peer, attributing
-//!   each by its hello frame (same validation as the cluster readers);
-//! - one **reconnecting writer thread per peer** dials the peer's address
-//!   with capped exponential backoff, re-dials (and re-sends the hello)
-//!   whenever a write fails, and keeps draining its outbound ring (the
-//!   same `OutRing` the cluster's writer flushes) in
-//!   the meantime — so a peer's crash never wedges the consensus loop,
-//!   and its restart is picked up without any coordination;
-//! - every lost connection, inbound or outbound, is a counted
-//!   [`disconnect`](crate::NetworkStats::disconnects), not a silent
-//!   thread exit.
+//! - the **I/O thread** serves this replica's one listener: the hello of
+//!   each accepted connection makes it a peer (a valid other replica id,
+//!   in this protocol) or a client (the gateway), or gets it hung up on;
+//! - the **writer** flushes every outbound ring — one per peer, one per
+//!   client — onto its non-blocking socket, holding gated frames until the
+//!   WAL's wake hook reports the watermark covering them;
+//! - the **dialer** connects each peer with capped exponential backoff,
+//!   and reconnects it whenever the writer reports the link dead. The
+//!   peer's ring keeps queuing meanwhile, and a frame torn by the loss
+//!   goes out whole on the next connection — so a peer's crash never
+//!   wedges the consensus loop, and its restart is picked up without any
+//!   coordination.
 //!
-//! The [`Transport`] surface is identical to the cluster's, so the same
-//! generic engine loop drives a replica here — `sft-node` is that loop
-//! plus a write-ahead log.
+//! Peer rings are bounded: a frame toward a peer that is down or
+//! hopelessly behind is a counted drop (the peer block-syncs what it
+//! missed), never a wait. Client acks never wait either: a client that
+//! stops reading is hung up on once its ring fills. Every lost peer
+//! connection, inbound or outbound, is a counted
+//! [`disconnect`](crate::NetworkStats::disconnects).
+//!
+//! The [`Transport`](crate::Transport) surface is the cluster's, so the
+//! same generic engine loop drives a replica here — `sft-node` is that
+//! loop plus a write-ahead log.
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::time::Instant;
 
-use sft_obs::{names, SharedRecorder};
-use sft_types::{Dest, Envelope, ProtocolTag, ReplicaId, SendGate, SimTime};
+use sft_obs::SharedRecorder;
+use sft_types::{ProtocolTag, ReplicaId};
 
-use crate::frame::FrameDecoder;
-use crate::inbox::{Inbound, Inbox};
-use crate::outbox::OutRing;
-use crate::{ClientDelivery, Delivery, NetworkStats, Transport};
+use crate::socket::{SocketTransport, Wiring};
 
-/// First reconnect delay; doubles per failed attempt up to
-/// [`BACKOFF_CAP`].
-const BACKOFF_FLOOR: Duration = Duration::from_millis(50);
+/// One replica's view of the network: a listener for inbound peers and
+/// clients, and a dialled link to every other peer. See the
+/// [module docs](self).
+pub type NodeTransport = SocketTransport<Node>;
 
-/// Ceiling on the reconnect backoff.
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
-
-/// How long an ack write may stall on a client that stopped reading
-/// before the connection is declared dead. Acks are not replicated
-/// state — clients own retries — so a stuck client costs at most this.
-const ACK_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How long a peer writer sleeps per wait on a closed durability gate
-/// before re-checking the shutdown flag. The WAL writer's watermark
-/// advance wakes the wait immediately; this bound only caps how long a
-/// shutdown can go unnoticed while a gate is stuck.
-const GATE_POLL: Duration = Duration::from_millis(10);
-
-/// Live client connections: write halves by gateway-assigned conn id,
-/// plus the identity each hello claimed (where acks are addressed).
-type ClientConns = Arc<Mutex<HashMap<u64, (TcpStream, ReplicaId)>>>;
-
-/// One peer's outbound side: the ring its reconnecting writer drains.
-/// The ring is bounded, so a long-dead peer costs a fixed amount of
-/// memory; sends beyond the bound are counted drops (the peer will
-/// block-sync what it missed, exactly as after a partition).
-struct PeerOut {
-    ring: Arc<OutRing>,
-    writer: Option<JoinHandle<()>>,
-}
-
-/// One replica's view of the network: a listener for inbound peers and a
-/// reconnecting writer per outbound peer. See the [module docs](self).
-pub struct NodeTransport {
+/// What a [`NodeTransport`] knows beyond the socket core: which replica
+/// it is, and where it listens.
+pub struct Node {
     id: ReplicaId,
-    n: usize,
-    protocol: ProtocolTag,
-    start: Instant,
-    /// Outbound side per replica id; the own-id slot is `None`
-    /// (self-delivery is the harness's job, as with every transport).
-    peers: Vec<Option<PeerOut>>,
-    /// Peer deliveries and client requests on one queue, so the run
-    /// loop blocked in `poll_deliver` wakes on either (the listener
-    /// doubles as the client gateway: a hello tagged
-    /// [`ProtocolTag::Client`] makes the connection a client, not a peer).
-    inbox: Inbox,
-    stats: NetworkStats,
-    /// Connections lost, inbound readers and outbound writers combined.
-    disconnects: Arc<AtomicU64>,
-    /// Tells writer threads to stop reconnecting at shutdown.
-    shutdown: Arc<AtomicBool>,
-    /// The local listener's address (waking the acceptor at drop).
     listen_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    /// Write halves of live client connections, for acks.
-    client_conns: ClientConns,
-    /// Frame-level counters (no-op unless bound observed); writer
-    /// threads hold their own clones for reconnect/backoff accounting.
-    recorder: SharedRecorder,
 }
 
 impl NodeTransport {
-    /// Binds this replica's listener on `listen` and spawns a
-    /// reconnecting writer toward every other entry of `peers` (the full
-    /// address table, indexed by replica id, own entry included). Peers
-    /// need not be up yet — and may go down and come back — connections
-    /// are (re-)established in the background with capped exponential
-    /// backoff.
+    /// Binds this replica's listener on `listen` and starts dialling every
+    /// other entry of `peers` (the full address table, indexed by replica
+    /// id, own entry included). Peers need not be up yet — and may go
+    /// down and come back — connections are (re-)established in the
+    /// background with capped exponential backoff.
     ///
     /// # Panics
     ///
@@ -126,12 +78,9 @@ impl NodeTransport {
         Self::bind_observed(id, protocol, listen, peers, sft_obs::noop())
     }
 
-    /// [`bind`](Self::bind) with a live metrics recorder: reconnect
-    /// attempts and backoff sleeps surface as `net_reconnect_attempts` /
-    /// `net_backoff_sleeps` / `net_backoff_sleep_ms` counters, and every
-    /// enqueued frame as `net_frames_sent` / `net_frame_bytes`. The
-    /// recorder must be given at bind time because the per-peer writer
-    /// threads are spawned here.
+    /// [`bind`](Self::bind) with a live metrics recorder from the start,
+    /// so the dialer's first connect attempts are counted too (see
+    /// [`set_recorder`](Self::set_recorder) for what is recorded).
     ///
     /// # Panics
     ///
@@ -154,476 +103,56 @@ impl NodeTransport {
         assert!(id.as_usize() < n, "own id must index the address table");
         let listener = TcpListener::bind(listen)?;
         let listen_addr = listener.local_addr()?;
-
-        let (inbound_tx, inbox) = Inbox::new();
-        let client_conns: ClientConns = Arc::new(Mutex::new(HashMap::new()));
-        let received = Arc::new(AtomicU64::new(0));
-        let disconnects = Arc::new(AtomicU64::new(0));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let acceptor = std::thread::Builder::new()
-            .name(format!("sft-node-accept-{}", id.as_u16()))
-            .spawn({
-                let client_conns = Arc::clone(&client_conns);
-                let received = Arc::clone(&received);
-                let disconnects = Arc::clone(&disconnects);
-                let shutdown = Arc::clone(&shutdown);
-                move || {
-                    accept_loop(
-                        listener,
-                        id,
-                        protocol,
-                        inbound_tx,
-                        client_conns,
-                        received,
-                        disconnects,
-                        shutdown,
-                    );
-                }
-            })?;
-
-        let mut outs: Vec<Option<PeerOut>> = Vec::with_capacity(n);
-        for (peer, addr) in peers.iter().enumerate() {
-            if peer == id.as_usize() {
-                outs.push(None);
-                continue;
+        let mut wiring = Wiring::new(n, protocol, false);
+        wiring.listen(listener, id)?;
+        for (peer, addr) in (0..n as u16).map(ReplicaId::new).zip(peers) {
+            if peer != id {
+                wiring.dial(id, peer, *addr);
             }
-            let hello =
-                Envelope::to_peer(id, ReplicaId::new(peer as u16), protocol, Vec::new()).to_frame();
-            let ring = OutRing::new();
-            let writer = std::thread::Builder::new()
-                .name(format!("sft-node-writer-{}-{peer}", id.as_u16()))
-                .spawn({
-                    let addr = *addr;
-                    let ring = Arc::clone(&ring);
-                    let disconnects = Arc::clone(&disconnects);
-                    let shutdown = Arc::clone(&shutdown);
-                    let recorder = Arc::clone(&recorder);
-                    move || peer_writer_loop(addr, hello, &ring, &disconnects, &shutdown, &recorder)
-                })?;
-            outs.push(Some(PeerOut {
-                ring,
-                writer: Some(writer),
-            }));
         }
-
-        Ok(Self {
-            id,
-            n,
-            protocol,
-            start: Instant::now(),
-            peers: outs,
-            inbox,
-            stats: NetworkStats::default(),
-            disconnects,
-            shutdown,
-            listen_addr,
-            acceptor: Some(acceptor),
-            client_conns,
-            recorder,
-        })
+        Self::start(Node { id, listen_addr }, wiring, recorder)
     }
 
     /// This replica's id.
     pub fn id(&self) -> ReplicaId {
-        self.id
+        self.kind.id
     }
 
     /// The bound listener address (useful when `listen` used port 0).
     pub fn listen_addr(&self) -> SocketAddr {
-        self.listen_addr
+        self.kind.listen_addr
     }
 
     /// Re-anchors the transport clock at `origin` — a wall-clock instant
     /// shared by every process of the cluster (the deployment's genesis
-    /// timestamp). [`now`](Transport::now) then reads the time elapsed
-    /// since that shared instant (zero before it), so externally clocked
-    /// protocols tick aligned epochs across processes regardless of when
-    /// each one started — and a restarted replica resumes at the
+    /// timestamp). [`now`](crate::Transport::now) then reads the time
+    /// elapsed since that shared instant (zero before it), so externally
+    /// clocked protocols tick aligned epochs across processes regardless
+    /// of when each one started — and a restarted replica resumes at the
     /// *cluster's* current epoch instead of replaying wall time from its
     /// own launch.
     #[must_use]
     pub fn with_time_origin(mut self, origin: std::time::SystemTime) -> Self {
         let now = Instant::now();
-        self.start = match origin.elapsed() {
+        self.set_start(match origin.elapsed() {
             // Anchor in the past: back-date the start by that much.
             Ok(past) => now.checked_sub(past).unwrap_or(now),
             // Anchor in the future: the clock reads zero until then.
             Err(ahead) => now + ahead.duration(),
-        };
+        });
         self
-    }
-
-    /// Enqueues one pre-framed buffer toward `to`, behind an optional
-    /// durability gate the peer's writer thread honors before putting
-    /// the frame on the wire. A full or closed ring is a counted drop —
-    /// the writer is down or hopelessly behind, and the peer will
-    /// block-sync what it missed.
-    fn enqueue(
-        &mut self,
-        to: ReplicaId,
-        frame: Arc<[u8]>,
-        payload_len: usize,
-        gate: Option<SendGate>,
-    ) {
-        self.stats.messages += 1;
-        self.stats.bytes += payload_len as u64;
-        if self.recorder.enabled() {
-            self.recorder.add(names::NET_FRAMES_SENT, 1);
-            self.recorder
-                .add(names::NET_FRAME_BYTES, frame.len() as u64);
-        }
-        let Some(peer) = self.peers[to.as_usize()].as_ref() else {
-            self.stats.dropped += 1;
-            return;
-        };
-        if !peer.ring.push_gated(frame, gate) {
-            self.stats.dropped += 1;
-        }
-    }
-}
-
-impl Transport for NodeTransport {
-    fn replica_count(&self) -> usize {
-        self.n
-    }
-
-    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>) {
-        debug_assert_eq!(from, self.id, "a node only sends as itself");
-        let len = payload.len();
-        let env = Envelope {
-            src: from,
-            dest,
-            protocol: self.protocol,
-            payload,
-        };
-        let frame: Arc<[u8]> = env.to_frame().into();
-        match dest {
-            Dest::Peer(to) => self.enqueue(to, frame, len, gate),
-            Dest::Broadcast => {
-                for to in (0..self.n as u16).map(ReplicaId::new) {
-                    if to != from {
-                        self.enqueue(to, Arc::clone(&frame), len, gate.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery> {
-        self.inbox.wait(self.now(), deadline);
-        self.inbox.take_peers(self.now())
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
-    fn next_deliver_at(&self) -> Option<SimTime> {
-        None
-    }
-
-    fn is_idle(&self) -> bool {
-        // A lone endpoint cannot know what peers still have in flight;
-        // "idle" is only "nothing locally staged".
-        !self.inbox.has_staged_peers()
-    }
-
-    fn stats(&self) -> NetworkStats {
-        let mut stats = self.stats;
-        stats.disconnects = self.disconnects.load(Ordering::SeqCst);
-        stats
-    }
-
-    fn poll_clients(&mut self) -> Vec<ClientDelivery> {
-        self.inbox.take_clients()
-    }
-
-    fn send_client(&mut self, conn: u64, replica: ReplicaId, payload: Arc<[u8]>) {
-        debug_assert_eq!(replica, self.id, "a node only acks as itself");
-        let mut conns = self.client_conns.lock().expect("client registry");
-        let Some((stream, dest)) = conns.get_mut(&conn) else {
-            return; // client gone; clients own retries
-        };
-        let frame = Envelope::to_peer(replica, *dest, ProtocolTag::Client, payload).to_frame();
-        if stream.write_all(&frame).is_err() {
-            // Dead or hopelessly stalled (past ACK_WRITE_TIMEOUT): drop
-            // the write half; the reader exits on its own at EOF.
-            conns.remove(&conn);
-            self.stats.dropped += 1;
-        }
-    }
-}
-
-impl Drop for NodeTransport {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Closing the rings ends the writer loops once they drain.
-        for peer in std::mem::take(&mut self.peers).into_iter().flatten() {
-            peer.ring.close();
-            if let Some(handle) = peer.writer {
-                let _ = handle.join();
-            }
-        }
-        // Wake the acceptor so it can observe the shutdown flag.
-        let _ = TcpStream::connect(self.listen_addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Accepts inbound connections for `owner` until shutdown, handing each
-/// to a detached blocking reader. The reader sniffs the hello's
-/// [`ProtocolTag`] to learn what the connection is: the replica protocol
-/// makes it a peer (same validating [`FrameDecoder`] path as the cluster
-/// readers), [`ProtocolTag::Client`] makes it a client served by the
-/// gateway half. Reader threads exit on their own at EOF — each peer
-/// exit bumps `disconnects`.
-#[allow(clippy::too_many_arguments)] // spawn plumbing, all one-way
-fn accept_loop(
-    listener: TcpListener,
-    owner: ReplicaId,
-    protocol: ProtocolTag,
-    inbound: Sender<Inbound>,
-    client_conns: ClientConns,
-    received: Arc<AtomicU64>,
-    disconnects: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let next_conn = Arc::new(AtomicU64::new(0));
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = std::thread::Builder::new()
-            .name(format!("sft-node-reader-{}", owner.as_u16()))
-            .spawn({
-                let inbound = inbound.clone();
-                let client_conns = Arc::clone(&client_conns);
-                let next_conn = Arc::clone(&next_conn);
-                let received = Arc::clone(&received);
-                let disconnects = Arc::clone(&disconnects);
-                move || {
-                    serve_inbound(
-                        stream,
-                        owner,
-                        protocol,
-                        &inbound,
-                        &client_conns,
-                        &next_conn,
-                        &received,
-                        &disconnects,
-                    );
-                }
-            });
-    }
-}
-
-/// Reads until the first complete frame reveals what this connection is,
-/// then runs the matching reader loop with the already-buffered bytes.
-#[allow(clippy::too_many_arguments)] // spawn plumbing, all one-way
-fn serve_inbound(
-    mut stream: TcpStream,
-    owner: ReplicaId,
-    protocol: ProtocolTag,
-    inbound: &Sender<Inbound>,
-    client_conns: &ClientConns,
-    next_conn: &AtomicU64,
-    received: &AtomicU64,
-    disconnects: &AtomicU64,
-) {
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut buffered = Vec::new();
-    let tag = loop {
-        match Envelope::decode_frame(&buffered) {
-            Ok(Some((env, _))) => break env.protocol, // sniff only; not consumed
-            Ok(None) => {}
-            Err(_) => return, // malformed before it even said hello
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(read) => buffered.extend_from_slice(&chunk[..read]),
-        }
-    };
-    if tag == ProtocolTag::Client {
-        client_reader_loop(stream, buffered, owner, inbound, client_conns, next_conn);
-    } else {
-        reader_loop(stream, buffered, owner, protocol, inbound, received);
-        disconnects.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Blocking reader for one inbound peer connection: reads until EOF,
-/// error, or protocol violation, pushing validated deliveries into the
-/// shared inbound queue.
-fn reader_loop(
-    mut stream: TcpStream,
-    buffered: Vec<u8>,
-    owner: ReplicaId,
-    protocol: ProtocolTag,
-    inbound: &Sender<Inbound>,
-    received: &AtomicU64,
-) {
-    let mut decoder = FrameDecoder::new(owner, protocol);
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut decoded = Vec::new();
-    if decoder.ingest(&buffered, &mut decoded).is_err() {
-        return; // hello carried the wrong protocol family
-    }
-    loop {
-        for delivery in decoded.drain(..) {
-            received.fetch_add(1, Ordering::SeqCst);
-            if inbound.send(Inbound::Peer(delivery)).is_err() {
-                return; // transport gone
-            }
-        }
-        if decoder
-            .read_from(&mut stream, &mut chunk, &mut decoded)
-            .is_err()
-        {
-            return; // peer closed, or broke protocol: refuse it
-        }
-    }
-}
-
-/// Blocking reader for one client connection: registers the write half
-/// for acks once the hello binds an identity, then pushes every decoded
-/// client frame to the shared inbound queue. Deregisters itself on any
-/// exit so acks to a departed client become counted no-ops.
-fn client_reader_loop(
-    mut stream: TcpStream,
-    buffered: Vec<u8>,
-    owner: ReplicaId,
-    inbound: &Sender<Inbound>,
-    client_conns: &ClientConns,
-    next_conn: &AtomicU64,
-) {
-    let mut decoder = FrameDecoder::new(owner, ProtocolTag::Client);
-    let mut decoded = Vec::new();
-    if decoder.ingest(&buffered, &mut decoded).is_err() {
-        return; // violating hello: never registered
-    }
-    let Some(dest) = decoder.src() else {
-        return; // buffered bytes held a frame, so this cannot happen
-    };
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // The timeout bounds how long send_client can stall on a client
-    // that stopped reading (the halves share the socket; reads are
-    // unaffected by SO_SNDTIMEO).
-    let _ = write_half.set_write_timeout(Some(ACK_WRITE_TIMEOUT));
-    let conn = next_conn.fetch_add(1, Ordering::SeqCst);
-    client_conns
-        .lock()
-        .expect("client registry")
-        .insert(conn, (write_half, dest));
-
-    let mut chunk = vec![0u8; 64 * 1024];
-    'serve: loop {
-        for delivery in decoded.drain(..) {
-            let request = ClientDelivery {
-                conn,
-                replica: owner,
-                payload: delivery.payload,
-            };
-            if inbound.send(Inbound::Client(request)).is_err() {
-                break 'serve; // transport gone
-            }
-        }
-        if decoder
-            .read_from(&mut stream, &mut chunk, &mut decoded)
-            .is_err()
-        {
-            break; // client hung up, or broke protocol: refuse it
-        }
-    }
-    client_conns.lock().expect("client registry").remove(&conn);
-}
-
-/// The reconnecting writer toward one peer: dials with capped exponential
-/// backoff, leads every (re)connection with the hello frame, and re-dials
-/// on any write failure — counting each lost connection. The ring is
-/// drained peek-then-pop, so a frame that failed mid-write is retried
-/// whole on the next connection. A frame carrying a durability gate is
-/// held — before any connect or write — until the WAL watermark covers
-/// it: the FIFO ring then holds everything behind it too, so gating
-/// delays the stream without reordering it. Exits when the ring closes
-/// (and its remaining frames drain) or shutdown is flagged.
-fn peer_writer_loop(
-    addr: SocketAddr,
-    hello: Vec<u8>,
-    ring: &OutRing,
-    disconnects: &AtomicU64,
-    shutdown: &AtomicBool,
-    recorder: &SharedRecorder,
-) {
-    let mut stream: Option<TcpStream> = None;
-    let mut backoff = BACKOFF_FLOOR;
-    let sleep_counted = |backoff: Duration| {
-        recorder.add(names::NET_BACKOFF_SLEEPS, 1);
-        recorder.add(names::NET_BACKOFF_SLEEP_MS, backoff.as_millis() as u64);
-        std::thread::sleep(backoff);
-    };
-    'frames: while let Some((frame, gate)) = ring.front_blocking() {
-        if let Some(gate) = gate {
-            // Watermark-before-flush: the frame's justifying WAL
-            // records must be durable before its first byte moves.
-            while !gate.wait_open_timeout(GATE_POLL) {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if stream.is_none() {
-                recorder.add(names::NET_RECONNECT_ATTEMPTS, 1);
-                match TcpStream::connect(addr) {
-                    Ok(mut s) => {
-                        let _ = s.set_nodelay(true);
-                        if s.write_all(&hello).is_ok() {
-                            stream = Some(s);
-                            backoff = BACKOFF_FLOOR;
-                        } else {
-                            disconnects.fetch_add(1, Ordering::SeqCst);
-                            sleep_counted(backoff);
-                            backoff = (backoff * 2).min(BACKOFF_CAP);
-                            continue;
-                        }
-                    }
-                    Err(_) => {
-                        sleep_counted(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_CAP);
-                        continue;
-                    }
-                }
-            }
-            let connected = stream.as_mut().expect("just connected");
-            if connected.write_all(&frame).is_ok() {
-                ring.advance();
-                continue 'frames;
-            }
-            // The peer died mid-stream: count it, drop the socket, and
-            // retry this same frame on the next connection.
-            stream = None;
-            disconnects.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    if let Some(s) = stream {
-        let _ = s.shutdown(std::net::Shutdown::Write);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sft_types::SimDuration;
+    use crate::{Delivery, Transport};
+    use sft_types::{Envelope, SimDuration};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     /// Two free loopback addresses reserved by bind-then-drop.
     fn free_addrs(count: usize) -> Vec<SocketAddr> {
@@ -751,5 +280,100 @@ mod tests {
             a.stats().disconnects >= 1,
             "the lost connection was a counted event"
         );
+    }
+
+    #[test]
+    fn a_frame_torn_by_a_lost_connection_arrives_whole_once_on_the_next() {
+        let addrs = free_addrs(2);
+        let mut a =
+            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
+        // Far beyond what loopback socket buffers hold, so the first
+        // connection dies mid-frame.
+        let big: Arc<[u8]> = (0..12 << 20).map(|i| (i % 251) as u8).collect();
+        a.send(ReplicaId::new(0), ReplicaId::new(1), Arc::clone(&big));
+        {
+            // Replica 1's first incarnation takes the hello and the
+            // frame's first bytes, then dies with the rest unread.
+            let first = TcpListener::bind(addrs[1]).unwrap();
+            let (mut sock, _) = first.accept().unwrap();
+            let mut head = vec![0u8; 64 * 1024];
+            sock.read_exact(&mut head).unwrap();
+        }
+        let mut b =
+            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
+        let got = collect(&mut b, 1, 20);
+        assert_eq!(got.len(), 1, "the torn frame is redelivered");
+        assert!(got[0].payload[..] == big[..], "whole, from its first byte");
+        assert!(collect(&mut b, 1, 1).is_empty(), "exactly once");
+        assert!(a.stats().disconnects >= 1, "the lost link was counted");
+    }
+
+    #[test]
+    fn three_threads_for_any_replica_count_and_any_number_of_clients() {
+        for n in [4, 31] {
+            let addrs = free_addrs(n);
+            let mut node =
+                NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs)
+                    .unwrap();
+            assert_eq!(node.thread_count(), 3, "n = {n}, no clients");
+            let me = ReplicaId::new(0);
+            let _clients: Vec<TcpStream> = (0..16u16)
+                .map(|c| {
+                    let mut sock = TcpStream::connect(node.listen_addr()).unwrap();
+                    for payload in [Vec::new(), vec![1]] {
+                        let frame = Envelope::to_peer(
+                            ReplicaId::new(100 + c),
+                            me,
+                            ProtocolTag::Client,
+                            payload,
+                        )
+                        .to_frame();
+                        sock.write_all(&frame).unwrap();
+                    }
+                    sock
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut served = 0;
+            while served < 16 && Instant::now() < deadline {
+                node.poll_deliver(node.now() + SimDuration::from_millis(50));
+                served += node.poll_clients().len();
+            }
+            assert_eq!(served, 16, "n = {n}: every client is served");
+            assert_eq!(node.thread_count(), 3, "n = {n}, 16 clients");
+        }
+    }
+
+    #[test]
+    fn frames_to_a_peer_that_never_reads_are_counted_drops_not_waits() {
+        let addrs = free_addrs(3);
+        let mut a =
+            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
+        let mut b =
+            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
+        // Replica 2 accepts and never reads a byte.
+        let sink = TcpListener::bind(addrs[2]).unwrap();
+        let (_held, _) = sink.accept().unwrap();
+        let frames = 4 * crate::outbox::RING_DEPTH;
+        let sending = Instant::now();
+        for i in 0..frames {
+            a.send(
+                ReplicaId::new(0),
+                ReplicaId::new(2),
+                vec![i as u8; 4096].into(),
+            );
+        }
+        assert!(
+            sending.elapsed() < Duration::from_secs(5),
+            "a stuck peer never holds the sender"
+        );
+        let dropped = a.stats().dropped;
+        assert!(dropped > 0, "a full ring drops and counts");
+        assert!(dropped < frames as u64, "what fit is queued");
+        // The healthy peer is served all the while.
+        a.send(ReplicaId::new(0), ReplicaId::new(1), vec![7].into());
+        let got = collect(&mut b, 1, 10);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload[..], [7]);
     }
 }

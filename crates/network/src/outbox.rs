@@ -1,25 +1,29 @@
-//! Outbound-ring machinery shared by the socket transports.
+//! Outbound-ring machinery of the socket core.
 //!
-//! Both real-socket transports queue pre-framed buffers per peer and
-//! drain them from writer threads. An [`OutRing`] is that queue: a
-//! bounded `VecDeque` under a mutex, with a condvar for the blocking
-//! consumers and a partial-write cursor so a *single* non-blocking
-//! writer thread can round-robin every connection and resume a
-//! half-written frame where it left off. Two drain styles share the type:
+//! Every outbound connection — a mesh link, a dialled peer, a client's
+//! ack stream — queues pre-framed buffers on an [`OutRing`]: a bounded
+//! `VecDeque` under a mutex, with a partial-write cursor so the core's
+//! *single* non-blocking writer thread can round-robin every connection
+//! and resume a half-written frame where it left off
+//! ([`OutRing::flush_nonblocking`]: every gate-open frame of a pass in one
+//! vectored write, until the socket would block). What a full ring means
+//! is the producer's choice:
 //!
-//! - [`OutRing::flush_nonblocking`] — the cluster's one writer thread
-//!   flushes each ring onto its non-blocking socket, every gate-open
-//!   frame of a pass in one vectored write, until it would block, then
-//!   moves to the next connection;
-//! - [`OutRing::front_blocking`] / [`OutRing::advance`] — a
-//!   [`NodeTransport`](crate::NodeTransport) per-peer writer peeks the
-//!   front frame, blocking-writes it on its reconnecting socket, and
-//!   pops it only once fully sent (a failed write retries the same
-//!   frame on the next connection).
+//! - [`OutRing::push_blocking_gated`] waits for space — the in-process
+//!   mesh's lossless backpressure;
+//! - [`OutRing::push_gated`] fails, and the caller counts a drop — a
+//!   remote peer that is down or hopelessly behind block-syncs what it
+//!   missed;
+//! - [`OutRing::push_or_cut_off`] closes and empties the ring — a client
+//!   that stopped reading its acks is hung up on, never waited for.
 //!
-//! A [`Notifier`] is the single wake-up channel of the cluster's writer
-//! thread: enqueues signal it, so the thread sleeps — not spins — while
-//! the mesh is quiet.
+//! When a dialled connection dies mid-frame, [`OutRing::rewind`] moves the
+//! cursor back to the torn frame's first byte, so the next connection
+//! carries it whole.
+//!
+//! A [`Notifier`] is the writer thread's single wake-up channel: enqueues
+//! and completed fsyncs signal it, so the thread sleeps — not spins —
+//! while nothing is writable.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
@@ -30,9 +34,10 @@ use std::time::Duration;
 use sft_types::SendGate;
 
 /// Per-connection ring depth. Deep enough that a burst of pipelined
-/// rounds never stalls the consensus loop; bounded so a dead peer
-/// exerts backpressure (cluster) or costs fixed memory (node) instead
-/// of growing without bound.
+/// rounds never stalls the consensus loop; bounded so a dead peer or a
+/// client that stopped reading exerts backpressure (mesh), costs fixed
+/// memory (remote peer) or is hung up on (client) instead of growing
+/// without bound.
 pub(crate) const RING_DEPTH: usize = 1024;
 
 /// Frames gathered into one vectored write (the kernel takes at most
@@ -73,19 +78,18 @@ struct RingState {
     /// Bytes of the front frame already written (the partial-write
     /// cursor of the non-blocking flush path).
     offset: usize,
-    /// No further frames will be accepted; consumers drain and stop.
+    /// No further frames will be accepted; the writer drains and stops.
     closed: bool,
-    /// Threads asleep on `wake`: with none, a push or pop skips the
-    /// notify — a futex syscall whether or not anyone listens.
+    /// Producers asleep on `wake`: with none, a pop skips the notify — a
+    /// futex syscall whether or not anyone listens.
     waiting: usize,
 }
 
-/// One peer connection's bounded outbound frame queue. See the
-/// [module docs](self) for how the two transports drain it.
+/// One connection's bounded outbound frame queue. See the
+/// [module docs](self).
 pub(crate) struct OutRing {
     state: Mutex<RingState>,
-    /// Woken on push, pop, and close while anyone waits — producers
-    /// wait here for space, blocking consumers for frames.
+    /// Woken on pop and close while a blocking producer waits for space.
     wake: Condvar,
 }
 
@@ -102,7 +106,7 @@ impl OutRing {
         })
     }
 
-    /// Sleeps on `wake` until the next push, pop, or close.
+    /// Sleeps on `wake` until the next pop or close.
     fn wait<'a>(&self, mut state: MutexGuard<'a, RingState>) -> MutexGuard<'a, RingState> {
         state.waiting += 1;
         let mut state = self.wake.wait(state).expect("ring lock");
@@ -118,7 +122,7 @@ impl OutRing {
     }
 
     /// Enqueues without blocking. `false` — the caller counts a drop —
-    /// when the ring is closed or full. (The transports now always go
+    /// when the ring is closed or full. (The transports always go
     /// through the gated variant; this shorthand serves the tests.)
     #[cfg(test)]
     pub(crate) fn push(&self, frame: Arc<[u8]>) -> bool {
@@ -133,7 +137,6 @@ impl OutRing {
             return false;
         }
         state.queue.push_back(QueuedFrame { bytes: frame, gate });
-        self.notify(&state);
         true
     }
 
@@ -157,43 +160,47 @@ impl OutRing {
             return false;
         }
         state.queue.push_back(QueuedFrame { bytes: frame, gate });
-        self.notify(&state);
         true
     }
 
-    /// Marks the ring closed: pushes fail from now on, and consumers
-    /// stop once the remaining frames are drained.
+    /// Enqueues an ungated frame for a reader that may have stopped
+    /// reading, without ever waiting on it: a full ring is closed and
+    /// emptied instead, so the writer hangs the connection up on its next
+    /// pass. Returns how many frames will never be delivered — the caller
+    /// counts them as drops: none when the frame was queued, it alone on
+    /// a closed ring, and on a cut-off it plus everything still queued.
+    pub(crate) fn push_or_cut_off(&self, frame: Arc<[u8]>) -> u64 {
+        let mut state = self.state.lock().expect("ring lock");
+        if state.closed {
+            return 1;
+        }
+        if state.queue.len() >= RING_DEPTH {
+            let lost = 1 + state.queue.len() as u64;
+            state.closed = true;
+            state.queue.clear();
+            state.offset = 0;
+            return lost;
+        }
+        state.queue.push_back(QueuedFrame {
+            bytes: frame,
+            gate: None,
+        });
+        0
+    }
+
+    /// Marks the ring closed: pushes fail from now on, and the writer
+    /// stops once the remaining frames are drained.
     pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("ring lock");
         state.closed = true;
         self.notify(&state);
     }
 
-    /// Waits until a frame is available and returns a handle to the
-    /// front one (plus its durability gate, if any) *without* popping
-    /// it, or `None` once the ring is closed and drained. The caller
-    /// must see the gate open before writing. Pair with
-    /// [`advance`](Self::advance) after a successful write; not popping
-    /// first is what lets a reconnecting writer retry the same frame on
-    /// a fresh connection.
-    pub(crate) fn front_blocking(&self) -> Option<(Arc<[u8]>, Option<SendGate>)> {
-        let mut state = self.state.lock().expect("ring lock");
-        loop {
-            if let Some(front) = state.queue.front() {
-                return Some((Arc::clone(&front.bytes), front.gate.clone()));
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.wait(state);
-        }
-    }
-
-    /// Pops the front frame (fully written by a blocking writer).
-    pub(crate) fn advance(&self) {
-        let mut state = self.state.lock().expect("ring lock");
-        state.queue.pop_front();
-        self.notify(&state);
+    /// Moves the partial-write cursor back to the front frame's first
+    /// byte: the connection that carried its beginning is gone, and the
+    /// next one must carry it whole.
+    pub(crate) fn rewind(&self) {
+        self.state.lock().expect("ring lock").offset = 0;
     }
 
     /// Writes queued frames onto a non-blocking `stream` until the ring
@@ -257,11 +264,11 @@ impl OutRing {
     }
 }
 
-/// The cluster writer thread's wake-up line: a level-triggered dirty
-/// flag under a mutex + condvar. Producers [`signal`](Self::signal)
-/// after every enqueue; the writer [`wait`](Self::wait)s when it has
-/// nothing to do (with a timeout while some socket is pushing back, so
-/// kernel buffers draining — which no enqueue announces — are retried).
+/// The writer thread's wake-up line: a level-triggered dirty flag under a
+/// mutex + condvar. Producers [`signal`](Self::signal) after every
+/// enqueue; the writer [`wait`](Self::wait)s when it has nothing to do
+/// (with a timeout while some socket is pushing back, so kernel buffers
+/// draining — which no enqueue announces — are retried).
 pub(crate) struct Notifier {
     dirty: Mutex<bool>,
     wake: Condvar,
@@ -339,17 +346,48 @@ mod tests {
     }
 
     #[test]
-    fn front_blocking_peeks_and_advance_pops() {
+    fn a_full_ring_cuts_its_reader_off_instead_of_waiting() {
+        let (mut tx, _rx) = socket_pair();
         let ring = OutRing::new();
-        assert!(ring.push(frame(7, 3)));
-        let (first, gate) = ring.front_blocking().unwrap();
-        assert_eq!(first[..], [7, 7, 7]);
-        assert!(gate.is_none(), "ungated push carries no gate");
-        // Still the front: a failed write would retry the same frame.
-        assert_eq!(ring.front_blocking().unwrap().0[..], [7, 7, 7]);
-        ring.advance();
-        ring.close();
-        assert!(ring.front_blocking().is_none(), "closed and drained");
+        for _ in 0..RING_DEPTH {
+            assert_eq!(ring.push_or_cut_off(frame(1, 4)), 0);
+        }
+        assert_eq!(
+            ring.push_or_cut_off(frame(2, 4)),
+            1 + RING_DEPTH as u64,
+            "full: the new frame and everything queued are lost"
+        );
+        assert_eq!(ring.push_or_cut_off(frame(3, 4)), 1, "closed for good");
+        assert_eq!(
+            ring.flush_nonblocking(&mut tx),
+            (0, Flush::Done),
+            "nothing queued is written: the writer just hangs up"
+        );
+    }
+
+    #[test]
+    fn rewind_sends_a_torn_frame_whole_on_the_next_connection() {
+        let (mut first, mut first_rx) = socket_pair();
+        let ring = OutRing::new();
+        // Distinct bytes, so a resend starting anywhere but byte 0 shows.
+        let big: Arc<[u8]> = (0..16 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
+        assert!(ring.push(Arc::clone(&big)));
+        assert_eq!(ring.flush_nonblocking(&mut first).1, Flush::Blocked);
+        let mut head = [0u8; 1024];
+        first_rx.read_exact(&mut head).unwrap();
+        drop((first, first_rx)); // the connection is lost mid-frame
+
+        ring.rewind();
+        let (mut second, mut second_rx) = socket_pair();
+        let reader = std::thread::spawn(move || {
+            let mut whole = vec![0u8; 16 * 1024 * 1024];
+            second_rx.read_exact(&mut whole).unwrap();
+            whole
+        });
+        while ring.flush_nonblocking(&mut second).1 == Flush::Blocked {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(reader.join().unwrap()[..] == big[..], "whole, from byte 0");
     }
 
     #[test]
@@ -427,19 +465,6 @@ mod tests {
         for (i, bytes) in got.chunks(3).enumerate() {
             assert_eq!(bytes, [i as u8; 3], "send order survives the gather");
         }
-    }
-
-    #[test]
-    fn front_blocking_hands_the_gate_to_the_consumer() {
-        use sft_types::Watermark;
-        let ring = OutRing::new();
-        let wm = Watermark::new();
-        assert!(ring.push_blocking_gated(frame(5, 1), Some(SendGate::new(wm.clone(), 1))));
-        let (_, gate) = ring.front_blocking().unwrap();
-        let gate = gate.expect("gate travels with the frame");
-        assert!(!gate.is_open());
-        wm.advance(1);
-        assert!(gate.is_open());
     }
 
     #[test]
@@ -530,7 +555,8 @@ mod tests {
             std::thread::spawn(move || ring.push_blocking(frame(2, 1)))
         };
         std::thread::sleep(Duration::from_millis(20));
-        ring.advance(); // consumer frees one slot
+        let (mut tx, _rx) = socket_pair();
+        ring.flush_nonblocking(&mut tx); // the writer frees the slots
         assert!(producer.join().unwrap(), "blocked push lands after a pop");
     }
 

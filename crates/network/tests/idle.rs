@@ -1,16 +1,18 @@
 //! What the readiness-driven socket core promises beyond delivering
 //! frames: a quiet cluster costs nothing, a blocked run loop wakes on a
-//! client, and teardown never waits on a socket. One test, in a process
-//! of its own, because the first part measures the whole process's CPU.
+//! client, teardown never waits on a socket — and a set of standalone
+//! nodes on the same core is just as quiet, even with a frame held behind
+//! a closed durability gate. One test, in a process of its own, because
+//! it measures the whole process's CPU.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sft_network::{Envelope, ProtocolTag, TcpCluster, Transport};
+use sft_network::{Dest, Envelope, NodeTransport, ProtocolTag, TcpCluster, Transport};
 use sft_obs::{names, Recorder, Registry};
-use sft_types::{ReplicaId, SimDuration};
+use sft_types::{ReplicaId, SendGate, SimDuration, Watermark};
 
 /// Process CPU time so far (user + system, all threads) in
 /// milliseconds, at the kernel's 10 ms tick resolution.
@@ -44,6 +46,36 @@ fn request(sock: &mut TcpStream, replica: ReplicaId, id: u16, payload: Vec<u8>) 
     sock.write_all(&frame).unwrap();
 }
 
+/// Reader wake-ups counted into `registry` so far.
+fn wakeups(registry: &Registry) -> u64 {
+    registry
+        .snapshot()
+        .counter(names::NET_READER_WAKEUPS)
+        .unwrap_or(0)
+}
+
+/// Holds both idle bounds over a 500 ms quiet window: at most one 10 ms
+/// CPU tick (sleep-polling readers spent ≈ 25 ms here; nothing runs now,
+/// so the honest expectation is 0) and at most 4 reader wake-ups.
+fn assert_idle(registry: &Registry, what: &str) {
+    let (cpu_before, woken_before) = (process_cpu_ms(), wakeups(registry));
+    std::thread::sleep(Duration::from_millis(500));
+    let cpu = process_cpu_ms() - cpu_before;
+    assert!(cpu <= 10, "{what} burned {cpu} ms of CPU in 500 ms");
+    let woken = wakeups(registry) - woken_before;
+    assert!(woken <= 4, "{what}: I/O threads woke {woken} times");
+}
+
+/// Polls `node` until `want` peer frames arrived (or 10 s passed).
+fn collect(node: &mut NodeTransport, want: usize) -> Vec<sft_network::Delivery> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut got = Vec::new();
+    while got.len() < want && Instant::now() < deadline {
+        got.extend(node.poll_deliver(node.now() + SimDuration::from_millis(50)));
+    }
+    got
+}
+
 #[test]
 fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
     let mut cluster = TcpCluster::loopback(10, ProtocolTag::Fbft).unwrap();
@@ -52,20 +84,7 @@ fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
     cluster.set_recorder(registry.clone());
 
     // --- idle: 90 connections, 10 listeners, and nothing to do ---
-    let cpu_before = process_cpu_ms();
-    std::thread::sleep(Duration::from_millis(500));
-    let cpu = process_cpu_ms() - cpu_before;
-    // Sleep-polling readers spent ≈ 25 ms here. Nothing runs now, so the
-    // honest expectation is 0; one 10 ms tick is the counter's grain.
-    assert!(
-        cpu <= 10,
-        "an idle cluster burned {cpu} ms of CPU in 500 ms"
-    );
-    let wakeups = registry
-        .snapshot()
-        .counter(names::NET_READER_WAKEUPS)
-        .unwrap_or(0);
-    assert!(wakeups <= 4, "idle I/O thread woke {wakeups} times");
+    assert_idle(&registry, "an idle cluster");
 
     // --- a client frame wakes a run loop blocked on a far deadline ---
     let replica = ReplicaId::new(3);
@@ -133,4 +152,54 @@ fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
     sock.read_to_end(&mut bytes).expect("ack, then EOF");
     let (ack, used) = Envelope::decode_frame(&bytes).unwrap().expect("one frame");
     assert_eq!((used, &ack.payload[..]), (bytes.len(), &[0xAC][..]));
+
+    // --- the node transport: four standalone endpoints, just as quiet ---
+    let registry = Arc::new(Registry::new());
+    let addrs: Vec<SocketAddr> = {
+        let holds: Vec<TcpListener> = (0..4)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        holds.iter().map(|l| l.local_addr().unwrap()).collect()
+    };
+    let mut nodes: Vec<NodeTransport> = (0..4u16)
+        .map(|id| {
+            let id = ReplicaId::new(id);
+            NodeTransport::bind_observed(id, ProtocolTag::Fbft, addrs[id.as_usize()], &addrs, {
+                registry.clone()
+            })
+            .unwrap()
+        })
+        .collect();
+    assert!(nodes.iter().all(|node| node.thread_count() == 3));
+    // Connected: every node has heard from every other.
+    for node in &mut nodes {
+        node.broadcast(node.id(), vec![0x11].into());
+    }
+    for node in &mut nodes {
+        assert_eq!(
+            collect(node, 3).len(),
+            3,
+            "node {} heard everyone",
+            node.id()
+        );
+    }
+    // A frame held behind a durability gate no fsync has opened yet.
+    let durable = Watermark::new();
+    let gate = SendGate::new(durable.clone(), 1);
+    nodes[0].send_to(
+        ReplicaId::new(0),
+        Dest::Peer(ReplicaId::new(1)),
+        vec![0x6a].into(),
+        Some(gate),
+    );
+    assert_idle(&registry, "four idle nodes with a gated frame");
+    let now = nodes[1].now();
+    let early = nodes[1].poll_deliver(now);
+    assert!(early.is_empty(), "not one frame past a closed gate");
+    // The fsync completes and the WAL's wake hook fires: the frame leaves.
+    durable.advance(1);
+    (nodes[0].writer_wake_hook())();
+    let got = collect(&mut nodes[1], 1);
+    assert_eq!(got.len(), 1, "the gate's opening released the frame");
+    assert_eq!(got[0].payload[..], [0x6a]);
 }

@@ -203,23 +203,25 @@ pub mod names {
     /// Total framed bytes enqueued toward peers.
     pub const NET_FRAME_BYTES: &str = "net_frame_bytes";
 
-    /// Times the `TcpCluster` I/O thread woke from `poll(2)` with at
-    /// least one socket ready.
+    /// Times the socket core's I/O thread (`TcpCluster` /
+    /// `NodeTransport`) woke from `poll(2)` with at least one socket
+    /// ready.
     pub const NET_READER_WAKEUPS: &str = "net_reader_wakeups";
-    /// `read` calls the `TcpCluster` I/O thread issued (one per ready
+    /// `read` calls the socket core's I/O thread issued (one per ready
     /// socket, more only while reads keep filling the 64 KiB buffer).
     pub const NET_READ_SYSCALLS: &str = "net_read_syscalls";
-    /// Vectored writes of the `TcpCluster` writer thread that moved
+    /// Vectored writes of the socket core's writer thread that moved
     /// bytes (one carries every gate-open frame queued on a connection).
     pub const NET_WRITE_SYSCALLS: &str = "net_write_syscalls";
 
     // ---- real-socket transport health ----
 
-    /// TCP connect attempts by reconnecting peer writers.
+    /// TCP connect attempts by `NodeTransport`'s dialer.
     pub const NET_RECONNECT_ATTEMPTS: &str = "net_reconnect_attempts";
-    /// Exponential-backoff sleeps taken by peer writers.
+    /// Failed connects that pushed a peer's next attempt back by an
+    /// exponential backoff.
     pub const NET_BACKOFF_SLEEPS: &str = "net_backoff_sleeps";
-    /// Total milliseconds slept in backoff.
+    /// Total milliseconds of backoff those failures imposed.
     pub const NET_BACKOFF_SLEEP_MS: &str = "net_backoff_sleep_ms";
 
     // ---- trace event names (NDJSON `"ev"` values) ----
