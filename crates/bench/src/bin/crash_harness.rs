@@ -29,7 +29,11 @@
 //!    binary serves clients, not only the in-process harness;
 //! 6. just before the kill, no live node ran more threads than
 //!    [`NODE_THREADS`] (read from `/proc/<pid>/status`) — a budget that
-//!    does not grow with `n` or with the number of clients.
+//!    does not grow with `n` or with the number of clients;
+//! 7. every incarnation that ran to completion (its trace ends in a
+//!    `node_stop`) issued at most [`FSYNCS_PER_BLOCK`] WAL fsyncs per
+//!    block it committed — on a real filesystem, the on-demand WAL's one
+//!    fsync per round. Every node's ratio is printed.
 //!
 //! Exit status is the CI verdict; data directories are left in place on
 //! failure (and printed) so they can be uploaded as artifacts.
@@ -98,6 +102,42 @@ fn check_thread_counts(children: &[(usize, Child)], n: usize) -> Result<(), Stri
     println!(
         "crash-harness: threads per node (replica:count) {} — budget {budget}",
         counts.join(" ")
+    );
+    Ok(())
+}
+
+/// Verdict 7's budget: WAL fsyncs per committed block. The group-commit
+/// WAL syncs once per round, when the replica's vote goes out; rounds
+/// that time out, and a restarted replica's catch-up, move it a little.
+const FSYNCS_PER_BLOCK: f64 = 1.5;
+
+/// Verdict 7: every completed incarnation's `wal_fsyncs` over its
+/// committed `blocks`, from the `node_stop` events of each node's trace,
+/// printed and held to [`FSYNCS_PER_BLOCK`].
+fn check_fsync_budget(dirs: &[PathBuf]) -> Result<(), String> {
+    let mut ratios = Vec::new();
+    for (id, dir) in dirs.iter().enumerate() {
+        let path = dir.join(TRACE_FILE_NAME);
+        let events =
+            sft_obs::read_trace(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+        for stop in events.iter().filter(|e| e.name == names::EV_NODE_STOP) {
+            let (Some(fsyncs), Some(blocks)) = (stop.get("wal_fsyncs"), stop.get("blocks")) else {
+                return Err(format!("replica {id}'s node_stop lacks its fsync count"));
+            };
+            let ratio = fsyncs as f64 / blocks.max(1) as f64;
+            ratios.push(format!("{id}:{ratio:.2}"));
+            if ratio > FSYNCS_PER_BLOCK {
+                return Err(format!(
+                    "replica {id} issued {fsyncs} WAL fsyncs for {blocks} committed blocks \
+                     ({ratio:.2} per block; the budget is {FSYNCS_PER_BLOCK})"
+                ));
+            }
+        }
+    }
+    println!(
+        "crash-harness: WAL fsyncs per committed block (replica:ratio, one per completed run) \
+         {} — budget {FSYNCS_PER_BLOCK}",
+        ratios.join(" ")
     );
     Ok(())
 }
@@ -468,6 +508,7 @@ fn run(args: &Args) -> Result<(), String> {
         return Err("restarted victim made no progress past its pre-crash prefix".to_string());
     }
     verify_recovery_timeline(&dirs[VICTIM])?;
+    check_fsync_budget(&dirs)?;
     let acked = client
         .join()
         .map_err(|_| "client thread panicked".to_string())??;

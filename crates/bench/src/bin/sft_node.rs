@@ -150,11 +150,13 @@ fn main() -> ExitCode {
     match run_node(&opts) {
         Ok(outcome) => {
             println!(
-                "sft-node {}: round {}, {} blocks committed, {} WAL records recovered, \
-                 {} appended, {} disconnects, {} dropped",
+                "sft-node {}: round {}, {} blocks committed ({} by this run, {} WAL fsyncs), \
+                 {} WAL records recovered, {} appended, {} disconnects, {} dropped",
                 opts.id,
                 outcome.round,
                 outcome.committed.len(),
+                outcome.blocks_committed,
+                outcome.wal_fsyncs,
                 outcome.recovered,
                 outcome.appended,
                 outcome.disconnects,

@@ -19,9 +19,12 @@
 //! record to the log *before* routing the messages it justifies, and each
 //! frame waits in the transport's writer until the log's watermark covers
 //! it — an fsync per record's guarantee without the fsync stall on the
-//! engine thread. The log's writer thread wakes the transport's writer
-//! when an fsync completes ([`NodeTransport::writer_wake_hook`]), so a
-//! gated frame leaves the moment it may, and nothing polls a closed gate.
+//! engine thread. The runner asks the log, once per instant, to make the
+//! frames it gated durable; the log's writer thread then fsyncs once and
+//! wakes the transport's writer ([`NodeTransport::writer_wake_hook`]), so
+//! a gated frame leaves the moment it may, and nothing polls a closed
+//! gate. At exit the node records its fsyncs and the blocks it committed
+//! in the trace's `node_stop` event (and on stdout).
 //!
 //! A node process runs five threads for any `n` (below the crypto pool's
 //! parallel-verification threshold): the engine's, the log's writer, and
@@ -107,6 +110,10 @@ pub struct NodeOutcome {
     pub dropped: u64,
     /// The round the engine ended on.
     pub round: u64,
+    /// WAL fsyncs this incarnation issued.
+    pub wal_fsyncs: u64,
+    /// Blocks this incarnation committed (the replayed prefix excluded).
+    pub blocks_committed: u64,
 }
 
 /// Runs one replica process to completion: bind, recover, participate,
@@ -201,6 +208,7 @@ fn serve<E: ReplicaEngine>(
     // first outbound vote against.
     engine.set_recorder(Arc::clone(&recorder));
     let recovered = store.replay_into(&mut engine, transport.now());
+    let replayed_blocks = engine.committed_chain().len();
     if recovered > 0 {
         eprintln!(
             "sft-node {}: recovered {recovered} WAL records{}",
@@ -271,10 +279,15 @@ fn serve<E: ReplicaEngine>(
 
     let round = runner.engine(0).round().as_u64();
     let mut report = runner.finish().map_err(wal_err)?;
+    let blocks_committed = report.chains[0].len().saturating_sub(replayed_blocks) as u64;
     recorder.trace(&TraceEvent::new(
         names::EV_NODE_STOP,
         report.elapsed.as_micros(),
-        &[("round", round)],
+        &[
+            ("round", round),
+            ("wal_fsyncs", report.wal_fsyncs),
+            ("blocks", blocks_committed),
+        ],
     ));
     if let Some(registry) = &registry {
         registry.flush_sink();
@@ -295,6 +308,8 @@ fn serve<E: ReplicaEngine>(
         disconnects: report.net.disconnects,
         dropped: report.net.dropped,
         round,
+        wal_fsyncs: report.wal_fsyncs,
+        blocks_committed,
     })
 }
 

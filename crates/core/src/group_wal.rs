@@ -1,28 +1,35 @@
-//! Group-commit WAL: a dedicated writer thread that batches fsyncs and
+//! Group-commit WAL: a dedicated writer thread that fsyncs on demand and
 //! publishes a durability [`Watermark`].
 //!
-//! The write-through discipline (PR 6) makes every persisting engine
+//! The write-through discipline makes every persisting engine
 //! step pay an fsync *inline*: the consensus loop cannot touch the next
 //! envelope until the disk confirms. This module splits that cost off
 //! the sequencing path without weakening the persist-before-send
 //! invariant:
 //!
 //! 1. the engine loop [`append`](DurableWal::append)s each
-//!    [`WalRecord`] to an in-memory queue and gets back a monotone
-//!    [`PersistSeq`] — microseconds, no disk;
-//! 2. one **WAL-writer thread** drains the queue, writes every pending
-//!    frame, issues a *single* fsync for the whole group, and advances
-//!    the shared [`Watermark`] to the group's last sequence number;
-//! 3. outbound messages justified by those records carry a
+//!    [`WalRecord`]: the frame is encoded straight into a buffer shared
+//!    with the writer and the record gets back a monotone
+//!    [`PersistSeq`] — no disk, no channel, no wake-up;
+//! 2. outbound messages justified by those records carry a
 //!    [`SendGate`](sft_types::SendGate) and are held by the transport's
 //!    writer until the watermark covers their sequence — the invariant
-//!    becomes *watermark-before-flush*.
+//!    becomes *watermark-before-flush*;
+//! 3. whoever holds such a frame asks for it: the run loop
+//!    [`request`](Watermark::request)s, once per replica per instant, the
+//!    highest sequence it gated a frame on, and blocking waits and
+//!    [`barrier`](DurableWal::barrier)s request what they wait for;
+//! 4. the **WAL-writer thread** sleeps until a request rises above the
+//!    watermark, then takes the whole buffer, makes **one `write` and one
+//!    fsync** for it, and advances the watermark to its last sequence.
 //!
-//! Batching is adaptive with no tuning knob: the writer drains whatever
-//! is queued, so an idle system fsyncs every record immediately (group
-//! size 1, write-through latency) while a loaded system coalesces every
-//! record that arrived during the previous fsync into one group — the
-//! classic group-commit latency/throughput trade made automatically.
+//! Durability is on demand, not per record. A record no frame waits on —
+//! the `QcFormed` and `BlockCommitted` of a vote-aggregation step — rides
+//! the next request's fsync, because the log is one sequential file and
+//! one fsync covers every byte before it. A round therefore costs each
+//! replica one fsync however many records it appends, and an idle system
+//! syncs nothing at all. Only a close ([`finish`](GroupCommitWal::finish),
+//! drop) or a buffer past a fixed byte bound syncs unasked.
 //!
 //! ## Safety argument
 //!
@@ -32,14 +39,18 @@
 //! an observer can ever see, the WAL records justifying it are already
 //! durable — exactly the guarantee inline fsyncing gave, shifted from
 //! "before `send` is called" to "before the frame leaves the process".
-//! A crash between append and fsync loses only records whose messages
-//! were still held back, which is indistinguishable from crashing
-//! before the step ran.
+//!
+//! A crash loses every record appended since the last request. Those are
+//! exactly the records no sent frame depends on (a frame that left was
+//! requested, and its request covered every record before it), so the
+//! crash is indistinguishable from crashing before the steps that
+//! appended them ran. Client acks are not gated: an ack may name a
+//! commit whose `BlockCommitted` record a crash then loses, and the
+//! restarted replica re-derives that commit from its peers.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -137,40 +148,68 @@ impl<S: WalSink + Send> DurableWal for WriteThroughWal<S> {
     }
 }
 
-/// One queued append: the encoded frame and its assigned sequence.
-struct QueuedFrame {
-    frame: Vec<u8>,
-    seq: PersistSeq,
+/// Bytes of unsynced frames past which the writer syncs unasked: what a
+/// log nobody requests anything of may hold in memory (and lose in a
+/// crash). A round's records are far below it.
+const PENDING_BOUND: usize = 1 << 20;
+
+/// The appends not yet handed to the sink.
+#[derive(Default)]
+struct Pending {
+    /// Their frames, back to back in append order.
+    frames: Vec<u8>,
+    /// How many records `frames` holds, and the last one's sequence.
+    records: u64,
+    last: PersistSeq,
+    /// Set by `finish` and drop: the writer syncs what is left and exits.
+    closing: bool,
+    /// Set (once) when the sink fails; the writer exits after setting it
+    /// and the watermark never advances past the failure.
+    failed: Option<String>,
 }
 
 /// State shared between the handle and the writer thread.
+#[derive(Default)]
 struct GroupShared {
+    /// Held by an append while it frames its record, and by the writer
+    /// only to swap the buffer out.
+    pending: Mutex<Pending>,
+    /// Wakes the writer: a request above the watermark, a buffer past
+    /// [`PENDING_BOUND`], or a close.
+    wake: Condvar,
     fsyncs: AtomicU64,
-    /// Set (once) when the sink fails; the writer exits after setting it
-    /// and the watermark never advances past the failure.
-    failed: Mutex<Option<String>>,
 }
 
 impl GroupShared {
-    fn failure(&self) -> Option<WalError> {
-        self.failed
-            .lock()
-            .expect("group wal failure slot")
-            .as_ref()
-            .map(|msg| WalError::Io(io::Error::other(msg.clone())))
+    fn lock(&self) -> std::sync::MutexGuard<'_, Pending> {
+        self.pending.lock().expect("group wal pending lock")
     }
+
+    fn failure(&self) -> Option<WalError> {
+        self.lock().failed.as_deref().map(writer_failure)
+    }
+
+    /// Wakes the writer to re-check its conditions.
+    fn notify(&self) {
+        // Taking the lock orders this wake-up after whatever the writer
+        // last checked under it, so none is lost.
+        let _pending = self.lock();
+        self.wake.notify_one();
+    }
+}
+
+fn writer_failure(msg: &str) -> WalError {
+    WalError::Io(io::Error::other(msg.to_string()))
 }
 
 /// How long a barrier waits between watermark checks while also
 /// watching for a writer failure.
 const BARRIER_POLL: Duration = Duration::from_millis(2);
 
-/// The group-commit WAL handle: appends enqueue, the writer thread
-/// batches and fsyncs, the [`Watermark`] reports progress. See the
-/// [module docs](self).
+/// The group-commit WAL handle: appends buffer, requests wake the writer
+/// thread, which makes everything buffered durable with one fsync, and the
+/// [`Watermark`] reports progress. See the [module docs](self).
 pub struct GroupCommitWal {
-    /// `None` once the handle is shutting down (channel closed).
-    tx: Option<Sender<QueuedFrame>>,
     watermark: Watermark,
     next_seq: PersistSeq,
     shared: Arc<GroupShared>,
@@ -192,21 +231,19 @@ impl GroupCommitWal {
         recorder: SharedRecorder,
         wake: Option<Box<dyn Fn() + Send + Sync>>,
     ) -> io::Result<Self> {
-        let (tx, rx) = mpsc::channel::<QueuedFrame>();
-        let watermark = Watermark::new();
-        let shared = Arc::new(GroupShared {
-            fsyncs: AtomicU64::new(0),
-            failed: Mutex::new(None),
+        let shared = Arc::new(GroupShared::default());
+        let watermark = Watermark::with_demand_hook({
+            let shared = Arc::clone(&shared);
+            move || shared.notify()
         });
         let writer = std::thread::Builder::new()
             .name("sft-wal-writer".into())
             .spawn({
                 let watermark = watermark.clone();
                 let shared = Arc::clone(&shared);
-                move || writer_loop(sink, &rx, &watermark, &shared, &recorder, wake.as_deref())
+                move || writer_loop(sink, &watermark, &shared, &recorder, wake.as_deref())
             })?;
         Ok(Self {
-            tx: Some(tx),
             watermark,
             next_seq: 1,
             shared,
@@ -235,31 +272,43 @@ impl GroupCommitWal {
     /// Returns the writer's failure if the log never became durable.
     pub fn finish(mut self) -> Result<(), WalError> {
         let result = self.barrier();
-        self.tx = None; // close the channel; the writer drains and exits
+        self.close();
+        result.and(self.shared.failure().map_or(Ok(()), Err))
+    }
+
+    /// Tells the writer to sync what is left and exit, and joins it.
+    /// Never panics (drop calls it): raising the flag is sound on a lock
+    /// an append panicked under, and the writer then stops on its own.
+    fn close(&mut self) {
+        let mut pending = self
+            .shared
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        pending.closing = true;
+        drop(pending);
+        self.shared.wake.notify_one();
         if let Some(writer) = self.writer.take() {
             let _ = writer.join();
         }
-        result.and(self.shared.failure().map_or(Ok(()), Err))
     }
 }
 
 impl DurableWal for GroupCommitWal {
     fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError> {
-        if let Some(err) = self.shared.failure() {
-            return Err(err);
-        }
         let seq = self.next_seq;
-        let queued = QueuedFrame {
-            frame: record.to_frame(),
-            seq,
-        };
-        let tx = self.tx.as_ref().expect("append after finish");
-        if tx.send(queued).is_err() {
-            // The writer died between the failure check and the send.
-            return Err(self
-                .shared
-                .failure()
-                .unwrap_or_else(|| WalError::Io(io::Error::other("WAL writer exited"))));
+        let mut pending = self.shared.lock();
+        if let Some(msg) = &pending.failed {
+            return Err(writer_failure(msg));
+        }
+        let before = pending.frames.len();
+        record.frame_into(&mut pending.frames);
+        pending.records += 1;
+        pending.last = seq;
+        let crossed = before < PENDING_BOUND && pending.frames.len() >= PENDING_BOUND;
+        drop(pending);
+        if crossed {
+            self.shared.wake.notify_one();
         }
         self.next_seq += 1;
         Ok(seq)
@@ -271,6 +320,7 @@ impl DurableWal for GroupCommitWal {
 
     fn barrier(&mut self) -> Result<(), WalError> {
         let target = self.last_seq();
+        // Each wait requests `target`: everything appended so far.
         while !self.watermark.wait_covers_timeout(target, BARRIER_POLL) {
             if let Some(err) = self.shared.failure() {
                 return Err(err);
@@ -293,47 +343,51 @@ impl DurableWal for GroupCommitWal {
 
 impl Drop for GroupCommitWal {
     fn drop(&mut self) {
-        // Closing the channel ends the writer once it drains — every
-        // queued record is still written and fsynced on the way out.
-        self.tx = None;
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
+        // Every buffered record is still written and fsynced on the way
+        // out.
+        self.close();
     }
 }
 
-/// The writer thread: drain everything queued, write it, one fsync,
-/// publish the watermark, repeat. Exits when the channel closes (after
-/// draining) or the sink fails (after recording the failure).
+/// The writer thread: sleep until the buffered records are due — a
+/// request above the watermark, the byte bound, or a close — then take the
+/// whole buffer, one `write`, one fsync, publish the watermark, repeat.
+/// Exits on a close once the buffer is empty, or when the sink fails
+/// (after recording the failure).
 fn writer_loop<S: WalSink>(
     mut sink: S,
-    rx: &Receiver<QueuedFrame>,
     watermark: &Watermark,
     shared: &GroupShared,
     recorder: &SharedRecorder,
     wake: Option<&(dyn Fn() + Send + Sync)>,
 ) {
-    while let Ok(first) = rx.recv() {
-        // Adaptive batching: everything that queued up while we were
-        // blocked (or fsyncing the previous group) forms one group.
-        let mut group = vec![first];
-        while let Ok(more) = rx.try_recv() {
-            group.push(more);
-        }
-        let mut failure = None;
-        let mut last = 0;
-        for queued in &group {
-            if let Err(e) = sink.append(&queued.frame) {
-                failure = Some(e);
-                break;
+    let mut batch = Vec::new();
+    loop {
+        let (last, records) = {
+            let mut pending = shared.lock();
+            loop {
+                let due = watermark.requested() > watermark.get()
+                    || pending.frames.len() >= PENDING_BOUND
+                    || pending.closing;
+                if pending.records > 0 && due {
+                    break;
+                }
+                if pending.closing {
+                    return;
+                }
+                pending = shared.wake.wait(pending).expect("group wal pending lock");
             }
-            last = queued.seq;
-        }
-        if failure.is_none() && last > 0 {
-            failure = sink.sync().err();
-        }
-        if let Some(e) = failure {
-            *shared.failed.lock().expect("group wal failure slot") = Some(e.to_string());
+            // The appends' buffer becomes this batch; the emptied one
+            // (capacity kept) goes back to the appends.
+            std::mem::swap(&mut pending.frames, &mut batch);
+            let taken = (pending.last, pending.records);
+            pending.records = 0;
+            taken
+        };
+        let synced = sink.append(&batch).and_then(|()| sink.sync());
+        batch.clear();
+        if let Err(e) = synced {
+            shared.lock().failed = Some(e.to_string());
             if let Some(wake) = wake {
                 wake(); // waiters must re-check and observe the failure
             }
@@ -342,7 +396,7 @@ fn writer_loop<S: WalSink>(
         shared.fsyncs.fetch_add(1, Ordering::Relaxed);
         if recorder.enabled() {
             recorder.add(names::WAL_FSYNCS, 1);
-            recorder.observe(names::WAL_GROUP_SIZE, group.len() as u64);
+            recorder.observe(names::WAL_GROUP_SIZE, records);
         }
         watermark.advance(last);
         if let Some(wake) = wake {
@@ -437,8 +491,10 @@ mod tests {
             }
         }
         let mut wal = GroupCommitWal::spawn(SlowSink::default(), sft_obs::noop(), None).unwrap();
+        let wm = wal.watermark();
         for _ in 0..50 {
-            wal.append(&record()).unwrap();
+            let seq = wal.append(&record()).unwrap();
+            wm.request(seq); // every record asked for while the disk lags
         }
         wal.barrier().unwrap();
         assert!(
@@ -446,6 +502,62 @@ mod tests {
             "a burst against a slow disk must coalesce; got {} fsyncs for 50 records",
             wal.fsyncs()
         );
+        wal.finish().unwrap();
+    }
+
+    /// Long enough for a writer that syncs unasked to have done so.
+    const SETTLE: Duration = Duration::from_millis(30);
+
+    #[test]
+    fn appends_nobody_requests_are_never_synced() {
+        let sink = SharedSink::default();
+        let syncs = Arc::clone(&sink.syncs);
+        let mut wal = GroupCommitWal::spawn(sink, sft_obs::noop(), None).unwrap();
+        for _ in 0..20 {
+            wal.append(&record()).unwrap();
+        }
+        std::thread::sleep(SETTLE);
+        assert_eq!(wal.fsyncs(), 0);
+        assert_eq!(syncs.load(Ordering::SeqCst), 0);
+        assert_eq!(wal.watermark().get(), 0, "nothing asked, nothing durable");
+    }
+
+    #[test]
+    fn one_request_is_one_fsync_covering_everything_before_it() {
+        let sink = SharedSink::default();
+        let bytes = Arc::clone(&sink.bytes);
+        let mut wal = GroupCommitWal::spawn(sink, sft_obs::noop(), None).unwrap();
+        let wm = wal.watermark();
+        for _ in 0..20 {
+            wal.append(&record()).unwrap();
+        }
+        // A request for an early record syncs the whole buffer: the log is
+        // one sequential file.
+        wm.request(3);
+        assert!(wm.wait_covers_timeout(3, Duration::from_secs(5)));
+        std::thread::sleep(SETTLE);
+        assert_eq!(wal.fsyncs(), 1);
+        assert_eq!(wm.get(), 20, "the one fsync covered all 20");
+        assert_eq!(scan_wal(&bytes.lock().unwrap()).unwrap().records.len(), 20);
+        wal.finish().unwrap();
+    }
+
+    #[test]
+    fn a_buffer_past_its_byte_bound_syncs_unasked() {
+        let mut wal = GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap();
+        let frame_len = record().to_frame().len();
+        let mut seq = 0;
+        for _ in 0..=PENDING_BOUND / frame_len {
+            seq = wal.append(&record()).unwrap();
+        }
+        // Polled, not waited on: a wait would be a request.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while wal.fsyncs() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(wal.fsyncs(), 1, "the bound, not a request, synced");
+        assert_eq!(wal.watermark().get(), seq);
+        assert_eq!(wal.watermark().requested(), 0);
         wal.finish().unwrap();
     }
 

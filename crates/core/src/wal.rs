@@ -108,21 +108,36 @@ impl WalRecord {
     /// Panics if the encoded body exceeds [`MAX_WAL_BODY_LEN`] (a record
     /// that large could never be recovered, so logging it is a bug).
     pub fn to_frame(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        self.frame_into(&mut frame);
+        frame
+    }
+
+    /// Appends the record's frame — the bytes [`to_frame`](Self::to_frame)
+    /// returns — to `buf`, so a batch of records is framed into one
+    /// buffer with no allocation of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the encoded body exceeds [`MAX_WAL_BODY_LEN`], as
+    /// [`to_frame`](Self::to_frame) does.
+    pub fn frame_into(&self, buf: &mut Vec<u8>) {
         // Header first, as zeros; the body is encoded straight behind it
         // and the header filled in once the body's length and checksum are
         // known. Not pre-sized: `encoded_len` would encode the whole record
         // once more just to count it.
-        let mut frame = vec![0u8; WAL_HEADER_LEN];
-        self.encode(&mut frame);
-        let body_len = frame.len() - WAL_HEADER_LEN;
+        let start = buf.len();
+        buf.resize(start + WAL_HEADER_LEN, 0);
+        self.encode(buf);
+        let body_start = start + WAL_HEADER_LEN;
+        let body_len = buf.len() - body_start;
         assert!(
             body_len <= MAX_WAL_BODY_LEN,
             "WAL record body {body_len}B exceeds MAX_WAL_BODY_LEN"
         );
-        let checksum = body_checksum(&frame[WAL_HEADER_LEN..]);
-        frame[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
-        frame[4..WAL_HEADER_LEN].copy_from_slice(&checksum.to_be_bytes());
-        frame
+        let checksum = body_checksum(&buf[body_start..]);
+        buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
+        buf[start + 4..body_start].copy_from_slice(&checksum.to_be_bytes());
     }
 
     /// Attempts to decode one frame from the front of `buf`.

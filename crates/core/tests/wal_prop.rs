@@ -417,3 +417,71 @@ fn batched_sync_crash_loses_at_most_the_unsynced_window() {
         );
     }
 }
+
+/// Durability on demand, at the layer that enforces it: over random
+/// schedules of appends, requests and a k-th-fsync crash, a gate is open
+/// **iff** the crash image scans to a prefix covering its sequence. A
+/// record nobody requested may be lost; a record behind a released frame
+/// never is — and the watermark never covers a byte the disk lacks.
+#[test]
+fn gates_open_iff_the_crash_image_covers_them_under_random_request_schedules() {
+    use sft_core::{DurableWal, GroupCommitWal};
+    use sft_types::SendGate;
+
+    let mut rng = SplitMix64::new(0xde_3a4d);
+    let registry = KeyRegistry::deterministic(N);
+    let (mut crashes, mut released) = (0, 0);
+    for schedule in 0..40 {
+        let sink = FsyncCrashSink::new(1 + rng.next_below(6));
+        let mut wal =
+            GroupCommitWal::spawn(sink.clone(), sft_obs::noop(), None).expect("spawn wal writer");
+        let mut records = Vec::new();
+        let mut gates: Vec<SendGate> = Vec::new();
+        for _ in 0..8 + rng.next_below(32) {
+            if rng.next_below(3) == 0 && !gates.is_empty() {
+                // A held frame asks for its gate; the writer settles —
+                // the gate opens, or the log dies under it.
+                let gate = &gates[rng.next_below(gates.len() as u64) as usize];
+                while !gate.wait_open_timeout(std::time::Duration::from_millis(1))
+                    && !sink.crashed()
+                {}
+                if sink.crashed() {
+                    break;
+                }
+            } else {
+                let record = random_record(&mut rng, &registry);
+                let Ok(seq) = wal.append(&record) else {
+                    break;
+                };
+                records.push(record);
+                gates.push(SendGate::new(wal.watermark(), seq));
+            }
+        }
+        // The process dies here: what the disk holds now is what a reboot
+        // finds (the drop below flushes into a sink nobody reads again).
+        let image = sink.crash_image();
+        crashes += u64::from(sink.crashed());
+        let durable = scan_wal(&image)
+            .expect("the durable prefix is clean")
+            .records;
+        assert_eq!(
+            durable,
+            records[..durable.len()],
+            "schedule {schedule}: the crash image is an append-order prefix"
+        );
+        for gate in &gates {
+            released += u64::from(gate.is_open());
+            assert_eq!(
+                gate.is_open(),
+                gate.seq() <= durable.len() as u64,
+                "schedule {schedule}: gate {} vs {} durable records",
+                gate.seq(),
+                durable.len()
+            );
+        }
+    }
+    assert!(
+        crashes > 0 && released > 0,
+        "{crashes} crashes, {released} released gates"
+    );
+}

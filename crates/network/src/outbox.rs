@@ -22,8 +22,8 @@
 //! carries it whole.
 //!
 //! A [`Notifier`] is the writer thread's single wake-up channel: enqueues
-//! and completed fsyncs signal it, so the thread sleeps — not spins —
-//! while nothing is writable.
+//! of sendable frames and completed fsyncs signal it, so the thread
+//! sleeps — not spins — while nothing is writable.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
@@ -150,10 +150,17 @@ impl OutRing {
     }
 
     /// [`push_blocking`](Self::push_blocking) with an optional
-    /// durability gate.
+    /// durability gate. A full ring's frames may all wait on a gate no one
+    /// has asked to open yet — the run loop asks at the end of its
+    /// instant, and it is the caller blocked here — so the newest queued
+    /// gate is requested before sleeping: gates on one ring rise, so it
+    /// covers every frame ahead of it.
     pub(crate) fn push_blocking_gated(&self, frame: Arc<[u8]>, gate: Option<SendGate>) -> bool {
         let mut state = self.state.lock().expect("ring lock");
         while !state.closed && state.queue.len() >= RING_DEPTH {
+            if let Some(queued) = state.queue.iter().rev().find_map(|f| f.gate.as_ref()) {
+                queued.request();
+            }
             state = self.wait(state);
         }
         if state.closed {
@@ -295,8 +302,9 @@ impl Notifier {
 
     /// Sleeps until signalled (or `timeout`, when given) and lowers the
     /// flag. A signal raised since the last wait returns immediately —
-    /// the flag is level-triggered, so no enqueue is ever missed.
-    pub(crate) fn wait(&self, timeout: Option<Duration>) {
+    /// the flag is level-triggered, so no enqueue is ever missed. Returns
+    /// whether it was signalled (false: the timeout ran out).
+    pub(crate) fn wait(&self, timeout: Option<Duration>) -> bool {
         let mut dirty = self.dirty.lock().expect("notifier lock");
         match timeout {
             Some(limit) => {
@@ -311,7 +319,7 @@ impl Notifier {
                 }
             }
         }
-        *dirty = false;
+        std::mem::replace(&mut *dirty, false)
     }
 }
 

@@ -20,9 +20,10 @@
 //! - **one writer thread** drains every `OutRing` onto its non-blocking
 //!   socket — every gate-open frame of a pass in one vectored write,
 //!   partial writes resumed where the kernel pushed back. It sleeps until
-//!   an enqueue or a completed fsync (the WAL's wake hook) signals it;
-//!   only a socket that pushed back arms a retry timer, because a kernel
-//!   buffer draining signals nobody.
+//!   an enqueue of a sendable frame or a completed fsync (the WAL's wake
+//!   hook) signals it; only a socket that pushed back arms a retry timer,
+//!   because a kernel buffer draining signals nobody, and the timer backs
+//!   off while the socket stays full.
 //! - **one dialer thread**, when peers live in other processes: it
 //!   connects each peer with capped exponential backoff, sends the hello,
 //!   and hands the socket to the writer. When a dialled connection dies,
@@ -59,10 +60,15 @@ use crate::outbox::{Flush, Notifier, OutRing};
 use crate::readiness::PollSet;
 use crate::{ClientDelivery, Delivery, NetworkStats, Transport};
 
-/// Writer retry interval while some socket is pushing back: kernel
+/// First writer retry interval while some socket is pushing back: kernel
 /// buffers drain without any enqueue to signal it, so the wait must
-/// time out.
+/// time out. It doubles for every pass that moves no bytes, up to
+/// [`FLUSH_RETRY_CAP`].
 const FLUSH_RETRY: Duration = Duration::from_micros(200);
+
+/// Ceiling on the writer's retry interval: how long a reader that
+/// resumes after a long stall may wait for the writer to notice.
+const FLUSH_RETRY_CAP: Duration = Duration::from_millis(16);
 
 /// First redial delay after a failed connect; doubles per failure up to
 /// [`BACKOFF_CAP`].
@@ -391,13 +397,16 @@ impl<K> SocketTransport<K> {
             .and_then(|row| row.get(to.as_usize()));
         let queued = match ring.and_then(Option::as_ref) {
             None => false,
-            Some(ring) if self.lossless => ring.push_blocking_gated(frame, gate),
-            Some(ring) => ring.push_gated(frame, gate),
+            Some(ring) if self.lossless => ring.push_blocking_gated(frame, gate.clone()),
+            Some(ring) => ring.push_gated(frame, gate.clone()),
         };
-        if queued {
-            self.shared.notifier.signal();
-        } else {
+        if !queued {
             self.stats.dropped += 1;
+        } else if gate.as_ref().is_none_or(SendGate::is_open) {
+            // A frame behind a closed gate is the WAL's wake hook's to
+            // release. Checked after the push, so a gate opening in
+            // between is seen here or signals a frame already queued.
+            self.shared.notifier.signal();
         }
     }
 }
@@ -514,10 +523,13 @@ fn spawn(
 /// The single writer: round-robins every connection, flushing its ring
 /// onto the non-blocking socket. Sleeps on the notifier while there is
 /// nothing to write — behind a closed durability gate too: the WAL's wake
-/// hook announces its opening — and arms [`FLUSH_RETRY`] only while some
-/// kernel buffer pushes back. A pass that moved bytes records
-/// `phase_net_flush_ns` and its `net_write_syscalls`.
+/// hook announces its opening — and arms a retry timer only while some
+/// kernel buffer pushes back: [`FLUSH_RETRY`], doubled for each pass in a
+/// row that moves no bytes up to [`FLUSH_RETRY_CAP`], so a peer that
+/// never reads costs a few wake-ups a second. A pass that moved bytes
+/// records `phase_net_flush_ns` and its `net_write_syscalls`.
 fn flush_loop(mut conns: Vec<WriterConn>, redial: &Sender<usize>, shared: &Shared) {
+    let mut retry = FLUSH_RETRY;
     loop {
         // Read before the pass: a close flagged mid-pass gets one more.
         let closing = shared.closing.load(Ordering::SeqCst);
@@ -556,11 +568,16 @@ fn flush_loop(mut conns: Vec<WriterConn>, redial: &Sender<usize>, shared: &Share
         if writes > 0 {
             flush.finish(&*recorder, names::PHASE_NET_FLUSH_NS);
             recorder.add(names::NET_WRITE_SYSCALLS, writes);
+            retry = FLUSH_RETRY;
         }
         if closing {
             return;
         }
-        shared.notifier.wait(blocked.then_some(FLUSH_RETRY));
+        retry = if shared.notifier.wait(blocked.then_some(retry)) {
+            FLUSH_RETRY
+        } else {
+            (retry * 2).min(FLUSH_RETRY_CAP)
+        };
     }
 }
 

@@ -119,3 +119,46 @@ fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
     }
     drop(cluster);
 }
+
+/// The lossless mesh blocks a sender on a full ring. When every frame in
+/// it waits on a durability gate nobody has requested yet — the run loop
+/// requests at the end of its instant, and it is the sender blocked here
+/// — the blocked push must ask for the gate itself, or the run deadlocks.
+#[test]
+fn a_ring_full_of_frames_behind_an_unrequested_gate_still_drains() {
+    use sft_core::{Block, DurableWal, GroupCommitWal, MemSink, WalRecord};
+    use sft_types::SendGate;
+
+    const FRAMES: usize = 3000; // well past one ring's depth
+
+    let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
+    let mut wal = GroupCommitWal::spawn(
+        MemSink::new(),
+        sft_obs::noop(),
+        Some(cluster.writer_wake_hook()),
+    )
+    .unwrap();
+    let seq = wal
+        .append(&WalRecord::BlockCommitted(Block::genesis()))
+        .unwrap();
+    let (from, to) = (ReplicaId::new(0), ReplicaId::new(1));
+    for i in 0..FRAMES {
+        let gate = SendGate::new(wal.watermark(), seq);
+        let payload: Arc<[u8]> = (i as u32).to_be_bytes().to_vec().into();
+        cluster.send_to(from, sft_types::Dest::Peer(to), payload, Some(gate));
+    }
+    assert!(wal.watermark().covers(seq), "the blocked push asked for it");
+
+    let mut got = Vec::new();
+    let deadline = cluster.now() + SimDuration::from_secs(10);
+    while got.len() < FRAMES && cluster.now() < deadline {
+        got.extend(cluster.poll_deliver(cluster.now() + SimDuration::from_millis(50)));
+    }
+    assert_eq!(got.len(), FRAMES, "every gated frame arrives");
+    assert!(got
+        .iter()
+        .enumerate()
+        .all(|(i, d)| d.payload[..] == (i as u32).to_be_bytes()));
+    assert_eq!(cluster.stats().dropped, 0);
+    assert_eq!(wal.fsyncs(), 1, "one fsync released them all");
+}

@@ -75,10 +75,11 @@ pub mod names {
     // ---- durable write-ahead log (group-commit pipeline) ----
 
     /// `WalSink::sync` calls issued (one per write-through append, one
-    /// per coalesced group under the group-commit WAL writer).
+    /// per requested batch under the group-commit WAL writer).
     pub const WAL_FSYNCS: &str = "wal_fsyncs";
-    /// Records coalesced per group-commit fsync (histogram; 1 when the
-    /// writer is keeping up, larger under load).
+    /// Records made durable per group-commit fsync (histogram): every
+    /// record appended since the previous fsync, requested or not — a
+    /// replica's vote plus the certificate and commit records before it.
     pub const WAL_GROUP_SIZE: &str = "wal_group_size";
     /// Engine-loop wall time spent blocked on durability per persisting
     /// step: the inline fsync under write-through, the append-queue
@@ -241,7 +242,9 @@ pub mod names {
     /// A committed round's strength level rose (fields: `round`,
     /// `level`).
     pub const EV_STRENGTH: &str = "strength";
-    /// A node finished and flushed its state (fields: `round`).
+    /// A node finished and flushed its state (fields: `round`, and
+    /// `wal_fsyncs` and `blocks` — fsyncs issued and blocks committed by
+    /// this incarnation).
     pub const EV_NODE_STOP: &str = "node_stop";
 }
 

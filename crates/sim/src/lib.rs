@@ -118,10 +118,11 @@ pub enum DurabilityMode {
     /// the messages it justifies are routed — the literal
     /// persist-before-send baseline (`sync_every = 1`).
     WriteThrough,
-    /// The pipelined discipline: appends go to a dedicated WAL-writer
-    /// thread that batches fsyncs adaptively and publishes a durability
-    /// watermark; outbound messages are *gated* on the watermark instead
-    /// of waiting inline. Same durability guarantee as
+    /// The pipelined discipline: appends are buffered for a dedicated
+    /// WAL-writer thread that fsyncs on demand — once per replica per
+    /// instant that gated a frame — and publishes a durability watermark;
+    /// outbound messages are *gated* on the watermark instead of waiting
+    /// inline. Same durability guarantee as
     /// [`WriteThrough`](Self::WriteThrough) — no frame leaves before its
     /// records are on disk — at a fraction of the fsync count.
     GroupCommit,

@@ -6,7 +6,8 @@
 //! ingress → `submit` → verdict or ack route; decode-free dispatch
 //! (engines eat envelope bytes); same-instant cascades (a replica hears
 //! its own broadcasts without paying the network delay); deadline firing
-//! and block-sync polling; persist → gate → route; ack return; the bounded
+//! and block-sync polling; persist → gate → route → one durability request
+//! per replica per instant; ack return; the bounded
 //! post-run sync drain; Byzantine behavior filtering; [`SimReport`]
 //! assembly. The simulator and the loopback-TCP harness host all `n`
 //! replicas in one runner; `sft-node` hosts the one replica its process
@@ -160,6 +161,10 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     /// Replica `i`'s last appended persist sequence (0 = nothing appended)
     /// — the sequence its next outbound frames are gated on.
     last_seq: Vec<PersistSeq>,
+    /// The highest sequence replica `i` gated a frame on during the
+    /// current instant (0 = none): what the instant asks its log to make
+    /// durable when it ends.
+    demand: Vec<PersistSeq>,
     drain_used: u64,
     /// Which client connection is waiting on each admitted transaction's
     /// ack — the routing table from [`ReplicaEngine::drain_acks`] back to
@@ -205,6 +210,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             persisted: None,
             wals: None,
             last_seq: vec![0; n],
+            demand: vec![0; n],
             drain_used: 0,
             ack_routes: HashMap::new(),
             recorder: sft_obs::noop(),
@@ -224,9 +230,10 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// Installs one durable log per hosted replica and switches the run to the
     /// pipelined persistence discipline: every persist record is appended
     /// to the replica's [`DurableWal`] before its step's messages are
-    /// routed, and every outbound message carries a [`SendGate`] that
-    /// holds it in the transport until the log's durability watermark
-    /// covers the replica's last appended record.
+    /// routed, every outbound message carries a [`SendGate`] that holds it
+    /// in the transport until the log's durability watermark covers the
+    /// replica's last appended record, and each instant ends by requesting
+    /// durability for the frames it gated — one request per replica.
     ///
     /// # Panics
     ///
@@ -414,8 +421,24 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 break;
             }
         }
+        self.request_durability();
         self.flush_acks();
         Ok(())
+    }
+
+    /// Asks each hosted replica's log, once, to make durable the highest
+    /// sequence it gated a frame on this instant. One fsync then releases
+    /// every frame of the instant — a leader's proposal and its own
+    /// vote alike — and with them every record appended before.
+    fn request_durability(&mut self) {
+        let Some(wals) = &self.wals else {
+            return;
+        };
+        for (wal, demand) in wals.iter().zip(&mut self.demand) {
+            if *demand > 0 {
+                wal.watermark().request(std::mem::take(demand));
+            }
+        }
     }
 
     /// The client-ingress leg: drains the transport's client gateway,
@@ -519,7 +542,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         // any message they justify is routed, so a crash after a send can
         // never find the log missing the vote that went out — and a
         // failed append returns before anything is routed. With durable
-        // logs installed, `append` only *enqueues* (group commit) or
+        // logs installed, `append` only *buffers* (group commit) or
         // fsyncs inline (write-through); what the hot path actually waits
         // is recorded separately as the persist-wait phase.
         let persist = PhaseTimer::start(&*self.recorder);
@@ -577,7 +600,8 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     ///
     /// Pipelined runs attach the replica's gate, so the frame is held (in
     /// the transport, off the engine loop) until the WAL watermark covers
-    /// the records that justify it. The sender's own loopback delivery is
+    /// the records that justify it, and note the gate as the instant's
+    /// demand on the replica's log. The sender's own loopback delivery is
     /// *not* gated: a replica hearing its own message early cannot
     /// equivocate against itself, and its WAL replay restores the same
     /// state after a crash.
@@ -596,6 +620,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 .add(names::NET_BYTES[kind], recipients * out.bytes.len() as u64);
         }
         let gate = self.gate_for(i);
+        if let Some(gate) = &gate {
+            self.demand[i] = gate.seq();
+        }
         let dest = match out.route {
             Route::Broadcast => {
                 inbox.push_back((from, from, Arc::clone(&out.bytes)));

@@ -59,10 +59,12 @@ impl Wire {
             Some((victim, sink)) if *victim == from => {
                 // The writer advances the watermark for a group before it
                 // attempts the next fsync, so once the crash is visible a
-                // closed gate stays closed.
-                while !gate.is_open() && !sink.crashed() {
-                    std::thread::yield_now();
-                }
+                // closed gate stays closed. Each wait requests the gate:
+                // this wire holds the run loop until it opens, so the
+                // loop's own end-of-instant request would come too late.
+                while !gate.wait_open_timeout(std::time::Duration::from_millis(1))
+                    && !sink.crashed()
+                {}
                 gate.is_open()
             }
             _ => {
@@ -276,7 +278,7 @@ fn a_failed_inline_fsync_ends_the_run_before_its_step_is_routed() {
     }
 }
 
-/// Group commit (what `sft-node` runs): appends only enqueue, so the run
+/// Group commit (what `sft-node` runs): appends only buffer, so the run
 /// loop learns of the failure an append or two later — and the frames it
 /// routed in between sit behind gates that never open.
 #[test]

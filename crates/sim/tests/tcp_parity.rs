@@ -13,7 +13,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 
-use sft_core::ReplicaEngine;
+use sft_core::{DurableWal, GroupCommitWal, MemSink, ReplicaEngine};
 use sft_fbft::FbftMessage;
 use sft_network::{Envelope, ProtocolTag};
 use sft_obs::names;
@@ -166,5 +166,46 @@ fn a_sync_request_for_a_requester_outside_the_replica_set_is_a_counted_drop() {
     assert!(
         runner.engine(0).round() > round,
         "and the replica kept going"
+    );
+}
+
+/// Group commit fsyncs on demand: each replica syncs once per round —
+/// its vote, and with it whatever the previous round's vote aggregation
+/// appended — not once per record batch. Counted over the real socket
+/// core, whose writer the WAL's wake hook releases, with the logs on
+/// memory sinks so only the discipline is measured.
+#[test]
+fn group_commit_over_tcp_fsyncs_about_once_per_replica_per_block() {
+    const N: usize = 4;
+    let config = SimConfig::new(N, 48).with_protocol(Protocol::Fbft);
+    let cluster = TcpCluster::loopback(N, ProtocolTag::Fbft).expect("loopback mesh");
+    let wals: Vec<Box<dyn DurableWal>> = (0..N)
+        .map(|_| {
+            let wake = Some(cluster.writer_wake_hook());
+            Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), wake).unwrap())
+                as Box<dyn DurableWal>
+        })
+        .collect();
+    let mut runner = EngineRunner::new(
+        build_paced_fbft_engines(&config, SimDuration::from_secs(5)),
+        vec![Behavior::Honest; N],
+        cluster,
+        NoMischief,
+        RunnerConfig {
+            plan: RunPlan::PastRound(Round::new(config.epochs)),
+            horizon: SimTime::from_secs(60),
+            drain_bound: 0,
+            drain_step: SimDuration::from_millis(10),
+        },
+    );
+    runner.set_wals(wals);
+    let report = runner.run().expect("in-memory sinks");
+    assert!(report.agreement());
+    let blocks = report.max_committed() as u64;
+    assert!(blocks >= 32, "committed {blocks} blocks");
+    assert!(
+        report.wal_fsyncs <= (N as u64 + 1) * blocks,
+        "{} fsyncs for {blocks} blocks: more than one per replica per round",
+        report.wal_fsyncs
     );
 }

@@ -14,6 +14,15 @@
 //!   so the consensus loop never blocks on an fsync;
 //! - shutdown paths [`wait_covers`](Watermark::wait_covers) to drain.
 //!
+//! Durability is **on demand**: appending a record does not make the WAL
+//! sync it. Whoever needs a sequence durable — the run loop once per
+//! instant for the gated frames it routed, a blocking waiter, a barrier —
+//! [`request`](Watermark::request)s it, and the watermark wakes the WAL
+//! writer through the demand hook the WAL installed
+//! ([`with_demand_hook`](Watermark::with_demand_hook)). The log is one
+//! sequential file, so one fsync for the highest request covers every
+//! record before it.
+//!
 //! The type lives in `sft-types` (not `sft-core`, where the WAL itself
 //! lives) because both sides of the contract need it: the WAL writer
 //! that advances it and the transports that wait on it share no other
@@ -32,14 +41,22 @@ use std::time::Duration;
 /// fresh watermark (at 0) covers exactly the empty log.
 pub type PersistSeq = u64;
 
+/// Wakes whoever makes records durable; see
+/// [`Watermark::with_demand_hook`].
+type DemandHook = Box<dyn Fn() + Send + Sync>;
+
 /// Shared interior of a [`Watermark`]: the cached value for lock-free
-/// reads plus the mutex/condvar pair waiters sleep on.
+/// reads, the mutex/condvar pair waiters sleep on, and the demand side.
 struct WatermarkInner {
     /// Mirror of `durable` for lock-free reads. Updated while the lock
     /// is held, so it never runs ahead of the condvar-protected value.
     cached: AtomicU64,
     durable: Mutex<PersistSeq>,
     advanced: Condvar,
+    /// The highest sequence anyone has asked to become durable.
+    requested: AtomicU64,
+    /// Runs when `requested` rises past the watermark.
+    on_demand: Option<DemandHook>,
 }
 
 /// The durability watermark: the highest [`PersistSeq`] known durable.
@@ -51,13 +68,28 @@ pub struct Watermark {
 }
 
 impl Watermark {
-    /// A fresh watermark at 0 (nothing durable yet).
+    /// A fresh watermark at 0 (nothing durable yet) with no demand hook:
+    /// whoever advances it does so unasked (a write-through log, a test).
     pub fn new() -> Self {
+        Self::build(None)
+    }
+
+    /// A fresh watermark whose [`request`](Self::request)s run `hook` —
+    /// the WAL writer's wake-up — each time the highest request rises
+    /// past what is durable. The hook reads [`requested`](Self::requested)
+    /// after it is woken; it must not wait on the watermark itself.
+    pub fn with_demand_hook(hook: impl Fn() + Send + Sync + 'static) -> Self {
+        Self::build(Some(Box::new(hook)))
+    }
+
+    fn build(on_demand: Option<DemandHook>) -> Self {
         Self {
             inner: Arc::new(WatermarkInner {
                 cached: AtomicU64::new(0),
                 durable: Mutex::new(0),
                 advanced: Condvar::new(),
+                requested: AtomicU64::new(0),
+                on_demand,
             }),
         }
     }
@@ -85,18 +117,39 @@ impl Watermark {
         }
     }
 
-    /// Blocks until the watermark covers `seq`.
+    /// Asks for every record up to `seq` to become durable. Free when
+    /// `seq` is already covered or already asked for; otherwise one call
+    /// of the demand hook. Never blocks on the disk.
+    pub fn request(&self, seq: PersistSeq) {
+        if self.covers(seq) || self.inner.requested.fetch_max(seq, Ordering::AcqRel) >= seq {
+            return;
+        }
+        if let Some(hook) = &self.inner.on_demand {
+            hook();
+        }
+    }
+
+    /// The highest sequence [`request`](Self::request)ed so far — what
+    /// the WAL writer must make durable next.
+    pub fn requested(&self) -> PersistSeq {
+        self.inner.requested.load(Ordering::Acquire)
+    }
+
+    /// Requests `seq`, then blocks until the watermark covers it.
     pub fn wait_covers(&self, seq: PersistSeq) {
+        self.request(seq);
         let mut durable = self.inner.durable.lock().expect("watermark lock");
         while *durable < seq {
             durable = self.inner.advanced.wait(durable).expect("watermark lock");
         }
     }
 
-    /// Blocks until the watermark covers `seq` or `timeout` elapses.
-    /// Returns whether `seq` is covered — shutdown-aware waiters loop on
-    /// this with a short timeout so a dead WAL writer cannot wedge them.
+    /// Requests `seq`, then blocks until the watermark covers it or
+    /// `timeout` elapses. Returns whether `seq` is covered —
+    /// shutdown-aware waiters loop on this with a short timeout so a dead
+    /// WAL writer cannot wedge them.
     pub fn wait_covers_timeout(&self, seq: PersistSeq, timeout: Duration) -> bool {
+        self.request(seq);
         let mut durable = self.inner.durable.lock().expect("watermark lock");
         let deadline = std::time::Instant::now() + timeout;
         while *durable < seq {
@@ -156,13 +209,20 @@ impl SendGate {
         self.watermark.covers(self.seq)
     }
 
-    /// Blocks until the frame may be sent.
+    /// Asks for the records behind this frame to become durable (see
+    /// [`Watermark::request`]).
+    pub fn request(&self) {
+        self.watermark.request(self.seq);
+    }
+
+    /// Requests this gate's sequence, then blocks until the frame may be
+    /// sent.
     pub fn wait_open(&self) {
         self.watermark.wait_covers(self.seq);
     }
 
-    /// Blocks until the frame may be sent or `timeout` elapses; returns
-    /// whether the gate is open.
+    /// Requests this gate's sequence, then blocks until the frame may be
+    /// sent or `timeout` elapses; returns whether the gate is open.
     pub fn wait_open_timeout(&self, timeout: Duration) -> bool {
         self.watermark.wait_covers_timeout(self.seq, timeout)
     }
@@ -210,6 +270,35 @@ mod tests {
         assert!(!wm.wait_covers_timeout(1, Duration::from_millis(20)));
         wm.advance(1);
         assert!(wm.wait_covers_timeout(1, Duration::from_millis(20)));
+    }
+
+    #[test]
+    fn requests_run_the_hook_only_when_demand_rises_past_the_watermark() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let wm = Watermark::with_demand_hook({
+            let calls = Arc::clone(&calls);
+            move || {
+                calls.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        wm.request(3);
+        assert_eq!((wm.requested(), calls.load(Ordering::SeqCst)), (3, 1));
+        wm.request(2); // already asked for
+        wm.request(3);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        wm.advance(5);
+        wm.request(4); // already durable
+        assert_eq!((wm.requested(), calls.load(Ordering::SeqCst)), (3, 1));
+        wm.request(6);
+        assert_eq!((wm.requested(), calls.load(Ordering::SeqCst)), (6, 2));
+    }
+
+    #[test]
+    fn waiting_on_a_gate_requests_its_seq() {
+        let wm = Watermark::new();
+        let gate = SendGate::new(wm.clone(), 7);
+        assert!(!gate.wait_open_timeout(Duration::from_millis(1)));
+        assert_eq!(wm.requested(), 7, "a blocked waiter is demand");
     }
 
     #[test]
