@@ -22,27 +22,17 @@
 //!                                        prefix matches the sim run's
 //!   --batch-size B                       txns per drained mempool batch; 0 = synthetic
 //!                                        descriptor workload (default 256)
-//!   --replicas LIST                      comma-separated n sweep, e.g. 4,7,10; the
-//!                                        first entry is the headline run
-//!   --sweep-delay LIST                   comma-separated network δ sweep in ms,
-//!                                        e.g. 50,100,200, recorded in the summary's
-//!                                        sweep array
-//!   --json-dir DIR                       also write BENCH_<protocol>.json summaries
 //! ```
 //!
-//! Every batched headline run is compared against an *unbatched* baseline
-//! (the same scenario at batch size 1, equal simulated time); the run fails
-//! if batching does not commit at least twice the transactions — the
-//! regression bar CI holds the batching/pipelining path to.
-//!
-//! The JSON summaries (`BENCH_streamlet.json` / `BENCH_fbft.json`) are the
-//! machine-readable perf trajectory CI archives on every run and feeds to
-//! `scripts/bench_gate`, so future changes are compared against a recorded
-//! baseline instead of asserted fast.
+//! Every batched run is compared against an *unbatched* baseline (the same
+//! scenario at batch size 1, equal simulated time); the run fails if
+//! batching does not commit at least twice the transactions — the
+//! regression bar CI holds the batching/pipelining path to. The exact
+//! counters of `repro 4 10` and `repro 4 12 partition` are pinned in
+//! `RESULTS.md` by `crates/sim/tests/paper_claims.rs`.
 
 #![deny(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use sft_core::{scan_wal, MemSink, ProtocolConfig, ReplicaEngine, Wal, WalRecord};
@@ -51,7 +41,7 @@ use sft_sim::{
     build_fbft_engines, build_streamlet_engines, run_over_tcp, Behavior, EngineRunner, NoMischief,
     Protocol, RunPlan, RunnerConfig, SimConfig, SimReport, TcpPacing,
 };
-use sft_types::{Round, SimDuration, SimTime};
+use sft_types::{Round, SimTime};
 
 /// What the optional third positional argument selects: a Byzantine
 /// behavior for replica `n − 1`, or a partial-synchrony fault schedule.
@@ -92,9 +82,6 @@ struct Args {
     protocols: Vec<Protocol>,
     transport: TransportKind,
     batch_size: u32,
-    sweep: Vec<usize>,
-    delay_sweep_ms: Vec<u64>,
-    json_dir: Option<String>,
 }
 
 fn parse_replica_count(value: &str) -> Result<usize, String> {
@@ -113,9 +100,6 @@ fn parse_args() -> Result<Args, String> {
         protocols: vec![Protocol::Streamlet],
         transport: TransportKind::Sim,
         batch_size: 256,
-        sweep: Vec::new(),
-        delay_sweep_ms: Vec::new(),
-        json_dir: None,
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = 0usize;
@@ -139,39 +123,11 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown transport {other:?}")),
                 };
             }
-            "--sweep-delay" => {
-                let value = iter.next().ok_or("--sweep-delay needs a value")?;
-                args.delay_sweep_ms = value
-                    .split(',')
-                    .map(|v| {
-                        v.parse()
-                            .ok()
-                            .filter(|ms| *ms > 0)
-                            .ok_or_else(|| format!("bad delay {v:?}; need positive ms"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.delay_sweep_ms.is_empty() {
-                    return Err("--sweep-delay needs at least one value".to_string());
-                }
-            }
             "--batch-size" => {
                 let value = iter.next().ok_or("--batch-size needs a value")?;
                 args.batch_size = value
                     .parse()
                     .map_err(|_| format!("bad batch size {value:?}"))?;
-            }
-            "--replicas" => {
-                let value = iter.next().ok_or("--replicas needs a value")?;
-                args.sweep = value
-                    .split(',')
-                    .map(parse_replica_count)
-                    .collect::<Result<_, _>>()?;
-                if args.sweep.is_empty() {
-                    return Err("--replicas needs at least one value".to_string());
-                }
-            }
-            "--json-dir" => {
-                args.json_dir = Some(iter.next().ok_or("--json-dir needs a value")?.clone());
             }
             value => {
                 match positional {
@@ -205,35 +161,12 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    if args.sweep.is_empty() {
-        args.sweep = vec![args.n];
-    } else {
-        args.n = args.sweep[0];
-    }
-    if matches!(args.scenario, Scenario::Crash | Scenario::Restart)
-        && (args.json_dir.is_some() || args.sweep.len() > 1 || !args.delay_sweep_ms.is_empty())
-    {
+    if args.transport == TransportKind::Tcp && args.scenario != Scenario::Honest {
         return Err(
-            "crash/restart are acceptance scenarios, not bench runs: they support none of \
-             --json-dir / --replicas / --sweep-delay"
+            "--transport tcp runs the honest scenario only (fault injection is a \
+             simulator feature)"
                 .to_string(),
         );
-    }
-    if args.transport == TransportKind::Tcp {
-        if args.scenario != Scenario::Honest {
-            return Err(
-                "--transport tcp runs the honest scenario only (fault injection is a \
-                 simulator feature)"
-                    .to_string(),
-            );
-        }
-        if args.json_dir.is_some() || args.sweep.len() > 1 || !args.delay_sweep_ms.is_empty() {
-            return Err(
-                "--transport tcp is a parity check, not a bench run: it supports none of \
-                 --json-dir / --replicas / --sweep-delay"
-                    .to_string(),
-            );
-        }
     }
     Ok(args)
 }
@@ -263,28 +196,16 @@ fn scenario_name(scenario: Scenario) -> &'static str {
 /// reproducible; the test suite sweeps seeds.
 const LOSSY_SEED: u64 = 7;
 
-/// One simulated scenario, ready to run. A non-default `delay` must be
-/// applied here, *before* the scenario presets: the partition heal time
-/// and the lossy GST are derived from δ, so layering `with_delay` on an
-/// already-configured scenario would silently change its shape.
-fn configure(
-    args: &Args,
-    protocol: Protocol,
-    n: usize,
-    batch_size: u32,
-    delay: Option<SimDuration>,
-) -> SimConfig {
+/// One simulated scenario, ready to run. The crash scenarios start from
+/// the honest configuration: their faults are mid-run engine surgery,
+/// which `drive_crash` performs and a static config cannot express.
+fn configure(args: &Args, protocol: Protocol, batch_size: u32) -> SimConfig {
+    let n = args.n;
     let mut config = SimConfig::new(n, args.epochs)
         .with_protocol(protocol)
-        .with_batch_size(batch_size)
-        // Bench runs record phase timings and per-round latencies for
-        // the JSON summary; interactive runs keep the free no-op path.
-        .with_recording(args.json_dir.is_some());
-    if let Some(delay) = delay {
-        config = config.with_delay(delay);
-    }
+        .with_batch_size(batch_size);
     match args.scenario {
-        Scenario::Honest => {}
+        Scenario::Honest | Scenario::Crash | Scenario::Restart => {}
         Scenario::Byzantine(behavior) => {
             config = config.with_behavior((n - 1) as u16, behavior);
         }
@@ -296,10 +217,6 @@ fn configure(
         Scenario::Lossy => {
             config = config.with_lossy_links(LOSSY_SEED, 0.15);
         }
-        // Crash scenarios need mid-run engine surgery, which a static
-        // config cannot express; `run_crash_scenario` drives the runner
-        // directly and never comes through here.
-        Scenario::Crash | Scenario::Restart => unreachable!("crash scenarios bypass configure"),
     }
     config
 }
@@ -331,120 +248,9 @@ fn validate(report: &SimReport, scenario: Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// One `sweep` array entry: a run at a replica count and network delay.
-struct SweepEntry {
-    n: usize,
-    delay_us: u64,
-    report: SimReport,
-}
-
-/// Renders the run summary as a flat JSON object (plus a small `sweep`
-/// array). Written by hand — the offline dependency set has no serde, and
-/// the schema is a dozen scalar fields.
-fn summary_json(
-    args: &Args,
-    protocol: Protocol,
-    cfg: ProtocolConfig,
-    report: &SimReport,
-    baseline: Option<&SimReport>,
-    sweep: &[SweepEntry],
-) -> String {
-    let mut out = String::from("{\n");
-    let mut field = |key: &str, value: String| {
-        let _ = writeln!(out, "  \"{key}\": {value},");
-    };
-    field("protocol", format!("\"{}\"", protocol_name(protocol)));
-    field("n", args.n.to_string());
-    field("f", cfg.f().to_string());
-    field("epochs", args.epochs.to_string());
-    field("behavior", format!("\"{}\"", scenario_name(args.scenario)));
-    field("batch_size", args.batch_size.to_string());
-    field("committed_blocks", report.max_committed().to_string());
-    field("txns_committed", report.txns_committed.to_string());
-    field("txns_per_sec", format!("{:.3}", report.txns_per_sec()));
-    field(
-        "baseline_txns_committed",
-        baseline.map_or("null".to_string(), |b| b.txns_committed.to_string()),
-    );
-    field(
-        "baseline_txns_per_sec",
-        baseline.map_or("null".to_string(), |b| format!("{:.3}", b.txns_per_sec())),
-    );
-    field(
-        "batch_speedup",
-        baseline.map_or("null".to_string(), |b| {
-            format!(
-                "{:.3}",
-                report.txns_committed as f64 / (b.txns_committed.max(1)) as f64
-            )
-        }),
-    );
-    field("max_commit_level", report.max_commit_level().to_string());
-    field("strength_ceiling", cfg.max_strength().to_string());
-    field("agreement", report.agreement().to_string());
-    field(
-        "strength_monotone",
-        report.commit_strength_monotone().to_string(),
-    );
-    field(
-        "first_commit_us",
-        report
-            .first_commit_at(0)
-            .map_or("null".to_string(), |t| t.as_micros().to_string()),
-    );
-    field("elapsed_us", report.elapsed.as_micros().to_string());
-    field("messages", report.net.messages.to_string());
-    field("bytes", report.net.bytes.to_string());
-    field("dropped", report.net.dropped.to_string());
-    field("sync_requests", report.sync_requests.to_string());
-    field(
-        "sync_blocks_fetched",
-        report.sync_blocks_fetched.to_string(),
-    );
-    field("recovered_replicas", report.recovered_replicas.to_string());
-    field("disconnects", report.net.disconnects.to_string());
-    field("walk_steps", report.walk_steps.to_string());
-    field("wal_fsyncs", report.wal_fsyncs.to_string());
-    field("sig_verifications", report.sig_verifications.to_string());
-    field("batch_verify_calls", report.batch_verify_calls.to_string());
-    // Recorded counters and histogram digests, one scalar per line so the
-    // gate's flat line scanner picks every one of them up individually.
-    let flat = report.metrics.flat_fields();
-    if !flat.is_empty() {
-        let _ = writeln!(out, "  \"metrics\": {{");
-        for (i, (name, value)) in flat.iter().enumerate() {
-            let comma = if i + 1 == flat.len() { "" } else { "," };
-            let _ = writeln!(out, "    \"{name}\": {value}{comma}");
-        }
-        let _ = writeln!(out, "  }},");
-    }
-    // The sweep grid: throughput scaling over replica counts (at the
-    // default δ) and over network delays (at the headline n).
-    let entries: Vec<String> = sweep
-        .iter()
-        .map(|e| {
-            let r = &e.report;
-            format!(
-                "    {{\"n\": {}, \"delay_us\": {}, \"txns_committed\": {}, \"txns_per_sec\": {:.3}, \"elapsed_us\": {}, \"messages\": {}, \"sig_verifications\": {}, \"batch_verify_calls\": {}}}",
-                e.n,
-                e.delay_us,
-                r.txns_committed,
-                r.txns_per_sec(),
-                r.elapsed.as_micros(),
-                r.net.messages,
-                r.sig_verifications,
-                r.batch_verify_calls
-            )
-        })
-        .collect();
-    let _ = write!(out, "  \"sweep\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
-    out
-}
-
 fn run_protocol(args: &Args, protocol: Protocol) -> Result<(), String> {
     let cfg = ProtocolConfig::for_replicas(args.n);
-    let config = configure(args, protocol, args.n, args.batch_size, None);
-    let default_delay_us = config.delay.as_micros();
+    let config = configure(args, protocol, args.batch_size);
     println!(
         "running SFT-{}: n={} (f={}), {} {}, δ={}, quorum={}, 2f ceiling={}, batch={}",
         if protocol == Protocol::Fbft {
@@ -470,16 +276,14 @@ fn run_protocol(args: &Args, protocol: Protocol) -> Result<(), String> {
         },
     );
     match args.scenario {
-        Scenario::Honest => {}
+        // The crash scenarios run through `run_crash_scenario`.
+        Scenario::Honest | Scenario::Crash | Scenario::Restart => {}
         Scenario::Byzantine(behavior) => println!("replica {} is {:?}", args.n - 1, behavior),
         Scenario::Partition => println!(
             "replica {} partitioned until mid-run; replica 0 equivocates",
             args.n - 1
         ),
         Scenario::Lossy => println!("15% message loss (seed {LOSSY_SEED}) until GST at mid-run"),
-        Scenario::Crash | Scenario::Restart => {
-            unreachable!("crash scenarios run through run_crash_scenario")
-        }
     }
 
     let report = config.run();
@@ -528,8 +332,8 @@ fn run_protocol(args: &Args, protocol: Protocol) -> Result<(), String> {
     // The batching bar: against an unbatched (batch-size 1) baseline at
     // equal simulated time, batched+pipelined runs must commit at least
     // twice the transactions. Skipped in synthetic-workload mode.
-    let baseline = if args.batch_size >= 2 {
-        let baseline = configure(args, protocol, args.n, 1, None).run();
+    if args.batch_size >= 2 {
+        let baseline = configure(args, protocol, 1).run();
         validate(&baseline, args.scenario)?;
         let speedup = report.txns_committed as f64 / baseline.txns_committed.max(1) as f64;
         println!(
@@ -542,77 +346,12 @@ fn run_protocol(args: &Args, protocol: Protocol) -> Result<(), String> {
                 report.txns_committed, baseline.txns_committed
             ));
         }
-        Some(baseline)
-    } else {
-        None
-    };
-
-    // The sweep grid (headline run reused): larger replica counts at the
-    // configured batch size, then the network-δ axis at the headline n.
-    let mut sweep: Vec<SweepEntry> = vec![SweepEntry {
-        n: args.n,
-        delay_us: default_delay_us,
-        report: report.clone(),
-    }];
-    for &n in args.sweep.iter().skip(1) {
-        let r = configure(args, protocol, n, args.batch_size, None).run();
-        validate(&r, args.scenario)?;
-        println!(
-            "sweep n={n}: {} committed, {} txns ({:.1} txns/s), {} msgs, {} sig verifies, elapsed {}",
-            r.max_committed(),
-            r.txns_committed,
-            r.txns_per_sec(),
-            r.net.messages,
-            r.sig_verifications,
-            r.elapsed
-        );
-        sweep.push(SweepEntry {
-            n,
-            delay_us: default_delay_us,
-            report: r,
-        });
-    }
-    for &ms in &args.delay_sweep_ms {
-        let delay = SimDuration::from_millis(ms);
-        if delay.as_micros() == default_delay_us {
-            continue; // the headline entry already covers the default δ
-        }
-        let r = configure(args, protocol, args.n, args.batch_size, Some(delay)).run();
-        validate(&r, args.scenario)?;
-        println!(
-            "sweep δ={delay}: {} committed, {} txns ({:.1} txns/s), {} msgs, elapsed {}",
-            r.max_committed(),
-            r.txns_committed,
-            r.txns_per_sec(),
-            r.net.messages,
-            r.elapsed
-        );
-        sweep.push(SweepEntry {
-            n: args.n,
-            delay_us: delay.as_micros(),
-            report: r,
-        });
     }
 
     println!(
         "\nOK: agreement holds, max commit level {}",
         report.max_commit_level()
     );
-
-    if let Some(dir) = &args.json_dir {
-        // Honest runs keep the historical file name; fault scenarios get
-        // their own, so one artifact can carry the lossless baseline and
-        // the catch-up-cost trajectory side by side and the gate compares
-        // like with like (the file name pins the scenario, and the
-        // in-file identity fields double-check it).
-        let path = match scenario_name(args.scenario) {
-            "honest" => format!("{dir}/BENCH_{}.json", protocol_name(protocol)),
-            scenario => format!("{dir}/BENCH_{}_{scenario}.json", protocol_name(protocol)),
-        };
-        let json = summary_json(args, protocol, cfg, &report, baseline.as_ref(), &sweep);
-        std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
     Ok(())
 }
 
@@ -644,9 +383,7 @@ fn through_wal_codec(records: &[WalRecord]) -> Result<Vec<WalRecord>, String> {
 /// simulated twin of the `crash-harness` binary's OS-process run, on the
 /// CI scenario matrix where it is cheap enough to run everywhere.
 fn run_crash_scenario(args: &Args, protocol: Protocol) -> Result<(), String> {
-    let config = SimConfig::new(args.n, args.epochs)
-        .with_protocol(protocol)
-        .with_batch_size(args.batch_size);
+    let config = configure(args, protocol, args.batch_size);
     let restart = args.scenario == Scenario::Restart;
     println!(
         "running SFT-{} {}: n={}, {} {} — replica 0 killed mid-run{}",
@@ -821,7 +558,7 @@ fn drive_crash<E: ReplicaEngine>(
 /// run's. This is the acceptance check that the replica runtime is
 /// genuinely transport-agnostic.
 fn run_tcp_protocol(args: &Args, protocol: Protocol) -> Result<(), String> {
-    let config = configure(args, protocol, args.n, args.batch_size, None);
+    let config = configure(args, protocol, args.batch_size);
     println!(
         "running SFT-{} over loopback TCP: n={}, {} {}, batch={} (sim reference first)",
         if protocol == Protocol::Fbft {

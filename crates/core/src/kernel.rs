@@ -654,7 +654,7 @@ impl ChainKernel {
     }
 
     /// Total endorsement-frontier walk steps taken — the amortization
-    /// counter the bench gate watches.
+    /// counter `RESULTS.md` pins for the `repro` runs.
     pub fn walk_steps(&self) -> u64 {
         self.endorsements.walk_steps()
     }

@@ -127,7 +127,7 @@ impl Default for SyncConfig {
 }
 
 /// Counters a [`SyncManager`] keeps, reported per run by the simulator
-/// and tolerance-banded by the perf gate.
+/// and pinned in `RESULTS.md` for the `repro` partition run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncStats {
     /// Requests issued (retries included).

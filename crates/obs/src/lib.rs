@@ -13,11 +13,11 @@
 //! The default [`NoopRecorder`] makes each of those a virtual call to an
 //! empty body, and timers gate their clock reads on
 //! [`Recorder::enabled`], so instrumentation costs nothing measurable
-//! when recording is off — the CI perf gate holds the proof. When a
-//! harness turns recording on (`SimConfig::with_recording`,
-//! `sft-node --trace-out`), the same call sites feed a [`Registry`]
-//! whose [`MetricsSnapshot`] lands in `BENCH_*.json` and whose trace
-//! events reconstruct a crash-recovery timeline.
+//! when recording is off. When a harness turns recording on
+//! (`SimConfig::with_recording`, `sft-node --trace-out`, a traced
+//! benchmark run), the same call sites feed a [`Registry`] whose
+//! [`MetricsSnapshot`] the caller reads and whose trace events
+//! reconstruct a crash-recovery timeline.
 //!
 //! ## Units
 //!
@@ -48,9 +48,7 @@ pub use registry::{MetricsSnapshot, Registry};
 pub use trace::{read_trace, OwnedTraceEvent, TraceEvent, TraceSink};
 
 /// Every metric name the stack records, one documented constant each.
-///
-/// Histograms additionally surface as `<name>_{count,p50,p90,p99,max}`
-/// scalars in `BENCH_*.json` (see [`MetricsSnapshot::flat_fields`]).
+/// A histogram's digest is read back with [`MetricsSnapshot::hist`].
 pub mod names {
     // ---- run-loop (`EngineRunner`) phase timings (histograms, wall nanoseconds) ----
 

@@ -148,21 +148,6 @@ impl MetricsSnapshot {
     pub fn hist(&self, name: &str) -> Option<HistSummary> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, s)| *s)
     }
-
-    /// Every metric flattened to `(name, value)` scalars: counters
-    /// verbatim, histograms as `<name>_{count,p50,p90,p99,max}`. This is
-    /// the shape embedded in `BENCH_*.json` and banded by the perf gate.
-    pub fn flat_fields(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self.counters.clone();
-        for (name, s) in &self.hists {
-            out.push((format!("{name}_count"), s.count));
-            out.push((format!("{name}_p50"), s.p50));
-            out.push((format!("{name}_p90"), s.p90));
-            out.push((format!("{name}_p99"), s.p99));
-            out.push((format!("{name}_max"), s.max));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -200,26 +185,6 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.max, 30);
         assert!(s.p50 >= 20);
-    }
-
-    #[test]
-    fn flat_fields_expand_hists() {
-        let reg = Registry::new();
-        reg.add("msgs", 7);
-        reg.observe("lat", 100);
-        let flat = reg.snapshot().flat_fields();
-        let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "msgs",
-                "lat_count",
-                "lat_p50",
-                "lat_p90",
-                "lat_p99",
-                "lat_max"
-            ]
-        );
     }
 
     #[test]

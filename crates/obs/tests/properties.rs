@@ -1,8 +1,8 @@
 //! Property tests over the histogram and the NDJSON trace sink, driven
 //! by a seeded SplitMix64 PRNG so every run replays the same cases.
 //!
-//! The histogram invariants under test are the ones the bench gate's
-//! tolerance bands lean on: bucketing is monotone (so percentiles are
+//! The histogram invariants under test are the ones every percentile the
+//! stack reports leans on: bucketing is monotone (so percentiles are
 //! order-consistent), a bucketed percentile brackets the exact
 //! rank-statistic within the documented 12.5 % relative error, and merge
 //! is associative and equal to recording the combined stream. The sink

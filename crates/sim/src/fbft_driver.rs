@@ -131,8 +131,7 @@ type Runner = EngineRunner<FbftEngine, SimTransport, FbftMischief>;
 
 /// The SFT-DiemBFT simulator. Most callers use
 /// [`SimConfig::run`](crate::SimConfig::run) with
-/// [`Protocol::Fbft`](crate::Protocol::Fbft); the struct is public so
-/// benchmarks can construct and run it directly.
+/// [`Protocol::Fbft`](crate::Protocol::Fbft).
 pub struct FbftSimulation {
     runner: Runner,
     protocol: ProtocolConfig,
@@ -166,7 +165,7 @@ impl FbftSimulation {
         self.protocol
     }
 
-    /// Immutable access to replica `id`, for tests and benches.
+    /// Immutable access to replica `id`, for tests.
     pub fn replica(&self, id: u16) -> &FbftReplica {
         self.runner.engine(id as usize).replica()
     }

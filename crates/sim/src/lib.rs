@@ -195,8 +195,8 @@ pub struct SimConfig {
     /// When replicas verify vote/timeout signatures. Defaults to
     /// [`VerifyPolicy::OnQuorum`]: count optimistically and run one
     /// batched check when the quorum closes, dropping per-replica
-    /// verifications per certified round from O(n²) to O(n) — the knob
-    /// that makes n = 31/61/121 sweeps tractable. Set
+    /// verifications per certified round from O(n²) to O(n) — what keeps
+    /// runs at n = 31 and beyond tractable. Set
     /// [`VerifyPolicy::OnArrival`] to restore eager per-message checking.
     pub verify_policy: VerifyPolicy,
     /// How replicas persist their write-ahead logs (see
@@ -741,8 +741,8 @@ pub struct SimReport {
     /// Individual signature verifications across all replicas (eager
     /// checks, deferred-path probes, and post-QC stragglers). Under
     /// [`VerifyPolicy::OnQuorum`] this stays O(n) per certified round;
-    /// under [`VerifyPolicy::OnArrival`] it is O(n²) — the drop the bench
-    /// gate bands.
+    /// under [`VerifyPolicy::OnArrival`] it is O(n²). `RESULTS.md` pins
+    /// it for the `repro` runs.
     pub sig_verifications: u64,
     /// Batched quorum verifications run across all replicas (one per
     /// certificate formed under [`VerifyPolicy::OnQuorum`]; 0 under
@@ -750,9 +750,10 @@ pub struct SimReport {
     pub batch_verify_calls: u64,
     /// WAL fsyncs across all replicas. 0 under
     /// [`DurabilityMode::InMemory`]; one per persisted record under
-    /// [`DurabilityMode::WriteThrough`]; one per *group* under
-    /// [`DurabilityMode::GroupCommit`] — the drop between the last two is
-    /// the group-commit win.
+    /// [`DurabilityMode::WriteThrough`]; one per durability request under
+    /// [`DurabilityMode::GroupCommit`] — the runner requests once per
+    /// replica per instant that gated a frame, about one per replica per
+    /// round. The drop between the last two is the group-commit win.
     pub wal_fsyncs: u64,
     /// Counters and latency histograms recorded during the run. Empty
     /// unless the run was built with [`SimConfig::with_recording`] (or a

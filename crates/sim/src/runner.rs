@@ -243,7 +243,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         self.wals = Some(wals);
     }
 
-    /// Immutable access to engine `i`, for tests and benches.
+    /// Immutable access to engine `i`, for tests and harnesses.
     pub fn engine(&self, i: usize) -> &E {
         &self.engines[i]
     }

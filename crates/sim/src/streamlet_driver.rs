@@ -14,7 +14,7 @@ use sft_core::{Block, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::SimTransport;
 use sft_streamlet::{Message, Proposal, Replica, StreamletEngine};
-use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
+use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, StrongVote};
 
 use crate::runner::{EngineRunner, Mischief, RunPlan};
 use crate::{SimConfig, SimReport};
@@ -100,12 +100,10 @@ pub fn build_streamlet_engines(
 type Runner = EngineRunner<StreamletEngine, SimTransport, StreamletMischief>;
 
 /// The Streamlet simulator: engines plus the generic runner. Most callers
-/// use [`SimConfig::run`]; the struct is public so benchmarks can drive
-/// epochs one at a time.
+/// use [`SimConfig::run`].
 pub struct Simulation {
     runner: Runner,
     protocol: ProtocolConfig,
-    period: sft_types::SimDuration,
 }
 
 impl Simulation {
@@ -131,7 +129,6 @@ impl Simulation {
         Self {
             runner,
             protocol: ProtocolConfig::for_replicas(config.n),
-            period,
         }
     }
 
@@ -146,21 +143,12 @@ impl Simulation {
         self.runner.run().expect(crate::IN_MEMORY_SINKS)
     }
 
-    /// Advances the run through the end of `epoch` (an epoch spans two
-    /// message delays). Benchmarks drive the simulation one epoch at a
-    /// time with this.
-    pub fn run_epoch(&mut self, epoch: Round) {
-        self.runner
-            .run_until(SimTime::ZERO + self.period * epoch.as_u64())
-            .expect(crate::IN_MEMORY_SINKS);
-    }
-
     /// Snapshot of the current run state as a report.
     pub fn report(&self) -> SimReport {
         self.runner.report()
     }
 
-    /// Immutable access to replica `id`, for tests and benches.
+    /// Immutable access to replica `id`, for tests.
     pub fn replica(&self, id: u16) -> &Replica {
         self.runner.engine(id as usize).replica()
     }
