@@ -25,7 +25,11 @@
 use std::sync::Arc;
 
 use sft_crypto::{HashValue, SigStats};
-use sft_types::{ClientAck, ClientRequest, ReplicaId, Round, SimTime, StrongCommitUpdate};
+use sft_obs::{names, PhaseTimer, Recorder};
+use sft_types::{
+    ClientAck, ClientRequest, Decode, DecodeError, Encode, ReplicaId, Round, SimTime,
+    StrongCommitUpdate,
+};
 
 use crate::wal::WalRecord;
 use crate::{BlockStore, ChainKernel, SyncStats};
@@ -59,7 +63,7 @@ pub enum Route {
 
 /// One message an engine wants sent: routing, kind tag, and the encoded
 /// bytes (shared, so broadcasts encode once).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutboundMsg {
     /// Broadcast or point-to-point.
     pub route: Route,
@@ -89,10 +93,64 @@ impl OutboundMsg {
     }
 }
 
+/// The last proposal an engine broadcast, held together with the buffer it
+/// went out in, so the copy that loops back to the leader is not decoded:
+/// decoding a block recomputes every transaction's id, and the leader
+/// already holds the value those bytes were encoded from.
+///
+/// A delivery is the held proposal exactly when its bytes *are* the sent
+/// buffer — same address, same length. While the proposal is held its
+/// `Arc` keeps that allocation alive, so no other buffer can share the
+/// address, and only the sender's own loopback carries it. Any other
+/// payload, a byte-identical copy included, is decoded as before.
+///
+/// `M` is the protocol's message enum, so an echo re-enters the engine's
+/// dispatch as the same value a decode would have produced.
+#[derive(Debug)]
+pub struct OwnProposal<M> {
+    sent: Option<(Arc<[u8]>, M)>,
+}
+
+impl<M> Default for OwnProposal<M> {
+    fn default() -> Self {
+        Self { sent: None }
+    }
+}
+
+impl<M: Encode + Decode> OwnProposal<M> {
+    /// Encodes `msg` as a [`MsgKind::Proposal`] broadcast and holds it,
+    /// replacing any earlier proposal still held.
+    pub fn broadcast(&mut self, msg: M) -> OutboundMsg {
+        let bytes: Arc<[u8]> = msg.to_bytes().into();
+        self.sent = Some((Arc::clone(&bytes), msg));
+        OutboundMsg::broadcast(MsgKind::Proposal, bytes)
+    }
+
+    /// `payload` as a message: the held proposal, handed over once, if
+    /// `payload` is the buffer it was broadcast in; otherwise a decode of
+    /// `payload`, timed into `recorder` as [`names::PHASE_DECODE_NS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the decode error of bytes that are not a message.
+    pub fn decode(&mut self, payload: &[u8], recorder: &dyn Recorder) -> Result<M, DecodeError> {
+        let echo = self
+            .sent
+            .take_if(|(bytes, _)| std::ptr::eq::<[u8]>(&**bytes, payload));
+        if let Some((_, msg)) = echo {
+            return Ok(msg);
+        }
+        let timer = PhaseTimer::start(recorder);
+        let decoded = M::from_bytes(payload);
+        timer.finish(recorder, names::PHASE_DECODE_NS);
+        decoded
+    }
+}
+
 /// Everything one engine input produced: messages to route and commit-log
 /// entries for the run's timeline. Ordering matters — the harness sends
 /// `outbound` in order, which keeps runs deterministic.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStep {
     /// Messages to send, in send order.
     pub outbound: Vec<OutboundMsg>,

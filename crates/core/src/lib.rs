@@ -112,7 +112,9 @@ pub use acks::AckTracker;
 pub use block::{Ancestors, Block, BlockStore, BlockStoreError};
 pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
 pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
-pub use engine::{EngineStep, MsgKind, OutboundMsg, ReplicaEngine, ResidentState, Route};
+pub use engine::{
+    EngineStep, MsgKind, OutboundMsg, OwnProposal, ReplicaEngine, ResidentState, Route,
+};
 pub use group_wal::{DurableWal, GroupCommitWal, WriteThroughWal};
 pub use kernel::{ChainKernel, Intake};
 pub use ledger::CommitLedger;

@@ -19,7 +19,24 @@
 //! | body len: u32 BE | checksum: u64 BE | body: WalRecord encoding |
 //! ```
 //!
-//! The checksum is the first 8 bytes of a domain-tagged hash of the body.
+//! Which checksum a frame carries depends on the record kind, read from the
+//! body's first (tag) byte:
+//!
+//! - `VoteSent`, `QcFormed` and `TcFormed` — and any unknown tag — carry
+//!   the first 8 bytes of a domain-tagged hash of the body.
+//! - `BlockCommitted` carries the first 8 bytes of the block's id. The id
+//!   is already cached on the block, so appending one hashes nothing, and
+//!   it commits to every body byte: the block codec is canonical (fixed
+//!   widths, counted sequences, no slack), and the id covers the parent
+//!   link, both rounds, the height, the proposer and — through the payload
+//!   digest — every transaction's id, which covers its client, sequence
+//!   number and bytes. Checking such a frame *is* decoding it: the decode
+//!   recomputes the id, and a body that does not decode is corruption.
+//!
+//! A log whose block frames carry a body hash, the form before this one,
+//! does not scan: there is no reader for it, since a log belongs to one
+//! deployment of one build.
+//!
 //! Scanning a log image distinguishes the two failure shapes a crash can
 //! leave behind:
 //!
@@ -46,7 +63,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use sft_crypto::Hasher;
+use sft_crypto::{HashValue, Hasher};
 use sft_types::{
     Decode, DecodeError, Encode, SimTime, StrongVote, TimeoutCertificate, MAX_FRAME_LEN,
 };
@@ -55,8 +72,12 @@ use crate::engine::ReplicaEngine;
 use crate::{Block, QuorumCertificate};
 
 /// Bytes in front of every WAL frame body: a 4-byte big-endian body length
-/// followed by an 8-byte big-endian checksum of the body.
+/// followed by an 8-byte big-endian checksum of the body (see the
+/// [module docs](self) for which checksum).
 pub const WAL_HEADER_LEN: usize = 4 + 8;
+
+/// The tag byte that opens a [`WalRecord::BlockCommitted`] body.
+const BLOCK_COMMITTED_TAG: u8 = 3;
 
 /// Upper bound on a WAL frame body — the same 16 MiB bound the wire
 /// envelope enforces, for the same reason: a hostile or corrupt length
@@ -68,7 +89,16 @@ pub const MAX_WAL_BODY_LEN: usize = MAX_FRAME_LEN;
 /// or bit-flipped write, not an adversary) — a keyed MAC would slot in
 /// here if logs ever crossed a trust boundary.
 fn body_checksum(body: &[u8]) -> u64 {
-    let digest = Hasher::new("wal-frame").field(body).finish();
+    checksum_of(&Hasher::new("wal-frame").field(body).finish())
+}
+
+/// The checksum of a block frame: the first 8 bytes of the block's id,
+/// which commits to the whole body (see the [module docs](self)).
+fn block_checksum(block: &Block) -> u64 {
+    checksum_of(&block.id())
+}
+
+fn checksum_of(digest: &HashValue) -> u64 {
     let mut prefix = [0u8; 8];
     prefix.copy_from_slice(&digest.as_bytes()[..8]);
     u64::from_be_bytes(prefix)
@@ -135,7 +165,10 @@ impl WalRecord {
             body_len <= MAX_WAL_BODY_LEN,
             "WAL record body {body_len}B exceeds MAX_WAL_BODY_LEN"
         );
-        let checksum = body_checksum(&buf[body_start..]);
+        let checksum = match self {
+            WalRecord::BlockCommitted(block) => block_checksum(block),
+            _ => body_checksum(&buf[body_start..]),
+        };
         buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
         buf[start + 4..body_start].copy_from_slice(&checksum.to_be_bytes());
     }
@@ -171,11 +204,25 @@ impl WalRecord {
             return Ok(None);
         }
         let body = &buf[WAL_HEADER_LEN..total];
-        let computed = body_checksum(body);
-        if stored != computed {
-            return Err(FrameError::ChecksumMismatch { stored, computed });
-        }
-        let record = WalRecord::from_bytes(body).map_err(FrameError::Malformed)?;
+        let check = |computed: u64| {
+            if stored == computed {
+                Ok(())
+            } else {
+                Err(FrameError::ChecksumMismatch { stored, computed })
+            }
+        };
+        let record = match body.split_first() {
+            Some((&BLOCK_COMMITTED_TAG, block)) => {
+                // Decoding is what recomputes the id the header holds.
+                let block = Block::from_bytes(block).map_err(FrameError::Malformed)?;
+                check(block_checksum(&block))?;
+                WalRecord::BlockCommitted(block)
+            }
+            _ => {
+                check(body_checksum(body))?;
+                WalRecord::from_bytes(body).map_err(FrameError::Malformed)?
+            }
+        };
         Ok(Some((record, total)))
     }
 }
@@ -196,7 +243,7 @@ impl Encode for WalRecord {
                 tc.encode(buf);
             }
             WalRecord::BlockCommitted(block) => {
-                buf.push(3);
+                buf.push(BLOCK_COMMITTED_TAG);
                 block.encode(buf);
             }
         }
@@ -209,7 +256,7 @@ impl Decode for WalRecord {
             0 => Ok(WalRecord::VoteSent(StrongVote::decode(buf)?)),
             1 => Ok(WalRecord::QcFormed(QuorumCertificate::decode(buf)?)),
             2 => Ok(WalRecord::TcFormed(TimeoutCertificate::decode(buf)?)),
-            3 => Ok(WalRecord::BlockCommitted(Block::decode(buf)?)),
+            BLOCK_COMMITTED_TAG => Ok(WalRecord::BlockCommitted(Block::decode(buf)?)),
             t => Err(DecodeError::InvalidTag(t)),
         }
     }
@@ -226,11 +273,12 @@ pub enum FrameError {
     ChecksumMismatch {
         /// The checksum the frame header carries.
         stored: u64,
-        /// The checksum the body actually hashes to.
+        /// The checksum the body actually has: its hash, or its block's id.
         computed: u64,
     },
-    /// The body passed its checksum but failed to decode. With a sound
-    /// checksum this means a writer bug, so it is surfaced, not skipped.
+    /// The body failed to decode. Behind a body hash that matched, this
+    /// means a writer bug; in a block frame, checked by decoding it, it is
+    /// as likely a flipped bit. Either way it is surfaced, not skipped.
     Malformed(DecodeError),
 }
 
@@ -241,7 +289,7 @@ impl fmt::Display for FrameError {
             FrameError::ChecksumMismatch { stored, computed } => {
                 write!(
                     f,
-                    "checksum mismatch: stored {stored:#x}, body hashes to {computed:#x}"
+                    "checksum mismatch: stored {stored:#x}, body checks to {computed:#x}"
                 )
             }
             FrameError::Malformed(e) => write!(f, "frame body malformed: {e}"),
@@ -634,7 +682,7 @@ impl WalStore {
 mod tests {
     use super::*;
     use sft_crypto::{HashValue, KeyRegistry};
-    use sft_types::{EndorseInfo, ReplicaId, Round, SignerSet, VoteData};
+    use sft_types::{EndorseInfo, Payload, ReplicaId, Round, SignerSet, Transaction, VoteData};
 
     fn sample_records() -> Vec<WalRecord> {
         let registry = KeyRegistry::deterministic(4);
@@ -713,6 +761,75 @@ mod tests {
         assert_eq!(offset, 0);
         assert!(matches!(error, FrameError::ChecksumMismatch { .. }));
     }
+
+    fn small_block() -> Block {
+        let txns = vec![
+            Transaction::new(7, 0, vec![0xab; 16]),
+            Transaction::new(7, 1, Vec::new()),
+        ];
+        Block::new(
+            &Block::genesis(),
+            Round::new(1),
+            ReplicaId::new(2),
+            Payload::Transactions(txns),
+        )
+    }
+
+    #[test]
+    fn block_frame_header_is_the_block_id_prefix() {
+        let block = small_block();
+        let frame = WalRecord::BlockCommitted(block.clone()).to_frame();
+        let body_len = frame.len() - WAL_HEADER_LEN;
+        assert_eq!(frame[..4], (body_len as u32).to_be_bytes());
+        assert_eq!(frame[4..WAL_HEADER_LEN], block.id().as_bytes()[..8]);
+        assert_eq!(frame[WAL_HEADER_LEN], BLOCK_COMMITTED_TAG);
+    }
+
+    /// The id stands in for a body hash only if no single flipped bit
+    /// anywhere in the frame yields a record. A flip in the length prefix
+    /// may read as a torn tail instead; everywhere else it is an error.
+    #[test]
+    fn every_bit_flip_in_a_block_frame_is_detected() {
+        let frame = WalRecord::BlockCommitted(small_block()).to_frame();
+        for at in 0..frame.len() {
+            for bit in 0..8 {
+                let mut flipped = frame.clone();
+                flipped[at] ^= 1 << bit;
+                let outcome = WalRecord::decode_frame(&flipped);
+                assert!(
+                    match outcome {
+                        Ok(None) => at < 4,
+                        Ok(Some(_)) => false,
+                        Err(_) => true,
+                    },
+                    "byte {at} bit {bit}: {outcome:?}"
+                );
+            }
+        }
+    }
+
+    /// Frames other than a block's carry a body hash, in bytes that must
+    /// not drift: this vote frame is pinned as it was framed when block
+    /// frames still hashed their bodies too.
+    #[test]
+    fn vote_frame_bytes_are_pinned() {
+        let frame = sample_records()[0].to_frame();
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, VOTE_FRAME_HEX);
+    }
+
+    const VOTE_FRAME_HEX: &str = concat!(
+        "00000084",
+        "3d93f06869d06a3e",
+        "005b950e77941d01cdf246d00b1ece546bc95234b77d98b44c9187e2733afa696a",
+        "0000000000000001",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000",
+        "010000000000000000",
+        "0001",
+        "0000000000000001",
+        "7dd30fadfb41a7e9b3df06bd618796489c28ce569b5a28046913a1eb867a7279",
+    );
 
     #[test]
     fn hostile_length_prefix_rejected_before_allocation() {

@@ -172,8 +172,7 @@ mod tests {
     /// and not one compression more, however the `update`s fall.
     #[test]
     fn short_framing_updates_cost_no_compression_of_their_own() {
-        use crate::sha256::{BLOCKS_COMPRESSED, BLOCK_LEN};
-        let blocks = || BLOCKS_COMPRESSED.with(std::cell::Cell::get);
+        use crate::sha256::{blocks_compressed as blocks, BLOCK_LEN};
         let payload = vec![0x5au8; 4096];
 
         let before = blocks();

@@ -183,7 +183,6 @@ impl Sha256 {
 #[inline]
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
-    #[cfg(test)]
     BLOCKS_COMPRESSED.with(|n| n.set(n.get() + (blocks.len() / BLOCK_LEN) as u64));
     if !compress_hardware(state, blocks) {
         compress_portable(state, blocks);
@@ -358,12 +357,28 @@ fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
     .map(i32::cast_unsigned);
 }
 
-#[cfg(test)]
 thread_local! {
-    /// Blocks compressed on this thread so far, for tests that pin how much
-    /// hashing an operation costs.
-    pub(crate) static BLOCKS_COMPRESSED: std::cell::Cell<u64> =
-        const { std::cell::Cell::new(0) };
+    /// Blocks compressed on this thread so far.
+    static BLOCKS_COMPRESSED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many 64-byte blocks SHA-256 has compressed on the calling thread
+/// since the thread started, padding blocks included — the unit a hash
+/// budget is counted in. A 4 KiB transaction id is 65 of them. Read it
+/// before and after an operation to pin what the operation hashes.
+///
+/// # Examples
+///
+/// ```
+/// use sft_crypto::sha256::{blocks_compressed, Sha256};
+///
+/// let before = blocks_compressed();
+/// let _ = Sha256::digest(&[0u8; 100]);
+/// assert_eq!(blocks_compressed() - before, 2);
+/// ```
+#[must_use]
+pub fn blocks_compressed() -> u64 {
+    BLOCKS_COMPRESSED.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]

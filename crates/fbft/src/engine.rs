@@ -9,10 +9,12 @@
 //! (exactly what the old event-loop driver did by hand). A proposal the
 //! round pace held back goes out the same way, on the tick it comes due.
 
-use sft_core::{ChainKernel, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, WalRecord};
+use sft_core::{
+    ChainKernel, EngineStep, MsgKind, OutboundMsg, OwnProposal, ReplicaEngine, WalRecord,
+};
 use sft_crypto::SigStats;
 use sft_obs::{names, PhaseTimer};
-use sft_types::{Decode, Encode, ReplicaId, Round, SimTime};
+use sft_types::{Encode, ReplicaId, Round, SimTime};
 
 use crate::message::FbftMessage;
 use crate::replica::{FbftReplica, StepOutcome};
@@ -45,6 +47,8 @@ use crate::replica::{FbftReplica, StepOutcome};
 pub struct FbftEngine {
     replica: FbftReplica,
     booted: bool,
+    /// The last proposal broadcast, so its own loopback is not decoded.
+    own_proposal: OwnProposal<FbftMessage>,
 }
 
 impl FbftEngine {
@@ -53,6 +57,7 @@ impl FbftEngine {
         Self {
             replica,
             booted: false,
+            own_proposal: OwnProposal::default(),
         }
     }
 
@@ -86,10 +91,7 @@ impl FbftEngine {
             ));
         }
         if let Some(proposal) = out.next_proposal {
-            outbound.push(OutboundMsg::broadcast(
-                MsgKind::Proposal,
-                FbftMessage::Proposal(proposal).to_bytes(),
-            ));
+            outbound.push(self.own_proposal.broadcast(FbftMessage::Proposal(proposal)));
         }
         self.kernel_mut().finish_step(outbound, out.updates, now)
     }
@@ -109,9 +111,9 @@ impl ReplicaEngine for FbftEngine {
     }
 
     fn on_envelope(&mut self, _from: ReplicaId, payload: &[u8], now: SimTime) -> EngineStep {
-        let decode = PhaseTimer::start(&**self.kernel().recorder());
-        let decoded = FbftMessage::from_bytes(payload);
-        decode.finish(&**self.kernel().recorder(), names::PHASE_DECODE_NS);
+        let decoded = self
+            .own_proposal
+            .decode(payload, &**self.replica.kernel().recorder());
         let Ok(msg) = decoded else {
             return EngineStep::empty(); // transports can carry garbage
         };
@@ -172,10 +174,7 @@ impl ReplicaEngine for FbftEngine {
         if !self.booted || self.replica.proposal_held() {
             self.booted = true;
             if let Some(proposal) = self.replica.try_propose_chained(now) {
-                outbound.push(OutboundMsg::broadcast(
-                    MsgKind::Proposal,
-                    FbftMessage::Proposal(proposal).to_bytes(),
-                ));
+                outbound.push(self.own_proposal.broadcast(FbftMessage::Proposal(proposal)));
             }
         }
         if let Some(timeout) = self.replica.on_tick(now) {
@@ -197,5 +196,72 @@ impl ReplicaEngine for FbftEngine {
 
     fn round(&self) -> Round {
         self.replica.current_round()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use sft_core::{PayloadSource, ProtocolConfig};
+    use sft_crypto::KeyRegistry;
+    use sft_obs::{names, Recorder, Registry};
+    use sft_types::{BatchConfig, EndorseMode, SimDuration, Transaction};
+
+    use super::*;
+
+    /// Replica 1, the round-1 leader, recording into the returned registry,
+    /// after the bootstrap tick that broadcast its proposal of four 512 B
+    /// transactions. Returns the proposal's buffer too.
+    fn leader_after_proposing() -> (FbftEngine, Arc<Registry>, Arc<[u8]>) {
+        let mut replica = FbftReplica::new(
+            1,
+            ProtocolConfig::for_replicas(4),
+            KeyRegistry::deterministic(4),
+            EndorseMode::Marker,
+            SimDuration::from_millis(400),
+            SimTime::ZERO,
+        );
+        let kernel = replica.kernel_mut();
+        kernel.set_payload_source(PayloadSource::Mempool(BatchConfig::default()));
+        for seq in 0..4 {
+            kernel.submit(Transaction::new(9, seq, vec![seq as u8; 512]));
+        }
+        let mut engine = FbftEngine::new(replica);
+        let registry = Arc::new(Registry::new());
+        engine.set_recorder(Arc::clone(&registry) as _);
+        let step = engine.on_tick(SimTime::ZERO);
+        let [proposal] = &step.outbound[..] else {
+            panic!("the bootstrap tick sends exactly the proposal: {step:?}");
+        };
+        assert_eq!(proposal.kind, MsgKind::Proposal);
+        (engine, registry, Arc::clone(&proposal.bytes))
+    }
+
+    /// The leader's own broadcast, fed back as the buffer it went out in,
+    /// steps the engine exactly as a byte-identical copy does — and only
+    /// the copy is decoded.
+    #[test]
+    fn own_proposal_loopback_is_not_decoded_and_steps_the_same() {
+        let (mut echoed, echo_metrics, sent) = leader_after_proposing();
+        let (mut copied, copy_metrics, twin) = leader_after_proposing();
+        assert_eq!(sent, twin, "both leaders proposed the same bytes");
+        let copy = twin.to_vec();
+        let me = ReplicaId::new(1);
+
+        let from_echo = echoed.on_envelope(me, &sent, SimTime::ZERO);
+        let from_copy = copied.on_envelope(me, &copy, SimTime::ZERO);
+        assert_eq!(from_echo, from_copy);
+        assert!(
+            from_echo.outbound.iter().any(|m| m.kind == MsgKind::Vote),
+            "the leader votes for its own block: {from_echo:?}"
+        );
+        let decodes = |r: &Registry| r.snapshot().hist(names::PHASE_DECODE_NS).map(|h| h.count);
+        assert_eq!(decodes(&echo_metrics), None);
+        assert_eq!(decodes(&copy_metrics), Some(1));
+
+        // Handed over once: a second delivery of the same buffer decodes.
+        echoed.on_envelope(me, &sent, SimTime::ZERO);
+        assert_eq!(decodes(&echo_metrics), Some(1));
     }
 }

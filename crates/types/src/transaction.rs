@@ -12,9 +12,10 @@
 //! - [`Payload::Synthetic`] describes a batch (`txn_count × txn_bytes`)
 //!   without materializing it — used by the latency experiments, where only
 //!   the *size* of the batch matters (delays in the simulator are latency
-//!   injections, §4/Fig 6, not bandwidth limits). Its [`Payload::wire_bytes`]
-//!   reports the size the batch would occupy, so message-size accounting
-//!   stays honest while a laptop can sweep hundreds of configurations.
+//!   injections, §4/Fig 6, not bandwidth limits), so a laptop can sweep
+//!   hundreds of configurations. What travels is the 17-byte descriptor,
+//!   so message sizes in such runs count the protocol's own bytes, not the
+//!   batch's.
 
 use std::fmt;
 
@@ -177,11 +178,11 @@ impl BatchConfig {
 /// use sft_types::{Payload, Transaction};
 ///
 /// let real = Payload::Transactions(vec![Transaction::new(1, 0, vec![0; 64])]);
+/// assert_eq!(real.txn_count(), 1);
 /// // The paper's workload: ~1000 txns, ~450 bytes each, ~450 KB per block.
 /// let synthetic = Payload::synthetic(1000, 450, 42);
-/// assert_eq!(synthetic.wire_bytes(), 1000 * 450 + 24);
 /// assert_eq!(synthetic.txn_count(), 1000);
-/// assert!(real.wire_bytes() < synthetic.wire_bytes());
+/// assert_ne!(real.digest(), synthetic.digest());
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Payload {
@@ -226,23 +227,6 @@ impl Payload {
     /// True if the payload carries no transactions.
     pub fn is_empty(&self) -> bool {
         self.txn_count() == 0
-    }
-
-    /// The number of bytes this payload occupies (or would occupy) on the
-    /// wire — the quantity the message-size experiments account for.
-    pub fn wire_bytes(&self) -> usize {
-        match self {
-            Payload::Transactions(_) => self.encoded_len(),
-            Payload::Synthetic {
-                txn_count,
-                txn_bytes,
-                ..
-            } => {
-                // What an inline encoding of the described batch would cost
-                // in transaction bytes, plus this descriptor's own framing.
-                *txn_count as usize * *txn_bytes as usize + 24
-            }
-        }
     }
 
     /// A digest committing to the payload contents, mixed into the block id.
@@ -380,19 +364,6 @@ mod tests {
         ]);
         assert_eq!(p.txn_count(), 2);
         assert_eq!(Payload::synthetic(1000, 450, 0).txn_count(), 1000);
-    }
-
-    #[test]
-    fn synthetic_wire_bytes_match_paper_workload() {
-        // ~1000 txns of ~450 B each ≈ 450 KB blocks (§4).
-        let p = Payload::synthetic(1000, 450, 1);
-        assert_eq!(p.wire_bytes(), 450_024);
-    }
-
-    #[test]
-    fn inline_wire_bytes_are_encoded_len() {
-        let p = Payload::Transactions(vec![Transaction::new(0, 0, vec![9; 10])]);
-        assert_eq!(p.wire_bytes(), p.to_bytes().len());
     }
 
     #[test]
