@@ -33,7 +33,10 @@
 //! 7. every incarnation that ran to completion (its trace ends in a
 //!    `node_stop`) issued at most [`FSYNCS_PER_BLOCK`] WAL fsyncs per
 //!    block it committed — on a real filesystem, the on-demand WAL's one
-//!    fsync per round. Every node's ratio is printed.
+//!    fsync per round — and, running SFT-DiemBFT, sent at most
+//!    [`FBFT_MESSAGES_PER_BLOCK`] peer messages per block: votes go to the
+//!    next leader only, so a node sends about 3 − 3/n a round, where
+//!    broadcast votes cost about n. Every node's ratios are printed.
 //!
 //! Exit status is the CI verdict; data directories are left in place on
 //! failure (and printed) so they can be uploaded as artifacts.
@@ -111,25 +114,48 @@ fn check_thread_counts(children: &[(usize, Child)], n: usize) -> Result<(), Stri
 /// that time out, and a restarted replica's catch-up, move it a little.
 const FSYNCS_PER_BLOCK: f64 = 1.5;
 
-/// Verdict 7: every completed incarnation's `wal_fsyncs` over its
-/// committed `blocks`, from the `node_stop` events of each node's trace,
-/// printed and held to [`FSYNCS_PER_BLOCK`].
-fn check_fsync_budget(dirs: &[PathBuf]) -> Result<(), String> {
-    let mut ratios = Vec::new();
+/// Verdict 7's other budget: peer messages one SFT-DiemBFT node sends
+/// per committed block. Per round a node sends its vote (unless it leads
+/// the next round) and, one round in n, a proposal and a bare certificate
+/// to its n − 1 peers; timeouts and a restarted replica's catch-up move it
+/// a little.
+const FBFT_MESSAGES_PER_BLOCK: f64 = 4.0;
+
+/// Verdict 7: every completed incarnation's `wal_fsyncs` and `messages`
+/// over its committed `blocks`, from the `node_stop` events of each node's
+/// trace, printed and held to [`FSYNCS_PER_BLOCK`] and (SFT-DiemBFT only)
+/// [`FBFT_MESSAGES_PER_BLOCK`].
+fn check_stop_budgets(dirs: &[PathBuf], protocol: &str) -> Result<(), String> {
+    let mut fsync_ratios = Vec::new();
+    let mut message_ratios = Vec::new();
     for (id, dir) in dirs.iter().enumerate() {
         let path = dir.join(TRACE_FILE_NAME);
         let events =
             sft_obs::read_trace(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
         for stop in events.iter().filter(|e| e.name == names::EV_NODE_STOP) {
-            let (Some(fsyncs), Some(blocks)) = (stop.get("wal_fsyncs"), stop.get("blocks")) else {
-                return Err(format!("replica {id}'s node_stop lacks its fsync count"));
+            let (Some(fsyncs), Some(messages), Some(blocks)) = (
+                stop.get("wal_fsyncs"),
+                stop.get("messages"),
+                stop.get("blocks"),
+            ) else {
+                return Err(format!(
+                    "replica {id}'s node_stop lacks its fsync or message count"
+                ));
             };
-            let ratio = fsyncs as f64 / blocks.max(1) as f64;
-            ratios.push(format!("{id}:{ratio:.2}"));
-            if ratio > FSYNCS_PER_BLOCK {
+            let per_block = |count: u64| count as f64 / blocks.max(1) as f64;
+            let (fsync_ratio, message_ratio) = (per_block(fsyncs), per_block(messages));
+            fsync_ratios.push(format!("{id}:{fsync_ratio:.2}"));
+            message_ratios.push(format!("{id}:{message_ratio:.2}"));
+            if fsync_ratio > FSYNCS_PER_BLOCK {
                 return Err(format!(
                     "replica {id} issued {fsyncs} WAL fsyncs for {blocks} committed blocks \
-                     ({ratio:.2} per block; the budget is {FSYNCS_PER_BLOCK})"
+                     ({fsync_ratio:.2} per block; the budget is {FSYNCS_PER_BLOCK})"
+                ));
+            }
+            if protocol == "fbft" && message_ratio > FBFT_MESSAGES_PER_BLOCK {
+                return Err(format!(
+                    "replica {id} sent {messages} peer messages for {blocks} committed blocks \
+                     ({message_ratio:.2} per block; the budget is {FBFT_MESSAGES_PER_BLOCK})"
                 ));
             }
         }
@@ -137,7 +163,17 @@ fn check_fsync_budget(dirs: &[PathBuf]) -> Result<(), String> {
     println!(
         "crash-harness: WAL fsyncs per committed block (replica:ratio, one per completed run) \
          {} — budget {FSYNCS_PER_BLOCK}",
-        ratios.join(" ")
+        fsync_ratios.join(" ")
+    );
+    let message_budget = if protocol == "fbft" {
+        format!("budget {FBFT_MESSAGES_PER_BLOCK}")
+    } else {
+        "no budget: Streamlet broadcasts its votes".to_string()
+    };
+    println!(
+        "crash-harness: peer messages per committed block (replica:ratio, one per completed run) \
+         {} — {message_budget}",
+        message_ratios.join(" ")
     );
     Ok(())
 }
@@ -508,7 +544,7 @@ fn run(args: &Args) -> Result<(), String> {
         return Err("restarted victim made no progress past its pre-crash prefix".to_string());
     }
     verify_recovery_timeline(&dirs[VICTIM])?;
-    check_fsync_budget(&dirs)?;
+    check_stop_budgets(&dirs, &args.protocol)?;
     let acked = client
         .join()
         .map_err(|_| "client thread panicked".to_string())??;

@@ -286,6 +286,7 @@ fn serve<E: ReplicaEngine>(
         &[
             ("round", round),
             ("wal_fsyncs", report.wal_fsyncs),
+            ("messages", report.net.messages),
             ("blocks", blocks_committed),
         ],
     ));

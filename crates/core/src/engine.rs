@@ -50,6 +50,11 @@ pub enum MsgKind {
     SyncRequest,
     /// The chain segment answering a sync request.
     SyncResponse,
+    /// A leader's bare quorum certificate, forwarded while its proposal
+    /// waits for the round pace (SFT-DiemBFT only). It carries other
+    /// replicas' votes, so it promises nothing of its sender's beyond the
+    /// sender's own vote.
+    Certificate,
 }
 
 /// Where an outbound message goes.

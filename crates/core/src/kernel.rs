@@ -19,6 +19,7 @@ use sft_types::{
     SimTime, StrongCommitUpdate, StrongVote, TimeoutCertificate, Transaction, VerifyPolicy,
 };
 
+use crate::qc::MemberLedger;
 use crate::{
     AckTracker, Admission, Block, BlockResponse, BlockStore, BlockStoreError, CommitLedger,
     EndorsementTracker, EngineObs, EngineStep, Mempool, OutboundMsg, PayloadSource, ProtocolConfig,
@@ -31,7 +32,7 @@ use crate::{
 /// entries of commits that were only waiting for the gap it filled.
 #[derive(Clone, Debug, Default)]
 pub struct Intake {
-    /// The strong-vote to broadcast.
+    /// The strong-vote to send.
     pub vote: Option<StrongVote>,
     /// Commit-log entries produced, in occurrence order.
     pub updates: Vec<StrongCommitUpdate>,
@@ -45,6 +46,11 @@ pub struct ChainKernel {
     key_pair: KeyPair,
     store: BlockStore,
     votes: VoteTracker,
+    /// Verified strong-votes by block: what certificates carried or (at a
+    /// leader) the tracker checked — the intake of [`admit_qc`](Self::admit_qc).
+    members: MemberLedger,
+    /// Signature work spent checking certificate members.
+    member_stats: SigStats,
     endorsements: EndorsementTracker,
     /// The last vote this replica cast and the endorsement info it
     /// carried: the vote-once rule and the §3.2 / §3.4 marker maintenance.
@@ -100,6 +106,8 @@ impl ChainKernel {
             key_pair,
             store: BlockStore::new(),
             votes: VoteTracker::new(config, registry),
+            members: MemberLedger::default(),
+            member_stats: SigStats::default(),
             endorsements: EndorsementTracker::new(config),
             voter: VoterState::new(mode),
             ledger: CommitLedger::new(),
@@ -339,11 +347,13 @@ impl ChainKernel {
     // ---- vote intake and certificates ----
 
     /// Counts a broadcast strong-vote (this replica's own included) toward
-    /// certification and credits its endorsements. Returns the certificate
-    /// if this vote completed one, and the blocks whose endorser sets grew —
-    /// hand those to [`grade`](Self::grade) once the protocol has run its
-    /// commit rule on the certificate, so a block this vote commits reports
-    /// its commit before any earlier block reports a strength increase.
+    /// certification and credits its endorsements — the intake of a
+    /// protocol whose every replica hears every vote (Streamlet). Returns
+    /// the certificate if this vote completed one, and the blocks whose
+    /// endorser sets grew — hand those to [`grade`](Self::grade) once the
+    /// protocol has run its commit rule on the certificate, so a block this
+    /// vote commits reports its commit before any earlier block reports a
+    /// strength increase.
     ///
     /// Endorsements are credited only from verified votes: the vote just
     /// accepted under verify-on-arrival, and the whole batch the quorum
@@ -362,6 +372,61 @@ impl ChainKernel {
         (certified, grown)
     }
 
+    /// Counts a strong-vote sent to this replica as the next leader, toward
+    /// the certificate it will form ([`form_qc`](Self::form_qc)). Nothing
+    /// is credited here: endorsements come only from certificates, through
+    /// [`admit_qc`](Self::admit_qc). Returns the voted block's id if this
+    /// vote completed its quorum.
+    pub fn collect_vote(&mut self, vote: &StrongVote) -> Option<HashValue> {
+        let outcome = self.votes.add_vote(vote);
+        for verified in self.votes.take_newly_verified() {
+            self.members.insert(*verified.data(), verified.member());
+        }
+        match outcome {
+            VoteOutcome::Certified(qc) => Some(qc.block_id()),
+            _ => None,
+        }
+    }
+
+    /// A certificate for `block_id` carrying every verified vote this
+    /// replica holds for it — at a leader, all it collected so far. `None`
+    /// if it holds none.
+    pub fn form_qc(&self, block_id: HashValue) -> Option<QuorumCertificate> {
+        self.members.certificate(self.config.n(), block_id)
+    }
+
+    /// The one intake of certified strong-votes: a certificate this replica
+    /// formed, received (in a proposal, a forward or a timeout message),
+    /// fetched with a block-sync response, or replayed from its WAL. The
+    /// genesis certificate is accepted as is; any other must carry at
+    /// least `2f + 1` distinct members, and those not already held are
+    /// checked in one batch. Members of a known block are then credited to
+    /// the endorsement tracker, each once; a member of a block still being
+    /// fetched is credited when the certificate is admitted again after the
+    /// block arrives.
+    ///
+    /// Returns `None` (and credits nothing) if the certificate is rejected,
+    /// else the blocks whose endorser sets grew, for [`grade`](Self::grade).
+    pub fn admit_qc(&mut self, qc: &QuorumCertificate) -> Option<Vec<HashValue>> {
+        if qc.round() == Round::ZERO {
+            return qc.is_genesis().then(Vec::new);
+        }
+        let (registry, policy) = (self.votes.registry(), self.votes.policy());
+        if !self
+            .members
+            .admit(qc, &self.config, registry, policy, &mut self.member_stats)
+        {
+            return None;
+        }
+        let mut grown = Vec::new();
+        if self.store.contains(qc.block_id()) {
+            for vote in self.members.take_uncredited(qc.block_id()) {
+                grown.extend(self.endorsements.record_vote(&vote, &self.store));
+            }
+        }
+        Some(grown)
+    }
+
     /// Reports, once each, the strength increases of already-committed
     /// blocks among `grown` (possibly far in the past).
     pub fn grade(&mut self, grown: Vec<HashValue>) -> Vec<StrongCommitUpdate> {
@@ -373,12 +438,6 @@ impl ChainKernel {
         }
         self.commit_log.extend(updates.iter().copied());
         updates
-    }
-
-    /// The block with the most votes at `round`, if any vote for that
-    /// round arrived.
-    pub fn leading_block_at(&self, round: Round) -> Option<HashValue> {
-        self.votes.leading_block_at(round)
     }
 
     /// Records a well-formed certificate: it can be served to lagging
@@ -472,6 +531,7 @@ impl ChainKernel {
         self.ledger.forget(&pruned);
         self.endorsements.forget(&pruned);
         self.votes.prune_below(floor);
+        self.members.prune_below(floor);
         self.sync.prune_below(floor);
         self.voter.prune_below(floor);
         self.logged_qcs = self.logged_qcs.split_off(&(floor, HashValue::zero()));
@@ -637,7 +697,7 @@ impl ChainKernel {
     pub fn resident(&self) -> ResidentState {
         ResidentState {
             blocks: self.store.len(),
-            votes: self.votes.resident_votes(),
+            votes: self.votes.resident_votes() + self.members.len(),
             certs: self.sync.resident_certs(),
             dedup_entries: self.mempool.dedup_entries(),
         }
@@ -659,10 +719,13 @@ impl ChainKernel {
         self.endorsements.walk_steps()
     }
 
-    /// Signature-verification counters from vote aggregation — the
-    /// evidence behind the verify-on-quorum scaling claim.
+    /// Signature-verification counters from vote aggregation and
+    /// certificate intake — the evidence behind the verify-on-quorum
+    /// scaling claim.
     pub fn sig_stats(&self) -> SigStats {
-        self.votes.sig_stats()
+        let mut stats = self.votes.sig_stats();
+        stats.merge(self.member_stats);
+        stats
     }
 
     /// Consumes the kernel into its committed chain and commit log.

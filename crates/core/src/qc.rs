@@ -7,62 +7,111 @@
 //! endorsement strength: a QC says *this block may extend the chain*, while
 //! the endorsement tally of [`crate::EndorsementTracker`] says *how many
 //! faults a commit of it survives*.
+//!
+//! SFT-DiemBFT sends each vote to the next leader only, so its certificates
+//! carry their members' signed strong-votes ([`QcMember`]): a replica that
+//! never saw the votes checks the members and credits their endorsements
+//! from the certificate ([`ChainKernel::admit_qc`](crate::ChainKernel::admit_qc)).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
 use sft_crypto::{BatchItem, HashValue, Hasher, KeyRegistry, SigStats};
 use sft_types::{
-    vote_signing_digest_with, Decode, DecodeError, Encode, ReplicaId, Round, SignerSet, StrongVote,
-    VerifyPolicy, VoteData,
+    vote_signing_digest_with, Decode, DecodeError, Encode, QcMember, ReplicaId, Round, SignerSet,
+    StrongVote, VerifyPolicy, VoteData,
 };
 
 use crate::{Block, ProtocolConfig};
 
 /// Proof that `2f + 1` distinct replicas voted for the same [`VoteData`].
 ///
-/// The per-vote signatures live in the tracker; the certificate carries the
-/// voted data plus the signer set, which is all downstream logic consumes.
-/// The round-based protocol ships QCs inside proposals, so the certificate
-/// is wire-encodable; receivers validate it *structurally* (signer count
-/// against the quorum) — within the simulator's threat model the vote
-/// tracker that formed it has already checked every signature, and a
-/// threshold-aggregated signature slots in here when real networking lands.
+/// A certificate comes in one of two forms:
+///
+/// - **with members** — every member's strong-vote minus the shared vote
+///   data ([`QcMember`]). SFT-DiemBFT's votes reach only the next leader,
+///   so this is the form its certificates travel in. A receiver accepts one
+///   only if at least `2f + 1` distinct members verify, in one batch
+///   ([`ChainKernel::admit_qc`](crate::ChainKernel::admit_qc)), and grades
+///   strength from those members.
+/// - **bare** — the vote data and a signer set. Streamlet broadcasts every
+///   vote, so each replica notarizes from the votes it counted itself and a
+///   bare certificate only ever crosses the wire in a block-sync response,
+///   where it is checked structurally ([`is_well_formed`](Self::is_well_formed)).
+///   The genesis certificate is bare and trusted by construction.
+///
+/// The digest covers the members, so a proposal's signature binds them.
 #[derive(Clone, PartialEq, Eq)]
 pub struct QuorumCertificate {
     data: VoteData,
     /// Shared, not owned: the vote tracker that formed the certificate and
     /// every proposal re-shipping it point at the same signer set, so
     /// certification and the (frequent) QC clones on the propose path cost
-    /// a reference count, not a bitset copy.
+    /// a reference count, not a bitset copy. In the member form it is the
+    /// members' authors.
     signers: Arc<SignerSet>,
+    /// The members, in strictly increasing author order; `None` for a bare
+    /// certificate.
+    members: Option<Arc<[QcMember]>>,
     /// Computed once at construction (like a block id); every later
     /// [`digest`](Self::digest) call — one per proposal signature check —
     /// is a copy instead of an encode-and-hash.
     digest: HashValue,
 }
 
-fn qc_digest(data: &VoteData, signers: &SignerSet) -> HashValue {
-    let mut bytes = Vec::with_capacity(data.encoded_len() + 16);
-    data.encode(&mut bytes);
-    signers.encode(&mut bytes);
-    Hasher::new("quorum-certificate").field(&bytes).finish()
-}
+/// The word that opens the member form on the wire, where the bare form
+/// has its signer set's capacity — at most 65 536, so never this.
+const MEMBER_FORM: u64 = u64::MAX;
+
+/// The most replicas a certificate can name: one past the largest
+/// [`ReplicaId`].
+const MAX_REPLICAS: u64 = u16::MAX as u64 + 1;
 
 impl QuorumCertificate {
-    /// Assembles a certificate from parts. Callers are expected to have
+    /// Assembles a bare certificate from parts. Callers are expected to have
     /// verified the underlying votes (the tracker has). Accepts an owned
     /// signer set or an already-shared `Arc` (the tracker passes the latter
     /// so no copy happens when a quorum forms).
     pub fn new(data: VoteData, signers: impl Into<Arc<SignerSet>>) -> Self {
-        let signers = signers.into();
-        let digest = qc_digest(&data, &signers);
-        Self {
+        Self::assemble(data, signers.into(), None)
+    }
+
+    /// A certificate carrying `members`, for a system of `n` replicas, in
+    /// author order. `None` if two members share an author or an author is
+    /// not below `n`. Nothing is verified here: a receiver checks the
+    /// members when it admits the certificate.
+    pub fn with_members(n: usize, data: VoteData, mut members: Vec<QcMember>) -> Option<Self> {
+        members.sort_by_key(QcMember::author);
+        Self::member_form(n, data, members.into())
+    }
+
+    /// The member form over `members` as given: `None` unless their authors
+    /// are strictly increasing and below `n` (also the decoder's
+    /// canonical-order check).
+    fn member_form(n: usize, data: VoteData, members: Arc<[QcMember]>) -> Option<Self> {
+        let increasing = members
+            .windows(2)
+            .all(|pair| pair[0].author() < pair[1].author());
+        let in_range = members.last().is_none_or(|m| m.author().as_usize() < n);
+        if !increasing || !in_range || n as u64 > MAX_REPLICAS {
+            return None;
+        }
+        let signers = SignerSet::from_iter_with_capacity(n, members.iter().map(QcMember::author));
+        Some(Self::assemble(data, signers.into(), Some(members)))
+    }
+
+    fn assemble(data: VoteData, signers: Arc<SignerSet>, members: Option<Arc<[QcMember]>>) -> Self {
+        let mut qc = Self {
             data,
             signers,
-            digest,
-        }
+            members,
+            digest: HashValue::zero(),
+        };
+        qc.digest = Hasher::new("quorum-certificate")
+            .field(&qc.to_bytes())
+            .finish();
+        qc
     }
 
     /// The well-known certificate for the genesis block of an `n`-replica
@@ -93,6 +142,12 @@ impl QuorumCertificate {
         &self.signers
     }
 
+    /// The members' strong-votes (minus the vote data), in author order;
+    /// `None` for a bare certificate.
+    pub fn members(&self) -> Option<&[QcMember]> {
+        self.members.as_deref()
+    }
+
     /// Digest of the certificate (mixed into proposal signing preimages so
     /// a leader's signature covers the QC it proposes on). Precomputed at
     /// construction, so re-verifying a re-delivered QC never re-hashes it.
@@ -100,28 +155,65 @@ impl QuorumCertificate {
         self.digest
     }
 
+    /// True for the well-known genesis certificate of any size.
+    pub fn is_genesis(&self) -> bool {
+        self.round() == Round::ZERO
+            && self.block_id() == Block::genesis().id()
+            && self.signers.is_empty()
+            && self.members.is_none()
+    }
+
     /// Structural validity against a protocol configuration: the genesis
-    /// certificate, or a signer set meeting the classic `2f + 1` quorum.
+    /// certificate, or `2f + 1` signers out of `n`. This is the whole
+    /// check for a bare certificate; one with members is accepted only
+    /// once they verify ([`ChainKernel::admit_qc`](crate::ChainKernel::admit_qc)).
     pub fn is_well_formed(&self, config: &ProtocolConfig) -> bool {
         if self.round() == Round::ZERO {
-            return self.block_id() == Block::genesis().id() && self.signers.is_empty();
+            return self.is_genesis();
         }
-        self.signers.len() >= config.quorum()
+        self.signers.capacity() == config.n() && self.signers.len() >= config.quorum()
     }
 }
 
 impl Encode for QuorumCertificate {
+    /// The vote data, then the bare form's signer set, or the member
+    /// form's marker word (`u64::MAX`), `n` and the members.
     fn encode(&self, buf: &mut Vec<u8>) {
         self.data.encode(buf);
-        self.signers.encode(buf);
+        match &self.members {
+            None => self.signers.encode(buf),
+            Some(members) => {
+                MEMBER_FORM.encode(buf);
+                (self.signers.capacity() as u32).encode(buf);
+                (members.len() as u32).encode(buf);
+                for member in members.iter() {
+                    member.encode(buf);
+                }
+            }
+        }
     }
 }
 
 impl Decode for QuorumCertificate {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         let data = VoteData::decode(buf)?;
-        let signers = SignerSet::decode(buf)?;
-        Ok(Self::new(data, signers))
+        let mut peek = *buf;
+        if u64::decode(&mut peek)? != MEMBER_FORM {
+            return Ok(Self::new(data, SignerSet::decode(buf)?));
+        }
+        *buf = peek;
+        let n = u32::decode(buf)?;
+        let count = u32::decode(buf)?;
+        if u64::from(n) > MAX_REPLICAS || count > n {
+            return Err(DecodeError::LengthOverflow(u64::from(count.max(n))));
+        }
+        // A hostile count allocates no more than the input could fill.
+        let mut members =
+            Vec::with_capacity((count as usize).min(buf.len() / QcMember::MIN_ENCODED_LEN));
+        for _ in 0..count {
+            members.push(QcMember::decode(buf)?);
+        }
+        Self::member_form(n as usize, data, members.into()).ok_or(DecodeError::InvalidValue)
     }
 }
 
@@ -129,11 +221,166 @@ impl fmt::Debug for QuorumCertificate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "QC({} r={} by {:?})",
+            "QC({} r={} by {:?}{})",
             self.block_id().short(),
             self.round(),
-            self.signers
+            self.signers,
+            if self.members.is_some() {
+                " +members"
+            } else {
+                ""
+            }
         )
+    }
+}
+
+/// The strong-votes a replica holds as verified, per block: every member
+/// of a certificate it admitted and, at a leader, every vote its
+/// [`VoteTracker`] verified. A member is credited to the endorsement
+/// tracker once, when its block is known, and never checked twice.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MemberLedger {
+    by_block: HashMap<HashValue, BlockMembers>,
+    /// Rounds below this are outside the retention horizon.
+    floor: Round,
+}
+
+#[derive(Clone, Debug)]
+struct BlockMembers {
+    data: VoteData,
+    /// Per author: its verified member and whether it was credited.
+    members: BTreeMap<ReplicaId, (QcMember, bool)>,
+}
+
+impl MemberLedger {
+    /// Records a verified strong-vote for `data` (the first one per block
+    /// and author stays, and so does the first vote data per block).
+    pub(crate) fn insert(&mut self, data: VoteData, member: QcMember) {
+        if data.block_round() < self.floor {
+            return;
+        }
+        let block = self
+            .by_block
+            .entry(data.block_id())
+            .or_insert_with(|| BlockMembers {
+                data,
+                members: BTreeMap::new(),
+            });
+        if block.data == data {
+            block
+                .members
+                .entry(member.author())
+                .or_insert((member, false));
+        }
+    }
+
+    /// Checks `qc`'s members for a system of `config`: at least `2f + 1`,
+    /// and every one this ledger does not already hold verifies — one batch
+    /// over the new ones under [`VerifyPolicy::OnQuorum`], one check each
+    /// under [`VerifyPolicy::OnArrival`], counted into `stats`. On success
+    /// the new members are recorded; on failure nothing is.
+    pub(crate) fn admit(
+        &mut self,
+        qc: &QuorumCertificate,
+        config: &ProtocolConfig,
+        registry: &KeyRegistry,
+        policy: VerifyPolicy,
+        stats: &mut SigStats,
+    ) -> bool {
+        let Some(members) = qc.members() else {
+            return false;
+        };
+        if !qc.is_well_formed(config) || qc.round() < self.floor {
+            return false;
+        }
+        // A member counts as held only under the very vote data it was
+        // verified for: the certificate's data is what its members sign.
+        let held = self
+            .by_block
+            .get(&qc.block_id())
+            .filter(|block| block.data == *qc.data());
+        let fresh: Vec<&QcMember> = members
+            .iter()
+            .filter(|member| {
+                held.and_then(|block| block.members.get(&member.author()))
+                    .is_none_or(|(known, _)| known != *member)
+            })
+            .collect();
+        if !fresh.is_empty() {
+            let data_digest = qc.data().digest();
+            let digests: Vec<HashValue> = fresh
+                .iter()
+                .map(|member| vote_signing_digest_with(data_digest, member.endorse()))
+                .collect();
+            let items: Vec<BatchItem<'_>> = fresh
+                .iter()
+                .zip(&digests)
+                .map(|(member, digest)| {
+                    BatchItem::new(
+                        member.author().as_u64(),
+                        digest.as_ref(),
+                        member.signature(),
+                    )
+                })
+                .collect();
+            let valid = match policy {
+                VerifyPolicy::OnQuorum => {
+                    let verdict = registry.verify_batch_pooled(&items);
+                    stats.count_batch(items.len(), verdict.is_err());
+                    verdict.is_ok()
+                }
+                VerifyPolicy::OnArrival => items.iter().all(|item| {
+                    stats.count_verify();
+                    registry.verify(item.signer, item.message, item.signature)
+                }),
+            };
+            if !valid {
+                return false;
+            }
+        }
+        for member in fresh {
+            self.insert(*qc.data(), member.clone());
+        }
+        true
+    }
+
+    /// The strong-votes for `block_id` not yet credited, marking them
+    /// credited.
+    pub(crate) fn take_uncredited(&mut self, block_id: HashValue) -> Vec<StrongVote> {
+        let Some(block) = self.by_block.get_mut(&block_id) else {
+            return Vec::new();
+        };
+        let data = block.data;
+        block
+            .members
+            .values_mut()
+            .filter(|(_, credited)| !*credited)
+            .map(|(member, credited)| {
+                *credited = true;
+                member.to_vote(data)
+            })
+            .collect()
+    }
+
+    /// A certificate with every member held for `block_id`, for a system
+    /// of `n` replicas.
+    pub(crate) fn certificate(&self, n: usize, block_id: HashValue) -> Option<QuorumCertificate> {
+        let block = self.by_block.get(&block_id)?;
+        let members = block.members.values().map(|(m, _)| m.clone()).collect();
+        QuorumCertificate::with_members(n, block.data, members)
+    }
+
+    /// Forgets every block below `floor`.
+    pub(crate) fn prune_below(&mut self, floor: Round) {
+        self.floor = self.floor.max(floor);
+        let floor = self.floor;
+        self.by_block
+            .retain(|_, block| block.data.block_round() >= floor);
+    }
+
+    /// Members held.
+    pub(crate) fn len(&self) -> usize {
+        self.by_block.values().map(|b| b.members.len()).sum()
     }
 }
 
@@ -294,6 +541,9 @@ impl VoteTracker {
     pub fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome {
         if vote.round() < self.floor {
             return VoteOutcome::Stale;
+        }
+        if vote.author().as_usize() >= self.config.n() {
+            return VoteOutcome::BadSignature; // no replica signs as that
         }
         match self.policy {
             VerifyPolicy::OnArrival => self.add_on_arrival(vote),
@@ -569,19 +819,6 @@ impl VoteTracker {
         self.by_block
             .get(&block_id)
             .map_or(0, |tally| tally.signers.len())
-    }
-
-    /// The block of `round` with the most verified votes here (ties broken
-    /// by id, so the answer is deterministic). Votes are broadcast, so even
-    /// a replica that never saw round `round`'s proposal usually knows the
-    /// id of the block its peers certified — the lookup the catch-up path
-    /// uses when a timeout message reveals a QC round this replica missed.
-    pub fn leading_block_at(&self, round: Round) -> Option<HashValue> {
-        self.by_block
-            .iter()
-            .filter(|(_, tally)| tally.data.block_round() == round)
-            .max_by_key(|(id, tally)| (tally.signers.len(), **id))
-            .map(|(id, _)| *id)
     }
 
     /// True if `block_id` has reached the classic quorum.

@@ -2,9 +2,10 @@
 //! certified-but-unknown blocks.
 //!
 //! Under partial synchrony a replica can learn that a block *exists* — a
-//! quorum certificate arrives inside a proposal, or its own vote tracker
-//! certifies a block it never received (votes are broadcast, proposals can
-//! be lost) — without ever holding the block. Without a fetch path such a
+//! quorum certificate arrives inside a proposal, a timeout message or a
+//! leader's bare broadcast, or (Streamlet, whose votes are broadcast) its
+//! own vote tracker certifies a block it never received — without ever
+//! holding the block. Without a fetch path such a
 //! replica falls behind forever: it cannot extend, vote on, or finalize a
 //! chain it cannot resolve. DiemBFT and production BFT systems (FeBFT's
 //! `SyncManager` among them) treat state transfer as a first-class
@@ -35,17 +36,15 @@
 //!
 //! ## Trust model
 //!
-//! Certificates are validated *structurally* (signer count against the
-//! quorum), matching how this workspace treats the QC shipped inside
-//! every [`FbftProposal`](../sft_fbft/struct.FbftProposal.html): within
-//! the simulator's threat model the aggregator that formed a certificate
-//! verified every vote signature, and certificates are not independently
-//! re-authenticated by receivers. Block *content* is still unforgeable
-//! here (the hash chain pins it), but certification *status* carried by a
-//! response is trusted the same way it is trusted from a rotating
-//! proposal leader. A transferable authenticated certificate (threshold
-//! or multi-signature over the vote data) closes that gap and slots into
-//! [`QuorumCertificate`] when the real networking layer lands.
+//! This manager validates certificates *structurally* (signer count
+//! against the quorum). A certificate that carries its members — every
+//! SFT-DiemBFT one — is checked by the replica before the response
+//! reaches this manager
+//! ([`ChainKernel::admit_qc`](crate::ChainKernel::admit_qc): at least
+//! `2f + 1` members whose signatures verify). Streamlet's bare
+//! notarizations are trusted structurally, as every replica counts the
+//! broadcast votes itself. Block *content* is unforgeable either way: the
+//! hash chain pins it.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -7,7 +7,14 @@
 //! precedes, so the engine reports an initial deadline at `SimTime::ZERO`
 //! and fires [`FbftReplica::try_propose_chained`] on its first tick
 //! (exactly what the old event-loop driver did by hand). A proposal the
-//! round pace held back goes out the same way, on the tick it comes due.
+//! round pace held back goes out the same way, on the tick it comes due,
+//! and so does the certificate of a quorum the replica completed as
+//! leader: its deadline is the completion instant, so the tick runs once
+//! every vote delivered in that instant is in ([`FbftReplica::on_due`]).
+//!
+//! Votes go point-to-point to the next round's leader, and to everyone
+//! again beside a timeout for their round; proposals, bare certificates
+//! and timeouts are broadcast.
 
 use sft_core::{
     ChainKernel, EngineStep, MsgKind, OutboundMsg, OwnProposal, ReplicaEngine, WalRecord,
@@ -71,14 +78,17 @@ impl FbftEngine {
         &mut self.replica
     }
 
-    /// Converts a [`StepOutcome`] into an [`EngineStep`], preserving the
-    /// old driver's send order: the vote first, then block-sync requests,
-    /// then the chained next-round proposal.
+    /// Converts a [`StepOutcome`] into an [`EngineStep`], in send order:
+    /// the vote (to the next round's leader), then block-sync requests,
+    /// then the chained next-round proposal or the bare certificate no
+    /// proposal carries yet.
     fn absorb(&mut self, out: StepOutcome, now: SimTime) -> EngineStep {
         let mut outbound = Vec::new();
         if let Some(vote) = out.vote {
             self.kernel_mut().obs().voted(vote.round(), now);
-            outbound.push(OutboundMsg::broadcast(
+            let leader = self.kernel().config().leader(vote.round().next());
+            outbound.push(OutboundMsg::to(
+                leader,
                 MsgKind::Vote,
                 FbftMessage::Vote(vote).to_bytes(),
             ));
@@ -92,6 +102,12 @@ impl FbftEngine {
         }
         if let Some(proposal) = out.next_proposal {
             outbound.push(self.own_proposal.broadcast(FbftMessage::Proposal(proposal)));
+        }
+        if let Some(qc) = out.certificate {
+            outbound.push(OutboundMsg::broadcast(
+                MsgKind::Certificate,
+                FbftMessage::Certificate(qc).to_bytes(),
+            ));
         }
         self.kernel_mut().finish_step(outbound, out.updates, now)
     }
@@ -137,8 +153,12 @@ impl ReplicaEngine for FbftEngine {
                 }
                 self.absorb(out, now)
             }
-            FbftMessage::Timeout(timeout) => {
-                let out = self.replica.on_timeout_msg(&timeout, now);
+            FbftMessage::Timeout { msg, high_qc } => {
+                let out = self.replica.on_timeout_msg(&msg, &high_qc, now);
+                self.absorb(out, now)
+            }
+            FbftMessage::Certificate(qc) => {
+                let out = self.replica.on_certificate(&qc, now);
                 self.absorb(out, now)
             }
             FbftMessage::SyncRequest(request) => {
@@ -170,20 +190,33 @@ impl ReplicaEngine for FbftEngine {
     }
 
     fn on_tick(&mut self, now: SimTime) -> EngineStep {
-        let mut outbound = Vec::new();
-        if !self.booted || self.replica.proposal_held() {
+        let out = if self.booted {
+            self.replica.on_due(now)
+        } else {
             self.booted = true;
-            if let Some(proposal) = self.replica.try_propose_chained(now) {
-                outbound.push(self.own_proposal.broadcast(FbftMessage::Proposal(proposal)));
+            StepOutcome {
+                next_proposal: self.replica.try_propose_chained(now),
+                ..StepOutcome::default()
             }
-        }
-        if let Some(timeout) = self.replica.on_tick(now) {
-            outbound.push(OutboundMsg::broadcast(
+        };
+        let timeout = self.replica.on_tick(now);
+        let mut step = self.absorb(out, now);
+        if let Some(msg) = timeout {
+            // The round's vote goes out first, so a receiver counts it
+            // before the timeouts can move it past the round.
+            if let Some(vote) = self.replica.timeout_vote(msg.round()) {
+                step.outbound.push(OutboundMsg::broadcast(
+                    MsgKind::Vote,
+                    FbftMessage::Vote(vote.clone()).to_bytes(),
+                ));
+            }
+            let high_qc = self.replica.high_qc().clone();
+            step.outbound.push(OutboundMsg::broadcast(
                 MsgKind::Timeout,
-                FbftMessage::Timeout(timeout).to_bytes(),
+                FbftMessage::Timeout { msg, high_qc }.to_bytes(),
             ));
         }
-        self.kernel_mut().finish_step(outbound, Vec::new(), now)
+        step
     }
 
     fn restore(&mut self, record: &WalRecord, now: SimTime) {

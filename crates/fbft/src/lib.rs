@@ -16,8 +16,9 @@
 //!   (each proposal ships the QC it extends, plus the TC after a timeout);
 //! - [`FbftReplica`] — the state machine tying them together with the
 //!   shared certification ([`sft_core::VoteTracker`]) and strengthening
-//!   ([`sft_core::EndorsementTracker`]) machinery, exactly as the
-//!   Streamlet replica does.
+//!   ([`sft_core::EndorsementTracker`]) machinery. Unlike Streamlet, only
+//!   the next leader collects a round's votes; everyone else grades
+//!   strength from the members its certificate carries.
 //!
 //! ## Protocol map
 //!
@@ -27,7 +28,8 @@
 //! | pipelined (chained) proposals: the fresh QC rides the next proposal | [`FbftReplica::try_propose_chained`], [`StepOutcome::next_proposal`] |
 //! | batched payloads drained from a client pool (§4 workload) | [`sft_core::Mempool`], [`sft_core::PayloadSource`] |
 //! | voting rule (locked round, one vote per round) | [`FbftReplica::on_proposal`], [`TwoChainState::safe_to_vote`] |
-//! | certification at `2f + 1` votes | [`FbftReplica::on_vote`] via [`sft_core::VoteTracker`] |
+//! | votes to the next leader, certification at `2f + 1` votes | [`FbftReplica::on_vote`] via [`sft_core::VoteTracker`], [`FbftReplica::on_due`] |
+//! | the QC carries its members' strong-votes; strength graded from them | [`sft_core::ChainKernel::admit_qc`], [`FbftReplica::on_certificate`] |
 //! | 2-chain commit (consecutive certified rounds) | [`TwoChainState::on_qc`] (standard commit, strength `f`) |
 //! | round synchronization / timeouts | [`Pacemaker`], [`sft_types::TimeoutMsg`], [`sft_types::TimeoutCertificate`] |
 //! | strong-votes with markers / intervals (§3.2, §3.4) | [`sft_types::EndorseMode`], shared [`sft_core::honest_endorse_info`] |

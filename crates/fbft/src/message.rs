@@ -172,20 +172,32 @@ impl Decode for FbftProposal {
 }
 
 /// Everything an SFT-DiemBFT replica sends: proposals from round leaders,
-/// strong-votes broadcast by every voter, timeout messages on the recovery
-/// path, and the point-to-point block-sync exchange.
+/// strong-votes sent to the next round's leader, that leader's bare
+/// certificate while its proposal waits for the round pace, timeout
+/// messages on the recovery path, and the point-to-point block-sync
+/// exchange.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FbftMessage {
     /// A leader's round proposal.
     Proposal(FbftProposal),
-    /// A replica's strong-vote.
+    /// A replica's strong-vote, addressed to the next round's leader.
     Vote(StrongVote),
-    /// A replica's round-timeout declaration.
-    Timeout(TimeoutMsg),
+    /// A replica's round-timeout declaration, with the sender's high QC
+    /// beside it (DiemBFT's shape): a replica that missed that certificate
+    /// catches up from it.
+    Timeout {
+        /// The signed timeout.
+        msg: TimeoutMsg,
+        /// The sender's highest quorum certificate.
+        high_qc: QuorumCertificate,
+    },
     /// A catch-up fetch for a certified-but-unknown block.
     SyncRequest(BlockRequest),
     /// The certified chain segment answering a [`FbftMessage::SyncRequest`].
     SyncResponse(BlockResponse),
+    /// A leader's freshly formed quorum certificate, broadcast on its own
+    /// when no proposal carries it out in the same instant.
+    Certificate(QuorumCertificate),
 }
 
 impl Encode for FbftMessage {
@@ -199,9 +211,10 @@ impl Encode for FbftMessage {
                 buf.push(1);
                 v.encode(buf);
             }
-            FbftMessage::Timeout(t) => {
+            FbftMessage::Timeout { msg, high_qc } => {
                 buf.push(2);
-                t.encode(buf);
+                msg.encode(buf);
+                high_qc.encode(buf);
             }
             FbftMessage::SyncRequest(r) => {
                 buf.push(3);
@@ -210,6 +223,10 @@ impl Encode for FbftMessage {
             FbftMessage::SyncResponse(r) => {
                 buf.push(4);
                 r.encode(buf);
+            }
+            FbftMessage::Certificate(qc) => {
+                buf.push(5);
+                qc.encode(buf);
             }
         }
     }
@@ -220,9 +237,13 @@ impl Decode for FbftMessage {
         match u8::decode(buf)? {
             0 => Ok(FbftMessage::Proposal(FbftProposal::decode(buf)?)),
             1 => Ok(FbftMessage::Vote(StrongVote::decode(buf)?)),
-            2 => Ok(FbftMessage::Timeout(TimeoutMsg::decode(buf)?)),
+            2 => Ok(FbftMessage::Timeout {
+                msg: TimeoutMsg::decode(buf)?,
+                high_qc: QuorumCertificate::decode(buf)?,
+            }),
             3 => Ok(FbftMessage::SyncRequest(BlockRequest::decode(buf)?)),
             4 => Ok(FbftMessage::SyncResponse(BlockResponse::decode(buf)?)),
+            5 => Ok(FbftMessage::Certificate(QuorumCertificate::decode(buf)?)),
             t => Err(DecodeError::InvalidTag(t)),
         }
     }
@@ -381,12 +402,27 @@ mod tests {
         let timeout = TimeoutMsg::new(Round::new(2), Round::new(1), &registry.key_pair(3).unwrap());
         let request = BlockRequest::new(ReplicaId::new(2), b1.id(), 16);
         let response = BlockResponse::new(quorum_qc(&b1), vec![b1.clone()]);
+        let with_members = QuorumCertificate::with_members(
+            4,
+            b1.vote_data(),
+            (0..3)
+                .map(|i| {
+                    let key = registry.key_pair(i).unwrap();
+                    StrongVote::new(b1.vote_data(), EndorseInfo::Marker(Round::ZERO), &key).member()
+                })
+                .collect(),
+        )
+        .unwrap();
         for msg in [
             FbftMessage::Proposal(proposal),
             FbftMessage::Vote(vote),
-            FbftMessage::Timeout(timeout),
+            FbftMessage::Timeout {
+                msg: timeout,
+                high_qc: with_members.clone(),
+            },
             FbftMessage::SyncRequest(request),
             FbftMessage::SyncResponse(response),
+            FbftMessage::Certificate(with_members),
         ] {
             let back = FbftMessage::from_bytes(&msg.to_bytes()).unwrap();
             assert_eq!(back, msg);
@@ -396,8 +432,8 @@ mod tests {
     #[test]
     fn message_bad_tag_rejected() {
         assert_eq!(
-            FbftMessage::from_bytes(&[9]),
-            Err(DecodeError::InvalidTag(9))
+            FbftMessage::from_bytes(&[6]),
+            Err(DecodeError::InvalidTag(6))
         );
     }
 }

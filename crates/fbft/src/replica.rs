@@ -16,23 +16,29 @@ use crate::message::FbftProposal;
 use crate::pacemaker::Pacemaker;
 use crate::two_chain::TwoChainState;
 
-/// What processing one event (proposal, vote, or timeout message) produced:
-/// this replica's vote to broadcast, any commit-log entries, and — when the
-/// event advanced the replica into a round it leads and a
-/// [`PayloadSource`](sft_core::PayloadSource) is configured — the chained
-/// next proposal, carrying the certificate that just formed. Chaining the
-/// proposal off the event that creates the certificate is what pipelines
-/// rounds: the QC never waits for an external poll before riding the next
-/// proposal.
+/// What processing one event (proposal, vote, certificate, timeout message
+/// or deadline) produced: this replica's vote for the next leader, any
+/// commit-log entries, and — when the event advanced the replica into a
+/// round it leads and a [`PayloadSource`](sft_core::PayloadSource) is
+/// configured — the chained next proposal, carrying the certificate that
+/// just formed. Chaining the proposal off the event that creates the
+/// certificate is what pipelines rounds: the QC never waits for an external
+/// poll before riding the next proposal.
 #[derive(Clone, Debug, Default)]
 pub struct StepOutcome {
-    /// The strong-vote to broadcast, if the voting rule fired.
+    /// The strong-vote to send to the next round's leader, if the voting
+    /// rule fired.
     pub vote: Option<StrongVote>,
     /// Commit-log entries produced while processing the event.
     pub updates: Vec<StrongCommitUpdate>,
     /// The pipelined proposal for the round this event moved the replica
     /// into, if it leads that round. Must be broadcast like any proposal.
     pub next_proposal: Option<FbftProposal>,
+    /// A certificate this replica formed as leader that no proposal
+    /// carries out yet (the round pace holds it, or this replica cannot
+    /// propose): broadcast it bare, so followers commit without waiting
+    /// for the proposal.
+    pub certificate: Option<QuorumCertificate>,
     /// Block-sync fetches now due (new targets and expired retries), to be
     /// sent point-to-point to the named peer.
     pub sync_requests: Vec<(ReplicaId, BlockRequest)>,
@@ -50,16 +56,23 @@ pub struct StepOutcome {
 ///    the TC justifying the skip ([`FbftReplica::try_propose`]);
 /// 2. every replica votes for the first justified proposal of its current
 ///    round that satisfies the locking rule ([`TwoChainState::safe_to_vote`]),
-///    attaching §3.2/§3.4 endorsement info, and broadcasts the strong-vote
-///    ([`FbftReplica::on_proposal`]);
-/// 3. `2f + 1` votes certify the block; every replica aggregates votes
-///    itself (votes are broadcast precisely so endorsements are countable),
-///    advances its round on the new QC, and applies the 2-chain commit rule
-///    ([`FbftReplica::on_vote`]);
-/// 4. if a round's deadline passes uncertified, replicas broadcast timeout
-///    messages ([`FbftReplica::on_tick`]); `2f + 1` of them form a TC that
-///    advances the round without a QC ([`FbftReplica::on_timeout_msg`]);
-/// 5. endorsements carried by strong-votes grade every commit with the
+///    attaching §3.2/§3.4 endorsement info, and sends the strong-vote to
+///    the leader of `r + 1` ([`FbftReplica::on_proposal`]);
+/// 3. that leader collects the votes ([`FbftReplica::on_vote`]); once
+///    `2f + 1` are in, it forms the QC at the end of the instant, carrying
+///    every vote it holds as a member, advances, applies the 2-chain commit
+///    rule, and proposes on the QC ([`FbftReplica::on_due`]) — or, while
+///    the round pace holds the proposal, broadcasts the QC on its own;
+/// 4. every other replica learns the QC from that proposal or broadcast
+///    ([`FbftReplica::on_certificate`]), checks its members, and advances
+///    and commits the same way;
+/// 5. if a round's deadline passes uncertified, replicas broadcast timeout
+///    messages, each with the sender's high QC beside it
+///    ([`FbftReplica::on_tick`]), and their vote for the round
+///    ([`FbftReplica::timeout_vote`]) so any replica can still certify it;
+///    `2f + 1` timeouts form a TC that advances the round without a QC
+///    ([`FbftReplica::on_timeout_msg`]);
+/// 6. the strong-votes the certificates carry grade every commit with the
 ///    strength `x = q − f − 1` of Definition 1, reported as
 ///    [`StrongCommitUpdate`]s in the kernel's commit log.
 ///
@@ -96,12 +109,16 @@ pub struct StepOutcome {
 ///     .filter_map(|r| r.on_proposal(&proposal, now).vote)
 ///     .collect();
 /// assert_eq!(votes.len(), 4, "every honest replica votes");
+/// // The votes go to round 2's leader, which forms the QC when the
+/// // instant ends. It has no payloads to propose, so the QC goes out bare.
 /// for vote in &votes {
-///     for replica in replicas.iter_mut() {
-///         replica.on_vote(vote, now);
-///     }
+///     replicas[2].on_vote(vote, now);
 /// }
-/// // The QC formed everywhere: all replicas advanced to round 2.
+/// let qc = replicas[2].on_due(now).certificate.expect("the QC formed");
+/// assert_eq!(qc.signers().len(), 4, "every vote rides the certificate");
+/// for replica in replicas.iter_mut() {
+///     replica.on_certificate(&qc, now);
+/// }
 /// assert!(replicas.iter().all(|r| r.current_round() == Round::new(2)));
 /// // One round certifies but cannot commit: the 2-chain is still open.
 /// assert!(replicas[0].kernel().committed_chain().is_empty());
@@ -119,9 +136,17 @@ pub struct FbftReplica {
     last_tc: Option<TimeoutCertificate>,
     /// The highest round this replica proposed in (propose-once rule).
     last_proposed_round: Round,
+    /// The last strong-vote this replica cast (or replayed): broadcast
+    /// again when its round times out, so a round whose next leader is
+    /// down still certifies.
+    last_vote: Option<StrongVote>,
     /// A chained proposal is ready but ahead of the round pace: the
     /// replica's deadline is the instant it comes due.
     proposal_held: bool,
+    /// A quorum this replica completed as the next leader, and the instant
+    /// it completed: the certificate forms when that instant's deadline
+    /// fires ([`on_due`](Self::on_due)), after every vote delivered in it.
+    quorum_due: Option<(HashValue, SimTime)>,
     /// Certificates already absorbed, by (round, digest) — re-deliveries (a
     /// QC rides every proposal that extends it) skip the pacemaker/commit
     /// walk. Not the kernel's logged set: this one deliberately re-processes
@@ -157,7 +182,9 @@ impl FbftReplica {
             high_qc: QuorumCertificate::genesis(config.n()),
             last_tc: None,
             last_proposed_round: Round::ZERO,
+            last_vote: None,
             proposal_held: false,
+            quorum_due: None,
             processed_qcs: BTreeSet::new(),
         }
     }
@@ -211,21 +238,24 @@ impl FbftReplica {
         &self.high_qc
     }
 
-    /// The next instant this replica wants [`on_tick`](Self::on_tick): its
-    /// round timer (the round deadline, or the next timeout retransmission
-    /// once it has fired — the timer is always armed), or sooner when a
-    /// proposal is waiting for the round pace.
+    /// The next instant this replica wants [`on_due`](Self::on_due) and
+    /// [`on_tick`](Self::on_tick): its round timer (the round deadline, or
+    /// the next timeout retransmission once it has fired — the timer is
+    /// always armed), or sooner when a quorum it completed waits for the
+    /// end of its instant or a proposal waits for the round pace.
     pub fn next_deadline(&self) -> SimTime {
-        let timer = self.pacemaker.deadline();
+        let mut at = self.pacemaker.deadline();
         if self.proposal_held {
-            timer.min(self.pacemaker.propose_at())
-        } else {
-            timer
+            at = at.min(self.pacemaker.propose_at());
         }
+        if let Some((_, completed)) = self.quorum_due {
+            at = at.min(completed);
+        }
+        at
     }
 
     /// True while a chained proposal waits for the round pace; the caller
-    /// retries [`try_propose_chained`](Self::try_propose_chained) at
+    /// retries it through [`on_due`](Self::on_due) at
     /// [`next_deadline`](Self::next_deadline).
     pub fn proposal_held(&self) -> bool {
         self.proposal_held
@@ -265,8 +295,9 @@ impl FbftReplica {
     /// this replica leads its current round, drains the next payload and
     /// proposes on the high-QC. Called internally after every
     /// round-advancing event; drivers call it once at startup to bootstrap
-    /// round 1, and again whenever a proposal the round pace held back
-    /// ([`proposal_held`](Self::proposal_held)) comes due.
+    /// round 1. A proposal the round pace held back
+    /// ([`proposal_held`](Self::proposal_held)) goes out from
+    /// [`on_due`](Self::on_due) when it comes due.
     pub fn try_propose_chained(&mut self, now: SimTime) -> Option<FbftProposal> {
         if !self.kernel.sources_payloads() {
             return None;
@@ -275,10 +306,9 @@ impl FbftReplica {
         // Every failure mode of `try_propose` must be ruled out *before*
         // draining the mempool — a drained batch is marked seen, so handing
         // it to a propose call that then fails would lose the transactions
-        // for good. The high-QC block can genuinely be missing: votes are
-        // broadcast, so a replica can certify (and adopt as high-QC) a
-        // block it never received, e.g. the other half of an equivocation
-        // split.
+        // for good. The high-QC block can genuinely be missing: a replica
+        // can learn (and adopt as high-QC) a certificate for a block it
+        // never received, e.g. the other half of an equivocation split.
         if !self.may_propose() || !self.kernel.store().contains(self.high_qc.block_id()) {
             return None;
         }
@@ -292,12 +322,67 @@ impl FbftReplica {
         self.try_propose(payload)
     }
 
+    /// Fires what is due at `now` besides the round timer: a quorum this
+    /// replica completed as leader, and a proposal the round pace held.
+    ///
+    /// A completed quorum's certificate forms here, at the end of the
+    /// instant its quorum completed, so every vote delivered in that
+    /// instant rides it as a member. It is absorbed like any received
+    /// certificate, and the next proposal chains on it; if no proposal goes
+    /// out now, [`StepOutcome::certificate`] hands it back for a bare
+    /// broadcast. A held proposal, when it comes due, first re-forms its
+    /// certificate from every vote collected since, so votes that missed
+    /// the broadcast still ride the proposal.
+    pub fn on_due(&mut self, now: SimTime) -> StepOutcome {
+        let mut out = StepOutcome::default();
+        if let Some((block_id, _)) = self.quorum_due.filter(|(_, at)| *at <= now) {
+            self.quorum_due = None;
+            let formed = self.kernel.form_qc(block_id);
+            if let Some((qc, updates)) = formed.and_then(|qc| {
+                let updates = self.absorb_qc(&qc, now)?;
+                Some((qc, updates))
+            }) {
+                out.updates = updates;
+                out.next_proposal = self.try_propose_chained(now);
+                let leads_next = self.kernel.config().leader(qc.round().next()) == self.kernel.id();
+                if out.next_proposal.is_none() && leads_next {
+                    out.certificate = Some(qc);
+                }
+            }
+        } else if self.proposal_held {
+            if self.may_propose() && now >= self.pacemaker.propose_at() {
+                out.updates = self.refill_high_qc(now);
+            }
+            out.next_proposal = self.try_propose_chained(now);
+        }
+        out.sync_requests = self.kernel.take_sync_requests(now);
+        out
+    }
+
+    /// Swaps the high QC for one carrying every vote held for its block,
+    /// if that adds members, and returns the strength grades they raise.
+    fn refill_high_qc(&mut self, now: SimTime) -> Vec<StrongCommitUpdate> {
+        let Some(fuller) = self
+            .kernel
+            .form_qc(self.high_qc.block_id())
+            .filter(|qc| qc.signers().len() > self.high_qc.signers().len())
+        else {
+            return Vec::new();
+        };
+        let Some(updates) = self.absorb_qc(&fuller, now) else {
+            return Vec::new();
+        };
+        self.high_qc = fuller;
+        updates
+    }
+
     /// Handles a round proposal. Verifies the leader signature and the
-    /// structural justification, absorbs the embedded certificates (which
-    /// may advance the round and commit — stragglers catch up here), and
-    /// applies the voting rule: first proposal of the current round whose
-    /// parent satisfies the 2-chain lock. The returned vote, if any, must
-    /// be broadcast to all replicas; a returned chained proposal likewise.
+    /// structural justification, admits the embedded certificate (its
+    /// members are checked and credited; it may advance the round and
+    /// commit — stragglers catch up here), and applies the voting rule:
+    /// first proposal of the current round whose parent satisfies the
+    /// 2-chain lock. The returned vote, if any, goes to the next round's
+    /// leader; a returned chained proposal is broadcast.
     pub fn on_proposal(&mut self, proposal: &FbftProposal, now: SimTime) -> StepOutcome {
         let mut out = StepOutcome::default();
         let block = proposal.block();
@@ -308,8 +393,12 @@ impl FbftReplica {
             // Absorb the embedded certificates before judging the round: a
             // replica that missed the QC or TC formation learns it from the
             // proposal itself (and an orphan's parent is already being
-            // fetched by the time the block is pooled).
-            out.updates = self.process_qc(proposal.qc(), now);
+            // fetched by the time the block is pooled). A certificate whose
+            // members do not check out sinks the proposal.
+            let Some(updates) = self.absorb_qc(proposal.qc(), now) else {
+                return self.chain_and_sync(out, now);
+            };
+            out.updates = updates;
             if let Some(tc) = proposal.tc() {
                 if self.pacemaker.on_tc_round(tc.round(), now).is_some() {
                     self.adopt_tc(tc.clone());
@@ -320,51 +409,72 @@ impl FbftReplica {
                 block.round() == round && two_chain.safe_to_vote(&block.vote_data())
             });
             self.sweep();
+            if intake.vote.is_some() {
+                self.last_vote.clone_from(&intake.vote);
+            }
             out.vote = intake.vote;
             out.updates.extend(intake.updates);
         }
         self.chain_and_sync(out, now)
     }
 
-    /// Handles a broadcast strong-vote (including this replica's own).
-    /// Counts it toward certification, records its endorsements, and — when
-    /// it completes a QC — advances the round, applies the 2-chain commit
-    /// rule, and (if this replica leads the new round) chains the next
-    /// proposal with the fresh QC riding it.
+    /// Handles a strong-vote: one addressed to this replica as the leader
+    /// of the round after the vote's, or one a replica broadcast when that
+    /// round timed out ([`timeout_vote`](Self::timeout_vote)). Counts it
+    /// toward the certificate this replica will form; when it completes the
+    /// quorum, the certificate is due at the end of the instant
+    /// ([`on_due`](Self::on_due)). A vote for a round this replica already
+    /// holds a certificate of is ignored — the next leader still counts its
+    /// round's stragglers, which ride the QC when a paced proposal comes
+    /// due.
     pub fn on_vote(&mut self, vote: &StrongVote, now: SimTime) -> StepOutcome {
-        let mut out = StepOutcome::default();
-        let (certified, grown) = self.kernel.add_vote(vote);
-        if let Some(qc) = certified {
-            out.updates = self.process_qc(&qc, now);
+        let leads_next = self.kernel.config().leader(vote.round().next()) == self.kernel.id();
+        let high = self.high_qc.round();
+        if vote.round() > high || (leads_next && vote.round() == high) {
+            if let Some(block_id) = self.kernel.collect_vote(vote) {
+                self.quorum_due = Some((block_id, now));
+            }
         }
-        out.updates.extend(self.kernel.grade(grown));
+        StepOutcome::default()
+    }
+
+    /// Handles a leader's bare certificate: admitted and absorbed like the
+    /// one a proposal carries.
+    pub fn on_certificate(&mut self, qc: &QuorumCertificate, now: SimTime) -> StepOutcome {
+        let out = StepOutcome {
+            updates: self.absorb_qc(qc, now).unwrap_or_default(),
+            ..StepOutcome::default()
+        };
         self.chain_and_sync(out, now)
     }
 
-    /// Handles a broadcast timeout message (including this replica's own).
-    /// Aggregates it; at `2f + 1` the round's TC forms, the pacemaker
-    /// advances, and — if this replica leads the new round — the chained
-    /// proposal ships the TC.
-    pub fn on_timeout_msg(&mut self, msg: &TimeoutMsg, now: SimTime) -> StepOutcome {
-        // Piggybacked catch-up (DiemBFT's SyncInfo in minimal form). A TC
-        // is self-certifying, so a replica stranded in an earlier round
-        // because the certificate that closed it was lost jumps forward on
-        // the copy riding this retransmission.
+    /// Handles a broadcast timeout message (including this replica's own)
+    /// and the sender's high QC that rides beside it. Aggregates the
+    /// timeout; at `2f + 1` the round's TC forms, the pacemaker advances,
+    /// and — if this replica leads the new round — the chained proposal
+    /// ships the TC.
+    pub fn on_timeout_msg(
+        &mut self,
+        msg: &TimeoutMsg,
+        high_qc: &QuorumCertificate,
+        now: SimTime,
+    ) -> StepOutcome {
+        let mut out = StepOutcome::default();
+        // Piggybacked catch-up (DiemBFT's SyncInfo). A sender whose high
+        // QC is ahead of ours holds a certificate we never received: adopt
+        // it (its block, if unknown, becomes a fetch target).
+        if high_qc.round() > self.high_qc.round() {
+            out.updates = self.absorb_qc(high_qc, now).unwrap_or_default();
+        }
+        // A TC is self-certifying, so a replica stranded in an earlier
+        // round because the certificate that closed it was lost jumps
+        // forward on the copy riding this retransmission.
         if let Some(tc) = msg.justification() {
             if tc.signers().len() >= self.kernel.config().quorum()
                 && self.pacemaker.on_tc_round(tc.round(), now).is_some()
             {
                 self.adopt_tc(tc.clone());
                 self.timeouts.prune_below(self.pacemaker.current_round());
-            }
-        }
-        // A sender whose high-QC round is ahead of ours holds a
-        // certificate we never formed (its votes were lost): fetch the
-        // certified block — votes are broadcast, so the leading candidate
-        // in our own tracker names it — and the certificate comes with it.
-        if msg.high_qc_round() > self.high_qc.round() {
-            if let Some(id) = self.kernel.leading_block_at(msg.high_qc_round()) {
-                self.kernel.want(id, msg.high_qc_round());
             }
         }
         // Stale timeouts (for rounds this replica already left) still die
@@ -377,26 +487,32 @@ impl FbftReplica {
                 }
             }
         }
-        self.chain_and_sync(StepOutcome::default(), now)
+        self.chain_and_sync(out, now)
     }
 
-    /// Handles a block-sync response: verifies it against the certificate
-    /// chain, admits what attaches, re-runs certificate processing for the
-    /// recovered blocks (the commits they enable land now), and — if the
-    /// recovery made this replica the ready leader — chains a proposal.
+    /// Handles a block-sync response: admits its certificate (whose members
+    /// must verify before any block is taken in), admits what attaches,
+    /// re-runs certificate processing for the recovered blocks (the commits
+    /// they enable land now), and — if the recovery made this replica the
+    /// ready leader — chains a proposal.
     pub fn on_sync_response(&mut self, response: &BlockResponse, now: SimTime) -> StepOutcome {
         let mut out = StepOutcome::default();
+        let Some(grown) = self.kernel.admit_qc(response.qc()) else {
+            return self.chain_and_sync(out, now);
+        };
         for id in self.kernel.admit_sync_response(response, now) {
             self.kernel.note_included(id);
             // The certificate that flagged the block missing can now run
-            // its full course: round advancement and the 2-chain walk.
-            // (`process_qc` deliberately did not cache the digest while the
-            // block was absent.)
+            // its full course: member credit, round advancement and the
+            // 2-chain walk. (`process_qc` deliberately did not cache the
+            // digest while the block was absent.)
             if let Some(qc) = self.kernel.certificate_for(id).cloned() {
-                out.updates.extend(self.process_qc(&qc, now));
+                out.updates
+                    .extend(self.absorb_qc(&qc, now).unwrap_or_default());
             }
         }
         out.updates.extend(self.kernel.settle_deferred());
+        out.updates.extend(self.kernel.grade(grown));
         self.sweep();
         self.chain_and_sync(out, now)
     }
@@ -418,8 +534,8 @@ impl FbftReplica {
     }
 
     /// Signature-verification counters across vote and timeout
-    /// aggregation — the evidence behind the verify-on-quorum scaling
-    /// claim.
+    /// aggregation and certificate intake — the evidence behind the
+    /// verify-on-quorum scaling claim.
     pub fn sig_stats(&self) -> SigStats {
         let mut stats = self.kernel.sig_stats();
         stats.merge(self.timeouts.sig_stats());
@@ -427,12 +543,12 @@ impl FbftReplica {
     }
 
     /// Advances the replica's clock. If the current round's (re-armed)
-    /// timer has passed, returns the timeout message to broadcast — and
-    /// again one timeout span later if the round is still open, so lost
-    /// timeout messages are retransmitted until the TC can form. The
-    /// caller must also feed the message back via
-    /// [`on_timeout_msg`](Self::on_timeout_msg) (a replica counts its own
-    /// timeout; duplicates are idempotent).
+    /// timer has passed, returns the timeout message to broadcast (with
+    /// [`high_qc`](Self::high_qc) beside it) — and again one timeout span
+    /// later if the round is still open, so lost timeout messages are
+    /// retransmitted until the TC can form. The caller must also feed the
+    /// message back via [`on_timeout_msg`](Self::on_timeout_msg) (a replica
+    /// counts its own timeout; duplicates are idempotent).
     pub fn on_tick(&mut self, now: SimTime) -> Option<TimeoutMsg> {
         let round = self.pacemaker.on_tick(now)?;
         Some(
@@ -441,20 +557,43 @@ impl FbftReplica {
         )
     }
 
-    /// Absorbs a quorum certificate: raises the high-QC, advances the
-    /// round, applies the 2-chain commit + locking rules, and grades any
-    /// newly committed blocks. Returns the resulting commit-log entries.
-    fn process_qc(&mut self, qc: &QuorumCertificate, now: SimTime) -> Vec<StrongCommitUpdate> {
+    /// The vote to broadcast beside this replica's timeout for `round`: the
+    /// one it cast in that round, if any. Its next leader may be down, and
+    /// with the vote every replica can still certify the round (LibraBFT's
+    /// timeout votes), so a block whose votes went to a crashed leader is
+    /// not lost.
+    pub fn timeout_vote(&self, round: Round) -> Option<&StrongVote> {
+        self.last_vote.as_ref().filter(|vote| vote.round() == round)
+    }
+
+    /// The one way a certificate enters: the kernel admits it (checks the
+    /// members it does not hold yet and credits their endorsements), then
+    /// [`process_qc`](Self::process_qc) applies it, then the strength
+    /// grades it raised are reported. `None` if the kernel rejects it.
+    fn absorb_qc(
+        &mut self,
+        qc: &QuorumCertificate,
+        now: SimTime,
+    ) -> Option<Vec<StrongCommitUpdate>> {
         // A QC rides every proposal extending it, so each is re-delivered
         // round after round; all of processing below is idempotent per
         // certificate, so a digest already absorbed is skipped outright.
-        let key = (qc.round(), qc.digest());
-        if self.processed_qcs.contains(&key)
-            || !qc.is_well_formed(&self.kernel.config())
-            || self.kernel.is_stale(qc.round())
-        {
-            return Vec::new();
+        if self.processed_qcs.contains(&(qc.round(), qc.digest())) {
+            return Some(Vec::new());
         }
+        if self.kernel.is_stale(qc.round()) {
+            return None;
+        }
+        let grown = self.kernel.admit_qc(qc)?;
+        let mut updates = self.process_qc(qc, now);
+        updates.extend(self.kernel.grade(grown));
+        Some(updates)
+    }
+
+    /// Applies an admitted quorum certificate: raises the high-QC, advances
+    /// the round, applies the 2-chain commit + locking rules, and grades
+    /// any newly committed blocks. Returns the resulting commit-log entries.
+    fn process_qc(&mut self, qc: &QuorumCertificate, now: SimTime) -> Vec<StrongCommitUpdate> {
         // Logged once, recorded for serving to lagging peers, and — if the
         // certified block is unknown — flagged as a fetch target.
         self.kernel.log_qc(qc);
@@ -464,7 +603,7 @@ impl FbftReplica {
         // proposal or a block-sync response) must re-run it on the next
         // delivery or it would never finalize the chain.
         if self.kernel.store().contains(qc.block_id()) {
-            self.processed_qcs.insert(key);
+            self.processed_qcs.insert((qc.round(), qc.digest()));
         }
         if qc.round() > self.high_qc.round() {
             self.high_qc = qc.clone();
@@ -496,17 +635,20 @@ impl FbftReplica {
     /// Replaying a log front to back restores exactly the promises the log
     /// recorded: `VoteSent` and `BlockCommitted` are the kernel's
     /// ([`ChainKernel::replay_vote`], [`ChainKernel::replay_block`]),
-    /// `QcFormed` re-runs certificate processing (high-QC, round, 2-chain
-    /// lock, commits — certified-but-unknown blocks become sync targets
-    /// again), and `TcFormed` re-applies the round jump.
+    /// `QcFormed` re-enters through the certificate intake (high-QC, round,
+    /// 2-chain lock, commits — certified-but-unknown blocks become sync
+    /// targets again), and `TcFormed` re-applies the round jump.
     ///
     /// Records the replay itself re-derives are discarded, not re-buffered:
     /// they are already in the log being replayed.
     pub fn replay(&mut self, record: &WalRecord, now: SimTime) {
         match record {
-            WalRecord::VoteSent(vote) => self.kernel.replay_vote(vote),
+            WalRecord::VoteSent(vote) => {
+                self.kernel.replay_vote(vote);
+                self.last_vote = Some(vote.clone());
+            }
             WalRecord::QcFormed(qc) => {
-                self.process_qc(qc, now);
+                self.absorb_qc(qc, now);
                 self.kernel.drain_wal();
             }
             WalRecord::TcFormed(tc) => {
@@ -560,8 +702,38 @@ mod tests {
             .collect()
     }
 
+    /// Delivers `votes` (all for one round) to the next round's leader,
+    /// closes its quorum, and hands the certificate it broadcasts bare to
+    /// everyone else. Returns the certificate.
+    fn certify(
+        replicas: &mut [FbftReplica],
+        votes: &[StrongVote],
+        now: SimTime,
+    ) -> QuorumCertificate {
+        let round = votes[0].round();
+        let next = replicas[0]
+            .kernel()
+            .config()
+            .leader(round.next())
+            .as_usize();
+        for vote in votes {
+            replicas[next].on_vote(vote, now);
+        }
+        let qc = replicas[next]
+            .on_due(now)
+            .certificate
+            .expect("a leader without payloads forwards its certificate");
+        for (i, replica) in replicas.iter_mut().enumerate() {
+            if i != next {
+                replica.on_certificate(&qc, now);
+            }
+        }
+        qc
+    }
+
     /// Runs one happy-path round by hand: leader proposes, everyone votes,
-    /// all votes delivered everywhere. Returns the proposal.
+    /// the votes certify at the next leader and its certificate reaches
+    /// everyone. Returns the proposal.
     fn run_round(replicas: &mut [FbftReplica], now: SimTime) -> FbftProposal {
         let round = replicas[0].current_round();
         let leader = replicas[0].kernel().config().leader(round).as_usize();
@@ -572,11 +744,7 @@ mod tests {
             .iter_mut()
             .filter_map(|r| r.on_proposal(&proposal, now).vote)
             .collect();
-        for vote in &votes {
-            for replica in replicas.iter_mut() {
-                replica.on_vote(vote, now);
-            }
-        }
+        certify(replicas, &votes, now);
         proposal
     }
 
@@ -640,11 +808,7 @@ mod tests {
             .iter_mut()
             .filter_map(|r| r.on_proposal(&proposal, now).vote)
             .collect();
-        for vote in &votes {
-            for r in replicas.iter_mut() {
-                r.on_vote(vote, now);
-            }
-        }
+        certify(&mut replicas, &votes, now);
         assert!(replicas.iter().all(|r| r.current_round() == Round::new(2)));
         // Replaying the round-1 proposal cannot attract votes in round 2.
         assert!(replicas[2].on_proposal(&proposal, now).vote.is_none());
@@ -660,9 +824,10 @@ mod tests {
         for r in replicas.iter_mut() {
             assert!(r.on_tick(t).is_none(), "timeout fires once");
         }
+        let genesis = QuorumCertificate::genesis(4);
         for msg in &msgs {
             for r in replicas.iter_mut() {
-                r.on_timeout_msg(msg, t);
+                r.on_timeout_msg(msg, &genesis, t);
             }
         }
         assert!(replicas.iter().all(|r| r.current_round() == Round::new(2)));
@@ -678,6 +843,43 @@ mod tests {
         assert_eq!(votes.len(), 4, "round-2 proposal attracts every vote");
     }
 
+    /// Round 1's votes go to replica 2, which is down. When the round times
+    /// out, the others broadcast their round-1 votes beside their timeouts,
+    /// and each of them certifies round 1 itself: the block is not lost.
+    #[test]
+    fn a_round_whose_next_leader_is_down_certifies_from_timeout_votes() {
+        let mut replicas = system(4);
+        let now = SimTime::ZERO;
+        let proposal = replicas[1].try_propose(Payload::empty()).unwrap();
+        let live = [0usize, 1, 3];
+        for &i in &live {
+            let vote = replicas[i].on_proposal(&proposal, now).vote;
+            assert!(vote.is_some(), "replica {i} votes");
+        }
+        let t = replicas[0].next_deadline();
+        let mut votes = Vec::new();
+        for &i in &live {
+            let msg = replicas[i].on_tick(t).expect("round 1 times out");
+            let vote = replicas[i]
+                .timeout_vote(msg.round())
+                .expect("it voted in round 1");
+            votes.push(vote.clone());
+        }
+        for &i in &live {
+            for vote in &votes {
+                replicas[i].on_vote(vote, t);
+            }
+            let out = replicas[i].on_due(t);
+            assert!(out.certificate.is_none(), "only round 2's leader forwards");
+            assert_eq!(replicas[i].high_qc().block_id(), proposal.block().id());
+            assert_eq!(replicas[i].current_round(), Round::new(2));
+        }
+        assert!(
+            replicas[0].timeout_vote(Round::new(2)).is_none(),
+            "no vote in round 2 to repeat"
+        );
+    }
+
     #[test]
     fn tc_justified_proposal_after_skipped_round_commits_later() {
         let mut replicas = system(4);
@@ -686,9 +888,10 @@ mod tests {
                                                 // Round 2 leader stalls: time out.
         let t = replicas[0].next_deadline();
         let msgs: Vec<_> = replicas.iter_mut().filter_map(|r| r.on_tick(t)).collect();
+        let genesis = QuorumCertificate::genesis(4);
         for msg in &msgs {
             for r in replicas.iter_mut() {
-                r.on_timeout_msg(msg, t);
+                r.on_timeout_msg(msg, &genesis, t);
             }
         }
         assert!(replicas.iter().all(|r| r.current_round() == Round::new(3)));
@@ -721,7 +924,9 @@ mod tests {
         let proposal = replicas[1].try_propose(Payload::empty()).unwrap();
         let out = replicas[0].on_proposal(&proposal, now);
         let honest_vote = out.vote.unwrap();
-        replicas[0].on_vote(&honest_vote, now);
+        // Round-1 votes go to replica 2, round 2's leader, which catches
+        // the equivocator.
+        replicas[2].on_vote(&honest_vote, now);
         // Replica 3 votes for two different blocks in round 1.
         let other = Block::new(
             &Block::genesis(),
@@ -739,9 +944,9 @@ mod tests {
             EndorseInfo::Marker(Round::ZERO),
             &registry.key_pair(3).unwrap(),
         );
-        replicas[0].on_vote(&v1, now);
-        replicas[0].on_vote(&v2, now);
-        assert_eq!(replicas[0].kernel().equivocators(), &[ReplicaId::new(3)]);
+        replicas[2].on_vote(&v1, now);
+        replicas[2].on_vote(&v2, now);
+        assert_eq!(replicas[2].kernel().equivocators(), &[ReplicaId::new(3)]);
     }
 
     /// Regression: commits reached via a vote-completed QC must appear in
@@ -808,19 +1013,15 @@ mod tests {
         run_round(&mut replicas, now);
         assert!(replicas.iter().all(|r| r.current_round() == Round::new(2)));
 
-        // Round 2: the proposal reaches everyone but replica 0; the votes
-        // (broadcast) reach everyone, so replica 0 certifies a block it
-        // has not seen and moves on to round 3.
+        // Round 2: the proposal reaches everyone but replica 0; round 3's
+        // leader forwards the certificate to everyone, so replica 0
+        // certifies a block it has not seen and moves on to round 3.
         let p2 = replicas[2].try_propose(Payload::empty()).expect("leader");
         let votes: Vec<_> = (1..4)
             .filter_map(|i| replicas[i].on_proposal(&p2, now).vote)
             .collect();
         assert_eq!(votes.len(), 3);
-        for vote in &votes {
-            for replica in replicas.iter_mut() {
-                replica.on_vote(vote, now);
-            }
-        }
+        certify(&mut replicas, &votes, now);
         assert_eq!(replicas[0].current_round(), Round::new(3));
 
         // Round 3's proposal overtakes round 2's on the way to replica 0:
@@ -837,19 +1038,24 @@ mod tests {
         assert!(replicas[0].kernel().store().contains(p3.block().id()));
         assert_eq!(replicas[0].kernel().sync_stats().orphans_adopted, 1);
 
-        // Everyone votes round 3; replica 0 then leads round 4 and chains
-        // its proposal off the QC — no tick was ever fired.
+        // Everyone votes round 3 to replica 0, round 4's leader, which
+        // chains its proposal off the QC when the instant's votes are in.
         let mut votes: Vec<_> = (1..4)
             .filter_map(|i| replicas[i].on_proposal(&p3, now).vote)
             .collect();
         votes.push(vote);
-        let proposals: Vec<_> = votes
-            .iter()
-            .filter_map(|vote| replicas[0].on_vote(vote, now).next_proposal)
-            .collect();
-        assert_eq!(proposals.len(), 1, "the next leader proposes exactly once");
-        assert_eq!(proposals[0].block().round(), Round::new(4));
-        assert_eq!(proposals[0].block().parent_id(), p3.block().id());
+        for vote in &votes {
+            let out = replicas[0].on_vote(vote, now);
+            assert!(out.next_proposal.is_none(), "the QC waits for the instant");
+        }
+        assert_eq!(replicas[0].next_deadline(), now, "due at once");
+        let out = replicas[0].on_due(now);
+        let proposal = out.next_proposal.expect("the next leader proposes");
+        assert!(out.certificate.is_none(), "the proposal carries the QC");
+        assert_eq!(proposal.block().round(), Round::new(4));
+        assert_eq!(proposal.block().parent_id(), p3.block().id());
+        assert_eq!(proposal.qc().signers().len(), 4, "every vote rides it");
+        assert!(replicas[0].on_due(now).next_proposal.is_none(), "once");
     }
 
     #[test]
@@ -913,7 +1119,7 @@ mod tests {
         use sft_types::BatchConfig;
         // Replica 2 will lead round 2 but never receives the round-1
         // proposal (e.g. it sits in the losing half of an equivocation
-        // split). Votes are broadcast, so it still certifies the unknown
+        // split). The votes come to it, so it still certifies the unknown
         // block and adopts it as high-QC — and must then decline to chain
         // a proposal *without* draining (and losing) a mempool batch.
         let mut replicas = system(4);
@@ -937,12 +1143,14 @@ mod tests {
         assert_eq!(votes.len(), 3, "a full quorum votes");
         let before = replicas[2].kernel().mempool().len();
         for vote in &votes {
-            let out = replicas[2].on_vote(vote, now);
-            assert!(
-                out.next_proposal.is_none(),
-                "cannot propose on an unknown high-QC parent"
-            );
+            replicas[2].on_vote(vote, now);
         }
+        let out = replicas[2].on_due(now);
+        assert!(
+            out.next_proposal.is_none(),
+            "cannot propose on an unknown high-QC parent"
+        );
+        assert!(out.certificate.is_some(), "the QC goes out bare instead");
         assert_eq!(
             replicas[2].current_round(),
             Round::new(2),
@@ -978,9 +1186,15 @@ mod tests {
             .filter_map(|r| r.on_proposal(&proposal, now).vote)
             .collect();
         for vote in &votes {
-            let out = replicas[2].on_vote(vote, now);
-            assert!(out.next_proposal.is_none(), "ahead of the pace");
+            replicas[2].on_vote(vote, now);
         }
+        let out = replicas[2].on_due(now);
+        assert!(out.next_proposal.is_none(), "ahead of the pace");
+        assert_eq!(
+            out.certificate.map(|qc| qc.signers().len()),
+            Some(4),
+            "the QC goes out bare while the proposal waits"
+        );
         assert_eq!(replicas[2].current_round(), Round::new(2));
         assert!(replicas[2].proposal_held());
         let due = SimTime::from_millis(11);

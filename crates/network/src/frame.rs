@@ -106,6 +106,10 @@ impl FrameDecoder {
     /// hello: it binds the connection's role and identity and yields no
     /// delivery.
     ///
+    /// Frames are decoded at a cursor and the consumed prefix is dropped
+    /// once per call, so a read packed with small frames costs one
+    /// buffer shift, not one per frame.
+    ///
     /// # Errors
     ///
     /// Returns [`Violation`] when the stream breaks protocol; the
@@ -116,12 +120,26 @@ impl FrameDecoder {
         out: &mut Vec<Delivery>,
     ) -> Result<(), Violation> {
         self.buf.extend_from_slice(bytes);
+        let mut consumed = 0;
+        let result = self.decode_buffered(&mut consumed, out);
+        self.buf.drain(..consumed);
+        result
+    }
+
+    /// The frame loop of [`ingest`](Self::ingest): decodes from
+    /// `self.buf[*consumed..]`, advancing `consumed` past every frame it
+    /// takes.
+    fn decode_buffered(
+        &mut self,
+        consumed: &mut usize,
+        out: &mut Vec<Delivery>,
+    ) -> Result<(), Violation> {
         loop {
-            match Envelope::decode_frame(&self.buf) {
+            match Envelope::decode_frame(&self.buf[*consumed..]) {
                 Ok(None) => return Ok(()),
                 Err(_) => return Err(Violation), // malformed stream
                 Ok(Some((env, used))) => {
-                    self.buf.drain(..used);
+                    *consumed += used;
                     match env.dest {
                         Dest::Broadcast => {}
                         Dest::Peer(p) if p == self.owner => {}
@@ -203,6 +221,24 @@ mod tests {
         assert_eq!(out[1].payload[..], [9]);
         assert!(out.iter().all(|d| d.from == ReplicaId::new(2)));
         assert!(out.iter().all(|d| d.to == ReplicaId::new(0)));
+    }
+
+    #[test]
+    fn a_read_packed_with_small_frames_delivers_every_one_in_order() {
+        const FRAMES: u16 = 4096;
+        let mut stream = hello(2, 0);
+        for i in 0..FRAMES {
+            stream.extend(payload_frame(2, 0, i.to_be_bytes().to_vec()));
+        }
+        let mut decoder = FrameDecoder::new(ReplicaId::new(0), 4, ProtocolTag::Fbft);
+        let mut out = Vec::new();
+        decoder.ingest(&stream, &mut out).unwrap();
+        let got: Vec<u16> = out
+            .iter()
+            .map(|d| u16::from_be_bytes([d.payload[0], d.payload[1]]))
+            .collect();
+        assert_eq!(got, (0..FRAMES).collect::<Vec<_>>());
+        assert!(decoder.buf.is_empty(), "the consumed prefix is dropped");
     }
 
     #[test]

@@ -180,20 +180,22 @@ pub mod names {
     // ---- transport counters, split per MsgKind ----
 
     /// Messages sent, split per `MsgKind`: `net_msgs_<kind>`.
-    pub const NET_MSGS: [&str; 5] = [
+    pub const NET_MSGS: [&str; 6] = [
         "net_msgs_proposal",
         "net_msgs_vote",
         "net_msgs_timeout",
         "net_msgs_sync_request",
         "net_msgs_sync_response",
+        "net_msgs_certificate",
     ];
     /// Payload bytes sent, per kind: `net_bytes_<kind>`.
-    pub const NET_BYTES: [&str; 5] = [
+    pub const NET_BYTES: [&str; 6] = [
         "net_bytes_proposal",
         "net_bytes_vote",
         "net_bytes_timeout",
         "net_bytes_sync_request",
         "net_bytes_sync_response",
+        "net_bytes_certificate",
     ];
 
     /// Wire frames enqueued toward peers (`TcpCluster` / `NodeTransport`,
@@ -241,8 +243,8 @@ pub mod names {
     /// `level`).
     pub const EV_STRENGTH: &str = "strength";
     /// A node finished and flushed its state (fields: `round`, and
-    /// `wal_fsyncs` and `blocks` — fsyncs issued and blocks committed by
-    /// this incarnation).
+    /// `wal_fsyncs`, `messages` and `blocks` — fsyncs issued, peer
+    /// messages sent and blocks committed by this incarnation).
     pub const EV_NODE_STOP: &str = "node_stop";
 }
 

@@ -13,7 +13,7 @@
 //! lives in the shared runner; only construction and the DiemBFT-specific
 //! Byzantine payloads ([`FbftMischief`]) remain.
 
-use sft_core::{Block, ProtocolConfig, ReplicaEngine};
+use sft_core::{Block, MsgKind, OutboundMsg, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_fbft::{FbftEngine, FbftMessage, FbftProposal, FbftReplica};
 use sft_network::SimTransport;
@@ -59,7 +59,7 @@ impl Mischief<FbftEngine> for FbftMischief {
         ))
     }
 
-    fn forge_vote(&mut self, engine: &FbftEngine, incoming: &[u8]) -> Option<Vec<u8>> {
+    fn forge_vote(&mut self, engine: &FbftEngine, incoming: &[u8]) -> Option<OutboundMsg> {
         let Ok(FbftMessage::Proposal(proposal)) = FbftMessage::from_bytes(incoming) else {
             return None;
         };
@@ -71,7 +71,13 @@ impl Mischief<FbftEngine> for FbftMischief {
             EndorseInfo::Marker(Round::ZERO),
             engine.kernel().key_pair(),
         );
-        Some(FbftMessage::Vote(vote).to_bytes())
+        // Routed like an honest vote: to the next round's leader.
+        let leader = engine.kernel().config().leader(vote.round().next());
+        Some(OutboundMsg::to(
+            leader,
+            MsgKind::Vote,
+            FbftMessage::Vote(vote).to_bytes(),
+        ))
     }
 }
 

@@ -32,7 +32,8 @@
 //!   drivers additionally give it no payload source, so it never builds
 //!   one);
 //! - [`Behavior::Equivocate`] — its honest `Vote`s are replaced by forged
-//!   ones and its `Proposal` broadcasts become split-brain twin pairs.
+//!   ones (sent where the protocol sends an honest vote) and its
+//!   `Proposal` broadcasts become split-brain twin pairs.
 //!
 //! Only the *contents* of the forged votes and twin proposals are
 //! protocol-specific; the [`Mischief`] hook supplies those.
@@ -62,6 +63,7 @@ fn kind_index(kind: MsgKind) -> usize {
         MsgKind::Timeout => 2,
         MsgKind::SyncRequest => 3,
         MsgKind::SyncResponse => 4,
+        MsgKind::Certificate => 5,
     }
 }
 
@@ -90,10 +92,11 @@ pub trait Mischief<E: ReplicaEngine> {
     /// twinned (the runner then broadcasts it honestly).
     fn twin(&mut self, engine: &E, proposal_bytes: &[u8]) -> Option<(Vec<u8>, Vec<u8>)>;
 
-    /// The forged vote an equivocator broadcasts for an ingested proposal
-    /// (at most once per block), or `None` if `incoming` is not a proposal
-    /// or was already voted on.
-    fn forge_vote(&mut self, engine: &E, incoming: &[u8]) -> Option<Vec<u8>>;
+    /// The forged vote an equivocator sends for an ingested proposal (at
+    /// most once per block), addressed as the protocol addresses an honest
+    /// vote, or `None` if `incoming` is not a proposal or was already voted
+    /// on.
+    fn forge_vote(&mut self, engine: &E, incoming: &[u8]) -> Option<OutboundMsg>;
 }
 
 /// The no-op [`Mischief`]: every replica is honest. This is what real
@@ -106,7 +109,7 @@ impl<E: ReplicaEngine> Mischief<E> for NoMischief {
         None
     }
 
-    fn forge_vote(&mut self, _: &E, _: &[u8]) -> Option<Vec<u8>> {
+    fn forge_vote(&mut self, _: &E, _: &[u8]) -> Option<OutboundMsg> {
         None
     }
 }
@@ -161,6 +164,9 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     /// Replica `i`'s last appended persist sequence (0 = nothing appended)
     /// — the sequence its next outbound frames are gated on.
     last_seq: Vec<PersistSeq>,
+    /// Replica `i`'s last appended `VoteSent` sequence — all a proposal or
+    /// a forwarded certificate waits for (see [`gate_for`](Self::gate_for)).
+    vote_seq: Vec<PersistSeq>,
     /// The highest sequence replica `i` gated a frame on during the
     /// current instant (0 = none): what the instant asks its log to make
     /// durable when it ends.
@@ -210,6 +216,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             persisted: None,
             wals: None,
             last_seq: vec![0; n],
+            vote_seq: vec![0; n],
             demand: vec![0; n],
             drain_used: 0,
             ack_routes: HashMap::new(),
@@ -517,7 +524,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         // below discards.
         if self.behaviors[i] == Behavior::Equivocate {
             if let Some(forged) = self.mischief.forge_vote(&self.engines[i], &bytes) {
-                self.route(i, OutboundMsg::broadcast(MsgKind::Vote, forged), inbox);
+                self.route(i, forged, inbox);
             }
         }
         self.absorb(i, step, now, inbox)
@@ -551,6 +558,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 let wait = PhaseTimer::start(&*self.recorder);
                 for record in &step.persist {
                     self.last_seq[i] = wals[i].append(record)?;
+                    if matches!(record, WalRecord::VoteSent(_)) {
+                        self.vote_seq[i] = self.last_seq[i];
+                    }
                 }
                 wait.finish(&*self.recorder, names::PHASE_PERSIST_WAIT_NS);
             }
@@ -583,20 +593,29 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         self.route(i, out, inbox);
     }
 
-    /// The gate replica `i`'s next outbound frames must clear, if the run
-    /// is pipelined: the durability watermark must cover the replica's
-    /// last appended persist sequence before any frame hits the wire.
-    /// `None` when no durable logs are installed or nothing was ever
-    /// appended (nothing to justify — sending is free).
-    fn gate_for(&self, i: usize) -> Option<SendGate> {
+    /// The gate replica `i`'s next outbound frame of `kind` must clear, if
+    /// the run is pipelined: the durability watermark must cover the
+    /// replica's last appended persist sequence before the frame hits the
+    /// wire. A proposal or a forwarded certificate waits only for the
+    /// replica's last appended vote: the certificate it carries is other
+    /// replicas' votes, and perhaps the sender's own, but it promises
+    /// nothing else of the sender's — whose next vote still waits for the
+    /// certificate's record. `None` when no durable logs are installed or
+    /// nothing was appended (nothing to justify — sending is free).
+    fn gate_for(&self, i: usize, kind: MsgKind) -> Option<SendGate> {
         let wals = self.wals.as_ref()?;
-        let seq = self.last_seq[i];
+        let seq = match kind {
+            MsgKind::Proposal | MsgKind::Certificate => self.vote_seq[i],
+            _ => self.last_seq[i],
+        };
         (seq > 0).then(|| SendGate::new(wals[i].watermark(), seq))
     }
 
     /// Sends one message: broadcasts go over the transport (encoded once,
     /// recipients share the buffer) and loop back to the sender
-    /// immediately; point-to-point sends pay the transport delay.
+    /// immediately; point-to-point sends pay the transport delay, except
+    /// one addressed to the sender itself, which loops back like a
+    /// broadcast's own copy and never touches the transport.
     ///
     /// Pipelined runs attach the replica's gate, so the frame is held (in
     /// the transport, off the engine loop) until the WAL watermark covers
@@ -604,7 +623,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// demand on the replica's log. The sender's own loopback delivery is
     /// *not* gated: a replica hearing its own message early cannot
     /// equivocate against itself, and its WAL replay restores the same
-    /// state after a crash.
+    /// state after a crash. A self-addressed vote still notes its demand:
+    /// the certificate that will carry it is gated on it, and asking now
+    /// overlaps the fsync with the peers' votes.
     fn route(&mut self, i: usize, out: OutboundMsg, inbox: &mut Inbox) {
         let from = self.engines[i].id();
         if self.recorder.enabled() {
@@ -612,21 +633,25 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             // aggregate NetworkStats accounting but split per kind.
             let recipients = match out.route {
                 Route::Broadcast => (self.transport.replica_count() - 1) as u64,
-                Route::To(_) => 1,
+                Route::To(peer) => u64::from(peer != from),
             };
             let kind = kind_index(out.kind);
             self.recorder.add(names::NET_MSGS[kind], recipients);
             self.recorder
                 .add(names::NET_BYTES[kind], recipients * out.bytes.len() as u64);
         }
-        let gate = self.gate_for(i);
+        let gate = self.gate_for(i, out.kind);
         if let Some(gate) = &gate {
-            self.demand[i] = gate.seq();
+            self.demand[i] = self.demand[i].max(gate.seq());
         }
         let dest = match out.route {
             Route::Broadcast => {
                 inbox.push_back((from, from, Arc::clone(&out.bytes)));
                 Dest::Broadcast
+            }
+            Route::To(peer) if peer == from => {
+                inbox.push_back((from, from, out.bytes));
+                return;
             }
             Route::To(peer) => Dest::Peer(peer),
         };

@@ -10,7 +10,7 @@
 //! construction and the Streamlet-specific Byzantine payloads
 //! ([`StreamletMischief`]) remain.
 
-use sft_core::{Block, ProtocolConfig, ReplicaEngine};
+use sft_core::{Block, MsgKind, OutboundMsg, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::SimTransport;
 use sft_streamlet::{Message, Proposal, Replica, StreamletEngine};
@@ -52,7 +52,7 @@ impl Mischief<StreamletEngine> for StreamletMischief {
         Some((proposal_bytes.to_vec(), Message::Proposal(twin).to_bytes()))
     }
 
-    fn forge_vote(&mut self, engine: &StreamletEngine, incoming: &[u8]) -> Option<Vec<u8>> {
+    fn forge_vote(&mut self, engine: &StreamletEngine, incoming: &[u8]) -> Option<OutboundMsg> {
         let Ok(Message::Proposal(proposal)) = Message::from_bytes(incoming) else {
             return None;
         };
@@ -64,7 +64,11 @@ impl Mischief<StreamletEngine> for StreamletMischief {
             EndorseInfo::Marker(Round::ZERO),
             engine.kernel().key_pair(),
         );
-        Some(Message::Vote(vote).to_bytes())
+        // Streamlet broadcasts every vote.
+        Some(OutboundMsg::broadcast(
+            MsgKind::Vote,
+            Message::Vote(vote).to_bytes(),
+        ))
     }
 }
 

@@ -338,7 +338,8 @@ fn fbft_amnesiac_restart_equivocates_recovered_does_not() {
         .on_proposal(&twin, now)
         .vote
         .expect("without the WAL the restarted replica double-votes");
-    let mut observer = replica(1);
+    // Round-1 votes go to round 2's leader, which catches the double vote.
+    let mut observer = replica(config.leader(round.next()).as_u16());
     observer.on_vote(&vote_a, now);
     observer.on_vote(&vote_b, now);
     assert_eq!(

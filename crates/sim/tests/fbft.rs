@@ -51,9 +51,12 @@ fn four_honest_replicas_reach_the_2f_ceiling() {
             "all-honest runs strengthen commits to 2f"
         );
     }
-    // First commit: round 1 certifies at 2δ, round 2 at 4δ closes the
-    // 2-chain — the same 400 ms Streamlet needs for its first commit.
-    assert_eq!(report.first_commit_at(0), Some(SimTime::from_millis(400)));
+    // First commit: round 1 certifies at 2δ, and round 2 at 4δ closes the
+    // 2-chain at round 3's leader (replica 3), which collects the round-2
+    // votes — the same 400 ms Streamlet needs for its first commit. Every
+    // other replica learns it one hop later, from that leader's proposal.
+    assert_eq!(report.first_commit_at(3), Some(SimTime::from_millis(400)));
+    assert_eq!(report.first_commit_at(0), Some(SimTime::from_millis(500)));
 }
 
 /// All-honest n = 7 (f = 2): the acceptance criterion for f = 2 — commits

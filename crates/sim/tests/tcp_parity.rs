@@ -94,6 +94,39 @@ fn n31_over_tcp_commits_the_sim_prefix() {
         .unwrap_or_else(|e| panic!("n=31: {e}"));
 }
 
+/// SFT-DiemBFT over the same wide mesh: the same parity, and the linear
+/// message complexity the paper's abstract claims, counted in socket
+/// frames. A round is one proposal broadcast, n − 1 votes to the next
+/// leader and — while the round pace holds a proposal — one bare
+/// certificate broadcast: at most 3(n − 1) peer frames, plus whatever
+/// block sync sent. (Broadcast votes made it n(n − 1) + n − 1.)
+#[test]
+fn n31_fbft_over_tcp_sends_linear_frames_per_round() {
+    let n = 31;
+    let config = SimConfig::new(n, 4)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(4);
+    let sim_report = config.clone().run();
+    let tcp_report =
+        run_over_tcp(&config.with_recording(true), TcpPacing::default()).expect("loopback mesh");
+    assert!(tcp_report.agreement(), "n=31 fbft tcp replicas agree");
+    assert_eq!(tcp_report.safety_violations, 0);
+    tcp_report
+        .check_committed_prefix_of(&sim_report)
+        .unwrap_or_else(|e| panic!("n=31 fbft: {e}"));
+
+    let count = |name| tcp_report.metrics.counter(name).unwrap_or(0);
+    let peers = (n - 1) as u64;
+    let rounds = count(names::NET_MSGS[0]) / peers;
+    let sync = count(names::NET_MSGS[3]) + count(names::NET_MSGS[4]);
+    let frames = count(names::NET_FRAMES_SENT);
+    assert!(rounds >= 2, "{rounds} rounds proposed");
+    assert!(
+        frames <= 3 * peers * rounds + sync,
+        "{frames} peer frames over {rounds} rounds ({sync} of them sync)"
+    );
+}
+
 #[test]
 fn fbft_over_tcp_commits_the_sim_prefix() {
     tcp_matches_sim(Protocol::Fbft);

@@ -23,6 +23,10 @@ pub enum DecodeError {
     LengthOverflow(u64),
     /// Trailing bytes remained after a complete top-level decode.
     TrailingBytes(usize),
+    /// A field held a value outside its domain, or a set arrived in other
+    /// than its one canonical order (decoding accepts one encoding per
+    /// value, so a signed value cannot be re-encoded into a second form).
+    InvalidValue,
 }
 
 impl fmt::Display for DecodeError {
@@ -32,6 +36,7 @@ impl fmt::Display for DecodeError {
             DecodeError::InvalidTag(t) => write!(f, "invalid tag byte {t}"),
             DecodeError::LengthOverflow(n) => write!(f, "length prefix {n} too large"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            DecodeError::InvalidValue => write!(f, "value outside its domain or not canonical"),
         }
     }
 }

@@ -69,5 +69,6 @@ pub use timeout::{
 };
 pub use transaction::{BatchConfig, Payload, Transaction};
 pub use vote::{
-    vote_signing_digest, vote_signing_digest_with, EndorseInfo, EndorseMode, StrongVote, VoteData,
+    vote_signing_digest, vote_signing_digest_with, EndorseInfo, EndorseMode, QcMember, StrongVote,
+    VoteData,
 };

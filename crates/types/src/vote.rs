@@ -352,6 +352,101 @@ impl StrongVote {
         let digest = vote_signing_digest(&self.data, &self.endorse);
         registry.verify(self.author.as_u64(), digest.as_ref(), &self.signature)
     }
+
+    /// This vote as a certificate member: everything but the vote data,
+    /// which the certificate carries once for all its members.
+    pub fn member(&self) -> QcMember {
+        QcMember {
+            author: self.author,
+            endorse: self.endorse.clone(),
+            signature: self.signature,
+        }
+    }
+}
+
+/// One member of a quorum certificate: a [`StrongVote`] without the
+/// [`VoteData`] all members of the certificate share — the author, the
+/// [`EndorseInfo`] the vote carried, and the signature over both. A
+/// certificate that carries its members lets any replica check them and
+/// credit their endorsements (§3.2) without having received the votes.
+///
+/// # Examples
+///
+/// ```
+/// use sft_crypto::{HashValue, KeyRegistry};
+/// use sft_types::{EndorseInfo, Round, StrongVote, VoteData};
+///
+/// let registry = KeyRegistry::deterministic(4);
+/// let data = VoteData::new(HashValue::of(b"B"), Round::new(3), HashValue::of(b"A"), Round::new(2));
+/// let vote = StrongVote::new(data, EndorseInfo::Marker(Round::ZERO), &registry.key_pair(2).unwrap());
+/// assert_eq!(vote.member().to_vote(data), vote);
+/// ```
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct QcMember {
+    author: ReplicaId,
+    endorse: EndorseInfo,
+    signature: Signature,
+}
+
+impl QcMember {
+    /// The shortest encoding a member can have (author, an
+    /// [`EndorseInfo::None`] tag, signature): what bounds how many members
+    /// a buffer can hold.
+    pub const MIN_ENCODED_LEN: usize = 2 + 1 + 40;
+
+    /// Reassembles a member from parts (the decoder, and test harnesses
+    /// forging Byzantine certificates).
+    pub fn from_parts(author: ReplicaId, endorse: EndorseInfo, signature: Signature) -> Self {
+        Self {
+            author,
+            endorse,
+            signature,
+        }
+    }
+
+    /// The voting replica.
+    pub fn author(&self) -> ReplicaId {
+        self.author
+    }
+
+    /// The endorsement info the vote carried.
+    pub fn endorse(&self) -> &EndorseInfo {
+        &self.endorse
+    }
+
+    /// The signature over (vote data, endorsement info).
+    pub fn signature(&self) -> &Signature {
+        &self.signature
+    }
+
+    /// The strong-vote this member is, for the certified `data`.
+    pub fn to_vote(&self, data: VoteData) -> StrongVote {
+        StrongVote::from_parts(data, self.endorse.clone(), self.author, self.signature)
+    }
+}
+
+impl fmt::Debug for QcMember {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "QcMember({} {:?})", self.author, self.endorse)
+    }
+}
+
+impl Encode for QcMember {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.author.encode(buf);
+        self.endorse.encode(buf);
+        self.signature.encode(buf);
+    }
+}
+
+impl Decode for QcMember {
+    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(Self {
+            author: ReplicaId::decode(buf)?,
+            endorse: EndorseInfo::decode(buf)?,
+            signature: Signature::decode(buf)?,
+        })
+    }
 }
 
 impl fmt::Debug for StrongVote {
