@@ -372,6 +372,14 @@ impl ChainKernel {
         (certified, grown)
     }
 
+    /// The protocol entered `round` (Streamlet's epoch): votes up to
+    /// [`RETENTION_ROUNDS`](crate::RETENTION_ROUNDS) past it are counted,
+    /// later ones refused unverified — however far ahead a flood of
+    /// future-round votes reaches, the tracker does not grow with it.
+    pub fn enter_round(&mut self, round: Round) {
+        self.votes.enter_round(round);
+    }
+
     /// Counts a strong-vote sent to this replica as the next leader, toward
     /// the certificate it will form ([`form_qc`](Self::form_qc)). Nothing
     /// is credited here: endorsements come only from certificates, through

@@ -9,8 +9,11 @@
 //!   the strengthened `x`-strong quorum `f + x + 1` of §3.2 (Theorem 1).
 //! - [`Block`] / [`BlockStore`] — the block format of §2.1 and the chain
 //!   index that ancestry and endorsement walks run over.
-//! - [`VoteTracker`] / [`QuorumCertificate`] — strong-vote aggregation with
-//!   signature verification and equivocation detection.
+//! - [`VoteTracker`] / [`QuorumCertificate`] and [`TimeoutAggregator`] —
+//!   strong-vote and timeout aggregation over one signed-quorum collector
+//!   (per-author slots, verification on arrival or in one batch at quorum,
+//!   forged-copy settlement and rollback), plus the votes' equivocation
+//!   detection.
 //! - [`EndorsementTracker`] — per-block endorser tallies that grade each
 //!   commit with the strength `x` of Definition 1 and emit
 //!   [`StrongCommitUpdate`](sft_types::StrongCommitUpdate) entries for the
@@ -105,7 +108,9 @@ pub mod ledger;
 pub mod mempool;
 pub mod obs;
 pub mod qc;
+mod quorum;
 pub mod sync;
+pub mod timeout;
 pub mod wal;
 
 pub use acks::AckTracker;
@@ -122,6 +127,7 @@ pub use mempool::{Admission, Mempool, PayloadSource};
 pub use obs::EngineObs;
 pub use qc::{QuorumCertificate, VoteOutcome, VoteTracker};
 pub use sync::{BlockResponse, SyncConfig, SyncManager, SyncStats};
+pub use timeout::{TimeoutAggregator, TimeoutOutcome};
 pub use wal::{
     scan_wal, FileSink, FrameError, MemSink, Wal, WalError, WalRecord, WalScan, WalSink, WalStore,
     WAL_FILE_NAME,

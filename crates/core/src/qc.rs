@@ -1,6 +1,7 @@
 //! Vote aggregation into quorum certificates.
 //!
-//! A [`VoteTracker`] collects verified [`StrongVote`]s per block, detects
+//! A [`VoteTracker`] collects verified [`StrongVote`]s per block (in the
+//! signed-quorum collector it shares with timeouts, `quorum.rs`), detects
 //! same-round equivocation, and emits a [`QuorumCertificate`] exactly once
 //! when a block reaches the classic `2f + 1` quorum. Certification
 //! ("notarization" in Streamlet's vocabulary) is deliberately separate from
@@ -17,12 +18,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use sft_crypto::{BatchItem, HashValue, Hasher, KeyRegistry, SigStats};
+use sft_crypto::{BatchItem, HashValue, Hasher, KeyRegistry, SigStats, Signature};
 use sft_types::{
-    vote_signing_digest_with, Decode, DecodeError, Encode, QcMember, ReplicaId, Round, SignerSet,
-    StrongVote, VerifyPolicy, VoteData,
+    vote_signing_digest, vote_signing_digest_with, Decode, DecodeError, Encode, QcMember,
+    ReplicaId, Round, SignerSet, StrongVote, VerifyPolicy, VoteData,
 };
 
+use crate::quorum::{verify_signed, Added, Quorum, Signed};
 use crate::{Block, ProtocolConfig};
 
 /// Proof that `2f + 1` distinct replicas voted for the same [`VoteData`].
@@ -277,7 +279,8 @@ impl MemberLedger {
     /// Checks `qc`'s members for a system of `config`: at least `2f + 1`,
     /// and every one this ledger does not already hold verifies — one batch
     /// over the new ones under [`VerifyPolicy::OnQuorum`], one check each
-    /// under [`VerifyPolicy::OnArrival`], counted into `stats`. On success
+    /// under [`VerifyPolicy::OnArrival`] ([`verify_signed`]), counted into
+    /// `stats`. On success
     /// the new members are recorded; on failure nothing is.
     pub(crate) fn admit(
         &mut self,
@@ -306,37 +309,24 @@ impl MemberLedger {
                     .is_none_or(|(known, _)| known != *member)
             })
             .collect();
-        if !fresh.is_empty() {
-            let data_digest = qc.data().digest();
-            let digests: Vec<HashValue> = fresh
-                .iter()
-                .map(|member| vote_signing_digest_with(data_digest, member.endorse()))
-                .collect();
-            let items: Vec<BatchItem<'_>> = fresh
-                .iter()
-                .zip(&digests)
-                .map(|(member, digest)| {
-                    BatchItem::new(
-                        member.author().as_u64(),
-                        digest.as_ref(),
-                        member.signature(),
-                    )
-                })
-                .collect();
-            let valid = match policy {
-                VerifyPolicy::OnQuorum => {
-                    let verdict = registry.verify_batch_pooled(&items);
-                    stats.count_batch(items.len(), verdict.is_err());
-                    verdict.is_ok()
-                }
-                VerifyPolicy::OnArrival => items.iter().all(|item| {
-                    stats.count_verify();
-                    registry.verify(item.signer, item.message, item.signature)
-                }),
-            };
-            if !valid {
-                return false;
-            }
+        let data_digest = qc.data().digest();
+        let digests: Vec<HashValue> = fresh
+            .iter()
+            .map(|member| vote_signing_digest_with(data_digest, member.endorse()))
+            .collect();
+        let items: Vec<BatchItem<'_>> = fresh
+            .iter()
+            .zip(&digests)
+            .map(|(member, digest)| {
+                BatchItem::new(
+                    member.author().as_u64(),
+                    digest.as_ref(),
+                    member.signature(),
+                )
+            })
+            .collect();
+        if !verify_signed(registry, policy, &items, stats).is_empty() {
+            return false;
         }
         for member in fresh {
             self.insert(*qc.data(), member.clone());
@@ -399,12 +389,20 @@ pub enum VoteOutcome {
     /// The author already voted for a *different* block in the same round;
     /// the vote is ignored and the author recorded as an equivocator.
     Equivocation,
-    /// The vote's round is below the tracker's retention floor
-    /// ([`VoteTracker::prune_below`]) — ignored, unverified.
+    /// The vote's round is outside the tracker's window: below its
+    /// retention floor ([`VoteTracker::prune_below`]) or more than
+    /// [`RETENTION_ROUNDS`](crate::RETENTION_ROUNDS) past the replica's
+    /// current round ([`VoteTracker::enter_round`]) — ignored, unverified.
     Stale,
 }
 
 /// Aggregates strong-votes into quorum certificates.
+///
+/// The signed-quorum collector it shares with the
+/// [`TimeoutAggregator`](crate::TimeoutAggregator) holds the votes per
+/// block and checks their signatures per [`VerifyPolicy`]; the tracker
+/// adds what only votes have: same-round equivocation, the feed of
+/// verified votes the endorsement tracker consumes, and the certificate.
 ///
 /// # Examples
 ///
@@ -426,63 +424,32 @@ pub enum VoteOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct VoteTracker {
-    config: ProtocolConfig,
-    registry: KeyRegistry,
-    policy: VerifyPolicy,
-    /// Votes aggregated per block id. The signer set is behind an `Arc` so
-    /// certification hands the set to the [`QuorumCertificate`] by sharing;
-    /// `Arc::make_mut` keeps later inserts copy-free until (at most once) a
-    /// vote arrives after certification.
-    by_block: HashMap<HashValue, Tally>,
+    /// The votes, per block id.
+    votes: Quorum<HashValue, StrongVote>,
     /// First block each replica voted for in each round, for equivocation
-    /// detection.
+    /// detection. An entry whose vote was since found forged no longer
+    /// holds a slot in `votes` and is ignored.
     first_vote: HashMap<(Round, ReplicaId), HashValue>,
     /// Replicas caught voting for two blocks in one round.
     equivocators: Vec<ReplicaId>,
-    /// Under [`VerifyPolicy::OnQuorum`]: every counted vote, keyed by
-    /// (block, author), with its deferred-verification state. Unused (and
-    /// empty) under [`VerifyPolicy::OnArrival`].
-    stored: HashMap<(HashValue, ReplicaId), StoredVote>,
-    /// Votes accepted *and verified* since the last
-    /// [`take_newly_verified`](Self::take_newly_verified) call — the feed
-    /// the endorsement tracker consumes, so endorsements are only ever
-    /// credited to signatures that actually checked out.
-    newly_verified: Vec<StrongVote>,
-    stats: SigStats,
-    /// Claimed authors of signatures a batch check rejected.
-    forged: Vec<ReplicaId>,
-    /// Votes for rounds below this are [`VoteOutcome::Stale`].
-    floor: Round,
 }
 
-/// The votes counted for one block.
-#[derive(Clone, Debug)]
-struct Tally {
-    data: VoteData,
-    signers: Arc<SignerSet>,
-    /// Set when the block produced its certificate (emit-once).
-    certified: bool,
-}
-
-impl Tally {
-    fn new(data: VoteData, n: usize) -> Self {
-        Self {
-            data,
-            signers: Arc::new(SignerSet::new(n)),
-            certified: false,
-        }
+impl Signed for StrongVote {
+    fn author(&self) -> ReplicaId {
+        self.author()
     }
 
-    fn certificate(&self) -> QuorumCertificate {
-        QuorumCertificate::new(self.data, Arc::clone(&self.signers))
+    fn round(&self) -> Round {
+        self.round()
     }
-}
 
-/// A counted vote held until (and after) its signature is checked.
-#[derive(Clone, Debug)]
-struct StoredVote {
-    vote: StrongVote,
-    verified: bool,
+    fn signature(&self) -> &Signature {
+        self.signature()
+    }
+
+    fn signing_digest(&self) -> HashValue {
+        vote_signing_digest(self.data(), self.endorse())
+    }
 }
 
 impl VoteTracker {
@@ -490,41 +457,33 @@ impl VoteTracker {
     /// signatures on arrival.
     pub fn new(config: ProtocolConfig, registry: KeyRegistry) -> Self {
         Self {
-            config,
-            registry,
-            policy: VerifyPolicy::OnArrival,
-            by_block: HashMap::new(),
+            votes: Quorum::new(config.n(), config.quorum(), registry),
             first_vote: HashMap::new(),
             equivocators: Vec::new(),
-            stored: HashMap::new(),
-            newly_verified: Vec::new(),
-            stats: SigStats::default(),
-            forged: Vec::new(),
-            floor: Round::ZERO,
         }
     }
 
     /// Selects when this tracker checks signatures (see
     /// [`VerifyPolicy`]).
     pub fn with_policy(mut self, policy: VerifyPolicy) -> Self {
-        self.policy = policy;
+        self.votes.set_policy(policy);
         self
     }
 
     /// The verification policy in effect.
     pub fn policy(&self) -> VerifyPolicy {
-        self.policy
+        self.votes.policy()
     }
 
     /// Signature-verification work counters for this tracker.
     pub fn sig_stats(&self) -> SigStats {
-        self.stats
+        self.votes.sig_stats()
     }
 
-    /// Claimed authors of signatures a batch check rejected — the output
-    /// of the bisection over a bad batch.
+    /// Claimed authors of counted votes whose signatures turned out forged
+    /// — the output of the bisection over a bad batch.
     pub fn forged_signers(&self) -> &[ReplicaId] {
-        &self.forged
+        self.votes.forged_signers()
     }
 
     /// Drains the votes accepted *and signature-verified* since the last
@@ -533,317 +492,84 @@ impl VoteTracker {
     /// from this instead of from raw arrivals, so deferred verification
     /// can never credit an endorsement to an unchecked signature.
     pub fn take_newly_verified(&mut self) -> Vec<StrongVote> {
-        std::mem::take(&mut self.newly_verified)
+        self.votes.take_newly_verified()
     }
 
     /// Counts one vote, verifying per [`VerifyPolicy`]. See
     /// [`VoteOutcome`] for the cases.
     pub fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome {
-        if vote.round() < self.floor {
-            return VoteOutcome::Stale;
-        }
-        if vote.author().as_usize() >= self.config.n() {
-            return VoteOutcome::BadSignature; // no replica signs as that
-        }
-        match self.policy {
-            VerifyPolicy::OnArrival => self.add_on_arrival(vote),
-            VerifyPolicy::OnQuorum => self.add_on_quorum(vote),
-        }
-    }
-
-    fn verify_one(&mut self, vote: &StrongVote) -> bool {
-        self.stats.count_verify();
-        vote.verify(&self.registry)
-    }
-
-    fn add_on_arrival(&mut self, vote: &StrongVote) -> VoteOutcome {
-        if !self.verify_one(vote) {
-            return VoteOutcome::BadSignature;
-        }
-        let block_id = vote.data().block_id();
-        let author = vote.author();
-
-        match self.first_vote.entry((vote.round(), author)) {
-            std::collections::hash_map::Entry::Occupied(e) if *e.get() != block_id => {
+        let verified = match self.votes.screen(vote) {
+            Ok(verified) => verified,
+            Err(rejected) => return self.outcome(rejected, vote),
+        };
+        let (block_id, author) = (vote.data().block_id(), vote.author());
+        // A vote for another block than the author's first in this round:
+        // the first vote's signature is settled before judging, so a forger
+        // can neither frame an honest replica as an equivocator nor keep a
+        // forged first vote counted. Forged conflicts are not evidence.
+        let first = self.first_vote.get(&(vote.round(), author)).copied();
+        if let Some(first) = first.filter(|first| *first != block_id) {
+            if self.votes.settle(first, author) {
+                if !verified && !self.votes.check(vote) {
+                    return VoteOutcome::BadSignature;
+                }
                 if !self.equivocators.contains(&author) {
                     self.equivocators.push(author);
                 }
                 return VoteOutcome::Equivocation;
             }
-            std::collections::hash_map::Entry::Occupied(_) => {}
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(block_id);
-            }
         }
-
-        let n = self.config.n();
-        let tally = self
-            .by_block
-            .entry(block_id)
-            .or_insert_with(|| Tally::new(*vote.data(), n));
-        if !Arc::make_mut(&mut tally.signers).insert(author) {
-            return VoteOutcome::Duplicate;
+        let added = self.votes.insert(block_id, vote.clone(), verified);
+        if matches!(added, Added::Counted(_) | Added::Certified) {
+            self.first_vote.insert((vote.round(), author), block_id);
         }
-        let count = tally.signers.len();
-        self.newly_verified.push(vote.clone());
-        if count >= self.config.quorum() && !tally.certified {
-            tally.certified = true;
-            return VoteOutcome::Certified(tally.certificate());
-        }
-        VoteOutcome::Counted(count)
+        self.outcome(added, vote)
     }
 
-    fn add_on_quorum(&mut self, vote: &StrongVote) -> VoteOutcome {
-        let block_id = vote.data().block_id();
-        let author = vote.author();
-        if let Some(&first_block) = self.first_vote.get(&(vote.round(), author)) {
-            if first_block == block_id {
-                return self.settle_same_block(vote);
+    fn outcome(&self, added: Added, vote: &StrongVote) -> VoteOutcome {
+        match added {
+            Added::Counted(count) => VoteOutcome::Counted(count),
+            // The vote completed the quorum, so it is a member and its
+            // data is what the members signed.
+            Added::Certified => {
+                let signers = self.votes.signers(vote.data().block_id());
+                VoteOutcome::Certified(QuorumCertificate::new(*vote.data(), signers))
             }
-            // Conflicting blocks under one author in one round. Settle the
-            // stored first vote's signature before judging: a forger must
-            // not be able to frame an honest replica as an equivocator,
-            // nor keep a forged first vote counted.
-            let stored_state = self
-                .stored
-                .get(&(first_block, author))
-                .map(|s| (s.vote.clone(), s.verified));
-            if let Some((stored_vote, verified)) = stored_state {
-                if verified || self.verify_one(&stored_vote) {
-                    if !verified {
-                        self.stored
-                            .get_mut(&(first_block, author))
-                            .expect("entry exists")
-                            .verified = true;
-                        self.newly_verified.push(stored_vote);
-                    }
-                    return self.settle_equivocation(vote);
-                }
-                // The stored first vote was forged: roll it back and treat
-                // the arriving vote as the author's real first vote.
-                self.rollback(first_block, author);
-            } else {
-                return self.settle_equivocation(vote);
-            }
+            Added::Duplicate => VoteOutcome::Duplicate,
+            Added::BadSignature => VoteOutcome::BadSignature,
+            Added::Stale => VoteOutcome::Stale,
         }
-        self.insert_fresh(vote)
     }
 
-    /// The author re-voted for its first block: deduplicate, lazily
-    /// settling signatures when the copies differ in content.
-    fn settle_same_block(&mut self, vote: &StrongVote) -> VoteOutcome {
-        let block_id = vote.data().block_id();
-        let author = vote.author();
-        let stored_state = self
-            .stored
-            .get(&(block_id, author))
-            .map(|s| (s.vote.clone(), s.verified));
-        let Some((stored_vote, verified)) = stored_state else {
-            // No stored copy (defensive): treat as a plain duplicate.
-            return if self.verify_one(vote) {
-                VoteOutcome::Duplicate
-            } else {
-                VoteOutcome::BadSignature
-            };
-        };
-        if stored_vote == *vote {
-            // Byte-identical retransmission: deduplicated without ever
-            // touching the signature — the common case deferral makes free.
-            return VoteOutcome::Duplicate;
-        }
-        if verified || self.verify_one(&stored_vote) {
-            if !verified {
-                self.stored
-                    .get_mut(&(block_id, author))
-                    .expect("entry exists")
-                    .verified = true;
-                self.newly_verified.push(stored_vote);
-            }
-            return if self.verify_one(vote) {
-                VoteOutcome::Duplicate
-            } else {
-                VoteOutcome::BadSignature
-            };
-        }
-        // The stored copy was forged; the arriving vote takes the slot.
-        self.rollback(block_id, author);
-        self.insert_fresh(vote)
-    }
-
-    /// The arriving vote conflicts with a *valid* first vote: verify it,
-    /// and record the author as an equivocator only on a valid signature
-    /// (matching the on-arrival path — forged conflicts are not evidence).
-    fn settle_equivocation(&mut self, vote: &StrongVote) -> VoteOutcome {
-        if !self.verify_one(vote) {
-            return VoteOutcome::BadSignature;
-        }
-        let author = vote.author();
-        if !self.equivocators.contains(&author) {
-            self.equivocators.push(author);
-        }
-        VoteOutcome::Equivocation
-    }
-
-    /// Counts a vote with no prior state for its (block, author) slot.
-    fn insert_fresh(&mut self, vote: &StrongVote) -> VoteOutcome {
-        let block_id = vote.data().block_id();
-        let author = vote.author();
-        let already_certified = self.is_certified(block_id);
-        if already_certified && !self.verify_one(vote) {
-            // Post-certification stragglers verify individually: they can
-            // still upgrade endorsement strength, so their signatures
-            // cannot wait for a batch that will never run.
-            return VoteOutcome::BadSignature;
-        }
-        let n = self.config.n();
-        let tally = self
-            .by_block
-            .entry(block_id)
-            .or_insert_with(|| Tally::new(*vote.data(), n));
-        if !Arc::make_mut(&mut tally.signers).insert(author) {
-            return VoteOutcome::Duplicate;
-        }
-        let count = tally.signers.len();
-        self.first_vote.insert((vote.round(), author), block_id);
-        self.stored.insert(
-            (block_id, author),
-            StoredVote {
-                vote: vote.clone(),
-                verified: already_certified,
-            },
-        );
-        if already_certified {
-            self.newly_verified.push(vote.clone());
-            return VoteOutcome::Counted(count);
-        }
-        if count >= self.config.quorum() {
-            if let Some(qc) = self.try_certify(block_id) {
-                return VoteOutcome::Certified(qc);
-            }
-            if !self.stored.contains_key(&(block_id, author)) {
-                // The arriving vote itself was exposed as forged by the
-                // batch check it triggered.
-                return VoteOutcome::BadSignature;
-            }
-            return VoteOutcome::Counted(self.votes_for(block_id));
-        }
-        VoteOutcome::Counted(count)
-    }
-
-    /// Certifies `block_id` if it (still) holds a verified quorum,
-    /// batch-checking any deferred signatures first. Emits at most once.
-    ///
-    /// All votes of a forming QC certify the same [`VoteData`], so its
-    /// digest is hashed once and shared across every signing preimage in
-    /// the batch — the precompute half of the batched path.
-    fn try_certify(&mut self, block_id: HashValue) -> Option<QuorumCertificate> {
-        let Tally {
-            data,
-            signers,
-            certified,
-        } = self.by_block.get(&block_id)?;
-        if *certified || signers.len() < self.config.quorum() {
-            return None;
-        }
-        // Signer-set iteration is index-ordered, so the batch (and with
-        // it every downstream count) is deterministic.
-        let unverified: Vec<ReplicaId> = signers
-            .iter()
-            .filter(|author| !self.stored[&(block_id, *author)].verified)
-            .collect();
-        if !unverified.is_empty() {
-            let data_digest = data.digest();
-            let digests: Vec<HashValue> = unverified
-                .iter()
-                .map(|author| {
-                    let stored = &self.stored[&(block_id, *author)];
-                    vote_signing_digest_with(data_digest, stored.vote.endorse())
-                })
-                .collect();
-            let items: Vec<BatchItem<'_>> = unverified
-                .iter()
-                .zip(&digests)
-                .map(|(author, digest)| {
-                    BatchItem::new(
-                        author.as_u64(),
-                        digest.as_ref(),
-                        self.stored[&(block_id, *author)].vote.signature(),
-                    )
-                })
-                .collect();
-            // Pooled: shards the MAC work over the crypto worker pool
-            // above a threshold, serial below it — result-identical.
-            let result = self.registry.verify_batch_pooled(&items);
-            drop(items);
-            self.stats.count_batch(unverified.len(), result.is_err());
-            let forged_indices = result.err().unwrap_or_default();
-            let mut forged_iter = forged_indices.iter().peekable();
-            for (index, author) in unverified.iter().enumerate() {
-                if forged_iter.peek() == Some(&&index) {
-                    forged_iter.next();
-                    self.rollback(block_id, *author);
-                } else {
-                    let stored = self
-                        .stored
-                        .get_mut(&(block_id, *author))
-                        .expect("entry exists");
-                    stored.verified = true;
-                    self.newly_verified.push(stored.vote.clone());
-                }
-            }
-        }
-        let tally = self.by_block.get_mut(&block_id)?;
-        if tally.signers.len() < self.config.quorum() {
-            return None;
-        }
-        tally.certified = true;
-        Some(tally.certificate())
-    }
-
-    /// Removes a forged vote's traces: the signer-set count, the
-    /// first-vote record, and the stored copy.
-    fn rollback(&mut self, block_id: HashValue, author: ReplicaId) {
-        if let Some(tally) = self.by_block.get_mut(&block_id) {
-            Arc::make_mut(&mut tally.signers).remove(author);
-            let key = (tally.data.block_round(), author);
-            if self.first_vote.get(&key) == Some(&block_id) {
-                self.first_vote.remove(&key);
-            }
-        }
-        self.stored.remove(&(block_id, author));
-        self.forged.push(author);
-    }
-
-    /// Number of verified votes currently counted for `block_id`.
+    /// Number of votes currently counted for `block_id`.
     pub fn votes_for(&self, block_id: HashValue) -> usize {
-        self.by_block
-            .get(&block_id)
-            .map_or(0, |tally| tally.signers.len())
+        self.votes.count(block_id)
     }
 
     /// True if `block_id` has reached the classic quorum.
     pub fn is_certified(&self, block_id: HashValue) -> bool {
-        self.by_block
-            .get(&block_id)
-            .is_some_and(|tally| tally.certified)
+        self.votes.is_certified(block_id)
     }
 
-    /// Forgets every vote, tally, and first-vote record for rounds below
-    /// `floor`; later votes for those rounds answer
-    /// [`VoteOutcome::Stale`]. Equivocators already caught stay caught.
+    /// Forgets every vote and first-vote record for rounds below `floor`;
+    /// later votes for those rounds answer [`VoteOutcome::Stale`].
+    /// Equivocators already caught stay caught.
     pub fn prune_below(&mut self, floor: Round) {
-        self.floor = self.floor.max(floor);
-        let floor = self.floor;
-        self.by_block
-            .retain(|_, tally| tally.data.block_round() >= floor);
+        self.votes.prune_below(floor);
         self.first_vote.retain(|(round, _), _| *round >= floor);
-        self.stored.retain(|_, stored| stored.vote.round() >= floor);
+    }
+
+    /// The replica entered `round`: votes up to
+    /// [`RETENTION_ROUNDS`](crate::RETENTION_ROUNDS) past it are let in,
+    /// later ones answer [`VoteOutcome::Stale`].
+    pub fn enter_round(&mut self, round: Round) {
+        self.votes.enter_round(round);
     }
 
     /// Votes currently held (one per counted `(round, author)`) — the
     /// resident-state gauge a retention horizon keeps bounded.
     pub fn resident_votes(&self) -> usize {
-        self.first_vote.len()
+        self.votes.len()
     }
 
     /// Replicas caught equivocating (voting for two blocks in one round).
@@ -853,7 +579,7 @@ impl VoteTracker {
 
     /// The PKI this tracker verifies against.
     pub fn registry(&self) -> &KeyRegistry {
-        &self.registry
+        self.votes.registry()
     }
 }
 
@@ -1180,5 +906,49 @@ mod tests {
         tracker.add_vote(&vote(&registry, 1, b));
         assert_eq!(tracker.votes_for(a.block_id()), 1);
         assert_eq!(tracker.votes_for(b.block_id()), 1);
+    }
+
+    #[test]
+    fn future_round_flood_is_refused_unverified() {
+        let (_, registry, mut tracker) = setup_deferred();
+        let signature = *vote(&registry, 1, data(b"B", 1)).signature();
+        for round in 1_000..101_000u64 {
+            let block = HashValue::of(&round.to_be_bytes());
+            let d = VoteData::new(block, Round::new(round), HashValue::zero(), Round::ZERO);
+            let forged = StrongVote::from_parts(d, EndorseInfo::None, ReplicaId::new(1), signature);
+            assert_eq!(tracker.add_vote(&forged), VoteOutcome::Stale);
+        }
+        assert_eq!(tracker.resident_votes(), 0);
+        assert_eq!(tracker.sig_stats(), SigStats::default());
+    }
+
+    #[test]
+    fn window_is_measured_from_the_current_round() {
+        let (_, registry, mut tracker) = setup();
+        let edge = crate::RETENTION_ROUNDS;
+        assert_eq!(
+            tracker.add_vote(&vote(&registry, 0, data(b"A", edge))),
+            VoteOutcome::Counted(1)
+        );
+        assert_eq!(
+            tracker.add_vote(&vote(&registry, 0, data(b"B", edge + 1))),
+            VoteOutcome::Stale
+        );
+        // Neither the retention floor (commits may stall) nor the votes
+        // seen so far move the window: only the round the replica is in.
+        tracker.enter_round(Round::new(1_000));
+        assert_eq!(
+            tracker.add_vote(&vote(&registry, 0, data(b"C", 1_000 + edge))),
+            VoteOutcome::Counted(1)
+        );
+        assert_eq!(
+            tracker.add_vote(&vote(&registry, 0, data(b"D", 1_001 + edge))),
+            VoteOutcome::Stale
+        );
+        assert_eq!(
+            tracker.add_vote(&vote(&registry, 1, data(b"A", edge))),
+            VoteOutcome::Counted(2),
+            "earlier rounds stay open until the retention floor passes them"
+        );
     }
 }

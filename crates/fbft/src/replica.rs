@@ -3,11 +3,13 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use sft_core::{ChainKernel, ProtocolConfig, QuorumCertificate, WalRecord};
+use sft_core::{
+    ChainKernel, ProtocolConfig, QuorumCertificate, TimeoutAggregator, TimeoutOutcome, WalRecord,
+};
 use sft_crypto::{HashValue, KeyRegistry, SigStats};
 use sft_types::{
     BlockRequest, EndorseMode, Payload, ReplicaId, Round, SimDuration, SimTime, StrongCommitUpdate,
-    StrongVote, TimeoutAggregator, TimeoutCertificate, TimeoutMsg, TimeoutOutcome, VerifyPolicy,
+    StrongVote, TimeoutCertificate, TimeoutMsg, VerifyPolicy,
 };
 
 pub use sft_core::BlockResponse;
@@ -174,7 +176,7 @@ impl FbftReplica {
         // Re-ask a different peer after two exchanges' worth of silence at
         // this replica's own timeout scale.
         kernel.set_sync_retry(base_timeout);
-        Self {
+        let mut replica = Self {
             kernel,
             timeouts: TimeoutAggregator::new(config.n(), config.quorum(), registry),
             two_chain: TwoChainState::new(),
@@ -186,7 +188,9 @@ impl FbftReplica {
             proposal_held: false,
             quorum_due: None,
             processed_qcs: BTreeSet::new(),
-        }
+        };
+        replica.entered_round();
+        replica
     }
 
     /// The replica's protocol-agnostic state: store, commit log, mempool,
@@ -402,6 +406,7 @@ impl FbftReplica {
             if let Some(tc) = proposal.tc() {
                 if self.pacemaker.on_tc_round(tc.round(), now).is_some() {
                     self.adopt_tc(tc.clone());
+                    self.entered_round();
                 }
             }
             let (round, two_chain) = (self.pacemaker.current_round(), &self.two_chain);
@@ -474,7 +479,7 @@ impl FbftReplica {
                 && self.pacemaker.on_tc_round(tc.round(), now).is_some()
             {
                 self.adopt_tc(tc.clone());
-                self.timeouts.prune_below(self.pacemaker.current_round());
+                self.entered_round();
             }
         }
         // Stale timeouts (for rounds this replica already left) still die
@@ -483,7 +488,7 @@ impl FbftReplica {
             if let TimeoutOutcome::Certified(tc) = self.timeouts.add(msg) {
                 if self.pacemaker.on_tc_round(tc.round(), now).is_some() {
                     self.adopt_tc(tc);
-                    self.timeouts.prune_below(self.pacemaker.current_round());
+                    self.entered_round();
                 }
             }
         }
@@ -611,7 +616,7 @@ impl FbftReplica {
         if self.pacemaker.on_qc_round(qc.round(), now).is_some() {
             // Entering on the happy path: no TC to ship with our proposal.
             self.last_tc = None;
-            self.timeouts.prune_below(self.pacemaker.current_round());
+            self.entered_round();
         }
         let Some((committed_id, _)) = self.two_chain.on_qc(qc.data()) else {
             return Vec::new();
@@ -619,6 +624,15 @@ impl FbftReplica {
         let updates = self.kernel.commit_through(committed_id);
         self.sweep();
         updates
+    }
+
+    /// Follows the pacemaker into the round it just entered: timeouts of
+    /// earlier rounds are dropped, and votes and timeouts are let in up to
+    /// [`RETENTION_ROUNDS`](sft_core::RETENTION_ROUNDS) past it.
+    fn entered_round(&mut self) {
+        let round = self.pacemaker.current_round();
+        self.timeouts.enter_round(round);
+        self.kernel.enter_round(round);
     }
 
     /// Adopts `tc` as the justification of the round it closed, logging it
@@ -654,7 +668,7 @@ impl FbftReplica {
             WalRecord::TcFormed(tc) => {
                 if self.pacemaker.on_tc_round(tc.round(), now).is_some() {
                     self.last_tc = Some(tc.clone());
-                    self.timeouts.prune_below(self.pacemaker.current_round());
+                    self.entered_round();
                 }
             }
             WalRecord::BlockCommitted(block) => {
@@ -682,7 +696,7 @@ impl fmt::Debug for FbftReplica {
 mod tests {
     use super::*;
     use sft_core::{Admission, Block};
-    use sft_types::{EndorseInfo, Transaction};
+    use sft_types::{EndorseInfo, Transaction, VoteData};
     use std::collections::HashSet;
 
     fn system(n: usize) -> Vec<FbftReplica> {
@@ -1221,5 +1235,27 @@ mod tests {
             replicas[2].pacemaker().deadline(),
             "back to the round timer"
         );
+    }
+
+    #[test]
+    fn votes_far_past_the_round_are_refused() {
+        let mut replicas = system(4);
+        let registry = KeyRegistry::deterministic(4);
+        let now = SimTime::ZERO;
+        let vote_for = |round: u64| {
+            let data = VoteData::new(
+                HashValue::of(&round.to_be_bytes()),
+                Round::new(round),
+                HashValue::zero(),
+                Round::ZERO,
+            );
+            StrongVote::new(data, EndorseInfo::None, &registry.key_pair(1).unwrap())
+        };
+        let r = &mut replicas[0];
+        let edge = r.current_round().as_u64() + sft_core::RETENTION_ROUNDS;
+        r.on_vote(&vote_for(edge + 1), now);
+        assert_eq!(r.kernel().resident().votes, 0);
+        r.on_vote(&vote_for(edge), now);
+        assert!(r.kernel().resident().votes > 0);
     }
 }

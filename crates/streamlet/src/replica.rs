@@ -296,6 +296,7 @@ impl Replica {
             return false;
         }
         self.epoch = epoch;
+        self.kernel.enter_round(epoch);
         self.kernel.config().leader(epoch) == self.kernel.id()
             && self.notarized.tip(self.kernel.store()).round() < epoch
     }
@@ -399,6 +400,7 @@ impl Replica {
             WalRecord::VoteSent(vote) => {
                 self.kernel.replay_vote(vote);
                 self.epoch = self.epoch.max(vote.round());
+                self.kernel.enter_round(self.epoch);
             }
             WalRecord::QcFormed(qc) => {
                 self.kernel.log_qc(qc);
@@ -486,7 +488,7 @@ impl fmt::Debug for Replica {
 mod tests {
     use super::*;
     use sft_core::{Admission, PayloadSource};
-    use sft_types::{BatchConfig, BlockRequest, ReplicaId, Transaction};
+    use sft_types::{BatchConfig, BlockRequest, EndorseInfo, ReplicaId, Transaction, VoteData};
 
     fn replica(id: u16) -> Replica {
         let config = ProtocolConfig::for_replicas(4);
@@ -622,5 +624,26 @@ mod tests {
             .expect("leader proposes");
         assert_eq!(proposal.block().payload().txn_count(), 4);
         assert_eq!(r.kernel().mempool().len(), 2, "only one batch drained");
+    }
+
+    #[test]
+    fn votes_far_past_the_epoch_are_refused() {
+        let registry = KeyRegistry::deterministic(4);
+        let mut r = replica(0);
+        r.begin_epoch(Round::new(10), Payload::empty());
+        let vote_for = |round: u64| {
+            let data = VoteData::new(
+                HashValue::of(&round.to_be_bytes()),
+                Round::new(round),
+                HashValue::zero(),
+                Round::ZERO,
+            );
+            StrongVote::new(data, EndorseInfo::None, &registry.key_pair(1).unwrap())
+        };
+        let edge = 10 + sft_core::RETENTION_ROUNDS;
+        r.on_vote(&vote_for(edge + 1));
+        assert_eq!(r.kernel().resident().votes, 0);
+        r.on_vote(&vote_for(edge));
+        assert_eq!(r.kernel().resident().votes, 1);
     }
 }

@@ -63,10 +63,7 @@ pub use ids::{Height, ReplicaId, Round};
 pub use interval::{RoundInterval, RoundIntervalSet};
 pub use sync::BlockRequest;
 pub use time::{SimDuration, SimTime};
-pub use timeout::{
-    timeout_signing_digest, TimeoutAggregator, TimeoutCertificate, TimeoutMsg, TimeoutOutcome,
-    VerifyPolicy,
-};
+pub use timeout::{timeout_signing_digest, TimeoutCertificate, TimeoutMsg, VerifyPolicy};
 pub use transaction::{BatchConfig, Payload, Transaction};
 pub use vote::{
     vote_signing_digest, vote_signing_digest_with, EndorseInfo, EndorseMode, QcMember, StrongVote,

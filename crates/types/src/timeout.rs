@@ -8,22 +8,18 @@
 //! every replica advancing to the next round even though nothing was
 //! certified — the synchronizer pattern of the DiemBFT / Jolteon lineage.
 //!
-//! The [`TimeoutAggregator`] mirrors [`VoteTracker`](../sft_core) at the
-//! timeout layer: it verifies signatures, deduplicates authors per round,
-//! and emits each round's certificate exactly once. Under
-//! [`VerifyPolicy::OnQuorum`] it defers signature checks until a quorum
-//! forms, batch-verifying the whole forming certificate in one pass —
-//! see [`VerifyPolicy`] for the semantics.
+//! These are the wire types. `sft-core`'s `TimeoutAggregator` collects
+//! the messages into certificates, checking signatures per
+//! [`VerifyPolicy`].
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use sft_crypto::{BatchItem, HashValue, Hasher, KeyPair, KeyRegistry, SigStats, Signature};
+use sft_crypto::{HashValue, Hasher, KeyPair, KeyRegistry, Signature};
 
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::{ReplicaId, Round, SignerSet};
 
-/// When a vote/timeout aggregator checks signatures.
+/// When a vote or timeout collector checks signatures.
 ///
 /// The protocol only ever *acts* on a quorum, so per-message verification
 /// at arrival is `O(n)` checks per replica per round — `O(n²)` across the
@@ -188,9 +184,9 @@ impl Decode for TimeoutMsg {
 /// next leader must propose on a QC at least that fresh, which is what
 /// makes the timeout path safe (no certified block can be forgotten).
 ///
-/// As with [`QuorumCertificate`](../sft_core), the per-message signatures
-/// live with the aggregator; the certificate carries the signer set, which
-/// is all downstream logic consumes.
+/// The per-message signatures stay with the aggregator that checked them;
+/// the certificate carries the signer set, which is all downstream logic
+/// consumes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct TimeoutCertificate {
     round: Round,
@@ -257,577 +253,5 @@ impl Decode for TimeoutCertificate {
             max_high_qc_round: Round::decode(buf)?,
             signers: SignerSet::decode(buf)?,
         })
-    }
-}
-
-/// Outcome of feeding one timeout message to a [`TimeoutAggregator`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TimeoutOutcome {
-    /// The message was counted; the round now has this many timeouts.
-    Counted(usize),
-    /// The message completed the quorum: the round's certificate formed.
-    /// Emitted at most once per round.
-    Certified(TimeoutCertificate),
-    /// This replica already timed out in this round — ignored.
-    Duplicate,
-    /// The signature did not verify — ignored.
-    BadSignature,
-}
-
-/// Aggregates verified timeout messages into timeout certificates.
-///
-/// The quorum is passed as a plain count (the `2f + 1` of the protocol
-/// configuration) so this crate stays independent of the quorum arithmetic
-/// in `sft-core`.
-///
-/// # Examples
-///
-/// ```
-/// use sft_crypto::KeyRegistry;
-/// use sft_types::{Round, TimeoutAggregator, TimeoutMsg, TimeoutOutcome};
-///
-/// let registry = KeyRegistry::deterministic(4);
-/// let mut agg = TimeoutAggregator::new(4, 3, registry.clone());
-/// for i in 0..2 {
-///     let msg = TimeoutMsg::new(Round::new(1), Round::ZERO, &registry.key_pair(i).unwrap());
-///     assert!(matches!(agg.add(&msg), TimeoutOutcome::Counted(_)));
-/// }
-/// let msg = TimeoutMsg::new(Round::new(1), Round::ZERO, &registry.key_pair(2).unwrap());
-/// assert!(matches!(agg.add(&msg), TimeoutOutcome::Certified(_)));
-/// ```
-#[derive(Clone, Debug)]
-pub struct TimeoutAggregator {
-    n: usize,
-    quorum: usize,
-    registry: KeyRegistry,
-    policy: VerifyPolicy,
-    /// Per round, per author: the message content and whether its
-    /// signature has been checked yet (always `true` under
-    /// [`VerifyPolicy::OnArrival`]).
-    by_round: HashMap<Round, HashMap<ReplicaId, PendingTimeout>>,
-    /// Rounds that already produced a certificate (emit-once).
-    certified: HashSet<Round>,
-    stats: SigStats,
-    /// Claimed authors of signatures a batch check rejected.
-    forged: Vec<ReplicaId>,
-}
-
-/// A counted timeout, stored until (and after) its signature is checked.
-#[derive(Clone, Debug)]
-struct PendingTimeout {
-    high_qc_round: Round,
-    signature: Signature,
-    verified: bool,
-}
-
-impl TimeoutAggregator {
-    /// Creates an aggregator for `n` replicas with the given quorum count,
-    /// verifying signatures on arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quorum` is zero or exceeds `n`.
-    pub fn new(n: usize, quorum: usize, registry: KeyRegistry) -> Self {
-        assert!(quorum >= 1 && quorum <= n, "bad quorum {quorum} for n={n}");
-        Self {
-            n,
-            quorum,
-            registry,
-            policy: VerifyPolicy::OnArrival,
-            by_round: HashMap::new(),
-            certified: HashSet::new(),
-            stats: SigStats::default(),
-            forged: Vec::new(),
-        }
-    }
-
-    /// Selects when this aggregator checks signatures.
-    pub fn with_policy(mut self, policy: VerifyPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The verification policy in effect.
-    pub fn policy(&self) -> VerifyPolicy {
-        self.policy
-    }
-
-    /// Signature-verification work counters for this aggregator.
-    pub fn sig_stats(&self) -> SigStats {
-        self.stats
-    }
-
-    /// Claimed authors of signatures a batch check rejected — the output
-    /// of the bisection over a bad batch.
-    pub fn forged_signers(&self) -> &[ReplicaId] {
-        &self.forged
-    }
-
-    /// Counts one timeout message, verifying per [`VerifyPolicy`]. See
-    /// [`TimeoutOutcome`].
-    pub fn add(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
-        match self.policy {
-            VerifyPolicy::OnArrival => self.add_on_arrival(msg),
-            VerifyPolicy::OnQuorum => self.add_on_quorum(msg),
-        }
-    }
-
-    fn verify_one(&mut self, msg: &TimeoutMsg) -> bool {
-        self.stats.count_verify();
-        msg.verify(&self.registry)
-    }
-
-    fn add_on_arrival(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
-        if !self.verify_one(msg) {
-            return TimeoutOutcome::BadSignature;
-        }
-        let entries = self.by_round.entry(msg.round()).or_default();
-        if entries.contains_key(&msg.author()) {
-            return TimeoutOutcome::Duplicate;
-        }
-        entries.insert(
-            msg.author(),
-            PendingTimeout {
-                high_qc_round: msg.high_qc_round(),
-                signature: *msg.signature(),
-                verified: true,
-            },
-        );
-        let count = entries.len();
-        if count >= self.quorum {
-            if let Some(tc) = self.try_certify(msg.round()) {
-                return TimeoutOutcome::Certified(tc);
-            }
-        }
-        TimeoutOutcome::Counted(count)
-    }
-
-    fn add_on_quorum(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
-        let stored = self
-            .by_round
-            .entry(msg.round())
-            .or_default()
-            .get(&msg.author())
-            .map(|p| (p.high_qc_round, p.signature, p.verified));
-        if let Some((stored_high, stored_sig, stored_verified)) = stored {
-            // Byte-identical retransmission: deduplicated without ever
-            // touching the signature — the common case deferral makes free.
-            if stored_high == msg.high_qc_round() && stored_sig == *msg.signature() {
-                return TimeoutOutcome::Duplicate;
-            }
-            // Conflicting content under one author: settle the stored
-            // message's signature now so a forger cannot frame an honest
-            // replica out of the round (nor an honest first message be
-            // displaced by a forged second one).
-            let probe = TimeoutMsg::from_parts(msg.round(), stored_high, msg.author(), stored_sig);
-            if stored_verified || self.verify_one(&probe) {
-                self.by_round
-                    .get_mut(&msg.round())
-                    .and_then(|e| e.get_mut(&msg.author()))
-                    .expect("entry exists")
-                    .verified = true;
-                return if self.verify_one(msg) {
-                    TimeoutOutcome::Duplicate
-                } else {
-                    TimeoutOutcome::BadSignature
-                };
-            }
-            // The stored message was forged: roll it back and let the
-            // arriving one take the slot (still unverified).
-            self.forged.push(msg.author());
-        }
-        let entries = self.by_round.get_mut(&msg.round()).expect("entry exists");
-        entries.insert(
-            msg.author(),
-            PendingTimeout {
-                high_qc_round: msg.high_qc_round(),
-                signature: *msg.signature(),
-                verified: false,
-            },
-        );
-        if entries.len() >= self.quorum {
-            if let Some(tc) = self.try_certify(msg.round()) {
-                return TimeoutOutcome::Certified(tc);
-            }
-        }
-        if !self.by_round[&msg.round()].contains_key(&msg.author()) {
-            // The arriving message itself was exposed as forged by the
-            // batch check it triggered.
-            return TimeoutOutcome::BadSignature;
-        }
-        TimeoutOutcome::Counted(self.timeouts_for(msg.round()))
-    }
-
-    /// Certifies `round` if it (still) holds a verified quorum,
-    /// batch-checking any deferred signatures first. Emits at most once.
-    fn try_certify(&mut self, round: Round) -> Option<TimeoutCertificate> {
-        if self.certified.contains(&round) {
-            return None;
-        }
-        let entries = self.by_round.get(&round)?;
-        if entries.len() < self.quorum {
-            return None;
-        }
-        let mut unverified: Vec<ReplicaId> = entries
-            .iter()
-            .filter(|(_, p)| !p.verified)
-            .map(|(author, _)| *author)
-            .collect();
-        // Deterministic batch order regardless of hash-map iteration.
-        unverified.sort_unstable();
-        if !unverified.is_empty() {
-            let digests: Vec<HashValue> = unverified
-                .iter()
-                .map(|author| timeout_signing_digest(round, entries[author].high_qc_round))
-                .collect();
-            let items: Vec<BatchItem<'_>> = unverified
-                .iter()
-                .zip(&digests)
-                .map(|(author, digest)| {
-                    BatchItem::new(author.as_u64(), digest.as_ref(), &entries[author].signature)
-                })
-                .collect();
-            // Pooled: shards the MAC work over the crypto worker pool
-            // above a threshold, serial below it — result-identical.
-            let result = self.registry.verify_batch_pooled(&items);
-            drop(items);
-            self.stats.count_batch(unverified.len(), result.is_err());
-            let forged_indices = result.err().unwrap_or_default();
-            let entries = self.by_round.get_mut(&round).expect("entry exists");
-            let mut forged_iter = forged_indices.iter().peekable();
-            for (index, author) in unverified.iter().enumerate() {
-                if forged_iter.peek() == Some(&&index) {
-                    forged_iter.next();
-                    entries.remove(author);
-                    self.forged.push(*author);
-                } else {
-                    entries.get_mut(author).expect("entry exists").verified = true;
-                }
-            }
-        }
-        let entries = self.by_round.get(&round).expect("entry exists");
-        if entries.len() < self.quorum {
-            return None;
-        }
-        self.certified.insert(round);
-        let max_high = entries
-            .values()
-            .map(|p| p.high_qc_round)
-            .max()
-            .unwrap_or(Round::ZERO);
-        let signers = SignerSet::from_iter_with_capacity(self.n, entries.keys().copied());
-        Some(TimeoutCertificate::new(round, max_high, signers))
-    }
-
-    /// Number of distinct replicas that timed out in `round` so far
-    /// (under [`VerifyPolicy::OnQuorum`], optimistically counted ones
-    /// included until a batch check settles them).
-    pub fn timeouts_for(&self, round: Round) -> usize {
-        self.by_round.get(&round).map_or(0, HashMap::len)
-    }
-
-    /// True if `round` already produced a certificate.
-    pub fn is_certified(&self, round: Round) -> bool {
-        self.certified.contains(&round)
-    }
-
-    /// Drops per-round state for all rounds below `round` — the caller has
-    /// advanced past them, so their certificates can never matter again.
-    pub fn prune_below(&mut self, round: Round) {
-        self.by_round.retain(|r, _| *r >= round);
-        self.certified.retain(|r| *r >= round);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn setup() -> (KeyRegistry, TimeoutAggregator) {
-        let registry = KeyRegistry::deterministic(4);
-        let agg = TimeoutAggregator::new(4, 3, registry.clone());
-        (registry, agg)
-    }
-
-    fn msg(registry: &KeyRegistry, signer: u64, round: u64, high: u64) -> TimeoutMsg {
-        TimeoutMsg::new(
-            Round::new(round),
-            Round::new(high),
-            &registry.key_pair(signer).unwrap(),
-        )
-    }
-
-    #[test]
-    fn sign_and_verify() {
-        let (registry, _) = setup();
-        let m = msg(&registry, 1, 5, 3);
-        assert!(m.verify(&registry));
-        assert_eq!(m.round(), Round::new(5));
-        assert_eq!(m.high_qc_round(), Round::new(3));
-        assert_eq!(m.author(), ReplicaId::new(1));
-    }
-
-    #[test]
-    fn tampered_round_fails_verification() {
-        let (registry, _) = setup();
-        let honest = msg(&registry, 1, 5, 3);
-        let forged = TimeoutMsg::from_parts(
-            Round::new(6),
-            honest.high_qc_round(),
-            honest.author(),
-            *honest.signature(),
-        );
-        assert!(!forged.verify(&registry));
-    }
-
-    #[test]
-    fn quorum_certifies_exactly_once() {
-        let (registry, mut agg) = setup();
-        assert_eq!(
-            agg.add(&msg(&registry, 0, 2, 0)),
-            TimeoutOutcome::Counted(1)
-        );
-        assert_eq!(
-            agg.add(&msg(&registry, 1, 2, 1)),
-            TimeoutOutcome::Counted(2)
-        );
-        let outcome = agg.add(&msg(&registry, 2, 2, 0));
-        let TimeoutOutcome::Certified(tc) = outcome else {
-            panic!("expected certification, got {outcome:?}");
-        };
-        assert_eq!(tc.round(), Round::new(2));
-        assert_eq!(tc.max_high_qc_round(), Round::new(1), "max of aggregated");
-        assert_eq!(tc.signers().len(), 3);
-        assert!(agg.is_certified(Round::new(2)));
-        // A fourth message still counts but does not re-certify.
-        assert_eq!(
-            agg.add(&msg(&registry, 3, 2, 0)),
-            TimeoutOutcome::Counted(4)
-        );
-        assert_eq!(agg.timeouts_for(Round::new(2)), 4);
-    }
-
-    #[test]
-    fn duplicates_and_bad_signatures_ignored() {
-        let (registry, mut agg) = setup();
-        agg.add(&msg(&registry, 0, 1, 0));
-        assert_eq!(agg.add(&msg(&registry, 0, 1, 0)), TimeoutOutcome::Duplicate);
-        let honest = msg(&registry, 1, 1, 0);
-        let forged = TimeoutMsg::from_parts(
-            honest.round(),
-            honest.high_qc_round(),
-            ReplicaId::new(2), // wrong author for the signature
-            *honest.signature(),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::BadSignature);
-        assert_eq!(agg.timeouts_for(Round::new(1)), 1);
-    }
-
-    #[test]
-    fn rounds_are_independent() {
-        let (registry, mut agg) = setup();
-        agg.add(&msg(&registry, 0, 1, 0));
-        agg.add(&msg(&registry, 0, 2, 0));
-        assert_eq!(agg.timeouts_for(Round::new(1)), 1);
-        assert_eq!(agg.timeouts_for(Round::new(2)), 1);
-    }
-
-    #[test]
-    fn prune_drops_stale_rounds() {
-        let (registry, mut agg) = setup();
-        for s in 0..3 {
-            agg.add(&msg(&registry, s, 1, 0));
-        }
-        agg.add(&msg(&registry, 0, 5, 0));
-        assert!(agg.is_certified(Round::new(1)));
-        agg.prune_below(Round::new(4));
-        assert!(!agg.is_certified(Round::new(1)));
-        assert_eq!(agg.timeouts_for(Round::new(1)), 0);
-        assert_eq!(agg.timeouts_for(Round::new(5)), 1, "live rounds survive");
-    }
-
-    #[test]
-    fn codec_roundtrips() {
-        let (registry, mut agg) = setup();
-        let m = msg(&registry, 3, 7, 4);
-        let back = TimeoutMsg::from_bytes(&m.to_bytes()).unwrap();
-        assert_eq!(back, m);
-        assert!(back.verify(&registry));
-
-        agg.add(&msg(&registry, 0, 7, 0));
-        agg.add(&msg(&registry, 1, 7, 1));
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 7, 2)) else {
-            panic!("third timeout certifies");
-        };
-        let back = TimeoutCertificate::from_bytes(&tc.to_bytes()).unwrap();
-        assert_eq!(back, tc);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad quorum")]
-    fn zero_quorum_panics() {
-        TimeoutAggregator::new(4, 0, KeyRegistry::deterministic(4));
-    }
-
-    fn setup_deferred() -> (KeyRegistry, TimeoutAggregator) {
-        let registry = KeyRegistry::deterministic(4);
-        let agg =
-            TimeoutAggregator::new(4, 3, registry.clone()).with_policy(VerifyPolicy::OnQuorum);
-        (registry, agg)
-    }
-
-    #[test]
-    fn on_quorum_certifies_with_one_batch_pass() {
-        let (registry, mut agg) = setup_deferred();
-        assert_eq!(agg.policy(), VerifyPolicy::OnQuorum);
-        assert_eq!(
-            agg.add(&msg(&registry, 0, 2, 0)),
-            TimeoutOutcome::Counted(1)
-        );
-        assert_eq!(
-            agg.add(&msg(&registry, 1, 2, 1)),
-            TimeoutOutcome::Counted(2)
-        );
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 2, 0)) else {
-            panic!("third timeout certifies");
-        };
-        assert_eq!(tc.round(), Round::new(2));
-        assert_eq!(tc.max_high_qc_round(), Round::new(1));
-        assert_eq!(tc.signers().len(), 3);
-        let stats = agg.sig_stats();
-        assert_eq!(stats.verifications, 0, "nothing verified before quorum");
-        assert_eq!(stats.batch_calls, 1);
-        assert_eq!(stats.batch_verified, 3);
-        assert_eq!(stats.batch_rejects, 0);
-    }
-
-    #[test]
-    fn on_quorum_retransmission_never_verifies() {
-        let (registry, mut agg) = setup_deferred();
-        let m = msg(&registry, 0, 1, 0);
-        agg.add(&m);
-        assert_eq!(agg.add(&m), TimeoutOutcome::Duplicate);
-        let stats = agg.sig_stats();
-        assert_eq!(stats.verifications + stats.batch_verified, 0);
-    }
-
-    #[test]
-    fn on_quorum_bisection_rolls_back_forged_count() {
-        let (registry, mut agg) = setup_deferred();
-        // A forged message claiming replica 3 is counted optimistically...
-        let forged = TimeoutMsg::from_parts(
-            Round::new(1),
-            Round::ZERO,
-            ReplicaId::new(3),
-            sft_crypto::Signature::from_tag(3, [0x5a; 32]),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::Counted(1));
-        assert_eq!(
-            agg.add(&msg(&registry, 0, 1, 0)),
-            TimeoutOutcome::Counted(2)
-        );
-        // ...until the batch check at quorum exposes it: the count rolls
-        // back and no certificate forms.
-        assert_eq!(
-            agg.add(&msg(&registry, 1, 1, 2)),
-            TimeoutOutcome::Counted(2)
-        );
-        assert!(!agg.is_certified(Round::new(1)));
-        assert_eq!(agg.forged_signers(), &[ReplicaId::new(3)]);
-        assert_eq!(agg.sig_stats().batch_rejects, 1);
-        // A third honest replica restores the quorum; the earlier
-        // survivors are not re-verified.
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 1, 1)) else {
-            panic!("honest quorum certifies");
-        };
-        assert_eq!(tc.max_high_qc_round(), Round::new(2));
-        assert!(!tc.signers().contains(ReplicaId::new(3)));
-        assert_eq!(agg.sig_stats().batch_verified, 3 + 1);
-    }
-
-    #[test]
-    fn on_quorum_forged_trigger_message_is_rejected() {
-        let (registry, mut agg) = setup_deferred();
-        agg.add(&msg(&registry, 0, 1, 0));
-        agg.add(&msg(&registry, 1, 1, 0));
-        let forged = TimeoutMsg::from_parts(
-            Round::new(1),
-            Round::ZERO,
-            ReplicaId::new(2),
-            sft_crypto::Signature::from_tag(2, [0x11; 32]),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::BadSignature);
-        assert!(!agg.is_certified(Round::new(1)));
-        assert_eq!(agg.timeouts_for(Round::new(1)), 2);
-    }
-
-    #[test]
-    fn on_quorum_forger_cannot_displace_honest_message() {
-        let (registry, mut agg) = setup_deferred();
-        let honest = msg(&registry, 0, 1, 2);
-        agg.add(&honest);
-        // A forged variant under the same author resolves the stored
-        // message (valid) and rejects the imposter.
-        let forged = TimeoutMsg::from_parts(
-            Round::new(1),
-            Round::new(9),
-            ReplicaId::new(0),
-            sft_crypto::Signature::from_tag(0, [0x77; 32]),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::BadSignature);
-        agg.add(&msg(&registry, 1, 1, 0));
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 1, 0)) else {
-            panic!("quorum certifies");
-        };
-        assert_eq!(
-            tc.max_high_qc_round(),
-            Round::new(2),
-            "honest high survives"
-        );
-    }
-
-    #[test]
-    fn on_quorum_forged_slot_is_reclaimed_by_honest_message() {
-        let (registry, mut agg) = setup_deferred();
-        // Forged message squats on replica 0's slot...
-        let forged = TimeoutMsg::from_parts(
-            Round::new(1),
-            Round::new(9),
-            ReplicaId::new(0),
-            sft_crypto::Signature::from_tag(0, [0x77; 32]),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::Counted(1));
-        // ...but the honest original evicts it on arrival.
-        assert_eq!(
-            agg.add(&msg(&registry, 0, 1, 2)),
-            TimeoutOutcome::Counted(1)
-        );
-        assert_eq!(agg.forged_signers(), &[ReplicaId::new(0)]);
-        agg.add(&msg(&registry, 1, 1, 0));
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 1, 0)) else {
-            panic!("quorum certifies");
-        };
-        assert_eq!(tc.max_high_qc_round(), Round::new(2));
-    }
-
-    #[test]
-    fn policies_agree_on_certificates() {
-        let registry = KeyRegistry::deterministic(4);
-        let mut arrival = TimeoutAggregator::new(4, 3, registry.clone());
-        let mut quorum =
-            TimeoutAggregator::new(4, 3, registry.clone()).with_policy(VerifyPolicy::OnQuorum);
-        let mut tcs = (None, None);
-        for s in 0..4 {
-            let m = msg(&registry, s, 3, s);
-            if let TimeoutOutcome::Certified(tc) = arrival.add(&m) {
-                tcs.0 = Some(tc);
-            }
-            if let TimeoutOutcome::Certified(tc) = quorum.add(&m) {
-                tcs.1 = Some(tc);
-            }
-        }
-        assert_eq!(tcs.0, tcs.1);
-        assert!(tcs.0.is_some());
-        assert!(arrival.sig_stats().verifications > quorum.sig_stats().verifications);
     }
 }
