@@ -9,15 +9,25 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 use sft_crypto::{HashValue, Hasher};
-use sft_types::codec::{Decode, DecodeError, Encode};
-use sft_types::{Height, Payload, ReplicaId, Round, VoteData};
+use sft_types::codec::{put, Decode, DecodeError, Encode, Reader};
+use sft_types::{Height, Payload, ReplicaId, Round, SharedBytes, VoteData};
 
 /// A proposed block: parent link, position, proposer, and payload.
 ///
 /// The block id is a domain-separated hash over all fields, computed once at
 /// construction; two blocks with any differing field get distinct ids.
+///
+/// A block that arrived in a frame holds its bytes: its canonical encoding
+/// is a range of the frame it was decoded from ([`Decode::from_shared`]),
+/// and its transactions' payloads are ranges within that. A leader's
+/// block holds the proposal buffer it was written into
+/// ([`encode_held`](Self::encode_held)). Cloning a block shares both the
+/// payload and the bytes, and encoding it — into a WAL frame, a sync
+/// response — copies the held bytes once.
 ///
 /// # Examples
 ///
@@ -30,17 +40,25 @@ use sft_types::{Height, Payload, ReplicaId, Round, VoteData};
 /// assert_eq!(b1.parent_id(), genesis.id());
 /// assert_eq!(b1.height().as_u64(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Block {
     parent_id: HashValue,
     parent_round: Round,
     round: Round,
     height: Height,
     proposer: ReplicaId,
-    payload: Payload,
+    payload: Arc<Payload>,
     /// Derived from the other fields; never encoded, recomputed on decode.
     id: HashValue,
+    /// The block's canonical encoding, when it is held: exactly the bytes
+    /// [`Encode::encode`] would write, since the codec is canonical. Not
+    /// part of the block's value — equality and hashing ignore it.
+    encoding: Option<SharedBytes>,
 }
+
+/// Bytes of a block's encoding ahead of its payload: parent id, parent
+/// round, round, height and proposer.
+const BLOCK_HEADER_LEN: usize = HashValue::LEN + 8 + 8 + 8 + 2;
 
 fn block_id(
     parent_id: &HashValue,
@@ -113,9 +131,47 @@ impl Block {
             round,
             height,
             proposer,
-            payload,
+            payload: Arc::new(payload),
             id,
+            encoding: None,
         }
+    }
+
+    /// Encodes the block between `before` and `after` into one new shared
+    /// buffer, written in place — a leader's proposal buffer, whose message
+    /// encoding surrounds the block's — and makes the block hold its
+    /// encoding there. Its transactions are re-pointed into the buffer too,
+    /// so the client frames they arrived in can be freed. Nothing is
+    /// re-hashed: the bytes are the ones the ids were computed over.
+    pub fn encode_held(&mut self, before: &[u8], after: &[u8]) -> Arc<[u8]> {
+        let at = before.len();
+        let end = at + self.encoded_len();
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, end + after.len()).collect();
+        let mut head = Vec::with_capacity(BLOCK_HEADER_LEN);
+        self.encode_head(&mut head);
+        let bytes = Arc::make_mut(&mut buf);
+        put(put(bytes, before), &head);
+        bytes[end..].copy_from_slice(after);
+        Arc::make_mut(&mut self.payload).write_held(&mut buf, at + BLOCK_HEADER_LEN);
+        self.encoding = SharedBytes::range(&buf, at..end);
+        buf
+    }
+
+    /// The encoding up to the payload: parent id, parent round, round,
+    /// height and proposer.
+    fn encode_head(&self, buf: &mut Vec<u8>) {
+        self.parent_id.encode(buf);
+        self.parent_round.encode(buf);
+        self.round.encode(buf);
+        self.height.encode(buf);
+        self.proposer.encode(buf);
+    }
+
+    /// The held encoding, if the block holds one: a block decoded from a
+    /// shared buffer holds the bytes it was read from, a leader's block
+    /// its proposal buffer ([`encode_held`](Self::encode_held)).
+    pub fn encoding(&self) -> Option<&SharedBytes> {
+        self.encoding.as_ref()
     }
 
     /// The block id (`H(B)`).
@@ -164,6 +220,26 @@ impl Block {
     }
 }
 
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.parent_id == other.parent_id
+            && self.parent_round == other.parent_round
+            && self.round == other.round
+            && self.height == other.height
+            && self.proposer == other.proposer
+            && self.payload == other.payload
+    }
+}
+
+impl Eq for Block {}
+
+impl Hash for Block {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.id.hash(state);
+    }
+}
+
 impl fmt::Debug for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -180,31 +256,39 @@ impl fmt::Debug for Block {
 
 impl Encode for Block {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.parent_id.encode(buf);
-        self.parent_round.encode(buf);
-        self.round.encode(buf);
-        self.height.encode(buf);
-        self.proposer.encode(buf);
+        if let Some(held) = &self.encoding {
+            buf.extend_from_slice(held);
+            return;
+        }
+        self.encode_head(buf);
         self.payload.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        BLOCK_HEADER_LEN + self.payload.encoded_len()
     }
 }
 
 impl Decode for Block {
+    const MIN_ENCODED_LEN: usize = BLOCK_HEADER_LEN + Payload::MIN_ENCODED_LEN;
+
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let parent_id = HashValue::decode(buf)?;
-        let parent_round = Round::decode(buf)?;
-        let round = Round::decode(buf)?;
-        let height = Height::decode(buf)?;
-        let proposer = ReplicaId::decode(buf)?;
-        let payload = Payload::decode(buf)?;
-        Ok(Self::from_parts(
-            parent_id,
-            parent_round,
-            round,
-            height,
-            proposer,
-            payload,
-        ))
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    /// Decodes a block that holds the bytes it was read from, when the
+    /// reader shares its buffer.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let start = reader.remaining();
+        let mut block = Self::from_parts(
+            reader.read()?,
+            reader.read()?,
+            reader.read()?,
+            reader.read()?,
+            reader.read()?,
+            reader.read()?,
+        );
+        block.encoding = reader.held_since(start);
+        Ok(block)
     }
 }
 

@@ -32,7 +32,7 @@ use sft_types::{
 };
 
 use crate::wal::WalRecord;
-use crate::{BlockStore, ChainKernel, SyncStats};
+use crate::{Block, BlockStore, ChainKernel, SyncStats};
 
 /// What kind of protocol message an outbound payload encodes. The tag is
 /// harness-facing metadata only — it never goes on the wire (the payload
@@ -98,6 +98,21 @@ impl OutboundMsg {
     }
 }
 
+/// A protocol message as [`OwnProposal`] sends it: its proposal variant
+/// carries a block, and its encoding is the block's with bytes on either
+/// side.
+pub trait ProposalMessage: Encode + Decode {
+    /// Encodes the message around the block it proposes — what precedes
+    /// the block's encoding into `before`, what follows it into `after` —
+    /// and returns the block; writes nothing and returns `None` for a
+    /// message that proposes no block.
+    fn encode_around_block(
+        &mut self,
+        before: &mut Vec<u8>,
+        after: &mut Vec<u8>,
+    ) -> Option<&mut Block>;
+}
+
 /// The last proposal an engine broadcast, held together with the buffer it
 /// went out in, so the copy that loops back to the leader is not decoded:
 /// decoding a block recomputes every transaction's id, and the leader
@@ -107,7 +122,8 @@ impl OutboundMsg {
 /// buffer — same address, same length. While the proposal is held its
 /// `Arc` keeps that allocation alive, so no other buffer can share the
 /// address, and only the sender's own loopback carries it. Any other
-/// payload, a byte-identical copy included, is decoded as before.
+/// payload, a byte-identical copy included, is decoded as before, holding
+/// ranges of the delivered buffer.
 ///
 /// `M` is the protocol's message enum, so an echo re-enters the engine's
 /// dispatch as the same value a decode would have produced.
@@ -122,31 +138,43 @@ impl<M> Default for OwnProposal<M> {
     }
 }
 
-impl<M: Encode + Decode> OwnProposal<M> {
+impl<M: ProposalMessage> OwnProposal<M> {
     /// Encodes `msg` as a [`MsgKind::Proposal`] broadcast and holds it,
-    /// replacing any earlier proposal still held.
-    pub fn broadcast(&mut self, msg: M) -> OutboundMsg {
-        let bytes: Arc<[u8]> = msg.to_bytes().into();
+    /// replacing any earlier proposal still held. The block is written
+    /// straight into the broadcast buffer and holds it from here on
+    /// ([`Block::encode_held`]): the buffer is the one copy of the block's
+    /// bytes this replica keeps.
+    pub fn broadcast(&mut self, mut msg: M) -> OutboundMsg {
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        let bytes = match msg.encode_around_block(&mut before, &mut after) {
+            Some(block) => block.encode_held(&before, &after),
+            None => msg.to_bytes().into(),
+        };
         self.sent = Some((Arc::clone(&bytes), msg));
         OutboundMsg::broadcast(MsgKind::Proposal, bytes)
     }
 
     /// `payload` as a message: the held proposal, handed over once, if
     /// `payload` is the buffer it was broadcast in; otherwise a decode of
-    /// `payload`, timed into `recorder` as [`names::PHASE_DECODE_NS`].
+    /// `payload` holding ranges of it, timed into `recorder` as
+    /// [`names::PHASE_DECODE_NS`].
     ///
     /// # Errors
     ///
     /// Returns the decode error of bytes that are not a message.
-    pub fn decode(&mut self, payload: &[u8], recorder: &dyn Recorder) -> Result<M, DecodeError> {
+    pub fn decode(
+        &mut self,
+        payload: &Arc<[u8]>,
+        recorder: &dyn Recorder,
+    ) -> Result<M, DecodeError> {
         let echo = self
             .sent
-            .take_if(|(bytes, _)| std::ptr::eq::<[u8]>(&**bytes, payload));
+            .take_if(|(bytes, _)| std::ptr::eq::<[u8]>(&**bytes, &**payload));
         if let Some((_, msg)) = echo {
             return Ok(msg);
         }
         let timer = PhaseTimer::start(recorder);
-        let decoded = M::from_bytes(payload);
+        let decoded = M::from_shared(payload);
         timer.finish(recorder, names::PHASE_DECODE_NS);
         decoded
     }
@@ -202,10 +230,12 @@ pub trait ReplicaEngine {
     where
         Self: Sized;
 
-    /// Ingests one delivered payload at `now`. Undecodable bytes are
-    /// ignored (a transport can carry garbage; the codec's rejection is
-    /// property-tested separately) and return an empty step.
-    fn on_envelope(&mut self, from: ReplicaId, payload: &[u8], now: SimTime) -> EngineStep;
+    /// Ingests one delivered payload at `now`. What the engine keeps of it
+    /// — a proposed block, its transactions — holds ranges of `payload`
+    /// rather than copies. Undecodable bytes are ignored (a transport can
+    /// carry garbage; the codec's rejection is property-tested separately)
+    /// and return an empty step.
+    fn on_envelope(&mut self, from: ReplicaId, payload: &Arc<[u8]>, now: SimTime) -> EngineStep;
 
     /// The next instant this engine needs a wake-up — a pacemaker
     /// deadline, an epoch-clock tick — or `None` if it never will.

@@ -236,14 +236,13 @@ impl ChainKernel {
         Some(source.next_payload(&mut self.mempool, round))
     }
 
-    /// Builds this replica's round-`round` block on `parent` and stores it;
-    /// `None` if `parent` is not in the store.
-    pub fn extend(&mut self, parent: HashValue, round: Round, payload: Payload) -> Option<Block> {
-        let block = Block::new(self.store.get(parent)?, round, self.id, payload);
-        self.store
-            .insert(block.clone())
-            .expect("the parent was just read from the store");
-        Some(block)
+    /// Builds this replica's round-`round` block on `parent`; `None` if
+    /// `parent` is not in the store. The block enters the store as every
+    /// block does, through [`accept_block`](Self::accept_block) — for a
+    /// leader, when its proposal loops back, by then holding the buffer
+    /// the proposal was encoded into.
+    pub fn extend(&self, parent: HashValue, round: Round, payload: Payload) -> Option<Block> {
+        Some(Block::new(self.store.get(parent)?, round, self.id, payload))
     }
 
     // ---- block intake and the voter half of §3.2 / §3.4 ----

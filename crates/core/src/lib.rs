@@ -118,7 +118,8 @@ pub use block::{Ancestors, Block, BlockStore, BlockStoreError};
 pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
 pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
 pub use engine::{
-    EngineStep, MsgKind, OutboundMsg, OwnProposal, ReplicaEngine, ResidentState, Route,
+    EngineStep, MsgKind, OutboundMsg, OwnProposal, ProposalMessage, ReplicaEngine, ResidentState,
+    Route,
 };
 pub use group_wal::{DurableWal, GroupCommitWal, WriteThroughWal};
 pub use kernel::{ChainKernel, Intake};

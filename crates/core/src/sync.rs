@@ -50,7 +50,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use sft_crypto::HashValue;
-use sft_types::codec::{Decode, DecodeError, Encode};
+use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, ReplicaId, Round, SimDuration, SimTime};
 
 use crate::{Block, BlockStore, ProtocolConfig, QuorumCertificate};
@@ -96,9 +96,15 @@ impl Encode for BlockResponse {
 
 impl Decode for BlockResponse {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    /// Decodes a response whose blocks hold ranges of the reader's shared
+    /// buffer.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            qc: QuorumCertificate::decode(buf)?,
-            blocks: Vec::<Block>::decode(buf)?,
+            qc: reader.read()?,
+            blocks: reader.read()?,
         })
     }
 }

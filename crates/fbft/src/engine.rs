@@ -16,6 +16,8 @@
 //! again beside a timeout for their round; proposals, bare certificates
 //! and timeouts are broadcast.
 
+use std::sync::Arc;
+
 use sft_core::{
     ChainKernel, EngineStep, MsgKind, OutboundMsg, OwnProposal, ReplicaEngine, WalRecord,
 };
@@ -126,7 +128,7 @@ impl ReplicaEngine for FbftEngine {
         self.replica.into_kernel()
     }
 
-    fn on_envelope(&mut self, _from: ReplicaId, payload: &[u8], now: SimTime) -> EngineStep {
+    fn on_envelope(&mut self, _from: ReplicaId, payload: &Arc<[u8]>, now: SimTime) -> EngineStep {
         let decoded = self
             .own_proposal
             .decode(payload, &**self.replica.kernel().recorder());
@@ -239,7 +241,7 @@ mod tests {
     use sft_core::{PayloadSource, ProtocolConfig};
     use sft_crypto::KeyRegistry;
     use sft_obs::{names, Recorder, Registry};
-    use sft_types::{BatchConfig, EndorseMode, SimDuration, Transaction};
+    use sft_types::{BatchConfig, Decode, EndorseMode, Payload, SimDuration, Transaction};
 
     use super::*;
 
@@ -279,7 +281,7 @@ mod tests {
         let (mut echoed, echo_metrics, sent) = leader_after_proposing();
         let (mut copied, copy_metrics, twin) = leader_after_proposing();
         assert_eq!(sent, twin, "both leaders proposed the same bytes");
-        let copy = twin.to_vec();
+        let copy: Arc<[u8]> = twin.to_vec().into();
         let me = ReplicaId::new(1);
 
         let from_echo = echoed.on_envelope(me, &sent, SimTime::ZERO);
@@ -296,5 +298,35 @@ mod tests {
         // Handed over once: a second delivery of the same buffer decodes.
         echoed.on_envelope(me, &sent, SimTime::ZERO);
         assert_eq!(decodes(&echo_metrics), Some(1));
+    }
+    /// The proposal buffer is the message's one encoding, written in
+    /// place, and the leader's stored block holds it: the block's encoding
+    /// and every transaction's payload are ranges of it, not of the
+    /// client frames the transactions arrived in.
+    #[test]
+    fn the_leaders_block_holds_the_buffer_its_proposal_went_out_in() {
+        let (mut leader, _, sent) = leader_after_proposing();
+        let decoded = FbftMessage::from_bytes(&sent).expect("a proposal");
+        assert_eq!(
+            decoded.to_bytes(),
+            sent.to_vec(),
+            "written in place as it encodes field by field"
+        );
+        let FbftMessage::Proposal(proposal) = decoded else {
+            panic!("a proposal: {decoded:?}");
+        };
+        leader.on_envelope(ReplicaId::new(1), &sent, SimTime::ZERO);
+        let block = leader
+            .store()
+            .get(proposal.block().id())
+            .expect("stored when its proposal looped back");
+        let held = block.encoding().expect("the block holds its bytes");
+        assert!(Arc::ptr_eq(held.buffer(), &sent));
+        let Payload::Transactions(txns) = block.payload() else {
+            panic!("a mempool batch");
+        };
+        let within = sent.as_ptr_range();
+        assert_eq!(txns.len(), 4);
+        assert!(txns.iter().all(|t| within.contains(&t.payload().as_ptr())));
     }
 }

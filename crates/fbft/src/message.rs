@@ -8,9 +8,9 @@
 
 use std::fmt;
 
-use sft_core::{Block, BlockResponse, ProtocolConfig, QuorumCertificate};
+use sft_core::{Block, BlockResponse, ProposalMessage, ProtocolConfig, QuorumCertificate};
 use sft_crypto::{HashValue, Hasher, KeyPair, KeyRegistry, Signature};
-use sft_types::codec::{Decode, DecodeError, Encode};
+use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, StrongVote, TimeoutCertificate, TimeoutMsg};
 
 /// A leader's signed proposal for a round: the new block, the QC for its
@@ -138,9 +138,10 @@ impl fmt::Debug for FbftProposal {
     }
 }
 
-impl Encode for FbftProposal {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.block.encode(buf);
+impl FbftProposal {
+    /// Encodes everything after the block: the certificates and the
+    /// signature.
+    fn encode_after_block(&self, buf: &mut Vec<u8>) {
         self.qc.encode(buf);
         match &self.tc {
             None => buf.push(0),
@@ -153,20 +154,33 @@ impl Encode for FbftProposal {
     }
 }
 
+impl Encode for FbftProposal {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.block.encode(buf);
+        self.encode_after_block(buf);
+    }
+}
+
 impl Decode for FbftProposal {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let block = Block::decode(buf)?;
-        let qc = QuorumCertificate::decode(buf)?;
-        let tc = match u8::decode(buf)? {
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    /// Decodes a proposal whose block holds ranges of the reader's shared
+    /// buffer.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let block = reader.read()?;
+        let qc = reader.read()?;
+        let tc = match reader.read::<u8>()? {
             0 => None,
-            1 => Some(TimeoutCertificate::decode(buf)?),
+            1 => Some(reader.read()?),
             t => return Err(DecodeError::InvalidTag(t)),
         };
         Ok(Self {
             block,
             qc,
             tc,
-            signature: Signature::decode(buf)?,
+            signature: reader.read()?,
         })
     }
 }
@@ -204,7 +218,7 @@ impl Encode for FbftMessage {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             FbftMessage::Proposal(p) => {
-                buf.push(0);
+                buf.push(0); // the tag `encode_around_block` writes too
                 p.encode(buf);
             }
             FbftMessage::Vote(v) => {
@@ -234,18 +248,39 @@ impl Encode for FbftMessage {
 
 impl Decode for FbftMessage {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(FbftMessage::Proposal(FbftProposal::decode(buf)?)),
-            1 => Ok(FbftMessage::Vote(StrongVote::decode(buf)?)),
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    /// Decodes a message whose blocks — a proposal's, a sync response's —
+    /// hold ranges of the reader's shared buffer.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match reader.read::<u8>()? {
+            0 => Ok(FbftMessage::Proposal(reader.read()?)),
+            1 => Ok(FbftMessage::Vote(reader.read()?)),
             2 => Ok(FbftMessage::Timeout {
-                msg: TimeoutMsg::decode(buf)?,
-                high_qc: QuorumCertificate::decode(buf)?,
+                msg: reader.read()?,
+                high_qc: reader.read()?,
             }),
-            3 => Ok(FbftMessage::SyncRequest(BlockRequest::decode(buf)?)),
-            4 => Ok(FbftMessage::SyncResponse(BlockResponse::decode(buf)?)),
-            5 => Ok(FbftMessage::Certificate(QuorumCertificate::decode(buf)?)),
+            3 => Ok(FbftMessage::SyncRequest(reader.read()?)),
+            4 => Ok(FbftMessage::SyncResponse(reader.read()?)),
+            5 => Ok(FbftMessage::Certificate(reader.read()?)),
             t => Err(DecodeError::InvalidTag(t)),
         }
+    }
+}
+
+impl ProposalMessage for FbftMessage {
+    fn encode_around_block(
+        &mut self,
+        before: &mut Vec<u8>,
+        after: &mut Vec<u8>,
+    ) -> Option<&mut Block> {
+        let FbftMessage::Proposal(p) = self else {
+            return None;
+        };
+        before.push(0);
+        p.encode_after_block(after);
+        Some(&mut p.block)
     }
 }
 

@@ -80,6 +80,11 @@ struct RingState {
     offset: usize,
     /// No further frames will be accepted; the writer drains and stops.
     closed: bool,
+    /// No write has moved bytes since the socket last refused one: the
+    /// next pass probes it with the front frame alone instead of
+    /// gathering a batch, so a peer that stopped reading costs each
+    /// retry one slice, not [`MAX_BATCH`].
+    pushed_back: bool,
     /// Producers asleep on `wake`: with none, a pop skips the notify — a
     /// futex syscall whether or not anyone listens.
     waiting: usize,
@@ -100,6 +105,7 @@ impl OutRing {
                 queue: VecDeque::new(),
                 offset: 0,
                 closed: false,
+                pushed_back: false,
                 waiting: 0,
             }),
             wake: Condvar::new(),
@@ -207,26 +213,30 @@ impl OutRing {
     /// byte: the connection that carried its beginning is gone, and the
     /// next one must carry it whole.
     pub(crate) fn rewind(&self) {
-        self.state.lock().expect("ring lock").offset = 0;
+        let mut state = self.state.lock().expect("ring lock");
+        state.offset = 0;
+        state.pushed_back = false;
     }
 
     /// Writes queued frames onto a non-blocking `stream` until the ring
     /// drains, the socket pushes back ([`Flush::Blocked`]), or the front
     /// frame's durability gate is still closed ([`Flush::Gated`]). Each
     /// round gathers the frames up to the first closed gate (at most
-    /// [`MAX_BATCH`]) into one `write_vectored` and resumes a
-    /// half-written frame at its cursor. A gate is only consulted before
-    /// its frame's first byte, which is sound because gates open
-    /// monotonically. Returns how many writes moved bytes and the
-    /// [`Flush`] status. The lock is never held across a write syscall.
+    /// [`MAX_BATCH`]; one while the socket pushes back) into one
+    /// `write_vectored` and resumes a half-written frame at its cursor. A
+    /// gate is only consulted before its frame's first byte, which is
+    /// sound because gates open monotonically. Returns how many writes
+    /// moved bytes and the [`Flush`] status. The lock is never held across
+    /// a write syscall.
     pub(crate) fn flush_nonblocking(&self, stream: &mut TcpStream) -> (u64, Flush) {
         let mut writes = 0;
         let mut batch: Vec<Arc<[u8]>> = Vec::new();
         loop {
             let offset = {
-                let state = self.state.lock().expect("ring lock");
+                let mut state = self.state.lock().expect("ring lock");
                 batch.clear();
-                for (i, frame) in state.queue.iter().take(MAX_BATCH).enumerate() {
+                let limit = if state.pushed_back { 1 } else { MAX_BATCH };
+                for (i, frame) in state.queue.iter().take(limit).enumerate() {
                     let mid_frame = i == 0 && state.offset > 0;
                     if !mid_frame && frame.gate.as_ref().is_some_and(|gate| !gate.is_open()) {
                         break;
@@ -241,6 +251,8 @@ impl OutRing {
                     };
                     return (writes, status);
                 }
+                // Cleared below by a write that moves bytes.
+                state.pushed_back = true;
                 state.offset
             };
             let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|f| IoSlice::new(f)).collect();
@@ -250,6 +262,7 @@ impl OutRing {
                 Ok(written) => {
                     writes += 1;
                     let mut state = self.state.lock().expect("ring lock");
+                    state.pushed_back = false;
                     // Frames the write covered whole are done; what is
                     // left of `written` is the cursor into the next one.
                     let mut cursor = offset + written;

@@ -426,7 +426,7 @@ impl<K> Transport for SocketTransport<K> {
             protocol: self.protocol,
             payload,
         };
-        let frame: Arc<[u8]> = env.to_frame().into();
+        let frame = env.to_shared_frame();
         match dest {
             Dest::Peer(to) => self.enqueue(from, to, frame, len, gate),
             Dest::Broadcast => {
@@ -488,8 +488,9 @@ impl<K> Transport for SocketTransport<K> {
             };
             (Arc::clone(&client.ring), client.dest)
         };
-        let frame = Envelope::to_peer(replica, dest, ProtocolTag::Client, payload).to_frame();
-        self.client_drops += ring.push_or_cut_off(frame.into());
+        let frame =
+            Envelope::to_peer(replica, dest, ProtocolTag::Client, payload).to_shared_frame();
+        self.client_drops += ring.push_or_cut_off(frame);
         self.shared.notifier.signal();
     }
 }

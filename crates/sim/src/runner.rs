@@ -462,7 +462,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             if self.behaviors[i] == Behavior::Silent {
                 continue;
             }
-            let Ok(ClientFrame::Request(req)) = ClientFrame::from_bytes(&delivery.payload) else {
+            let Ok(ClientFrame::Request(req)) = ClientFrame::from_shared(&delivery.payload) else {
                 continue; // unparseable interior, or an ack sent inward
             };
             let txn_id = req.txn_id();

@@ -13,17 +13,22 @@
 //!   no WAL replay) votes twice in the same round, and an honest
 //!   replica's tracker flags it: without the log, a crashed replica is a
 //!   Byzantine replica.
+//!
+//! Blocks hold the bytes they arrived in, and a committed block's WAL
+//! frame is its held encoding behind a header: those frames are the ones
+//! a block encoded field by field writes, and a replica replaying them
+//! rebuilds the committed chain it had.
 
 use sft_core::{
     scan_wal, Block, MemSink, ProtocolConfig, QuorumCertificate, ReplicaEngine, Wal, WalRecord,
 };
-use sft_crypto::KeyRegistry;
+use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::{SimNetwork, SimTransport, Transport};
 use sft_sim::{
     build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, RunPlan,
     RunnerConfig, SimConfig,
 };
-use sft_types::{EndorseMode, Payload, Round, SimTime};
+use sft_types::{Decode, Encode, EndorseMode, Payload, Round, SimTime};
 
 /// Round-trips `records` through the on-disk frame codec — encode, then
 /// scan back — so the replay below exercises exactly what a restarted
@@ -37,6 +42,109 @@ fn through_wal_codec(records: &[WalRecord]) -> Vec<WalRecord> {
     let scan = scan_wal(wal.sink().bytes()).expect("own frames scan clean");
     assert_eq!(scan.records.len(), records.len(), "lossless round-trip");
     scan.records
+}
+
+/// The log image `records` leave in a memory sink.
+fn wal_image(records: &[WalRecord]) -> Vec<u8> {
+    let mut wal = Wal::new(MemSink::new(), 4);
+    for record in records {
+        wal.append(record).expect("memory sink never fails");
+    }
+    wal.flush().expect("memory sink never fails");
+    wal.into_sink().into_bytes()
+}
+
+/// A seeded n = 4 SFT-DiemBFT run whose blocks carry real transactions,
+/// 16 of 512 B each: every replica's persisted records and committed
+/// chain.
+fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
+    let n = 4;
+    let config = SimConfig::new(n, 10)
+        .with_protocol(sft_sim::Protocol::Fbft)
+        .with_workload(16, 512)
+        .with_batch_size(16);
+    let mut runner = EngineRunner::new(
+        build_fbft_engines(&config, config.base_timeout),
+        vec![Behavior::Honest; n],
+        SimTransport::new(SimNetwork::new(config.delay), n),
+        NoMischief,
+        RunnerConfig {
+            plan: RunPlan::PastRound(Round::new(10)),
+            horizon: SimTime::ZERO + config.run_horizon,
+            drain_bound: config.drain_sync_bound,
+            drain_step: config.delay,
+        },
+    );
+    runner.keep_persist_log();
+    runner.run_until(SimTime::ZERO + config.delay * 24).unwrap();
+    let logs = (0..n).map(|i| runner.persisted(i).to_vec()).collect();
+    let chains = (0..n)
+        .map(|i| runner.engine(i).committed_chain().to_vec())
+        .collect();
+    (config, logs, chains)
+}
+
+#[test]
+fn blocks_holding_their_bytes_write_the_wal_frames_field_by_field_encoding_writes() {
+    let (_, logs, _) = seeded_fbft_logs();
+    let (mut held, mut txns) = (0, 0);
+    let mut images = Vec::new();
+    for log in &logs {
+        // The same records, every block re-decoded by the copying decode,
+        // which holds no bytes: those blocks encode field by field.
+        let unheld: Vec<WalRecord> = log
+            .iter()
+            .map(|record| match record {
+                WalRecord::BlockCommitted(block) => {
+                    held += usize::from(block.encoding().is_some());
+                    txns += block.payload().txn_count();
+                    let copy = Block::from_bytes(&block.to_bytes()).expect("own bytes decode");
+                    assert!(copy.encoding().is_none(), "a copying decode holds nothing");
+                    WalRecord::BlockCommitted(copy)
+                }
+                other => other.clone(),
+            })
+            .collect();
+        let image = wal_image(log);
+        assert_eq!(
+            image,
+            wal_image(&unheld),
+            "held bytes frame a block exactly as its fields do"
+        );
+        images.extend(image);
+    }
+    assert!(
+        held > 0 && txns > 0,
+        "committed blocks held their bytes ({held}) and carried transactions ({txns})"
+    );
+    // What the implementation that encoded every block field by field
+    // wrote for this run, byte for byte.
+    assert_eq!(
+        format!("{} {}B", HashValue::of(&images).short(), images.len()),
+        PINNED_WAL_IMAGES
+    );
+}
+
+/// The four replicas' log images of [`seeded_fbft_logs`], as written
+/// before blocks held their bytes: digest and length.
+const PINNED_WAL_IMAGES: &str = "e4cd1dca 376037B";
+
+#[test]
+fn a_replica_restarted_from_held_byte_frames_replays_the_same_committed_chain() {
+    let (config, logs, chains) = seeded_fbft_logs();
+    for (i, (log, chain)) in logs.iter().zip(&chains).enumerate() {
+        assert!(!chain.is_empty(), "replica {i} committed");
+        let scan = scan_wal(&wal_image(log)).expect("own frames scan clean");
+        let mut fresh = build_fbft_engines(&config, config.base_timeout).remove(i);
+        for record in &scan.records {
+            fresh.restore(record, SimTime::ZERO);
+        }
+        assert_eq!(
+            fresh.committed_chain(),
+            &chain[..],
+            "replica {i} replays to the chain it committed"
+        );
+    }
 }
 
 /// Kills replica `victim` at `crash_at`, keeps it dark until `restart_at`,

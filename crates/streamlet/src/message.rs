@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use sft_core::{Block, BlockResponse};
+use sft_core::{Block, BlockResponse, ProposalMessage};
 use sft_crypto::{Hasher, KeyPair, KeyRegistry, Signature};
-use sft_types::codec::{Decode, DecodeError, Encode};
+use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, StrongVote};
 
 /// A leader's signed block proposal for an epoch.
@@ -78,9 +78,15 @@ impl Encode for Proposal {
 
 impl Decode for Proposal {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    /// Decodes a proposal whose block holds ranges of the reader's shared
+    /// buffer.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            block: Block::decode(buf)?,
-            signature: Signature::decode(buf)?,
+            block: reader.read()?,
+            signature: reader.read()?,
         })
     }
 }
@@ -104,7 +110,7 @@ impl Encode for Message {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Proposal(p) => {
-                buf.push(0);
+                buf.push(0); // the tag `encode_around_block` writes too
                 p.encode(buf);
             }
             Message::Vote(v) => {
@@ -125,13 +131,34 @@ impl Encode for Message {
 
 impl Decode for Message {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(Message::Proposal(Proposal::decode(buf)?)),
-            1 => Ok(Message::Vote(StrongVote::decode(buf)?)),
-            2 => Ok(Message::SyncRequest(BlockRequest::decode(buf)?)),
-            3 => Ok(Message::SyncResponse(BlockResponse::decode(buf)?)),
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    /// Decodes a message whose blocks — a proposal's, a sync response's —
+    /// hold ranges of the reader's shared buffer.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match reader.read::<u8>()? {
+            0 => Ok(Message::Proposal(reader.read()?)),
+            1 => Ok(Message::Vote(reader.read()?)),
+            2 => Ok(Message::SyncRequest(reader.read()?)),
+            3 => Ok(Message::SyncResponse(reader.read()?)),
             t => Err(DecodeError::InvalidTag(t)),
         }
+    }
+}
+
+impl ProposalMessage for Message {
+    fn encode_around_block(
+        &mut self,
+        before: &mut Vec<u8>,
+        after: &mut Vec<u8>,
+    ) -> Option<&mut Block> {
+        let Message::Proposal(p) = self else {
+            return None;
+        };
+        before.push(0);
+        p.signature.encode(after);
+        Some(&mut p.block)
     }
 }
 

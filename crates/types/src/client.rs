@@ -21,7 +21,7 @@ use std::fmt;
 
 use sft_crypto::HashValue;
 
-use crate::codec::{Decode, DecodeError, Encode};
+use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::{Round, Transaction};
 
 /// A client's submission: the transaction plus the strength level the
@@ -70,9 +70,13 @@ impl Encode for ClientRequest {
 
 impl Decode for ClientRequest {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            txn: Transaction::decode(buf)?,
-            ack_at: u64::decode(buf)?,
+            txn: reader.read()?,
+            ack_at: reader.read()?,
         })
     }
 }
@@ -249,13 +253,25 @@ impl Encode for ClientFrame {
             ClientFrame::Ack(ack) => ack.encoded_len(),
         }
     }
+
+    /// Sized up front: a request carries a whole payload, which a growing
+    /// buffer would copy once more.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode(&mut buf);
+        buf
+    }
 }
 
 impl Decode for ClientFrame {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientFrame::Request(ClientRequest::decode(buf)?)),
-            1 => Ok(ClientFrame::Ack(ClientAck::decode(buf)?)),
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match reader.read::<u8>()? {
+            0 => Ok(ClientFrame::Request(reader.read()?)),
+            1 => Ok(ClientFrame::Ack(reader.read()?)),
             t => Err(DecodeError::InvalidTag(t)),
         }
     }

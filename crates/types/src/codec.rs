@@ -9,8 +9,11 @@
 //! format crate.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sft_crypto::{HashValue, Signature};
+
+use crate::SharedBytes;
 
 /// Error returned when decoding malformed bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,12 +71,30 @@ pub trait Encode {
 
 /// Deserializes a value from a byte cursor.
 pub trait Decode: Sized {
+    /// The fewest bytes any value's encoding takes. A sequence decode
+    /// preallocates no more elements than the bytes left could hold, so a
+    /// hostile count field buys no allocation its input does not pay for.
+    const MIN_ENCODED_LEN: usize = 1;
+
     /// Reads one value from the front of `buf`, advancing it.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] if the bytes are truncated or malformed.
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError>;
+
+    /// Reads one value from `reader`. A type that carries payload bytes
+    /// overrides this to take them with [`Reader::take`] — ranges of the
+    /// reader's shared buffer, when it has one, instead of copies — and
+    /// implements [`decode`](Self::decode) as [`Reader::copying`] over it;
+    /// every other type reads as `decode` does.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] if the bytes are truncated or malformed.
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Self::decode(&mut reader.rest)
+    }
 
     /// Decodes a complete buffer, rejecting trailing bytes.
     ///
@@ -88,6 +109,117 @@ pub trait Decode: Sized {
             Err(DecodeError::TrailingBytes(bytes.len()))
         }
     }
+
+    /// Decodes all of a shared buffer, rejecting trailing bytes, as
+    /// [`from_bytes`](Self::from_bytes) does — but the value holds ranges
+    /// of `bytes` where it carries payload bytes, instead of copies.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on malformed input or leftover bytes.
+    fn from_shared(bytes: &Arc<[u8]>) -> Result<Self, DecodeError> {
+        let mut reader = Reader::shared(bytes);
+        let value = Self::decode_from(&mut reader)?;
+        match reader.rest.len() {
+            0 => Ok(value),
+            left => Err(DecodeError::TrailingBytes(left)),
+        }
+    }
+}
+
+/// A decode cursor: the bytes not yet read and, when they are the tail
+/// of a shared buffer, that buffer — so [`Reader::take`] can hand out
+/// ranges of it instead of copies.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+    shared: Option<&'a Arc<[u8]>>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over all of `buf` whose [`take`](Self::take)s share it.
+    pub fn shared(buf: &'a Arc<[u8]>) -> Self {
+        Self {
+            rest: buf,
+            shared: Some(buf),
+        }
+    }
+
+    /// Runs `read` over a reader on `buf` whose [`take`](Self::take)s
+    /// copy, and advances `buf` past what it read: the
+    /// [`Decode::decode`] of a type that overrides
+    /// [`Decode::decode_from`].
+    ///
+    /// # Errors
+    ///
+    /// Returns what `read` returns; `buf` is then left unadvanced.
+    pub fn copying<T>(
+        buf: &mut &'a [u8],
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let mut reader = Reader {
+            rest: buf,
+            shared: None,
+        };
+        let value = read(&mut reader)?;
+        *buf = reader.rest;
+        Ok(value)
+    }
+
+    /// Reads one `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `T`'s decode error.
+    pub fn read<T: Decode>(&mut self) -> Result<T, DecodeError> {
+        T::decode_from(self)
+    }
+
+    /// The next `len` bytes: a range of the shared buffer, or a copy when
+    /// there is none.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::UnexpectedEof`] if fewer than `len` bytes are left.
+    pub fn take(&mut self, len: usize) -> Result<SharedBytes, DecodeError> {
+        let start = self.offset();
+        let bytes = take(&mut self.rest, len)?;
+        Ok(self
+            .shared
+            .and_then(|buf| SharedBytes::range(buf, start..start + len))
+            .unwrap_or_else(|| bytes.into()))
+    }
+
+    /// How many bytes are left to read.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The bytes read since the reader had `remaining` bytes left (a
+    /// [`remaining`](Self::remaining) taken earlier), as a range of the
+    /// shared buffer; `None` on a copying reader, which has no buffer to
+    /// share.
+    pub fn held_since(&self, remaining: usize) -> Option<SharedBytes> {
+        let buf = self.shared?;
+        SharedBytes::range(buf, buf.len().checked_sub(remaining)?..self.offset())
+    }
+
+    /// Where the unread bytes start within the shared buffer.
+    fn offset(&self) -> usize {
+        self.shared.map_or(0, |buf| buf.len() - self.rest.len())
+    }
+}
+
+/// Copies `bytes` over the front of `dst` and returns the rest of `dst`:
+/// encoding in place, into a buffer sized beforehand.
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than `bytes`.
+pub fn put<'a>(dst: &'a mut [u8], bytes: &[u8]) -> &'a mut [u8] {
+    let (head, rest) = dst.split_at_mut(bytes.len());
+    head.copy_from_slice(bytes);
+    rest
 }
 
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
@@ -111,6 +243,8 @@ macro_rules! impl_codec_uint {
                 }
             }
             impl Decode for $ty {
+                const MIN_ENCODED_LEN: usize = std::mem::size_of::<$ty>();
+
                 fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
                     let bytes = take(buf, std::mem::size_of::<$ty>())?;
                     let mut arr = [0u8; std::mem::size_of::<$ty>()];
@@ -152,15 +286,34 @@ impl<T: Encode> Encode for Vec<T> {
     }
 }
 
+/// Reads a sequence's count and returns it with the capacity to reserve:
+/// no more elements than the `left` bytes after the count could encode.
+fn seq_len<T: Decode>(buf: &mut &[u8]) -> Result<(u64, usize), DecodeError> {
+    let len = u64::decode(buf)?;
+    if len > MAX_SEQ_LEN {
+        return Err(DecodeError::LengthOverflow(len));
+    }
+    let fits = buf.len() / T::MIN_ENCODED_LEN.max(1);
+    Ok((len, (len as usize).min(fits)))
+}
+
 impl<T: Decode> Decode for Vec<T> {
+    const MIN_ENCODED_LEN: usize = 8;
+
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let len = u64::decode(buf)?;
-        if len > MAX_SEQ_LEN {
-            return Err(DecodeError::LengthOverflow(len));
-        }
-        let mut out = Vec::with_capacity((len as usize).min(1024));
+        let (len, capacity) = seq_len::<T>(buf)?;
+        let mut out = Vec::with_capacity(capacity);
         for _ in 0..len {
             out.push(T::decode(buf)?);
+        }
+        Ok(out)
+    }
+
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (len, capacity) = seq_len::<T>(&mut reader.rest)?;
+        let mut out = Vec::with_capacity(capacity);
+        for _ in 0..len {
+            out.push(reader.read()?);
         }
         Ok(out)
     }
@@ -186,6 +339,14 @@ impl<T: Decode> Decode for Option<T> {
             t => Err(DecodeError::InvalidTag(t)),
         }
     }
+
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match reader.read::<u8>()? {
+            0 => Ok(None),
+            1 => Ok(Some(reader.read()?)),
+            t => Err(DecodeError::InvalidTag(t)),
+        }
+    }
 }
 
 impl Encode for HashValue {
@@ -198,6 +359,8 @@ impl Encode for HashValue {
 }
 
 impl Decode for HashValue {
+    const MIN_ENCODED_LEN: usize = HashValue::LEN;
+
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         let bytes = take(buf, HashValue::LEN)?;
         let mut arr = [0u8; HashValue::LEN];

@@ -155,24 +155,49 @@ impl Envelope {
     }
 
     /// Encodes the envelope behind its 4-byte length prefix — the exact
-    /// bytes a socket writer sends.
+    /// bytes a socket writer sends — in one pass over the payload.
     ///
     /// # Panics
     ///
     /// Panics if the encoded body exceeds [`MAX_FRAME_LEN`] (a payload that
     /// large could never be decoded by a peer, so sending it is a bug).
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.payload.len() + 16);
-        self.encode(&mut body);
-        assert!(
-            body.len() <= MAX_FRAME_LEN,
-            "envelope body {}B exceeds MAX_FRAME_LEN",
-            body.len()
-        );
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&body);
+        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + self.encoded_len());
+        self.head_into(&mut frame);
+        frame.extend_from_slice(&self.payload);
         frame
+    }
+
+    /// [`to_frame`](Self::to_frame)'s bytes as one shared buffer, written
+    /// in place: what a transport fans out to every recipient's queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`to_frame`](Self::to_frame) does.
+    pub fn to_shared_frame(&self) -> Arc<[u8]> {
+        let mut head = Vec::with_capacity(MAX_FRAME_HEAD_LEN);
+        self.head_into(&mut head);
+        let mut frame: Arc<[u8]> =
+            std::iter::repeat_n(0, head.len() + self.payload.len()).collect();
+        let bytes = Arc::make_mut(&mut frame);
+        bytes[..head.len()].copy_from_slice(&head);
+        bytes[head.len()..].copy_from_slice(&self.payload);
+        frame
+    }
+
+    /// Appends the frame's bytes up to the payload: the length prefix and
+    /// every envelope field.
+    fn head_into(&self, buf: &mut Vec<u8>) {
+        let body_len = self.encoded_len();
+        assert!(
+            body_len <= MAX_FRAME_LEN,
+            "envelope body {body_len}B exceeds MAX_FRAME_LEN"
+        );
+        buf.extend_from_slice(&(body_len as u32).to_be_bytes());
+        self.src.encode(buf);
+        self.dest.encode(buf);
+        self.protocol.encode(buf);
+        (self.payload.len() as u64).encode(buf);
     }
 
     /// Attempts to decode one frame from the front of `buf`.
@@ -186,24 +211,105 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the bytes can never become a valid
-    /// frame: a length prefix beyond [`MAX_FRAME_LEN`], or a complete body
-    /// that fails to decode (bad tags, truncated fields, trailing bytes).
+    /// frame: a length prefix beyond [`MAX_FRAME_LEN`], or a body that
+    /// fails to decode (bad tags, truncated fields, trailing bytes).
     pub fn decode_frame(buf: &[u8]) -> Result<Option<(Envelope, usize)>, DecodeError> {
-        if buf.len() < FRAME_HEADER_LEN {
+        let Some(head) = FrameHead::decode(buf)? else {
             return Ok(None);
-        }
-        let mut len_bytes = [0u8; FRAME_HEADER_LEN];
-        len_bytes.copy_from_slice(&buf[..FRAME_HEADER_LEN]);
-        let body_len = u32::from_be_bytes(len_bytes) as usize;
+        };
+        let Some(payload) = buf.get(head.len..head.frame_len()) else {
+            return Ok(None);
+        };
+        Ok(Some((head.with_payload(payload.into()), head.frame_len())))
+    }
+}
+
+/// The most bytes a frame takes up to its payload: the length prefix, the
+/// source, a peer destination, the protocol tag and the payload length.
+pub const MAX_FRAME_HEAD_LEN: usize = FRAME_HEADER_LEN + 2 + 3 + 1 + 8;
+
+/// Everything a frame says before its payload, checked: what a socket
+/// reader needs to know to give the payload a buffer of its own before the
+/// payload has arrived.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameHead {
+    /// The sending replica.
+    pub src: ReplicaId,
+    /// One peer, or a broadcast.
+    pub dest: Dest,
+    /// The protocol family.
+    pub protocol: ProtocolTag,
+    /// Bytes from the start of the frame to its payload.
+    pub len: usize,
+    /// Bytes of payload that follow.
+    pub payload_len: usize,
+}
+
+impl FrameHead {
+    /// Decodes the head of the frame at the front of `buf`: `Ok(None)`
+    /// while `buf` holds only part of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DecodeError`] [`Envelope::decode_frame`] would return
+    /// for the whole frame, as soon as the head shows it: a length prefix
+    /// beyond [`MAX_FRAME_LEN`], a bad tag, or a payload length that does
+    /// not fill the body exactly.
+    pub fn decode(buf: &[u8]) -> Result<Option<FrameHead>, DecodeError> {
+        let Some(prefix) = buf.first_chunk::<FRAME_HEADER_LEN>() else {
+            return Ok(None);
+        };
+        let body_len = u32::from_be_bytes(*prefix) as usize;
         if body_len > MAX_FRAME_LEN {
             return Err(DecodeError::LengthOverflow(body_len as u64));
         }
-        let total = FRAME_HEADER_LEN + body_len;
-        if buf.len() < total {
-            return Ok(None);
+        let body = &buf[FRAME_HEADER_LEN..buf.len().min(FRAME_HEADER_LEN + body_len)];
+        let mut fields = body;
+        let read = |fields: &mut &[u8]| -> Result<_, DecodeError> {
+            Ok((
+                ReplicaId::decode(fields)?,
+                Dest::decode(fields)?,
+                ProtocolTag::decode(fields)?,
+                u64::decode(fields)?,
+            ))
+        };
+        let (src, dest, protocol, payload_len) = match read(&mut fields) {
+            Err(DecodeError::UnexpectedEof) if body.len() < body_len => return Ok(None),
+            parsed => parsed?,
+        };
+        let head_len = body.len() - fields.len();
+        if payload_len > MAX_FRAME_LEN as u64 {
+            return Err(DecodeError::LengthOverflow(payload_len));
         }
-        let envelope = Envelope::from_bytes(&buf[FRAME_HEADER_LEN..total])?;
-        Ok(Some((envelope, total)))
+        let left = body_len - head_len;
+        match left.cmp(&(payload_len as usize)) {
+            std::cmp::Ordering::Less => Err(DecodeError::UnexpectedEof),
+            std::cmp::Ordering::Greater => {
+                Err(DecodeError::TrailingBytes(left - payload_len as usize))
+            }
+            std::cmp::Ordering::Equal => Ok(Some(FrameHead {
+                src,
+                dest,
+                protocol,
+                len: FRAME_HEADER_LEN + head_len,
+                payload_len: payload_len as usize,
+            })),
+        }
+    }
+
+    /// Bytes of the whole frame, head and payload.
+    pub fn frame_len(&self) -> usize {
+        self.len + self.payload_len
+    }
+
+    /// The envelope this head and `payload` make.
+    pub fn with_payload(&self, payload: Arc<[u8]>) -> Envelope {
+        Envelope {
+            src: self.src,
+            dest: self.dest,
+            protocol: self.protocol,
+            payload,
+        }
     }
 }
 
@@ -227,6 +333,13 @@ impl Encode for Envelope {
         self.protocol.encode(buf);
         (self.payload.len() as u64).encode(buf);
         buf.extend_from_slice(&self.payload);
+    }
+    fn encoded_len(&self) -> usize {
+        let dest = match self.dest {
+            Dest::Broadcast => 1,
+            Dest::Peer(_) => 3,
+        };
+        2 + dest + 1 + 8 + self.payload.len()
     }
 }
 

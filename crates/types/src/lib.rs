@@ -20,6 +20,7 @@
 //! | strength-as-SLA client acks (§3 grading, productized) | [`client`]: [`ClientRequest`], [`ClientAck`] |
 //! | injected delays δ of the evaluation (§4) | [`time`]: [`SimTime`], [`SimDuration`] |
 //! | transport wire unit + framing (harness, not paper) | [`envelope`]: [`Envelope`], [`Dest`], [`ProtocolTag`] |
+//! | payload bytes held once per replica (harness, not paper) | [`shared`]: [`SharedBytes`]; [`codec`]: [`Reader`] |
 //!
 //! ## Example
 //!
@@ -47,6 +48,7 @@ pub mod durability;
 pub mod envelope;
 pub mod ids;
 pub mod interval;
+pub mod shared;
 pub mod sync;
 pub mod time;
 pub mod timeout;
@@ -55,12 +57,15 @@ pub mod vote;
 
 pub use bitset::SignerSet;
 pub use client::{ClientAck, ClientFrame, ClientRequest};
-pub use codec::{Decode, DecodeError, Encode};
+pub use codec::{Decode, DecodeError, Encode, Reader};
 pub use commit_log::{commit_log_digest, StrongCommitUpdate};
 pub use durability::{PersistSeq, SendGate, Watermark};
-pub use envelope::{Dest, Envelope, ProtocolTag, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+pub use envelope::{
+    Dest, Envelope, FrameHead, ProtocolTag, FRAME_HEADER_LEN, MAX_FRAME_HEAD_LEN, MAX_FRAME_LEN,
+};
 pub use ids::{Height, ReplicaId, Round};
 pub use interval::{RoundInterval, RoundIntervalSet};
+pub use shared::SharedBytes;
 pub use sync::BlockRequest;
 pub use time::{SimDuration, SimTime};
 pub use timeout::{timeout_signing_digest, TimeoutCertificate, TimeoutMsg, VerifyPolicy};

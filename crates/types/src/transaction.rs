@@ -18,10 +18,12 @@
 //!   batch's.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sft_crypto::{HashValue, Hasher};
 
-use crate::codec::{Decode, DecodeError, Encode};
+use crate::codec::{put, Decode, DecodeError, Encode, Reader};
+use crate::SharedBytes;
 
 /// A client transaction: an opaque payload attributed to a submitting
 /// client, sequence-numbered for duplicate detection.
@@ -39,7 +41,10 @@ use crate::codec::{Decode, DecodeError, Encode};
 pub struct Transaction {
     client: u64,
     seq: u64,
-    payload: Vec<u8>,
+    /// Held, not owned: a transaction decoded from a shared buffer keeps
+    /// the range of the frame it arrived in, and a proposed one the range
+    /// of its block's encoding.
+    payload: SharedBytes,
     /// Hashed once, when the transaction is built or decoded: admission,
     /// batching, the payload digest, inclusion and commit bookkeeping and
     /// ack routing all ask for it, and the payload can be kilobytes.
@@ -50,6 +55,10 @@ impl Transaction {
     /// Creates a transaction from client id, per-client sequence number,
     /// and payload bytes.
     pub fn new(client: u64, seq: u64, payload: Vec<u8>) -> Self {
+        Self::with_payload(client, seq, payload.into())
+    }
+
+    fn with_payload(client: u64, seq: u64, payload: SharedBytes) -> Self {
         let id = Hasher::new("txn")
             .field(&client.to_be_bytes())
             .field(&seq.to_be_bytes())
@@ -96,34 +105,46 @@ impl fmt::Debug for Transaction {
     }
 }
 
-impl Encode for Transaction {
-    fn encode(&self, buf: &mut Vec<u8>) {
+impl Transaction {
+    /// The encoding up to the payload bytes: client, sequence number and
+    /// payload length.
+    fn encode_head(&self, buf: &mut Vec<u8>) {
         self.client.encode(buf);
         self.seq.encode(buf);
         (self.payload.len() as u64).encode(buf);
-        buf.extend_from_slice(&self.payload);
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + self.payload.len()
     }
 }
 
+impl Encode for Transaction {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_head(buf);
+        buf.extend_from_slice(&self.payload);
+    }
+    fn encoded_len(&self) -> usize {
+        TXN_HEADER_LEN + self.payload.len()
+    }
+}
+
+/// Bytes in front of a transaction's payload: client, sequence number and
+/// payload length.
+const TXN_HEADER_LEN: usize = 8 + 8 + 8;
+
 impl Decode for Transaction {
+    const MIN_ENCODED_LEN: usize = TXN_HEADER_LEN;
+
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let client = u64::decode(buf)?;
-        let seq = u64::decode(buf)?;
-        let len = u64::decode(buf)?;
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let client = reader.read()?;
+        let seq = reader.read()?;
+        let len = reader.read::<u64>()?;
         if len > crate::codec::MAX_SEQ_LEN {
             return Err(DecodeError::LengthOverflow(len));
         }
-        let len = len as usize;
-        if buf.len() < len {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let (head, tail) = buf.split_at(len);
-        let payload = head.to_vec();
-        *buf = tail;
-        Ok(Self::new(client, seq, payload))
+        let payload = reader.take(len as usize)?;
+        Ok(Self::with_payload(client, seq, payload))
     }
 }
 
@@ -229,6 +250,44 @@ impl Payload {
         self.txn_count() == 0
     }
 
+    /// Writes this payload's encoding into `buf` from offset `at` on and
+    /// re-points every transaction's payload at its bytes there: how a
+    /// leader writes a block straight into the proposal buffer it shares,
+    /// so the frames the transactions arrived in can be freed. Ids are
+    /// kept, not recomputed — the bytes are the ones they were computed
+    /// over. Returns the offset just past the encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than `at` plus [`Encode::encoded_len`].
+    pub fn write_held(&mut self, buf: &mut Arc<[u8]>, at: usize) -> usize {
+        let end = at + self.encoded_len();
+        let mut head = Vec::with_capacity(TXN_HEADER_LEN);
+        let Payload::Transactions(txns) = self else {
+            self.encode(&mut head);
+            put(&mut Arc::make_mut(buf)[at..], &head);
+            return end;
+        };
+        // Written while the buffer is this call's alone, then shared.
+        head.push(0);
+        (txns.len() as u64).encode(&mut head);
+        let mut dst = put(&mut Arc::make_mut(buf)[at..end], &head);
+        for txn in txns.iter() {
+            head.clear();
+            txn.encode_head(&mut head);
+            dst = put(put(dst, &head), &txn.payload);
+        }
+        let mut offset = at + PAYLOAD_HEADER_LEN;
+        for txn in txns {
+            let start = offset + TXN_HEADER_LEN;
+            offset = start + txn.payload.len();
+            if let Some(held) = SharedBytes::range(buf, start..offset) {
+                txn.payload = held;
+            }
+        }
+        end
+    }
+
     /// A digest committing to the payload contents, mixed into the block id.
     pub fn digest(&self) -> HashValue {
         match self {
@@ -267,6 +326,10 @@ impl fmt::Debug for Payload {
     }
 }
 
+/// Bytes in front of a [`Payload::Transactions`] list: the variant tag
+/// and the count.
+const PAYLOAD_HEADER_LEN: usize = 1 + 8;
+
 impl Encode for Payload {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -286,16 +349,30 @@ impl Encode for Payload {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        match self {
+            Payload::Transactions(txns) => {
+                PAYLOAD_HEADER_LEN + txns.iter().map(Encode::encoded_len).sum::<usize>()
+            }
+            Payload::Synthetic { .. } => 1 + 4 + 4 + 8,
+        }
+    }
 }
 
 impl Decode for Payload {
+    const MIN_ENCODED_LEN: usize = PAYLOAD_HEADER_LEN;
+
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(Payload::Transactions(Vec::decode(buf)?)),
+        Reader::copying(buf, Self::decode_from)
+    }
+
+    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match reader.read::<u8>()? {
+            0 => Ok(Payload::Transactions(reader.read()?)),
             1 => Ok(Payload::Synthetic {
-                txn_count: u32::decode(buf)?,
-                txn_bytes: u32::decode(buf)?,
-                tag: u64::decode(buf)?,
+                txn_count: reader.read()?,
+                txn_bytes: reader.read()?,
+                tag: reader.read()?,
             }),
             t => Err(DecodeError::InvalidTag(t)),
         }
