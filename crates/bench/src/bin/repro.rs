@@ -592,8 +592,8 @@ fn run_tcp_protocol(args: &Args, protocol: Protocol) -> Result<(), String> {
     if tcp_report.max_committed() == 0 {
         return Err("tcp run committed nothing".to_string());
     }
-    tcp_report
-        .check_committed_prefix_of(&sim_report)
+    config
+        .check_prefix_parity(&sim_report, &tcp_report)
         .map_err(|e| format!("tcp vs sim: {e}"))?;
     println!(
         "tcp: {} blocks / {} txns committed in {} wall ({} messages, {} bytes); \

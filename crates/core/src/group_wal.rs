@@ -1,11 +1,9 @@
 //! Group-commit WAL: a dedicated writer thread that fsyncs on demand and
 //! publishes a durability [`Watermark`].
 //!
-//! The write-through discipline makes every persisting engine
-//! step pay an fsync *inline*: the consensus loop cannot touch the next
-//! envelope until the disk confirms. This module splits that cost off
-//! the sequencing path without weakening the persist-before-send
-//! invariant:
+//! Persist-before-send does not need the consensus loop to wait for the
+//! disk after every record. This module keeps fsyncs off the sequencing
+//! path without weakening that invariant:
 //!
 //! 1. the engine loop [`append`](DurableWal::append)s each
 //!    [`WalRecord`]: the frame is encoded straight into a buffer shared
@@ -37,8 +35,8 @@
 //! fsync that made it durable returned, and a gated frame reaches the
 //! wire only after its gate's sequence is covered. So for every message
 //! an observer can ever see, the WAL records justifying it are already
-//! durable — exactly the guarantee inline fsyncing gave, shifted from
-//! "before `send` is called" to "before the frame leaves the process".
+//! durable: persist-before-send, checked when the frame leaves the
+//! process rather than when `send` is called.
 //!
 //! A crash loses every record appended since the last request. Those are
 //! exactly the records no sent frame depends on (a frame that left was
@@ -59,10 +57,10 @@ use sft_types::{PersistSeq, Watermark};
 
 use crate::wal::{WalError, WalRecord, WalSink};
 
-/// How a run harness talks to a durable log, write-through or
-/// group-commit alike: appends hand back the record's [`PersistSeq`],
-/// the [`Watermark`] says how much of the log is durable, and a
-/// [`barrier`](DurableWal::barrier) waits for all of it.
+/// How a run harness talks to a durable log: appends hand back the
+/// record's [`PersistSeq`], the [`Watermark`] says how much of the log
+/// is durable, and a [`barrier`](DurableWal::barrier) waits for all of
+/// it.
 pub trait DurableWal: Send {
     /// Appends one record and returns its persist sequence number
     /// (sequence numbers start at 1 and are assigned in append order).
@@ -86,66 +84,6 @@ pub trait DurableWal: Send {
 
     /// `WalSink::sync` calls issued so far — the `wal_fsyncs` metric.
     fn fsyncs(&self) -> u64;
-}
-
-/// The baseline durability discipline: every append writes *and* fsyncs
-/// inline, and the watermark advances before `append` returns — so
-/// gates built from it are always already open. This is `sync_every = 1`
-/// expressed through the [`DurableWal`] interface, which makes it the
-/// control arm of every group-commit comparison.
-pub struct WriteThroughWal<S: WalSink> {
-    sink: S,
-    watermark: Watermark,
-    next_seq: PersistSeq,
-    fsyncs: u64,
-    recorder: SharedRecorder,
-}
-
-impl<S: WalSink> WriteThroughWal<S> {
-    /// Wraps `sink` in write-through (fsync-per-append) mode.
-    pub fn new(sink: S, recorder: SharedRecorder) -> Self {
-        Self {
-            sink,
-            watermark: Watermark::new(),
-            next_seq: 1,
-            fsyncs: 0,
-            recorder,
-        }
-    }
-
-    /// The underlying sink (tests inspect accumulated bytes).
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-}
-
-impl<S: WalSink + Send> DurableWal for WriteThroughWal<S> {
-    fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError> {
-        let frame = record.to_frame();
-        self.sink.append(&frame)?;
-        self.sink.sync()?;
-        self.fsyncs += 1;
-        if self.recorder.enabled() {
-            self.recorder.add(names::WAL_FSYNCS, 1);
-            self.recorder.observe(names::WAL_GROUP_SIZE, 1);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.watermark.advance(seq);
-        Ok(seq)
-    }
-
-    fn watermark(&self) -> Watermark {
-        self.watermark.clone()
-    }
-
-    fn barrier(&mut self) -> Result<(), WalError> {
-        Ok(()) // every append already synced inline
-    }
-
-    fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
 }
 
 /// Bytes of unsynced frames past which the writer syncs unasked: what a
@@ -437,18 +375,6 @@ mod tests {
             }
             Ok(())
         }
-    }
-
-    #[test]
-    fn write_through_advances_watermark_inline() {
-        let mut wal = WriteThroughWal::new(MemSink::new(), sft_obs::noop());
-        let wm = wal.watermark();
-        assert_eq!(wal.append(&record()).unwrap(), 1);
-        assert_eq!(wal.append(&record()).unwrap(), 2);
-        assert!(wm.covers(2), "write-through is durable before returning");
-        assert_eq!(wal.fsyncs(), 2);
-        wal.barrier().unwrap();
-        assert_eq!(scan_wal(wal.sink().bytes()).unwrap().records.len(), 2);
     }
 
     #[test]

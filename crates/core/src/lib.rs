@@ -121,7 +121,7 @@ pub use engine::{
     EngineStep, MsgKind, OutboundMsg, OwnProposal, ProposalMessage, ReplicaEngine, ResidentState,
     Route,
 };
-pub use group_wal::{DurableWal, GroupCommitWal, WriteThroughWal};
+pub use group_wal::{DurableWal, GroupCommitWal};
 pub use kernel::{ChainKernel, Intake};
 pub use ledger::CommitLedger;
 pub use mempool::{Admission, Mempool, PayloadSource};

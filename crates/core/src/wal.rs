@@ -465,8 +465,8 @@ impl WalSink for FileSink {
 }
 
 /// The append path: frames records into a [`WalSink`] with batched
-/// fsyncs. `sync_every = 1` is write-through (every record durable before
-/// the caller proceeds); `k > 1` amortizes one sync over `k` appends.
+/// fsyncs. `sync_every = 1` makes every record durable before the caller
+/// proceeds; `k > 1` amortizes one sync over `k` appends.
 #[derive(Debug)]
 pub struct Wal<S: WalSink> {
     sink: S,
@@ -654,27 +654,6 @@ impl WalStore {
         self.flush()?;
         crate::group_wal::GroupCommitWal::spawn(self.wal.into_sink(), recorder, wake)
             .map_err(WalError::Io)
-    }
-
-    /// Downgrades this store into the write-through baseline: flushes
-    /// anything unsynced, then wraps the file sink in a
-    /// [`WriteThroughWal`](crate::group_wal::WriteThroughWal) — one fsync
-    /// per appended record, inline on the caller's thread. This is the
-    /// durability-equivalent control the group-commit pipeline is
-    /// benchmarked against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the flush failure.
-    pub fn into_write_through(
-        mut self,
-        recorder: sft_obs::SharedRecorder,
-    ) -> Result<crate::group_wal::WriteThroughWal<FileSink>, WalError> {
-        self.flush()?;
-        Ok(crate::group_wal::WriteThroughWal::new(
-            self.wal.into_sink(),
-            recorder,
-        ))
     }
 }
 

@@ -17,7 +17,7 @@
 //!   --ack-at X                       max ack strength requested (default 1)
 //!   --batch-size B                   leader batch size (default 64)
 //!   --payload-bytes P                bytes per transaction (default 128)
-//!   --durability MODE                in-memory | write-through | group-commit
+//!   --durability MODE                in-memory | group-commit
 //!                                    (default in-memory)
 //!   --json-dir DIR                   write BENCH_loadgen_<protocol>.json
 //! ```
@@ -100,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
             "--durability" => {
                 args.durability = match value("--durability")?.as_str() {
                     "in-memory" => DurabilityMode::InMemory,
-                    "write-through" => DurabilityMode::WriteThrough,
                     "group-commit" => DurabilityMode::GroupCommit,
                     other => return Err(format!("unknown durability mode {other}")),
                 }
@@ -133,7 +132,6 @@ fn protocol_name(protocol: Protocol) -> &'static str {
 fn durability_name(mode: DurabilityMode) -> &'static str {
     match mode {
         DurabilityMode::InMemory => "in-memory",
-        DurabilityMode::WriteThrough => "write-through",
         DurabilityMode::GroupCommit => "group-commit",
     }
 }

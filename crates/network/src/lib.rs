@@ -94,9 +94,9 @@ pub trait Transport {
     /// open — the durability watermark covers the WAL records justifying
     /// the message. Socket transports enqueue at once and hold the frame
     /// in their writer threads, so the caller never waits on an fsync;
-    /// the simulator waits for the gate before sending, which is exactly
-    /// write-through there (its virtual clock does not advance while the
-    /// caller waits). Either way persist-before-send holds.
+    /// the simulator waits for the gate before sending, which costs no
+    /// virtual time (its clock does not advance while the caller waits).
+    /// Either way persist-before-send holds.
     fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>);
 
     /// Ungated point-to-point [`send_to`](Self::send_to).

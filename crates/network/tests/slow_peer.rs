@@ -13,10 +13,14 @@ use std::time::{Duration, Instant};
 use sft_network::{Envelope, NodeTransport, ProtocolTag, Transport};
 use sft_types::ReplicaId;
 
-/// CPU time (user + system, in milliseconds at the kernel's 10 ms tick)
-/// of this process's threads named `name`, from `/proc/self/task`.
-fn thread_cpu_ms(name: &str) -> u64 {
-    let mut ticks = 0;
+/// CPU time in nanoseconds of this process's threads named `name`, from
+/// `/proc/self/task`: each thread's time on a CPU as the scheduler
+/// counts it (`schedstat`, in ns), or, on a kernel that does not export
+/// that file, its user + system time from `stat` in 10 ms ticks — coarse
+/// enough that a thread running a few ms per second can read as a whole
+/// tick more or less than it spent.
+fn thread_cpu_ns(name: &str) -> u64 {
+    let mut ns = 0;
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("task entry").path();
         let Ok(comm) = std::fs::read_to_string(dir.join("comm")) else {
@@ -25,18 +29,29 @@ fn thread_cpu_ms(name: &str) -> u64 {
         if comm.trim_end() != name {
             continue;
         }
-        let stat = std::fs::read_to_string(dir.join("stat")).expect("task stat");
-        // utime and stime are the 14th and 15th fields, the 12th and 13th
-        // after the parenthesised command name.
-        let rest = &stat[stat.rfind(')').expect("comm field") + 2..];
-        ticks += rest
-            .split(' ')
-            .skip(11)
-            .take(2)
-            .map(|field| field.parse::<u64>().expect("tick count"))
-            .sum::<u64>();
+        ns += match std::fs::read_to_string(dir.join("schedstat")) {
+            Ok(schedstat) => schedstat
+                .split(' ')
+                .next()
+                .and_then(|field| field.parse::<u64>().ok())
+                .expect("schedstat run time"),
+            Err(_) => thread_ticks(&dir) * 10_000_000, // USER_HZ is 100 on every Linux port
+        };
     }
-    ticks * 10 // USER_HZ is 100 on every Linux port
+    ns
+}
+
+/// utime + stime of the thread whose `/proc` directory is `dir`, in ticks.
+fn thread_ticks(dir: &std::path::Path) -> u64 {
+    let stat = std::fs::read_to_string(dir.join("stat")).expect("task stat");
+    // utime and stime are the 14th and 15th fields, the 12th and 13th
+    // after the parenthesised command name.
+    let rest = &stat[stat.rfind(')').expect("comm field") + 2..];
+    rest.split(' ')
+        .skip(11)
+        .take(2)
+        .map(|field| field.parse::<u64>().expect("tick count"))
+        .sum()
 }
 
 #[test]
@@ -68,12 +83,13 @@ fn a_peer_that_never_reads_backs_the_writer_off_and_a_resumed_one_drains() {
     // Let the socket fill and the retry timer reach its cap, then watch
     // the writer for a second of stall.
     std::thread::sleep(Duration::from_millis(300));
-    let before = thread_cpu_ms("sft-tcp-writer");
+    let before = thread_cpu_ns("sft-tcp-writer");
     std::thread::sleep(Duration::from_secs(1));
-    let spent = thread_cpu_ms("sft-tcp-writer") - before;
+    let spent = thread_cpu_ns("sft-tcp-writer") - before;
     assert!(
-        spent <= 10,
-        "the writer burned {spent} ms of CPU in 1 s on a peer that never reads"
+        spent <= 10_000_000,
+        "the writer burned {:.1} ms of CPU in 1 s on a peer that never reads",
+        spent as f64 / 1e6
     );
 
     // The reader resumes: the hello, then every frame, whole and soon.

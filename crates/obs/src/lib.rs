@@ -72,16 +72,15 @@ pub mod names {
 
     // ---- durable write-ahead log (group-commit pipeline) ----
 
-    /// `WalSink::sync` calls issued (one per write-through append, one
-    /// per requested batch under the group-commit WAL writer).
+    /// `WalSink::sync` calls issued by the group-commit WAL writer (one
+    /// per requested batch).
     pub const WAL_FSYNCS: &str = "wal_fsyncs";
     /// Records made durable per group-commit fsync (histogram): every
     /// record appended since the previous fsync, requested or not — a
     /// replica's vote plus the certificate and commit records before it.
     pub const WAL_GROUP_SIZE: &str = "wal_group_size";
-    /// Engine-loop wall time spent blocked on durability per persisting
-    /// step: the inline fsync under write-through, the append-queue
-    /// handoff under group commit.
+    /// Engine-loop wall time spent on durability per persisting step:
+    /// framing the step's records into the group-commit append buffer.
     pub const PHASE_PERSIST_WAIT_NS: &str = "phase_persist_wait_ns";
 
     // ---- per-round consensus events (protocol microseconds) ----

@@ -114,17 +114,11 @@ pub enum DurabilityMode {
     /// fsynced and nothing is gated. Zero overhead; no durability.
     #[default]
     InMemory,
-    /// One fsync per persisted record, inline on the engine loop, before
-    /// the messages it justifies are routed — the literal
-    /// persist-before-send baseline (`sync_every = 1`).
-    WriteThrough,
-    /// The pipelined discipline: appends are buffered for a dedicated
-    /// WAL-writer thread that fsyncs on demand — once per replica per
-    /// instant that gated a frame — and publishes a durability watermark;
-    /// outbound messages are *gated* on the watermark instead of waiting
-    /// inline. Same durability guarantee as
-    /// [`WriteThrough`](Self::WriteThrough) — no frame leaves before its
-    /// records are on disk — at a fraction of the fsync count.
+    /// Group commit: appends are buffered for a dedicated WAL-writer
+    /// thread that fsyncs on demand — once per replica per instant that
+    /// gated a frame — and publishes a durability watermark; outbound
+    /// messages are *gated* on the watermark, so no frame leaves before
+    /// the records that justify it are on disk.
     GroupCommit,
 }
 
@@ -260,28 +254,24 @@ fn run_recorder(config: &SimConfig) -> Option<SharedRecorder> {
 /// Why a simulated run's WAL cannot fail (what [`sim_instruments`] builds).
 pub(crate) const IN_MEMORY_SINKS: &str = "a simulated run's WAL sinks are in memory";
 
-/// A simulated run's [`Instruments`]: its durable logs sit on in-memory
-/// sinks under the configured persistence discipline — the sequencing,
-/// gating, and group boundaries are exercised for real while the "disk"
-/// stays a byte vector.
+/// A simulated run's [`Instruments`]: under group commit its durable
+/// logs sit on in-memory sinks — the sequencing, gating, and group
+/// boundaries are exercised for real while the "disk" stays a byte
+/// vector.
 pub(crate) fn sim_instruments(config: &SimConfig) -> Instruments {
-    use sft_core::{GroupCommitWal, MemSink, WriteThroughWal};
+    use sft_core::{GroupCommitWal, MemSink};
     let recorder = run_recorder(config);
-    let wal_recorder = || recorder.clone().unwrap_or_else(sft_obs::noop);
-    let build = || -> Box<dyn DurableWal> {
-        match config.durability {
-            DurabilityMode::InMemory => unreachable!("no wal in memory-only mode"),
-            DurabilityMode::WriteThrough => {
-                Box::new(WriteThroughWal::new(MemSink::new(), wal_recorder()))
-            }
-            DurabilityMode::GroupCommit => Box::new(
-                GroupCommitWal::spawn(MemSink::new(), wal_recorder(), None)
-                    .expect("spawn wal writer"),
-            ),
-        }
-    };
-    let wals = (config.durability != DurabilityMode::InMemory)
-        .then(|| (0..config.n).map(|_| build()).collect());
+    let wals = (config.durability == DurabilityMode::GroupCommit).then(|| {
+        (0..config.n)
+            .map(|_| {
+                let recorder = recorder.clone().unwrap_or_else(sft_obs::noop);
+                Box::new(
+                    GroupCommitWal::spawn(MemSink::new(), recorder, None)
+                        .expect("spawn wal writer"),
+                ) as Box<dyn DurableWal>
+            })
+            .collect()
+    });
     (recorder, wals)
 }
 
@@ -540,6 +530,47 @@ impl SimConfig {
             Protocol::Fbft => FbftSimulation::new(self).run(),
         }
     }
+
+    /// Checks a wall-clock run of this config (`run`, e.g. from
+    /// [`run_over_tcp`]) against `reference`, this config's simulated
+    /// run: every chain `run` committed must be a prefix of the
+    /// simulator's ([`SimReport::check_committed_prefix_of`]).
+    ///
+    /// A wall-clock run may commit past the round where the virtual-time
+    /// reference stopped. The simulator then runs again with one more
+    /// epoch per missing block, to cover `run`'s highest committed
+    /// height. Blocks are a pure function of their position and the
+    /// prefix-stable workload stream, so that longer chain must extend
+    /// `reference`'s; this is checked too.
+    ///
+    /// # Errors
+    ///
+    /// Returns where the longer reference diverges from `reference`, or
+    /// where `run` diverges from (or outgrows) the reference.
+    pub fn check_prefix_parity(
+        &self,
+        reference: &SimReport,
+        run: &SimReport,
+    ) -> Result<(), String> {
+        let missing = run
+            .max_committed()
+            .saturating_sub(reference.max_committed());
+        if missing == 0 {
+            return run.check_committed_prefix_of(reference);
+        }
+        let epochs = self.epochs + missing as u64;
+        let longer = SimConfig {
+            epochs,
+            drain_sync_bound: default_drain_bound(epochs).max(self.drain_sync_bound),
+            run_horizon: default_horizon(self.base_timeout, epochs).max(self.run_horizon),
+            ..self.clone()
+        }
+        .run();
+        reference
+            .check_committed_prefix_of(&longer)
+            .map_err(|e| format!("the {epochs}-epoch reference does not extend it: {e}"))?;
+        run.check_committed_prefix_of(&longer)
+    }
 }
 
 /// Wall-clock pacing for a loopback TCP run of a [`SimConfig`] replica
@@ -572,7 +603,7 @@ impl Default for TcpPacing {
 /// the same [`EngineRunner`] loop. This is the transport-parity harness
 /// `repro --transport tcp` and the `tcp_parity` suite share: content
 /// determinism means the TCP run commits the sim run's chain (check with
-/// [`SimReport::check_committed_prefix_of`]); only its length can differ.
+/// [`SimConfig::check_prefix_parity`]); only its length can differ.
 ///
 /// # Errors
 ///
@@ -668,9 +699,9 @@ static TCP_WAL_RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 
 /// Builds the file-backed per-replica durable logs for a TCP run (and the
 /// scratch directory root to remove afterwards), or `(None, None)` under
-/// [`DurabilityMode::InMemory`]. Group-commit logs get the cluster's
-/// writer wake hook: a completed fsync releases the frames it gates
-/// through that signal alone (the writer does not poll a closed gate).
+/// [`DurabilityMode::InMemory`]. Each log gets the cluster's writer wake
+/// hook: a completed fsync releases the frames it gates through that
+/// signal alone (the writer does not poll a closed gate).
 fn tcp_wals(
     config: &SimConfig,
     cluster: &TcpCluster,
@@ -685,19 +716,11 @@ fn tcp_wals(
     for id in 0..config.n {
         let dir = root.join(format!("replica-{id}"));
         std::fs::create_dir_all(&dir)?;
-        let store = sft_core::WalStore::open(&dir, 1).map_err(wal_io_error)?;
         let recorder = recorder.map_or_else(sft_obs::noop, Arc::clone);
-        wals.push(match config.durability {
-            DurabilityMode::InMemory => unreachable!("handled above"),
-            DurabilityMode::WriteThrough => {
-                Box::new(store.into_write_through(recorder).map_err(wal_io_error)?)
-            }
-            DurabilityMode::GroupCommit => Box::new(
-                store
-                    .into_group_commit(recorder, Some(cluster.writer_wake_hook()))
-                    .map_err(wal_io_error)?,
-            ),
-        });
+        let wal = sft_core::WalStore::open(&dir, 1)
+            .and_then(|store| store.into_group_commit(recorder, Some(cluster.writer_wake_hook())))
+            .map_err(wal_io_error)?;
+        wals.push(Box::new(wal));
     }
     Ok((Some(wals), Some(root)))
 }
@@ -749,11 +772,10 @@ pub struct SimReport {
     /// [`VerifyPolicy::OnArrival`]).
     pub batch_verify_calls: u64,
     /// WAL fsyncs across all replicas. 0 under
-    /// [`DurabilityMode::InMemory`]; one per persisted record under
-    /// [`DurabilityMode::WriteThrough`]; one per durability request under
+    /// [`DurabilityMode::InMemory`]; one per durability request under
     /// [`DurabilityMode::GroupCommit`] — the runner requests once per
     /// replica per instant that gated a frame, about one per replica per
-    /// round. The drop between the last two is the group-commit win.
+    /// round, however many records each appended.
     pub wal_fsyncs: u64,
     /// Counters and latency histograms recorded during the run. Empty
     /// unless the run was built with [`SimConfig::with_recording`] (or a

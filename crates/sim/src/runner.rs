@@ -549,9 +549,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         // any message they justify is routed, so a crash after a send can
         // never find the log missing the vote that went out — and a
         // failed append returns before anything is routed. With durable
-        // logs installed, `append` only *buffers* (group commit) or
-        // fsyncs inline (write-through); what the hot path actually waits
-        // is recorded separately as the persist-wait phase.
+        // logs installed, `append` only *buffers* for the group-commit
+        // writer; what the hot path actually waits is recorded
+        // separately as the persist-wait phase.
         let persist = PhaseTimer::start(&*self.recorder);
         if !step.persist.is_empty() {
             if let Some(wals) = &mut self.wals {

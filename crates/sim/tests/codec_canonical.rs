@@ -4,7 +4,9 @@
 //! range of them its payload occupies, instead of re-encoding either: so a
 //! held encoding must be *the* encoding of the value. This suite checks
 //! that for the transaction, the payload, the client request, the block,
-//! the WAL record and both protocols' proposal messages. It starts from
+//! the WAL record, the votes, certificates, timeouts, sync responses,
+//! interval sets and signer sets they carry, and every message variant of
+//! both protocols. It starts from
 //! seeded valid encodings and mutates them: every truncation, bit flips,
 //! splices of two encodings, and every length or count field inflated to
 //! `u32::MAX`, `u64::MAX` and the sequence bound. Whatever the mutation,
@@ -21,13 +23,13 @@ use std::cell::Cell;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use sft_core::{Block, QuorumCertificate, WalRecord};
+use sft_core::{Block, BlockResponse, QuorumCertificate, WalRecord};
 use sft_crypto::{HashValue, KeyRegistry, RngCore, SplitMix64};
 use sft_fbft::{FbftMessage, FbftProposal};
 use sft_streamlet::{Message, Proposal};
 use sft_types::{
-    ClientRequest, Decode, Encode, EndorseInfo, Height, Payload, ReplicaId, Round, SignerSet,
-    StrongVote, TimeoutCertificate, Transaction, VoteData,
+    BlockRequest, ClientRequest, Decode, Encode, EndorseInfo, Height, Payload, ReplicaId, Round,
+    RoundIntervalSet, SignerSet, StrongVote, TimeoutCertificate, TimeoutMsg, Transaction, VoteData,
 };
 
 /// Counts the bytes this thread allocates.
@@ -103,8 +105,67 @@ fn block(rng: &mut SplitMix64) -> Block {
 fn vote(rng: &mut SplitMix64, data: VoteData, signer: u64) -> StrongVote {
     let registry = KeyRegistry::deterministic(N);
     let key = registry.key_pair(signer).expect("a key per replica");
-    let marker = Round::new(rng.next_below(data.block_round().as_u64() + 1));
-    StrongVote::new(data, EndorseInfo::Marker(marker), &key)
+    let round = data.block_round().as_u64();
+    let endorse = match rng.next_below(3) {
+        0 => EndorseInfo::None,
+        1 => EndorseInfo::Marker(Round::new(rng.next_below(round + 1))),
+        _ => EndorseInfo::Intervals(intervals(rng, round)),
+    };
+    StrongVote::new(data, endorse, &key)
+}
+
+/// A normalized set of up to four intervals within `[0, max]`.
+fn intervals(rng: &mut SplitMix64, max: u64) -> RoundIntervalSet {
+    let mut set = RoundIntervalSet::new();
+    for _ in 0..rng.next_below(5) {
+        let lo = rng.next_below(max + 1);
+        let hi = lo + rng.next_below(max - lo + 1);
+        set.insert(Round::new(lo), Round::new(hi));
+    }
+    set
+}
+
+/// A signer set of up to 200 replicas, any members.
+fn signers(rng: &mut SplitMix64) -> SignerSet {
+    let capacity = 1 + rng.next_below(200) as usize;
+    let members: Vec<ReplicaId> = (0..capacity as u16)
+        .filter(|_| rng.next_below(2) == 0)
+        .map(ReplicaId::new)
+        .collect();
+    SignerSet::from_iter_with_capacity(capacity, members)
+}
+
+fn strong_vote(rng: &mut SplitMix64) -> StrongVote {
+    let block = block(rng);
+    let signer = rng.next_below(N as u64);
+    vote(rng, block.vote_data(), signer)
+}
+
+fn timeout_msg(rng: &mut SplitMix64) -> TimeoutMsg {
+    let round = Round::new(1 + rng.next_below(1 << 20));
+    let registry = KeyRegistry::deterministic(N);
+    let key = registry
+        .key_pair(rng.next_below(N as u64))
+        .expect("a key per replica");
+    let high_qc = Round::new(rng.next_below(round.as_u64()));
+    let justification = (rng.next_below(2) == 0).then(|| tc(rng, round));
+    TimeoutMsg::new(round, high_qc, &key).with_justification(justification)
+}
+
+fn block_request(rng: &mut SplitMix64) -> BlockRequest {
+    BlockRequest::new(
+        ReplicaId::new(rng.next_below(N as u64) as u16),
+        HashValue::of(&rng.next_u64().to_be_bytes()),
+        rng.next_below(65) as u32,
+    )
+}
+
+/// A chain segment of up to three blocks and the certificate for its
+/// last one.
+fn block_response(rng: &mut SplitMix64) -> BlockResponse {
+    let blocks: Vec<Block> = (0..1 + rng.next_below(3)).map(|_| block(rng)).collect();
+    let qc = qc(rng, blocks.last().expect("at least one block"));
+    BlockResponse::new(qc, blocks)
 }
 
 /// A certificate for `block`: its bare signer-set form or its member form.
@@ -125,6 +186,16 @@ fn tc(rng: &mut SplitMix64, round: Round) -> TimeoutCertificate {
         Round::new(rng.next_below(round.as_u64() + 1)),
         signers,
     )
+}
+
+fn any_qc(rng: &mut SplitMix64) -> QuorumCertificate {
+    let block = block(rng);
+    qc(rng, &block)
+}
+
+fn any_tc(rng: &mut SplitMix64) -> TimeoutCertificate {
+    let round = Round::new(1 + rng.next_below(1 << 20));
+    tc(rng, round)
 }
 
 fn fbft_proposal(rng: &mut SplitMix64) -> FbftProposal {
@@ -268,6 +339,58 @@ fn both_protocols_proposals_decode_canonically() {
     canonical("streamlet Proposal", 0xc0de_0008, streamlet_proposal);
     canonical("streamlet Message", 0xc0de_0009, |rng| {
         Message::Proposal(streamlet_proposal(rng))
+    });
+}
+
+/// Every message variant of both protocols, and the votes, certificates,
+/// timeouts, sync responses, interval sets and signer sets inside them.
+#[test]
+fn votes_certificates_and_every_message_variant_decode_canonically() {
+    canonical("RoundIntervalSet", 0xc0de_000a, |rng| {
+        let max = rng.next_below(1 << 20);
+        intervals(rng, max)
+    });
+    canonical("SignerSet", 0xc0de_000b, signers);
+    // A decoded signer set also names only replicas below its capacity,
+    // whichever bit of its encoding flips.
+    let mut rng = SplitMix64::new(0xc0de_0013);
+    for _ in 0..SAMPLES {
+        let bytes = signers(&mut rng).to_bytes();
+        for bit in 0..8 * bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(set) = SignerSet::from_bytes(&flipped) {
+                assert!(
+                    set.iter().all(|id| id.as_usize() < set.capacity()),
+                    "bit {bit} flipped: {set:?} names a replica past its capacity {}",
+                    set.capacity()
+                );
+            }
+        }
+    }
+    canonical("StrongVote", 0xc0de_000c, strong_vote);
+    canonical("QuorumCertificate", 0xc0de_000d, any_qc);
+    canonical("TimeoutCertificate", 0xc0de_000e, any_tc);
+    canonical("TimeoutMsg", 0xc0de_000f, timeout_msg);
+    canonical("BlockResponse", 0xc0de_0010, block_response);
+    canonical("FbftMessage", 0xc0de_0011, |rng| match rng.next_below(6) {
+        0 => FbftMessage::Proposal(fbft_proposal(rng)),
+        1 => FbftMessage::Vote(strong_vote(rng)),
+        2 => FbftMessage::Timeout {
+            msg: timeout_msg(rng),
+            high_qc: any_qc(rng),
+        },
+        3 => FbftMessage::SyncRequest(block_request(rng)),
+        4 => FbftMessage::SyncResponse(block_response(rng)),
+        _ => FbftMessage::Certificate(any_qc(rng)),
+    });
+    canonical("streamlet Message", 0xc0de_0012, |rng| {
+        match rng.next_below(4) {
+            0 => Message::Proposal(streamlet_proposal(rng)),
+            1 => Message::Vote(strong_vote(rng)),
+            2 => Message::SyncRequest(block_request(rng)),
+            _ => Message::SyncResponse(block_response(rng)),
+        }
     });
 }
 

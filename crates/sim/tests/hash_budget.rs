@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use sft_core::{DurableWal, MemSink, WriteThroughWal};
+use sft_core::{DurableWal, GroupCommitWal, MemSink};
 use sft_crypto::sha256::blocks_compressed;
 use sft_network::{ClientDelivery, NetworkStats, SimNetwork, SimTransport, Transport};
 use sft_sim::{
@@ -110,11 +110,13 @@ fn hash_one_run(txns: u64) -> (u64, u64) {
             drain_step: config.delay,
         },
     );
-    // Write-through on memory sinks: every record is framed on this
-    // thread, and nothing else runs on another.
+    // Group commit on memory sinks: every record is framed on this thread
+    // by `append`; the writer threads only copy and "sync" those frames,
+    // and the compression count is per thread.
     let wals: Vec<Box<dyn DurableWal>> = (0..n)
         .map(|_| {
-            Box::new(WriteThroughWal::new(MemSink::new(), sft_obs::noop())) as Box<dyn DurableWal>
+            Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap())
+                as Box<dyn DurableWal>
         })
         .collect();
     runner.set_wals(wals);

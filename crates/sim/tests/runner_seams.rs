@@ -7,9 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sft_core::{
-    scan_wal, DurableWal, GroupCommitWal, MemSink, ReplicaEngine, Route, WriteThroughWal,
-};
+use sft_core::{scan_wal, DurableWal, GroupCommitWal, MemSink, ReplicaEngine, Route};
 use sft_network::{Delivery, Dest, NetworkStats, SimNetwork, SimTransport};
 use sft_obs::names;
 use sft_sim::{
@@ -183,14 +181,11 @@ fn a_runner_hosting_one_of_n_steps_only_on_its_own_deliveries() {
     assert_eq!(runner.report().chains.len(), 1);
 }
 
-/// Runs a 4-replica SFT-DiemBFT cluster whose replica 0 logs through
-/// `victim_wal` onto a sink that fails its `fail_at`-th fsync, until the
-/// run loop reports the failure. Returns every frame the wire saw and the
-/// number of replica 0's records a reboot would find.
-fn run_until_the_log_dies(
-    fail_at: u64,
-    victim_wal: impl FnOnce(FsyncCrashSink) -> Box<dyn DurableWal>,
-) -> (Vec<Frame>, PersistSeq) {
+/// Runs a 4-replica SFT-DiemBFT cluster whose replica 0 group-commits
+/// onto a sink that fails its `fail_at`-th fsync, until the run loop
+/// reports the failure. Returns every frame the wire saw and the number
+/// of replica 0's records a reboot would find.
+fn run_until_the_log_dies(fail_at: u64) -> (Vec<Frame>, PersistSeq) {
     let config = SimConfig::new(4, 64).with_protocol(Protocol::Fbft);
     let victim = ReplicaId::new(0);
     let sink = FsyncCrashSink::new(fail_at);
@@ -204,7 +199,11 @@ fn run_until_the_log_dies(
         NoMischief,
         runner_config(&config, RunPlan::PastRound(Round::new(config.epochs))),
     );
-    let mut wals = vec![victim_wal(sink.clone())];
+    let mut wals =
+        vec![
+            Box::new(GroupCommitWal::spawn(sink.clone(), sft_obs::noop(), None).unwrap())
+                as Box<dyn DurableWal>,
+        ];
     wals.extend((1..config.n).map(|_| {
         Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap())
             as Box<dyn DurableWal>
@@ -253,40 +252,13 @@ fn assert_wire_is_backed_by_the_disk(frames: &[Frame], durable: PersistSeq) {
     }
 }
 
-/// Write-through: the k-th record's fsync fails inline, so the append
-/// itself returns the error and the step that produced the record routes
-/// nothing — no frame was ever even gated on record k.
-#[test]
-fn a_failed_inline_fsync_ends_the_run_before_its_step_is_routed() {
-    for fail_at in 1..=5u64 {
-        let (frames, durable) = run_until_the_log_dies(fail_at, |sink| {
-            Box::new(WriteThroughWal::new(sink, sft_obs::noop()))
-        });
-        assert_eq!(durable, fail_at - 1, "records before the failing fsync");
-        if fail_at > 1 {
-            assert_wire_is_backed_by_the_disk(&frames, durable);
-        }
-        let victims_last = frames
-            .iter()
-            .filter(|f| f.from == ReplicaId::new(0))
-            .filter_map(|f| f.seq)
-            .max();
-        assert!(
-            victims_last <= Some(durable),
-            "fail_at {fail_at}: a frame was routed on the failed record ({victims_last:?})"
-        );
-    }
-}
-
 /// Group commit (what `sft-node` runs): appends only buffer, so the run
 /// loop learns of the failure an append or two later — and the frames it
 /// routed in between sit behind gates that never open.
 #[test]
 fn a_failed_group_fsync_ends_the_run_with_its_frames_still_gated() {
     for fail_at in 2..=5u64 {
-        let (frames, durable) = run_until_the_log_dies(fail_at, |sink| {
-            Box::new(GroupCommitWal::spawn(sink, sft_obs::noop(), None).unwrap())
-        });
+        let (frames, durable) = run_until_the_log_dies(fail_at);
         assert!(durable >= fail_at - 1, "each good fsync covers >= 1 record");
         assert_wire_is_backed_by_the_disk(&frames, durable);
     }

@@ -40,8 +40,8 @@ fn tcp_matches_sim(protocol: Protocol) {
         tcp_report.max_committed() >= 1,
         "{protocol:?}: tcp run commits"
     );
-    tcp_report
-        .check_committed_prefix_of(&sim_report)
+    config
+        .check_prefix_parity(&sim_report, &tcp_report)
         .unwrap_or_else(|e| panic!("{protocol:?}: {e}"));
 
     // A recorded run can say what the socket core cost per block: the
@@ -89,8 +89,8 @@ fn n31_over_tcp_commits_the_sim_prefix() {
     assert!(tcp_report.agreement(), "n=31 tcp replicas agree");
     assert_eq!(tcp_report.safety_violations, 0);
     assert_eq!(tcp_report.net.dropped, 0, "backpressure, not loss");
-    tcp_report
-        .check_committed_prefix_of(&sim_report)
+    config
+        .check_prefix_parity(&sim_report, &tcp_report)
         .unwrap_or_else(|e| panic!("n=31: {e}"));
 }
 
@@ -107,12 +107,12 @@ fn n31_fbft_over_tcp_sends_linear_frames_per_round() {
         .with_protocol(Protocol::Fbft)
         .with_batch_size(4);
     let sim_report = config.clone().run();
-    let tcp_report =
-        run_over_tcp(&config.with_recording(true), TcpPacing::default()).expect("loopback mesh");
+    let tcp_report = run_over_tcp(&config.clone().with_recording(true), TcpPacing::default())
+        .expect("loopback mesh");
     assert!(tcp_report.agreement(), "n=31 fbft tcp replicas agree");
     assert_eq!(tcp_report.safety_violations, 0);
-    tcp_report
-        .check_committed_prefix_of(&sim_report)
+    config
+        .check_prefix_parity(&sim_report, &tcp_report)
         .unwrap_or_else(|e| panic!("n=31 fbft: {e}"));
 
     let count = |name| tcp_report.metrics.counter(name).unwrap_or(0);
@@ -130,6 +130,31 @@ fn n31_fbft_over_tcp_sends_linear_frames_per_round() {
 #[test]
 fn fbft_over_tcp_commits_the_sim_prefix() {
     tcp_matches_sim(Protocol::Fbft);
+}
+
+/// A run that commits past the reference's last block is checked
+/// against a longer simulated run, and still fails on a block that
+/// is not the simulator's.
+#[test]
+fn prefix_parity_extends_the_reference_to_cover_a_longer_run() {
+    let config = SimConfig::new(4, 8)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(8);
+    let reference = config.clone().run();
+    let further = SimConfig::new(4, 10)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(8)
+        .run();
+    assert!(further.max_committed() > reference.max_committed());
+    assert!(further.check_committed_prefix_of(&reference).is_err());
+    config.check_prefix_parity(&reference, &further).unwrap();
+
+    let other = SimConfig::new(4, 10)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(4)
+        .run();
+    let err = config.check_prefix_parity(&reference, &other).unwrap_err();
+    assert!(err.contains("diverges"), "{err}");
 }
 
 /// A block-sync request may name any requester. One naming a replica

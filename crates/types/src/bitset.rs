@@ -222,6 +222,12 @@ impl Decode for SignerSet {
         if words.len() != capacity.div_ceil(64) {
             return Err(DecodeError::LengthOverflow(words.len() as u64));
         }
+        // A bit at or past `capacity` would name a replica the set cannot
+        // hold: `len` would count it and `iter` would yield it.
+        let spare = words.len() * 64 - capacity;
+        if spare > 0 && words.last().is_some_and(|&w| w >> (64 - spare) != 0) {
+            return Err(DecodeError::InvalidValue);
+        }
         Ok(Self { words, capacity })
     }
 }

@@ -69,7 +69,7 @@ pub struct Watermark {
 
 impl Watermark {
     /// A fresh watermark at 0 (nothing durable yet) with no demand hook:
-    /// whoever advances it does so unasked (a write-through log, a test).
+    /// whoever advances it does so unasked (tests drive one by hand).
     pub fn new() -> Self {
         Self::build(None)
     }
