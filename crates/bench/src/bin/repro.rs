@@ -413,7 +413,7 @@ fn run_crash_scenario(args: &Args, protocol: Protocol) -> Result<(), String> {
             drive_crash(args, &config, build, RunPlan::UntilQuiescent, restart)
         }
         Protocol::Fbft => {
-            let build = || build_fbft_engines(&config, config.base_timeout);
+            let build = || build_fbft_engines(&config, config.base_timeout());
             let plan = RunPlan::PastRound(Round::new(args.epochs));
             drive_crash(args, &config, build, plan, restart)
         }
@@ -441,8 +441,8 @@ fn drive_crash<E: ReplicaEngine>(
         NoMischief,
         RunnerConfig {
             plan,
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -450,7 +450,7 @@ fn drive_crash<E: ReplicaEngine>(
 
     let crash_at = SimTime::ZERO + period * (args.epochs / 3).max(1);
     runner.run_until(crash_at).map_err(|e| e.to_string())?;
-    let pre_crash = runner.engine(victim).committed_chain().to_vec();
+    let pre_crash = runner.engine(victim).kernel().committed_chain().to_vec();
     let wal_records = runner.persisted(victim).len();
     if wal_records == 0 {
         return Err("victim crashed with an empty WAL; crash point too early".to_string());
@@ -484,7 +484,7 @@ fn drive_crash<E: ReplicaEngine>(
     // δ steps fires the victim's sync polls and retries along the way.
     let end = match plan {
         RunPlan::UntilQuiescent => SimTime::ZERO + period * (args.epochs + 2),
-        RunPlan::PastRound(_) => crash_at + config.base_timeout * 2 * (args.epochs + 6),
+        RunPlan::PastRound(_) => crash_at + config.base_timeout() * 2 * (args.epochs + 6),
     };
     let mut at = runner.transport().now();
     while at < end {

@@ -206,9 +206,9 @@ fn serve<E: ReplicaEngine>(
     // voting history, locked state, and committed prefix. The replay-done
     // trace event is the recovery milestone the crash harness orders the
     // first outbound vote against.
-    engine.set_recorder(Arc::clone(&recorder));
+    engine.kernel_mut().set_recorder(Arc::clone(&recorder));
     let recovered = store.replay_into(&mut engine, transport.now());
-    let replayed_blocks = engine.committed_chain().len();
+    let replayed_blocks = engine.kernel().committed_chain().len();
     if recovered > 0 {
         eprintln!(
             "sft-node {}: recovered {recovered} WAL records{}",
@@ -266,7 +266,7 @@ fn serve<E: ReplicaEngine>(
         // catch-up fetch is pending.
         let engine = runner.engine(0);
         let course_run = engine.next_deadline().is_none() || engine.round() > target;
-        if course_run && !engine.is_syncing() {
+        if course_run && !engine.kernel().is_syncing() {
             let at = *done_at.get_or_insert(now);
             if now >= at + linger {
                 break;

@@ -2,7 +2,8 @@
 //!
 //! A [`ReplicaEngine`] is a consensus replica viewed from its transport: it
 //! ingests opaque envelope payloads, asks for wake-ups via deadlines, and
-//! answers everything a harness needs to report on a run. Both protocol
+//! hands out its [`ChainKernel`], which is where a harness submits client
+//! transactions and reads everything it reports on a run. Both protocol
 //! families implement it (`sft-streamlet`'s `StreamletEngine` and
 //! `sft-fbft`'s `FbftEngine`), which is what lets one generic run loop
 //! drive either protocol over any transport — the deterministic simulator
@@ -24,15 +25,12 @@
 
 use std::sync::Arc;
 
-use sft_crypto::{HashValue, SigStats};
+use sft_crypto::SigStats;
 use sft_obs::{names, PhaseTimer, Recorder};
-use sft_types::{
-    ClientAck, ClientRequest, Decode, DecodeError, Encode, ReplicaId, Round, SimTime,
-    StrongCommitUpdate,
-};
+use sft_types::{Decode, DecodeError, Encode, ReplicaId, Round, SimTime, StrongCommitUpdate};
 
 use crate::wal::WalRecord;
-use crate::{Block, BlockStore, ChainKernel, SyncStats};
+use crate::{Block, ChainKernel};
 
 /// What kind of protocol message an outbound payload encodes. The tag is
 /// harness-facing metadata only — it never goes on the wire (the payload
@@ -211,12 +209,13 @@ impl EngineStep {
 }
 
 /// A consensus replica as its transport sees it: opaque payloads in,
-/// [`EngineStep`]s out, plus the deadline and reporting surface a run
-/// harness needs. See the [module docs](self) for the contract.
+/// [`EngineStep`]s out, plus the deadlines a run harness wakes it on. See
+/// the [module docs](self) for the contract.
 ///
 /// An engine supplies its message handling, its clock and its
-/// [`ChainKernel`]; the client plane and everything a harness reports on
-/// are answered from the kernel.
+/// [`ChainKernel`]; a harness submits client transactions to the kernel
+/// ([`ChainKernel::submit_request`], [`ChainKernel::drain_acks`]) and reads
+/// everything it reports on from it.
 pub trait ReplicaEngine {
     /// The replica's protocol-agnostic state.
     fn kernel(&self) -> &ChainKernel;
@@ -276,105 +275,4 @@ pub trait ReplicaEngine {
     fn id(&self) -> ReplicaId {
         self.kernel().id()
     }
-
-    /// Submits one client transaction at `now` — the public ingestion API
-    /// every harness and transport feeds.
-    ///
-    /// Returns `None` when the transaction was admitted (the strength-graded
-    /// [`ClientAck::Committed`] arrives later via
-    /// [`drain_acks`](Self::drain_acks)), or an immediate
-    /// [`ClientAck::Busy`] / [`ClientAck::Duplicate`] rejection.
-    fn submit(&mut self, req: &ClientRequest, now: SimTime) -> Option<ClientAck> {
-        self.kernel_mut().submit_request(req, now)
-    }
-
-    /// Takes the strength-graded commit acks emitted since the last drain:
-    /// one [`ClientAck::Committed`] per admitted submission, fired the
-    /// moment its block's strong-commit level reached the requested
-    /// `ack_at`.
-    fn drain_acks(&mut self) -> Vec<ClientAck> {
-        self.kernel_mut().drain_acks()
-    }
-
-    /// Installs a metrics/trace recorder; the default is the free no-op
-    /// recorder.
-    fn set_recorder(&mut self, recorder: sft_obs::SharedRecorder) {
-        self.kernel_mut().set_recorder(recorder);
-    }
-
-    /// Total endorsement-frontier walk steps taken so far — the
-    /// amortization counter behind the `walk_steps` bench field.
-    fn endorsement_walk_steps(&self) -> u64 {
-        self.kernel().walk_steps()
-    }
-
-    /// True while the replica is still chasing missing blocks.
-    fn is_syncing(&self) -> bool {
-        self.kernel().is_syncing()
-    }
-
-    /// The committed chain, oldest first (genesis excluded).
-    fn committed_chain(&self) -> &[HashValue] {
-        self.kernel().committed_chain()
-    }
-
-    /// The strong-commit log (§5), in occurrence order.
-    fn commit_log(&self) -> &[StrongCommitUpdate] {
-        self.kernel().commit_log()
-    }
-
-    /// True if the replica ever observed conflicting committed chains.
-    fn safety_violated(&self) -> bool {
-        self.kernel().safety_violated()
-    }
-
-    /// How many distinct equivocators this replica's vote tracker caught.
-    fn equivocators_observed(&self) -> usize {
-        self.kernel().equivocators().len()
-    }
-
-    /// Block-sync counters (requests sent, blocks admitted, …).
-    fn sync_stats(&self) -> SyncStats {
-        self.kernel().sync_stats()
-    }
-
-    /// The replica's block store: every block inside its retention
-    /// horizon (older committed blocks have been pruned).
-    fn store(&self) -> &BlockStore {
-        self.kernel().store()
-    }
-
-    /// Transactions carried by the committed chain, counted as each block
-    /// commits.
-    fn txns_committed(&self) -> u64 {
-        self.kernel().txns_committed()
-    }
-
-    /// What the replica currently holds in memory — the numbers a
-    /// retention horizon keeps independent of how long it has run.
-    fn resident(&self) -> ResidentState {
-        self.kernel().resident()
-    }
-
-    /// Consumes the engine into its committed chain and strong-commit
-    /// log, for a final report assembled without copying either.
-    fn into_commit_record(self) -> (Vec<HashValue>, Vec<StrongCommitUpdate>)
-    where
-        Self: Sized,
-    {
-        self.into_kernel().into_commit_record()
-    }
-}
-
-/// A replica's resident-state gauges (see [`ReplicaEngine::resident`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResidentState {
-    /// Blocks in the store, genesis included.
-    pub blocks: usize,
-    /// Votes held by the vote tracker.
-    pub votes: usize,
-    /// Quorum certificates held for block sync.
-    pub certs: usize,
-    /// Mempool dedup entries ([`Mempool::dedup_entries`](crate::Mempool::dedup_entries)).
-    pub dedup_entries: usize,
 }

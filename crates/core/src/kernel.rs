@@ -23,8 +23,8 @@ use crate::qc::MemberLedger;
 use crate::{
     AckTracker, Admission, Block, BlockResponse, BlockStore, BlockStoreError, CommitLedger,
     EndorsementTracker, EngineObs, EngineStep, Mempool, OutboundMsg, PayloadSource, ProtocolConfig,
-    QuorumCertificate, ResidentState, Retention, SyncManager, SyncStats, VoteOutcome, VoteTracker,
-    VoterState, WalRecord,
+    QuorumCertificate, Retention, SyncManager, SyncStats, VoteOutcome, VoteTracker, VoterState,
+    WalRecord,
 };
 
 /// What taking in one block produced: this replica's vote, if the voting
@@ -36,6 +36,19 @@ pub struct Intake {
     pub vote: Option<StrongVote>,
     /// Commit-log entries produced, in occurrence order.
     pub updates: Vec<StrongCommitUpdate>,
+}
+
+/// A replica's resident-state gauges (see [`ChainKernel::resident`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ResidentState {
+    /// Blocks in the store, genesis included.
+    pub blocks: usize,
+    /// Votes held by the vote tracker.
+    pub votes: usize,
+    /// Quorum certificates held for block sync.
+    pub certs: usize,
+    /// Mempool dedup entries ([`Mempool::dedup_entries`]).
+    pub dedup_entries: usize,
 }
 
 /// The protocol-agnostic state of one replica and every operation on it
@@ -700,7 +713,8 @@ impl ChainKernel {
         self.txns_committed
     }
 
-    /// What this replica currently holds in memory.
+    /// What this replica currently holds in memory — the numbers a
+    /// retention horizon keeps independent of how long it has run.
     pub fn resident(&self) -> ResidentState {
         ResidentState {
             blocks: self.store.len(),

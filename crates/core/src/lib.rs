@@ -118,11 +118,10 @@ pub use block::{Ancestors, Block, BlockStore, BlockStoreError};
 pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
 pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
 pub use engine::{
-    EngineStep, MsgKind, OutboundMsg, OwnProposal, ProposalMessage, ReplicaEngine, ResidentState,
-    Route,
+    EngineStep, MsgKind, OutboundMsg, OwnProposal, ProposalMessage, ReplicaEngine, Route,
 };
 pub use group_wal::{DurableWal, GroupCommitWal};
-pub use kernel::{ChainKernel, Intake};
+pub use kernel::{ChainKernel, Intake, ResidentState};
 pub use ledger::CommitLedger;
 pub use mempool::{Admission, Mempool, PayloadSource};
 pub use obs::EngineObs;

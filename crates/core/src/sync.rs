@@ -302,11 +302,6 @@ impl SyncManager {
         !self.missing.is_empty() || !self.inflight.is_empty() || !self.orphans.is_empty()
     }
 
-    /// Number of certified-but-unknown targets currently tracked.
-    pub fn missing_count(&self) -> usize {
-        self.missing.len()
-    }
-
     /// Records a well-formed certificate. If the certified block is not in
     /// `store`, it becomes a missing target to fetch.
     pub fn note_certificate(&mut self, qc: &QuorumCertificate, store: &BlockStore) {

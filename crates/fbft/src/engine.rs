@@ -70,11 +70,6 @@ impl FbftEngine {
         }
     }
 
-    /// The wrapped replica.
-    pub fn replica(&self) -> &FbftReplica {
-        &self.replica
-    }
-
     /// Mutable access to the wrapped replica (tests and harness setup).
     pub fn replica_mut(&mut self) -> &mut FbftReplica {
         &mut self.replica
@@ -264,7 +259,7 @@ mod tests {
         }
         let mut engine = FbftEngine::new(replica);
         let registry = Arc::new(Registry::new());
-        engine.set_recorder(Arc::clone(&registry) as _);
+        engine.kernel_mut().set_recorder(Arc::clone(&registry) as _);
         let step = engine.on_tick(SimTime::ZERO);
         let [proposal] = &step.outbound[..] else {
             panic!("the bootstrap tick sends exactly the proposal: {step:?}");
@@ -317,6 +312,7 @@ mod tests {
         };
         leader.on_envelope(ReplicaId::new(1), &sent, SimTime::ZERO);
         let block = leader
+            .kernel()
             .store()
             .get(proposal.block().id())
             .expect("stored when its proposal looped back");

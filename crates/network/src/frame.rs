@@ -55,6 +55,8 @@ pub(crate) struct FrameDecoder {
     /// The frame whose head has arrived and whose payload is arriving.
     partial: Option<Partial>,
     hello: Option<Hello>,
+    /// Set by the first [`Violation`]: every later ingest fails too.
+    poisoned: bool,
 }
 
 /// A frame's payload, filling: its buffer and how much of it has arrived.
@@ -126,6 +128,7 @@ impl FrameDecoder {
             head: Vec::with_capacity(MAX_FRAME_HEAD_LEN),
             partial: None,
             hello: None,
+            poisoned: false,
         }
     }
 
@@ -192,12 +195,23 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// Returns [`Violation`] when the stream breaks protocol; the
-    /// decoder is then poisoned and the connection must be dropped.
+    /// decoder is then poisoned — it refuses every later byte — and the
+    /// connection must be dropped.
     pub(crate) fn ingest(
         &mut self,
-        mut bytes: &[u8],
+        bytes: &[u8],
         out: &mut Vec<Delivery>,
     ) -> Result<(), Violation> {
+        if self.poisoned {
+            return Err(Violation);
+        }
+        let taken = self.take_frames(bytes, out);
+        self.poisoned = taken.is_err();
+        taken
+    }
+
+    /// [`ingest`](Self::ingest) of a decoder not yet poisoned.
+    fn take_frames(&mut self, mut bytes: &[u8], out: &mut Vec<Delivery>) -> Result<(), Violation> {
         loop {
             if let Some(partial) = &mut self.partial {
                 bytes = &bytes[partial.fill(bytes)..];
@@ -293,6 +307,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sft_crypto::{RngCore, SplitMix64};
     use sft_types::Envelope;
 
     fn hello(from: u16, to: u16) -> Vec<u8> {
@@ -489,5 +504,132 @@ mod tests {
         )
         .to_frame();
         assert_eq!(decoder.ingest(&replica_frame, &mut out), Err(Violation));
+    }
+
+    /// A seeded connection stream to replica 0 of 4: a hello from peer 2
+    /// (or from a client), then up to five frames of up to 96 payload
+    /// bytes, each to replica 0 or broadcast.
+    fn seeded_stream(rng: &mut SplitMix64) -> Vec<u8> {
+        let (src, tag) = match rng.next_below(3) {
+            0 => (ReplicaId::new(500), ProtocolTag::Client),
+            _ => (ReplicaId::new(2), ProtocolTag::Fbft),
+        };
+        let mut stream = Envelope::to_peer(src, ReplicaId::new(0), tag, Vec::new()).to_frame();
+        for _ in 0..1 + rng.next_below(5) {
+            let mut payload = vec![0u8; rng.next_below(97) as usize];
+            rng.fill_bytes(&mut payload);
+            let frame = match rng.next_below(2) {
+                0 => Envelope::broadcast(src, tag, payload),
+                _ => Envelope::to_peer(src, ReplicaId::new(0), tag, payload),
+            };
+            stream.extend(frame.to_frame());
+        }
+        stream
+    }
+
+    /// Feeds `stream` to a fresh decoder in pieces cut at seeded points
+    /// and checks the verdict: no panic; after a [`Violation`] every later
+    /// ingest — a valid frame's included — is refused and delivers
+    /// nothing; and every delivered frame re-encodes to exactly the bytes
+    /// at its place in the stream. Returns whether the stream violated.
+    fn check_stream(what: &str, stream: &[u8], rng: &mut SplitMix64) -> bool {
+        let mut decoder = FrameDecoder::new(ReplicaId::new(0), 4, ProtocolTag::Fbft);
+        let mut out = Vec::new();
+        let mut violated = false;
+        let mut rest = stream;
+        while !rest.is_empty() {
+            let (piece, tail) = rest.split_at(1 + rng.next_below(rest.len() as u64) as usize);
+            rest = tail;
+            let delivered = out.len();
+            let verdict = decoder.ingest(piece, &mut out);
+            if violated {
+                assert_eq!(verdict, Err(Violation), "{what}: ingest after a violation");
+                assert_eq!(out.len(), delivered, "{what}: delivery after a violation");
+            }
+            violated |= verdict.is_err();
+        }
+        if violated {
+            let delivered = out.len();
+            let valid = payload_frame(2, 0, vec![1]);
+            assert_eq!(decoder.ingest(&valid, &mut out), Err(Violation), "{what}");
+            assert_eq!(out.len(), delivered, "{what}: a poisoned decoder delivered");
+        }
+        let Some(hello) = decoder.hello() else {
+            assert!(out.is_empty(), "{what}: deliveries without a hello");
+            return violated;
+        };
+        let Ok(Some(head)) = FrameHead::decode(stream) else {
+            panic!("{what}: a hello bound from bytes that hold none");
+        };
+        let mut at = head.frame_len();
+        for delivery in &out {
+            let payload = Arc::clone(&delivery.payload);
+            let frame = [
+                Envelope::broadcast(delivery.from, hello.tag, Arc::clone(&payload)),
+                Envelope::to_peer(delivery.from, delivery.to, hello.tag, payload),
+            ]
+            .iter()
+            .map(Envelope::to_frame)
+            .find(|frame| stream[at..].starts_with(frame))
+            .unwrap_or_else(|| {
+                panic!("{what}: a frame delivered at byte {at} re-encodes otherwise")
+            });
+            at += frame.len();
+        }
+        violated
+    }
+
+    /// The mutations of the codec's canonicity suite, on connection
+    /// streams: every truncation (never a violation: a stream cut short is
+    /// only still arriving), bit flips, splices of two streams, and every
+    /// offset overwritten with `u64::MAX`, `u32::MAX` and the 2^24 frame
+    /// bound.
+    #[test]
+    fn mutated_streams_never_panic_stay_poisoned_and_deliver_only_their_own_frames() {
+        const SAMPLES: usize = 12;
+        let mut rng = SplitMix64::new(0xf4a3_0001);
+        let streams: Vec<Vec<u8>> = (0..SAMPLES).map(|_| seeded_stream(&mut rng)).collect();
+        for (i, stream) in streams.iter().enumerate() {
+            assert!(!check_stream(&format!("stream #{i}"), stream, &mut rng));
+            for cut in 0..stream.len() {
+                let what = format!("stream #{i} cut at {cut}");
+                assert!(!check_stream(&what, &stream[..cut], &mut rng), "{what}");
+            }
+            for _ in 0..48 {
+                let mut flipped = stream.clone();
+                let bit = rng.next_below(8 * stream.len() as u64) as usize;
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                check_stream(
+                    &format!("stream #{i} bit {bit} flipped"),
+                    &flipped,
+                    &mut rng,
+                );
+            }
+            let other = &streams[rng.next_below(SAMPLES as u64) as usize];
+            for _ in 0..8 {
+                let head = rng.next_below(stream.len() as u64 + 1) as usize;
+                let tail = rng.next_below(other.len() as u64 + 1) as usize;
+                let spliced = [&stream[..head], &other[tail..]].concat();
+                check_stream(
+                    &format!("stream #{i} spliced at {head}/{tail}"),
+                    &spliced,
+                    &mut rng,
+                );
+            }
+            for at in 0..stream.len() {
+                for value in [u64::MAX, u64::from(u32::MAX), 1 << 24] {
+                    let value = value.to_be_bytes();
+                    for width in [4, 8] {
+                        let Some(end) = Some(at + width).filter(|&end| end <= stream.len()) else {
+                            continue;
+                        };
+                        let mut inflated = stream.clone();
+                        inflated[at..end].copy_from_slice(&value[8 - width..]);
+                        let what = format!("stream #{i} inflated at {at}");
+                        check_stream(&what, &inflated, &mut rng);
+                    }
+                }
+            }
+        }
     }
 }

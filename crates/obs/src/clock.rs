@@ -1,79 +1,9 @@
-//! Time sources for observability: [`ObsClock`] abstracts sim-virtual
-//! vs wall time so the same instrumentation runs under `SimTransport`
-//! and real sockets, and [`PhaseTimer`] wraps the
-//! enabled-check-then-`Instant` pattern for nanosecond phase timing.
+//! Phase timing: [`PhaseTimer`] wraps the enabled-check-then-`Instant`
+//! pattern for nanosecond phase timing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::recorder::Recorder;
-
-/// A microsecond clock that is either real or simulated.
-///
-/// Wall mode reads a monotonic [`Instant`] origin; virtual mode reads an
-/// atomic the simulation harness advances in lockstep with its event
-/// loop. Trace timestamps and coarse protocol spans go through this, so
-/// a sim run and a TCP run produce timelines in the same unit.
-#[derive(Clone, Debug)]
-pub enum ObsClock {
-    /// Wall-clock microseconds since the given origin.
-    Wall(Instant),
-    /// Simulated microseconds, driven externally via the shared atomic.
-    Virtual(Arc<AtomicU64>),
-}
-
-impl Default for ObsClock {
-    fn default() -> Self {
-        Self::wall()
-    }
-}
-
-impl ObsClock {
-    /// A wall clock anchored at "now".
-    pub fn wall() -> Self {
-        Self::Wall(Instant::now())
-    }
-
-    /// A virtual clock plus the handle that advances it.
-    pub fn virtual_clock() -> (Self, Arc<AtomicU64>) {
-        let cell = Arc::new(AtomicU64::new(0));
-        (Self::Virtual(Arc::clone(&cell)), cell)
-    }
-
-    /// Microseconds since the clock's origin.
-    pub fn now_us(&self) -> u64 {
-        match self {
-            Self::Wall(origin) => origin.elapsed().as_micros() as u64,
-            Self::Virtual(cell) => cell.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Opens a span starting now; close it with [`Span::finish`].
-    pub fn span(&self) -> Span {
-        Span {
-            start_us: self.now_us(),
-        }
-    }
-}
-
-/// An open interval on an [`ObsClock`].
-#[derive(Clone, Copy, Debug)]
-pub struct Span {
-    start_us: u64,
-}
-
-impl Span {
-    /// Microseconds elapsed on `clock` since the span opened.
-    pub fn elapsed_us(&self, clock: &ObsClock) -> u64 {
-        clock.now_us().saturating_sub(self.start_us)
-    }
-
-    /// Records the span's duration into the named histogram.
-    pub fn finish(self, clock: &ObsClock, recorder: &dyn Recorder, hist: &'static str) {
-        recorder.observe(hist, self.elapsed_us(clock));
-    }
-}
 
 /// A nanosecond-resolution phase timer that is free when recording is
 /// off: [`PhaseTimer::start`] reads the clock only if the recorder is
@@ -107,36 +37,6 @@ mod tests {
     use super::*;
     use crate::recorder::NoopRecorder;
     use crate::registry::Registry;
-
-    #[test]
-    fn wall_clock_advances() {
-        let clock = ObsClock::wall();
-        let first = clock.now_us();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(clock.now_us() > first);
-    }
-
-    #[test]
-    fn virtual_clock_is_externally_driven() {
-        let (clock, cell) = ObsClock::virtual_clock();
-        assert_eq!(clock.now_us(), 0);
-        cell.store(1500, Ordering::Relaxed);
-        assert_eq!(clock.now_us(), 1500);
-        let span = clock.span();
-        cell.store(2500, Ordering::Relaxed);
-        assert_eq!(span.elapsed_us(&clock), 1000);
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let (clock, cell) = ObsClock::virtual_clock();
-        let reg = Registry::new();
-        let span = clock.span();
-        cell.store(40, Ordering::Relaxed);
-        span.finish(&clock, &reg, "span_us");
-        let s = Recorder::snapshot(&reg).hist("span_us").unwrap();
-        assert_eq!((s.count, s.max), (1, 40));
-    }
 
     #[test]
     fn phase_timer_noop_never_reads_clock() {

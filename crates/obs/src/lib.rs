@@ -2,8 +2,8 @@
 //!
 //! Zero-dependency observability for the SFT stack: a [`Recorder`]
 //! trait with a free no-op default, an in-process [`Registry`] of named
-//! counters and log-bucketed [`Histogram`]s, nanosecond [`PhaseTimer`]s
-//! and sim-vs-wall [`ObsClock`] spans, and a crash-safe NDJSON
+//! counters and log-bucketed [`Histogram`]s, nanosecond [`PhaseTimer`]s,
+//! and a crash-safe NDJSON
 //! [`TraceSink`] for per-event timelines.
 //!
 //! ## Design
@@ -41,7 +41,7 @@ mod recorder;
 mod registry;
 mod trace;
 
-pub use clock::{ObsClock, PhaseTimer, Span};
+pub use clock::PhaseTimer;
 pub use hist::{HistSummary, Histogram};
 pub use recorder::{noop, NoopRecorder, Recorder, RecorderCell, SharedRecorder};
 pub use registry::{MetricsSnapshot, Registry};

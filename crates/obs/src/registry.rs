@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::clock::ObsClock;
 use crate::hist::{HistSummary, Histogram};
 use crate::recorder::Recorder;
 use crate::trace::{TraceEvent, TraceSink};
@@ -33,7 +32,6 @@ use crate::trace::{TraceEvent, TraceSink};
 pub struct Registry {
     inner: Mutex<Inner>,
     sink: Mutex<Option<TraceSink>>,
-    clock: Mutex<ObsClock>,
 }
 
 #[derive(Default)]
@@ -43,7 +41,7 @@ struct Inner {
 }
 
 impl Registry {
-    /// An empty registry with no trace sink and a wall clock.
+    /// An empty registry with no trace sink.
     pub fn new() -> Self {
         Self::default()
     }
@@ -52,19 +50,6 @@ impl Registry {
     /// [`trace`](Recorder::trace) calls append to it.
     pub fn set_sink(&self, sink: TraceSink) {
         *self.sink.lock().expect("sink lock") = Some(sink);
-    }
-
-    /// Replaces the clock used to stamp trace events emitted through
-    /// [`Registry::trace_now`].
-    pub fn set_clock(&self, clock: ObsClock) {
-        *self.clock.lock().expect("clock lock") = clock;
-    }
-
-    /// Emits a trace event stamped with this registry's own clock —
-    /// for call sites that have no protocol `now` in hand.
-    pub fn trace_now(&self, name: &'static str, fields: &[(&'static str, u64)]) {
-        let ts_us = self.clock.lock().expect("clock lock").now_us();
-        self.trace(&TraceEvent::new(name, ts_us, fields));
     }
 
     /// Flushes the attached trace sink, if any.

@@ -1,26 +1,23 @@
-//! The SFT-DiemBFT simulation driver: builds [`FbftEngine`]s over a
-//! [`SimTransport`] and hands them to the generic
-//! [`EngineRunner`].
+//! The SFT-DiemBFT simulation driver: builds [`FbftEngine`]s for the
+//! generic [`EngineRunner`](crate::EngineRunner).
 //!
 //! SFT-DiemBFT rounds are paced by the replicas themselves — a round ends
 //! when its QC forms or its timeout certificate closes it — so the run
-//! plan is [`RunPlan::PastRound`]: events flow until every honest replica
-//! has moved past the target round and finished block-syncing (or the
-//! horizon guard trips). Proposals stay *pipelined*: the replica that
+//! plan is [`RunPlan::PastRound`](crate::RunPlan::PastRound): events flow
+//! until every honest replica has moved past the target round and
+//! finished block-syncing (or the horizon guard trips). Proposals stay *pipelined*: the replica that
 //! forms a certificate chains the next-round proposal in the same step,
-//! and the runner only dispatches what the engines chain. What used to be
-//! this driver's hand-rolled event loop, dispatch, and report plumbing now
-//! lives in the shared runner; only construction and the DiemBFT-specific
-//! Byzantine payloads ([`FbftMischief`]) remain.
+//! and the runner only dispatches what the engines chain. This driver
+//! holds only construction and the DiemBFT-specific Byzantine payloads
+//! ([`FbftMischief`]).
 
 use sft_core::{Block, MsgKind, OutboundMsg, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_fbft::{FbftEngine, FbftMessage, FbftProposal, FbftReplica};
-use sft_network::SimTransport;
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
 
-use crate::runner::{EngineRunner, Mischief, RunPlan};
-use crate::{SimConfig, SimReport};
+use crate::runner::Mischief;
+use crate::SimConfig;
 
 /// SFT-DiemBFT's protocol-specific Byzantine payloads: conflicting twin
 /// proposals (sharing the honest proposal's QC/TC justification) and
@@ -31,7 +28,7 @@ pub struct FbftMischief {
 }
 
 impl FbftMischief {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             forged: vec![Default::default(); n],
         }
@@ -43,7 +40,11 @@ impl Mischief<FbftEngine> for FbftMischief {
         let Ok(FbftMessage::Proposal(honest)) = FbftMessage::from_bytes(proposal_bytes) else {
             return None;
         };
-        let parent = engine.store().get(honest.block().parent_id())?.clone();
+        let parent = engine
+            .kernel()
+            .store()
+            .get(honest.block().parent_id())?
+            .clone();
         let round = honest.block().round();
         let conflicting_payload = Payload::synthetic(1, 1, u64::MAX - round.as_u64());
         let twin_block = Block::new(&parent, round, engine.id(), conflicting_payload);
@@ -131,60 +132,4 @@ pub fn build_paced_fbft_engines(
             .set_round_pace(sft_fbft::ROUND_INTERVAL, sft_fbft::ROUND_BURST);
     }
     engines
-}
-
-type Runner = EngineRunner<FbftEngine, SimTransport, FbftMischief>;
-
-/// The SFT-DiemBFT simulator. Most callers use
-/// [`SimConfig::run`](crate::SimConfig::run) with
-/// [`Protocol::Fbft`](crate::Protocol::Fbft).
-pub struct FbftSimulation {
-    runner: Runner,
-    protocol: ProtocolConfig,
-}
-
-impl FbftSimulation {
-    /// Builds replicas, keys, and the network for `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.behaviors` is not exactly `n` entries.
-    pub fn new(config: SimConfig) -> Self {
-        assert_eq!(config.behaviors.len(), config.n, "one behavior per replica");
-        let runner = crate::build_runner(
-            &config,
-            build_fbft_engines(&config, config.base_timeout),
-            config.sim_transport(),
-            FbftMischief::new(config.n),
-            RunPlan::PastRound(Round::new(config.epochs)),
-            config.delay,
-            crate::sim_instruments(&config),
-        );
-        Self {
-            runner,
-            protocol: ProtocolConfig::for_replicas(config.n),
-        }
-    }
-
-    /// The protocol configuration derived from `n`.
-    pub fn protocol(&self) -> ProtocolConfig {
-        self.protocol
-    }
-
-    /// Immutable access to replica `id`, for tests.
-    pub fn replica(&self, id: u16) -> &FbftReplica {
-        self.runner.engine(id as usize).replica()
-    }
-
-    /// Runs until every honest replica passes the target round *and* no
-    /// honest replica is still block-syncing (or no event can ever fire
-    /// again, or the time horizon trips) and reports.
-    pub fn run(self) -> SimReport {
-        self.runner.run().expect(crate::IN_MEMORY_SINKS)
-    }
-
-    /// Snapshot of the current run state as a report.
-    pub fn report(&self) -> SimReport {
-        self.runner.report()
-    }
 }

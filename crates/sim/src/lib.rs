@@ -19,11 +19,16 @@
 //!
 //! - [`Protocol::Streamlet`] — the Appendix-D variant: epochs of two
 //!   message delays, clocked by the engine's own epoch schedule
-//!   ([`RunPlan::UntilQuiescent`]), built by [`Simulation`];
+//!   ([`RunPlan::UntilQuiescent`]), built by [`build_streamlet_engines`];
 //! - [`Protocol::Fbft`] — the main-body SFT-DiemBFT protocol: self-paced
 //!   by deliveries and pacemaker deadlines ([`RunPlan::PastRound`]), so
 //!   the timeout/TC recovery path runs exactly as the pacemaker schedules
-//!   it, built by [`FbftSimulation`].
+//!   it, built by [`build_fbft_engines`].
+//!
+//! [`SimConfig::run`] builds either engine set and runs it to completion;
+//! a test that needs to step, crash or inspect a replica mid-run builds
+//! the [`EngineRunner`] itself and reads each replica through its
+//! [`ChainKernel`].
 //!
 //! ## Fault injection
 //!
@@ -73,10 +78,10 @@ use sft_types::{
     Transaction, VerifyPolicy,
 };
 
-pub use fbft_driver::{build_fbft_engines, build_paced_fbft_engines, FbftMischief, FbftSimulation};
+pub use fbft_driver::{build_fbft_engines, build_paced_fbft_engines, FbftMischief};
 pub use runner::{EngineRunner, Mischief, NoMischief, RunPlan, RunnerConfig};
 pub use sft_network::{FaultSchedule, Partition, SimTransport, TcpCluster, Transport};
-pub use streamlet_driver::{build_streamlet_engines, Simulation, StreamletMischief};
+pub use streamlet_driver::{build_streamlet_engines, StreamletMischief};
 
 /// Per-replica fault model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -138,10 +143,6 @@ pub struct SimConfig {
     pub endorse_mode: EndorseMode,
     /// One-way network delay δ.
     pub delay: SimDuration,
-    /// Base round timeout for the SFT-DiemBFT pacemaker (ignored by
-    /// Streamlet, whose epochs are externally clocked). Must exceed the
-    /// 2δ propose-plus-vote exchange; defaults to 4δ.
-    pub base_timeout: SimDuration,
     /// Transactions per proposed block (the paper uses ~1000).
     pub txns_per_block: u32,
     /// Bytes per transaction (the paper uses ~450).
@@ -158,19 +159,9 @@ pub struct SimConfig {
     /// loss before GST, optional partition with a heal time). `None` keeps
     /// the lossless synchronous transport.
     pub faults: Option<FaultSchedule>,
-    /// Maximum post-schedule drain iterations: after the last epoch (or
-    /// past the target round), the runner keeps virtual time moving in δ
-    /// steps — so in-flight messages settle and block-sync retry timers
-    /// still fire — for at most this many steps. Defaults to
-    /// `4 × epochs + 32`, the bound the drivers used to hard-code.
-    pub drain_sync_bound: u64,
-    /// Hard virtual-time ceiling on a run: a runaway guard for Byzantine
-    /// scenarios under heavy loss that could otherwise sync forever
-    /// against the endless pipelined event stream. Defaults to
-    /// `base_timeout × 64 × (epochs + 8)`, the guard the fbft run loop
-    /// used to hard-code; it tracks later `with_delay` /
-    /// `with_base_timeout` calls unless explicitly overridden.
-    pub run_horizon: SimDuration,
+    /// The run horizon set by [`SimConfig::with_run_horizon`]; `None`
+    /// derives it (see [`SimConfig::run_horizon`]).
+    horizon: Option<SimDuration>,
     /// Serve live clients instead of the driver-fed workload: in batched
     /// mode (`batch_size > 0`), skip pre-feeding the deterministic client
     /// stream so blocks carry exactly what real clients submit through
@@ -213,7 +204,7 @@ type Instruments = (Option<SharedRecorder>, Option<Wals>);
 /// simulator and the loopback-TCP harness alike: pacing and safety bounds
 /// from `config` (`drain_step` is the transport's δ), one behavior per
 /// engine, then the run's instruments.
-pub(crate) fn build_runner<E: ReplicaEngine, T: Transport, M: Mischief<E>>(
+fn build_runner<E: ReplicaEngine, T: Transport, M: Mischief<E>>(
     config: &SimConfig,
     engines: Vec<E>,
     transport: T,
@@ -229,8 +220,8 @@ pub(crate) fn build_runner<E: ReplicaEngine, T: Transport, M: Mischief<E>>(
         mischief,
         RunnerConfig {
             plan,
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step,
         },
     );
@@ -251,14 +242,11 @@ fn run_recorder(config: &SimConfig) -> Option<SharedRecorder> {
         .then(|| Arc::new(sft_obs::Registry::new()) as SharedRecorder)
 }
 
-/// Why a simulated run's WAL cannot fail (what [`sim_instruments`] builds).
-pub(crate) const IN_MEMORY_SINKS: &str = "a simulated run's WAL sinks are in memory";
-
 /// A simulated run's [`Instruments`]: under group commit its durable
 /// logs sit on in-memory sinks — the sequencing, gating, and group
 /// boundaries are exercised for real while the "disk" stays a byte
 /// vector.
-pub(crate) fn sim_instruments(config: &SimConfig) -> Instruments {
+fn sim_instruments(config: &SimConfig) -> Instruments {
     use sft_core::{GroupCommitWal, MemSink};
     let recorder = run_recorder(config);
     let wals = (config.durability == DurabilityMode::GroupCommit).then(|| {
@@ -275,11 +263,6 @@ pub(crate) fn sim_instruments(config: &SimConfig) -> Instruments {
     (recorder, wals)
 }
 
-/// The default post-schedule drain bound for a run of `epochs`.
-fn default_drain_bound(epochs: u64) -> u64 {
-    epochs.saturating_mul(4).saturating_add(32)
-}
-
 /// The default run horizon for `base_timeout` and `epochs`.
 fn default_horizon(base_timeout: SimDuration, epochs: u64) -> SimDuration {
     SimDuration::from_micros(
@@ -294,22 +277,18 @@ impl SimConfig {
     /// An all-honest Streamlet configuration with the paper's workload
     /// shape (1000 × 450 B blocks) and δ = 100 ms.
     pub fn new(n: usize, epochs: u64) -> Self {
-        let delay = SimDuration::from_millis(100);
-        let base_timeout = delay * 4;
         Self {
             n,
             epochs,
             protocol: Protocol::Streamlet,
             behaviors: vec![Behavior::Honest; n],
             endorse_mode: EndorseMode::Marker,
-            delay,
-            base_timeout,
+            delay: SimDuration::from_millis(100),
             txns_per_block: 1000,
             txn_bytes: 450,
             batch_size: 0,
             faults: None,
-            drain_sync_bound: default_drain_bound(epochs),
-            run_horizon: default_horizon(base_timeout, epochs),
+            horizon: None,
             live_clients: false,
             mempool_txn_cap: None,
             recording: false,
@@ -374,44 +353,42 @@ impl SimConfig {
         self
     }
 
-    /// Sets the one-way delay δ. The base round timeout follows to 4δ
-    /// (and the run horizon with it) unless they were explicitly
-    /// overridden — builder order does not matter.
+    /// Sets the one-way delay δ; the base round timeout and the default
+    /// run horizon follow it.
     pub fn with_delay(mut self, delay: SimDuration) -> Self {
-        if self.base_timeout == self.delay * 4 {
-            self.set_base_timeout(delay * 4);
-        }
         self.delay = delay;
-        self
-    }
-
-    /// Sets the SFT-DiemBFT base round timeout explicitly. The run horizon
-    /// follows unless it was explicitly overridden.
-    pub fn with_base_timeout(mut self, timeout: SimDuration) -> Self {
-        self.set_base_timeout(timeout);
-        self
-    }
-
-    /// Updates `base_timeout`, re-deriving the horizon default if the
-    /// caller never overrode it.
-    fn set_base_timeout(&mut self, timeout: SimDuration) {
-        if self.run_horizon == default_horizon(self.base_timeout, self.epochs) {
-            self.run_horizon = default_horizon(timeout, self.epochs);
-        }
-        self.base_timeout = timeout;
-    }
-
-    /// Overrides the post-schedule drain bound (see
-    /// [`SimConfig::drain_sync_bound`]).
-    pub fn with_drain_sync_bound(mut self, bound: u64) -> Self {
-        self.drain_sync_bound = bound;
         self
     }
 
     /// Overrides the run horizon (see [`SimConfig::run_horizon`]).
     pub fn with_run_horizon(mut self, horizon: SimDuration) -> Self {
-        self.run_horizon = horizon;
+        self.horizon = Some(horizon);
         self
+    }
+
+    /// Base round timeout for the SFT-DiemBFT pacemaker (Streamlet's
+    /// epochs are externally clocked): 4δ, above the 2δ
+    /// propose-plus-vote exchange.
+    pub fn base_timeout(&self) -> SimDuration {
+        self.delay * 4
+    }
+
+    /// Maximum post-schedule drain iterations: after the last epoch (or
+    /// past the target round), the runner keeps virtual time moving in δ
+    /// steps — so in-flight messages settle and block-sync retry timers
+    /// still fire — for at most `4 × epochs + 32` steps.
+    pub fn drain_sync_bound(&self) -> u64 {
+        self.epochs.saturating_mul(4).saturating_add(32)
+    }
+
+    /// Hard virtual-time ceiling on a run: a runaway guard for Byzantine
+    /// scenarios under heavy loss that could otherwise sync forever
+    /// against the endless pipelined event stream. Unless overridden with
+    /// [`with_run_horizon`](Self::with_run_horizon), it is
+    /// `base_timeout × 64 × (epochs + 8)`.
+    pub fn run_horizon(&self) -> SimDuration {
+        self.horizon
+            .unwrap_or_else(|| default_horizon(self.base_timeout(), self.epochs))
     }
 
     /// Sets the synthetic workload shape.
@@ -457,7 +434,7 @@ impl SimConfig {
 
     /// The simulated network of this configuration: delay δ, the fault
     /// schedule if any, `n` endpoints.
-    pub(crate) fn sim_transport(&self) -> SimTransport {
+    fn sim_transport(&self) -> SimTransport {
         let mut net = SimNetwork::new(self.delay);
         if let Some(faults) = &self.faults {
             net = net.with_faults(faults.clone());
@@ -466,7 +443,7 @@ impl SimConfig {
     }
 
     /// The payload source replicas propose from under this configuration.
-    pub(crate) fn payload_source(&self) -> PayloadSource {
+    fn payload_source(&self) -> PayloadSource {
         if self.batch_size > 0 {
             PayloadSource::Mempool(BatchConfig {
                 max_txns: self.batch_size,
@@ -511,7 +488,7 @@ impl SimConfig {
     /// path — the same `submit` every live client goes through, minus the
     /// ack registration (the harness is not waiting on acks).
     pub(crate) fn seed_kernel(&self, kernel: &mut ChainKernel, id: u16, workload: &[Transaction]) {
-        if self.behaviors[id as usize] != Behavior::StallLeader {
+        if self.behaviors.get(id as usize) != Some(&Behavior::StallLeader) {
             kernel.set_payload_source(self.payload_source());
         }
         if let Some(cap) = self.mempool_txn_cap {
@@ -523,12 +500,40 @@ impl SimConfig {
         }
     }
 
-    /// Runs the simulation to completion under the configured protocol.
+    /// Runs the simulation to completion under the configured protocol:
+    /// for Streamlet until the epoch clock stops and catch-up traffic
+    /// settles, for SFT-DiemBFT until every honest replica passes the
+    /// target round and none is still block-syncing (or the horizon
+    /// trips).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `behaviors` is not exactly `n` entries.
     pub fn run(self) -> SimReport {
-        match self.protocol {
-            Protocol::Streamlet => Simulation::new(self).run(),
-            Protocol::Fbft => FbftSimulation::new(self).run(),
-        }
+        let instruments = sim_instruments(&self);
+        let report = match self.protocol {
+            Protocol::Streamlet => build_runner(
+                &self,
+                build_streamlet_engines(&self, self.delay * 2),
+                self.sim_transport(),
+                StreamletMischief::new(self.n),
+                RunPlan::UntilQuiescent,
+                self.delay,
+                instruments,
+            )
+            .run(),
+            Protocol::Fbft => build_runner(
+                &self,
+                build_fbft_engines(&self, self.base_timeout()),
+                self.sim_transport(),
+                FbftMischief::new(self.n),
+                RunPlan::PastRound(Round::new(self.epochs)),
+                self.delay,
+                instruments,
+            )
+            .run(),
+        };
+        report.expect("a simulated run's WAL sinks are in memory")
     }
 
     /// Checks a wall-clock run of this config (`run`, e.g. from
@@ -561,8 +566,7 @@ impl SimConfig {
         let epochs = self.epochs + missing as u64;
         let longer = SimConfig {
             epochs,
-            drain_sync_bound: default_drain_bound(epochs).max(self.drain_sync_bound),
-            run_horizon: default_horizon(self.base_timeout, epochs).max(self.run_horizon),
+            horizon: Some(default_horizon(self.base_timeout(), epochs).max(self.run_horizon())),
             ..self.clone()
         }
         .run();
@@ -636,7 +640,7 @@ pub fn run_over_tcp_serving(
     // On a wall clock the runaway guard is the pacing's, not the
     // virtual-time default.
     let config = &SimConfig {
-        run_horizon: pacing.horizon,
+        horizon: Some(pacing.horizon),
         ..config.clone()
     };
     let tag = match config.protocol {
@@ -758,8 +762,7 @@ pub struct SimReport {
     /// run with a non-empty committed chain — the catch-up success count.
     pub recovered_replicas: usize,
     /// Total endorsement-walk steps across all replicas — how much work
-    /// the §3 ancestor walk did while grading commits (0 when the engine
-    /// does not expose the tracker).
+    /// the §3 ancestor walk did while grading commits.
     pub walk_steps: u64,
     /// Individual signature verifications across all replicas (eager
     /// checks, deferred-path probes, and post-QC stragglers). Under
@@ -985,6 +988,6 @@ mod tests {
     fn behavior_count_must_match() {
         let mut config = SimConfig::new(4, 1);
         config.behaviors.pop();
-        Simulation::new(config);
+        config.run();
     }
 }

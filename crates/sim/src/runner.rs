@@ -42,7 +42,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use sft_core::{
-    DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError, WalRecord,
+    ChainKernel, DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError,
+    WalRecord,
 };
 use sft_crypto::HashValue;
 use sft_network::Transport;
@@ -173,7 +174,7 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     demand: Vec<PersistSeq>,
     drain_used: u64,
     /// Which client connection is waiting on each admitted transaction's
-    /// ack — the routing table from [`ReplicaEngine::drain_acks`] back to
+    /// ack — the routing table from [`ChainKernel::drain_acks`] back to
     /// [`Transport::send_client`]. Empty (and cost-free) on transports
     /// without a client gateway.
     ack_routes: HashMap<HashValue, u64>,
@@ -229,7 +230,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// its per-round consensus events into the same registry.
     pub fn set_recorder(&mut self, recorder: SharedRecorder) {
         for engine in &mut self.engines {
-            engine.set_recorder(Arc::clone(&recorder));
+            engine.kernel_mut().set_recorder(Arc::clone(&recorder));
         }
         self.recorder = recorder;
     }
@@ -466,7 +467,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 continue; // unparseable interior, or an ack sent inward
             };
             let txn_id = req.txn_id();
-            match self.engines[i].submit(&req, now) {
+            match self.engines[i].kernel_mut().submit_request(&req, now) {
                 Some(verdict) => {
                     let bytes: Arc<[u8]> = ClientFrame::Ack(verdict).to_bytes().into();
                     self.transport
@@ -485,7 +486,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// by someone else) are dropped — acks are a courtesy, not state.
     fn flush_acks(&mut self) {
         for i in 0..self.engines.len() {
-            let acks = self.engines[i].drain_acks();
+            let acks = self.engines[i].kernel_mut().drain_acks();
             if acks.is_empty() {
                 continue;
             }
@@ -729,7 +730,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                     matches!(**b, Behavior::Honest | Behavior::StallLeader)
                 }
             })
-            .any(|(e, _)| e.is_syncing())
+            .any(|(e, _)| e.kernel().is_syncing())
     }
 
     /// The smallest current round among honest replicas (the run's
@@ -757,7 +758,13 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         let (chains, commit_logs) = self
             .engines
             .iter()
-            .map(|e| (e.committed_chain().to_vec(), e.commit_log().to_vec()))
+            .map(|e| {
+                let kernel = e.kernel();
+                (
+                    kernel.committed_chain().to_vec(),
+                    kernel.commit_log().to_vec(),
+                )
+            })
             .unzip();
         let mut report = self.report_scalars();
         report.chains = chains;
@@ -774,36 +781,23 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         (report.chains, report.commit_logs) = self
             .engines
             .into_iter()
-            .map(ReplicaEngine::into_commit_record)
+            .map(|e| e.into_kernel().into_commit_record())
             .unzip();
         report
     }
 
     /// Everything in a report except the per-replica vectors.
     fn report_scalars(&self) -> SimReport {
-        let safety_violations = self.engines.iter().filter(|e| e.safety_violated()).count();
-        let equivocators_detected = self
-            .engines
-            .iter()
-            .map(ReplicaEngine::equivocators_observed)
+        let kernels = || self.engines.iter().map(ReplicaEngine::kernel);
+        let safety_violations = kernels().filter(|k| k.safety_violated()).count();
+        let equivocators_detected = kernels().map(|k| k.equivocators().len()).max().unwrap_or(0);
+        let txns_committed = kernels()
+            .map(ChainKernel::txns_committed)
             .max()
             .unwrap_or(0);
-        let txns_committed = self
-            .engines
-            .iter()
-            .map(ReplicaEngine::txns_committed)
-            .max()
-            .unwrap_or(0);
-        let (sync_requests, sync_blocks_fetched, recovered_replicas) = crate::sync_report_fields(
-            self.engines
-                .iter()
-                .map(|e| (e.sync_stats(), e.committed_chain())),
-        );
-        let walk_steps = self
-            .engines
-            .iter()
-            .map(ReplicaEngine::endorsement_walk_steps)
-            .sum();
+        let (sync_requests, sync_blocks_fetched, recovered_replicas) =
+            crate::sync_report_fields(kernels().map(|k| (k.sync_stats(), k.committed_chain())));
+        let walk_steps = kernels().map(ChainKernel::walk_steps).sum();
         let mut sig_stats = sft_crypto::SigStats::default();
         for engine in &self.engines {
             sig_stats.merge(engine.sig_stats());
@@ -813,7 +807,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             .as_ref()
             .map_or(0, |wals| wals.iter().map(|w| w.fsyncs()).sum());
         if self.recorder.enabled() {
-            let residents: Vec<_> = self.engines.iter().map(ReplicaEngine::resident).collect();
+            let residents: Vec<_> = kernels().map(ChainKernel::resident).collect();
             let gauge = |pick: fn(&sft_core::ResidentState) -> u64| {
                 residents.iter().map(pick).max().unwrap_or(0)
             };
@@ -822,7 +816,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             rec.set(names::RESIDENT_VOTES, gauge(|r| r.votes as u64));
             rec.set(names::RESIDENT_CERTS, gauge(|r| r.certs as u64));
             rec.set(names::DEDUP_ENTRIES, gauge(|r| r.dedup_entries as u64));
-            let adopted = self.engines.iter().map(|e| e.sync_stats().orphans_adopted);
+            let adopted = kernels().map(|k| k.sync_stats().orphans_adopted);
             rec.set(names::ORPHANS_ADOPTED, adopted.max().unwrap_or(0));
         }
         SimReport {

@@ -1,23 +1,19 @@
-//! The SFT-Streamlet simulation driver: builds [`StreamletEngine`]s over a
-//! [`SimTransport`] and hands them to the generic
-//! [`EngineRunner`].
+//! The SFT-Streamlet simulation driver: builds [`StreamletEngine`]s for the
+//! generic [`EngineRunner`](crate::EngineRunner).
 //!
 //! Epochs of two message delays (propose at `T`, deliver + vote at
 //! `T + δ`, count at `T + 2δ`) come out of the engine's own epoch clock —
 //! matching the synchrony assumption of Appendix D, where epochs are
-//! externally clocked. What used to be this driver's hand-rolled dispatch,
-//! sync drain, and report plumbing now lives in the shared runner; only
-//! construction and the Streamlet-specific Byzantine payloads
-//! ([`StreamletMischief`]) remain.
+//! externally clocked. This driver holds only construction and the
+//! Streamlet-specific Byzantine payloads ([`StreamletMischief`]).
 
 use sft_core::{Block, MsgKind, OutboundMsg, ProtocolConfig, ReplicaEngine};
 use sft_crypto::{HashValue, KeyRegistry};
-use sft_network::SimTransport;
 use sft_streamlet::{Message, Proposal, Replica, StreamletEngine};
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, StrongVote};
 
-use crate::runner::{EngineRunner, Mischief, RunPlan};
-use crate::{SimConfig, SimReport};
+use crate::runner::Mischief;
+use crate::SimConfig;
 
 /// Streamlet's protocol-specific Byzantine payloads: conflicting twin
 /// proposals and forged zero-marker votes.
@@ -28,7 +24,7 @@ pub struct StreamletMischief {
 }
 
 impl StreamletMischief {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             forged: vec![Default::default(); n],
         }
@@ -44,7 +40,11 @@ impl Mischief<StreamletEngine> for StreamletMischief {
         let Ok(Message::Proposal(honest)) = Message::from_bytes(proposal_bytes) else {
             return None;
         };
-        let parent = engine.store().get(honest.block().parent_id())?.clone();
+        let parent = engine
+            .kernel()
+            .store()
+            .get(honest.block().parent_id())?
+            .clone();
         let epoch = honest.block().round();
         let conflicting_payload = Payload::synthetic(1, 1, u64::MAX - epoch.as_u64());
         let twin_block = Block::new(&parent, epoch, engine.id(), conflicting_payload);
@@ -99,61 +99,4 @@ pub fn build_streamlet_engines(
             StreamletEngine::new(replica, period, config.epochs)
         })
         .collect()
-}
-
-type Runner = EngineRunner<StreamletEngine, SimTransport, StreamletMischief>;
-
-/// The Streamlet simulator: engines plus the generic runner. Most callers
-/// use [`SimConfig::run`].
-pub struct Simulation {
-    runner: Runner,
-    protocol: ProtocolConfig,
-}
-
-impl Simulation {
-    /// Builds replicas, keys, and the network for `config`. In batched mode
-    /// every replica's mempool is pre-fed the same deterministic client
-    /// transaction stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.behaviors` is not exactly `n` entries.
-    pub fn new(config: SimConfig) -> Self {
-        assert_eq!(config.behaviors.len(), config.n, "one behavior per replica");
-        let period = config.delay * 2;
-        let runner = crate::build_runner(
-            &config,
-            build_streamlet_engines(&config, period),
-            config.sim_transport(),
-            StreamletMischief::new(config.n),
-            RunPlan::UntilQuiescent,
-            config.delay,
-            crate::sim_instruments(&config),
-        );
-        Self {
-            runner,
-            protocol: ProtocolConfig::for_replicas(config.n),
-        }
-    }
-
-    /// The protocol configuration derived from `n`.
-    pub fn protocol(&self) -> ProtocolConfig {
-        self.protocol
-    }
-
-    /// Runs all configured epochs, lets catch-up traffic settle, and
-    /// reports.
-    pub fn run(self) -> SimReport {
-        self.runner.run().expect(crate::IN_MEMORY_SINKS)
-    }
-
-    /// Snapshot of the current run state as a report.
-    pub fn report(&self) -> SimReport {
-        self.runner.report()
-    }
-
-    /// Immutable access to replica `id`, for tests.
-    pub fn replica(&self, id: u16) -> &Replica {
-        self.runner.engine(id as usize).replica()
-    }
 }

@@ -154,16 +154,20 @@ fn submit_verdicts_admit_duplicate_and_busy() {
     let now = SimTime::ZERO;
     let first = ClientRequest::new(Transaction::new(9, 0, vec![1, 2, 3]), 0);
     let second = ClientRequest::new(Transaction::new(9, 1, vec![4, 5, 6]), 0);
-    assert_eq!(engine.submit(&first, now), None, "admitted: ack deferred");
     assert_eq!(
-        engine.submit(&first, now),
+        engine.kernel_mut().submit_request(&first, now),
+        None,
+        "admitted: ack deferred"
+    );
+    assert_eq!(
+        engine.kernel_mut().submit_request(&first, now),
         Some(ClientAck::Duplicate {
             txn_id: first.txn_id()
         }),
         "a resubmission is refused, not double-queued"
     );
     assert_eq!(
-        engine.submit(&second, now),
+        engine.kernel_mut().submit_request(&second, now),
         Some(ClientAck::Busy {
             txn_id: second.txn_id()
         }),
@@ -202,8 +206,8 @@ fn wal_replay_restores_client_dedup_across_restart() {
         NoMischief,
         RunnerConfig {
             plan: RunPlan::UntilQuiescent,
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -228,7 +232,7 @@ fn wal_replay_restores_client_dedup_across_restart() {
         recovered.restore(record, end);
     }
     assert_eq!(
-        recovered.submit(&req, end),
+        recovered.kernel_mut().submit_request(&req, end),
         Some(ClientAck::Duplicate {
             txn_id: req.txn_id()
         }),
@@ -239,7 +243,7 @@ fn wal_replay_restores_client_dedup_across_restart() {
     // transaction is re-admitted as if never seen.
     let mut amnesiac = build_streamlet_engines(&fresh_config, period).remove(0);
     assert_eq!(
-        amnesiac.submit(&req, end),
+        amnesiac.kernel_mut().submit_request(&req, end),
         None,
         "without the WAL the duplicate sails through admission"
     );

@@ -17,13 +17,17 @@
 //! Decoding must also stay small: a count field is read before the
 //! elements it counts, and a hostile one must not buy an allocation the
 //! input does not pay for. A counting allocator measures that.
+//!
+//! The same mutations run over whole write-ahead-log images: a scan
+//! either reports corruption or recovers records that re-frame to exactly
+//! the valid prefix it claims.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use sft_core::{Block, BlockResponse, QuorumCertificate, WalRecord};
+use sft_core::{scan_wal, Block, BlockResponse, QuorumCertificate, WalError, WalRecord};
 use sft_crypto::{HashValue, KeyRegistry, RngCore, SplitMix64};
 use sft_fbft::{FbftMessage, FbftProposal};
 use sft_streamlet::{Message, Proposal};
@@ -248,6 +252,34 @@ fn check_one<T: Encode + Decode + PartialEq + Debug>(what: &str, bytes: &[u8]) {
     }
 }
 
+/// Scans a WAL image and checks the verdict: corruption at a frame
+/// boundary inside the image, or records that re-frame to exactly the
+/// valid prefix the scan reports. Returns the scan's valid length (`None`
+/// when the image is corrupt).
+fn check_scan(what: &str, image: &[u8]) -> Option<usize> {
+    match scan_wal(image) {
+        Ok(scan) => {
+            let reframed: Vec<u8> = scan.records.iter().flat_map(WalRecord::to_frame).collect();
+            assert!(
+                reframed == image[..scan.valid_len],
+                "{what}: {} records re-frame to {} bytes, not the {}-byte valid prefix",
+                scan.records.len(),
+                reframed.len(),
+                scan.valid_len
+            );
+            Some(scan.valid_len)
+        }
+        Err(WalError::Corrupt { offset, .. }) => {
+            assert!(
+                (offset as usize) < image.len(),
+                "{what}: corrupt past the end"
+            );
+            None
+        }
+        Err(e) => panic!("{what}: scanning bytes in memory failed: {e}"),
+    }
+}
+
 /// Overwrites `bytes[at..]` with the big-endian bytes of `value`, if they
 /// fit.
 fn inflated(bytes: &[u8], at: usize, value: &[u8]) -> Option<Vec<u8>> {
@@ -328,6 +360,66 @@ fn transactions_payloads_and_client_requests_decode_canonically() {
 fn blocks_and_wal_records_decode_canonically() {
     canonical("Block", 0xc0de_0004, block);
     canonical("WalRecord", 0xc0de_0005, wal_record);
+}
+
+#[test]
+fn mutated_wal_images_scan_to_their_valid_prefix_or_corruption() {
+    let mut rng = SplitMix64::new(0xc0de_0014);
+    let images: Vec<(Vec<u8>, Vec<usize>)> = (0..SAMPLES)
+        .map(|_| {
+            let mut image = Vec::new();
+            let mut ends = Vec::new();
+            for _ in 0..1 + rng.next_below(4) {
+                wal_record(&mut rng).frame_into(&mut image);
+                ends.push(image.len());
+            }
+            (image, ends)
+        })
+        .collect();
+    for (i, (image, ends)) in images.iter().enumerate() {
+        assert_eq!(check_scan(&format!("image #{i}"), image), Some(image.len()));
+        // A cut image is a torn tail, never corruption: the scan stops at
+        // the last whole frame.
+        for cut in 0..image.len() {
+            let whole = ends.iter().copied().filter(|&end| end <= cut).max();
+            assert_eq!(
+                check_scan(&format!("image #{i} cut at {cut}"), &image[..cut]),
+                Some(whole.unwrap_or(0)),
+                "image #{i} cut at {cut}"
+            );
+        }
+        for _ in 0..FLIPS {
+            let mut flipped = image.clone();
+            let bit = rng.next_below(8 * image.len() as u64) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check_scan(&format!("image #{i} bit {bit} flipped"), &flipped);
+        }
+        let (other, _) = &images[rng.next_below(SAMPLES as u64) as usize];
+        for _ in 0..8 {
+            let head = rng.next_below(image.len() as u64 + 1) as usize;
+            let tail = rng.next_below(other.len() as u64 + 1) as usize;
+            let spliced = [&image[..head], &other[tail..]].concat();
+            check_scan(&format!("image #{i} spliced at {head}/{tail}"), &spliced);
+        }
+        for at in 0..image.len() {
+            for value in [
+                &u64::MAX.to_be_bytes()[..],
+                &u32::MAX.to_be_bytes()[..],
+                &(1u64 << 24).to_be_bytes()[..],
+                &(1u32 << 24).to_be_bytes()[..],
+            ] {
+                if let Some(mutated) = inflated(image, at, value) {
+                    let what = format!("image #{i} inflated at {at}");
+                    let (_, spent) = allocated_by(|| check_scan(&what, &mutated));
+                    assert!(
+                        spent <= 64 * mutated.len() + 16 * 1024,
+                        "{what}: scanning {} bytes allocated {spent}",
+                        mutated.len()
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

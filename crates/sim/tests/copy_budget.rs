@@ -147,14 +147,14 @@ fn copy_one_run(txns: u64) -> Spent {
         submissions,
     };
     let runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout),
+        build_fbft_engines(&config, config.base_timeout()),
         vec![Behavior::Honest; n],
         transport,
         NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(config.epochs)),
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );

@@ -64,14 +64,14 @@ fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
         .with_workload(16, 512)
         .with_batch_size(16);
     let mut runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout),
+        build_fbft_engines(&config, config.base_timeout()),
         vec![Behavior::Honest; n],
         SimTransport::new(SimNetwork::new(config.delay), n),
         NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(10)),
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -79,7 +79,7 @@ fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
     runner.run_until(SimTime::ZERO + config.delay * 24).unwrap();
     let logs = (0..n).map(|i| runner.persisted(i).to_vec()).collect();
     let chains = (0..n)
-        .map(|i| runner.engine(i).committed_chain().to_vec())
+        .map(|i| runner.engine(i).kernel().committed_chain().to_vec())
         .collect();
     (config, logs, chains)
 }
@@ -135,12 +135,12 @@ fn a_replica_restarted_from_held_byte_frames_replays_the_same_committed_chain() 
     for (i, (log, chain)) in logs.iter().zip(&chains).enumerate() {
         assert!(!chain.is_empty(), "replica {i} committed");
         let scan = scan_wal(&wal_image(log)).expect("own frames scan clean");
-        let mut fresh = build_fbft_engines(&config, config.base_timeout).remove(i);
+        let mut fresh = build_fbft_engines(&config, config.base_timeout()).remove(i);
         for record in &scan.records {
             fresh.restore(record, SimTime::ZERO);
         }
         assert_eq!(
-            fresh.committed_chain(),
+            fresh.kernel().committed_chain(),
             &chain[..],
             "replica {i} replays to the chain it committed"
         );
@@ -166,8 +166,8 @@ fn crash_restart_streamlet(n: usize, epochs: u64) {
         NoMischief,
         RunnerConfig {
             plan: RunPlan::UntilQuiescent,
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -178,7 +178,7 @@ fn crash_restart_streamlet(n: usize, epochs: u64) {
     // runner persisted ahead of its sends survives.
     let crash_at = SimTime::ZERO + period * (epochs / 3);
     runner.run_until(crash_at).unwrap();
-    let pre_crash_chain = runner.engine(victim).committed_chain().to_vec();
+    let pre_crash_chain = runner.engine(victim).kernel().committed_chain().to_vec();
     assert!(
         !runner.persisted(victim).is_empty(),
         "the victim voted before the crash, so its WAL is non-empty"
@@ -230,7 +230,7 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
     let config = SimConfig::new(n, target_rounds).with_protocol(sft_sim::Protocol::Fbft);
     let victim = 0usize;
 
-    let engines = build_fbft_engines(&config, config.base_timeout);
+    let engines = build_fbft_engines(&config, config.base_timeout());
     let transport = SimTransport::new(SimNetwork::new(config.delay), n);
     let mut runner = EngineRunner::new(
         engines,
@@ -239,8 +239,8 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
         NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(target_rounds)),
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -249,16 +249,16 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
     // SFT-DiemBFT self-paces at ~2δ per round; crash mid-pipeline.
     let crash_at = SimTime::ZERO + config.delay * target_rounds;
     runner.run_until(crash_at).unwrap();
-    let pre_crash_chain = runner.engine(victim).committed_chain().to_vec();
+    let pre_crash_chain = runner.engine(victim).kernel().committed_chain().to_vec();
     assert!(
         !runner.persisted(victim).is_empty(),
         "the victim voted before the crash, so its WAL is non-empty"
     );
     runner.set_behavior(victim, Behavior::Silent);
 
-    let restart_at = crash_at + config.base_timeout * 2;
+    let restart_at = crash_at + config.base_timeout() * 2;
     runner.run_until(restart_at).unwrap();
-    let mut fresh = build_fbft_engines(&config, config.base_timeout).remove(victim);
+    let mut fresh = build_fbft_engines(&config, config.base_timeout()).remove(victim);
     for record in &through_wal_codec(runner.persisted(victim)) {
         fresh.restore(record, restart_at);
     }
@@ -267,7 +267,7 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
 
     // Drive well past the target in δ steps: the survivors keep
     // pipelining rounds, and each step fires the victim's sync poll.
-    let end = restart_at + config.base_timeout * 2 * (target_rounds + 4);
+    let end = restart_at + config.base_timeout() * 2 * (target_rounds + 4);
     let mut at = runner.transport().now();
     while at < end {
         at += config.delay;

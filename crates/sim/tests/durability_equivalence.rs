@@ -211,8 +211,8 @@ fn audit_run<E: sft_core::ReplicaEngine>(
         sft_sim::NoMischief,
         sft_sim::RunnerConfig {
             plan,
-            horizon: sft_types::SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: sft_types::SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -246,7 +246,7 @@ fn real_protocol_traffic_clears_its_gates_before_the_wire() {
 
     let config = SimConfig::new(4, 8).with_protocol(Protocol::Fbft);
     let (report, gated) = audit_run(
-        sft_sim::build_fbft_engines(&config, config.base_timeout),
+        sft_sim::build_fbft_engines(&config, config.base_timeout()),
         &config,
         sft_sim::RunPlan::PastRound(sft_types::Round::new(config.epochs)),
     );

@@ -99,14 +99,14 @@ fn hash_one_run(txns: u64) -> (u64, u64) {
         submissions,
     };
     let mut runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout),
+        build_fbft_engines(&config, config.base_timeout()),
         vec![Behavior::Honest; n],
         transport,
         NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(config.epochs)),
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );

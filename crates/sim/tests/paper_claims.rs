@@ -332,8 +332,8 @@ fn run_clocked<E: ReplicaEngine>(
         NoMischief,
         RunnerConfig {
             plan,
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -357,7 +357,7 @@ fn strong_latencies(config: &SimConfig, row: &str) -> Vec<Option<u64>> {
         ),
         Protocol::Fbft => run_clocked(
             config,
-            build_fbft_engines(config, config.base_timeout),
+            build_fbft_engines(config, config.base_timeout()),
             RunPlan::PastRound(Round::new(config.epochs)),
         ),
     };

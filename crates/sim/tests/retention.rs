@@ -78,8 +78,8 @@ fn runner<E: ReplicaEngine>(
         NoMischief,
         RunnerConfig {
             plan,
-            horizon: SimTime::ZERO + config.run_horizon,
-            drain_bound: config.drain_sync_bound,
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
     );
@@ -116,7 +116,7 @@ fn long_run<E: ReplicaEngine>(
     // The log of a replica holding the longest chain: an SFT-DiemBFT
     // leader learns a commit one hop before the rest.
     let longest = (0..N)
-        .max_by_key(|&i| runner.engine(i).committed_chain().len())
+        .max_by_key(|&i| runner.engine(i).kernel().committed_chain().len())
         .expect("replicas");
     let wal = runner.persisted(longest).to_vec();
     let rates = vec![
@@ -224,7 +224,7 @@ fn long_config(protocol: Protocol) -> SimConfig {
 #[test]
 fn fbft_cost_and_memory_do_not_depend_on_run_length() {
     let config = long_config(Protocol::Fbft);
-    let mut engines = build_fbft_engines(&config, config.base_timeout);
+    let mut engines = build_fbft_engines(&config, config.base_timeout());
     for engine in &mut engines {
         engine.kernel_mut().set_retention(HORIZON);
     }
@@ -260,7 +260,7 @@ fn partitioned_fbft_run(rounds_cut: u64, rounds_total: u64) -> SimReport {
         .with_run_horizon(SimDuration::from_millis(200) * (rounds_total + 200));
     let heal_at = SimTime::ZERO + config.delay * 2 * rounds_cut;
     let faults = FaultSchedule::partition(vec![ReplicaId::new(3)], heal_at);
-    let mut engines = build_fbft_engines(&config, config.base_timeout);
+    let mut engines = build_fbft_engines(&config, config.base_timeout());
     for engine in &mut engines {
         engine.kernel_mut().set_retention(HORIZON);
     }

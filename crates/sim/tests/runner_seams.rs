@@ -115,8 +115,8 @@ impl Transport for Wire {
 fn runner_config(config: &SimConfig, plan: RunPlan) -> RunnerConfig {
     RunnerConfig {
         plan,
-        horizon: SimTime::ZERO + config.run_horizon,
-        drain_bound: config.drain_sync_bound,
+        horizon: SimTime::ZERO + config.run_horizon(),
+        drain_bound: config.drain_sync_bound(),
         drain_step: config.delay,
     }
 }
@@ -193,7 +193,7 @@ fn run_until_the_log_dies(fail_at: u64) -> (Vec<Frame>, PersistSeq) {
     let wire = Wire::new(net, config.n, Some((victim, sink.clone())));
     let frames = Rc::clone(&wire.frames);
     let mut runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout),
+        build_fbft_engines(&config, config.base_timeout()),
         config.behaviors.clone(),
         wire,
         NoMischief,
@@ -214,7 +214,7 @@ fn run_until_the_log_dies(fail_at: u64) -> (Vec<Frame>, PersistSeq) {
     let failure = loop {
         at += config.delay;
         assert!(
-            at <= SimTime::ZERO + config.run_horizon,
+            at <= SimTime::ZERO + config.run_horizon(),
             "the log died but the run never said so"
         );
         if let Err(e) = runner.run_until(at) {

@@ -62,16 +62,6 @@ impl StreamletEngine {
         }
     }
 
-    /// The wrapped replica.
-    pub fn replica(&self) -> &Replica {
-        &self.replica
-    }
-
-    /// Mutable access to the wrapped replica (tests and harness setup).
-    pub fn replica_mut(&mut self) -> &mut Replica {
-        &mut self.replica
-    }
-
     fn epoch_open_at(&self, epoch: u64) -> SimTime {
         SimTime::ZERO + self.period * (epoch - 1)
     }
@@ -225,7 +215,7 @@ mod tests {
         }
         let mut engine = StreamletEngine::new(replica, SimDuration::from_millis(200), 10);
         let registry = Arc::new(Registry::new());
-        engine.set_recorder(Arc::clone(&registry) as _);
+        engine.kernel_mut().set_recorder(Arc::clone(&registry) as _);
         let step = engine.on_tick(SimTime::ZERO);
         let [proposal] = &step.outbound[..] else {
             panic!("opening epoch 1 sends exactly the proposal: {step:?}");
@@ -278,6 +268,7 @@ mod tests {
         };
         leader.on_envelope(ReplicaId::new(1), &sent, SimTime::ZERO);
         let block = leader
+            .kernel()
             .store()
             .get(proposal.block().id())
             .expect("stored when its proposal looped back");

@@ -1,12 +1,15 @@
 //! The docs name only what exists.
 //!
-//! README.md and PAPER.md point into the code: backticked `crates/…`
-//! paths, and the types and functions they say live there. Code moves and
-//! the prose does not follow by itself, so this test reads both documents
-//! and checks every such reference:
+//! README.md, PAPER.md and ROADMAP.md point into the code: backticked
+//! `crates/…` paths, and the types and functions they say live there.
+//! Code moves and the prose does not follow by itself, so this test reads
+//! the documents and checks every such reference:
 //!
 //! - every backticked `crates/…` path exists (a `:line` suffix is
 //!   dropped: line numbers move with every change and are not checked);
+//!   `<crate>/src/…` and `<crate>/tests/…`, the short form ROADMAP.md
+//!   writes, are read as `crates/<crate>/…` when that crate exists, and a
+//!   span holding `…` or `*` is a pattern, not a path;
 //! - every symbol named with a source file is defined in that file — a
 //!   backticked `Type`, `fn`, `Type::method` or `name()` in the
 //!   parentheses right after the file (`` `crates/x.rs` (`Foo`, `bar`) ``),
@@ -134,12 +137,12 @@ fn check_document(root: &Path, doc: &str) -> Vec<String> {
         let mut found = Vec::new();
         let spans = spans(line);
         for (i, span) in spans.iter().enumerate() {
-            if !span.text.starts_with("crates/") {
+            let Some(text) = crate_path(root, span.text) else {
                 continue;
-            }
-            let (path, joined) = match span.text.split_once("::") {
+            };
+            let (path, joined) = match text.split_once("::") {
                 Some((path, symbol)) => (path, Some(symbol)),
-                None => (span.text, None),
+                None => (text.as_str(), None),
             };
             let path = match path.rsplit_once(':') {
                 Some((file, line)) if line.chars().all(|c| c.is_ascii_digit()) => file,
@@ -190,6 +193,23 @@ fn check_document(root: &Path, doc: &str) -> Vec<String> {
     problems
 }
 
+/// The `crates/…` path a backticked span names, if it names one: as
+/// written, or with `crates/` put before a `<crate>/src/…` or
+/// `<crate>/tests/…` short form when `crates/<crate>` exists. Spans with
+/// `…` or `*` are patterns and name none.
+fn crate_path(root: &Path, text: &str) -> Option<String> {
+    if text.contains(['…', '*']) {
+        return None;
+    }
+    if text.starts_with("crates/") {
+        return Some(text.to_string());
+    }
+    let (krate, rest) = text.split_once('/')?;
+    let short = (rest.starts_with("src/") || rest.starts_with("tests/"))
+        && root.join("crates").join(krate).is_dir();
+    short.then(|| format!("crates/{text}"))
+}
+
 /// The byte offset of the `)` closing the `(` at `open`, or the line's
 /// end.
 fn closing_paren(line: &str, open: usize) -> usize {
@@ -208,7 +228,7 @@ fn closing_paren(line: &str, open: usize) -> usize {
 #[test]
 fn every_path_and_symbol_the_docs_name_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let problems: Vec<String> = ["README.md", "PAPER.md"]
+    let problems: Vec<String> = ["README.md", "PAPER.md", "ROADMAP.md"]
         .iter()
         .flat_map(|doc| check_document(root, doc))
         .collect();
@@ -239,4 +259,24 @@ fn the_checker_catches_a_moved_function_and_a_missing_file() {
     assert_eq!(problems.len(), 2, "{problems:#?}");
     assert!(problems[0].ends_with("`flush_loop` is not defined in `crates/network/src/tcp.rs`"));
     assert!(problems[1].ends_with("`crates/network/src/gone.rs` does not exist"));
+}
+
+#[test]
+fn the_checker_reads_short_crate_paths_and_skips_patterns() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = std::env::temp_dir().join(format!("sft-doc-refs-short-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("temp dir");
+    let doc = dir.join("DOC.md");
+    fs::write(
+        &doc,
+        "- `network/src/frame.rs` (`FrameDecoder`, `flush_loop`), \
+         `network/tests/gone.rs`, `crates/*/src`, `sim/src/…`, \
+         `benchmark/src/cluster.rs`\n",
+    )
+    .expect("write doc");
+    let problems = check_document(root, doc.to_str().expect("utf-8 path"));
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(problems.len(), 2, "{problems:#?}");
+    assert!(problems[0].ends_with("`flush_loop` is not defined in `crates/network/src/frame.rs`"));
+    assert!(problems[1].ends_with("`crates/network/tests/gone.rs` does not exist"));
 }
