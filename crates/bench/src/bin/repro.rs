@@ -365,7 +365,7 @@ fn through_wal_codec(records: &[WalRecord]) -> Result<Vec<WalRecord>, String> {
         wal.append(record).map_err(|e| format!("wal encode: {e}"))?;
     }
     wal.flush().map_err(|e| format!("wal flush: {e}"))?;
-    let scan = scan_wal(wal.sink().bytes()).map_err(|e| format!("wal scan: {e}"))?;
+    let scan = scan_wal(&wal.sink().bytes()).map_err(|e| format!("wal scan: {e}"))?;
     if scan.records.len() != records.len() {
         return Err(format!(
             "lossy wal round-trip: {} in, {} out",

@@ -20,7 +20,7 @@ use sft_crypto::HashValue;
 use sft_obs::{names, RecorderCell, SharedRecorder};
 use sft_types::{ClientAck, Payload, SimTime, StrongCommitUpdate};
 
-use crate::BlockStore;
+use crate::{Block, BlockStore};
 
 /// One registered submission awaiting its commit.
 #[derive(Clone, Copy, Debug)]
@@ -95,32 +95,44 @@ impl AckTracker {
         self.pending.len() + self.watch.values().map(Vec::len).sum::<usize>()
     }
 
+    /// Locates the pending submissions a newly committed `block` carries:
+    /// they move onto its watch list, to be acked as its strength grows.
+    /// Each block is scanned once — the kernel scans at commit, while the
+    /// block still holds its payload; [`observe`](Self::observe) scans a
+    /// block it sees first. A no-op while nothing is pending.
+    pub fn scan_committed(&mut self, block: &Block, store: &BlockStore) {
+        let block_id = block.id();
+        if self.pending.is_empty() || !self.scanned.insert(block_id) {
+            return;
+        }
+        if self.scanned.len() > 2 * store.len() {
+            // Pruned blocks get no further strength upgrades, so the
+            // acks still waiting on one can never fire either.
+            self.scanned.retain(|id| store.contains(*id));
+            self.watch.retain(|id, _| store.contains(*id));
+        }
+        if let Payload::Transactions(txns) = block.payload() {
+            for txn in txns {
+                let id = txn.id();
+                if let Some(entry) = self.pending.remove(&id) {
+                    self.watch.entry(block_id).or_default().push((id, entry));
+                }
+            }
+        }
+    }
+
     /// Absorbs one commit-log entry: locates pending submissions in the
-    /// committed block (first sighting scans its payload), then emits acks
-    /// for every watcher whose `ack_at` the new level satisfies. A no-op
-    /// while nothing is pending.
+    /// committed block if it was not scanned yet
+    /// ([`scan_committed`](Self::scan_committed)), then emits acks for
+    /// every watcher whose `ack_at` the new level satisfies. A no-op while
+    /// nothing is pending.
     pub fn observe(&mut self, update: &StrongCommitUpdate, store: &BlockStore, now: SimTime) {
         if self.pending.is_empty() && self.watch.is_empty() {
             return;
         }
         let block_id = update.block_id();
-        if !self.pending.is_empty() && self.scanned.insert(block_id) {
-            if self.scanned.len() > 2 * store.len() {
-                // Pruned blocks get no further strength upgrades, so the
-                // acks still waiting on one can never fire either.
-                self.scanned.retain(|id| store.contains(*id));
-                self.watch.retain(|id, _| store.contains(*id));
-            }
-            if let Some(block) = store.get(block_id) {
-                if let Payload::Transactions(txns) = block.payload() {
-                    for txn in txns {
-                        let id = txn.id();
-                        if let Some(entry) = self.pending.remove(&id) {
-                            self.watch.entry(block_id).or_default().push((id, entry));
-                        }
-                    }
-                }
-            }
+        if let Some(block) = store.get(block_id) {
+            self.scan_committed(block, store);
         }
         let Some(mut watchers) = self.watch.remove(&block_id) else {
             return;
@@ -159,7 +171,6 @@ impl AckTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{Block, BlockStore};
     use sft_obs::{Recorder, Registry};
     use sft_types::{Height, ReplicaId, Round, Transaction};
     use std::sync::Arc;

@@ -5,7 +5,8 @@
 //! transaction payload. The [`BlockStore`] keeps every delivered block,
 //! answers ancestry queries (`extends`, ancestor walks), and is the
 //! structure the endorsement tracker traverses when a strong-vote endorses
-//! a chain suffix.
+//! a chain suffix. A committed block whose bytes are durable in the
+//! replica's log is kept as its header alone ([`BlockStore::spill`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,6 +16,8 @@ use std::sync::Arc;
 use sft_crypto::{HashValue, Hasher};
 use sft_types::codec::{put, Decode, DecodeError, Encode, Reader};
 use sft_types::{Height, Payload, ReplicaId, Round, SharedBytes, VoteData};
+
+use crate::wal::WalSpan;
 
 /// A proposed block: parent link, position, proposer, and payload.
 ///
@@ -204,9 +207,21 @@ impl Block {
         self.proposer
     }
 
-    /// The transaction payload.
+    /// The transaction payload. Empty for a block a store spilled
+    /// ([`BlockStore::spill`]): its transactions are in the log.
     pub fn payload(&self) -> &Payload {
         &self.payload
+    }
+
+    /// The block as a store keeps it once its bytes are in the log: the
+    /// same id and header, an empty payload and no held encoding. Such a
+    /// block is read for its position in the chain, never encoded.
+    fn header_only(&self) -> Self {
+        Self {
+            payload: Arc::new(Payload::empty()),
+            encoding: None,
+            ..self.clone()
+        }
     }
 
     /// True for the genesis block.
@@ -319,7 +334,9 @@ impl std::error::Error for BlockStoreError {}
 
 /// An index of delivered blocks, rooted at genesis. Append-only except for
 /// [`prune_below`](Self::prune_below), which drops whole rounds from the
-/// old end once a replica's retention horizon has passed them.
+/// old end once a replica's retention horizon has passed them, and
+/// [`spill`](Self::spill), which keeps only the header of a committed block
+/// whose bytes a durable log holds.
 ///
 /// # Examples
 ///
@@ -336,6 +353,8 @@ impl std::error::Error for BlockStoreError {}
 #[derive(Clone, Debug)]
 pub struct BlockStore {
     blocks: HashMap<HashValue, Block>,
+    /// Where the bytes of each spilled block are in the replica's log.
+    spilled: HashMap<HashValue, WalSpan>,
     genesis_id: HashValue,
 }
 
@@ -352,7 +371,11 @@ impl BlockStore {
         let genesis_id = genesis.id();
         let mut blocks = HashMap::new();
         blocks.insert(genesis_id, genesis);
-        Self { blocks, genesis_id }
+        Self {
+            blocks,
+            spilled: HashMap::new(),
+            genesis_id,
+        }
     }
 
     /// Id of the genesis block.
@@ -414,7 +437,47 @@ impl BlockStore {
             }
             keep
         });
+        for id in &dropped {
+            self.spilled.remove(id);
+        }
         dropped
+    }
+
+    /// Drops the payload and held encoding of block `id`, whose bytes are
+    /// durable at `span` of the replica's log; [`get`](Self::get) returns
+    /// its header from now on, and [`spilled`](Self::spilled) the span.
+    /// Returns false (and changes nothing) if the block is not held, is
+    /// genesis, or was spilled already.
+    pub fn spill(&mut self, id: HashValue, span: WalSpan) -> bool {
+        let Some(block) = self.blocks.get_mut(&id) else {
+            return false;
+        };
+        if block.is_genesis() || self.spilled.contains_key(&id) {
+            return false;
+        }
+        *block = block.header_only();
+        self.spilled.insert(id, span);
+        true
+    }
+
+    /// Where block `id`'s bytes are in the log, if the store spilled it.
+    pub fn spilled(&self, id: HashValue) -> Option<WalSpan> {
+        self.spilled.get(&id).copied()
+    }
+
+    /// The encoding bytes the store holds: each block's held encoding (or
+    /// its encoded size, for a block built rather than decoded), genesis
+    /// and spilled blocks excluded.
+    pub fn payload_bytes(&self) -> u64 {
+        self.blocks
+            .iter()
+            .filter(|(id, block)| !block.is_genesis() && !self.spilled.contains_key(id))
+            .map(|(_, block)| {
+                block
+                    .encoding()
+                    .map_or_else(|| block.encoded_len(), |held| held.len()) as u64
+            })
+            .sum()
     }
 
     /// Looks up a block by id.
@@ -736,6 +799,40 @@ mod tests {
         assert_eq!(store.insert(late), Err(BlockStoreError::UnknownParent));
         // Descendants of retained blocks still do.
         extend(&mut store, b3.id(), 4);
+    }
+
+    #[test]
+    fn a_spilled_block_keeps_its_place_in_the_chain_and_drops_its_bytes() {
+        let mut store = BlockStore::new();
+        let genesis_id = store.genesis_id();
+        let b1 = extend(&mut store, genesis_id, 1);
+        let b2 = extend(&mut store, b1.id(), 2);
+        let held = store.payload_bytes();
+        assert_eq!(held, (b1.encoded_len() + b2.encoded_len()) as u64);
+        let span = WalSpan {
+            offset: 12,
+            len: 345,
+        };
+        assert!(store.spill(b1.id(), span));
+        assert!(!store.spill(b1.id(), span), "once");
+        assert!(!store.spill(genesis_id, span), "genesis stays whole");
+        assert_eq!(store.spilled(b1.id()), Some(span));
+        assert_eq!(store.payload_bytes(), b2.encoded_len() as u64);
+        let header = store.get(b1.id()).unwrap();
+        assert_eq!(
+            (
+                header.id(),
+                header.round(),
+                header.height(),
+                header.parent_id()
+            ),
+            (b1.id(), b1.round(), b1.height(), b1.parent_id())
+        );
+        assert!(header.payload().is_empty() && header.encoding().is_none());
+        assert!(store.extends(b2.id(), b1.id()));
+        extend(&mut store, b1.id(), 3); // a child still attaches
+        store.prune_below(Round::new(2));
+        assert_eq!(store.spilled(b1.id()), None, "pruned with its block");
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::time::Duration;
 use sft_obs::{names, SharedRecorder};
 use sft_types::{PersistSeq, Watermark};
 
-use crate::wal::{WalError, WalRecord, WalSink};
+use crate::wal::{WalError, WalReader, WalRecord, WalSink, WalSpan};
 
 /// How a run harness talks to a durable log: appends hand back the
 /// record's [`PersistSeq`], the [`Watermark`] says how much of the log
@@ -70,6 +70,27 @@ pub trait DurableWal: Send {
     /// Returns [`WalError::Io`] when the sink (or the writer thread
     /// behind it) has failed.
     fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError>;
+
+    /// Appends one record as [`append`](Self::append) does, and also says
+    /// where its frame lands in the log when the log can be read back
+    /// through [`reader`](Self::reader) (`None` otherwise, the default).
+    ///
+    /// # Errors
+    ///
+    /// As [`append`](Self::append).
+    fn append_spanned(
+        &mut self,
+        record: &WalRecord,
+    ) -> Result<(PersistSeq, Option<WalSpan>), WalError> {
+        Ok((self.append(record)?, None))
+    }
+
+    /// A reader over this log's bytes, for the spans
+    /// [`append_spanned`](Self::append_spanned) reports; `None` (the
+    /// default) when the log cannot be read back.
+    fn reader(&self) -> Option<WalReader> {
+        None
+    }
 
     /// A handle to this log's durability watermark.
     fn watermark(&self) -> Watermark;
@@ -119,8 +140,12 @@ struct GroupShared {
 }
 
 impl GroupShared {
+    /// Locks the pending appends. The one panic under this lock, framing
+    /// an oversized record, leaves the buffer as it found it, so a
+    /// poisoned lock still guards sound data: a WAL failure surfaces as an
+    /// error through `failed`, never as a panic of whoever locks next.
     fn lock(&self) -> std::sync::MutexGuard<'_, Pending> {
-        self.pending.lock().expect("group wal pending lock")
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn failure(&self) -> Option<WalError> {
@@ -150,6 +175,10 @@ const BARRIER_POLL: Duration = Duration::from_millis(2);
 pub struct GroupCommitWal {
     watermark: Watermark,
     next_seq: PersistSeq,
+    /// A reader over the sink's bytes, if it can be read back, and the
+    /// log's length with every appended frame counted — where the next
+    /// frame lands.
+    reader: Option<(WalReader, u64)>,
     shared: Arc<GroupShared>,
     writer: Option<JoinHandle<()>>,
 }
@@ -169,6 +198,7 @@ impl GroupCommitWal {
         recorder: SharedRecorder,
         wake: Option<Box<dyn Fn() + Send + Sync>>,
     ) -> io::Result<Self> {
+        let reader = sink.reader();
         let shared = Arc::new(GroupShared::default());
         let watermark = Watermark::with_demand_hook({
             let shared = Arc::clone(&shared);
@@ -184,6 +214,7 @@ impl GroupCommitWal {
         Ok(Self {
             watermark,
             next_seq: 1,
+            reader,
             shared,
             writer: Some(writer),
         })
@@ -218,11 +249,7 @@ impl GroupCommitWal {
     /// Never panics (drop calls it): raising the flag is sound on a lock
     /// an append panicked under, and the writer then stops on its own.
     fn close(&mut self) {
-        let mut pending = self
-            .shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut pending = self.shared.lock();
         pending.closing = true;
         drop(pending);
         self.shared.wake.notify_one();
@@ -234,6 +261,13 @@ impl GroupCommitWal {
 
 impl DurableWal for GroupCommitWal {
     fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError> {
+        self.append_spanned(record).map(|(seq, _)| seq)
+    }
+
+    fn append_spanned(
+        &mut self,
+        record: &WalRecord,
+    ) -> Result<(PersistSeq, Option<WalSpan>), WalError> {
         let seq = self.next_seq;
         let mut pending = self.shared.lock();
         if let Some(msg) = &pending.failed {
@@ -241,6 +275,7 @@ impl DurableWal for GroupCommitWal {
         }
         let before = pending.frames.len();
         record.frame_into(&mut pending.frames);
+        let len = pending.frames.len() - before;
         pending.records += 1;
         pending.last = seq;
         let crossed = before < PENDING_BOUND && pending.frames.len() >= PENDING_BOUND;
@@ -249,7 +284,21 @@ impl DurableWal for GroupCommitWal {
             self.shared.wake.notify_one();
         }
         self.next_seq += 1;
-        Ok(seq)
+        // The writer hands whole buffers to the sink in append order, so
+        // frames land back to back from the sink's length at spawn.
+        let span = self.reader.as_mut().map(|(_, end)| {
+            let offset = *end;
+            *end += len as u64;
+            WalSpan {
+                offset,
+                len: len as u32,
+            }
+        });
+        Ok((seq, span))
+    }
+
+    fn reader(&self) -> Option<WalReader> {
+        self.reader.as_ref().map(|(reader, _)| reader.clone())
     }
 
     fn watermark(&self) -> Watermark {
@@ -313,7 +362,10 @@ fn writer_loop<S: WalSink>(
                 if pending.closing {
                     return;
                 }
-                pending = shared.wake.wait(pending).expect("group wal pending lock");
+                pending = shared
+                    .wake
+                    .wait(pending)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             // The appends' buffer becomes this batch; the emptied one
             // (capacity kept) goes back to the appends.

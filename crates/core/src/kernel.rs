@@ -24,7 +24,7 @@ use crate::{
     AckTracker, Admission, Block, BlockResponse, BlockStore, BlockStoreError, CommitLedger,
     EndorsementTracker, EngineObs, EngineStep, Mempool, OutboundMsg, PayloadSource, ProtocolConfig,
     QuorumCertificate, Retention, SyncManager, SyncStats, VoteOutcome, VoteTracker, VoterState,
-    WalRecord,
+    WalReader, WalRecord, WalSpan,
 };
 
 /// What taking in one block produced: this replica's vote, if the voting
@@ -49,6 +49,10 @@ pub struct ResidentState {
     pub certs: usize,
     /// Mempool dedup entries ([`Mempool::dedup_entries`]).
     pub dedup_entries: usize,
+    /// Encoding bytes of the blocks in the store that hold their payload,
+    /// genesis excluded ([`BlockStore::payload_bytes`]): a replica with a
+    /// durable log holds only the blocks whose commit is not yet durable.
+    pub payload_bytes: u64,
 }
 
 /// The protocol-agnostic state of one replica and every operation on it
@@ -93,6 +97,9 @@ pub struct ChainKernel {
     logged_qcs: BTreeSet<(Round, HashValue)>,
     /// How far behind the committed tip state is kept (see [`Retention`]).
     retention: Retention,
+    /// A reader over this replica's durable log, when it has one: what
+    /// spilled blocks are served back from ([`spill`](Self::spill)).
+    log: Option<WalReader>,
     /// Client submissions awaiting their strength-graded commit acks.
     acks: AckTracker,
     obs: EngineObs,
@@ -133,6 +140,7 @@ impl ChainKernel {
             wal: Vec::new(),
             logged_qcs: BTreeSet::new(),
             retention: Retention::default(),
+            log: None,
             acks: AckTracker::new(),
             obs: EngineObs::new(),
         }
@@ -172,6 +180,13 @@ impl ChainKernel {
     /// make room.
     pub fn set_mempool_caps(&mut self, max_pending: usize, max_pending_bytes: u64) {
         self.mempool.set_caps(max_pending, max_pending_bytes);
+    }
+
+    /// Installs a reader over this replica's durable log. From then on a
+    /// committed block whose `BlockCommitted` record is durable may leave
+    /// memory ([`spill`](Self::spill)); block sync reads it back from here.
+    pub fn set_log_reader(&mut self, log: WalReader) {
+        self.log = Some(log);
     }
 
     /// Installs the recorder that consensus milestones, client acks and
@@ -518,17 +533,22 @@ impl ChainKernel {
     }
 
     /// Commit-time bookkeeping for blocks the ledger just finalized: the
-    /// durable record, the transaction counter, and the first strength
-    /// grade. Commits are what moves the retention horizon, so the caller
-    /// follows up with [`prune`](Self::prune).
+    /// durable record, the transaction counter, the mempool's dedup state,
+    /// the client acks' scan, and the first strength grade. Commits are
+    /// what moves the retention horizon, so the caller follows up with
+    /// [`prune`](Self::prune).
     fn commit_blocks(&mut self, committed: Vec<HashValue>) -> Vec<StrongCommitUpdate> {
         let mut updates = Vec::new();
         for id in committed {
             if let Some(block) = self.store.get(id) {
+                // Every reader of a committed payload runs here, before
+                // the block's record exists: once the record is durable
+                // the payload may leave memory.
                 self.txns_committed += block.payload().txn_count() as u64;
                 if let Payload::Transactions(txns) = block.payload() {
                     self.mempool.mark_committed(txns.iter());
                 }
+                self.acks.scan_committed(block, &self.store);
                 self.wal.push(WalRecord::BlockCommitted(block.clone()));
             }
             updates.extend(self.endorsements.take_level_update(id, &self.store));
@@ -568,9 +588,11 @@ impl ChainKernel {
     }
 
     /// Serves a peer's block-sync request from the local store, if this
-    /// replica holds both the block and a certificate for it.
+    /// replica holds both the block and a certificate for it. Spilled
+    /// blocks are read back from the log and checked against their ids; a
+    /// failed read declines the request.
     pub fn serve_sync(&mut self, request: &BlockRequest) -> Option<BlockResponse> {
-        self.sync.serve(request, &self.store)
+        self.sync.serve(request, &self.store, self.log.as_ref())
     }
 
     /// Verifies a block-sync response against the certificate chain and
@@ -603,6 +625,19 @@ impl ChainKernel {
     /// the records it re-derives: they are already in the log.)
     pub fn drain_wal(&mut self) -> Vec<WalRecord> {
         std::mem::take(&mut self.wal)
+    }
+
+    /// Tells the kernel that block `id`'s `BlockCommitted` record is
+    /// durable at `span` of its log: the block keeps its header in the
+    /// store and its bytes leave memory. Every reader of a committed
+    /// payload ran when the block committed, before its record existed;
+    /// only block sync reads it later, and reads it back from the log. A
+    /// no-op without a log reader, or for a block not committed here (any
+    /// more).
+    pub fn spill(&mut self, id: HashValue, span: WalSpan) {
+        if self.log.is_some() && self.ledger.contains(id) {
+            self.store.spill(id, span);
+        }
     }
 
     /// Re-applies a recovered `VoteSent` record: re-arms the vote-once rule
@@ -721,6 +756,7 @@ impl ChainKernel {
             votes: self.votes.resident_votes() + self.members.len(),
             certs: self.sync.resident_certs(),
             dedup_entries: self.mempool.dedup_entries(),
+            payload_bytes: self.store.payload_bytes(),
         }
     }
 

@@ -26,7 +26,10 @@
 //!    responses heal themselves.
 //! 3. **Serve** — [`SyncManager::serve`] answers from the local store with
 //!    a [`BlockResponse`]: the chain segment ending at the target plus the
-//!    target's quorum certificate.
+//!    target's quorum certificate. A block the store spilled is read back
+//!    from the replica's log and served byte for byte as it was held; a
+//!    read that fails or does not hash to the stored id declines the
+//!    request, and the requester asks another peer.
 //! 4. **Verify & admit** — [`SyncManager::on_response`] admits nothing
 //!    that does not verify against the certificate chain: the segment must
 //!    end at a target this replica asked for, carry a well-formed QC naming
@@ -53,7 +56,7 @@ use sft_crypto::HashValue;
 use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, ReplicaId, Round, SimDuration, SimTime};
 
-use crate::{Block, BlockStore, ProtocolConfig, QuorumCertificate};
+use crate::{Block, BlockStore, ProtocolConfig, QuorumCertificate, WalReader};
 
 /// A responder's answer to a [`BlockRequest`]: a chain segment (oldest
 /// first) ending at the requested block, plus the quorum certificate for
@@ -150,6 +153,12 @@ pub struct SyncStats {
     /// Orphaned proposals released into the store because their parent
     /// arrived by the normal path ([`SyncManager::note_stored`]).
     pub orphans_adopted: u64,
+    /// Blocks served to peers that were read back from the log, their
+    /// bytes having been spilled ([`BlockStore::spill`]).
+    pub blocks_served_from_log: u64,
+    /// Requests declined because a spilled block's read failed, came back
+    /// short, or did not hash to the stored id.
+    pub log_reads_failed: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -206,7 +215,7 @@ const MAX_FETCH_ATTEMPTS: u32 = 32;
 ///
 /// let mut server = SyncManager::new(cfg, ReplicaId::new(1));
 /// server.note_certificate(&qc, &full);
-/// let response = server.serve(&requests[0].1, &full).unwrap();
+/// let response = server.serve(&requests[0].1, &full, None).unwrap();
 /// let admitted = sync.on_response(&response, &mut behind);
 /// assert_eq!(admitted, vec![b1.id()]);
 /// assert!(behind.contains(b1.id()));
@@ -504,26 +513,46 @@ impl SyncManager {
 
     /// Serves a peer's request from the local store: the segment of up to
     /// `max_blocks` ancestors ending at the target, oldest first, plus the
-    /// target's certificate. `None` if this replica lacks the block or a
-    /// certificate for it (the requester will retry elsewhere).
-    pub fn serve(&mut self, request: &BlockRequest, store: &BlockStore) -> Option<BlockResponse> {
+    /// target's certificate. Spilled blocks are read back through `log`.
+    /// `None` if this replica lacks the block or a certificate for it, or a
+    /// spilled block cannot be read back intact (the requester will retry
+    /// elsewhere).
+    pub fn serve(
+        &mut self,
+        request: &BlockRequest,
+        store: &BlockStore,
+        log: Option<&WalReader>,
+    ) -> Option<BlockResponse> {
         let target = request.target();
         let qc = self.certs.get(&target)?.clone();
-        let tip = store.get(target)?.clone();
+        let tip = store.get(target)?;
         let cap = request
             .max_blocks()
             .min(self.sync_config.max_blocks_per_request)
             .max(1) as usize;
-        let mut segment = vec![tip];
-        for ancestor in store.ancestors(target) {
-            if segment.len() >= cap || ancestor.is_genesis() {
-                break;
+        let segment: Vec<&Block> = std::iter::once(tip)
+            .chain(store.ancestors(target).take_while(|b| !b.is_genesis()))
+            .take(cap)
+            .collect();
+        let mut read_back = 0;
+        let mut blocks = Vec::with_capacity(segment.len());
+        for block in segment.into_iter().rev() {
+            let Some(span) = store.spilled(block.id()) else {
+                blocks.push(block.clone());
+                continue;
+            };
+            match log.map(|log| log.read_block(span)) {
+                Some(Ok(read)) if read.id() == block.id() => blocks.push(read),
+                _ => {
+                    self.stats.log_reads_failed += 1;
+                    return None;
+                }
             }
-            segment.push(ancestor.clone());
+            read_back += 1;
         }
-        segment.reverse();
+        self.stats.blocks_served_from_log += read_back;
         self.stats.responses_served += 1;
-        Some(BlockResponse::new(qc, segment))
+        Some(BlockResponse::new(qc, blocks))
     }
 
     /// [`on_response`](Self::on_response) plus latency accounting: when
@@ -721,6 +750,7 @@ impl SyncManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{MemSink, WalRecord, WalSink, WalSpan};
     use sft_types::{Payload, SignerSet};
 
     fn cfg() -> ProtocolConfig {
@@ -772,7 +802,7 @@ mod tests {
         assert!(sync.is_syncing());
         let requests = sync.take_requests(SimTime::ZERO);
         assert_eq!(requests.len(), 1);
-        let response = server.serve(&requests[0].1, &store).unwrap();
+        let response = server.serve(&requests[0].1, &store, None).unwrap();
         let admitted = sync.on_response(&response, &mut behind);
         assert_eq!(
             admitted,
@@ -792,7 +822,7 @@ mod tests {
 
         // Unsolicited: never asked for anything.
         let req = BlockRequest::new(ReplicaId::new(0), blocks[1].id(), 8);
-        let response = server.serve(&req, &store).unwrap();
+        let response = server.serve(&req, &store, None).unwrap();
         assert!(sync.on_response(&response, &mut behind).is_empty());
         assert_eq!(sync.stats().responses_rejected, 1);
 
@@ -811,7 +841,7 @@ mod tests {
         let mut sync = SyncManager::new(cfg(), ReplicaId::new(0));
         sync.note_certificate(&quorum_qc(&blocks[3]), &behind);
         let requests = sync.take_requests(SimTime::ZERO);
-        let honest = server.serve(&requests[0].1, &store).unwrap();
+        let honest = server.serve(&requests[0].1, &store, None).unwrap();
 
         // Truncating the tail (the certified target) breaks the anchor.
         let mut cut = honest.blocks().to_vec();
@@ -858,7 +888,7 @@ mod tests {
 
         // First fetch returns blocks 5..6 — parent (block 4) unknown.
         let requests = sync.take_requests(SimTime::ZERO);
-        let response = server.serve(&requests[0].1, &store).unwrap();
+        let response = server.serve(&requests[0].1, &store, None).unwrap();
         assert_eq!(response.blocks().len(), 2);
         assert!(sync.on_response(&response, &mut behind).is_empty());
         assert!(sync.is_syncing(), "segment pooled, parent chased");
@@ -869,7 +899,7 @@ mod tests {
         for _ in 0..4 {
             let now = SimTime::ZERO;
             for (_, request) in sync.take_requests(now) {
-                if let Some(response) = server.serve(&request, &store) {
+                if let Some(response) = server.serve(&request, &store, None) {
                     admitted_total += sync.on_response(&response, &mut behind).len();
                 }
             }
@@ -965,11 +995,67 @@ mod tests {
         let (store, blocks) = chain(2);
         let mut sync = SyncManager::new(cfg(), ReplicaId::new(1));
         let req = BlockRequest::new(ReplicaId::new(0), blocks[1].id(), 8);
-        assert!(sync.serve(&req, &store).is_none(), "no certificate");
+        assert!(sync.serve(&req, &store, None).is_none(), "no certificate");
         sync.note_certificate(&quorum_qc(&blocks[1]), &store);
-        assert!(sync.serve(&req, &store).is_some());
+        assert!(sync.serve(&req, &store, None).is_some());
         let empty = BlockStore::new();
-        assert!(sync.serve(&req, &empty).is_none(), "no block");
+        assert!(sync.serve(&req, &empty, None).is_none(), "no block");
+    }
+
+    /// Spills `blocks` from `store` onto a fresh memory log, each frame
+    /// passed through `damage` first, and returns the log's reader.
+    fn spill_onto_log(
+        store: &mut BlockStore,
+        blocks: &[Block],
+        damage: impl Fn(&mut Vec<u8>),
+    ) -> WalReader {
+        let mut sink = MemSink::new();
+        let (log, mut offset) = sink.reader().unwrap();
+        for block in blocks {
+            let mut frame = WalRecord::BlockCommitted(block.clone()).to_frame();
+            let len = frame.len() as u32;
+            damage(&mut frame);
+            sink.append(&frame).unwrap();
+            store.spill(block.id(), WalSpan { offset, len });
+            offset += u64::from(len);
+        }
+        log
+    }
+
+    #[test]
+    fn spilled_blocks_are_served_from_the_log_byte_for_byte() {
+        let (mut store, blocks) = chain(3);
+        let mut server = server_for(&store, &blocks);
+        let req = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 8);
+        let held = server.serve(&req, &store, None).unwrap().to_bytes();
+        let log = spill_onto_log(&mut store, &blocks[..2], |_| {});
+        let served = server.serve(&req, &store, Some(&log)).unwrap();
+        assert_eq!(served.to_bytes(), held);
+        assert_eq!(server.stats().blocks_served_from_log, 2);
+        assert_eq!(server.stats().log_reads_failed, 0);
+    }
+
+    #[test]
+    fn a_spilled_block_that_cannot_be_read_back_intact_declines_the_request() {
+        let (store, blocks) = chain(3);
+        let req = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 8);
+        let flip_last = |frame: &mut Vec<u8>| *frame.last_mut().unwrap() ^= 1;
+        let cut_short = |frame: &mut Vec<u8>| frame.truncate(frame.len() - 1);
+        for (damage, reader) in [
+            (flip_last as fn(&mut Vec<u8>), true),
+            (cut_short, true),
+            (|_: &mut Vec<u8>| {}, false),
+        ] {
+            let mut store = store.clone();
+            let mut server = server_for(&store, &blocks);
+            let log = spill_onto_log(&mut store, &blocks[..2], damage);
+            assert!(server.serve(&req, &store, reader.then_some(&log)).is_none());
+            assert_eq!(server.stats().log_reads_failed, 1);
+            assert_eq!(server.stats().responses_served, 0);
+            // Blocks still in memory are served as before.
+            let held = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 1);
+            assert!(server.serve(&held, &store, None).is_some());
+        }
     }
 
     #[test]
@@ -977,7 +1063,7 @@ mod tests {
         let (store, blocks) = chain(3);
         let mut server = server_for(&store, &blocks);
         let req = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 8);
-        let response = server.serve(&req, &store).unwrap();
+        let response = server.serve(&req, &store, None).unwrap();
         let back = BlockResponse::from_bytes(&response.to_bytes()).unwrap();
         assert_eq!(back, response);
         assert_eq!(back.target(), blocks[2].id());

@@ -48,6 +48,15 @@
 //!   This means the storage lied and recovery must not guess; the scan
 //!   fails loudly with the offset.
 //!
+//! ## Reading a record back
+//!
+//! A log that can be read back hands out a [`WalReader`]: a second handle
+//! on the file, or the memory sink's shared buffer. A group-commit log
+//! reports where each record's frame landed ([`WalSpan`]), so a replica
+//! may drop a committed block's bytes once its `BlockCommitted` frame is
+//! durable and read them back ([`WalReader::read_block`]) when a peer's
+//! block sync asks for it.
+//!
 //! ## Durability knob
 //!
 //! [`Wal`] batches fsyncs: `sync_every = 1` syncs after every append (a
@@ -61,7 +70,9 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sft_crypto::{HashValue, Hasher};
 use sft_types::{
@@ -161,8 +172,14 @@ impl WalRecord {
         self.encode(buf);
         let body_start = start + WAL_HEADER_LEN;
         let body_len = buf.len() - body_start;
+        // Cut the record back out before failing, so a buffer shared
+        // across the panic holds only whole frames.
+        let oversized = body_len > MAX_WAL_BODY_LEN;
+        if oversized {
+            buf.truncate(start);
+        }
         assert!(
-            body_len <= MAX_WAL_BODY_LEN,
+            !oversized,
             "WAL record body {body_len}B exceeds MAX_WAL_BODY_LEN"
         );
         let checksum = match self {
@@ -393,14 +410,88 @@ pub trait WalSink {
     ///
     /// Returns the underlying I/O error.
     fn sync(&mut self) -> io::Result<()>;
+
+    /// A reader over the bytes this sink writes, and how many it holds
+    /// already — the offset its next append lands at. `None` (the
+    /// default) for a sink that cannot be read back.
+    fn reader(&self) -> Option<(WalReader, u64)> {
+        None
+    }
 }
 
-/// An in-memory sink: the log image is a `Vec<u8>`. Used by the
+/// Where one record's frame sits in a log: its first byte's offset and
+/// its length, header included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalSpan {
+    /// Offset of the frame's first byte from the start of the log.
+    pub offset: u64,
+    /// Bytes in the frame.
+    pub len: u32,
+}
+
+/// Read access to a log's bytes by offset, shared with the sink that
+/// writes them: a second handle on the file, or a memory sink's buffer.
+/// Only bytes the log has made durable are worth reading.
+#[derive(Clone, Debug)]
+pub struct WalReader(LogBytes);
+
+#[derive(Clone, Debug)]
+enum LogBytes {
+    File(Arc<File>),
+    Mem(Arc<Mutex<Vec<u8>>>),
+}
+
+impl WalReader {
+    /// Reads back the block of the `BlockCommitted` frame at `span`. The
+    /// block holds the buffer it was read into as its encoding. Its id is
+    /// recomputed by the decode, so comparing it with the id the frame was
+    /// written for checks every byte read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WalError::Io`] for a failed or short read, and
+    /// [`WalError::Corrupt`] when the bytes do not decode as a block.
+    pub fn read_block(&self, span: WalSpan) -> Result<Block, WalError> {
+        // The body behind the frame header and the record's tag byte.
+        let skip = WAL_HEADER_LEN + 1;
+        let len = (span.len as usize)
+            .checked_sub(skip)
+            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+        let offset = span.offset + skip as u64;
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let dst = Arc::make_mut(&mut buf);
+        match &self.0 {
+            LogBytes::File(file) => file.read_exact_at(dst, offset)?,
+            LogBytes::Mem(bytes) => {
+                let bytes = lock(bytes);
+                let src = usize::try_from(offset)
+                    .ok()
+                    .and_then(|at| bytes.get(at..at.checked_add(len)?))
+                    .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+                dst.copy_from_slice(src);
+            }
+        }
+        Block::from_shared(&buf).map_err(|e| WalError::Corrupt {
+            offset: span.offset,
+            error: FrameError::Malformed(e),
+        })
+    }
+}
+
+/// Locks a memory sink's buffer. Only whole copies in and out happen
+/// under the lock, so a poisoned one still guards whole frames.
+fn lock(bytes: &Mutex<Vec<u8>>) -> MutexGuard<'_, Vec<u8>> {
+    bytes.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An in-memory sink: the log image is a shared `Vec<u8>`. Used by the
 /// in-process crash/restart tests, which "reboot" a replica by scanning
-/// the bytes this sink accumulated.
+/// the bytes this sink accumulated, and by simulated group-commit runs,
+/// whose replicas read spilled blocks back from it. Clones share the
+/// image.
 #[derive(Clone, Debug, Default)]
 pub struct MemSink {
-    bytes: Vec<u8>,
+    bytes: Arc<Mutex<Vec<u8>>>,
     syncs: u64,
 }
 
@@ -410,14 +501,9 @@ impl MemSink {
         Self::default()
     }
 
-    /// The accumulated log image.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consumes the sink, returning the log image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+    /// A copy of the accumulated log image.
+    pub fn bytes(&self) -> Vec<u8> {
+        lock(&self.bytes).clone()
     }
 
     /// How many times [`WalSink::sync`] was called — what the fsync
@@ -429,13 +515,18 @@ impl MemSink {
 
 impl WalSink for MemSink {
     fn append(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.bytes.extend_from_slice(frame);
+        lock(&self.bytes).extend_from_slice(frame);
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
         self.syncs += 1;
         Ok(())
+    }
+
+    fn reader(&self) -> Option<(WalReader, u64)> {
+        let len = lock(&self.bytes).len() as u64;
+        Some((WalReader(LogBytes::Mem(Arc::clone(&self.bytes))), len))
     }
 }
 
@@ -461,6 +552,14 @@ impl WalSink for FileSink {
 
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    /// A second handle on the file, reading with `pread` so it never
+    /// moves the append position.
+    fn reader(&self) -> Option<(WalReader, u64)> {
+        let len = (&self.file).stream_position().ok()?;
+        let file = self.file.try_clone().ok()?;
+        Some((WalReader(LogBytes::File(Arc::new(file))), len))
     }
 }
 

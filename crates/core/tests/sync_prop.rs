@@ -163,7 +163,7 @@ fn adversarial_responses_never_corrupt_the_store() {
                 break;
             }
             for (_, request) in requests {
-                let Some(honest) = server.serve(&request, &world) else {
+                let Some(honest) = server.serve(&request, &world, None) else {
                     continue;
                 };
                 // Mostly hostile early, honest later (so the run converges).
@@ -222,7 +222,7 @@ fn pure_adversary_admits_nothing_but_real_segments() {
         for _ in 0..32 {
             clock += 1000;
             for (_, request) in sync.take_requests(SimTime::from_millis(clock)) {
-                let Some(honest) = server.serve(&request, &world) else {
+                let Some(honest) = server.serve(&request, &world, None) else {
                     continue;
                 };
                 let forged = mutate(&mut rng, &honest, &trunk);

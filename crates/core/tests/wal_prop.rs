@@ -404,7 +404,8 @@ fn batched_sync_crash_loses_at_most_the_unsynced_window() {
         for record in &records {
             boundaries.push(boundaries.last().unwrap() + record.to_frame().len());
         }
-        let preserved = &wal.sink().bytes()[..boundaries[synced]];
+        let image = wal.sink().bytes();
+        let preserved = &image[..boundaries[synced]];
         let scanned = scan_wal(preserved).expect("synced prefix is clean");
         assert_eq!(
             scanned.records,

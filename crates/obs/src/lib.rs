@@ -157,6 +157,10 @@ pub mod names {
 
     /// Blocks held in a replica's store, genesis included.
     pub const RESIDENT_BLOCKS: &str = "resident_blocks";
+    /// Encoding bytes of the stored blocks that hold their payload,
+    /// genesis excluded: with a durable log, only blocks whose commit is
+    /// not durable yet.
+    pub const RESIDENT_PAYLOAD_BYTES: &str = "resident_payload_bytes";
     /// Votes held by a replica's vote tracker.
     pub const RESIDENT_VOTES: &str = "resident_votes";
     /// Quorum certificates held for block sync.

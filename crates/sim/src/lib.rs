@@ -758,6 +758,10 @@ pub struct SimReport {
     pub sync_requests: u64,
     /// Blocks recovered via block-sync across all replicas.
     pub sync_blocks_fetched: u64,
+    /// Blocks served to syncing peers that the server read back from its
+    /// log, having dropped their bytes once their commit was durable
+    /// (across all replicas; 0 without a log that can be read back).
+    pub sync_served_from_log: u64,
     /// Replicas that fell behind, fetched blocks via sync, and ended the
     /// run with a non-empty committed chain — the catch-up success count.
     pub recovered_replicas: usize,

@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use sft_core::{
     ChainKernel, DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError,
-    WalRecord,
+    WalRecord, WalSpan,
 };
 use sft_crypto::HashValue;
 use sft_network::Transport;
@@ -172,6 +172,11 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     /// current instant (0 = none): what the instant asks its log to make
     /// durable when it ends.
     demand: Vec<PersistSeq>,
+    /// Replica `i`'s `BlockCommitted` records not yet known durable, in
+    /// append order: the sequence, the block and where its frame landed.
+    /// Each leaves memory once the watermark covers it
+    /// ([`ChainKernel::spill`]). Empty on logs that cannot be read back.
+    spills: Vec<VecDeque<(PersistSeq, HashValue, WalSpan)>>,
     drain_used: u64,
     /// Which client connection is waiting on each admitted transaction's
     /// ack — the routing table from [`ChainKernel::drain_acks`] back to
@@ -219,6 +224,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             last_seq: vec![0; n],
             vote_seq: vec![0; n],
             demand: vec![0; n],
+            spills: vec![VecDeque::new(); n],
             drain_used: 0,
             ack_routes: HashMap::new(),
             recorder: sft_obs::noop(),
@@ -242,12 +248,20 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// in the transport until the log's durability watermark covers the
     /// replica's last appended record, and each instant ends by requesting
     /// durability for the frames it gated — one request per replica.
+    /// A log that can be read back also takes committed blocks' bytes off
+    /// the heap: once a block's `BlockCommitted` record is durable, its
+    /// replica keeps only the header and serves block sync from the log.
     ///
     /// # Panics
     ///
     /// Panics if `wals` is not exactly one log per hosted replica.
     pub fn set_wals(&mut self, wals: Vec<Box<dyn DurableWal>>) {
         assert_eq!(wals.len(), self.engines.len(), "one wal per replica");
+        for (engine, wal) in self.engines.iter_mut().zip(&wals) {
+            if let Some(reader) = wal.reader() {
+                engine.kernel_mut().set_log_reader(reader);
+            }
+        }
         self.wals = Some(wals);
     }
 
@@ -283,13 +297,17 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// replacement arrives with whatever state the caller rebuilt (nothing
     /// for an amnesiac restart, a [`restore`](ReplicaEngine::restore)
     /// replay of [`persisted`](Self::persisted) for a recovering one); its
-    /// WAL keeps growing where the old engine's left off.
-    pub fn replace_engine(&mut self, i: usize, engine: E) -> E {
+    /// WAL keeps growing where the old engine's left off, and the
+    /// replacement reads its spilled blocks back from it.
+    pub fn replace_engine(&mut self, i: usize, mut engine: E) -> E {
         assert_eq!(
             engine.id(),
             self.engines[i].id(),
             "replacement must keep the replica's identity"
         );
+        if let Some(reader) = self.wals.as_ref().and_then(|wals| wals[i].reader()) {
+            engine.kernel_mut().set_log_reader(reader);
+        }
         std::mem::replace(&mut self.engines[i], engine)
     }
 
@@ -437,14 +455,30 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// Asks each hosted replica's log, once, to make durable the highest
     /// sequence it gated a frame on this instant. One fsync then releases
     /// every frame of the instant — a leader's proposal and its own
-    /// vote alike — and with them every record appended before.
+    /// vote alike — and with them every record appended before. The same
+    /// look at each watermark tells the replica which committed blocks
+    /// became durable since the last one, and those leave memory.
     fn request_durability(&mut self) {
         let Some(wals) = &self.wals else {
             return;
         };
-        for (wal, demand) in wals.iter().zip(&mut self.demand) {
-            if *demand > 0 {
-                wal.watermark().request(std::mem::take(demand));
+        for (i, wal) in wals.iter().enumerate() {
+            let watermark = wal.watermark();
+            let demand = std::mem::take(&mut self.demand[i]);
+            if demand > 0 {
+                watermark.request(demand);
+            }
+            let spills = &mut self.spills[i];
+            if spills.is_empty() {
+                continue;
+            }
+            let durable = watermark.get();
+            while let Some(&(seq, id, span)) = spills.front() {
+                if seq > durable {
+                    break;
+                }
+                spills.pop_front();
+                self.engines[i].kernel_mut().spill(id, span);
             }
         }
     }
@@ -558,9 +592,14 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             if let Some(wals) = &mut self.wals {
                 let wait = PhaseTimer::start(&*self.recorder);
                 for record in &step.persist {
-                    self.last_seq[i] = wals[i].append(record)?;
-                    if matches!(record, WalRecord::VoteSent(_)) {
-                        self.vote_seq[i] = self.last_seq[i];
+                    let (seq, span) = wals[i].append_spanned(record)?;
+                    self.last_seq[i] = seq;
+                    match (record, span) {
+                        (WalRecord::VoteSent(_), _) => self.vote_seq[i] = seq,
+                        (WalRecord::BlockCommitted(block), Some(span)) => {
+                            self.spills[i].push_back((seq, block.id(), span));
+                        }
+                        _ => {}
                     }
                 }
                 wait.finish(&*self.recorder, names::PHASE_PERSIST_WAIT_NS);
@@ -797,6 +836,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             .unwrap_or(0);
         let (sync_requests, sync_blocks_fetched, recovered_replicas) =
             crate::sync_report_fields(kernels().map(|k| (k.sync_stats(), k.committed_chain())));
+        let sync_served_from_log = kernels()
+            .map(|k| k.sync_stats().blocks_served_from_log)
+            .sum();
         let walk_steps = kernels().map(ChainKernel::walk_steps).sum();
         let mut sig_stats = sft_crypto::SigStats::default();
         for engine in &self.engines {
@@ -813,6 +855,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             };
             let rec = &self.recorder;
             rec.set(names::RESIDENT_BLOCKS, gauge(|r| r.blocks as u64));
+            rec.set(names::RESIDENT_PAYLOAD_BYTES, gauge(|r| r.payload_bytes));
             rec.set(names::RESIDENT_VOTES, gauge(|r| r.votes as u64));
             rec.set(names::RESIDENT_CERTS, gauge(|r| r.certs as u64));
             rec.set(names::DEDUP_ENTRIES, gauge(|r| r.dedup_entries as u64));
@@ -830,6 +873,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             equivocators_detected,
             sync_requests,
             sync_blocks_fetched,
+            sync_served_from_log,
             recovered_replicas,
             walk_steps,
             sig_verifications: sig_stats.verifications,

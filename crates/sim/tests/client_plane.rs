@@ -183,7 +183,7 @@ fn through_wal_codec(records: &[WalRecord]) -> Vec<WalRecord> {
         wal.append(record).expect("memory sink never fails");
     }
     wal.flush().expect("memory sink never fails");
-    let scan = scan_wal(wal.sink().bytes()).expect("own frames scan clean");
+    let scan = scan_wal(&wal.sink().bytes()).expect("own frames scan clean");
     assert_eq!(scan.records.len(), records.len(), "lossless round-trip");
     scan.records
 }

@@ -39,7 +39,7 @@ fn through_wal_codec(records: &[WalRecord]) -> Vec<WalRecord> {
         wal.append(record).expect("memory sink never fails");
     }
     wal.flush().expect("memory sink never fails");
-    let scan = scan_wal(wal.sink().bytes()).expect("own frames scan clean");
+    let scan = scan_wal(&wal.sink().bytes()).expect("own frames scan clean");
     assert_eq!(scan.records.len(), records.len(), "lossless round-trip");
     scan.records
 }
@@ -51,7 +51,7 @@ fn wal_image(records: &[WalRecord]) -> Vec<u8> {
         wal.append(record).expect("memory sink never fails");
     }
     wal.flush().expect("memory sink never fails");
-    wal.into_sink().into_bytes()
+    wal.sink().bytes()
 }
 
 /// A seeded n = 4 SFT-DiemBFT run whose blocks carry real transactions,

@@ -278,3 +278,158 @@ fn recorded_metrics_cover_the_wal() {
         "persist wait is attributed to its own phase"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Block sync served from the log: a healed straggler needs blocks its peers
+// no longer hold in memory.
+// ---------------------------------------------------------------------------
+
+/// Rounds (epochs) of the straggler runs. The partition heals halfway
+/// through, and the straggler then fetches a few dozen blocks its peers
+/// committed and dropped from memory rounds before — all well inside the
+/// retention horizon, so the peers still know them.
+const STRAGGLER_ROUNDS: u64 = 96;
+
+/// A replica cut off for the first half of the run catches up by block
+/// sync, and its peers serve the blocks it needs from their logs: the
+/// bytes on the wire, the decisions and the commit logs are the ones the
+/// in-memory harness, which never drops a block's bytes, produces.
+#[test]
+fn a_healed_straggler_is_served_from_its_peers_logs_byte_for_byte() {
+    for protocol in [Protocol::Streamlet, Protocol::Fbft] {
+        let config = SimConfig::new(4, STRAGGLER_ROUNDS)
+            .with_protocol(protocol)
+            .with_partitioned_straggler();
+        let classic = run_with(&config, DurabilityMode::InMemory);
+        let group = run_with(&config, DurabilityMode::GroupCommit);
+        assert_eq!(
+            decisions(&classic),
+            decisions(&group),
+            "{protocol:?}: serving from the log changed what the run decided or sent"
+        );
+        assert!(
+            group.sync_blocks_fetched > 0 && group.recovered_replicas == 1,
+            "{protocol:?}: the straggler caught up by block sync"
+        );
+        assert_eq!(classic.sync_served_from_log, 0, "no log, nothing spilled");
+        assert!(
+            group.sync_served_from_log > 0,
+            "{protocol:?}: the peers served spilled blocks from their logs"
+        );
+    }
+}
+
+/// Flips a byte in the body of every `BlockCommitted` frame of the log
+/// at `path`, in place. Returns how many frames it damaged.
+fn corrupt_block_frames(path: &std::path::Path) -> usize {
+    use sft_core::WalRecord;
+    use std::os::unix::fs::FileExt;
+    let image = std::fs::read(path).expect("read the log");
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .expect("open the log for writing");
+    let (mut offset, mut damaged) = (0, 0);
+    while let Ok(Some((record, used))) = WalRecord::decode_frame(&image[offset..]) {
+        if matches!(record, WalRecord::BlockCommitted(_)) {
+            // The frame's last byte is the block's last: part of its
+            // payload, which its id covers.
+            let at = offset + used - 1;
+            file.write_all_at(&[image[at] ^ 0x20], at as u64)
+                .expect("flip a byte");
+            damaged += 1;
+        }
+        offset += used;
+    }
+    damaged
+}
+
+/// One peer's log rots under its spilled blocks while a straggler is cut
+/// off. When the straggler asks that peer, the peer reads the damaged
+/// frames back, finds they do not hash to the blocks it committed, and
+/// declines without a panic; the straggler's retry goes to another peer,
+/// and it catches up all the same.
+#[test]
+fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
+    use sft_core::{DurableWal, ReplicaEngine, WalStore, WAL_FILE_NAME};
+    use sft_sim::{
+        build_fbft_engines, EngineRunner, FaultSchedule, NoMischief, RunPlan, RunnerConfig,
+    };
+    use sft_types::{ReplicaId, Round, SimTime};
+
+    let config = SimConfig::new(4, STRAGGLER_ROUNDS).with_protocol(Protocol::Fbft);
+    let straggler = ReplicaId::new(3);
+    let behind = straggler.as_usize();
+    let heal_at = SimTime::ZERO + config.delay * STRAGGLER_ROUNDS;
+    let net = sft_network::SimNetwork::new(config.delay)
+        .with_faults(FaultSchedule::partition(vec![straggler], heal_at));
+    let mut runner = EngineRunner::new(
+        build_fbft_engines(&config, config.base_timeout()),
+        config.behaviors.clone(),
+        sft_network::SimTransport::new(net, config.n),
+        NoMischief,
+        RunnerConfig {
+            plan: RunPlan::PastRound(Round::new(config.epochs)),
+            horizon: SimTime::ZERO + config.run_horizon(),
+            drain_bound: config.drain_sync_bound(),
+            drain_step: config.delay,
+        },
+    );
+    let root = std::env::temp_dir().join(format!("sft-rotted-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let wals: Vec<Box<dyn DurableWal>> = (0..config.n)
+        .map(|id| {
+            let store = WalStore::open(&root.join(format!("replica-{id}")), 1).expect("open log");
+            Box::new(
+                store
+                    .into_group_commit(sft_obs::noop(), None)
+                    .expect("spawn wal writer"),
+            ) as Box<dyn DurableWal>
+        })
+        .collect();
+    runner.set_wals(wals);
+
+    // Just before the heal: the peers have committed and spilled most of
+    // what the straggler will ask for. Rot the whole of peer 0's log.
+    runner
+        .run_until(SimTime::ZERO + config.delay * (STRAGGLER_ROUNDS - 1))
+        .expect("file logs stay healthy");
+    let rotted = 0;
+    let damaged = corrupt_block_frames(&root.join(format!("replica-{rotted}")).join(WAL_FILE_NAME));
+    assert!(damaged > 0, "peer {rotted} had committed blocks on disk");
+
+    // Then on to the end of the run: past the target round, with the
+    // straggler's catch-up settled.
+    let (target, end) = (
+        Round::new(config.epochs),
+        SimTime::ZERO + config.run_horizon(),
+    );
+    let mut until = heal_at;
+    while until < end
+        && (runner.engine(behind).round() <= target || runner.engine(behind).kernel().is_syncing())
+    {
+        until += config.delay;
+        runner.run_until(until).expect("file logs stay healthy");
+    }
+    let declined = runner.engine(rotted).kernel().sync_stats().log_reads_failed;
+    let served: u64 = (1..3)
+        .map(|peer| {
+            runner
+                .engine(peer)
+                .kernel()
+                .sync_stats()
+                .blocks_served_from_log
+        })
+        .sum();
+    let report = runner.finish().expect("file logs stay healthy");
+    let _ = std::fs::remove_dir_all(&root);
+
+    assert!(declined > 0, "the rotted peer was asked and declined");
+    assert!(served > 0, "the healthy peers served from their logs");
+    assert!(report.agreement(), "no replica diverged");
+    let (caught_up, peer) = (report.chains[behind].len(), report.chains[1].len());
+    assert!(
+        caught_up + 2 >= peer && caught_up > STRAGGLER_ROUNDS as usize / 2,
+        "the straggler caught up: {caught_up} blocks against peer 1's {peer}"
+    );
+}
