@@ -28,8 +28,8 @@
 //!    a `Committed` ack for every transaction it submitted — the deployed
 //!    binary serves clients, not only the in-process harness;
 //! 6. just before the kill, no live node ran more threads than
-//!    [`NODE_THREADS`] (read from `/proc/<pid>/status`) — a budget that
-//!    does not grow with `n` or with the number of clients;
+//!    [`NODE_THREADS`] (read from `/proc/<pid>/status`): five threads for
+//!    any `n` and any number of clients;
 //! 7. every incarnation that ran to completion (its trace ends in a
 //!    `node_stop`) issued at most [`FSYNCS_PER_BLOCK`] WAL fsyncs per
 //!    block it committed — on a real filesystem, the on-demand WAL's one
@@ -70,22 +70,10 @@ const TRACE_FILE_NAME: &str = "trace.ndjson";
 /// dialer.
 const NODE_THREADS: usize = 5;
 
-/// The per-node thread budget at `n`: [`NODE_THREADS`], plus the fixed
-/// signature-verification pool once a quorum batch can reach its
-/// parallel threshold.
-fn thread_budget(n: usize) -> usize {
-    let pool = if n >= sft_crypto::PARALLEL_THRESHOLD {
-        sft_crypto::pool_workers()
-    } else {
-        0
-    };
-    NODE_THREADS + pool
-}
-
 /// Verdict 6: every live node's `Threads:` count from
-/// `/proc/<pid>/status`, printed, and held to [`thread_budget`].
+/// `/proc/<pid>/status`, printed, and held to [`NODE_THREADS`].
 fn check_thread_counts(children: &[(usize, Child)], n: usize) -> Result<(), String> {
-    let budget = thread_budget(n);
+    let budget = NODE_THREADS;
     let mut counts = Vec::with_capacity(children.len());
     for (id, child) in children {
         let path = format!("/proc/{}/status", child.id());

@@ -26,9 +26,8 @@
 //! gate. At exit the node records its fsyncs and the blocks it committed
 //! in the trace's `node_stop` event (and on stdout).
 //!
-//! A node process runs five threads for any `n` (below the crypto pool's
-//! parallel-verification threshold): the engine's, the log's writer, and
-//! the transport's I/O thread, writer and dialer.
+//! A node process runs five threads for any `n`: the engine's, the log's
+//! writer, and the transport's I/O thread, writer and dialer.
 //!
 //! ## Data directory
 //!

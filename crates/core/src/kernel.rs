@@ -16,7 +16,7 @@ use sft_crypto::{HashValue, KeyPair, KeyRegistry, SigStats};
 use sft_obs::SharedRecorder;
 use sft_types::{
     BlockRequest, ClientAck, ClientRequest, EndorseMode, Payload, ReplicaId, Round, SimDuration,
-    SimTime, StrongCommitUpdate, StrongVote, TimeoutCertificate, Transaction, VerifyPolicy,
+    SimTime, StrongCommitUpdate, StrongVote, TimeoutCertificate, Transaction,
 };
 
 use crate::qc::MemberLedger;
@@ -159,14 +159,6 @@ impl ChainKernel {
     /// (a synthetic descriptor or this replica's mempool).
     pub fn set_payload_source(&mut self, source: PayloadSource) {
         self.payload_source = Some(source);
-    }
-
-    /// Switches vote aggregation to `policy` — verify every signature on
-    /// arrival (the default) or defer to one batched check at quorum.
-    /// Call right after construction: votes already counted are dropped.
-    pub fn set_verify_policy(&mut self, policy: VerifyPolicy) {
-        let registry = self.votes.registry().clone();
-        self.votes = VoteTracker::new(self.config, registry).with_policy(policy);
     }
 
     /// Sets how long a block-sync fetch waits for its response before
@@ -382,10 +374,10 @@ impl ChainKernel {
     /// vote commits reports its commit before any earlier block reports a
     /// strength increase.
     ///
-    /// Endorsements are credited only from verified votes: the vote just
-    /// accepted under verify-on-arrival, and the whole batch the quorum
-    /// check validated under verify-on-quorum (optimistically counted votes
-    /// carry no endorsement weight until their signatures clear).
+    /// Endorsements are credited only from verified votes: the batch the
+    /// quorum check validated, and each straggler checked after it
+    /// (optimistically counted votes carry no endorsement weight until
+    /// their signatures clear).
     pub fn add_vote(&mut self, vote: &StrongVote) -> (Option<QuorumCertificate>, Vec<HashValue>) {
         let outcome = self.votes.add_vote(vote);
         let mut grown = Vec::new();
@@ -446,10 +438,10 @@ impl ChainKernel {
         if qc.round() == Round::ZERO {
             return qc.is_genesis().then(Vec::new);
         }
-        let (registry, policy) = (self.votes.registry(), self.votes.policy());
+        let registry = self.votes.registry();
         if !self
             .members
-            .admit(qc, &self.config, registry, policy, &mut self.member_stats)
+            .admit(qc, &self.config, registry, &mut self.member_stats)
         {
             return None;
         }

@@ -11,8 +11,8 @@
 //!   index that ancestry and endorsement walks run over.
 //! - [`VoteTracker`] / [`QuorumCertificate`] and [`TimeoutAggregator`] —
 //!   strong-vote and timeout aggregation over one signed-quorum collector
-//!   (per-author slots, verification on arrival or in one batch at quorum,
-//!   forged-copy settlement and rollback), plus the votes' equivocation
+//!   (per-author slots, verification in one batch at quorum, forged-copy
+//!   settlement and rollback), plus the votes' equivocation
 //!   detection.
 //! - [`EndorsementTracker`] — per-block endorser tallies that grade each
 //!   commit with the strength `x` of Definition 1 and emit

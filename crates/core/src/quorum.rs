@@ -5,11 +5,21 @@
 //! ([`VoteTracker`](crate::VoteTracker)), the round for timeouts
 //! ([`TimeoutAggregator`](crate::TimeoutAggregator)) — one slot per author,
 //! each with a verified flag, and certifies a key once a quorum of its slots
-//! hold valid signatures, at most once. Under [`VerifyPolicy::OnArrival`]
-//! every message is checked as it comes in. Under [`VerifyPolicy::OnQuorum`]
-//! a message is counted unchecked and a key's unchecked slots are checked in
-//! one batch when its count reaches the quorum; the forged ones are rolled
-//! back, so only transient counts differ between the policies.
+//! hold valid signatures, at most once. A message is counted unchecked, and
+//! a key's unchecked slots are checked in one batch when its count reaches
+//! the quorum.
+//!
+//! The protocol only ever *acts* on a quorum, so checking each message as
+//! it arrives would spend `O(n)` checks per replica per round — `O(n²)`
+//! across the system — mostly on messages that merely raise a count.
+//! Checking at quorum is one batch pass per certificate, and a
+//! byte-identical retransmission is never checked at all. The trade: a
+//! forged message can inflate a count until the batch at quorum exposes it
+//! (the aggregate comparison fails, the bisection names the forged signer,
+//! and its slot rolls back), so a certificate, and the feed of verified
+//! messages, only ever hold valid signatures; only transient counts see the
+//! forgery. `core/tests/quorum_prop.rs` holds the per-message reference
+//! this is checked against.
 //!
 //! [`verify_signed`] is where every signature check of a certificate's
 //! members happens and is counted: this collector and certificate intake
@@ -20,7 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
 use sft_crypto::{BatchItem, HashValue, KeyRegistry, SigStats, Signature};
-use sft_types::{ReplicaId, Round, SignerSet, VerifyPolicy};
+use sft_types::{ReplicaId, Round, SignerSet};
 
 use crate::RETENTION_ROUNDS;
 
@@ -36,43 +46,26 @@ pub(crate) trait Signed: Clone + PartialEq {
     fn signing_digest(&self) -> HashValue;
 }
 
-/// Checks `items` — in one pooled batch under [`VerifyPolicy::OnQuorum`],
-/// one at a time under [`VerifyPolicy::OnArrival`] — and counts the work
-/// into `stats`. Returns the indices of the forged items, ascending.
+/// Checks `items` in one batch and counts the work into `stats`. Returns
+/// the indices of the forged items, ascending.
 pub(crate) fn verify_signed(
     registry: &KeyRegistry,
-    policy: VerifyPolicy,
     items: &[BatchItem<'_>],
     stats: &mut SigStats,
 ) -> Vec<usize> {
     if items.is_empty() {
         return Vec::new();
     }
-    match policy {
-        VerifyPolicy::OnQuorum => {
-            // Pooled: shards the MAC work over the crypto worker pool
-            // above a threshold, serial below it — result-identical.
-            let verdict = registry.verify_batch_pooled(items);
-            stats.count_batch(items.len(), verdict.is_err());
-            verdict.err().unwrap_or_default()
-        }
-        VerifyPolicy::OnArrival => items
-            .iter()
-            .enumerate()
-            .filter(|(_, item)| {
-                stats.count_verify();
-                !registry.verify(item.signer, item.message, item.signature)
-            })
-            .map(|(index, _)| index)
-            .collect(),
-    }
+    let verdict = registry.verify_batch(items);
+    stats.count_batch(items.len(), verdict.is_err());
+    verdict.err().unwrap_or_default()
 }
 
 /// One counted check of `msg`'s signature.
 fn check_one<M: Signed>(registry: &KeyRegistry, stats: &mut SigStats, msg: &M) -> bool {
+    stats.count_verify();
     let digest = msg.signing_digest();
-    let item = BatchItem::new(msg.author().as_u64(), digest.as_ref(), msg.signature());
-    verify_signed(registry, VerifyPolicy::OnArrival, &[item], stats).is_empty()
+    registry.verify(msg.author().as_u64(), digest.as_ref(), msg.signature())
 }
 
 /// What [`Quorum::screen`] or [`Quorum::insert`] made of a message.
@@ -92,14 +85,13 @@ pub(crate) enum Added {
     Stale,
 }
 
-/// Signed messages per key, verified now or at quorum (see the
+/// Signed messages per key, verified at quorum (see the
 /// [module docs](self)).
 #[derive(Clone, Debug)]
 pub(crate) struct Quorum<K, M> {
     n: usize,
     quorum: usize,
     registry: KeyRegistry,
-    policy: VerifyPolicy,
     keys: HashMap<K, Slots<M>>,
     /// Counted messages whose signatures cleared since the last
     /// [`take_newly_verified`](Self::take_newly_verified), in the order
@@ -133,13 +125,12 @@ struct Slot<M> {
 
 impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
     /// A collector for `n` replicas certifying at `quorum` messages, in
-    /// round 0, verifying on arrival.
+    /// round 0.
     pub(crate) fn new(n: usize, quorum: usize, registry: KeyRegistry) -> Self {
         Self {
             n,
             quorum,
             registry,
-            policy: VerifyPolicy::OnArrival,
             keys: HashMap::new(),
             newly_verified: Vec::new(),
             stats: SigStats::default(),
@@ -147,14 +138,6 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
             floor: Round::ZERO,
             ceiling: Round::new(RETENTION_ROUNDS),
         }
-    }
-
-    pub(crate) fn set_policy(&mut self, policy: VerifyPolicy) {
-        self.policy = policy;
-    }
-
-    pub(crate) fn policy(&self) -> VerifyPolicy {
-        self.policy
     }
 
     pub(crate) fn registry(&self) -> &KeyRegistry {
@@ -173,22 +156,17 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
         std::mem::take(&mut self.newly_verified)
     }
 
-    /// The checks before a message may take a slot: its round inside the
-    /// window, its author a replica and — under
-    /// [`VerifyPolicy::OnArrival`] — its signature valid. `Ok` says whether
-    /// the signature is already known valid.
-    pub(crate) fn screen(&mut self, msg: &M) -> Result<bool, Added> {
+    /// The checks before a message may take a slot, none of them a
+    /// signature check: its round inside the window and its author a
+    /// replica.
+    pub(crate) fn screen(&self, msg: &M) -> Result<(), Added> {
         if msg.round() < self.floor || msg.round() > self.ceiling {
             return Err(Added::Stale);
         }
         if msg.author().as_usize() >= self.n {
             return Err(Added::BadSignature); // no replica signs as that
         }
-        let on_arrival = self.policy == VerifyPolicy::OnArrival;
-        if on_arrival && !self.check(msg) {
-            return Err(Added::BadSignature);
-        }
-        Ok(on_arrival)
+        Ok(())
     }
 
     /// One counted check of `msg`'s signature.
@@ -220,8 +198,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
         false
     }
 
-    /// Counts a screened `msg` under `key`; `verified` is what
-    /// [`screen`](Self::screen) returned.
+    /// Counts a [screened](Self::screen) `msg` under `key`, unchecked.
     ///
     /// An author holds one slot per key. A byte-identical copy of its
     /// message is a duplicate, never checked. A different one settles the
@@ -230,7 +207,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
     /// duplicate (or a forgery), a forged one yields the slot to it. After
     /// certification no batch will run, so stragglers are checked one by
     /// one.
-    pub(crate) fn insert(&mut self, key: K, msg: M, verified: bool) -> Added {
+    pub(crate) fn insert(&mut self, key: K, msg: M) -> Added {
         let author = msg.author();
         let held = self
             .keys
@@ -241,7 +218,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
                 return Added::Duplicate;
             }
             if self.settle(key, author) {
-                return if verified || self.check(&msg) {
+                return if self.check(&msg) {
                     Added::Duplicate
                 } else {
                     Added::BadSignature
@@ -249,11 +226,10 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
             }
         }
         let certified = self.is_certified(key);
-        if certified && !verified && !self.check(&msg) {
-            return Added::BadSignature;
-        }
-        let verified = verified || certified;
-        if verified {
+        if certified {
+            if !self.check(&msg) {
+                return Added::BadSignature;
+            }
             self.newly_verified.push(msg.clone());
         }
         let round = msg.round();
@@ -262,7 +238,13 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
             by_author: BTreeMap::new(),
             certified: false,
         });
-        slots.by_author.insert(author, Slot { msg, verified });
+        slots.by_author.insert(
+            author,
+            Slot {
+                msg,
+                verified: certified,
+            },
+        );
         let count = slots.by_author.len();
         if certified || count < self.quorum {
             return Added::Counted(count);
@@ -299,7 +281,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
                 BatchItem::new(author.as_u64(), digest.as_ref(), signature)
             })
             .collect();
-        let forged = verify_signed(&self.registry, self.policy, &items, &mut self.stats);
+        let forged = verify_signed(&self.registry, &items, &mut self.stats);
         let mut forged = forged
             .into_iter()
             .map(|index| unchecked[index].0)

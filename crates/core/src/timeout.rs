@@ -4,14 +4,12 @@
 //! A [`TimeoutAggregator`] is to [`TimeoutMsg`]s what the
 //! [`VoteTracker`](crate::VoteTracker) is to votes, over the same
 //! signed-quorum collector: one slot per author and round, signatures
-//! checked per [`VerifyPolicy`], each round's [`TimeoutCertificate`] emitted
+//! checked in one batch at quorum, each round's [`TimeoutCertificate`] emitted
 //! exactly once. What only timeouts have is the certificate itself: it
 //! carries the freshest high-QC round among its messages.
 
 use sft_crypto::{HashValue, KeyRegistry, SigStats, Signature};
-use sft_types::{
-    timeout_signing_digest, ReplicaId, Round, TimeoutCertificate, TimeoutMsg, VerifyPolicy,
-};
+use sft_types::{timeout_signing_digest, ReplicaId, Round, TimeoutCertificate, TimeoutMsg};
 
 use crate::quorum::{Added, Quorum, Signed};
 
@@ -82,8 +80,7 @@ pub struct TimeoutAggregator {
 }
 
 impl TimeoutAggregator {
-    /// Creates an aggregator for `n` replicas with the given quorum count,
-    /// verifying signatures on arrival.
+    /// Creates an aggregator for `n` replicas with the given quorum count.
     ///
     /// # Panics
     ///
@@ -93,17 +90,6 @@ impl TimeoutAggregator {
         Self {
             timeouts: Quorum::new(n, quorum, registry),
         }
-    }
-
-    /// Selects when this aggregator checks signatures.
-    pub fn with_policy(mut self, policy: VerifyPolicy) -> Self {
-        self.timeouts.set_policy(policy);
-        self
-    }
-
-    /// The verification policy in effect.
-    pub fn policy(&self) -> VerifyPolicy {
-        self.timeouts.policy()
     }
 
     /// Signature-verification work counters for this aggregator.
@@ -117,15 +103,15 @@ impl TimeoutAggregator {
         self.timeouts.forged_signers()
     }
 
-    /// Counts one timeout message, verifying per [`VerifyPolicy`]. See
-    /// [`TimeoutOutcome`].
+    /// Counts one timeout message, its signature checked when its round's
+    /// quorum forms. See [`TimeoutOutcome`].
     pub fn add(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
         let added = match self.timeouts.screen(msg) {
             // The justification rides outside the signature: copies that
             // differ only there are one message.
-            Ok(verified) => {
+            Ok(()) => {
                 let signed = msg.clone().with_justification(None);
-                self.timeouts.insert(msg.round(), signed, verified)
+                self.timeouts.insert(msg.round(), signed)
             }
             Err(rejected) => rejected,
         };
@@ -149,8 +135,7 @@ impl TimeoutAggregator {
     }
 
     /// Number of distinct replicas that timed out in `round` so far
-    /// (under [`VerifyPolicy::OnQuorum`], optimistically counted ones
-    /// included until a batch check settles them).
+    /// (unchecked ones included until the batch at quorum settles them).
     pub fn timeouts_for(&self, round: Round) -> usize {
         self.timeouts.count(round)
     }
@@ -259,8 +244,15 @@ mod tests {
             ReplicaId::new(2), // wrong author for the signature
             *honest.signature(),
         );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::BadSignature);
-        assert_eq!(agg.timeouts_for(Round::new(1)), 1);
+        // Counted unchecked, then rolled back by the batch at quorum.
+        assert_eq!(agg.add(&forged), TimeoutOutcome::Counted(2));
+        assert_eq!(agg.add(&honest), TimeoutOutcome::Counted(2));
+        assert_eq!(agg.forged_signers(), &[ReplicaId::new(2)]);
+        assert!(!agg.is_certified(Round::new(1)));
+        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 3, 1, 0)) else {
+            panic!("the honest quorum certifies");
+        };
+        assert!(!tc.signers().contains(ReplicaId::new(2)));
     }
 
     #[test]
@@ -309,17 +301,9 @@ mod tests {
         TimeoutAggregator::new(4, 0, KeyRegistry::deterministic(4));
     }
 
-    fn setup_deferred() -> (KeyRegistry, TimeoutAggregator) {
-        let registry = KeyRegistry::deterministic(4);
-        let agg =
-            TimeoutAggregator::new(4, 3, registry.clone()).with_policy(VerifyPolicy::OnQuorum);
-        (registry, agg)
-    }
-
     #[test]
     fn on_quorum_certifies_with_one_batch_pass() {
-        let (registry, mut agg) = setup_deferred();
-        assert_eq!(agg.policy(), VerifyPolicy::OnQuorum);
+        let (registry, mut agg) = setup();
         assert_eq!(
             agg.add(&msg(&registry, 0, 2, 0)),
             TimeoutOutcome::Counted(1)
@@ -343,7 +327,7 @@ mod tests {
 
     #[test]
     fn on_quorum_retransmission_never_verifies() {
-        let (registry, mut agg) = setup_deferred();
+        let (registry, mut agg) = setup();
         let m = msg(&registry, 0, 1, 0);
         agg.add(&m);
         assert_eq!(agg.add(&m), TimeoutOutcome::Duplicate);
@@ -353,7 +337,7 @@ mod tests {
 
     #[test]
     fn on_quorum_bisection_rolls_back_forged_count() {
-        let (registry, mut agg) = setup_deferred();
+        let (registry, mut agg) = setup();
         // A forged message claiming replica 3 is counted optimistically...
         let forged = TimeoutMsg::from_parts(
             Round::new(1),
@@ -387,7 +371,7 @@ mod tests {
 
     #[test]
     fn on_quorum_forged_trigger_message_is_rejected() {
-        let (registry, mut agg) = setup_deferred();
+        let (registry, mut agg) = setup();
         agg.add(&msg(&registry, 0, 1, 0));
         agg.add(&msg(&registry, 1, 1, 0));
         let forged = TimeoutMsg::from_parts(
@@ -403,7 +387,7 @@ mod tests {
 
     #[test]
     fn on_quorum_forger_cannot_displace_honest_message() {
-        let (registry, mut agg) = setup_deferred();
+        let (registry, mut agg) = setup();
         let honest = msg(&registry, 0, 1, 2);
         agg.add(&honest);
         // A forged variant under the same author resolves the stored
@@ -428,7 +412,7 @@ mod tests {
 
     #[test]
     fn on_quorum_forged_slot_is_reclaimed_by_honest_message() {
-        let (registry, mut agg) = setup_deferred();
+        let (registry, mut agg) = setup();
         // Forged message squats on replica 0's slot...
         let forged = TimeoutMsg::from_parts(
             Round::new(1),
@@ -451,29 +435,8 @@ mod tests {
     }
 
     #[test]
-    fn policies_agree_on_certificates() {
-        let registry = KeyRegistry::deterministic(4);
-        let mut arrival = TimeoutAggregator::new(4, 3, registry.clone());
-        let mut quorum =
-            TimeoutAggregator::new(4, 3, registry.clone()).with_policy(VerifyPolicy::OnQuorum);
-        let mut tcs = (None, None);
-        for s in 0..4 {
-            let m = msg(&registry, s, 3, s);
-            if let TimeoutOutcome::Certified(tc) = arrival.add(&m) {
-                tcs.0 = Some(tc);
-            }
-            if let TimeoutOutcome::Certified(tc) = quorum.add(&m) {
-                tcs.1 = Some(tc);
-            }
-        }
-        assert_eq!(tcs.0, tcs.1);
-        assert!(tcs.0.is_some());
-        assert!(arrival.sig_stats().verifications > quorum.sig_stats().verifications);
-    }
-
-    #[test]
     fn future_round_flood_is_refused_unverified() {
-        let (registry, mut agg) = setup_deferred();
+        let (registry, mut agg) = setup();
         let signature = *msg(&registry, 1, 1, 0).signature();
         for round in 1_000..101_000 {
             let forged = TimeoutMsg::from_parts(
@@ -505,7 +468,7 @@ mod tests {
 
     #[test]
     fn out_of_range_authors_cost_no_verification() {
-        let (_, mut agg) = setup_deferred();
+        let (_, mut agg) = setup();
         for author in 100..103 {
             let forged = TimeoutMsg::from_parts(
                 Round::new(1),

@@ -10,48 +10,16 @@
 //! more than its input could hold, valid certificates round-trip, and every
 //! truncation of one is an error, never a different certificate.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use sft_core::{Block, ChainKernel, ProtocolConfig, QuorumCertificate};
 use sft_crypto::{HashValue, KeyRegistry, RngCore, SplitMix64};
 use sft_types::{
     Decode, DecodeError, Encode, EndorseInfo, EndorseMode, Payload, QcMember, ReplicaId, Round,
-    RoundIntervalSet, SignerSet, StrongVote, VerifyPolicy, VoteData,
+    RoundIntervalSet, SignerSet, StrongVote, VoteData,
 };
 
-/// Counts the bytes this thread allocates, so a decode's allocations can
-/// be measured against its input.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a const-initialized thread-local that never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size()));
-        // SAFETY: the caller's layout contract is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Bytes allocated on this thread while `f` runs.
-fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATED.with(Cell::get);
-    let out = f();
-    (out, ALLOCATED.with(Cell::get) - before)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocated_by;
 
 const N: usize = 4;
 
@@ -59,13 +27,11 @@ fn registry() -> KeyRegistry {
     KeyRegistry::deterministic(N)
 }
 
-/// Replica 0's kernel, checking signatures in batches as the simulator's
-/// replicas do, holding the round-1 block — which a test then commits, so
+/// Replica 0's kernel, holding the round-1 block — which a test then commits, so
 /// whatever endorsements were credited show up as a commit level.
 fn kernel_with_block() -> (ChainKernel, Block) {
     let config = ProtocolConfig::for_replicas(N);
     let mut kernel = ChainKernel::new(0, config, registry(), EndorseMode::Marker);
-    kernel.set_verify_policy(VerifyPolicy::OnQuorum);
     let round = Round::new(1);
     let block = Block::new(
         &Block::genesis(),

@@ -1,31 +1,301 @@
-//! Differential property: deferred verification is the per-arrival
+//! Differential property: batch verification at quorum is a per-message
 //! reference, only cheaper.
 //!
 //! Votes and timeouts are fed, as seeded random adversarial streams, to a
-//! collector checking every signature on arrival
-//! ([`VerifyPolicy::OnArrival`]) and to one counting optimistically and
-//! batch-checking at quorum ([`VerifyPolicy::OnQuorum`]). A stream mixes
-//! valid messages, forged signatures, byte-identical retransmissions,
+//! reference collector written here, which checks every signature as its
+//! message arrives, and to the [`VoteTracker`] and [`TimeoutAggregator`],
+//! which count unchecked and batch-check at quorum. A stream mixes valid
+//! messages, forged signatures, byte-identical retransmissions,
 //! conflicting copies under one author (the forged one first or second),
 //! equivocations, authors outside the replica set, stragglers after
-//! certification and retention prunes. Both collectors must emit the same
+//! certification and retention prunes. Both must emit the same
 //! certificates in the same order, catch the same equivocators and end up
 //! with the same verified votes, and no forged signature may ever reach a
 //! certificate or the verified-vote feed.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 
 use sft_core::{
     ProtocolConfig, QuorumCertificate, TimeoutAggregator, TimeoutOutcome, VoteOutcome, VoteTracker,
+    RETENTION_ROUNDS,
 };
 use sft_crypto::{HashValue, KeyRegistry, RngCore, Signature, SplitMix64};
 use sft_types::{
-    EndorseInfo, ReplicaId, Round, StrongVote, TimeoutCertificate, TimeoutMsg, VerifyPolicy,
-    VoteData,
+    EndorseInfo, ReplicaId, Round, SignerSet, StrongVote, TimeoutCertificate, TimeoutMsg, VoteData,
 };
 
 const CASES: u64 = 48;
-const POLICIES: [VerifyPolicy; 2] = [VerifyPolicy::OnArrival, VerifyPolicy::OnQuorum];
+
+// ---- the reference ----
+
+/// What the reference made of one message.
+enum Step {
+    Stale,
+    BadSignature,
+    Duplicate,
+    Counted(usize),
+    Certified,
+}
+
+/// The per-message reference collector: a message's signature is checked
+/// as it arrives, so only valid messages are ever counted, one per author
+/// and key, and a key certifies once, at its `quorum`-th distinct valid
+/// author. Rounds below the prune floor, or more than [`RETENTION_ROUNDS`]
+/// past round 0 (where every collector here stays), are stale.
+struct Reference<K, M> {
+    n: usize,
+    quorum: usize,
+    floor: Round,
+    /// Per key: its round, its messages by author, and whether it
+    /// certified.
+    keys: HashMap<K, (Round, BTreeMap<ReplicaId, M>, bool)>,
+}
+
+impl<K: Copy + Eq + Hash, M> Reference<K, M> {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            quorum: ProtocolConfig::for_replicas(n).quorum(),
+            floor: Round::ZERO,
+            keys: HashMap::new(),
+        }
+    }
+
+    /// The checks before a message may be counted, in the collectors'
+    /// order: round window, author, signature.
+    fn screen(&self, round: Round, author: ReplicaId, valid: bool) -> Option<Step> {
+        if round < self.floor || round.as_u64() > RETENTION_ROUNDS {
+            return Some(Step::Stale);
+        }
+        if author.as_usize() >= self.n || !valid {
+            return Some(Step::BadSignature);
+        }
+        None
+    }
+
+    /// Counts a screened message under `key`.
+    fn count(&mut self, key: K, round: Round, author: ReplicaId, msg: M) -> Step {
+        let (_, by_author, certified) = self
+            .keys
+            .entry(key)
+            .or_insert_with(|| (round, BTreeMap::new(), false));
+        if by_author.contains_key(&author) {
+            return Step::Duplicate;
+        }
+        by_author.insert(author, msg);
+        if *certified || by_author.len() < self.quorum {
+            return Step::Counted(by_author.len());
+        }
+        *certified = true;
+        Step::Certified
+    }
+
+    fn members(&self, key: K) -> &BTreeMap<ReplicaId, M> {
+        &self.keys[&key].1
+    }
+
+    fn signers(&self, key: K) -> SignerSet {
+        SignerSet::from_iter_with_capacity(self.n, self.members(key).keys().copied())
+    }
+
+    fn is_certified(&self, key: K) -> bool {
+        self.keys
+            .get(&key)
+            .is_some_and(|(_, _, certified)| *certified)
+    }
+
+    fn prune_below(&mut self, floor: Round) {
+        self.floor = self.floor.max(floor);
+        let floor = self.floor;
+        self.keys.retain(|_, (round, _, _)| *round >= floor);
+    }
+}
+
+/// A vote collector as the stream runner drives it.
+trait VoteCollector {
+    fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome;
+    fn take_newly_verified(&mut self) -> Vec<StrongVote>;
+    fn is_certified(&self, block_id: HashValue) -> bool;
+    fn prune_below(&mut self, floor: Round);
+    fn forged_signers(&self) -> usize;
+    fn equivocators(&self) -> Vec<ReplicaId>;
+}
+
+impl VoteCollector for VoteTracker {
+    fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome {
+        VoteTracker::add_vote(self, vote)
+    }
+
+    fn take_newly_verified(&mut self) -> Vec<StrongVote> {
+        VoteTracker::take_newly_verified(self)
+    }
+
+    fn is_certified(&self, block_id: HashValue) -> bool {
+        VoteTracker::is_certified(self, block_id)
+    }
+
+    fn prune_below(&mut self, floor: Round) {
+        VoteTracker::prune_below(self, floor);
+    }
+
+    fn forged_signers(&self) -> usize {
+        VoteTracker::forged_signers(self).len()
+    }
+
+    fn equivocators(&self) -> Vec<ReplicaId> {
+        VoteTracker::equivocators(self).to_vec()
+    }
+}
+
+/// The reference for votes: per block, plus two valid votes from one
+/// author for different blocks in one round are an equivocation.
+struct ReferenceVotes {
+    registry: KeyRegistry,
+    votes: Reference<HashValue, StrongVote>,
+    first_vote: HashMap<(Round, ReplicaId), HashValue>,
+    equivocators: Vec<ReplicaId>,
+    newly_verified: Vec<StrongVote>,
+}
+
+impl ReferenceVotes {
+    fn new(n: usize, registry: &KeyRegistry) -> Self {
+        Self {
+            registry: registry.clone(),
+            votes: Reference::new(n),
+            first_vote: HashMap::new(),
+            equivocators: Vec::new(),
+            newly_verified: Vec::new(),
+        }
+    }
+}
+
+impl VoteCollector for ReferenceVotes {
+    fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome {
+        let (round, author) = (vote.round(), vote.author());
+        let block_id = vote.data().block_id();
+        let valid = vote.verify(&self.registry);
+        let step = match self.votes.screen(round, author, valid) {
+            Some(step) => step,
+            None => {
+                let first = self.first_vote.get(&(round, author));
+                if first.is_some_and(|first| *first != block_id) {
+                    if !self.equivocators.contains(&author) {
+                        self.equivocators.push(author);
+                    }
+                    return VoteOutcome::Equivocation;
+                }
+                self.votes.count(block_id, round, author, vote.clone())
+            }
+        };
+        if matches!(step, Step::Counted(_) | Step::Certified) {
+            self.newly_verified.push(vote.clone());
+            self.first_vote.insert((round, author), block_id);
+        }
+        match step {
+            Step::Stale => VoteOutcome::Stale,
+            Step::BadSignature => VoteOutcome::BadSignature,
+            Step::Duplicate => VoteOutcome::Duplicate,
+            Step::Counted(count) => VoteOutcome::Counted(count),
+            Step::Certified => VoteOutcome::Certified(QuorumCertificate::new(
+                *vote.data(),
+                self.votes.signers(block_id),
+            )),
+        }
+    }
+
+    fn take_newly_verified(&mut self) -> Vec<StrongVote> {
+        std::mem::take(&mut self.newly_verified)
+    }
+
+    fn is_certified(&self, block_id: HashValue) -> bool {
+        self.votes.is_certified(block_id)
+    }
+
+    fn prune_below(&mut self, floor: Round) {
+        self.votes.prune_below(floor);
+        self.first_vote.retain(|(round, _), _| *round >= floor);
+    }
+
+    fn forged_signers(&self) -> usize {
+        0 // nothing forged is ever counted
+    }
+
+    fn equivocators(&self) -> Vec<ReplicaId> {
+        self.equivocators.clone()
+    }
+}
+
+/// A timeout collector as the stream runner drives it.
+trait TimeoutCollector {
+    fn add(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome;
+    fn is_certified(&self, round: Round) -> bool;
+    fn prune_below(&mut self, floor: Round);
+    fn forged_signers(&self) -> usize;
+}
+
+impl TimeoutCollector for TimeoutAggregator {
+    fn add(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
+        TimeoutAggregator::add(self, msg)
+    }
+
+    fn is_certified(&self, round: Round) -> bool {
+        TimeoutAggregator::is_certified(self, round)
+    }
+
+    fn prune_below(&mut self, floor: Round) {
+        TimeoutAggregator::prune_below(self, floor);
+    }
+
+    fn forged_signers(&self) -> usize {
+        TimeoutAggregator::forged_signers(self).len()
+    }
+}
+
+/// The reference for timeouts: per round, the certificate carrying the
+/// freshest high-QC round among its members.
+struct ReferenceTimeouts {
+    registry: KeyRegistry,
+    timeouts: Reference<Round, TimeoutMsg>,
+}
+
+impl TimeoutCollector for ReferenceTimeouts {
+    fn add(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
+        let (round, author) = (msg.round(), msg.author());
+        let valid = msg.verify(&self.registry);
+        let step = match self.timeouts.screen(round, author, valid) {
+            Some(step) => step,
+            None => self.timeouts.count(round, round, author, msg.clone()),
+        };
+        match step {
+            Step::Stale => TimeoutOutcome::Stale,
+            Step::BadSignature => TimeoutOutcome::BadSignature,
+            Step::Duplicate => TimeoutOutcome::Duplicate,
+            Step::Counted(count) => TimeoutOutcome::Counted(count),
+            Step::Certified => {
+                let members = self.timeouts.members(round).values();
+                let max_high = members.map(TimeoutMsg::high_qc_round).max();
+                TimeoutOutcome::Certified(TimeoutCertificate::new(
+                    round,
+                    max_high.unwrap_or(Round::ZERO),
+                    self.timeouts.signers(round),
+                ))
+            }
+        }
+    }
+
+    fn is_certified(&self, round: Round) -> bool {
+        self.timeouts.is_certified(round)
+    }
+
+    fn prune_below(&mut self, floor: Round) {
+        self.timeouts.prune_below(floor);
+    }
+
+    fn forged_signers(&self) -> usize {
+        0 // nothing forged is ever counted
+    }
+}
 
 /// One input event: a message, or a retention prune below a round.
 #[derive(Clone, Debug)]
@@ -167,11 +437,10 @@ fn run_votes(
     events: &[Event<StrongVote>],
     n: usize,
     registry: &KeyRegistry,
-    policy: VerifyPolicy,
+    mut tracker: impl VoteCollector,
+    label: &str,
     coverage: &mut Coverage,
 ) -> VoteRun {
-    let mut tracker =
-        VoteTracker::new(ProtocolConfig::for_replicas(n), registry.clone()).with_policy(policy);
     let mut run = VoteRun {
         certificates: Vec::new(),
         equivocators: Vec::new(),
@@ -197,7 +466,7 @@ fn run_votes(
                 for signer in qc.signers().iter() {
                     assert!(
                         signed.contains(&(qc.block_id(), signer)),
-                        "{policy:?}: {qc:?} names {signer}, which signed no vote for it"
+                        "{label}: {qc:?} names {signer}, which signed no vote for it"
                     );
                 }
                 run.certificates.push(qc);
@@ -210,14 +479,14 @@ fn run_votes(
         for verified in tracker.take_newly_verified() {
             assert!(
                 verified.verify(registry),
-                "{policy:?}: forged {verified:?} reached the verified feed"
+                "{label}: forged {verified:?} reached the verified feed"
             );
             assert!(run.verified.insert(verified), "a vote verified twice");
         }
     }
     coverage.certificates += run.certificates.len();
-    coverage.rolled_back += tracker.forged_signers().len();
-    run.equivocators = tracker.equivocators().to_vec();
+    coverage.rolled_back += tracker.forged_signers();
+    run.equivocators = tracker.equivocators();
     run
 }
 
@@ -233,8 +502,10 @@ fn vote_policies_agree_on_adversarial_streams() {
             registry: &registry,
         }
         .stream();
-        let [eager, deferred] =
-            POLICIES.map(|policy| run_votes(&events, n, &registry, policy, &mut coverage));
+        let eager = ReferenceVotes::new(n, &registry);
+        let eager = run_votes(&events, n, &registry, eager, "reference", &mut coverage);
+        let deferred = VoteTracker::new(ProtocolConfig::for_replicas(n), registry.clone());
+        let deferred = run_votes(&events, n, &registry, deferred, "tracker", &mut coverage);
         assert_eq!(
             eager.certificates, deferred.certificates,
             "case {case}: certificates"
@@ -355,11 +626,10 @@ fn run_timeouts(
     events: &[Event<TimeoutMsg>],
     n: usize,
     registry: &KeyRegistry,
-    policy: VerifyPolicy,
+    mut aggregator: impl TimeoutCollector,
+    label: &str,
     coverage: &mut Coverage,
 ) -> Vec<TimeoutCertificate> {
-    let quorum = ProtocolConfig::for_replicas(n).quorum();
-    let mut aggregator = TimeoutAggregator::new(n, quorum, registry.clone()).with_policy(policy);
     let mut certificates = Vec::new();
     // (round, author) → the high-QC rounds of its validly signed timeouts.
     let mut signed: HashSet<(Round, ReplicaId, Round)> = HashSet::new();
@@ -385,7 +655,7 @@ fn run_timeouts(
                 for signer in tc.signers().iter() {
                     assert!(
                         signed_by(signer),
-                        "{policy:?}: {tc:?} names {signer}, which signed no timeout for it"
+                        "{label}: {tc:?} names {signer}, which signed no timeout for it"
                     );
                 }
                 assert!(
@@ -394,7 +664,7 @@ fn run_timeouts(
                         .any(|(round, author, high)| *round == tc.round()
                             && tc.signers().contains(*author)
                             && *high == tc.max_high_qc_round()),
-                    "{policy:?}: {tc:?} carries a high-QC round no signer signed"
+                    "{label}: {tc:?} carries a high-QC round no signer signed"
                 );
                 certificates.push(tc);
             }
@@ -404,7 +674,7 @@ fn run_timeouts(
         }
     }
     coverage.certificates += certificates.len();
-    coverage.rolled_back += aggregator.forged_signers().len();
+    coverage.rolled_back += aggregator.forged_signers();
     certificates
 }
 
@@ -420,8 +690,14 @@ fn timeout_policies_agree_on_adversarial_streams() {
             registry: &registry,
         }
         .stream();
-        let [eager, deferred] =
-            POLICIES.map(|policy| run_timeouts(&events, n, &registry, policy, &mut coverage));
+        let eager = ReferenceTimeouts {
+            registry: registry.clone(),
+            timeouts: Reference::new(n),
+        };
+        let eager = run_timeouts(&events, n, &registry, eager, "reference", &mut coverage);
+        let quorum = ProtocolConfig::for_replicas(n).quorum();
+        let deferred = TimeoutAggregator::new(n, quorum, registry.clone());
+        let deferred = run_timeouts(&events, n, &registry, deferred, "aggregator", &mut coverage);
         assert_eq!(eager, deferred, "case {case}: timeout certificates");
     }
     assert!(coverage.certificates > 100, "{}", coverage.certificates);

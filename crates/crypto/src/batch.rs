@@ -98,7 +98,7 @@ impl SigStats {
 }
 
 /// XOR-folds `contribution` into `acc`.
-pub(crate) fn fold(acc: &mut [u8; 32], contribution: &[u8; 32]) {
+fn fold(acc: &mut [u8; 32], contribution: &[u8; 32]) {
     for (a, c) in acc.iter_mut().zip(contribution) {
         *a ^= c;
     }
@@ -107,7 +107,7 @@ pub(crate) fn fold(acc: &mut [u8; 32], contribution: &[u8; 32]) {
 /// `Sha256(index ‖ tag)` — one side of an item's fold contribution. The
 /// index prefix domain-separates items so contributions of distinct
 /// items can never cancel without a hash collision.
-pub(crate) fn side(index: usize, tag: &[u8; SIGNATURE_LEN]) -> [u8; 32] {
+fn side(index: usize, tag: &[u8; SIGNATURE_LEN]) -> [u8; 32] {
     let mut buf = [0u8; 8 + SIGNATURE_LEN];
     buf[..8].copy_from_slice(&(index as u64).to_be_bytes());
     buf[8..].copy_from_slice(tag);
@@ -118,7 +118,7 @@ pub(crate) fn side(index: usize, tag: &[u8; SIGNATURE_LEN]) -> [u8; 32] {
 /// every item whose contribution is provably non-zero. `range` indexes
 /// into `contributions`; indices are reported through `map` (the
 /// caller's original item indices).
-pub(crate) fn bisect(
+fn bisect(
     contributions: &[[u8; 32]],
     map: &[usize],
     range: std::ops::Range<usize>,
@@ -184,6 +184,14 @@ impl KeyRegistry {
         }
         forged.sort_unstable();
         Err(forged)
+    }
+
+    // Kept only so the frozen benchmark probe
+    // `crypto.verify_batch_q21_pooled_ns_per_sig` compiles; ROADMAP item
+    // 8(a) deletes it.
+    #[doc(hidden)]
+    pub fn verify_batch_pooled(&self, items: &[BatchItem<'_>]) -> Result<(), Vec<usize>> {
+        self.verify_batch(items)
     }
 }
 

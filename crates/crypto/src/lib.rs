@@ -31,7 +31,6 @@ pub mod batch;
 pub mod hash;
 pub mod hmac;
 pub mod keys;
-pub mod pool;
 pub mod rng;
 pub mod sha256;
 pub mod signature;
@@ -39,6 +38,5 @@ pub mod signature;
 pub use batch::{BatchItem, SigStats};
 pub use hash::{HashValue, Hasher};
 pub use keys::{KeyPair, KeyRegistry, SecretKey};
-pub use pool::{pool_workers, PARALLEL_THRESHOLD};
 pub use rng::{RngCore, SplitMix64};
 pub use signature::Signature;

@@ -9,7 +9,7 @@ use sft_core::{
 use sft_crypto::{HashValue, KeyRegistry, SigStats};
 use sft_types::{
     BlockRequest, EndorseMode, Payload, ReplicaId, Round, SimDuration, SimTime, StrongCommitUpdate,
-    StrongVote, TimeoutCertificate, TimeoutMsg, VerifyPolicy,
+    StrongVote, TimeoutCertificate, TimeoutMsg,
 };
 
 pub use sft_core::BlockResponse;
@@ -217,16 +217,6 @@ impl FbftReplica {
         self.pacemaker.set_pace(interval, burst);
     }
 
-    /// Switches vote and timeout aggregation to `policy` — verify every
-    /// signature on arrival (the default) or defer to one batched check at
-    /// quorum. Call right after construction, before any message is
-    /// ingested.
-    pub fn with_verify_policy(mut self, policy: VerifyPolicy) -> Self {
-        self.kernel.set_verify_policy(policy);
-        self.timeouts = self.timeouts.with_policy(policy);
-        self
-    }
-
     /// The round this replica is currently in.
     pub fn current_round(&self) -> Round {
         self.pacemaker.current_round()
@@ -403,7 +393,7 @@ impl FbftReplica {
                 return self.chain_and_sync(out, now);
             };
             out.updates = updates;
-            if let Some(tc) = proposal.tc() {
+            if let Some(tc) = proposal.tc().filter(|tc| self.in_window(tc)) {
                 if self.pacemaker.on_tc_round(tc.round(), now).is_some() {
                     self.adopt_tc(tc.clone());
                     self.entered_round();
@@ -474,7 +464,7 @@ impl FbftReplica {
         // A TC is self-certifying, so a replica stranded in an earlier
         // round because the certificate that closed it was lost jumps
         // forward on the copy riding this retransmission.
-        if let Some(tc) = msg.justification() {
+        if let Some(tc) = msg.justification().filter(|tc| self.in_window(tc)) {
             if tc.signers().len() >= self.kernel.config().quorum()
                 && self.pacemaker.on_tc_round(tc.round(), now).is_some()
             {
@@ -635,6 +625,17 @@ impl FbftReplica {
         self.kernel.enter_round(round);
     }
 
+    /// True if `tc` from the wire closes a round at most
+    /// [`RETENTION_ROUNDS`](sft_core::RETENTION_ROUNDS) past the current
+    /// one — the window votes and timeouts are let in by. A certificate
+    /// carries no signatures, only its signers, so one further out is
+    /// ignored rather than trusted to jump the round. Replay from the log
+    /// does not ask: what the log holds was adopted once.
+    fn in_window(&self, tc: &TimeoutCertificate) -> bool {
+        let current = self.pacemaker.current_round().as_u64();
+        tc.round().as_u64() <= current.saturating_add(sft_core::RETENTION_ROUNDS)
+    }
+
     /// Adopts `tc` as the justification of the round it closed, logging it
     /// for crash recovery (once per round — replay only needs the jump).
     fn adopt_tc(&mut self, tc: TimeoutCertificate) {
@@ -696,7 +697,8 @@ impl fmt::Debug for FbftReplica {
 mod tests {
     use super::*;
     use sft_core::{Admission, Block};
-    use sft_types::{EndorseInfo, Transaction, VoteData};
+    use sft_crypto::Signature;
+    use sft_types::{EndorseInfo, SignerSet, Transaction, VoteData};
     use std::collections::HashSet;
 
     fn system(n: usize) -> Vec<FbftReplica> {
@@ -1257,5 +1259,45 @@ mod tests {
         assert_eq!(r.kernel().resident().votes, 0);
         r.on_vote(&vote_for(edge), now);
         assert!(r.kernel().resident().votes > 0);
+    }
+
+    #[test]
+    fn timeout_certificates_far_past_the_round_are_ignored() {
+        let registry = KeyRegistry::deterministic(4);
+        let config = ProtocolConfig::for_replicas(4);
+        let everyone = SignerSet::from_iter_with_capacity(4, (0..4).map(ReplicaId::new));
+        let genesis_qc = QuorumCertificate::genesis(4);
+        let now = SimTime::ZERO;
+        let edge = 1 + sft_core::RETENTION_ROUNDS;
+        for far in [edge + 1, 1_000_000, u64::MAX] {
+            let tc = TimeoutCertificate::new(Round::new(far), Round::ZERO, everyone.clone());
+            let mut replicas = system(4);
+            let r = &mut replicas[2];
+            // Riding an unsigned timeout message.
+            let unsigned = TimeoutMsg::from_parts(
+                Round::new(1),
+                Round::ZERO,
+                ReplicaId::new(1),
+                Signature::from_tag(1, [0; 32]),
+            )
+            .with_justification(Some(tc.clone()));
+            assert!(!unsigned.verify(&registry));
+            r.on_timeout_msg(&unsigned, &genesis_qc, now);
+            assert_eq!(r.current_round(), Round::new(1), "TC for round {far}");
+            // Inside a proposal that is otherwise well formed.
+            let round = Round::new(far.saturating_add(1));
+            let leader = config.leader(round);
+            let block = Block::new(&Block::genesis(), round, leader, Payload::empty());
+            let key = registry.key_pair(leader.as_u64()).unwrap();
+            let proposal = FbftProposal::new(block, genesis_qc.clone(), Some(tc), &key);
+            assert!(r.on_proposal(&proposal, now).vote.is_none());
+            assert_eq!(r.current_round(), Round::new(1), "TC for round {far}");
+        }
+        // The edge of the window is still in it.
+        let tc = TimeoutCertificate::new(Round::new(edge), Round::ZERO, everyone);
+        let mut replicas = system(4);
+        let msg = TimeoutMsg::new(Round::new(1), Round::ZERO, &registry.key_pair(1).unwrap());
+        replicas[2].on_timeout_msg(&msg.with_justification(Some(tc)), &genesis_qc, now);
+        assert_eq!(replicas[2].current_round(), Round::new(edge + 1));
     }
 }

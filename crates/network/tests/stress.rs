@@ -48,16 +48,13 @@ fn n31_broadcast_storm_loses_nothing_on_two_threads() {
     assert!(cluster.is_idle());
 }
 
-/// The full pipelined runtime at n = 31 — mesh, one group-commit WAL
-/// writer per replica, and the shared signature-verification pool — still
-/// holds an O(n) thread budget: 2 for the mesh whatever its size, n
-/// WAL writers, and a fixed pool of [`sft_crypto::pool_workers`] crypto
-/// workers. Nothing in the pipeline spawns per-message or per-connection
-/// threads.
+/// The full pipelined runtime at n = 31 — mesh and one group-commit WAL
+/// writer per replica — still holds an O(n) thread budget: 2 for the mesh
+/// whatever its size and n WAL writers. Nothing in the pipeline spawns
+/// per-message or per-connection threads.
 #[test]
 fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
     use sft_core::{DurableWal, GroupCommitWal, MemSink};
-    use sft_crypto::{BatchItem, KeyRegistry, Signature, PARALLEL_THRESHOLD};
 
     const N: usize = 31;
 
@@ -69,33 +66,14 @@ fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
         .map(|_| GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap())
         .collect();
 
-    // Force the lazily-spawned crypto pool up with a batch over the
-    // parallelism threshold.
-    let registry = KeyRegistry::deterministic(N);
-    let message = b"stress-batch";
-    let signatures: Vec<Signature> = (0..N as u64)
-        .map(|signer| registry.key_pair(signer).unwrap().sign(message))
-        .collect();
-    let items: Vec<BatchItem> = signatures
-        .iter()
-        .enumerate()
-        .map(|(i, sig)| BatchItem::new(i as u64, message, sig))
-        .collect();
-    assert!(items.len() >= PARALLEL_THRESHOLD);
-    assert_eq!(registry.verify_batch_pooled(&items), Ok(()));
-
-    // Each component reports the threads it owns; the crypto pool is
-    // process-wide and fixed-size, so it counts once however many tests
-    // share it.
-    let spawned = cluster.thread_count()
-        + wals.iter().map(GroupCommitWal::thread_count).sum::<usize>()
-        + sft_crypto::pool_workers();
-    let budget = 2 + N + sft_crypto::pool_workers();
+    // Each component reports the threads it owns.
+    let spawned =
+        cluster.thread_count() + wals.iter().map(GroupCommitWal::thread_count).sum::<usize>();
+    let budget = 2 + N;
     assert!(
         spawned <= budget,
         "pipelined runtime spawned {spawned} threads; budget is \
-         2 mesh + n wal writers + {} crypto workers = {budget}",
-        sft_crypto::pool_workers()
+         2 mesh + n wal writers = {budget}"
     );
 
     // The writers are healthy, not just counted: a synced append on each

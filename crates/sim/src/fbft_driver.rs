@@ -108,8 +108,7 @@ pub fn build_fbft_engines(
                 config.endorse_mode,
                 base_timeout,
                 SimTime::ZERO,
-            )
-            .with_verify_policy(config.verify_policy);
+            );
             config.seed_kernel(replica.kernel_mut(), id, &workload);
             FbftEngine::new(replica)
         })

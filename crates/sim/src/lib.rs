@@ -75,7 +75,7 @@ use sft_network::{NetworkStats, ProtocolTag, SimNetwork};
 use sft_obs::SharedRecorder;
 use sft_types::{
     BatchConfig, EndorseMode, ReplicaId, Round, SimDuration, SimTime, StrongCommitUpdate,
-    Transaction, VerifyPolicy,
+    Transaction,
 };
 
 pub use fbft_driver::{build_fbft_engines, build_paced_fbft_engines, FbftMischief};
@@ -177,13 +177,6 @@ pub struct SimConfig {
     /// per-kind traffic counters into [`SimReport::metrics`]. Off by
     /// default: the no-op recorder keeps the hot path free.
     pub recording: bool,
-    /// When replicas verify vote/timeout signatures. Defaults to
-    /// [`VerifyPolicy::OnQuorum`]: count optimistically and run one
-    /// batched check when the quorum closes, dropping per-replica
-    /// verifications per certified round from O(n²) to O(n) — what keeps
-    /// runs at n = 31 and beyond tractable. Set
-    /// [`VerifyPolicy::OnArrival`] to restore eager per-message checking.
-    pub verify_policy: VerifyPolicy,
     /// How replicas persist their write-ahead logs (see
     /// [`DurabilityMode`]). Simulated runs back the logs with in-memory
     /// sinks — the *discipline* (sequencing, gating, group boundaries) is
@@ -292,7 +285,6 @@ impl SimConfig {
             live_clients: false,
             mempool_txn_cap: None,
             recording: false,
-            verify_policy: VerifyPolicy::OnQuorum,
             durability: DurabilityMode::InMemory,
         }
     }
@@ -314,13 +306,6 @@ impl SimConfig {
     /// Turns metric recording on or off (see [`SimConfig::recording`]).
     pub fn with_recording(mut self, recording: bool) -> Self {
         self.recording = recording;
-        self
-    }
-
-    /// Selects when replicas verify vote/timeout signatures (see
-    /// [`SimConfig::verify_policy`]).
-    pub fn with_verify_policy(mut self, policy: VerifyPolicy) -> Self {
-        self.verify_policy = policy;
         self
     }
 
@@ -768,15 +753,14 @@ pub struct SimReport {
     /// Total endorsement-walk steps across all replicas — how much work
     /// the §3 ancestor walk did while grading commits.
     pub walk_steps: u64,
-    /// Individual signature verifications across all replicas (eager
-    /// checks, deferred-path probes, and post-QC stragglers). Under
-    /// [`VerifyPolicy::OnQuorum`] this stays O(n) per certified round;
-    /// under [`VerifyPolicy::OnArrival`] it is O(n²). `RESULTS.md` pins
-    /// it for the `repro` runs.
+    /// Individual signature verifications across all replicas (settled
+    /// conflicting copies and post-QC stragglers): O(n) per certified
+    /// round, where checking every message as it arrived would be O(n²).
+    /// `RESULTS.md` pins it for the `repro` runs.
     pub sig_verifications: u64,
     /// Batched quorum verifications run across all replicas (one per
-    /// certificate formed under [`VerifyPolicy::OnQuorum`]; 0 under
-    /// [`VerifyPolicy::OnArrival`]).
+    /// certificate formed, plus one per admitted certificate with members
+    /// not yet held).
     pub batch_verify_calls: u64,
     /// WAL fsyncs across all replicas. 0 under
     /// [`DurabilityMode::InMemory`]; one per durability request under

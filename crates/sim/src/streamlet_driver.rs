@@ -92,7 +92,6 @@ pub fn build_streamlet_engines(
         .map(|id| {
             let mut replica = Replica::new(id, protocol, registry.clone(), config.endorse_mode);
             let kernel = replica.kernel_mut();
-            kernel.set_verify_policy(config.verify_policy);
             // Two epochs of silence before re-asking another peer.
             kernel.set_sync_retry(config.delay * 4);
             config.seed_kernel(kernel, id, &workload);

@@ -22,8 +22,6 @@
 //! either reports corruption or recovers records that re-frame to exactly
 //! the valid prefix it claims.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -36,37 +34,9 @@ use sft_types::{
     RoundIntervalSet, SignerSet, StrongVote, TimeoutCertificate, TimeoutMsg, Transaction, VoteData,
 };
 
-/// Counts the bytes this thread allocates.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a const-initialized thread-local that never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size()));
-        // SAFETY: the caller's layout contract is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Bytes allocated on this thread while `f` runs.
-fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATED.with(Cell::get);
-    let out = f();
-    (out, ALLOCATED.with(Cell::get) - before)
-}
+#[path = "../../core/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocated_by;
 
 const N: usize = 4;
 

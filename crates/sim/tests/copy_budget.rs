@@ -20,8 +20,6 @@
 //! tables; the same with 16-byte payloads): about 8.1 KiB. Before blocks
 //! held their bytes it was 72 KiB, in 14.4 allocations of 4 KiB or more.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use sft_crypto::sha256::blocks_compressed;
@@ -37,38 +35,13 @@ use sft_types::{
 /// Payload bytes per transaction.
 const TXN_BYTES: usize = 4096;
 
-/// Allocations this large or larger are payload-sized: a copy of a
-/// transaction, or a buffer of many.
-const LARGE: usize = TXN_BYTES;
+#[path = "../../core/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocated, large_allocs, LARGE};
 
-/// Counts the bytes and the large allocations this thread makes.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counters are const-initialized thread-locals that never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size()));
-        if layout.size() >= LARGE {
-            let _ = LARGE_ALLOCS.try_with(|count| count.set(count.get() + 1));
-        }
-        // SAFETY: the caller's layout contract is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+// A large allocation is payload-sized: a copy of a transaction, or a
+// buffer of many.
+const _: () = assert!(LARGE == TXN_BYTES);
 
 /// The simulator plus a client gateway that hands the run loop a fixed
 /// set of encoded submissions on its first poll.
@@ -159,13 +132,13 @@ fn copy_one_run(txns: u64) -> Spent {
         },
     );
 
-    let (bytes, large) = (ALLOCATED.with(Cell::get), LARGE_ALLOCS.with(Cell::get));
+    let (bytes, large) = (allocated(), large_allocs());
     let compressions = blocks_compressed();
     let report = runner.run().expect("no logs, nothing to fail");
     let spent = Spent {
         committed: report.txns_committed,
-        bytes: ALLOCATED.with(Cell::get) - bytes,
-        large: LARGE_ALLOCS.with(Cell::get) - large,
+        bytes: allocated() - bytes,
+        large: large_allocs() - large,
         compressions: blocks_compressed() - compressions,
     };
     assert!(report.agreement());

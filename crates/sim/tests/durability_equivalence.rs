@@ -11,7 +11,9 @@
 //! random endorsement modes, random pre-GST message loss — and assert
 //! that both modes produce byte-identical committed chains, commit logs,
 //! and traffic, while every committing group-commit run makes fewer
-//! fsyncs than it persists records.
+//! fsyncs than it persists records. Every run, in either mode, must also
+//! be safe on its own: equal outputs alone would pass a defect both
+//! modes share.
 
 use sft_crypto::{RngCore, SplitMix64};
 use sft_sim::{Behavior, DurabilityMode, Protocol, SimConfig, SimReport};
@@ -68,22 +70,51 @@ fn decisions(report: &SimReport) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-fn assert_equivalent(protocol: Protocol, n: usize, f: usize, seed: u64) {
+/// What one run must show by itself: no safety violation, agreement,
+/// monotone commit strengths, and no more equivocators detected than the
+/// cast holds.
+fn assert_safe(report: &SimReport, config: &SimConfig, context: &str) {
+    let equivocators = config
+        .behaviors
+        .iter()
+        .filter(|behavior| **behavior == Behavior::Equivocate)
+        .count();
+    assert_eq!(report.safety_violations, 0, "{context}: safety violated");
+    assert!(report.agreement(), "{context}: chains disagree");
+    assert!(
+        report.commit_strength_monotone(),
+        "{context}: a commit strength fell"
+    );
+    assert!(
+        report.equivocators_detected <= equivocators,
+        "{context}: {} equivocators detected in a cast of {equivocators}",
+        report.equivocators_detected
+    );
+}
+
+/// Runs four seeded configurations per seed in both modes.
+fn assert_equivalent(protocol: Protocol, n: usize, f: usize, seeds: &[u64]) {
     use sft_obs::names;
-    let mut rng = SplitMix64::new(seed);
-    for case in 0..4 {
-        let config = random_config(&mut rng, protocol, n, f);
+    let cases = seeds.iter().flat_map(|&seed| {
+        let mut rng = SplitMix64::new(seed);
+        (0..4).map(move |case| (seed, case, random_config(&mut rng, protocol, n, f)))
+    });
+    for (seed, case, config) in cases {
         let classic = run_with(&config, DurabilityMode::InMemory);
         let group = run_with(
             &config.clone().with_recording(true),
             DurabilityMode::GroupCommit,
         );
+        let context = format!(
+            "{protocol:?} n={n} seed={seed:#x} case={case} (behaviors {:?})",
+            config.behaviors
+        );
+        assert_safe(&classic, &config, &format!("{context}, in memory"));
+        assert_safe(&group, &config, &format!("{context}, group commit"));
         assert_eq!(
             decisions(&classic),
             decisions(&group),
-            "{protocol:?} n={n} seed={seed} case={case}: group commit diverged \
-             from the classic harness (behaviors {:?})",
-            config.behaviors
+            "{context}: group commit diverged from the classic harness"
         );
         assert_eq!(classic.wal_fsyncs, 0, "no wal in memory-only mode");
         if group.max_committed() > 0 {
@@ -95,9 +126,8 @@ fn assert_equivalent(protocol: Protocol, n: usize, f: usize, seed: u64) {
                 .map_or(0, |h| h.max);
             assert!(
                 group.wal_fsyncs > 0 && largest_group >= 2,
-                "{protocol:?} n={n} seed={seed} case={case}: a committing \
-                 group-commit run made {} fsyncs, at most {largest_group} \
-                 records each",
+                "{context}: a committing group-commit run made {} fsyncs, at \
+                 most {largest_group} records each",
                 group.wal_fsyncs,
             );
         }
@@ -106,22 +136,22 @@ fn assert_equivalent(protocol: Protocol, n: usize, f: usize, seed: u64) {
 
 #[test]
 fn streamlet_f1_disciplines_agree() {
-    assert_equivalent(Protocol::Streamlet, 4, 1, 0x5EED);
+    assert_equivalent(Protocol::Streamlet, 4, 1, &[0x5EED, 0xA11CE]);
 }
 
 #[test]
 fn streamlet_f2_disciplines_agree() {
-    assert_equivalent(Protocol::Streamlet, 7, 2, 0xFEED);
+    assert_equivalent(Protocol::Streamlet, 7, 2, &[0xFEED, 0xB0B]);
 }
 
 #[test]
 fn fbft_f1_disciplines_agree() {
-    assert_equivalent(Protocol::Fbft, 4, 1, 0xF00D);
+    assert_equivalent(Protocol::Fbft, 4, 1, &[0xF00D, 0xCAFE]);
 }
 
 #[test]
 fn fbft_f2_disciplines_agree() {
-    assert_equivalent(Protocol::Fbft, 7, 2, 0xBEEF);
+    assert_equivalent(Protocol::Fbft, 7, 2, &[0xBEEF, 0xD1CE]);
 }
 
 // ---------------------------------------------------------------------------

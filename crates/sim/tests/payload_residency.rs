@@ -16,8 +16,6 @@
 //! spilled, the peak was 14.6 MiB; spilled, it is 6.1 MiB, of which at
 //! most about 0.1 MiB is payload in a block store.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sft_core::{DurableWal, ReplicaEngine, WalStore};
@@ -48,31 +46,8 @@ const ROUNDS: u64 = 600;
 /// takes.
 const LIVE_HEAP_BOUND: usize = 10 << 20;
 
-/// Counts the bytes live on the heap, process-wide, and their peak.
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counters are atomics that never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        // SAFETY: the caller's layout contract is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../core/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The simulator plus a closed-loop client: it keeps [`WINDOW`]
 /// submissions in flight, round robin over the replicas' gateways, and
@@ -200,7 +175,7 @@ fn a_durable_replica_holds_a_few_rounds_of_payload_not_the_horizon() {
             );
         }
     }
-    let peak = PEAK.load(Ordering::Relaxed);
+    let peak = counting_alloc::peak_live();
     let report = runner.finish().expect("file logs stay healthy");
     let _ = std::fs::remove_dir_all(&root);
 

@@ -91,9 +91,9 @@ impl Round {
         self.0
     }
 
-    /// The following round.
+    /// The following round; the last round is its own successor.
     pub const fn next(self) -> Round {
-        Round(self.0 + 1)
+        Round(self.0.saturating_add(1))
     }
 
     /// The preceding round, or `None` at round 0.
@@ -104,9 +104,9 @@ impl Round {
         }
     }
 
-    /// `self + delta`.
+    /// Saturating `self + delta`.
     pub const fn add(self, delta: u64) -> Round {
-        Round(self.0 + delta)
+        Round(self.0.saturating_add(delta))
     }
 
     /// Saturating `self - delta`.
@@ -116,7 +116,10 @@ impl Round {
 
     /// True if `self` and `other` are consecutive (`other == self + 1`).
     pub const fn precedes(self, other: Round) -> bool {
-        self.0 + 1 == other.0
+        match self.0.checked_add(1) {
+            Some(next) => next == other.0,
+            None => false,
+        }
     }
 }
 
@@ -210,6 +213,15 @@ mod tests {
         assert!(r.precedes(Round::new(11)));
         assert!(!r.precedes(Round::new(12)));
         assert!(!r.precedes(Round::new(10)));
+    }
+
+    #[test]
+    fn round_arithmetic_cannot_overflow() {
+        let last = Round::new(u64::MAX);
+        assert_eq!(last.next(), last);
+        assert_eq!(Round::new(7).add(u64::MAX), last);
+        assert!(!last.precedes(Round::ZERO));
+        assert!(!last.precedes(last));
     }
 
     #[test]

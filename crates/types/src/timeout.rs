@@ -9,8 +9,8 @@
 //! certified — the synchronizer pattern of the DiemBFT / Jolteon lineage.
 //!
 //! These are the wire types. `sft-core`'s `TimeoutAggregator` collects
-//! the messages into certificates, checking signatures per
-//! [`VerifyPolicy`].
+//! the messages into certificates, checking their signatures in one batch
+//! when a round's quorum forms.
 
 use std::fmt;
 
@@ -19,24 +19,11 @@ use sft_crypto::{HashValue, Hasher, KeyPair, KeyRegistry, Signature};
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::{ReplicaId, Round, SignerSet};
 
-/// When a vote or timeout collector checks signatures.
-///
-/// The protocol only ever *acts* on a quorum, so per-message verification
-/// at arrival is `O(n)` checks per replica per round — `O(n²)` across the
-/// system — most of which are spent on messages that merely raise a count.
-/// Deferring to quorum formation turns that into one amortized batch pass
-/// per certificate and never verifies byte-identical retransmissions at
-/// all. The trade: a forged message can inflate a count until the batch
-/// check at quorum exposes it (the aggregate comparison fails, the
-/// bisection names the forged signer, and the count rolls back), so
-/// certificates are exactly as trustworthy either way — only transient
-/// counts can differ.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+// Kept only so the frozen benchmark probe `core.vote_to_qc_*` compiles;
+// ROADMAP item 8(a) deletes it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VerifyPolicy {
-    /// Check every signature when its message arrives (the classic path).
-    #[default]
-    OnArrival,
-    /// Count optimistically, batch-verify when a quorum forms.
     OnQuorum,
 }
 
