@@ -120,11 +120,21 @@ pub struct NodeOutcome {
 ///
 /// # Errors
 ///
-/// Returns a description of any socket or WAL failure.
+/// Returns a description of an id outside `peers`, of a zero δ or base
+/// timeout, and of any socket or WAL failure.
 pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     let n = opts.peers.len();
     if opts.id as usize >= n {
         return Err(format!("id {} out of range for {} peers", opts.id, n));
+    }
+    // A zero δ opens every epoch at once, and a zero base timeout fires
+    // forever: neither paces a run.
+    let delta = sim_duration(opts.delta);
+    let timeout = sim_duration(opts.base_timeout);
+    if delta.is_zero() || timeout.is_zero() {
+        return Err(format!(
+            "δ ({delta}) and the base timeout ({timeout}) must be at least 1 µs"
+        ));
     }
     // The deployed replica serves live clients: leaders drain their own
     // mempools into real transaction batches (an empty pool still makes a
@@ -135,14 +145,12 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
         .with_protocol(opts.protocol)
         .with_batch_size(BATCH_TXNS)
         .with_live_clients(true);
-    let delta = sim_duration(opts.delta);
     match opts.protocol {
         Protocol::Streamlet => {
             let engine = build_streamlet_engines(&config, delta * 2).remove(opts.id as usize);
             serve(engine, opts, ProtocolTag::Streamlet)
         }
         Protocol::Fbft => {
-            let timeout = sim_duration(opts.base_timeout);
             let engine = build_paced_fbft_engines(&config, timeout).remove(opts.id as usize);
             serve(engine, opts, ProtocolTag::Fbft)
         }

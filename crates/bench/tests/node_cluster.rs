@@ -176,6 +176,32 @@ fn four_fbft_nodes_commit_and_ack_a_real_client() {
     cluster_commits_and_acks(Protocol::Fbft, 200, "fbft");
 }
 
+/// A zero pacing value is refused before the node binds anything: a zero
+/// base timeout would fire forever, and a zero δ opens every epoch at
+/// once and commits nothing.
+#[test]
+fn zero_delta_or_base_timeout_is_an_error() {
+    let _alone = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
+    let root = scratch_root("zero-pacing");
+    let peers = free_addrs();
+    for protocol in [Protocol::Streamlet, Protocol::Fbft] {
+        let opts = node_opts(&peers, 0..1, protocol, 20, Duration::from_secs(1), &root).remove(0);
+        for (delta, base_timeout) in [
+            (Duration::ZERO, opts.base_timeout),
+            (opts.delta, Duration::ZERO),
+        ] {
+            let mut zero = opts.clone();
+            (zero.delta, zero.base_timeout) = (delta, base_timeout);
+            let accepted = run_node(&zero).is_ok();
+            assert!(
+                !accepted,
+                "{protocol:?}: {delta:?}, {base_timeout:?} accepted"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// A client that submits and never reads: it re-submits one transaction
 /// — each copy answered at once with a `Duplicate` ack — until the
 /// gateway hangs up on it. Returns how many requests that took, or

@@ -763,7 +763,7 @@ impl ChainKernel {
     }
 
     /// Total endorsement-frontier walk steps taken — the amortization
-    /// counter `RESULTS.md` pins for the `repro` runs.
+    /// counter `RESULTS.md` pins for its run-counter rows.
     pub fn walk_steps(&self) -> u64 {
         self.endorsements.walk_steps()
     }

@@ -135,7 +135,7 @@ impl Default for SyncConfig {
 }
 
 /// Counters a [`SyncManager`] keeps, reported per run by the simulator
-/// and pinned in `RESULTS.md` for the `repro` partition run.
+/// and pinned in `RESULTS.md` for the partitioned n = 4 run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncStats {
     /// Requests issued (retries included).

@@ -2,7 +2,7 @@
 //! loopback TCP cluster, reporting end-to-end client latency.
 //!
 //! The binary hosts the cluster itself (the same replica set and run
-//! loop `repro --transport tcp` uses, with live clients enabled) and
+//! loop `sft_sim::run_over_tcp` uses, with live clients enabled) and
 //! fans a fleet of closed-loop clients out over the replicas' client
 //! gateways. Clients are assigned ack strengths round-robin from `0` up
 //! to `--ack-at`, so one run exercises every grade of the paper's

@@ -89,7 +89,7 @@ impl Mischief<FbftEngine> for FbftMischief {
 /// (stalling) leader's chaining path is disabled while every other part of
 /// the protocol runs normally.
 ///
-/// Public so non-sim transports (the TCP repro path) can run the exact
+/// Public so non-sim transports (`run_over_tcp`, `sft-node`) can run the exact
 /// same replica set over real sockets; they pass their own `base_timeout`
 /// (wall-clock there, virtual here).
 pub fn build_fbft_engines(

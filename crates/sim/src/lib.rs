@@ -12,8 +12,8 @@
 //! byte-identical results on every platform — which is what makes
 //! protocol bugs reproducible and the paper's delay-sweep experiments
 //! (§4) scriptable. The same engines over [`TcpCluster`] commit the same
-//! chain (content is deterministic; only timing is not), which
-//! `repro --transport tcp` asserts.
+//! chain (content is deterministic; only timing is not), which the
+//! `tcp_parity` suite asserts.
 //!
 //! Two protocols share the harness ([`Protocol`]):
 //!
@@ -590,8 +590,8 @@ impl Default for TcpPacing {
 /// Runs `config`'s replica set — the exact engines [`SimConfig::run`]
 /// would build — over a loopback TCP mesh instead of the simulator, under
 /// the same [`EngineRunner`] loop. This is the transport-parity harness
-/// `repro --transport tcp` and the `tcp_parity` suite share: content
-/// determinism means the TCP run commits the sim run's chain (check with
+/// the `tcp_parity` suite drives: content determinism means the TCP run
+/// commits the sim run's chain (check with
 /// [`SimConfig::check_prefix_parity`]); only its length can differ.
 ///
 /// # Errors
@@ -756,7 +756,7 @@ pub struct SimReport {
     /// Individual signature verifications across all replicas (settled
     /// conflicting copies and post-QC stragglers): O(n) per certified
     /// round, where checking every message as it arrived would be O(n²).
-    /// `RESULTS.md` pins it for the `repro` runs.
+    /// `RESULTS.md` pins it for its run-counter rows.
     pub sig_verifications: u64,
     /// Batched quorum verifications run across all replicas (one per
     /// certificate formed, plus one per admitted certificate with members

@@ -78,7 +78,7 @@ impl Mischief<StreamletEngine> for StreamletMischief {
 /// source-less (stalling) engine still follows the epoch clock (and votes)
 /// like everyone else.
 ///
-/// Public so non-sim transports (the TCP repro path) can run the exact
+/// Public so non-sim transports (`run_over_tcp`, `sft-node`) can run the exact
 /// same replica set over real sockets; they pass their own `period`
 /// (wall-clock there, `2δ` virtual here).
 pub fn build_streamlet_engines(

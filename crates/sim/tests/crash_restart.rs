@@ -14,6 +14,10 @@
 //!   replica's tracker flags it: without the log, a crashed replica is a
 //!   Byzantine replica.
 //!
+//! One function ([`drive_crash`]) runs every crash cell: the restarts
+//! above, and batched n = 4 cells where the victim restarts or stays dead
+//! (the survivors must still commit past the crash, and agree).
+//!
 //! Blocks hold the bytes they arrived in, and a committed block's WAL
 //! frame is its held encoding behind a header: those frames are the ones
 //! a block encoded field by field writes, and a replica replaying them
@@ -25,8 +29,8 @@ use sft_core::{
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::{SimNetwork, SimTransport, Transport};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, RunPlan,
-    RunnerConfig, SimConfig,
+    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, Protocol,
+    RunPlan, RunnerConfig, SimConfig,
 };
 use sft_types::{Decode, Encode, EndorseMode, Payload, Round, SimTime};
 
@@ -34,12 +38,7 @@ use sft_types::{Decode, Encode, EndorseMode, Payload, Round, SimTime};
 /// scan back — so the replay below exercises exactly what a restarted
 /// process would read, not the in-memory records the runner collected.
 fn through_wal_codec(records: &[WalRecord]) -> Vec<WalRecord> {
-    let mut wal = Wal::new(MemSink::new(), 4);
-    for record in records {
-        wal.append(record).expect("memory sink never fails");
-    }
-    wal.flush().expect("memory sink never fails");
-    let scan = scan_wal(&wal.sink().bytes()).expect("own frames scan clean");
+    let scan = scan_wal(&wal_image(records)).expect("own frames scan clean");
     assert_eq!(scan.records.len(), records.len(), "lossless round-trip");
     scan.records
 }
@@ -60,7 +59,7 @@ fn wal_image(records: &[WalRecord]) -> Vec<u8> {
 fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
     let n = 4;
     let config = SimConfig::new(n, 10)
-        .with_protocol(sft_sim::Protocol::Fbft)
+        .with_protocol(Protocol::Fbft)
         .with_workload(16, 512)
         .with_batch_size(16);
     let mut runner = EngineRunner::new(
@@ -147,98 +146,57 @@ fn a_replica_restarted_from_held_byte_frames_replays_the_same_committed_chain() 
     }
 }
 
-/// Kills replica `victim` at `crash_at`, keeps it dark until `restart_at`,
-/// rebuilds it from a codec-round-tripped WAL replay, and drives the run
-/// to `finish` (with a sync drain in `delay` steps so catch-up fetches and
-/// their retries fire). Returns the victim's pre-crash committed chain
-/// length for the caller's progress assertion, plus the final report.
-fn crash_restart_streamlet(n: usize, epochs: u64) {
-    let config = SimConfig::new(n, epochs);
-    let period = config.delay * 2;
-    let victim = 0usize;
-
-    let engines = build_streamlet_engines(&config, period);
-    let transport = SimTransport::new(SimNetwork::new(config.delay), n);
-    let mut runner = EngineRunner::new(
-        engines,
-        vec![Behavior::Honest; n],
-        transport,
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::UntilQuiescent,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
-    );
-    runner.keep_persist_log();
-
-    // Run a third of the schedule, then kill -9 the victim: its engine
-    // (all in-memory state) is dropped on the floor; only the WAL the
-    // runner persisted ahead of its sends survives.
-    let crash_at = SimTime::ZERO + period * (epochs / 3);
-    runner.run_until(crash_at).unwrap();
-    let pre_crash_chain = runner.engine(victim).kernel().committed_chain().to_vec();
-    assert!(
-        !runner.persisted(victim).is_empty(),
-        "the victim voted before the crash, so its WAL is non-empty"
-    );
-    runner.set_behavior(victim, Behavior::Silent);
-
-    // Two epochs of downtime, then restart: a fresh engine replays the
-    // recovered records before its first tick.
-    let restart_at = crash_at + period * 2;
-    runner.run_until(restart_at).unwrap();
-    let mut fresh = build_streamlet_engines(&config, period).remove(victim);
-    for record in &through_wal_codec(runner.persisted(victim)) {
-        fresh.restore(record, restart_at);
+/// Runs [`drive_crash`] on `config`'s protocol.
+fn crash(config: &SimConfig, crash_at: SimTime, restart_at: Option<SimTime>, end: SimTime) {
+    match config.protocol {
+        Protocol::Streamlet => drive_crash(
+            config,
+            || build_streamlet_engines(config, config.delay * 2),
+            RunPlan::UntilQuiescent,
+            crash_at,
+            restart_at,
+            end,
+        ),
+        Protocol::Fbft => drive_crash(
+            config,
+            || build_fbft_engines(config, config.base_timeout()),
+            RunPlan::PastRound(Round::new(config.epochs)),
+            crash_at,
+            restart_at,
+            end,
+        ),
     }
-    runner.replace_engine(victim, fresh);
-    runner.set_behavior(victim, Behavior::Honest);
-
-    // Finish the schedule, then drain catch-up traffic in δ steps (each
-    // step fires the sync poll and retry timers run() would drive).
-    let end = SimTime::ZERO + period * epochs;
-    runner.run_until(end).unwrap();
-    for step in 1..=60u64 {
-        runner.run_until(end + config.delay * step).unwrap();
-    }
-
-    let report = runner.report();
-    assert!(report.agreement(), "committed-prefix parity after restart");
-    assert_eq!(report.safety_violations, 0);
-    assert_eq!(
-        report.equivocators_detected, 0,
-        "a WAL-recovered replica never contradicts its pre-crash votes"
-    );
-    let final_chain = &report.chains[victim];
-    assert!(
-        final_chain.len() > pre_crash_chain.len(),
-        "the restarted replica commits past its pre-crash prefix \
-         ({} vs {})",
-        final_chain.len(),
-        pre_crash_chain.len()
-    );
-    assert_eq!(
-        &final_chain[..pre_crash_chain.len()],
-        &pre_crash_chain[..],
-        "recovery never rolls back a committed block"
-    );
 }
 
-fn crash_restart_fbft(n: usize, target_rounds: u64) {
-    let config = SimConfig::new(n, target_rounds).with_protocol(sft_sim::Protocol::Fbft);
+/// Kills replica 0 at `crash_at`: its engine (all in-memory state) is
+/// dropped on the floor, and only the WAL the runner persisted ahead of
+/// its sends survives. Given `restart_at`, a fresh engine replays that
+/// log, round-tripped through the frame codec, then and rejoins; without,
+/// the replica stays dead. The run is then driven to `end` in δ steps,
+/// plus a 60-step sync drain, so catch-up fetches and their retries fire.
+///
+/// Asserts agreement, no safety violation and no equivocation; that the
+/// survivors commit past the crash point; that the victim keeps its
+/// pre-crash prefix; and that a restarted victim commits past it. (A dead
+/// victim is `Silent`, so the runner never touches its chain: the cell
+/// with no restart rests on the survivors.)
+fn drive_crash<E: ReplicaEngine>(
+    config: &SimConfig,
+    build: impl Fn() -> Vec<E>,
+    plan: RunPlan,
+    crash_at: SimTime,
+    restart_at: Option<SimTime>,
+    end: SimTime,
+) {
     let victim = 0usize;
-
-    let engines = build_fbft_engines(&config, config.base_timeout());
-    let transport = SimTransport::new(SimNetwork::new(config.delay), n);
+    let n = config.n;
     let mut runner = EngineRunner::new(
-        engines,
+        build(),
         vec![Behavior::Honest; n],
-        transport,
+        SimTransport::new(SimNetwork::new(config.delay), n),
         NoMischief,
         RunnerConfig {
-            plan: RunPlan::PastRound(Round::new(target_rounds)),
+            plan,
             horizon: SimTime::ZERO + config.run_horizon(),
             drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
@@ -246,74 +204,131 @@ fn crash_restart_fbft(n: usize, target_rounds: u64) {
     );
     runner.keep_persist_log();
 
-    // SFT-DiemBFT self-paces at ~2δ per round; crash mid-pipeline.
-    let crash_at = SimTime::ZERO + config.delay * target_rounds;
     runner.run_until(crash_at).unwrap();
-    let pre_crash_chain = runner.engine(victim).kernel().committed_chain().to_vec();
+    let pre_crash = runner.engine(victim).kernel().committed_chain().to_vec();
     assert!(
         !runner.persisted(victim).is_empty(),
         "the victim voted before the crash, so its WAL is non-empty"
     );
     runner.set_behavior(victim, Behavior::Silent);
 
-    let restart_at = crash_at + config.base_timeout() * 2;
-    runner.run_until(restart_at).unwrap();
-    let mut fresh = build_fbft_engines(&config, config.base_timeout()).remove(victim);
-    for record in &through_wal_codec(runner.persisted(victim)) {
-        fresh.restore(record, restart_at);
+    if let Some(restart_at) = restart_at {
+        runner.run_until(restart_at).unwrap();
+        let mut fresh = build().remove(victim);
+        for record in &through_wal_codec(runner.persisted(victim)) {
+            fresh.restore(record, restart_at);
+        }
+        runner.replace_engine(victim, fresh);
+        runner.set_behavior(victim, Behavior::Honest);
     }
-    runner.replace_engine(victim, fresh);
-    runner.set_behavior(victim, Behavior::Honest);
 
-    // Drive well past the target in δ steps: the survivors keep
-    // pipelining rounds, and each step fires the victim's sync poll.
-    let end = restart_at + config.base_timeout() * 2 * (target_rounds + 4);
     let mut at = runner.transport().now();
     while at < end {
         at += config.delay;
         runner.run_until(at).unwrap();
     }
+    for step in 1..=60u64 {
+        runner.run_until(at + config.delay * step).unwrap();
+    }
 
     let report = runner.report();
-    assert!(report.agreement(), "committed-prefix parity after restart");
+    assert!(report.agreement(), "prefix parity after the crash");
     assert_eq!(report.safety_violations, 0);
     assert_eq!(
         report.equivocators_detected, 0,
         "a WAL-recovered replica never contradicts its pre-crash votes"
     );
-    let final_chain = &report.chains[victim];
+    let survivor_best = (1..n).map(|i| report.chains[i].len()).max().unwrap_or(0);
     assert!(
-        final_chain.len() > pre_crash_chain.len(),
-        "the restarted replica commits past its pre-crash prefix \
-         ({} vs {})",
-        final_chain.len(),
-        pre_crash_chain.len()
+        survivor_best > pre_crash.len(),
+        "the survivors commit past the crash ({survivor_best} vs {} pre-crash)",
+        pre_crash.len()
     );
-    assert_eq!(
-        &final_chain[..pre_crash_chain.len()],
-        &pre_crash_chain[..],
-        "recovery never rolls back a committed block"
+    let chain = &report.chains[victim];
+    assert!(
+        chain.len() >= pre_crash.len() && chain[..pre_crash.len()] == pre_crash[..],
+        "the victim never rolls back a committed block"
     );
+    if restart_at.is_some() {
+        assert!(
+            chain.len() > pre_crash.len(),
+            "the restarted replica commits past its pre-crash prefix ({} vs {})",
+            chain.len(),
+            pre_crash.len()
+        );
+    }
+}
+
+/// Two epochs of downtime from a crash a third of the way through.
+fn streamlet_crash_restart(n: usize, epochs: u64) {
+    let config = SimConfig::new(n, epochs);
+    let period = config.delay * 2;
+    let crash_at = SimTime::ZERO + period * (epochs / 3);
+    let end = SimTime::ZERO + period * epochs;
+    crash(&config, crash_at, Some(crash_at + period * 2), end);
+}
+
+/// SFT-DiemBFT self-paces at about 2δ per round: crash mid-pipeline,
+/// restart two base timeouts later, and drive well past the target.
+fn fbft_crash_restart(n: usize, rounds: u64) {
+    let config = SimConfig::new(n, rounds).with_protocol(Protocol::Fbft);
+    let crash_at = SimTime::ZERO + config.delay * rounds;
+    let restart_at = crash_at + config.base_timeout() * 2;
+    let end = restart_at + config.base_timeout() * 2 * (rounds + 4);
+    crash(&config, crash_at, Some(restart_at), end);
 }
 
 #[test]
 fn streamlet_crash_restart_f1() {
-    crash_restart_streamlet(4, 12);
+    streamlet_crash_restart(4, 12);
 }
 
 #[test]
 fn streamlet_crash_restart_f2() {
-    crash_restart_streamlet(7, 12);
+    streamlet_crash_restart(7, 12);
 }
 
 #[test]
 fn fbft_crash_restart_f1() {
-    crash_restart_fbft(4, 12);
+    fbft_crash_restart(4, 12);
 }
 
 #[test]
 fn fbft_crash_restart_f2() {
-    crash_restart_fbft(7, 12);
+    fbft_crash_restart(7, 12);
+}
+
+/// The batched n = 4 cells: 12 epochs or rounds, 256 transactions per
+/// batch, replica 0 down at a third of the run and (when it restarts)
+/// back two epochs later. Fbft's tail is long: a round stalls for a
+/// timeout whenever the dead or catching-up victim holds the leader slot.
+fn batched_cell(protocol: Protocol, restart: bool) {
+    let epochs = 12;
+    let config = SimConfig::new(4, epochs)
+        .with_protocol(protocol)
+        .with_batch_size(256);
+    let period = config.delay * 2;
+    let crash_at = SimTime::ZERO + period * (epochs / 3);
+    let end = match protocol {
+        Protocol::Streamlet => SimTime::ZERO + period * (epochs + 2),
+        Protocol::Fbft => crash_at + config.base_timeout() * 2 * (epochs + 6),
+    };
+    let restart_at = restart.then(|| crash_at + period * 2);
+    crash(&config, crash_at, restart_at, end);
+}
+
+#[test]
+fn batched_crash_survivors_commit_past_a_dead_replica() {
+    for protocol in [Protocol::Streamlet, Protocol::Fbft] {
+        batched_cell(protocol, false);
+    }
+}
+
+#[test]
+fn batched_restart_recovers_and_commits_past_the_crash() {
+    for protocol in [Protocol::Streamlet, Protocol::Fbft] {
+        batched_cell(protocol, true);
+    }
 }
 
 /// The acceptance criterion that proves the log is load-bearing: replay

@@ -34,8 +34,8 @@ use sft_types::{
 
 const PROTOCOLS: [Protocol; 2] = [Protocol::Streamlet, Protocol::Fbft];
 
-/// Epochs (Streamlet) or rounds (SFT-DiemBFT) of every run but the pinned
-/// `repro` configurations.
+/// Epochs (Streamlet) or rounds (SFT-DiemBFT) of every run but the
+/// partitioned run-counter row.
 const EPOCHS: u64 = 10;
 
 const HEADER: &str = "\
@@ -617,16 +617,16 @@ fn intervals() -> String {
     )
 }
 
-/// The counters of `repro 4 10 --batch-size 256` and `repro 4 12
-/// partition`, pinned exactly.
+/// The counters of the batched n = 4 honest run and the partitioned
+/// 12-round one, pinned exactly.
 fn run_counters() -> String {
     let mut rows = Vec::new();
     for (name, epochs, partition) in [
-        ("4 10 --batch-size 256", 10, false),
-        ("4 12 partition", 12, true),
+        ("n = 4, 10 epochs", 10, false),
+        ("n = 4, 12 epochs, partition", 12, true),
     ] {
         for protocol in PROTOCOLS {
-            let row = format!("repro {name} --protocol {}", protocol_name(protocol));
+            let row = format!("run counters {}: {name}", protocol_name(protocol));
             let mut config = SimConfig::new(4, epochs)
                 .with_protocol(protocol)
                 .with_batch_size(256);
@@ -645,7 +645,7 @@ fn run_counters() -> String {
             }
             rows.push(vec![
                 protocol_name(protocol).to_string(),
-                format!("`{name}`"),
+                name.to_string(),
                 r.first_commit_at(0)
                     .map_or("never".to_string(), |t| t.as_micros().to_string()),
                 format!("{:.3}", r.txns_per_sec()),
@@ -663,14 +663,14 @@ fn run_counters() -> String {
     }
     format!(
         "## Run counters\n\n\
-         The headline runs of `repro` (batched client workload, 256\n\
-         transactions per batch), pinned exactly: any change to what a run\n\
+         Two headline runs (batched client workload, 256 transactions\n\
+         per batch), pinned exactly: any change to what a run\n\
          sends, verifies or syncs shows up here. `partition` cuts replica 3 off\n\
          until mid-run while replica 0 equivocates.\n\n{}",
         table(
             &[
                 "protocol",
-                "repro",
+                "run",
                 "first commit (µs)",
                 "txns/s",
                 "messages",

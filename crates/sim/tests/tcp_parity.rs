@@ -6,9 +6,8 @@
 //! Content determinism is what makes this assertable: blocks are a pure
 //! function of (parent, round, proposer, payload) and the payload stream
 //! is deterministic, so wall-clock jitter can shorten a TCP run's chain
-//! but never change its blocks. The CI `tcp-smoke` step runs the larger
-//! `repro --transport tcp` variant; this test keeps the path covered by
-//! plain `cargo test` with a small, fast configuration.
+//! but never change its blocks. Both protocols run at n = 4 and over the
+//! n = 31 mesh.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -71,23 +70,33 @@ fn streamlet_over_tcp_commits_the_sim_prefix() {
     tcp_matches_sim(Protocol::Streamlet);
 }
 
+/// One process hosts every replica, so engine work per epoch grows with n:
+/// a wide mesh needs a wider δ, or proposals miss their epochs.
+fn wide_mesh_pacing(n: usize) -> TcpPacing {
+    let mut pacing = TcpPacing::default();
+    pacing.delta = pacing.delta * (1 + n as u64 / 8);
+    pacing
+}
+
 /// The same parity claim at the first large sweep size. n = 31 means
 /// 930 live connections through one writer thread and one I/O thread —
 /// the scale the readiness-driven mesh exists for. Epochs are few:
 /// the point is that a wide mesh agrees with the simulator, not a long
-/// chain.
+/// chain — but it must commit, or parity holds vacuously.
 #[test]
 fn n31_over_tcp_commits_the_sim_prefix() {
-    let config = SimConfig::new(31, 4)
+    let n = 31;
+    let config = SimConfig::new(n, 4)
         .with_protocol(Protocol::Streamlet)
         .with_batch_size(4);
     let sim_report = config.clone().run();
     assert!(sim_report.agreement());
     assert!(sim_report.max_committed() >= 1);
 
-    let tcp_report = run_over_tcp(&config, TcpPacing::default()).expect("loopback mesh");
+    let tcp_report = run_over_tcp(&config, wide_mesh_pacing(n)).expect("loopback mesh");
     assert!(tcp_report.agreement(), "n=31 tcp replicas agree");
     assert_eq!(tcp_report.safety_violations, 0);
+    assert!(tcp_report.max_committed() >= 1, "n=31 tcp run commits");
     assert_eq!(tcp_report.net.dropped, 0, "backpressure, not loss");
     config
         .check_prefix_parity(&sim_report, &tcp_report)
@@ -107,10 +116,12 @@ fn n31_fbft_over_tcp_sends_linear_frames_per_round() {
         .with_protocol(Protocol::Fbft)
         .with_batch_size(4);
     let sim_report = config.clone().run();
-    let tcp_report = run_over_tcp(&config.clone().with_recording(true), TcpPacing::default())
+    assert!(sim_report.max_committed() >= 1);
+    let tcp_report = run_over_tcp(&config.clone().with_recording(true), wide_mesh_pacing(n))
         .expect("loopback mesh");
     assert!(tcp_report.agreement(), "n=31 fbft tcp replicas agree");
     assert_eq!(tcp_report.safety_violations, 0);
+    assert!(tcp_report.max_committed() >= 1, "n=31 fbft tcp run commits");
     config
         .check_prefix_parity(&sim_report, &tcp_report)
         .unwrap_or_else(|e| panic!("n=31 fbft: {e}"));

@@ -20,7 +20,13 @@
 //! `enum`, `trait`, `type`, `const`, `static`, `mod`, a macro), or as a
 //! field or an enum variant; for a path like `Type::method` the last
 //! segment must be defined and the first must occur in the file.
+//!
+//! Command lines are checked too: in README.md, PAPER.md and the CI
+//! workflow, every `-p CRATE` after a `cargo` names a workspace crate, and
+//! every `--bin NAME` and `--test NAME` names a binary or test target that
+//! crate (or, without `-p`, some workspace crate) builds.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -238,6 +244,182 @@ fn every_path_and_symbol_the_docs_name_exists() {
         problems.len(),
         problems.join("\n")
     );
+}
+
+/// The `"…"` value of a `key = "…"` manifest line.
+fn manifest_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let (k, v) = line.split_once('=')?;
+    (k.trim() == key).then(|| v.trim().trim_matches('"'))
+}
+
+/// Every workspace crate's package name, with the targets (`bin NAME`,
+/// `test NAME`) it builds: those its manifest declares, plus those Cargo
+/// infers from `src/main.rs`, `src/bin/` and `tests/` — one per `*.rs`
+/// file or per subdirectory with a `main.rs`, unless a declared target's
+/// `path` claims that file (no crate here turns `autobins` or `autotests`
+/// off).
+fn workspace_targets(root: &Path) -> BTreeMap<String, Vec<String>> {
+    let mut dirs = vec![root.to_path_buf()];
+    let crates = fs::read_dir(root.join("crates")).expect("crates/ exists");
+    dirs.extend(crates.map(|entry| entry.expect("readable crates/").path()));
+    let mut out = BTreeMap::new();
+    for dir in dirs {
+        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let (mut package, mut targets, mut declared, mut kind) = (None, vec![], vec![], "");
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                kind = match line {
+                    "[package]" => "package",
+                    "[[bin]]" => "bin",
+                    "[[test]]" => "test",
+                    _ => "",
+                };
+            } else if kind == "package" {
+                package = package.or(manifest_value(line, "name"));
+            } else if !kind.is_empty() {
+                targets.extend(manifest_value(line, "name").map(|name| format!("{kind} {name}")));
+                declared.extend(manifest_value(line, "path").map(|path| dir.join(path)));
+            }
+        }
+        let Some(package) = package else { continue };
+        let mut files = vec![(dir.join("src/main.rs"), format!("bin {package}"))];
+        for (sub, kind) in [("src/bin", "bin"), ("tests", "test")] {
+            let entries = fs::read_dir(dir.join(sub)).into_iter().flatten();
+            for path in entries.map(|entry| entry.expect("readable dir").path()) {
+                let name = path.file_stem().and_then(|n| n.to_str()).unwrap_or("");
+                let target = format!("{kind} {name}");
+                files.push(match path.is_dir() {
+                    true => (path.join("main.rs"), target),
+                    false => (path, target),
+                });
+            }
+        }
+        targets.extend(files.into_iter().filter_map(|(file, target)| {
+            let rust = file.is_file() && file.extension().is_some_and(|e| e == "rs");
+            (rust && !declared.contains(&file)).then_some(target)
+        }));
+        out.insert(package.to_string(), targets);
+    }
+    out
+}
+
+/// Every `-p`/`--package`, `--bin` and `--test` of a `cargo` command line
+/// in `doc` that names no workspace crate, or a target its crate (without
+/// `-p`, any workspace crate) does not build.
+fn check_commands(root: &Path, doc: &str, crates: &BTreeMap<String, Vec<String>>) -> Vec<String> {
+    let text = fs::read_to_string(root.join(doc)).expect("the document exists");
+    let mut problems = Vec::new();
+    for (number, line) in text.lines().enumerate() {
+        let words: Vec<&str> = line
+            .split_whitespace()
+            .map(|w| w.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || "-_".contains(c))))
+            .skip_while(|w| *w != "cargo")
+            .collect();
+        let mut package: Option<&str> = None;
+        for pair in words.windows(2) {
+            let (flag, value) = (pair[0], pair[1]);
+            let problem = match flag {
+                "-p" | "--package" => {
+                    package = Some(value);
+                    (!crates.contains_key(value))
+                        .then(|| format!("`-p {value}` names no workspace crate"))
+                }
+                "--bin" | "--test" => {
+                    let target = format!("{} {value}", &flag[2..]);
+                    let built = crates.iter().any(|(krate, targets)| {
+                        package.is_none_or(|p| p == krate) && targets.contains(&target)
+                    });
+                    let owner = package.map_or("any workspace crate".into(), |p| format!("`{p}`"));
+                    (!built).then(|| format!("`{flag} {value}` is not a target of {owner}"))
+                }
+                _ => None,
+            };
+            problems.extend(problem.map(|p| format!("{doc}:{}: {p}", number + 1)));
+        }
+    }
+    problems
+}
+
+#[test]
+fn every_cargo_command_the_docs_give_names_a_real_crate_and_binary() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = workspace_targets(root);
+    let problems: Vec<String> = ["README.md", "PAPER.md", ".github/workflows/ci.yml"]
+        .iter()
+        .flat_map(|doc| check_commands(root, doc, &crates))
+        .collect();
+    assert!(
+        problems.is_empty(),
+        "{} stale command line(s):\n{}",
+        problems.len(),
+        problems.join("\n")
+    );
+}
+
+/// A fixture workspace with declared and inferred targets: the checker
+/// names every flag that matches none, and only those.
+#[test]
+fn the_command_checker_catches_a_gone_target_and_a_wrong_crate() {
+    let root = std::env::temp_dir().join(format!("sft-doc-refs-cmd-{}", std::process::id()));
+    for dir in [
+        "crates/tool/src/bin/multi",
+        "crates/tool/tests/support",
+        "crates/other",
+    ] {
+        fs::create_dir_all(root.join(dir)).expect("temp dir");
+    }
+    let files = [
+        ("Cargo.toml", "[workspace]\n"),
+        ("crates/other/Cargo.toml", "[package]\nname = \"other\"\n"),
+        (
+            "crates/tool/Cargo.toml",
+            "[package]\nname = \"tool\"\n[[bin]]\nname = \"declared\"\n\
+             path = \"src/bin/declared_file.rs\"\n[[test]]\nname = \"named\"\n\
+             path = \"tests/named_file.rs\"\n",
+        ),
+        ("crates/tool/src/main.rs", ""),
+        ("crates/tool/src/bin/declared_file.rs", ""),
+        ("crates/tool/src/bin/auto.rs", ""),
+        ("crates/tool/src/bin/multi/main.rs", ""),
+        ("crates/tool/src/bin/notes.txt", ""),
+        ("crates/tool/tests/it.rs", ""),
+        ("crates/tool/tests/named_file.rs", ""),
+        ("crates/tool/tests/support/helper.rs", ""),
+        (
+            "DOC.md",
+            "cargo run --release -p tool --bin gone -- 4 10\n\
+             `cargo test -q -p toolz`\n\
+             cargo run -p other --bin auto\n\
+             cargo build -p tool --bin tool --bin declared --bin auto --bin multi\n\
+             mkdir -p gone && cargo run --bin auto\n\
+             cargo run --bin gone\n\
+             cargo test -p tool --test it --test named --test gone -- --ignored\n\
+             cargo test -p tool --bin declared_file --test named_file --test support\n",
+        ),
+    ];
+    for (path, text) in files {
+        fs::write(root.join(path), text).expect("write fixture");
+    }
+    let problems = check_commands(&root, "DOC.md", &workspace_targets(&root));
+    let _ = fs::remove_dir_all(&root);
+    let expected = [
+        ":1: `--bin gone` is not a target of `tool`",
+        ":2: `-p toolz` names no workspace crate",
+        ":3: `--bin auto` is not a target of `other`",
+        ":6: `--bin gone` is not a target of any workspace crate",
+        ":7: `--test gone` is not a target of `tool`",
+        // A declared target's file infers no second name, and a
+        // directory without a `main.rs` is no target.
+        ":8: `--bin declared_file` is not a target of `tool`",
+        ":8: `--test named_file` is not a target of `tool`",
+        ":8: `--test support` is not a target of `tool`",
+    ];
+    assert_eq!(problems.len(), expected.len(), "{problems:#?}");
+    for (problem, want) in problems.iter().zip(expected) {
+        assert!(problem.ends_with(want), "{problem} (wanted {want})");
+    }
 }
 
 #[test]
