@@ -90,6 +90,12 @@ impl AckTracker {
         );
     }
 
+    /// True if `txn_id` was admitted here and is not yet located in a
+    /// committed block: this replica still owes its client an ack.
+    pub fn owes(&self, txn_id: HashValue) -> bool {
+        self.pending.contains_key(&txn_id)
+    }
+
     /// Submissions still awaiting their ack.
     pub fn pending(&self) -> usize {
         self.pending.len() + self.watch.values().map(Vec::len).sum::<usize>()

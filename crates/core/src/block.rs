@@ -5,8 +5,9 @@
 //! transaction payload. The [`BlockStore`] keeps every delivered block,
 //! answers ancestry queries (`extends`, ancestor walks), and is the
 //! structure the endorsement tracker traverses when a strong-vote endorses
-//! a chain suffix. A committed block whose bytes are durable in the
-//! replica's log is kept as its header alone ([`BlockStore::spill`]).
+//! a chain suffix. A committed block is kept as its header alone once its
+//! bytes are elsewhere: durable in the replica's log, or in the frame it
+//! arrived in ([`BlockStore::spill`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -208,14 +209,14 @@ impl Block {
     }
 
     /// The transaction payload. Empty for a block a store spilled
-    /// ([`BlockStore::spill`]): its transactions are in the log.
+    /// ([`BlockStore::spill`]): its transactions are in its bytes.
     pub fn payload(&self) -> &Payload {
         &self.payload
     }
 
-    /// The block as a store keeps it once its bytes are in the log: the
-    /// same id and header, an empty payload and no held encoding. Such a
-    /// block is read for its position in the chain, never encoded.
+    /// The block as a store keeps it once it is spilled: the same id and
+    /// header, an empty payload and no held encoding. Such a block is read
+    /// for its position in the chain, never encoded.
     fn header_only(&self) -> Self {
         Self {
             payload: Arc::new(Payload::empty()),
@@ -332,11 +333,21 @@ impl fmt::Display for BlockStoreError {
 
 impl std::error::Error for BlockStoreError {}
 
+/// Where a spilled block's bytes are ([`BlockStore::spill`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Spilled {
+    /// Its `BlockCommitted` frame, durable in the replica's log.
+    Log(WalSpan),
+    /// Its held encoding: a range of the frame it arrived in, which stays
+    /// resident.
+    Held(SharedBytes),
+}
+
 /// An index of delivered blocks, rooted at genesis. Append-only except for
 /// [`prune_below`](Self::prune_below), which drops whole rounds from the
 /// old end once a replica's retention horizon has passed them, and
 /// [`spill`](Self::spill), which keeps only the header of a committed block
-/// whose bytes a durable log holds.
+/// whose bytes are elsewhere.
 ///
 /// # Examples
 ///
@@ -353,8 +364,8 @@ impl std::error::Error for BlockStoreError {}
 #[derive(Clone, Debug)]
 pub struct BlockStore {
     blocks: HashMap<HashValue, Block>,
-    /// Where the bytes of each spilled block are in the replica's log.
-    spilled: HashMap<HashValue, WalSpan>,
+    /// Where the bytes of each spilled block are.
+    spilled: HashMap<HashValue, Spilled>,
     genesis_id: HashValue,
 }
 
@@ -444,11 +455,11 @@ impl BlockStore {
     }
 
     /// Drops the payload and held encoding of block `id`, whose bytes are
-    /// durable at `span` of the replica's log; [`get`](Self::get) returns
-    /// its header from now on, and [`spilled`](Self::spilled) the span.
-    /// Returns false (and changes nothing) if the block is not held, is
-    /// genesis, or was spilled already.
-    pub fn spill(&mut self, id: HashValue, span: WalSpan) -> bool {
+    /// at `to`; [`get`](Self::get) returns its header from now on, and
+    /// [`spilled`](Self::spilled) where its bytes are. Returns false (and
+    /// changes nothing) if the block is not held, is genesis, or was
+    /// spilled already.
+    pub fn spill(&mut self, id: HashValue, to: Spilled) -> bool {
         let Some(block) = self.blocks.get_mut(&id) else {
             return false;
         };
@@ -456,28 +467,48 @@ impl BlockStore {
             return false;
         }
         *block = block.header_only();
-        self.spilled.insert(id, span);
+        self.spilled.insert(id, to);
         true
     }
 
-    /// Where block `id`'s bytes are in the log, if the store spilled it.
-    pub fn spilled(&self, id: HashValue) -> Option<WalSpan> {
-        self.spilled.get(&id).copied()
+    /// Spills block `id` to the encoding it holds ([`Spilled::Held`]):
+    /// its decoded transactions go, the frame they were ranges of stays.
+    /// Returns false, and the block keeps its payload, if it holds no
+    /// encoding (it was built, not decoded) or cannot be spilled.
+    pub fn spill_to_held(&mut self, id: HashValue) -> bool {
+        let Some(held) = self.blocks.get(&id).and_then(Block::encoding).cloned() else {
+            return false;
+        };
+        self.spill(id, Spilled::Held(held))
+    }
+
+    /// Where block `id`'s bytes are, if the store spilled it.
+    pub fn spilled(&self, id: HashValue) -> Option<&Spilled> {
+        self.spilled.get(&id)
     }
 
     /// The encoding bytes the store holds: each block's held encoding (or
-    /// its encoded size, for a block built rather than decoded), genesis
-    /// and spilled blocks excluded.
+    /// its encoded size, for a block built rather than decoded), also once
+    /// the block is spilled to it, genesis and blocks spilled to the log
+    /// excluded.
     pub fn payload_bytes(&self) -> u64 {
         self.blocks
             .iter()
-            .filter(|(id, block)| !block.is_genesis() && !self.spilled.contains_key(id))
-            .map(|(_, block)| {
-                block
+            .filter(|(_, block)| !block.is_genesis())
+            .map(|(id, block)| match self.spilled.get(id) {
+                Some(Spilled::Log(_)) => 0,
+                Some(Spilled::Held(held)) => held.len() as u64,
+                None => block
                     .encoding()
-                    .map_or_else(|| block.encoded_len(), |held| held.len()) as u64
+                    .map_or_else(|| block.encoded_len(), |held| held.len())
+                    as u64,
             })
             .sum()
+    }
+
+    /// Every block in the store, genesis included, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &Block> {
+        self.blocks.values()
     }
 
     /// Looks up a block by id.
@@ -569,6 +600,7 @@ impl<'a> Iterator for Ancestors<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sft_types::Transaction;
 
     fn extend(store: &mut BlockStore, parent: HashValue, round: u64) -> Block {
         let parent = store.get(parent).unwrap().clone();
@@ -809,14 +841,17 @@ mod tests {
         let b2 = extend(&mut store, b1.id(), 2);
         let held = store.payload_bytes();
         assert_eq!(held, (b1.encoded_len() + b2.encoded_len()) as u64);
-        let span = WalSpan {
+        let span = Spilled::Log(WalSpan {
             offset: 12,
             len: 345,
-        };
-        assert!(store.spill(b1.id(), span));
-        assert!(!store.spill(b1.id(), span), "once");
-        assert!(!store.spill(genesis_id, span), "genesis stays whole");
-        assert_eq!(store.spilled(b1.id()), Some(span));
+        });
+        assert!(store.spill(b1.id(), span.clone()));
+        assert!(!store.spill(b1.id(), span.clone()), "once");
+        assert!(
+            !store.spill(genesis_id, span.clone()),
+            "genesis stays whole"
+        );
+        assert_eq!(store.spilled(b1.id()), Some(&span));
         assert_eq!(store.payload_bytes(), b2.encoded_len() as u64);
         let header = store.get(b1.id()).unwrap();
         assert_eq!(
@@ -833,6 +868,44 @@ mod tests {
         extend(&mut store, b1.id(), 3); // a child still attaches
         store.prune_below(Round::new(2));
         assert_eq!(store.spilled(b1.id()), None, "pruned with its block");
+    }
+
+    #[test]
+    fn a_block_spilled_to_its_held_encoding_drops_its_transactions_not_its_bytes() {
+        let mut store = BlockStore::new();
+        let txns = (0..3).map(|seq| Transaction::new(1, seq, vec![9; 64]));
+        let built = Block::new(
+            store.genesis(),
+            Round::new(1),
+            ReplicaId::new(1),
+            Payload::Transactions(txns.collect()),
+        );
+        let frame: Arc<[u8]> = built.to_bytes().into();
+        let held = Block::from_shared(&frame).unwrap();
+        store.insert(held.clone()).unwrap();
+        let bytes = store.payload_bytes();
+        assert_eq!(bytes, frame.len() as u64);
+
+        assert!(store.spill_to_held(held.id()));
+        let header = store.get(held.id()).unwrap();
+        assert!(header.payload().is_empty() && header.encoding().is_none());
+        let Some(Spilled::Held(at)) = store.spilled(held.id()) else {
+            panic!("spilled to its held bytes");
+        };
+        assert!(Arc::ptr_eq(at.buffer(), &frame), "the frame it arrived in");
+        assert_eq!(store.payload_bytes(), bytes, "held bytes are resident");
+        assert!(!store.spill_to_held(held.id()), "once");
+
+        // A block built here holds no encoding: it keeps its payload.
+        let child = Block::new(
+            &held,
+            Round::new(2),
+            ReplicaId::new(2),
+            built.payload().clone(),
+        );
+        store.insert(child.clone()).unwrap();
+        assert!(!store.spill_to_held(child.id()));
+        assert_eq!(store.get(child.id()).unwrap().payload().txn_count(), 3);
     }
 
     #[test]

@@ -30,7 +30,10 @@ pub const RETENTION_ROUNDS: u64 = 256;
 /// Sweeps are batched: one becomes due each time another eighth of the
 /// horizon has accumulated above the floor, which keeps at most 9/8 of a
 /// horizon resident while a sweep's cost — linear in what is resident —
-/// stays a handful of operations per round, amortized.
+/// stays a handful of operations per round, amortized. The sweep for
+/// blocks that can no longer commit ([`dead_sweep_due`](Self::dead_sweep_due))
+/// runs at the same pace from the first round, not only once the floor
+/// moves.
 ///
 /// # Examples
 ///
@@ -44,11 +47,17 @@ pub const RETENTION_ROUNDS: u64 = 256;
 /// assert_eq!(retention.floor(), Round::new(2));
 /// assert_eq!(retention.advance(Round::new(19)), None);
 /// assert_eq!(retention.advance(Round::new(23)), Some(Round::new(7)));
+///
+/// assert!(!retention.dead_sweep_due(Round::new(1)));
+/// assert!(retention.dead_sweep_due(Round::new(2)));
+/// assert!(!retention.dead_sweep_due(Round::new(3)));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Retention {
     rounds: u64,
     floor: Round,
+    /// The committed tip's round at the last dead-block sweep.
+    dead_swept: Round,
 }
 
 impl Default for Retention {
@@ -63,7 +72,13 @@ impl Retention {
         Self {
             rounds: rounds.max(1),
             floor: Round::ZERO,
+            dead_swept: Round::ZERO,
         }
+    }
+
+    /// Rounds between two sweeps: an eighth of the horizon.
+    fn step(&self) -> u64 {
+        (self.rounds / 8).max(1)
     }
 
     /// Everything below this round has been swept; arrivals for it are
@@ -76,11 +91,23 @@ impl Retention {
     /// the new floor when a sweep is due, and remembers it.
     pub fn advance(&mut self, committed_tip: Round) -> Option<Round> {
         let floor = committed_tip.saturating_sub(self.rounds);
-        if floor.as_u64() < self.floor.as_u64() + (self.rounds / 8).max(1) {
+        if floor.as_u64() < self.floor.as_u64() + self.step() {
             return None;
         }
         self.floor = floor;
         Some(floor)
+    }
+
+    /// Called with the committed tip's round after every commit: true when
+    /// another eighth of the horizon has passed since the last time it
+    /// said so — the pace at which blocks that can no longer commit are
+    /// swept, so each is found within that many rounds of its death.
+    pub fn dead_sweep_due(&mut self, committed_tip: Round) -> bool {
+        if committed_tip.as_u64() < self.dead_swept.as_u64() + self.step() {
+            return false;
+        }
+        self.dead_swept = committed_tip;
+        true
     }
 }
 

@@ -10,7 +10,7 @@
 //! and supplies only its rules — see the example in the
 //! [crate docs](crate#what-a-protocol-must-still-supply).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use sft_crypto::{HashValue, KeyPair, KeyRegistry, SigStats};
 use sft_obs::SharedRecorder;
@@ -23,8 +23,8 @@ use crate::qc::MemberLedger;
 use crate::{
     AckTracker, Admission, Block, BlockResponse, BlockStore, BlockStoreError, CommitLedger,
     EndorsementTracker, EngineObs, EngineStep, Mempool, OutboundMsg, PayloadSource, ProtocolConfig,
-    QuorumCertificate, Retention, SyncManager, SyncStats, VoteOutcome, VoteTracker, VoterState,
-    WalReader, WalRecord, WalSpan,
+    QuorumCertificate, Retention, Spilled, SyncManager, SyncStats, VoteOutcome, VoteTracker,
+    VoterState, WalReader, WalRecord, WalSpan,
 };
 
 /// What taking in one block produced: this replica's vote, if the voting
@@ -38,6 +38,14 @@ pub struct Intake {
     pub updates: Vec<StrongCommitUpdate>,
 }
 
+/// The client transactions `block` carries.
+fn carried(block: &Block) -> &[Transaction] {
+    match block.payload() {
+        Payload::Transactions(txns) => txns,
+        Payload::Synthetic { .. } => &[],
+    }
+}
+
 /// A replica's resident-state gauges (see [`ChainKernel::resident`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResidentState {
@@ -49,9 +57,10 @@ pub struct ResidentState {
     pub certs: usize,
     /// Mempool dedup entries ([`Mempool::dedup_entries`]).
     pub dedup_entries: usize,
-    /// Encoding bytes of the blocks in the store that hold their payload,
-    /// genesis excluded ([`BlockStore::payload_bytes`]): a replica with a
-    /// durable log holds only the blocks whose commit is not yet durable.
+    /// Encoding bytes the store holds, genesis excluded
+    /// ([`BlockStore::payload_bytes`]): a replica with a durable log holds
+    /// only the blocks whose commit is not yet durable; one without holds
+    /// every block's frame, committed blocks' spilled to included.
     pub payload_bytes: u64,
 }
 
@@ -98,7 +107,9 @@ pub struct ChainKernel {
     /// How far behind the committed tip state is kept (see [`Retention`]).
     retention: Retention,
     /// A reader over this replica's durable log, when it has one: what
-    /// spilled blocks are served back from ([`spill`](Self::spill)).
+    /// blocks spilled to the log are served back from
+    /// ([`spill`](Self::spill)). Without one, a committed block spills to
+    /// the frame it arrived in as it commits.
     log: Option<WalReader>,
     /// Client submissions awaiting their strength-graded commit acks.
     acks: AckTracker,
@@ -177,6 +188,8 @@ impl ChainKernel {
     /// Installs a reader over this replica's durable log. From then on a
     /// committed block whose `BlockCommitted` record is durable may leave
     /// memory ([`spill`](Self::spill)); block sync reads it back from here.
+    /// Blocks committed before it stay as they are: spilled to their held
+    /// frames, or whole if they hold none (blocks replayed from the log).
     pub fn set_log_reader(&mut self, log: WalReader) {
         self.log = Some(log);
     }
@@ -542,6 +555,11 @@ impl ChainKernel {
                 }
                 self.acks.scan_committed(block, &self.store);
                 self.wal.push(WalRecord::BlockCommitted(block.clone()));
+                // Without a log to read it back from, the frame the block
+                // arrived in is where its bytes stay.
+                if self.log.is_none() {
+                    self.store.spill_to_held(id);
+                }
             }
             updates.extend(self.endorsements.take_level_update(id, &self.store));
         }
@@ -555,10 +573,15 @@ impl ChainKernel {
     /// survives is the committed chain's ids, the commit log, and the
     /// counters. Returns the new floor when it moved, so the protocol can
     /// sweep what it keeps itself; call it after everything that can
-    /// commit.
+    /// commit. At the same pace, from the first round on, the mempool lets
+    /// go of the blocks that can no longer commit
+    /// ([`Mempool::release_dead`]).
     pub fn prune(&mut self) -> Option<Round> {
-        let tip = self.ledger.tip().and_then(|id| self.store.get(id))?;
-        let floor = self.retention.advance(tip.round())?;
+        let tip = self.ledger.tip().and_then(|id| self.store.get(id))?.round();
+        if self.retention.dead_sweep_due(tip) {
+            self.release_dead(tip);
+        }
+        let floor = self.retention.advance(tip)?;
         let pruned = self.store.prune_below(floor);
         self.ledger.forget(&pruned);
         self.endorsements.forget(&pruned);
@@ -569,6 +592,38 @@ impl ChainKernel {
         self.logged_qcs = self.logged_qcs.split_off(&(floor, HashValue::zero()));
         self.mempool.prune_below(floor);
         Some(floor)
+    }
+
+    /// Lets the mempool go of every stored block that can no longer commit:
+    /// one off the committed chain whose round the committed tip has
+    /// reached. Their transactions' ids leave the in-flight set, unless a
+    /// block that still can commit carries them too, and those this
+    /// replica owes a client ack go back to pending, to be proposed again
+    /// ([`Mempool::release_dead`]). Transactions no client waits for —
+    /// a workload fed straight into the mempool — are only forgotten.
+    fn release_dead(&mut self, tip: Round) {
+        let mut dead: Vec<&Block> = self
+            .store
+            .iter()
+            .filter(|b| b.round() <= tip && !b.is_genesis() && !self.ledger.contains(b.id()))
+            .collect();
+        if dead.is_empty() {
+            return;
+        }
+        dead.sort_by_key(|b| (b.round(), b.id()));
+        let live: HashSet<HashValue> = self
+            .store
+            .iter()
+            .filter(|b| b.round() > tip)
+            .flat_map(carried)
+            .map(Transaction::id)
+            .collect();
+        let acks = &self.acks;
+        for block in dead {
+            let txns = carried(block).iter();
+            let released = txns.filter(|txn| !live.contains(&txn.id()));
+            self.mempool.release_dead(released, |id| acks.owes(id));
+        }
     }
 
     // ---- block sync ----
@@ -628,7 +683,7 @@ impl ChainKernel {
     /// more).
     pub fn spill(&mut self, id: HashValue, span: WalSpan) {
         if self.log.is_some() && self.ledger.contains(id) {
-            self.store.spill(id, span);
+            self.store.spill(id, Spilled::Log(span));
         }
     }
 
@@ -786,7 +841,7 @@ impl ChainKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sft_types::EndorseInfo;
+    use sft_types::{BatchConfig, EndorseInfo};
 
     const N: usize = 4;
 
@@ -925,11 +980,15 @@ mod tests {
         assert!(k.certificate_for(old.id()).is_none());
         assert!(k.certificate_for(kept.id()).is_some());
         assert_eq!(k.logged_qcs.first().map(|(round, _)| *round), Some(floor));
-        // The mempool's in-flight map: ten blocks' transactions forgotten.
-        let swept = (floor.as_u64() - 1) * TXNS;
+        // The mempool: committed transactions left the in-flight map as
+        // they committed, so the sweep finds only the uncommitted tip's,
+        // beside one watermark per client (one client a round).
+        assert_eq!(k.resident().dedup_entries, before.dedup_entries);
         assert_eq!(
-            k.resident().dedup_entries,
-            before.dedup_entries - swept as usize
+            before.dedup_entries,
+            (ROUNDS - 1 + TXNS) as usize,
+            "{} committed clients, the tip's transactions",
+            ROUNDS - 1
         );
         // The voter: a branch switch recomputes its intervals from the
         // votes it kept and claims nothing below the floor.
@@ -975,6 +1034,78 @@ mod tests {
         // No second vote in a round the pre-crash self voted in.
         let twin = block(&chain[3], 4, 0);
         assert!(restored.accept_block(&twin, |_, _, _| true).vote.is_none());
+    }
+
+    /// A client transaction that rides a block which loses its fork is not
+    /// lost. Within one sweep after the committed tip passes the block, its
+    /// ids leave the mempool's in-flight set. The gateway that owes the
+    /// client an ack proposes the transaction again, and the ack follows
+    /// the new block's commit. A transaction on the same block that was
+    /// fed straight into the mempool is only forgotten, so a retry of it
+    /// is admitted.
+    #[test]
+    fn a_client_transaction_on_a_losing_fork_is_proposed_again_and_acked() {
+        const HORIZON: u64 = 64;
+        let sweep = HORIZON / 8;
+        let mut k = kernel(EndorseMode::Marker);
+        k.set_retention(HORIZON);
+        k.set_payload_source(PayloadSource::Mempool(BatchConfig::with_max_txns(8)));
+        let owed = Transaction::new(100, 0, vec![1; 8]);
+        let fed = Transaction::new(100, 1, vec![2; 8]);
+        let request = |txn: &Transaction| ClientRequest::new(txn.clone(), 0);
+        assert_eq!(k.submit_request(&request(&owed), SimTime::ZERO), None);
+        assert_eq!(k.submit(fed.clone()), Admission::Admitted);
+
+        let mut chain = vec![Block::genesis()];
+        let grow = |k: &mut ChainKernel, chain: &mut Vec<Block>, round: u64| {
+            let b = block(chain.last().unwrap(), round, 1);
+            k.accept_block(&b, |_, _, _| false);
+            certify(k, &b);
+            k.commit_through(b.id());
+            k.prune();
+            chain.push(b);
+        };
+        for round in 1..=3 {
+            grow(&mut k, &mut chain, round);
+        }
+        // Replica 0 leads round 4 and proposes both; the chain goes on
+        // from round 3 without its block.
+        let payload = k.next_payload(Round::new(4)).expect("a payload source");
+        assert_eq!(payload.txn_count(), 2);
+        let fork = k.extend(chain[3].id(), Round::new(4), payload).unwrap();
+        k.accept_block(&fork, |_, _, _| false);
+        let retry = k.submit_request(&request(&fed), SimTime::ZERO);
+        assert_eq!(retry, Some(ClientAck::Duplicate { txn_id: fed.id() }));
+
+        for round in 5..=fork.round().as_u64() + sweep {
+            grow(&mut k, &mut chain, round);
+        }
+        assert!(k.store().contains(fork.id()), "the horizon is far off");
+        assert_eq!(k.mempool().len(), 1, "only the transaction owed an ack");
+        assert_eq!(k.submit_request(&request(&fed), SimTime::ZERO), None);
+
+        // Replica 0's next turn to lead: both ride the new block, commit,
+        // and are acked.
+        let tip = chain.last().unwrap();
+        let payload = k.next_payload(Round::new(16)).unwrap();
+        let again = k.extend(tip.id(), Round::new(16), payload).unwrap();
+        assert_eq!(carried(&again), [owed.clone(), fed.clone()]);
+        k.accept_block(&again, |_, _, _| false);
+        certify(&mut k, &again);
+        let updates = k.commit_through(again.id());
+        k.finish_step(Vec::new(), updates, SimTime::from_millis(1));
+        let acked: Vec<HashValue> = k
+            .drain_acks()
+            .iter()
+            .map(|ack| match ack {
+                ClientAck::Committed { txn_id, round, .. } => {
+                    assert_eq!(*round, Round::new(16));
+                    *txn_id
+                }
+                other => panic!("a commit ack: {other:?}"),
+            })
+            .collect();
+        assert_eq!(acked, [owed.id(), fed.id()]);
     }
 
     /// The step Streamlet's proposal path lacked: a commit deferred on a

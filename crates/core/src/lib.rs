@@ -114,7 +114,7 @@ pub mod timeout;
 pub mod wal;
 
 pub use acks::AckTracker;
-pub use block::{Ancestors, Block, BlockStore, BlockStoreError};
+pub use block::{Ancestors, Block, BlockStore, BlockStoreError, Spilled};
 pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
 pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
 pub use engine::{

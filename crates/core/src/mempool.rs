@@ -16,11 +16,13 @@
 //!
 //! - **Before commit** a transaction is its id — the hash over client,
 //!   sequence number *and payload*. The pool remembers the ids it holds,
-//!   the ids it drained, and the ids carried by blocks it has seen stored
-//!   (each with the block's round, dropped once the retention horizon
-//!   passes it). Transactions are unsigned, so anything weaker would let
-//!   one leader's never-committed proposal of forged `(client, seq)`
-//!   numbers shadow the client's real requests.
+//!   the ids it drained, and the ids carried by stored blocks that may
+//!   still commit (each with the block's round). An id leaves when its
+//!   transaction commits, when every block carrying it can no longer
+//!   commit ([`Mempool::release_dead`]), or when the retention horizon
+//!   passes its block. Transactions are unsigned, so anything weaker
+//!   would let one leader's never-committed proposal of forged
+//!   `(client, seq)` numbers shadow the client's real requests.
 //! - **Once committed** a transaction is its `(client, seq)` pair. Per
 //!   client the pool keeps one watermark (every sequence number below it
 //!   is on the committed chain) plus the sparse set of committed numbers
@@ -168,7 +170,8 @@ pub struct Mempool {
     pending: HashMap<HashValue, u64>,
     /// Transactions drained here or carried by a stored block, by id, with
     /// that block's round — `None` for a batch drained here whose block has
-    /// not been stored yet. Pruned behind the retention horizon.
+    /// not been stored yet. Only what is in flight: an id leaves when its
+    /// transaction commits or its block can no longer commit.
     in_flight: HashMap<HashValue, Option<Round>>,
     /// Per client, the sequence numbers on the committed chain — the part
     /// of the dedup state that lives forever, independent of how many
@@ -238,8 +241,8 @@ impl Mempool {
 
     /// Entries the dedup state holds: per client one watermark plus the
     /// out-of-order committed numbers above it, and one per transaction in
-    /// flight inside the retention horizon — the resident-state gauge that
-    /// must not grow with the number of committed transactions.
+    /// flight — the resident-state gauge that must not grow with the
+    /// number of committed transactions.
     pub fn dedup_entries(&self) -> usize {
         let committed: usize = self.committed.values().map(|c| 1 + c.above.len()).sum();
         committed + self.in_flight.len()
@@ -270,10 +273,14 @@ impl Mempool {
         {
             return Admission::Busy;
         }
+        self.enqueue(id, txn_bytes, txn);
+        Admission::Admitted
+    }
+
+    fn enqueue(&mut self, id: HashValue, txn_bytes: u64, txn: Transaction) {
         self.pending.insert(id, txn_bytes);
         self.pending_bytes += txn_bytes;
         self.queue.push_back(txn);
-        Admission::Admitted
     }
 
     /// Accepts `txn` unless rejected ([`try_submit`](Self::try_submit) for
@@ -293,9 +300,12 @@ impl Mempool {
     /// leadership slot does not re-propose transactions the chain may
     /// already hold. Transactions never submitted are still remembered
     /// (late client submissions of included transactions are rejected)
-    /// until [`prune_below`](Self::prune_below) passes `round`. The block
+    /// until the block commits, can no longer commit, or
+    /// [`prune_below`](Self::prune_below) passes `round`. The block
     /// may never commit, so identity here is the full transaction id:
     /// a forged `(client, seq)` with another payload shadows nothing.
+    /// A transaction whose `(client, seq)` is committed already is not
+    /// remembered: the watermark answers for it.
     pub fn mark_included<'a>(
         &mut self,
         txns: impl IntoIterator<Item = &'a Transaction>,
@@ -304,25 +314,52 @@ impl Mempool {
         for txn in txns {
             let id = txn.id();
             self.unqueue(&id);
-            self.in_flight.insert(id, Some(round));
+            if !self.is_committed(txn) {
+                self.in_flight.insert(id, Some(round));
+            }
         }
     }
 
     /// Records `txns` as carried by the committed chain: from here on their
     /// `(client, seq)` pairs answer [`Admission::Duplicate`] whatever the
-    /// payload, in O(clients) memory.
+    /// payload, in O(clients) memory, and their ids leave the in-flight
+    /// set.
     pub fn mark_committed<'a>(&mut self, txns: impl IntoIterator<Item = &'a Transaction>) {
         for txn in txns {
             self.committed
                 .entry(txn.client())
                 .or_default()
                 .insert(txn.seq());
+            self.in_flight.remove(&txn.id());
+        }
+    }
+
+    /// Forgets the in-flight ids of `txns`, which a stored block that can
+    /// no longer commit carries (and no stored block that still can), and
+    /// queues again those `owed` names: the ones a client still waits for.
+    /// The others may be submitted again. An id drained here whose block
+    /// is not stored yet stays. What is queued again was admitted once, so
+    /// the admission caps do not apply to it.
+    pub fn release_dead<'a>(
+        &mut self,
+        txns: impl IntoIterator<Item = &'a Transaction>,
+        owed: impl Fn(HashValue) -> bool,
+    ) {
+        for txn in txns {
+            let id = txn.id();
+            if !matches!(self.in_flight.get(&id), Some(Some(_))) {
+                continue;
+            }
+            self.in_flight.remove(&id);
+            if owed(id) {
+                let txn_bytes = sft_types::Encode::encoded_len(txn) as u64;
+                self.enqueue(id, txn_bytes, txn.clone());
+            }
         }
     }
 
     /// Forgets the in-flight transactions of blocks below `floor`: those
-    /// blocks have committed (their `(client, seq)` pairs are remembered
-    /// for good) or never will.
+    /// blocks never will commit.
     pub fn prune_below(&mut self, floor: Round) {
         self.in_flight
             .retain(|_, round| round.is_none_or(|round| round >= floor));
@@ -486,12 +523,55 @@ mod tests {
         }
         assert_eq!(
             pool.dedup_entries(),
-            1 + 500,
-            "one watermark for one client, plus the five blocks inside the horizon"
+            1,
+            "one watermark for one client: committed ids are not in flight"
         );
         assert!(!pool.submit(txn(0, 8)), "old numbers stay rejected");
         assert!(!pool.submit(txn(9_999, 8)));
         assert!(pool.submit(txn(10_000, 8)));
+    }
+
+    #[test]
+    fn a_committed_transaction_is_a_duplicate_whatever_its_payload() {
+        let mut pool = Mempool::new();
+        assert!(pool.submit(txn(0, 8)));
+        commit_all(&mut pool, 1);
+        assert_eq!(pool.dedup_entries(), 1, "its id left with the commit");
+        assert_eq!(pool.try_submit(txn(0, 8)), Admission::Duplicate);
+        assert_eq!(pool.try_submit(txn(0, 99)), Admission::Duplicate);
+        // A later block carrying it again does not bring its id back.
+        pool.mark_included([txn(0, 8)].iter(), Round::new(2));
+        assert_eq!(pool.dedup_entries(), 1);
+        assert_eq!(pool.try_submit(txn(0, 8)), Admission::Duplicate);
+    }
+
+    #[test]
+    fn a_dead_blocks_transactions_leave_and_the_owed_ones_queue_again() {
+        let mut pool = Mempool::with_caps(1, u64::MAX);
+        assert!(pool.submit(txn(0, 8)));
+        let drained = pool.next_batch(BatchConfig::with_max_txns(8));
+        // The block is stored, carrying one more this pool never held.
+        let forged = txn(1, 8);
+        pool.mark_included(drained.iter().chain([&forged]), Round::new(3));
+        // A batch whose block is not stored yet, and a full pool.
+        assert!(pool.submit(txn(2, 8)));
+        let unstored = pool.next_batch(BatchConfig::with_max_txns(8));
+        assert!(pool.submit(txn(3, 8)));
+        assert_eq!(pool.dedup_entries(), 3);
+
+        let owed = [txn(0, 8).id(), txn(2, 8).id()];
+        let carried = drained.iter().chain([&forged]).chain(&unstored);
+        pool.release_dead(carried, |id| owed.contains(&id));
+        assert_eq!(pool.dedup_entries(), 1, "only the unstored batch");
+        assert_eq!(pool.len(), 2, "the owed one is pending again, past the cap");
+        assert_eq!(pool.try_submit(txn(0, 8)), Admission::Duplicate);
+        assert_eq!(pool.try_submit(forged.clone()), Admission::Busy);
+        pool.release_dead(drained.iter(), |_| true);
+        assert_eq!(pool.len(), 2, "queued again once");
+        let batch = pool.next_batch(BatchConfig::with_max_txns(8));
+        let seqs: Vec<u64> = batch.iter().map(Transaction::seq).collect();
+        assert_eq!(seqs, vec![3, 0]);
+        assert_eq!(pool.try_submit(forged), Admission::Admitted);
     }
 
     #[test]

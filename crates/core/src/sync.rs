@@ -26,8 +26,9 @@
 //!    responses heal themselves.
 //! 3. **Serve** — [`SyncManager::serve`] answers from the local store with
 //!    a [`BlockResponse`]: the chain segment ending at the target plus the
-//!    target's quorum certificate. A block the store spilled is read back
-//!    from the replica's log and served byte for byte as it was held; a
+//!    target's quorum certificate. A block the store spilled is decoded
+//!    again from its bytes — read back from the replica's log, or the
+//!    frame it arrived in — and served byte for byte as it was held; a
 //!    read that fails or does not hash to the stored id declines the
 //!    request, and the requester asks another peer.
 //! 4. **Verify & admit** — [`SyncManager::on_response`] admits nothing
@@ -51,12 +52,13 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use sft_crypto::HashValue;
 use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, ReplicaId, Round, SimDuration, SimTime};
 
-use crate::{Block, BlockStore, ProtocolConfig, QuorumCertificate, WalReader};
+use crate::{Block, BlockStore, ProtocolConfig, QuorumCertificate, Spilled, WalReader};
 
 /// A responder's answer to a [`BlockRequest`]: a chain segment (oldest
 /// first) ending at the requested block, plus the quorum certificate for
@@ -154,11 +156,13 @@ pub struct SyncStats {
     /// arrived by the normal path ([`SyncManager::note_stored`]).
     pub orphans_adopted: u64,
     /// Blocks served to peers that were read back from the log, their
-    /// bytes having been spilled ([`BlockStore::spill`]).
+    /// bytes having been spilled there ([`Spilled::Log`]). Blocks decoded
+    /// again from their held frame are not counted.
     pub blocks_served_from_log: u64,
-    /// Requests declined because a spilled block's read failed, came back
-    /// short, or did not hash to the stored id.
-    pub log_reads_failed: u64,
+    /// Requests declined because a spilled block's bytes — in the log or
+    /// held — could not be read, came back short, did not decode, or did
+    /// not hash to the stored id.
+    pub spilled_reads_failed: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -513,10 +517,10 @@ impl SyncManager {
 
     /// Serves a peer's request from the local store: the segment of up to
     /// `max_blocks` ancestors ending at the target, oldest first, plus the
-    /// target's certificate. Spilled blocks are read back through `log`.
-    /// `None` if this replica lacks the block or a certificate for it, or a
-    /// spilled block cannot be read back intact (the requester will retry
-    /// elsewhere).
+    /// target's certificate. Spilled blocks are decoded again from their
+    /// bytes, read back through `log` or held. `None` if this replica lacks
+    /// the block or a certificate for it, or a spilled block cannot be read
+    /// back intact (the requester will retry elsewhere).
     pub fn serve(
         &mut self,
         request: &BlockRequest,
@@ -534,23 +538,31 @@ impl SyncManager {
             .chain(store.ancestors(target).take_while(|b| !b.is_genesis()))
             .take(cap)
             .collect();
-        let mut read_back = 0;
+        let mut from_log = 0;
         let mut blocks = Vec::with_capacity(segment.len());
         for block in segment.into_iter().rev() {
-            let Some(span) = store.spilled(block.id()) else {
+            let Some(spilled) = store.spilled(block.id()) else {
                 blocks.push(block.clone());
                 continue;
             };
-            match log.map(|log| log.read_block(span)) {
-                Some(Ok(read)) if read.id() == block.id() => blocks.push(read),
+            let read = match spilled {
+                Spilled::Log(span) => {
+                    from_log += 1;
+                    log.and_then(|log| log.read_block(*span).ok())
+                }
+                // A range of a larger frame: decoded from a copy of its
+                // own, as a log read is.
+                Spilled::Held(bytes) => Block::from_shared(&Arc::from(&**bytes)).ok(),
+            };
+            match read {
+                Some(read) if read.id() == block.id() => blocks.push(read),
                 _ => {
-                    self.stats.log_reads_failed += 1;
+                    self.stats.spilled_reads_failed += 1;
                     return None;
                 }
             }
-            read_back += 1;
         }
-        self.stats.blocks_served_from_log += read_back;
+        self.stats.blocks_served_from_log += from_log;
         self.stats.responses_served += 1;
         Some(BlockResponse::new(qc, blocks))
     }
@@ -1016,7 +1028,7 @@ mod tests {
             let len = frame.len() as u32;
             damage(&mut frame);
             sink.append(&frame).unwrap();
-            store.spill(block.id(), WalSpan { offset, len });
+            store.spill(block.id(), Spilled::Log(WalSpan { offset, len }));
             offset += u64::from(len);
         }
         log
@@ -1032,7 +1044,7 @@ mod tests {
         let served = server.serve(&req, &store, Some(&log)).unwrap();
         assert_eq!(served.to_bytes(), held);
         assert_eq!(server.stats().blocks_served_from_log, 2);
-        assert_eq!(server.stats().log_reads_failed, 0);
+        assert_eq!(server.stats().spilled_reads_failed, 0);
     }
 
     #[test]
@@ -1050,11 +1062,62 @@ mod tests {
             let mut server = server_for(&store, &blocks);
             let log = spill_onto_log(&mut store, &blocks[..2], damage);
             assert!(server.serve(&req, &store, reader.then_some(&log)).is_none());
-            assert_eq!(server.stats().log_reads_failed, 1);
+            assert_eq!(server.stats().spilled_reads_failed, 1);
             assert_eq!(server.stats().responses_served, 0);
             // Blocks still in memory are served as before.
             let held = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 1);
             assert!(server.serve(&held, &store, None).is_some());
+        }
+    }
+
+    /// Spills `blocks` from `store` to held encodings, each passed through
+    /// `damage` first.
+    fn spill_to_held(store: &mut BlockStore, blocks: &[Block], damage: impl Fn(&mut Vec<u8>)) {
+        for block in blocks {
+            let mut bytes = block.to_bytes();
+            damage(&mut bytes);
+            store.spill(block.id(), Spilled::Held(bytes.into()));
+        }
+    }
+
+    #[test]
+    fn blocks_spilled_to_their_held_bytes_are_served_byte_for_byte() {
+        let (mut store, blocks) = chain(3);
+        let mut server = server_for(&store, &blocks);
+        let req = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 8);
+        let whole = server.serve(&req, &store, None).unwrap().to_bytes();
+        spill_to_held(&mut store, &blocks[..2], |_| {});
+        assert!(store.get(blocks[0].id()).unwrap().payload().is_empty());
+        let served = server.serve(&req, &store, None).unwrap();
+        assert_eq!(served.to_bytes(), whole);
+        assert_eq!(served.blocks(), blocks);
+        let stats = server.stats();
+        assert_eq!(stats.blocks_served_from_log, 0, "nothing read from a log");
+        assert_eq!(stats.spilled_reads_failed, 0);
+    }
+
+    #[test]
+    fn corrupted_held_bytes_are_refused_by_the_id_check_and_counted() {
+        let (store, blocks) = chain(3);
+        let req = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 8);
+        let flip_last = |bytes: &mut Vec<u8>| *bytes.last_mut().unwrap() ^= 1;
+        let flip_round = |bytes: &mut Vec<u8>| bytes[HashValue::LEN + 15] ^= 1;
+        let cut_short = |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() - 1);
+        let trailing = |bytes: &mut Vec<u8>| bytes.push(0);
+        for damage in [
+            flip_last as fn(&mut Vec<u8>),
+            flip_round,
+            cut_short,
+            trailing,
+        ] {
+            let mut store = store.clone();
+            let mut server = server_for(&store, &blocks);
+            spill_to_held(&mut store, &blocks[..2], damage);
+            assert!(server.serve(&req, &store, None).is_none());
+            assert_eq!(server.stats().spilled_reads_failed, 1);
+            assert_eq!(server.stats().responses_served, 0);
+            let whole = BlockRequest::new(ReplicaId::new(0), blocks[2].id(), 1);
+            assert!(server.serve(&whole, &store, None).is_some());
         }
     }
 

@@ -15,9 +15,15 @@
 //! be safe on its own: equal outputs alone would pass a defect both
 //! modes share.
 
+use sft_core::ReplicaEngine;
 use sft_crypto::{RngCore, SplitMix64};
-use sft_sim::{Behavior, DurabilityMode, Protocol, SimConfig, SimReport};
+use sft_fbft::FbftEngine;
+use sft_sim::{
+    build_fbft_engines, Behavior, DurabilityMode, EngineRunner, FaultSchedule, NoMischief,
+    Protocol, RunPlan, RunnerConfig, SimConfig, SimReport, SimTransport,
+};
 use sft_streamlet::EndorseMode;
+use sft_types::{ReplicaId, Round, SimTime};
 
 /// Draws a behavior cast for `n` replicas with at most `f` Byzantine
 /// members, each drawn from the full misbehavior menu.
@@ -323,7 +329,8 @@ const STRAGGLER_ROUNDS: u64 = 96;
 /// A replica cut off for the first half of the run catches up by block
 /// sync, and its peers serve the blocks it needs from their logs: the
 /// bytes on the wire, the decisions and the commit logs are the ones the
-/// in-memory harness, which never drops a block's bytes, produces.
+/// in-memory harness, which serves them from the frames its peers hold,
+/// produces.
 #[test]
 fn a_healed_straggler_is_served_from_its_peers_logs_byte_for_byte() {
     for protocol in [Protocol::Streamlet, Protocol::Fbft] {
@@ -341,7 +348,10 @@ fn a_healed_straggler_is_served_from_its_peers_logs_byte_for_byte() {
             group.sync_blocks_fetched > 0 && group.recovered_replicas == 1,
             "{protocol:?}: the straggler caught up by block sync"
         );
-        assert_eq!(classic.sync_served_from_log, 0, "no log, nothing spilled");
+        assert_eq!(
+            classic.sync_served_from_log, 0,
+            "no log, nothing read from one"
+        );
         assert!(
             group.sync_served_from_log > 0,
             "{protocol:?}: the peers served spilled blocks from their logs"
@@ -374,29 +384,23 @@ fn corrupt_block_frames(path: &std::path::Path) -> usize {
     damaged
 }
 
-/// One peer's log rots under its spilled blocks while a straggler is cut
-/// off. When the straggler asks that peer, the peer reads the damaged
-/// frames back, finds they do not hash to the blocks it committed, and
-/// declines without a panic; the straggler's retry goes to another peer,
-/// and it catches up all the same.
-#[test]
-fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
-    use sft_core::{DurableWal, ReplicaEngine, WalStore, WAL_FILE_NAME};
-    use sft_sim::{
-        build_fbft_engines, EngineRunner, FaultSchedule, NoMischief, RunPlan, RunnerConfig,
-    };
-    use sft_types::{ReplicaId, Round, SimTime};
+/// The last replica of `config`'s n, cut off until `heal_at`.
+const STRAGGLER: usize = 3;
 
-    let config = SimConfig::new(4, STRAGGLER_ROUNDS).with_protocol(Protocol::Fbft);
-    let straggler = ReplicaId::new(3);
-    let behind = straggler.as_usize();
-    let heal_at = SimTime::ZERO + config.delay * STRAGGLER_ROUNDS;
-    let net = sft_network::SimNetwork::new(config.delay)
-        .with_faults(FaultSchedule::partition(vec![straggler], heal_at));
-    let mut runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout()),
+/// An SFT-DiemBFT runner for `config` whose replica [`STRAGGLER`] is cut
+/// off until `heal_at`, with no logs installed.
+fn straggler_runner(
+    config: &SimConfig,
+    heal_at: SimTime,
+) -> EngineRunner<FbftEngine, SimTransport, NoMischief> {
+    let net = sft_network::SimNetwork::new(config.delay).with_faults(FaultSchedule::partition(
+        vec![ReplicaId::new(STRAGGLER as u16)],
+        heal_at,
+    ));
+    EngineRunner::new(
+        build_fbft_engines(config, config.base_timeout()),
         config.behaviors.clone(),
-        sft_network::SimTransport::new(net, config.n),
+        SimTransport::new(net, config.n),
         NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(config.epochs)),
@@ -404,7 +408,43 @@ fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
             drain_bound: config.drain_sync_bound(),
             drain_step: config.delay,
         },
+    )
+}
+
+/// Runs `runner` on from `from`, one δ at a time, until the straggler is
+/// past `config`'s last round and done syncing, or the run horizon ends.
+fn run_until_caught_up(
+    runner: &mut EngineRunner<FbftEngine, SimTransport, NoMischief>,
+    config: &SimConfig,
+    from: SimTime,
+) {
+    let (target, end) = (
+        Round::new(config.epochs),
+        SimTime::ZERO + config.run_horizon(),
     );
+    let behind = |runner: &EngineRunner<FbftEngine, SimTransport, NoMischief>| {
+        let straggler = runner.engine(STRAGGLER);
+        straggler.round() <= target || straggler.kernel().is_syncing()
+    };
+    let mut until = from;
+    while until < end && behind(runner) {
+        until += config.delay;
+        runner.run_until(until).expect("the logs stay healthy");
+    }
+}
+
+/// One peer's log rots under its spilled blocks while a straggler is cut
+/// off. When the straggler asks that peer, the peer reads the damaged
+/// frames back, finds they do not hash to the blocks it committed, and
+/// declines without a panic; the straggler's retry goes to another peer,
+/// and it catches up all the same.
+#[test]
+fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
+    use sft_core::{DurableWal, WalStore, WAL_FILE_NAME};
+
+    let config = SimConfig::new(4, STRAGGLER_ROUNDS).with_protocol(Protocol::Fbft);
+    let heal_at = SimTime::ZERO + config.delay * STRAGGLER_ROUNDS;
+    let mut runner = straggler_runner(&config, heal_at);
     let root = std::env::temp_dir().join(format!("sft-rotted-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let wals: Vec<Box<dyn DurableWal>> = (0..config.n)
@@ -430,18 +470,12 @@ fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
 
     // Then on to the end of the run: past the target round, with the
     // straggler's catch-up settled.
-    let (target, end) = (
-        Round::new(config.epochs),
-        SimTime::ZERO + config.run_horizon(),
-    );
-    let mut until = heal_at;
-    while until < end
-        && (runner.engine(behind).round() <= target || runner.engine(behind).kernel().is_syncing())
-    {
-        until += config.delay;
-        runner.run_until(until).expect("file logs stay healthy");
-    }
-    let declined = runner.engine(rotted).kernel().sync_stats().log_reads_failed;
+    run_until_caught_up(&mut runner, &config, heal_at);
+    let declined = runner
+        .engine(rotted)
+        .kernel()
+        .sync_stats()
+        .spilled_reads_failed;
     let served: u64 = (1..3)
         .map(|peer| {
             runner
@@ -457,9 +491,63 @@ fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
     assert!(declined > 0, "the rotted peer was asked and declined");
     assert!(served > 0, "the healthy peers served from their logs");
     assert!(report.agreement(), "no replica diverged");
-    let (caught_up, peer) = (report.chains[behind].len(), report.chains[1].len());
+    let (caught_up, peer) = (report.chains[STRAGGLER].len(), report.chains[1].len());
     assert!(
         caught_up + 2 >= peer && caught_up > STRAGGLER_ROUNDS as usize / 2,
         "the straggler caught up: {caught_up} blocks against peer 1's {peer}"
     );
+}
+
+/// Without a log, a committed block spills to the frame it arrived in: the
+/// store keeps its header, and its decoded transactions go. A straggler
+/// cut off for half the run asks its peers for blocks they spilled that
+/// way long before, and they serve them from those held bytes, checked
+/// against the stored ids, with no log to read.
+#[test]
+fn a_healed_straggler_is_served_from_a_log_less_peers_held_bytes() {
+    use sft_core::Spilled;
+
+    let config = SimConfig::new(4, STRAGGLER_ROUNDS)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(4);
+    let heal_at = SimTime::ZERO + config.delay * STRAGGLER_ROUNDS;
+    let mut runner = straggler_runner(&config, heal_at);
+
+    // At the heal: every block the peers committed holds no transactions,
+    // only its frame.
+    runner.run_until(heal_at).expect("no logs to fail");
+    let mut spilled = Vec::new();
+    for peer in 0..STRAGGLER {
+        let kernel = runner.engine(peer).kernel();
+        for &id in kernel.committed_chain() {
+            let held = kernel.store().spilled(id);
+            assert!(
+                matches!(held, Some(Spilled::Held(_))),
+                "peer {peer}: committed block {id:?} spilled to its frame, not {held:?}"
+            );
+            assert!(kernel.store().get(id).unwrap().payload().is_empty());
+        }
+        spilled.extend_from_slice(kernel.committed_chain());
+    }
+    assert!(!spilled.is_empty(), "the peers committed while it was away");
+    assert!(runner
+        .engine(STRAGGLER)
+        .kernel()
+        .committed_chain()
+        .is_empty());
+
+    run_until_caught_up(&mut runner, &config, heal_at);
+    let report = runner.finish().expect("no logs to fail");
+    assert!(report.agreement() && report.safety_violations == 0);
+    assert!(report.recovered_replicas == 1 && report.sync_blocks_fetched > 0);
+    assert_eq!(
+        report.sync_served_from_log, 0,
+        "no log, nothing read from one"
+    );
+    let caught_up = &report.chains[STRAGGLER];
+    assert!(
+        spilled.iter().all(|id| caught_up.contains(id)),
+        "the straggler holds every block its peers had spilled"
+    );
+    assert!(report.txns_committed > 0, "the blocks carried transactions");
 }
