@@ -1,8 +1,8 @@
 //! # sft-bench
 //!
 //! The process deployment of the SFT stack: the [`node`] runtime behind
-//! the `sft-node` binary, and the `crash-harness` that kills and restarts
-//! real node processes.
+//! the `sft-node` binary. The kill −9 drill that kills and restarts real
+//! node processes is the ignored tests of `tests/node_crash.rs`.
 //!
 //! The paper's results are checked by `crates/sim/tests/paper_claims.rs`
 //! against the committed `RESULTS.md`, and the fault scenarios by

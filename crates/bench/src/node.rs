@@ -86,8 +86,9 @@ pub struct NodeOpts {
     pub start_at: Option<Duration>,
     /// Where to append the NDJSON event trace (`--trace-out`). `None`
     /// keeps the free no-op recorder; `Some` turns on metric recording
-    /// and crash-safe line-framed tracing (the crash harness reads the
-    /// resulting timeline back to verify recovery ordering).
+    /// and crash-safe line-framed tracing (the kill −9 drill in
+    /// `tests/node_crash.rs` reads the resulting timeline back to verify
+    /// recovery ordering).
     pub trace_out: Option<PathBuf>,
 }
 
@@ -138,9 +139,10 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     }
     // The deployed replica serves live clients: leaders drain their own
     // mempools into real transaction batches (an empty pool still makes a
-    // block, so rounds keep their pace), exactly what the loadgen harness
-    // builds — not the synthetic descriptors of the latency experiments,
-    // under which an admitted transaction would never be proposed.
+    // block, so rounds keep their pace), exactly what the loopback
+    // clusters of `sft-loadgen`'s tests build — not the synthetic
+    // descriptors of the latency experiments, under which an admitted
+    // transaction would never be proposed.
     let config = SimConfig::new(n, opts.epochs)
         .with_protocol(opts.protocol)
         .with_batch_size(BATCH_TXNS)
@@ -157,7 +159,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     }
 }
 
-/// Transactions per proposed block, at most (`sft-loadgen`'s default).
+/// Transactions per proposed block, at most.
 const BATCH_TXNS: u32 = 64;
 
 /// A wall-clock duration on the transport's microsecond clock.
@@ -211,7 +213,7 @@ fn serve<E: ReplicaEngine>(
 
     // Recovery before the first tick: the engine resumes its pre-crash
     // voting history, locked state, and committed prefix. The replay-done
-    // trace event is the recovery milestone the crash harness orders the
+    // trace event is the recovery milestone the kill −9 drill orders the
     // first outbound vote against.
     engine.kernel_mut().set_recorder(Arc::clone(&recorder));
     let recovered = store.replay_into(&mut engine, transport.now());
@@ -230,7 +232,10 @@ fn serve<E: ReplicaEngine>(
     recorder.trace(&TraceEvent::new(
         names::EV_WAL_REPLAY_DONE,
         transport.now().as_micros(),
-        &[("records", recovered as u64)],
+        &[
+            ("records", recovered as u64),
+            ("blocks", replayed_blocks as u64),
+        ],
     ));
     // Recovery reads through the classic store; the file then goes to the
     // WAL-writer thread, whose completed fsyncs wake the transport's
@@ -321,7 +326,8 @@ fn serve<E: ReplicaEngine>(
     })
 }
 
-/// The file the crash harness compares across replicas.
+/// The file the kill −9 drill and the cluster tests compare across
+/// replicas.
 pub const COMMIT_FILE_NAME: &str = "commit.out";
 
 /// Writes the committed chain atomically (tmp + rename), one hash per

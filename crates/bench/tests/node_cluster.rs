@@ -8,60 +8,27 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
-use sft_bench::node::{run_node, NodeOpts, NodeOutcome, COMMIT_FILE_NAME};
+use sft_bench::node::{run_node, NodeOpts, NodeOutcome};
 use sft_core::WalStore;
-use sft_loadgen::{run_client, ClientConfig};
 use sft_sim::Protocol;
 use sft_types::{
     ClientFrame, ClientRequest, Encode, Envelope, ProtocolTag, ReplicaId, Transaction,
 };
 
+#[path = "support/cluster.rs"]
+mod cluster;
+use cluster::{client_acks, committed_chains, free_addrs, one_cluster, CLIENT_TXNS};
+
 const N: usize = 4;
 
-/// Transactions the client submits, all in one window: replica 0 batches
-/// them into the first block it leads after they arrive.
-const CLIENT_TXNS: u64 = 4;
-
-/// Reserves `N` distinct loopback ports by bind-then-drop.
-fn free_addrs() -> Vec<SocketAddr> {
-    let holds: Vec<TcpListener> = (0..N)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    holds.iter().map(|l| l.local_addr().unwrap()).collect()
+/// The client of these runs submits all [`CLIENT_TXNS`] in one window:
+/// replica 0 batches them into the first block it leads after they
+/// arrive.
+fn one_window_of_acks(gateway: SocketAddr) -> u64 {
+    client_acks(gateway, N, CLIENT_TXNS as usize, Duration::from_secs(20))
 }
-
-/// Dials replica 0's gateway (retrying while the node is still binding)
-/// and returns how many of the client's transactions came back
-/// `Committed` at the standard-commit strength.
-fn client_acks(addr: SocketAddr) -> u64 {
-    let config = ClientConfig {
-        total: CLIENT_TXNS,
-        window: CLIENT_TXNS as usize,
-        ack_at: (N as u64 - 1) / 3,
-        deadline: Duration::from_secs(20),
-        ..ClientConfig::smoke(addr, ReplicaId::new(0), 1000)
-    };
-    let give_up = Instant::now() + config.deadline;
-    loop {
-        match run_client(&config) {
-            Ok(report) => return report.committed,
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                assert!(
-                    Instant::now() < give_up,
-                    "replica 0's gateway never came up"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => panic!("client: {e}"),
-        }
-    }
-}
-
-/// One cluster at a time: a port reserved by bind-then-drop is only this
-/// test's until some other test in the process asks for a free one.
-static ONE_CLUSTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Options for replicas `ids` of a cluster on `peers`, data under `root`.
 fn node_opts(
@@ -72,11 +39,7 @@ fn node_opts(
     base_timeout: Duration,
     root: &Path,
 ) -> Vec<NodeOpts> {
-    // Genesis slightly in the future, so every replica is up before the
-    // first epoch opens and all protocol clocks tick in lockstep.
-    let start_at = (SystemTime::now() + Duration::from_millis(300))
-        .duration_since(UNIX_EPOCH)
-        .unwrap();
+    let start_at = cluster::genesis(Duration::from_millis(300));
     ids.map(|id| NodeOpts {
         id: id as u16,
         listen: peers[id],
@@ -113,22 +76,9 @@ fn run_nodes<T: Send>(
 /// Every node committed, they agree on their common prefix, and each
 /// node's `commit.out` and WAL hold what it reported.
 fn assert_committed_in_agreement(opts: &[NodeOpts], outcomes: &[NodeOutcome]) {
-    let chains: Vec<Vec<String>> = opts
-        .iter()
-        .map(|opts| {
-            let body = std::fs::read_to_string(opts.data_dir.join(COMMIT_FILE_NAME)).unwrap();
-            body.lines().map(str::to_string).collect()
-        })
-        .collect();
-    for (id, (chain, outcome)) in chains.iter().zip(outcomes).enumerate() {
-        assert!(!chain.is_empty(), "replica {id} committed nothing");
+    let dirs: Vec<PathBuf> = opts.iter().map(|opts| opts.data_dir.clone()).collect();
+    for (chain, outcome) in committed_chains(&dirs).iter().zip(outcomes) {
         assert_eq!(chain, &outcome.committed, "commit.out is the report");
-        let shared = chain.len().min(chains[0].len());
-        assert_eq!(
-            chain[..shared],
-            chains[0][..shared],
-            "replicas 0 and {id} disagree on their committed prefix"
-        );
     }
     for (opts, outcome) in opts.iter().zip(outcomes) {
         let wal = WalStore::open(&opts.data_dir, 1).expect("wal re-opens");
@@ -147,9 +97,9 @@ fn scratch_root(tag: &str) -> PathBuf {
 }
 
 fn cluster_commits_and_acks(protocol: Protocol, epochs: u64, tag: &str) {
-    let _alone = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = one_cluster();
     let root = scratch_root(tag);
-    let peers = free_addrs();
+    let peers = free_addrs(N);
     let opts = node_opts(
         &peers,
         0..N,
@@ -158,7 +108,7 @@ fn cluster_commits_and_acks(protocol: Protocol, epochs: u64, tag: &str) {
         Duration::from_secs(1),
         &root,
     );
-    let (outcomes, acked) = run_nodes(&opts, || client_acks(peers[0]));
+    let (outcomes, acked) = run_nodes(&opts, || one_window_of_acks(peers[0]));
     assert_eq!(acked, CLIENT_TXNS, "every submitted transaction acked");
     assert_committed_in_agreement(&opts, &outcomes);
     let _ = std::fs::remove_dir_all(root);
@@ -181,9 +131,9 @@ fn four_fbft_nodes_commit_and_ack_a_real_client() {
 /// once and commits nothing.
 #[test]
 fn zero_delta_or_base_timeout_is_an_error() {
-    let _alone = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = one_cluster();
     let root = scratch_root("zero-pacing");
-    let peers = free_addrs();
+    let peers = free_addrs(N);
     for protocol in [Protocol::Streamlet, Protocol::Fbft] {
         let opts = node_opts(&peers, 0..1, protocol, 20, Duration::from_secs(1), &root).remove(0);
         for (delta, base_timeout) in [
@@ -242,9 +192,9 @@ fn submit_without_reading(addr: SocketAddr, give_up: Instant) -> Option<u64> {
 #[test]
 fn a_client_that_never_reads_is_cut_off_and_costs_the_replicas_no_rounds() {
     const EPOCHS: u64 = 200;
-    let _alone = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = one_cluster();
     let root = scratch_root("stalled-client");
-    let peers = free_addrs();
+    let peers = free_addrs(N);
     let opts = node_opts(
         &peers,
         0..N,
@@ -257,7 +207,7 @@ fn a_client_that_never_reads_is_cut_off_and_costs_the_replicas_no_rounds() {
     let (outcomes, (acked, cut_off)) = run_nodes(&opts, || {
         let give_up = Instant::now() + Duration::from_secs(10);
         let stalled = std::thread::spawn(move || submit_without_reading(gateway, give_up));
-        (client_acks(gateway), stalled.join().unwrap())
+        (one_window_of_acks(gateway), stalled.join().unwrap())
     });
     let requests = cut_off.expect("the gateway hung up on the client that never reads");
     assert_eq!(acked, CLIENT_TXNS, "the reading client is fully acked");
@@ -283,9 +233,9 @@ fn a_client_that_never_reads_is_cut_off_and_costs_the_replicas_no_rounds() {
 #[test]
 fn a_peer_that_never_reads_costs_the_others_no_rounds() {
     const EPOCHS: u64 = 40;
-    let _alone = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
+    let _alone = one_cluster();
     let root = scratch_root("stalled-peer");
-    let peers = free_addrs();
+    let peers = free_addrs(N);
     // Replica 3 is a listener that accepts and never reads a byte. The
     // others form a quorum; the rounds it leads time out quickly.
     let sink = TcpListener::bind(peers[3]).expect("replica 3's address");

@@ -13,8 +13,7 @@
 //!
 //! Every submission must resolve to *some* ack. Submissions still
 //! unresolved when the deadline trips are counted as
-//! [`LoadReport::lost`] — the gated `lost_acks` metric, which a healthy
-//! cluster keeps at zero.
+//! [`LoadReport::lost`], which a healthy cluster keeps at zero.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,7 +32,7 @@ use sft_types::{
 /// The deterministic payload byte every generated transaction is filled
 /// with (distinct from the pre-fed workload's `0xc5` so traces tell the
 /// two apart).
-pub const PAYLOAD_FILL: u8 = 0x1d;
+const PAYLOAD_FILL: u8 = 0x1d;
 
 /// One closed-loop client's parameters.
 #[derive(Clone, Debug)]

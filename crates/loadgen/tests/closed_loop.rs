@@ -1,32 +1,44 @@
 //! Closed-loop load generation against a real loopback cluster: the
-//! zero-lost-acks acceptance run, and admission-control backpressure
-//! when the client window outsizes the replica's mempool cap.
+//! zero-lost-acks acceptance runs on both protocols and on group-commit
+//! logs, and admission-control backpressure when the client window
+//! outsizes the replica's mempool cap.
 
 use std::net::SocketAddr;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use sft_loadgen::{run_client, ClientConfig, LoadReport};
-use sft_sim::{run_over_tcp_serving, SimConfig, TcpPacing};
+use sft_sim::{run_over_tcp_serving, DurabilityMode, Protocol, SimConfig, SimReport, TcpPacing};
 use sft_types::ReplicaId;
 
+/// One cluster at a time: the rounds are paced by the wall clock, so a
+/// cluster sharing the CPU with another test's replicas and clients can
+/// run out its round budget before its fleet is done.
+static ONE_CLUSTER: Mutex<()> = Mutex::new(());
+
+/// `clients` closed-loop clients of `txns` transactions each, `window`
+/// in flight, client `c` requesting acks at `ack_at(c)`.
 fn fleet(
     config: &SimConfig,
     clients: u16,
-    per_client: impl Fn(u16) -> (u64, usize, u64) + Send + Sync,
-) -> (LoadReport, sft_sim::SimReport) {
+    txns: u64,
+    window: usize,
+    ack_at: impl Fn(u16) -> u64 + Send + Sync,
+) -> (LoadReport, SimReport) {
+    // A failed run poisons the lock; the next one takes it anyway.
+    let _alone = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
     let mut handles = Vec::new();
     let report = run_over_tcp_serving(config, TcpPacing::default(), |addrs: &[SocketAddr]| {
         for c in 0..clients {
             let replica = usize::from(c) % addrs.len();
-            let (total, window, ack_at) = per_client(c);
             let cfg = ClientConfig {
                 addr: addrs[replica],
                 replica: ReplicaId::new(replica as u16),
                 client: 500 + c,
-                total,
+                total: txns,
                 window,
                 payload_bytes: 64,
-                ack_at,
+                ack_at: ack_at(c),
                 retry_busy: true,
                 deadline: Duration::from_secs(90),
             };
@@ -41,22 +53,76 @@ fn fleet(
     (LoadReport::merge(reports), report)
 }
 
-/// The acceptance criterion: a closed-loop run where every submission
-/// resolves — zero lost acks — with sane latency percentiles.
-#[test]
-fn closed_loop_run_loses_no_acks() {
-    let config = SimConfig::new(4, 24)
-        .with_batch_size(32)
-        .with_live_clients(true);
-    let (load, report) = fleet(&config, 4, |c| (12, 4, u64::from(c) % 3));
+/// The acceptance criterion: every submission of the [`fleet`] resolves —
+/// zero lost acks, none under strength, every one `Committed` — with a
+/// safe, monotone cluster underneath. Prints the run's latency and rate.
+fn assert_every_ack_commits(
+    config: &SimConfig,
+    clients: u16,
+    txns: u64,
+    window: usize,
+    ack_at: impl Fn(u16) -> u64 + Send + Sync,
+) -> SimReport {
+    let (load, report) = fleet(config, clients, txns, window, ack_at);
+    println!(
+        "{:?} n = {}: committed {} / rejected {} / lost {} acks in {:?} \
+         (p50 {} us, p99 {} us, {:.1} txns/s)",
+        config.protocol,
+        config.n,
+        load.committed,
+        load.rejected,
+        load.lost,
+        load.elapsed,
+        load.p50_us(),
+        load.p99_us(),
+        load.txns_per_sec(),
+    );
     assert_eq!(load.lost, 0, "every submission came back as an ack");
-    assert_eq!(load.committed, 4 * 12, "and every ack was Committed");
+    assert_eq!(
+        load.committed,
+        u64::from(clients) * txns,
+        "and every ack was Committed"
+    );
     assert_eq!(load.under_strength, 0);
     assert!(report.agreement());
     assert!(report.commit_strength_monotone());
     assert_eq!(load.latencies_us.len() as u64, load.committed);
     assert!(load.p50_us() > 0 && load.p50_us() <= load.p99_us());
     assert!(load.txns_per_sec() > 0.0);
+    report
+}
+
+/// Four clients round-robin over every ack strength 0..=2f.
+#[test]
+fn closed_loop_run_loses_no_acks() {
+    let config = SimConfig::new(4, 24)
+        .with_batch_size(32)
+        .with_live_clients(true);
+    assert_every_ack_commits(&config, 4, 12, 4, |c| u64::from(c) % 3);
+}
+
+/// The same fleet over SFT-DiemBFT. Its rounds close on QCs and fly by
+/// over loopback, so the same wall clock needs 16× the round budget.
+#[test]
+fn fbft_closed_loop_run_loses_no_acks() {
+    let config = SimConfig::new(4, 24 * 16)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(32)
+        .with_live_clients(true);
+    assert_every_ack_commits(&config, 4, 12, 4, |c| u64::from(c) % 3);
+}
+
+/// Ten SFT-DiemBFT replicas on file-backed group-commit logs under 16
+/// clients of 32 transactions, 16 in flight each.
+#[test]
+fn ten_fbft_replicas_on_group_commit_logs_lose_no_acks() {
+    let config = SimConfig::new(10, 24 * 16)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(64)
+        .with_durability(DurabilityMode::GroupCommit)
+        .with_live_clients(true);
+    let report = assert_every_ack_commits(&config, 16, 32, 16, |_| 0);
+    assert!(report.wal_fsyncs > 0, "the replicas synced their logs");
 }
 
 /// Backpressure: the window (16) outsizes the mempool cap (4), so
@@ -72,7 +138,7 @@ fn window_larger_than_mempool_cap_bounces_then_recovers() {
         .with_batch_size(4)
         .with_live_clients(true)
         .with_mempool_txn_cap(4);
-    let (load, report) = fleet(&config, 1, |_| (16, 16, 0));
+    let (load, report) = fleet(&config, 1, 16, 16, |_| 0);
     assert!(
         load.rejected > 0,
         "a 16-wide window against a 4-deep mempool must see Busy acks \

@@ -107,7 +107,7 @@ fn copy_one_run(txns: u64) -> Spent {
     // cluster's.
     let submissions = (0..txns)
         .map(|seq| {
-            let txn = Transaction::new(seq % 8, seq, vec![(seq % 251) as u8; TXN_BYTES]);
+            let txn = Transaction::new(seq % 8, seq / 8, vec![(seq % 251) as u8; TXN_BYTES]);
             ClientDelivery {
                 conn: seq,
                 replica: ReplicaId::new((seq % n as u64) as u16),

@@ -84,7 +84,7 @@ fn hash_one_run(txns: u64) -> (u64, u64) {
     // not the cluster's.
     let submissions = (0..txns)
         .map(|seq| {
-            let txn = Transaction::new(seq % 8, seq, vec![(seq % 251) as u8; 4096]);
+            let txn = Transaction::new(seq % 8, seq / 8, vec![(seq % 251) as u8; 4096]);
             ClientDelivery {
                 conn: seq,
                 replica: ReplicaId::new((seq % n as u64) as u16),

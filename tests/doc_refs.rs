@@ -1,6 +1,7 @@
 //! The docs name only what exists.
 //!
-//! README.md, PAPER.md and ROADMAP.md point into the code: backticked
+//! README.md, PAPER.md, ROADMAP.md and the verify skill
+//! (`.claude/skills/verify/SKILL.md`) point into the code: backticked
 //! `crates/…` paths, and the types and functions they say live there.
 //! Code moves and the prose does not follow by itself, so this test reads
 //! the documents and checks every such reference:
@@ -21,10 +22,12 @@
 //! field or an enum variant; for a path like `Type::method` the last
 //! segment must be defined and the first must occur in the file.
 //!
-//! Command lines are checked too: in README.md, PAPER.md and the CI
-//! workflow, every `-p CRATE` after a `cargo` names a workspace crate, and
-//! every `--bin NAME` and `--test NAME` names a binary or test target that
-//! crate (or, without `-p`, some workspace crate) builds.
+//! Command lines are checked too: in README.md, PAPER.md, the verify
+//! skill and the CI workflow, every `-p CRATE` after a `cargo` names a
+//! workspace crate, every `--bin NAME` and `--test NAME` names a binary or
+//! test target that crate (or, without `-p`, some workspace crate)
+//! builds, and every binary run from `target/release/NAME` or
+//! `target/debug/NAME` is one some workspace crate builds.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -231,10 +234,13 @@ fn closing_paren(line: &str, open: usize) -> usize {
     line.len()
 }
 
+/// The build-and-run notes kept beside the code.
+const VERIFY_SKILL: &str = ".claude/skills/verify/SKILL.md";
+
 #[test]
 fn every_path_and_symbol_the_docs_name_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let problems: Vec<String> = ["README.md", "PAPER.md", "ROADMAP.md"]
+    let problems: Vec<String> = ["README.md", "PAPER.md", "ROADMAP.md", VERIFY_SKILL]
         .iter()
         .flat_map(|doc| check_document(root, doc))
         .collect();
@@ -307,7 +313,9 @@ fn workspace_targets(root: &Path) -> BTreeMap<String, Vec<String>> {
 
 /// Every `-p`/`--package`, `--bin` and `--test` of a `cargo` command line
 /// in `doc` that names no workspace crate, or a target its crate (without
-/// `-p`, any workspace crate) does not build.
+/// `-p`, any workspace crate) does not build; and every
+/// `target/{release,debug}/NAME` that no workspace crate builds as a
+/// binary.
 fn check_commands(root: &Path, doc: &str, crates: &BTreeMap<String, Vec<String>>) -> Vec<String> {
     let text = fs::read_to_string(root.join(doc)).expect("the document exists");
     let mut problems = Vec::new();
@@ -338,6 +346,24 @@ fn check_commands(root: &Path, doc: &str, crates: &BTreeMap<String, Vec<String>>
             };
             problems.extend(problem.map(|p| format!("{doc}:{}: {p}", number + 1)));
         }
+        for (at, _) in line.match_indices("target/") {
+            let path = &line[at..];
+            let end = path.find(|c: char| !(c.is_ascii_alphanumeric() || "-_/".contains(c)));
+            let path = &path[..end.unwrap_or(path.len())];
+            let name = path
+                .strip_prefix("target/release/")
+                .or_else(|| path.strip_prefix("target/debug/"));
+            let Some(name) = name.filter(|name| !name.is_empty()) else {
+                continue;
+            };
+            let target = format!("bin {name}");
+            if !crates.values().any(|targets| targets.contains(&target)) {
+                problems.push(format!(
+                    "{doc}:{}: `{path}` is not a binary of any workspace crate",
+                    number + 1
+                ));
+            }
+        }
     }
     problems
 }
@@ -346,10 +372,15 @@ fn check_commands(root: &Path, doc: &str, crates: &BTreeMap<String, Vec<String>>
 fn every_cargo_command_the_docs_give_names_a_real_crate_and_binary() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let crates = workspace_targets(root);
-    let problems: Vec<String> = ["README.md", "PAPER.md", ".github/workflows/ci.yml"]
-        .iter()
-        .flat_map(|doc| check_commands(root, doc, &crates))
-        .collect();
+    let problems: Vec<String> = [
+        "README.md",
+        "PAPER.md",
+        ".github/workflows/ci.yml",
+        VERIFY_SKILL,
+    ]
+    .iter()
+    .flat_map(|doc| check_commands(root, doc, &crates))
+    .collect();
     assert!(
         problems.is_empty(),
         "{} stale command line(s):\n{}",
@@ -396,7 +427,9 @@ fn the_command_checker_catches_a_gone_target_and_a_wrong_crate() {
              mkdir -p gone && cargo run --bin auto\n\
              cargo run --bin gone\n\
              cargo test -p tool --test it --test named --test gone -- --ignored\n\
-             cargo test -p tool --bin declared_file --test named_file --test support\n",
+             cargo test -p tool --bin declared_file --test named_file --test support\n\
+             target/release/gone --flag && target/debug/auto ./target/release/declared\n\
+             timing `target/release/*`, not target/tmp/\n",
         ),
     ];
     for (path, text) in files {
@@ -415,6 +448,7 @@ fn the_command_checker_catches_a_gone_target_and_a_wrong_crate() {
         ":8: `--bin declared_file` is not a target of `tool`",
         ":8: `--test named_file` is not a target of `tool`",
         ":8: `--test support` is not a target of `tool`",
+        ":9: `target/release/gone` is not a binary of any workspace crate",
     ];
     assert_eq!(problems.len(), expected.len(), "{problems:#?}");
     for (problem, want) in problems.iter().zip(expected) {
