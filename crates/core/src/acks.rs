@@ -14,9 +14,7 @@
 //! connected: `observe` returns immediately while no acks are pending,
 //! so driver runs without client traffic keep their exact hot path.
 
-use std::collections::{HashMap, HashSet};
-
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdMap, IdSet};
 use sft_obs::{names, RecorderCell, SharedRecorder};
 use sft_types::{ClientAck, Payload, SimTime, StrongCommitUpdate};
 
@@ -46,14 +44,14 @@ struct PendingAck {
 #[derive(Debug, Default)]
 pub struct AckTracker {
     /// Admitted submissions not yet located in a committed block.
-    pending: HashMap<HashValue, PendingAck>,
+    pending: IdMap<PendingAck>,
     /// Submissions located in a committed block, awaiting its strength
     /// upgrade to their `ack_at` threshold. Keyed by block id.
-    watch: HashMap<HashValue, Vec<(HashValue, PendingAck)>>,
+    watch: IdMap<Vec<(HashValue, PendingAck)>>,
     /// Blocks whose payload was already scanned against `pending`. Swept
     /// against the store whenever it outgrows it, so it never outlives the
     /// replica's retention horizon by more than a constant factor.
-    scanned: HashSet<HashValue>,
+    scanned: IdSet,
     /// Emitted acks awaiting [`drain`](Self::drain).
     ready: Vec<ClientAck>,
     recorder: RecorderCell,

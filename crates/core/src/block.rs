@@ -9,12 +9,11 @@
 //! bytes are elsewhere: durable in the replica's log, or in the frame it
 //! arrived in ([`BlockStore::spill`]).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use sft_crypto::{HashValue, Hasher};
+use sft_crypto::{HashValue, Hasher, IdMap, IdSet};
 use sft_types::codec::{put, Decode, DecodeError, Encode, Reader};
 use sft_types::{Height, Payload, ReplicaId, Round, SharedBytes, VoteData};
 
@@ -363,9 +362,9 @@ pub enum Spilled {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BlockStore {
-    blocks: HashMap<HashValue, Block>,
+    blocks: IdMap<Block>,
     /// Where the bytes of each spilled block are.
-    spilled: HashMap<HashValue, Spilled>,
+    spilled: IdMap<Spilled>,
     genesis_id: HashValue,
 }
 
@@ -380,11 +379,11 @@ impl BlockStore {
     pub fn new() -> Self {
         let genesis = Block::genesis();
         let genesis_id = genesis.id();
-        let mut blocks = HashMap::new();
+        let mut blocks = IdMap::default();
         blocks.insert(genesis_id, genesis);
         Self {
             blocks,
-            spilled: HashMap::new(),
+            spilled: IdMap::default(),
             genesis_id,
         }
     }
@@ -552,7 +551,7 @@ impl BlockStore {
         if !self.blocks.contains_key(&a) {
             return None;
         }
-        let on_a_path: std::collections::HashSet<HashValue> = std::iter::once(a)
+        let on_a_path: IdSet = std::iter::once(a)
             .chain(self.ancestors(a).map(|blk| blk.id()))
             .collect();
         if b == a || on_a_path.contains(&b) {

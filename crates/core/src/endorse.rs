@@ -10,9 +10,9 @@
 //! committed block is reported as a [`StrongCommitUpdate`] — the entry type
 //! of the §5 commit log.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdMap, IdSet};
 use sft_types::{
     EndorseInfo, EndorseMode, ReplicaId, Round, RoundIntervalSet, SignerSet, StrongCommitUpdate,
     StrongVote,
@@ -67,7 +67,7 @@ pub fn honest_endorse_info(
     }
     // The one ancestor walk: every strict ancestor of `block` the store
     // still holds, by id.
-    let ancestors: HashSet<HashValue> = strict_ancestors(store, block).map(Block::id).collect();
+    let ancestors: IdSet = strict_ancestors(store, block).map(Block::id).collect();
     let conflicting = voted_blocks
         .iter()
         .filter(|(_, id)| !ancestors.contains(id));
@@ -111,7 +111,7 @@ fn strict_ancestors<'a>(
 /// store, which withholds endorsement all the way down.
 fn fork_round(
     store: &BlockStore,
-    ancestors_of_block: &HashSet<HashValue>,
+    ancestors_of_block: &IdSet,
     block: &Block,
     from: HashValue,
 ) -> Round {
@@ -292,10 +292,10 @@ impl VoterState {
 #[derive(Clone, Debug)]
 pub struct EndorsementTracker {
     config: ProtocolConfig,
-    endorsers: HashMap<HashValue, SignerSet>,
+    endorsers: IdMap<SignerSet>,
     /// Highest strength level already reported per block, so level
     /// increases are emitted exactly once.
-    reported_level: HashMap<HashValue, u64>,
+    reported_level: IdMap<u64>,
     /// Per-voter endorsement frontier: the last block each voter's recorded
     /// vote named, plus the info it carried. When a later vote extends the
     /// frontier and its info admits no sub-frontier round the frontier vote
@@ -358,8 +358,8 @@ impl EndorsementTracker {
     pub fn new(config: ProtocolConfig) -> Self {
         Self {
             config,
-            endorsers: HashMap::new(),
-            reported_level: HashMap::new(),
+            endorsers: IdMap::default(),
+            reported_level: IdMap::default(),
             frontiers: HashMap::new(),
             walk_steps: 0,
         }

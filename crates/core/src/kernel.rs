@@ -10,9 +10,9 @@
 //! and supplies only its rules — see the example in the
 //! [crate docs](crate#what-a-protocol-must-still-supply).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
-use sft_crypto::{HashValue, KeyPair, KeyRegistry, SigStats};
+use sft_crypto::{HashValue, IdSet, KeyPair, KeyRegistry, SigStats};
 use sft_obs::SharedRecorder;
 use sft_types::{
     BlockRequest, ClientAck, ClientRequest, EndorseMode, Payload, ReplicaId, Round, SimDuration,
@@ -611,7 +611,7 @@ impl ChainKernel {
             return;
         }
         dead.sort_by_key(|b| (b.round(), b.id()));
-        let live: HashSet<HashValue> = self
+        let live: IdSet = self
             .store
             .iter()
             .filter(|b| b.round() > tip)

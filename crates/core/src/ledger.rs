@@ -9,9 +9,7 @@
 //! shared suffix walk so the protocol crates only decide *what* commits,
 //! never *how* the committed chain is maintained.
 
-use std::collections::HashSet;
-
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdSet};
 
 use crate::BlockStore;
 
@@ -40,7 +38,7 @@ pub struct CommitLedger {
     committed: Vec<HashValue>,
     /// Membership index over `committed`, minus whatever
     /// [`forget`](Self::forget) dropped.
-    committed_ids: HashSet<HashValue>,
+    committed_ids: IdSet,
     safety_violation: bool,
 }
 

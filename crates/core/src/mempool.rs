@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdMap};
 use sft_types::{BatchConfig, Payload, Round, Transaction};
 
 /// Most sequence numbers remembered *above* one client's contiguous
@@ -167,12 +167,12 @@ pub struct Mempool {
     queue: VecDeque<Transaction>,
     /// Transactions queued and not yet drained or marked included, by id,
     /// with their encoded size.
-    pending: HashMap<HashValue, u64>,
+    pending: IdMap<u64>,
     /// Transactions drained here or carried by a stored block, by id, with
     /// that block's round — `None` for a batch drained here whose block has
     /// not been stored yet. Only what is in flight: an id leaves when its
     /// transaction commits or its block can no longer commit.
-    in_flight: HashMap<HashValue, Option<Round>>,
+    in_flight: IdMap<Option<Round>>,
     /// Per client, the sequence numbers on the committed chain — the part
     /// of the dedup state that lives forever, independent of how many
     /// transactions that is.
@@ -190,8 +190,8 @@ impl Default for Mempool {
     fn default() -> Self {
         Self {
             queue: VecDeque::new(),
-            pending: HashMap::new(),
-            in_flight: HashMap::new(),
+            pending: IdMap::default(),
+            in_flight: IdMap::default(),
             committed: HashMap::new(),
             pending_bytes: 0,
             max_pending: usize::MAX,

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use sft_crypto::{BatchItem, HashValue, Hasher, KeyRegistry, SigStats, Signature};
+use sft_crypto::{BatchItem, HashValue, Hasher, IdMap, KeyRegistry, SigStats, Signature};
 use sft_types::{
     vote_signing_digest, vote_signing_digest_with, Decode, DecodeError, Encode, QcMember,
     ReplicaId, Round, SignerSet, StrongVote, VerifyPolicy, VoteData,
@@ -242,7 +242,7 @@ impl fmt::Debug for QuorumCertificate {
 /// tracker once, when its block is known, and never checked twice.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MemberLedger {
-    by_block: HashMap<HashValue, BlockMembers>,
+    by_block: IdMap<BlockMembers>,
     /// Rounds below this are outside the retention horizon.
     floor: Round,
 }

@@ -29,7 +29,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-use sft_crypto::{BatchItem, HashValue, KeyRegistry, SigStats, Signature};
+use sft_crypto::{BatchItem, HashValue, IdState, KeyRegistry, SigStats, Signature};
 use sft_types::{ReplicaId, Round, SignerSet};
 
 use crate::RETENTION_ROUNDS;
@@ -92,7 +92,8 @@ pub(crate) struct Quorum<K, M> {
     n: usize,
     quorum: usize,
     registry: KeyRegistry,
-    keys: HashMap<K, Slots<M>>,
+    /// By block id (votes) or round (timeouts).
+    keys: HashMap<K, Slots<M>, IdState>,
     /// Counted messages whose signatures cleared since the last
     /// [`take_newly_verified`](Self::take_newly_verified), in the order
     /// they cleared.
@@ -131,7 +132,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
             n,
             quorum,
             registry,
-            keys: HashMap::new(),
+            keys: HashMap::default(),
             newly_verified: Vec::new(),
             stats: SigStats::default(),
             forged: Vec::new(),

@@ -51,10 +51,10 @@
 //! hash chain pins it.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdMap};
 use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, ReplicaId, Round, SimDuration, SimTime};
 
@@ -232,26 +232,26 @@ pub struct SyncManager {
     /// Every well-formed certificate seen, by certified block id — the
     /// lookup that serves requests and re-runs commit processing after a
     /// block is admitted.
-    certs: HashMap<HashValue, QuorumCertificate>,
+    certs: IdMap<QuorumCertificate>,
     /// Fetch targets: blocks known to exist but absent from the store
     /// (certified, or hash-chained below a certified block), plus blocks
     /// held locally whose *certificate* is wanted
     /// ([`note_want`](Self::note_want)), each with the target's round.
     /// Ordered so request issue order is deterministic.
     missing: BTreeMap<HashValue, (FetchKind, Round)>,
-    inflight: HashMap<HashValue, InFlight>,
+    inflight: IdMap<InFlight>,
     /// Requests issued per target, with the target's round; targets past
     /// the attempt cap are abandoned (a want for a certificate that never
     /// existed must not retry forever). An abandoned target keeps its
     /// entry — noting it again does not register it again — until it is
     /// admitted after all or the retention floor passes its round.
-    attempts: HashMap<HashValue, (u32, Round)>,
+    attempts: IdMap<(u32, Round)>,
     /// Verified blocks waiting for their parents, by block id; the flag is
     /// set on blocks that arrived as verified proposals (the only orphans
     /// a replica may still vote for once they attach).
-    orphans: HashMap<HashValue, (Block, bool)>,
+    orphans: IdMap<(Block, bool)>,
     /// Orphan ids waiting on each missing parent.
-    waiting_on: HashMap<HashValue, Vec<HashValue>>,
+    waiting_on: IdMap<Vec<HashValue>>,
     peer_cursor: u64,
     /// Rounds below this are outside the retention horizon: certificates,
     /// wants, and orphans for them are dropped as stale.
@@ -269,12 +269,12 @@ impl SyncManager {
             config,
             me,
             sync_config: SyncConfig::default(),
-            certs: HashMap::new(),
+            certs: IdMap::default(),
             missing: BTreeMap::new(),
-            inflight: HashMap::new(),
-            attempts: HashMap::new(),
-            orphans: HashMap::new(),
-            waiting_on: HashMap::new(),
+            inflight: IdMap::default(),
+            attempts: IdMap::default(),
+            orphans: IdMap::default(),
+            waiting_on: IdMap::default(),
             peer_cursor: 0,
             floor: Round::ZERO,
             stats: SyncStats::default(),

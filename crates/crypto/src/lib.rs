@@ -36,7 +36,7 @@ pub mod sha256;
 pub mod signature;
 
 pub use batch::{BatchItem, SigStats};
-pub use hash::{HashValue, Hasher};
+pub use hash::{HashValue, Hasher, IdHasher, IdMap, IdSet, IdState};
 pub use keys::{KeyPair, KeyRegistry, SecretKey};
 pub use rng::{RngCore, SplitMix64};
 pub use signature::Signature;

@@ -697,7 +697,7 @@ impl fmt::Debug for FbftReplica {
 mod tests {
     use super::*;
     use sft_core::{Admission, Block};
-    use sft_crypto::Signature;
+    use sft_crypto::{IdMap, IdState, Signature};
     use sft_types::{EndorseInfo, SignerSet, Transaction, VoteData};
     use std::collections::HashSet;
 
@@ -981,7 +981,7 @@ mod tests {
                 3,
                 "4 rounds commit 3 blocks"
             );
-            let mut seen = HashSet::new();
+            let mut seen = HashSet::with_hasher(IdState::default());
             for update in r.kernel().commit_log() {
                 assert!(
                     seen.insert((update.block_id(), update.level())),
@@ -999,7 +999,7 @@ mod tests {
             run_round(&mut replicas, now);
         }
         for r in &replicas {
-            let mut best: std::collections::HashMap<HashValue, u64> = Default::default();
+            let mut best: IdMap<u64> = Default::default();
             for update in r.kernel().commit_log() {
                 let prev = best.entry(update.block_id()).or_insert(0);
                 assert!(update.level() >= *prev, "levels only climb");

@@ -54,7 +54,7 @@ mod frame;
 mod inbox;
 pub mod node;
 mod outbox;
-#[allow(unsafe_code)] // the one `poll(2)` call; scripts/check_unsafe holds the line
+#[allow(unsafe_code)] // the one `epoll(7)` dispatch; scripts/check_unsafe holds the line
 mod readiness;
 mod socket;
 pub mod tcp;

@@ -21,17 +21,21 @@
 //! cursor back to the torn frame's first byte, so the next connection
 //! carries it whole.
 //!
-//! A [`Notifier`] is the writer thread's single wake-up channel: enqueues
-//! of sendable frames and completed fsyncs signal it, so the thread
-//! sleeps — not spins — while nothing is writable.
+//! A [`Notifier`] is the writer thread's wake-up channel for work it is
+//! handed: enqueues of sendable frames and completed fsyncs signal it. A
+//! socket that pushed back announces its own room through the writer's
+//! readiness set, so the thread sleeps — not spins, and not on a timer —
+//! while nothing is writable.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use sft_types::SendGate;
+
+use crate::readiness::Waker;
 
 /// Per-connection ring depth. Deep enough that a burst of pipelined
 /// rounds never stalls the consensus loop; bounded so a dead peer or a
@@ -49,8 +53,8 @@ const MAX_BATCH: usize = 256;
 pub(crate) enum Flush {
     /// Ring drained; more frames may arrive later.
     Clean,
-    /// The socket would block with frames still queued; retry later
-    /// (kernel buffers drain without anything to signal it).
+    /// The socket would block with frames still queued; retry once it has
+    /// room (kernel buffers drain without any enqueue to signal it).
     Blocked,
     /// The front frame's durability gate is closed. Nothing to retry:
     /// the WAL writer's wake hook signals the moment the watermark moves.
@@ -284,55 +288,50 @@ impl OutRing {
     }
 }
 
-/// The writer thread's wake-up line: a level-triggered dirty flag under a
-/// mutex + condvar. Producers [`signal`](Self::signal) after every
-/// enqueue; the writer [`wait`](Self::wait)s when it has nothing to do
-/// (with a timeout while some socket is pushing back, so kernel buffers
-/// draining — which no enqueue announces — are retried).
+/// The writer thread's wake-up line: a raised flag plus a [`Waker`] the
+/// writer's readiness set holds, so one wait covers both an enqueue and
+/// a socket that has room again. Producers [`signal`](Self::signal)
+/// after every enqueue; only the signal that raises the flag wakes, so
+/// the burst of enqueues behind one step costs one syscall, not one
+/// each. The writer [`take`](Self::take)s the signal before the pass that
+/// serves it.
 pub(crate) struct Notifier {
-    dirty: Mutex<bool>,
-    wake: Condvar,
+    raised: AtomicBool,
+    waker: Waker,
 }
 
 impl Notifier {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
-            dirty: Mutex::new(false),
-            wake: Condvar::new(),
-        })
+    /// A lowered notifier.
+    ///
+    /// # Errors
+    ///
+    /// The OS error when its waker cannot be made.
+    pub(crate) fn new() -> io::Result<Arc<Self>> {
+        Ok(Arc::new(Self {
+            raised: AtomicBool::new(false),
+            waker: Waker::new()?,
+        }))
     }
 
-    /// Raises the flag and wakes the writer. A flag already up means the
-    /// writer has been woken and has not looked yet: the burst of
-    /// enqueues behind one step costs one futex wake, not one each.
+    /// What the writer's readiness set watches.
+    pub(crate) fn waker(&self) -> &Waker {
+        &self.waker
+    }
+
+    /// Raises the flag and, if it was down, wakes the writer. A flag
+    /// already up means the writer has been woken and has not taken the
+    /// signal yet: nothing more to say.
     pub(crate) fn signal(&self) {
-        let mut dirty = self.dirty.lock().expect("notifier lock");
-        if !*dirty {
-            *dirty = true;
-            self.wake.notify_one();
+        if !self.raised.swap(true, Ordering::SeqCst) {
+            self.waker.wake();
         }
     }
 
-    /// Sleeps until signalled (or `timeout`, when given) and lowers the
-    /// flag. A signal raised since the last wait returns immediately —
-    /// the flag is level-triggered, so no enqueue is ever missed. Returns
-    /// whether it was signalled (false: the timeout ran out).
-    pub(crate) fn wait(&self, timeout: Option<Duration>) -> bool {
-        let mut dirty = self.dirty.lock().expect("notifier lock");
-        match timeout {
-            Some(limit) => {
-                if !*dirty {
-                    let (guard, _) = self.wake.wait_timeout(dirty, limit).expect("notifier lock");
-                    dirty = guard;
-                }
-            }
-            None => {
-                while !*dirty {
-                    dirty = self.wake.wait(dirty).expect("notifier lock");
-                }
-            }
-        }
-        std::mem::replace(&mut *dirty, false)
+    /// Lowers the flag; returns whether it was up. A signal after this
+    /// call wakes anew, and the pass that follows it sees every frame
+    /// whose signal found the flag up, so no enqueue is ever missed.
+    pub(crate) fn take(&self) -> bool {
+        self.raised.swap(false, Ordering::SeqCst)
     }
 }
 
@@ -341,6 +340,8 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
 
     fn frame(byte: u8, len: usize) -> Arc<[u8]> {
         vec![byte; len].into()
@@ -583,13 +584,25 @@ mod tests {
 
     #[test]
     fn notifier_is_level_triggered() {
-        let notifier = Notifier::new();
+        use crate::readiness::PollSet;
+        use std::os::fd::AsRawFd;
+        let notifier = Notifier::new().unwrap();
+        let mut set = PollSet::new().unwrap();
+        set.push_waker(notifier.waker()).unwrap();
+        notifier.signal();
         notifier.signal();
         // A signal before the wait is not lost.
-        notifier.wait(Some(Duration::from_secs(5)));
-        // And the flag was consumed: the next timed wait expires.
-        let start = std::time::Instant::now();
-        notifier.wait(Some(Duration::from_millis(20)));
-        assert!(start.elapsed() >= Duration::from_millis(10));
+        set.wait().unwrap();
+        assert!(set.is_ready(0));
+        assert!(notifier.take(), "the flag was up");
+        assert!(!notifier.take(), "and is down once taken");
+        let (mut other_tx, other_rx) = UnixStream::pair().unwrap();
+        set.push(other_rx.as_raw_fd()).unwrap();
+        other_tx.write_all(&[1]).unwrap();
+        set.wait().unwrap();
+        assert!(!set.is_ready(0), "one signal burst, one wake-up");
+        notifier.signal();
+        set.wait().unwrap();
+        assert!(set.is_ready(0), "a signal after the take wakes anew");
     }
 }

@@ -7,23 +7,27 @@
 //! be. Everything after that is written once here, on at most three
 //! threads for any `n` and any number of clients, none of which polls:
 //!
-//! - **one I/O thread** blocks in `poll(2)` (the `readiness` module) over
-//!   the listeners, every accepted connection and a wake-up socket, and
-//!   reads only what is ready. The first frame of an accepted connection
-//!   decides what it is: a [`ProtocolTag::Client`] hello makes it a
-//!   client, a hello in the transport's protocol naming another replica
-//!   makes it a peer, anything else is hung up on. Per-connection
+//! - **one I/O thread** blocks in a level-triggered `epoll(7)` set (the
+//!   `readiness` module) holding the listeners, every accepted connection
+//!   and a wake-up socket, each registered once, and reads only what is
+//!   ready: a wake-up costs what is ready, not what is connected. The
+//!   first frame of an accepted connection decides what it is: a
+//!   [`ProtocolTag::Client`] hello makes it a client, a hello in the
+//!   transport's protocol naming another replica makes it a peer,
+//!   anything else is hung up on. Per-connection
 //!   `FrameDecoder`s turn the bytes into validated deliveries on **one
 //!   inbound queue**, so a run loop blocked in `poll_deliver` wakes on a
 //!   peer frame and a client request alike, and `poll_clients` is a drain
 //!   with no syscall in it. An idle transport costs no CPU at all.
 //! - **one writer thread** drains every `OutRing` onto its non-blocking
 //!   socket — every gate-open frame of a pass in one vectored write,
-//!   partial writes resumed where the kernel pushed back. It sleeps until
-//!   an enqueue of a sendable frame or a completed fsync (the WAL's wake
-//!   hook) signals it; only a socket that pushed back arms a retry timer,
-//!   because a kernel buffer draining signals nobody, and the timer backs
-//!   off while the socket stays full.
+//!   partial writes resumed where the kernel pushed back. It sleeps in a
+//!   readiness set of its own until an enqueue of a sendable frame or a
+//!   completed fsync (the WAL's wake hook) signals its notifier, or until
+//!   a socket that pushed back has room again: every socket it writes is
+//!   in that set, watched edge-triggered for room, because a kernel buffer
+//!   draining signals nobody else. A socket that keeps up, or a peer that
+//!   never reads, costs no wake-up at all.
 //! - **one dialer thread**, when peers live in other processes: it
 //!   connects each peer with capped exponential backoff, sends the hello,
 //!   and hands the socket to the writer. When a dialled connection dies,
@@ -59,16 +63,6 @@ use crate::inbox::{Inbound, Inbox};
 use crate::outbox::{Flush, Notifier, OutRing};
 use crate::readiness::PollSet;
 use crate::{ClientDelivery, Delivery, NetworkStats, Transport};
-
-/// First writer retry interval while some socket is pushing back: kernel
-/// buffers drain without any enqueue to signal it, so the wait must
-/// time out. It doubles for every pass that moves no bytes, up to
-/// [`FLUSH_RETRY_CAP`].
-const FLUSH_RETRY: Duration = Duration::from_micros(200);
-
-/// Ceiling on the writer's retry interval: how long a reader that
-/// resumes after a long stall may wait for the writer to notice.
-const FLUSH_RETRY_CAP: Duration = Duration::from_millis(16);
 
 /// First redial delay after a failed connect; doubles per failure up to
 /// [`BACKOFF_CAP`].
@@ -268,22 +262,37 @@ pub struct SocketTransport<K> {
 impl<K> SocketTransport<K> {
     /// Spawns the I/O thread, the writer, and — if `wiring` dials any
     /// peer — the dialer.
+    ///
+    /// # Errors
+    ///
+    /// The OS error when a wake-up socket or a readiness set cannot be
+    /// made, a source cannot be registered, or a thread cannot start.
     pub(crate) fn start(kind: K, wiring: Wiring, recorder: SharedRecorder) -> io::Result<Self> {
         let Wiring {
             n,
             protocol,
             lossless,
             rings,
-            mut sources,
+            sources: wired,
             conns,
             dials,
         } = wiring;
         let (wake, woken) = UnixStream::pair()?;
-        sources.push(Source::Wake(woken));
+        // The wake socket first: a removal moves only the last index, so
+        // index 0 is never re-registered.
+        let mut sources = vec![Source::Wake(woken)];
+        sources.extend(wired);
+        let mut readable = PollSet::new()?;
+        for source in &sources {
+            readable.push(source.fd())?;
+        }
+        let notifier = Notifier::new()?;
+        let mut writable = PollSet::new()?;
+        writable.push_waker(notifier.waker())?;
         let shared = Arc::new(Shared {
             n,
             protocol,
-            notifier: Notifier::new(),
+            notifier,
             recorder: Mutex::new(Arc::clone(&recorder)),
             closing: AtomicBool::new(false),
             handoff: Mutex::new(Vec::new()),
@@ -295,10 +304,10 @@ impl<K> SocketTransport<K> {
         let (redial, redials) = mpsc::channel();
         let mut threads = vec![
             spawn("sft-tcp-io", &shared, move |shared| {
-                io_loop(sources, &inbound, shared);
+                io_loop(sources, readable, &inbound, shared);
             })?,
             spawn("sft-tcp-writer", &shared, move |shared| {
-                flush_loop(conns, &redial, shared);
+                flush_loop(conns, writable, &redial, shared);
             })?,
         ];
         if !dials.is_empty() {
@@ -522,64 +531,93 @@ fn spawn(
 }
 
 /// The single writer: round-robins every connection, flushing its ring
-/// onto the non-blocking socket. Sleeps on the notifier while there is
-/// nothing to write — behind a closed durability gate too: the WAL's wake
-/// hook announces its opening — and arms a retry timer only while some
-/// kernel buffer pushes back: [`FLUSH_RETRY`], doubled for each pass in a
-/// row that moves no bytes up to [`FLUSH_RETRY_CAP`], so a peer that
-/// never reads costs a few wake-ups a second. A pass that moved bytes
-/// records `phase_net_flush_ns` and its `net_write_syscalls`.
-fn flush_loop(mut conns: Vec<WriterConn>, redial: &Sender<usize>, shared: &Shared) {
-    let mut retry = FLUSH_RETRY;
+/// onto the non-blocking socket, then sleeps in `ready` — index 0 the
+/// notifier, which enqueues of sendable frames and the WAL's wake hook
+/// signal (a closed durability gate is never polled), and `conns[i]` at
+/// index `i + 1`, each registered once as it arrives and watched for room
+/// edge-triggered: a kernel buffer draining after a push back signals
+/// nobody else. A socket that keeps up, or a peer that never reads, thus
+/// costs no wake-up. A pass that moved bytes records
+/// `phase_net_flush_ns` and its `net_write_syscalls`.
+fn flush_loop(
+    mut arrived: Vec<WriterConn>,
+    mut ready: PollSet,
+    redial: &Sender<usize>,
+    shared: &Shared,
+) {
+    let mut conns: Vec<WriterConn> = Vec::with_capacity(arrived.len());
     loop {
-        // Read before the pass: a close flagged mid-pass gets one more.
+        // Take the signal before reading the close flag: a `Drop` whose
+        // signal found the flag still up stored `closing` before this
+        // load, and a later one wakes the wait below anew. Read before the
+        // pass: a close flagged mid-pass gets one more.
+        shared.notifier.take();
         let closing = shared.closing.load(Ordering::SeqCst);
-        conns.append(&mut shared.handoff.lock().expect("writer handoff"));
+        arrived.append(&mut shared.handoff.lock().expect("writer handoff"));
+        for conn in arrived.drain(..) {
+            // Unwatched, a socket that pushed back would never be flushed
+            // again: one the set cannot take is given up like a dead one.
+            match ready.push_writable(conn.stream.as_raw_fd()) {
+                Ok(()) => conns.push(conn),
+                Err(_) => give_up(&conn, true, redial, shared),
+            }
+        }
         let recorder = shared.recorder();
         let flush = PhaseTimer::start(&*recorder);
         let mut writes = 0;
-        let mut blocked = false;
-        conns.retain_mut(|conn| {
+        let mut i = 0;
+        while i < conns.len() {
+            let conn = &mut conns[i];
             let (wrote, status) = conn.ring.flush_nonblocking(&mut conn.stream);
             writes += wrote;
-            match status {
-                Flush::Clean | Flush::Gated => return true,
-                Flush::Blocked => {
-                    blocked = true;
-                    return true;
+            let dead = match status {
+                Flush::Clean | Flush::Gated | Flush::Blocked => {
+                    i += 1;
+                    continue;
                 }
-                Flush::Done => {}
-                Flush::Dead => match conn.redial {
-                    // The torn frame goes out whole on the next
-                    // connection; frames keep queuing meanwhile.
-                    Some(peer) => {
-                        conn.ring.rewind();
-                        shared.disconnects.fetch_add(1, Ordering::SeqCst);
-                        let _ = redial.send(peer);
-                    }
-                    // Later sends on this ring fail and count as drops.
-                    None => conn.ring.close(),
-                },
-            }
-            // The reading side — ours for a client, the peer's for a
-            // link — sees the connection end.
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            false
-        });
+                Flush::Done => false,
+                Flush::Dead => true,
+            };
+            // A pass walks every ring and never asks which socket woke
+            // it, so a moved socket the set could not re-point still
+            // wakes it as it should: the error changes nothing.
+            let _ = ready.swap_remove(i + 1);
+            give_up(&conns.swap_remove(i), dead, redial, shared);
+        }
         if writes > 0 {
             flush.finish(&*recorder, names::PHASE_NET_FLUSH_NS);
             recorder.add(names::NET_WRITE_SYSCALLS, writes);
-            retry = FLUSH_RETRY;
         }
         if closing {
             return;
         }
-        retry = if shared.notifier.wait(blocked.then_some(retry)) {
-            FLUSH_RETRY
-        } else {
-            (retry * 2).min(FLUSH_RETRY_CAP)
-        };
+        // invariant: `epoll_wait` fails only on a bad descriptor or
+        // buffer, and the set owns both. Were it ever to, the writer ends
+        // as on a dropped transport (its redial line with it).
+        if ready.wait().is_err() {
+            return;
+        }
     }
+}
+
+/// Ends the writer's side of `conn`. A `dead` dialled link rewinds to
+/// its torn frame, which goes out whole on the next connection (frames
+/// keep queuing meanwhile), and goes back to the dialer; any other dead
+/// connection's ring closes, so later sends on it fail and count as
+/// drops. Either way the reading side — ours for a client, the peer's
+/// for a link — sees the connection end.
+fn give_up(conn: &WriterConn, dead: bool, redial: &Sender<usize>, shared: &Shared) {
+    if dead {
+        match conn.redial {
+            Some(peer) => {
+                conn.ring.rewind();
+                shared.disconnects.fetch_add(1, Ordering::SeqCst);
+                let _ = redial.send(peer);
+            }
+            None => conn.ring.close(),
+        }
+    }
+    let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
 /// The dialer: connects every link in `dials`, each failure pushing that
@@ -701,7 +739,7 @@ impl Conn {
                 inbound.send(Inbound::Peer(delivery))?;
             }
             if !open {
-                shared.disconnects.fetch_add(1, Ordering::SeqCst);
+                self.hang_up(shared);
             }
             return Ok(open);
         }
@@ -731,7 +769,7 @@ impl Conn {
             self.client = Some((*next_client, ring));
             *next_client += 1;
         }
-        let (conn, ring) = self.client.as_ref().expect("registered above");
+        let (conn, _) = self.client.as_ref().expect("registered above");
         for delivery in decoded.drain(..) {
             inbound.send(Inbound::Client(ClientDelivery {
                 conn: *conn,
@@ -740,19 +778,32 @@ impl Conn {
             }))?;
         }
         if !open {
-            // Hung up or broke protocol: unroute it and let the writer
-            // drop the other half of the socket.
+            self.hang_up(shared);
+        }
+        Ok(open)
+    }
+
+    /// Accounts for the end of this connection: a lost peer counts into
+    /// `disconnects`; a client is unrouted, and the writer drops the other
+    /// half of its socket.
+    fn hang_up(&self, shared: &Shared) {
+        if let Some((conn, ring)) = &self.client {
             shared.clients.lock().expect("client registry").remove(conn);
             ring.close();
             shared.notifier.signal();
+        } else if self
+            .decoder
+            .hello()
+            .is_some_and(|h| h.tag != ProtocolTag::Client)
+        {
+            shared.disconnects.fetch_add(1, Ordering::SeqCst);
         }
-        Ok(open)
     }
 }
 
 /// Reads `conn` into its decoder until the socket has no more (a read
-/// that did not fill `chunk` emptied it; had it not, `poll` reports the
-/// socket again). Returns whether the connection is still open.
+/// that did not fill `chunk` emptied it; had it not, the set reports
+/// the socket again). Returns whether the connection is still open.
 fn read_ready(
     conn: &mut Conn,
     chunk: &mut [u8],
@@ -793,29 +844,34 @@ fn accept_all(
     }
 }
 
-/// The single reader: blocks in `poll(2)` over every source and services
-/// the ready ones — accepts connections, reads sockets into their
-/// decoders, and queues what they yield on `inbound`. Each wake-up
-/// counts into `net_reader_wakeups`, its reads into `net_read_syscalls`.
-/// Exits when the transport drops (its wake end, or the queue's
-/// receiver).
-fn io_loop(mut sources: Vec<Source>, inbound: &Sender<Inbound>, shared: &Shared) {
-    let mut poll = PollSet::default();
-    for source in &sources {
-        poll.push(source.fd());
-    }
+/// The single reader: blocks in `ready` (every source registered at its
+/// index) and services the ready sources — accepts connections, reads
+/// sockets into their decoders, and queues what they yield on `inbound`.
+/// Each wake-up counts into `net_reader_wakeups`, its reads into
+/// `net_read_syscalls`. Exits when the transport drops (its wake end, or
+/// the queue's receiver).
+fn io_loop(
+    mut sources: Vec<Source>,
+    mut ready: PollSet,
+    inbound: &Sender<Inbound>,
+    shared: &Shared,
+) {
     let mut chunk = vec![0u8; 64 * 1024];
     let mut decoded = Vec::new();
     let mut accepted = Vec::new();
     let mut next_client = 0u64;
     loop {
-        poll.wait()
-            .expect("poll(2) over descriptors this thread owns");
+        // invariant: `epoll_wait` fails only on a bad descriptor or
+        // buffer, and the set owns both. Were it ever to, the thread ends
+        // as on a dropped transport.
+        if ready.wait().is_err() {
+            return;
+        }
         let mut reads = 0;
         // Backwards, so a removal (the last source takes the vacated
         // index) only ever moves a source this pass has already seen.
         for i in (0..sources.len()).rev() {
-            if !poll.is_ready(i) {
+            if !ready.is_ready(i) {
                 continue;
             }
             let open = match &mut sources[i] {
@@ -832,16 +888,34 @@ fn io_loop(mut sources: Vec<Source>, inbound: &Sender<Inbound>, shared: &Shared)
                 }
             };
             if !open {
-                sources.swap_remove(i);
-                poll.swap_remove(i);
+                remove(&mut sources, &mut ready, i, shared);
             }
         }
         for source in accepted.drain(..) {
-            poll.push(source.fd());
-            sources.push(source);
+            // One the set cannot take would never be read: not served.
+            if ready.push(source.fd()).is_ok() {
+                sources.push(source);
+            }
         }
         let recorder = shared.recorder();
         recorder.add(names::NET_READER_WAKEUPS, 1);
         recorder.add(names::NET_READ_SYSCALLS, reads);
+    }
+}
+
+/// Drops source `i` (its descriptor leaves `ready` first, while still
+/// open). The last source takes its place; should the set fail to
+/// re-register it there, it would never be read again, so it is hung up
+/// on the same way.
+fn remove(sources: &mut Vec<Source>, ready: &mut PollSet, i: usize, shared: &Shared) {
+    loop {
+        let moved = ready.swap_remove(i);
+        sources.swap_remove(i);
+        if moved.is_ok() {
+            return;
+        }
+        if let Source::Conn(conn) = &sources[i] {
+            conn.hang_up(shared);
+        }
     }
 }

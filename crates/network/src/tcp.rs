@@ -5,7 +5,8 @@
 //! Hand-rolled on `std::net` + threads — there is no registry access,
 //! hence no async runtime, and none is needed: the FeBFT shape (typed
 //! envelopes consumed from an executor-agnostic transport) works just as
-//! well over two threads that sleep until a socket has work for them.
+//! well over two threads that sleep in `epoll(7)` until a socket has work
+//! for them.
 //!
 //! A [`TcpCluster`] connects the full mesh over `127.0.0.1` ephemeral
 //! ports at construction: one TCP connection per ordered pair

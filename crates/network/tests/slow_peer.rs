@@ -1,7 +1,8 @@
 //! A peer that never reads keeps a socket pushing back for as long as it
-//! stalls. The socket core's writer must not spin on it: its retry timer
-//! backs off while no bytes move, so the stall costs a few wake-ups a
-//! second — and is capped, so a reader that resumes is drained at once.
+//! stalls. The socket core's writer must not spin on it: it watches that
+//! socket for room (`EPOLLOUT`) instead of retrying it, so the stall costs
+//! no wake-up at all — and a reader that resumes makes room, which wakes
+//! the writer, so it is drained at once.
 //! One test, in a process of its own, because it reads the writer
 //! thread's CPU time.
 
@@ -80,12 +81,13 @@ fn a_peer_that_never_reads_backs_the_writer_off_and_a_resumed_one_drains() {
     }
     assert_eq!(node.stats().dropped, 0, "every frame queued");
 
-    // Let the socket fill and the retry timer reach its cap, then watch
+    // Let the socket fill and the writer go to sleep on it, then watch
     // the writer for a second of stall.
     std::thread::sleep(Duration::from_millis(300));
     let before = thread_cpu_ns("sft-tcp-writer");
     std::thread::sleep(Duration::from_secs(1));
     let spent = thread_cpu_ns("sft-tcp-writer") - before;
+    println!("writer CPU over 1 s of stall: {:.3} ms", spent as f64 / 1e6);
     assert!(
         spent <= 10_000_000,
         "the writer burned {:.1} ms of CPU in 1 s on a peer that never reads",

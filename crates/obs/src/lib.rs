@@ -208,8 +208,8 @@ pub mod names {
     pub const NET_FRAME_BYTES: &str = "net_frame_bytes";
 
     /// Times the socket core's I/O thread (`TcpCluster` /
-    /// `NodeTransport`) woke from `poll(2)` with at least one socket
-    /// ready.
+    /// `NodeTransport`) returned from `epoll_wait` with at least one
+    /// socket ready.
     pub const NET_READER_WAKEUPS: &str = "net_reader_wakeups";
     /// `read` calls the socket core's I/O thread issued (one per ready
     /// socket, more only while reads keep filling the 64 KiB buffer).

@@ -12,7 +12,7 @@
 //! ([`FbftMischief`]).
 
 use sft_core::{Block, MsgKind, OutboundMsg, ProtocolConfig, ReplicaEngine};
-use sft_crypto::{HashValue, KeyRegistry};
+use sft_crypto::{IdSet, KeyRegistry};
 use sft_fbft::{FbftEngine, FbftMessage, FbftProposal, FbftReplica};
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, SimTime, StrongVote};
 
@@ -24,7 +24,7 @@ use crate::SimConfig;
 /// forged zero-marker votes.
 pub struct FbftMischief {
     /// Blocks each (Byzantine) node already forged a vote for.
-    forged: Vec<std::collections::HashSet<HashValue>>,
+    forged: Vec<IdSet>,
 }
 
 impl FbftMischief {

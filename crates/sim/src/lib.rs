@@ -70,7 +70,7 @@ pub mod streamlet_driver;
 use std::sync::Arc;
 
 use sft_core::{ChainKernel, DurableWal, PayloadSource, ReplicaEngine, SyncStats};
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdMap};
 use sft_network::{NetworkStats, ProtocolTag, SimNetwork};
 use sft_obs::SharedRecorder;
 use sft_types::{
@@ -872,7 +872,7 @@ impl SimReport {
     /// log — the monotonicity the §5 log format promises light clients.
     pub fn commit_strength_monotone(&self) -> bool {
         self.commit_logs.iter().all(|log| {
-            let mut best: std::collections::HashMap<HashValue, u64> = Default::default();
+            let mut best: IdMap<u64> = Default::default();
             log.iter().all(|update| {
                 let prev = best.insert(update.block_id(), update.level());
                 prev.is_none_or(|p| p <= update.level())

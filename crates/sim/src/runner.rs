@@ -38,14 +38,14 @@
 //! Only the *contents* of the forged votes and twin proposals are
 //! protocol-specific; the [`Mischief`] hook supplies those.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sft_core::{
     ChainKernel, DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError,
     WalRecord, WalSpan,
 };
-use sft_crypto::HashValue;
+use sft_crypto::{HashValue, IdMap};
 use sft_network::Transport;
 use sft_obs::{names, PhaseTimer, SharedRecorder};
 use sft_types::{
@@ -182,7 +182,7 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     /// ack — the routing table from [`ChainKernel::drain_acks`] back to
     /// [`Transport::send_client`]. Empty (and cost-free) on transports
     /// without a client gateway.
-    ack_routes: HashMap<HashValue, u64>,
+    ack_routes: IdMap<u64>,
     /// Where run-loop phase timings and per-kind traffic counters go;
     /// the no-op recorder by default, so instrumentation is free.
     recorder: SharedRecorder,
@@ -226,7 +226,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             demand: vec![0; n],
             spills: vec![VecDeque::new(); n],
             drain_used: 0,
-            ack_routes: HashMap::new(),
+            ack_routes: IdMap::default(),
             recorder: sft_obs::noop(),
         }
     }

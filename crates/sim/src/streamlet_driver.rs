@@ -8,7 +8,7 @@
 //! Streamlet-specific Byzantine payloads ([`StreamletMischief`]).
 
 use sft_core::{Block, MsgKind, OutboundMsg, ProtocolConfig, ReplicaEngine};
-use sft_crypto::{HashValue, KeyRegistry};
+use sft_crypto::{IdSet, KeyRegistry};
 use sft_streamlet::{Message, Proposal, Replica, StreamletEngine};
 use sft_types::{Decode, Encode, EndorseInfo, Payload, Round, StrongVote};
 
@@ -20,7 +20,7 @@ use crate::SimConfig;
 pub struct StreamletMischief {
     /// Blocks each (Byzantine) node already cast a forged vote for, to
     /// avoid unbounded duplicates.
-    forged: Vec<std::collections::HashSet<HashValue>>,
+    forged: Vec<IdSet>,
 }
 
 impl StreamletMischief {

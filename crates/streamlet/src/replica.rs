@@ -1,10 +1,9 @@
 //! The SFT-Streamlet replica state machine.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use sft_core::{Block, BlockStore, ChainKernel, Intake, ProtocolConfig, WalRecord};
-use sft_crypto::{HashValue, KeyRegistry};
+use sft_crypto::{HashValue, IdMap, KeyRegistry};
 use sft_types::{EndorseMode, Height, Payload, Round, SimTime, StrongCommitUpdate, StrongVote};
 
 use crate::message::Proposal;
@@ -80,10 +79,10 @@ pub struct Replica {
 /// The notarized index: what Streamlet's proposal and commit rules read.
 struct Notarized {
     /// Notarized block ids with their rounds (genesis at round 0).
-    rounds: HashMap<HashValue, Round>,
+    rounds: IdMap<Round>,
     /// Notarized children per block id, the index the incremental commit
     /// rule walks instead of rescanning the whole notarized set.
-    children: HashMap<HashValue, Vec<HashValue>>,
+    children: IdMap<Vec<HashValue>>,
     /// The tip of a longest notarized chain among stored blocks, with the
     /// (height, round, id) key it won by (ties broken by round then id, so
     /// all replicas with the same notarized set pick the same tip) —
@@ -95,8 +94,8 @@ struct Notarized {
 impl Notarized {
     fn new(genesis_id: HashValue) -> Self {
         Self {
-            rounds: HashMap::from([(genesis_id, Round::ZERO)]),
-            children: HashMap::new(),
+            rounds: IdMap::from_iter([(genesis_id, Round::ZERO)]),
+            children: IdMap::default(),
             tip: (Height::ZERO, Round::ZERO, genesis_id),
         }
     }
