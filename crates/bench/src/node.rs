@@ -44,11 +44,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sft_core::{DurableWal, ReplicaEngine, WalStore};
-use sft_network::{NodeTransport, ProtocolTag, Transport};
+use sft_network::{NodeTransport, Transport};
 use sft_obs::{names, Registry, SharedRecorder, TraceEvent, TraceSink};
 use sft_sim::{
-    build_paced_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief,
-    Protocol, RunPlan, RunnerConfig, SimConfig,
+    build_paced_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
+    RunnerConfig, SimConfig,
 };
 use sft_types::{ReplicaId, Round, SimDuration, SimTime};
 
@@ -150,11 +150,11 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     match opts.protocol {
         Protocol::Streamlet => {
             let engine = build_streamlet_engines(&config, delta * 2).remove(opts.id as usize);
-            serve(engine, opts, ProtocolTag::Streamlet)
+            serve(engine, opts)
         }
         Protocol::Fbft => {
             let engine = build_paced_fbft_engines(&config, timeout).remove(opts.id as usize);
-            serve(engine, opts, ProtocolTag::Fbft)
+            serve(engine, opts)
         }
     }
 }
@@ -171,11 +171,7 @@ fn sim_duration(d: Duration) -> SimDuration {
 /// the WAL, host it in an [`EngineRunner`] over this process's
 /// [`NodeTransport`], and step the runner until the target round is
 /// passed (plus linger) or the wall-clock budget runs out.
-fn serve<E: ReplicaEngine>(
-    mut engine: E,
-    opts: &NodeOpts,
-    tag: ProtocolTag,
-) -> Result<NodeOutcome, String> {
+fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome, String> {
     // One registry per process when --trace-out asks for it; the no-op
     // recorder otherwise, so the unobserved node pays nothing.
     let registry: Option<Arc<Registry>> = match &opts.trace_out {
@@ -196,7 +192,7 @@ fn serve<E: ReplicaEngine>(
     let store = WalStore::open(&opts.data_dir, 1).map_err(|e| format!("wal: {e}"))?;
     let mut transport = NodeTransport::bind_observed(
         ReplicaId::new(opts.id),
-        tag,
+        opts.protocol.tag(),
         opts.listen,
         &opts.peers,
         Arc::clone(&recorder),
@@ -253,7 +249,6 @@ fn serve<E: ReplicaEngine>(
         vec![engine],
         vec![Behavior::Honest],
         transport,
-        NoMischief,
         // Only `run` reads the plan and its bounds; this loop has its own
         // stop rule and paces the runner through `run_until`.
         RunnerConfig {

@@ -1,13 +1,16 @@
-//! The protocol-agnostic replica engine interface.
+//! The replica engine: one consensus replica as its transport sees it.
 //!
-//! A [`ReplicaEngine`] is a consensus replica viewed from its transport: it
-//! ingests opaque envelope payloads, asks for wake-ups via deadlines, and
-//! hands out its [`ChainKernel`], which is where a harness submits client
-//! transactions and reads everything it reports on a run. Both protocol
-//! families implement it (`sft-streamlet`'s `StreamletEngine` and
-//! `sft-fbft`'s `FbftEngine`), which is what lets one generic run loop
-//! drive either protocol over any transport — the deterministic simulator
-//! or real sockets — without knowing a single message type.
+//! A [`ReplicaEngine`] ingests opaque envelope payloads, asks for wake-ups
+//! via deadlines, and hands out its [`ChainKernel`], which is where a
+//! harness submits client transactions and reads everything it reports on
+//! a run. [`Engine`] is its one implementation, over a protocol's
+//! [`ReplicaRules`] (`sft-fbft`'s `FbftReplica`, `sft-streamlet`'s
+//! `Replica`): the rules keep their state machine, clock and vote route,
+//! and the engine does the rest once — decoding ([`OwnProposal`]), the
+//! batch-verify timer, block-sync serving, encoding and routing, and an
+//! equivocator's forged twin proposal and vote. So one generic run loop
+//! drives either protocol over any transport without knowing a single
+//! message type.
 //!
 //! The shape mirrors the transport-oblivious replica of FeBFT and the
 //! RECIPE argument: replication logic should not know how bytes move.
@@ -25,12 +28,15 @@
 
 use std::sync::Arc;
 
-use sft_crypto::SigStats;
+use sft_crypto::{IdSet, KeyPair, SigStats};
 use sft_obs::{names, PhaseTimer, Recorder};
-use sft_types::{Decode, DecodeError, Encode, ReplicaId, Round, SimTime, StrongCommitUpdate};
+use sft_types::{
+    BlockRequest, Decode, DecodeError, Encode, EndorseInfo, Payload, ReplicaId, Round, SimTime,
+    StrongCommitUpdate, StrongVote,
+};
 
 use crate::wal::WalRecord;
-use crate::{Block, ChainKernel};
+use crate::{Block, BlockResponse, ChainKernel};
 
 /// What kind of protocol message an outbound payload encodes. The tag is
 /// harness-facing metadata only — it never goes on the wire (the payload
@@ -96,10 +102,10 @@ impl OutboundMsg {
     }
 }
 
-/// A protocol message as [`OwnProposal`] sends it: its proposal variant
-/// carries a block, and its encoding is the block's with bytes on either
-/// side.
-pub trait ProposalMessage: Encode + Decode {
+/// A protocol's wire message as the [`Engine`] reads and builds it: which
+/// variant carries a proposal (and its block) or a sync request, and how
+/// to wrap a vote or a sync exchange.
+pub trait ProtocolMessage: Encode + Decode {
     /// Encodes the message around the block it proposes — what precedes
     /// the block's encoding into `before`, what follows it into `after` —
     /// and returns the block; writes nothing and returns `None` for a
@@ -109,6 +115,26 @@ pub trait ProposalMessage: Encode + Decode {
         before: &mut Vec<u8>,
         after: &mut Vec<u8>,
     ) -> Option<&mut Block>;
+
+    /// The block this message proposes, if it is a proposal.
+    fn proposed(&self) -> Option<&Block>;
+
+    /// This proposal around `block` instead, signed with `key_pair`: the
+    /// twin an equivocating leader sends half the replicas. `None` if this
+    /// is not a proposal.
+    fn rewrapped(&self, block: Block, key_pair: &KeyPair) -> Option<Self>;
+
+    /// The block-sync fetch this message is, if it is one.
+    fn sync_request(&self) -> Option<&BlockRequest>;
+
+    /// A vote message.
+    fn vote(vote: StrongVote) -> Self;
+
+    /// A block-sync fetch.
+    fn request(request: BlockRequest) -> Self;
+
+    /// The answer to a block-sync fetch.
+    fn response(response: BlockResponse) -> Self;
 }
 
 /// The last proposal an engine broadcast, held together with the buffer it
@@ -136,7 +162,7 @@ impl<M> Default for OwnProposal<M> {
     }
 }
 
-impl<M: ProposalMessage> OwnProposal<M> {
+impl<M: ProtocolMessage> OwnProposal<M> {
     /// Encodes `msg` as a [`MsgKind::Proposal`] broadcast and holds it,
     /// replacing any earlier proposal still held. The block is written
     /// straight into the broadcast buffer and holds it from here on
@@ -196,11 +222,6 @@ pub struct EngineStep {
 }
 
 impl EngineStep {
-    /// A step that produced nothing.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// True if the step produced no messages, commit entries, or durable
     /// events.
     pub fn is_empty(&self) -> bool {
@@ -208,12 +229,109 @@ impl EngineStep {
     }
 }
 
+/// What one input to a protocol's [`ReplicaRules`] produced. The engine
+/// encodes and sends it in field order — the vote, the sync requests, the
+/// proposal, then DiemBFT's bare certificate, timeout vote and timeout —
+/// and seals `updates` into the step.
+#[derive(Debug)]
+pub struct Outcome<M> {
+    /// This replica's vote, sent where [`ReplicaRules::vote_route`] says.
+    pub vote: Option<StrongVote>,
+    /// Block-sync fetches now due, each to the named peer.
+    pub sync_requests: Vec<(ReplicaId, BlockRequest)>,
+    /// A proposal to broadcast (and hold, see [`OwnProposal`]).
+    pub proposal: Option<M>,
+    /// A certificate this replica formed that no proposal carries yet.
+    pub certificate: Option<M>,
+    /// This replica's vote in the round [`timeout`](Self::timeout) closes.
+    pub timeout_vote: Option<M>,
+    /// A round timeout to broadcast.
+    pub timeout: Option<M>,
+    /// Commit-log entries produced, in occurrence order.
+    pub updates: Vec<StrongCommitUpdate>,
+}
+
+impl<M> Default for Outcome<M> {
+    fn default() -> Self {
+        Self {
+            vote: None,
+            sync_requests: Vec::new(),
+            proposal: None,
+            certificate: None,
+            timeout_vote: None,
+            timeout: None,
+            updates: Vec::new(),
+        }
+    }
+}
+
+/// What one protocol adds to the [`Engine`]: its state machine over a
+/// [`ChainKernel`], its clock, and where its votes go.
+pub trait ReplicaRules {
+    /// The protocol's wire message.
+    type Message: ProtocolMessage;
+
+    /// The replica's protocol-agnostic state.
+    fn kernel(&self) -> &ChainKernel;
+
+    /// Mutable access to the kernel.
+    fn kernel_mut(&mut self) -> &mut ChainKernel;
+
+    /// Consumes the replica into its kernel.
+    fn into_kernel(self) -> ChainKernel;
+
+    /// The replica's current round (Streamlet: epoch).
+    fn round(&self) -> Round;
+
+    /// The next instant the replica needs [`tick`](Self::tick) or
+    /// [`open_due`](Self::open_due), or `None` if it never will.
+    fn deadline(&self) -> Option<SimTime>;
+
+    /// Opens the due periods of an external clock (Streamlet's epochs) up
+    /// to the first this replica leads, and returns its proposal; `None`
+    /// once nothing more is due. The engine calls it until `None` on every
+    /// tick and before judging any proposal.
+    fn open_due(&mut self, now: SimTime) -> Option<Self::Message> {
+        let _ = now;
+        None
+    }
+
+    /// Fires the timers due at `now`.
+    fn tick(&mut self, now: SimTime) -> Outcome<Self::Message> {
+        let _ = now;
+        Outcome::default()
+    }
+
+    /// Handles one delivered message; never a sync request, which the
+    /// engine serves itself.
+    fn handle(&mut self, msg: Self::Message, now: SimTime) -> Outcome<Self::Message>;
+
+    /// Where this replica's vote goes.
+    fn vote_route(&self, vote: &StrongVote) -> Route;
+
+    /// Block-sync fetches due at `now`, for a protocol whose events do not
+    /// carry them ([`Outcome::sync_requests`]).
+    fn poll_sync(&mut self, now: SimTime) -> Vec<(ReplicaId, BlockRequest)> {
+        let _ = now;
+        Vec::new()
+    }
+
+    /// Re-applies one recovered write-ahead-log record at restart.
+    fn restore(&mut self, record: &WalRecord, now: SimTime);
+
+    /// Signature-verification counters of every aggregator the replica
+    /// runs.
+    fn sig_stats(&self) -> SigStats {
+        self.kernel().sig_stats()
+    }
+}
+
 /// A consensus replica as its transport sees it: opaque payloads in,
 /// [`EngineStep`]s out, plus the deadlines a run harness wakes it on. See
-/// the [module docs](self) for the contract.
+/// the [module docs](self) for the contract; [`Engine`] is the one
+/// implementation.
 ///
-/// An engine supplies its message handling, its clock and its
-/// [`ChainKernel`]; a harness submits client transactions to the kernel
+/// A harness submits client transactions to the kernel
 /// ([`ChainKernel::submit_request`], [`ChainKernel::drain_acks`]) and reads
 /// everything it reports on from it.
 pub trait ReplicaEngine {
@@ -232,8 +350,7 @@ pub trait ReplicaEngine {
     /// Ingests one delivered payload at `now`. What the engine keeps of it
     /// — a proposed block, its transactions — holds ranges of `payload`
     /// rather than copies. Undecodable bytes are ignored (a transport can
-    /// carry garbage; the codec's rejection is property-tested separately)
-    /// and return an empty step.
+    /// carry garbage) and return an empty step.
     fn on_envelope(&mut self, from: ReplicaId, payload: &Arc<[u8]>, now: SimTime) -> EngineStep;
 
     /// The next instant this engine needs a wake-up — a pacemaker
@@ -250,12 +367,9 @@ pub trait ReplicaEngine {
     fn round(&self) -> Round;
 
     /// Drains block-sync fetches due at `now` (new targets and expired
-    /// retries) as point-to-point requests. Engines that surface sync
-    /// requests through their event steps instead return nothing here.
-    fn poll_sync(&mut self, now: SimTime) -> EngineStep {
-        let _ = now;
-        EngineStep::empty()
-    }
+    /// retries) as point-to-point requests, for a protocol whose event
+    /// steps do not carry them.
+    fn poll_sync(&mut self, now: SimTime) -> EngineStep;
 
     /// Re-applies one recovered write-ahead-log record at restart instant
     /// `now`, before the engine's first tick. Replaying a log front to
@@ -267,12 +381,213 @@ pub trait ReplicaEngine {
     /// (and, where the protocol has them, timeout) aggregation — the
     /// evidence behind the verify-on-quorum scaling claim (individual
     /// verifies drop from O(n²) to O(n) per certified round).
-    fn sig_stats(&self) -> SigStats {
-        self.kernel().sig_stats()
-    }
+    fn sig_stats(&self) -> SigStats;
 
     /// This replica's id.
     fn id(&self) -> ReplicaId {
         self.kernel().id()
+    }
+
+    /// An equivocating leader's twin of its honest proposal `proposal`:
+    /// the same proposal around a sibling block with a different payload,
+    /// re-signed, for split-brain delivery. `None` if `proposal` is not a
+    /// proposal or its parent is not stored here.
+    fn twin_proposal(&self, proposal: &[u8]) -> Option<Vec<u8>>;
+
+    /// The vote an equivocator sends for the proposal `incoming`, with a
+    /// forged clean-history marker of 0, addressed where an honest vote
+    /// goes — at most once per block; `None` if `incoming` is not a
+    /// proposal or was already voted on.
+    fn forge_vote(&mut self, incoming: &[u8]) -> Option<OutboundMsg>;
+}
+
+/// A protocol's [`ReplicaRules`] on a transport: the one [`ReplicaEngine`]
+/// (`sft_fbft::FbftEngine` and `sft_streamlet::StreamletEngine` are this
+/// over each protocol's replica).
+pub struct Engine<R: ReplicaRules> {
+    replica: R,
+    /// The last proposal broadcast, so its own loopback is not decoded.
+    own_proposal: OwnProposal<R::Message>,
+    /// Blocks this replica already forged a vote for (equivocators only).
+    forged: IdSet,
+}
+
+impl<R: ReplicaRules> Engine<R> {
+    /// Puts `replica` on a transport.
+    pub fn new(replica: R) -> Self {
+        Self {
+            replica,
+            own_proposal: OwnProposal::default(),
+            forged: IdSet::default(),
+        }
+    }
+
+    /// Mutable access to the wrapped replica (tests and harness setup).
+    pub fn replica_mut(&mut self) -> &mut R {
+        &mut self.replica
+    }
+
+    /// Runs one input through the rules. A batch check dominates any input
+    /// that runs one (a vote quorum, a certificate's members, a timeout
+    /// certificate), so such an input's duration is the batch-verify phase.
+    fn timed(&mut self, input: impl FnOnce(&mut R) -> Outcome<R::Message>) -> Outcome<R::Message> {
+        let batches = self.replica.sig_stats().batch_calls;
+        let timer = PhaseTimer::start(&**self.replica.kernel().recorder());
+        let out = input(&mut self.replica);
+        if self.replica.sig_stats().batch_calls > batches {
+            let recorder = self.replica.kernel().recorder();
+            timer.finish(&**recorder, names::PHASE_BATCH_VERIFY_NS);
+        }
+        out
+    }
+
+    /// Broadcasts the proposals of every clock period due at `now`.
+    fn open_due(&mut self, now: SimTime, outbound: &mut Vec<OutboundMsg>) {
+        while let Some(proposal) = self.replica.open_due(now) {
+            outbound.push(self.own_proposal.broadcast(proposal));
+        }
+    }
+
+    /// Encodes `out` behind `outbound`, in [`Outcome`]'s order, and seals
+    /// the step.
+    fn seal(
+        &mut self,
+        out: Outcome<R::Message>,
+        mut outbound: Vec<OutboundMsg>,
+        now: SimTime,
+    ) -> EngineStep {
+        if let Some(vote) = out.vote {
+            self.replica.kernel_mut().obs().voted(vote.round(), now);
+            outbound.push(self.vote_msg(vote));
+        }
+        for (peer, request) in out.sync_requests {
+            let msg = R::Message::request(request);
+            outbound.push(OutboundMsg::to(peer, MsgKind::SyncRequest, msg.to_bytes()));
+        }
+        if let Some(proposal) = out.proposal {
+            outbound.push(self.own_proposal.broadcast(proposal));
+        }
+        let broadcasts = [
+            (MsgKind::Certificate, &out.certificate),
+            (MsgKind::Vote, &out.timeout_vote),
+            (MsgKind::Timeout, &out.timeout),
+        ];
+        for (kind, msg) in broadcasts {
+            if let Some(msg) = msg {
+                outbound.push(OutboundMsg::broadcast(kind, msg.to_bytes()));
+            }
+        }
+        self.replica
+            .kernel_mut()
+            .finish_step(outbound, out.updates, now)
+    }
+
+    /// `vote` encoded and addressed as the protocol sends its votes.
+    fn vote_msg(&self, vote: StrongVote) -> OutboundMsg {
+        OutboundMsg {
+            route: self.replica.vote_route(&vote),
+            kind: MsgKind::Vote,
+            bytes: R::Message::vote(vote).to_bytes().into(),
+        }
+    }
+}
+
+impl<R: ReplicaRules> ReplicaEngine for Engine<R> {
+    fn kernel(&self) -> &ChainKernel {
+        self.replica.kernel()
+    }
+
+    fn kernel_mut(&mut self) -> &mut ChainKernel {
+        self.replica.kernel_mut()
+    }
+
+    fn into_kernel(self) -> ChainKernel {
+        self.replica.into_kernel()
+    }
+
+    fn on_envelope(&mut self, _from: ReplicaId, payload: &Arc<[u8]>, now: SimTime) -> EngineStep {
+        let decoded = self
+            .own_proposal
+            .decode(payload, &**self.replica.kernel().recorder());
+        let Ok(msg) = decoded else {
+            return EngineStep::default(); // transports can carry garbage
+        };
+        let mut outbound = Vec::new();
+        if let Some(request) = msg.sync_request() {
+            // Serving is read-only; the requester verifies everything
+            // against the certificate chain.
+            if let Some(response) = self.replica.kernel_mut().serve_sync(request) {
+                let (to, msg) = (request.requester(), R::Message::response(response));
+                outbound.push(OutboundMsg::to(to, MsgKind::SyncResponse, msg.to_bytes()));
+            }
+            return self.seal(Outcome::default(), outbound, now);
+        }
+        if let Some(round) = msg.proposed().map(Block::round) {
+            // The clock is `now`, not the last tick the run loop got round
+            // to: over loopback sockets a leader's proposal can be dequeued
+            // before this replica's own tick for its epoch, and a proposal
+            // for an epoch not yet opened wins no vote.
+            self.open_due(now, &mut outbound);
+            self.replica.kernel_mut().obs().proposal_seen(round, now);
+        }
+        let out = self.timed(|replica| replica.handle(msg, now));
+        self.seal(out, outbound, now)
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.replica.deadline()
+    }
+
+    fn on_tick(&mut self, now: SimTime) -> EngineStep {
+        let mut outbound = Vec::new();
+        self.open_due(now, &mut outbound);
+        let out = self.timed(|replica| replica.tick(now));
+        self.seal(out, outbound, now)
+    }
+
+    fn round(&self) -> Round {
+        self.replica.round()
+    }
+
+    /// Runs on every instant for every replica, so it seals no step: a
+    /// sync poll moves no consensus state.
+    fn poll_sync(&mut self, now: SimTime) -> EngineStep {
+        let mut step = EngineStep::default();
+        for (peer, request) in self.replica.poll_sync(now) {
+            let msg = R::Message::request(request);
+            step.outbound
+                .push(OutboundMsg::to(peer, MsgKind::SyncRequest, msg.to_bytes()));
+        }
+        step
+    }
+
+    fn restore(&mut self, record: &WalRecord, now: SimTime) {
+        self.replica.restore(record, now);
+    }
+
+    fn sig_stats(&self) -> SigStats {
+        self.replica.sig_stats()
+    }
+
+    fn twin_proposal(&self, proposal: &[u8]) -> Option<Vec<u8>> {
+        let honest = R::Message::from_bytes(proposal).ok()?;
+        let block = honest.proposed()?;
+        let kernel = self.replica.kernel();
+        let parent = kernel.store().get(block.parent_id())?;
+        let round = block.round();
+        let payload = Payload::synthetic(1, 1, u64::MAX - round.as_u64());
+        let twin = Block::new(parent, round, kernel.id(), payload);
+        Some(honest.rewrapped(twin, kernel.key_pair())?.to_bytes())
+    }
+
+    fn forge_vote(&mut self, incoming: &[u8]) -> Option<OutboundMsg> {
+        let msg = R::Message::from_bytes(incoming).ok()?;
+        let block = msg.proposed()?;
+        if !self.forged.insert(block.id()) {
+            return None;
+        }
+        let marker = EndorseInfo::Marker(Round::ZERO);
+        let vote = StrongVote::new(block.vote_data(), marker, self.replica.kernel().key_pair());
+        Some(self.vote_msg(vote))
     }
 }

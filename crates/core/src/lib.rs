@@ -35,6 +35,9 @@
 //!   §3.2, vote intake, commit bookkeeping, the retention sweep, WAL
 //!   buffering and replay, the client plane) defined once. Both protocol
 //!   replicas hold one; [`ReplicaEngine`] reports from it.
+//! - [`Engine`] — a protocol's [`ReplicaRules`] on a transport: decoding,
+//!   encoding, routing and the forged messages of an equivocator, written
+//!   once for both protocols.
 //!
 //! The split mirrors the paper's own layering: *certification* (may this
 //! block extend the chain?) is classic BFT and lives in [`VoteTracker`];
@@ -118,7 +121,8 @@ pub use block::{Ancestors, Block, BlockStore, BlockStoreError, Spilled};
 pub use config::{ProtocolConfig, Retention, RETENTION_ROUNDS};
 pub use endorse::{honest_endorse_info, EndorsementTracker, VoterState};
 pub use engine::{
-    EngineStep, MsgKind, OutboundMsg, OwnProposal, ProposalMessage, ReplicaEngine, Route,
+    Engine, EngineStep, MsgKind, OutboundMsg, Outcome, OwnProposal, ProtocolMessage, ReplicaEngine,
+    ReplicaRules, Route,
 };
 pub use group_wal::{DurableWal, GroupCommitWal};
 pub use kernel::{ChainKernel, Intake, ResidentState};

@@ -25,7 +25,7 @@
 //! | Paper concept | Here |
 //! |---|---|
 //! | round leader, proposal on the highest QC (§2, Fig 2) | [`FbftReplica::try_propose`], [`FbftProposal`] |
-//! | pipelined (chained) proposals: the fresh QC rides the next proposal | [`FbftReplica::try_propose_chained`], [`StepOutcome::next_proposal`] |
+//! | pipelined (chained) proposals: the fresh QC rides the next proposal | [`FbftReplica::try_propose_chained`], [`sft_core::Outcome::proposal`] |
 //! | batched payloads drained from a client pool (§4 workload) | [`sft_core::Mempool`], [`sft_core::PayloadSource`] |
 //! | voting rule (locked round, one vote per round) | [`FbftReplica::on_proposal`], [`TwoChainState::safe_to_vote`] |
 //! | votes to the next leader, certification at `2f + 1` votes | [`FbftReplica::on_vote`] via [`sft_core::VoteTracker`], [`FbftReplica::on_due`] |
@@ -55,7 +55,7 @@ pub mod two_chain;
 pub use engine::FbftEngine;
 pub use message::{FbftMessage, FbftProposal};
 pub use pacemaker::{Pacemaker, RoundEntry, ROUND_BURST, ROUND_INTERVAL};
-pub use replica::{FbftReplica, StepOutcome};
+pub use replica::FbftReplica;
 pub use two_chain::TwoChainState;
 // The catch-up subprotocol is shared machinery; re-export the pieces a
 // driver needs so it can speak the sync messages without importing core.

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use sft_core::{Block, BlockResponse, ProposalMessage, ProtocolConfig, QuorumCertificate};
+use sft_core::{Block, BlockResponse, ProtocolConfig, ProtocolMessage, QuorumCertificate};
 use sft_crypto::{HashValue, Hasher, KeyPair, KeyRegistry, Signature};
 use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, StrongVote, TimeoutCertificate, TimeoutMsg};
@@ -269,7 +269,7 @@ impl Decode for FbftMessage {
     }
 }
 
-impl ProposalMessage for FbftMessage {
+impl ProtocolMessage for FbftMessage {
     fn encode_around_block(
         &mut self,
         before: &mut Vec<u8>,
@@ -281,6 +281,41 @@ impl ProposalMessage for FbftMessage {
         before.push(0);
         p.encode_after_block(after);
         Some(&mut p.block)
+    }
+
+    fn proposed(&self) -> Option<&Block> {
+        match self {
+            FbftMessage::Proposal(p) => Some(p.block()),
+            _ => None,
+        }
+    }
+
+    /// The twin shares the honest proposal's QC/TC justification.
+    fn rewrapped(&self, block: Block, key_pair: &KeyPair) -> Option<Self> {
+        let FbftMessage::Proposal(p) = self else {
+            return None;
+        };
+        let twin = FbftProposal::new(block, p.qc.clone(), p.tc.clone(), key_pair);
+        Some(FbftMessage::Proposal(twin))
+    }
+
+    fn sync_request(&self) -> Option<&BlockRequest> {
+        match self {
+            FbftMessage::SyncRequest(request) => Some(request),
+            _ => None,
+        }
+    }
+
+    fn vote(vote: StrongVote) -> Self {
+        FbftMessage::Vote(vote)
+    }
+
+    fn request(request: BlockRequest) -> Self {
+        FbftMessage::SyncRequest(request)
+    }
+
+    fn response(response: BlockResponse) -> Self {
+        FbftMessage::SyncResponse(response)
     }
 }
 

@@ -4,47 +4,20 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use sft_core::{
-    ChainKernel, ProtocolConfig, QuorumCertificate, TimeoutAggregator, TimeoutOutcome, WalRecord,
+    ChainKernel, Outcome, ProtocolConfig, QuorumCertificate, ReplicaRules, Route,
+    TimeoutAggregator, TimeoutOutcome, WalRecord,
 };
 use sft_crypto::{HashValue, KeyRegistry, SigStats};
 use sft_types::{
-    BlockRequest, EndorseMode, Payload, ReplicaId, Round, SimDuration, SimTime, StrongCommitUpdate,
-    StrongVote, TimeoutCertificate, TimeoutMsg,
+    EndorseMode, Payload, Round, SimDuration, SimTime, StrongCommitUpdate, StrongVote,
+    TimeoutCertificate, TimeoutMsg,
 };
 
 pub use sft_core::BlockResponse;
 
-use crate::message::FbftProposal;
+use crate::message::{FbftMessage, FbftProposal};
 use crate::pacemaker::Pacemaker;
 use crate::two_chain::TwoChainState;
-
-/// What processing one event (proposal, vote, certificate, timeout message
-/// or deadline) produced: this replica's vote for the next leader, any
-/// commit-log entries, and — when the event advanced the replica into a
-/// round it leads and a [`PayloadSource`](sft_core::PayloadSource) is
-/// configured — the chained next proposal, carrying the certificate that
-/// just formed. Chaining the proposal off the event that creates the
-/// certificate is what pipelines rounds: the QC never waits for an external
-/// poll before riding the next proposal.
-#[derive(Clone, Debug, Default)]
-pub struct StepOutcome {
-    /// The strong-vote to send to the next round's leader, if the voting
-    /// rule fired.
-    pub vote: Option<StrongVote>,
-    /// Commit-log entries produced while processing the event.
-    pub updates: Vec<StrongCommitUpdate>,
-    /// The pipelined proposal for the round this event moved the replica
-    /// into, if it leads that round. Must be broadcast like any proposal.
-    pub next_proposal: Option<FbftProposal>,
-    /// A certificate this replica formed as leader that no proposal
-    /// carries out yet (the round pace holds it, or this replica cannot
-    /// propose): broadcast it bare, so followers commit without waiting
-    /// for the proposal.
-    pub certificate: Option<QuorumCertificate>,
-    /// Block-sync fetches now due (new targets and expired retries), to be
-    /// sent point-to-point to the named peer.
-    pub sync_requests: Vec<(ReplicaId, BlockRequest)>,
-}
 
 /// A single SFT-DiemBFT replica: pacemaker-driven rounds, QC/TC
 /// aggregation and the 2-chain commit rule, over the shared
@@ -83,9 +56,9 @@ pub struct StepOutcome {
 /// Driving one happy-path round of a 4-replica system by hand:
 ///
 /// ```
-/// use sft_core::ProtocolConfig;
+/// use sft_core::{ProtocolConfig, ReplicaRules};
 /// use sft_crypto::KeyRegistry;
-/// use sft_fbft::FbftReplica;
+/// use sft_fbft::{FbftMessage, FbftReplica};
 /// use sft_types::{EndorseMode, Payload, Round, SimDuration, SimTime};
 ///
 /// let config = ProtocolConfig::for_replicas(4);
@@ -116,7 +89,9 @@ pub struct StepOutcome {
 /// for vote in &votes {
 ///     replicas[2].on_vote(vote, now);
 /// }
-/// let qc = replicas[2].on_due(now).certificate.expect("the QC formed");
+/// let Some(FbftMessage::Certificate(qc)) = replicas[2].on_due(now).certificate else {
+///     panic!("the QC formed");
+/// };
 /// assert_eq!(qc.signers().len(), 4, "every vote rides the certificate");
 /// for replica in replicas.iter_mut() {
 ///     replica.on_certificate(&qc, now);
@@ -154,6 +129,9 @@ pub struct FbftReplica {
     /// walk. Not the kernel's logged set: this one deliberately re-processes
     /// a QC while its block is absent.
     processed_qcs: BTreeSet<(Round, HashValue)>,
+    /// The round-1 bootstrap proposal went out (see
+    /// [`ReplicaRules::tick`]).
+    booted: bool,
 }
 
 impl FbftReplica {
@@ -188,26 +166,10 @@ impl FbftReplica {
             proposal_held: false,
             quorum_due: None,
             processed_qcs: BTreeSet::new(),
+            booted: false,
         };
         replica.entered_round();
         replica
-    }
-
-    /// The replica's protocol-agnostic state: store, commit log, mempool,
-    /// sync and every gauge.
-    pub fn kernel(&self) -> &ChainKernel {
-        &self.kernel
-    }
-
-    /// Mutable access to the kernel: setup (payload source, retention,
-    /// caps), client submissions, and the write-ahead buffer.
-    pub fn kernel_mut(&mut self) -> &mut ChainKernel {
-        &mut self.kernel
-    }
-
-    /// Consumes the replica into its kernel.
-    pub fn into_kernel(self) -> ChainKernel {
-        self.kernel
     }
 
     /// Paces this replica's rounds: at most one per `interval` once `burst`
@@ -323,12 +285,12 @@ impl FbftReplica {
     /// instant its quorum completed, so every vote delivered in that
     /// instant rides it as a member. It is absorbed like any received
     /// certificate, and the next proposal chains on it; if no proposal goes
-    /// out now, [`StepOutcome::certificate`] hands it back for a bare
+    /// out now, [`Outcome::certificate`] hands it back for a bare
     /// broadcast. A held proposal, when it comes due, first re-forms its
     /// certificate from every vote collected since, so votes that missed
     /// the broadcast still ride the proposal.
-    pub fn on_due(&mut self, now: SimTime) -> StepOutcome {
-        let mut out = StepOutcome::default();
+    pub fn on_due(&mut self, now: SimTime) -> Outcome<FbftMessage> {
+        let mut out = Outcome::default();
         if let Some((block_id, _)) = self.quorum_due.filter(|(_, at)| *at <= now) {
             self.quorum_due = None;
             let formed = self.kernel.form_qc(block_id);
@@ -337,17 +299,17 @@ impl FbftReplica {
                 Some((qc, updates))
             }) {
                 out.updates = updates;
-                out.next_proposal = self.try_propose_chained(now);
+                out.proposal = self.try_propose_chained(now).map(FbftMessage::Proposal);
                 let leads_next = self.kernel.config().leader(qc.round().next()) == self.kernel.id();
-                if out.next_proposal.is_none() && leads_next {
-                    out.certificate = Some(qc);
+                if out.proposal.is_none() && leads_next {
+                    out.certificate = Some(FbftMessage::Certificate(qc));
                 }
             }
         } else if self.proposal_held {
             if self.may_propose() && now >= self.pacemaker.propose_at() {
                 out.updates = self.refill_high_qc(now);
             }
-            out.next_proposal = self.try_propose_chained(now);
+            out.proposal = self.try_propose_chained(now).map(FbftMessage::Proposal);
         }
         out.sync_requests = self.kernel.take_sync_requests(now);
         out
@@ -377,8 +339,8 @@ impl FbftReplica {
     /// first proposal of the current round whose parent satisfies the
     /// 2-chain lock. The returned vote, if any, goes to the next round's
     /// leader; a returned chained proposal is broadcast.
-    pub fn on_proposal(&mut self, proposal: &FbftProposal, now: SimTime) -> StepOutcome {
-        let mut out = StepOutcome::default();
+    pub fn on_proposal(&mut self, proposal: &FbftProposal, now: SimTime) -> Outcome<FbftMessage> {
+        let mut out = Outcome::default();
         let block = proposal.block();
         if self.kernel.admits(block)
             && proposal.verify(self.kernel.registry())
@@ -422,7 +384,7 @@ impl FbftReplica {
     /// holds a certificate of is ignored — the next leader still counts its
     /// round's stragglers, which ride the QC when a paced proposal comes
     /// due.
-    pub fn on_vote(&mut self, vote: &StrongVote, now: SimTime) -> StepOutcome {
+    pub fn on_vote(&mut self, vote: &StrongVote, now: SimTime) -> Outcome<FbftMessage> {
         let leads_next = self.kernel.config().leader(vote.round().next()) == self.kernel.id();
         let high = self.high_qc.round();
         if vote.round() > high || (leads_next && vote.round() == high) {
@@ -430,15 +392,15 @@ impl FbftReplica {
                 self.quorum_due = Some((block_id, now));
             }
         }
-        StepOutcome::default()
+        Outcome::default()
     }
 
     /// Handles a leader's bare certificate: admitted and absorbed like the
     /// one a proposal carries.
-    pub fn on_certificate(&mut self, qc: &QuorumCertificate, now: SimTime) -> StepOutcome {
-        let out = StepOutcome {
+    pub fn on_certificate(&mut self, qc: &QuorumCertificate, now: SimTime) -> Outcome<FbftMessage> {
+        let out = Outcome {
             updates: self.absorb_qc(qc, now).unwrap_or_default(),
-            ..StepOutcome::default()
+            ..Outcome::default()
         };
         self.chain_and_sync(out, now)
     }
@@ -453,8 +415,8 @@ impl FbftReplica {
         msg: &TimeoutMsg,
         high_qc: &QuorumCertificate,
         now: SimTime,
-    ) -> StepOutcome {
-        let mut out = StepOutcome::default();
+    ) -> Outcome<FbftMessage> {
+        let mut out = Outcome::default();
         // Piggybacked catch-up (DiemBFT's SyncInfo). A sender whose high
         // QC is ahead of ours holds a certificate we never received: adopt
         // it (its block, if unknown, becomes a fetch target).
@@ -490,8 +452,12 @@ impl FbftReplica {
     /// re-runs certificate processing for the recovered blocks (the commits
     /// they enable land now), and — if the recovery made this replica the
     /// ready leader — chains a proposal.
-    pub fn on_sync_response(&mut self, response: &BlockResponse, now: SimTime) -> StepOutcome {
-        let mut out = StepOutcome::default();
+    pub fn on_sync_response(
+        &mut self,
+        response: &BlockResponse,
+        now: SimTime,
+    ) -> Outcome<FbftMessage> {
+        let mut out = Outcome::default();
         let Some(grown) = self.kernel.admit_qc(response.qc()) else {
             return self.chain_and_sync(out, now);
         };
@@ -514,8 +480,15 @@ impl FbftReplica {
 
     /// The tail of every event: one chain attempt for whatever round the
     /// event landed this replica in, and the block-sync fetches now due.
-    fn chain_and_sync(&mut self, mut out: StepOutcome, now: SimTime) -> StepOutcome {
-        out.next_proposal = self.try_propose_chained(now);
+    /// Chaining the proposal off the event that creates the certificate is
+    /// what pipelines rounds: the QC never waits for an external poll
+    /// before riding the next proposal.
+    fn chain_and_sync(
+        &mut self,
+        mut out: Outcome<FbftMessage>,
+        now: SimTime,
+    ) -> Outcome<FbftMessage> {
+        out.proposal = self.try_propose_chained(now).map(FbftMessage::Proposal);
         out.sync_requests = self.kernel.take_sync_requests(now);
         out
     }
@@ -526,15 +499,6 @@ impl FbftReplica {
         if let Some(floor) = self.kernel.prune() {
             self.processed_qcs = self.processed_qcs.split_off(&(floor, HashValue::zero()));
         }
-    }
-
-    /// Signature-verification counters across vote and timeout
-    /// aggregation and certificate intake — the evidence behind the
-    /// verify-on-quorum scaling claim.
-    pub fn sig_stats(&self) -> SigStats {
-        let mut stats = self.kernel.sig_stats();
-        stats.merge(self.timeouts.sig_stats());
-        stats
     }
 
     /// Advances the replica's clock. If the current round's (re-armed)
@@ -680,6 +644,89 @@ impl FbftReplica {
     }
 }
 
+/// SFT-DiemBFT on a transport ([`FbftEngine`](crate::FbftEngine); see
+/// [`crate::engine`]).
+impl ReplicaRules for FbftReplica {
+    type Message = FbftMessage;
+
+    /// The replica's protocol-agnostic state: store, commit log, mempool,
+    /// sync and every gauge.
+    fn kernel(&self) -> &ChainKernel {
+        &self.kernel
+    }
+
+    fn kernel_mut(&mut self) -> &mut ChainKernel {
+        &mut self.kernel
+    }
+
+    fn into_kernel(self) -> ChainKernel {
+        self.kernel
+    }
+
+    fn round(&self) -> Round {
+        self.current_round()
+    }
+
+    /// `SimTime::ZERO` until the first tick: the round-1 proposal is the
+    /// only event nothing precedes.
+    fn deadline(&self) -> Option<SimTime> {
+        Some(if self.booted {
+            self.next_deadline()
+        } else {
+            SimTime::ZERO
+        })
+    }
+
+    /// The bootstrap proposal on the first tick, [`on_due`](Self::on_due)
+    /// after; then the round timer. A timeout goes out after the round's
+    /// vote, so a receiver counts the vote before the timeouts can move it
+    /// past the round.
+    fn tick(&mut self, now: SimTime) -> Outcome<FbftMessage> {
+        let mut out = if self.booted {
+            self.on_due(now)
+        } else {
+            self.booted = true;
+            Outcome {
+                proposal: self.try_propose_chained(now).map(FbftMessage::Proposal),
+                ..Outcome::default()
+            }
+        };
+        if let Some(msg) = self.on_tick(now) {
+            let vote = self.timeout_vote(msg.round()).cloned();
+            out.timeout_vote = vote.map(FbftMessage::Vote);
+            let high_qc = self.high_qc.clone();
+            out.timeout = Some(FbftMessage::Timeout { msg, high_qc });
+        }
+        out
+    }
+
+    fn handle(&mut self, msg: FbftMessage, now: SimTime) -> Outcome<FbftMessage> {
+        match msg {
+            FbftMessage::Proposal(proposal) => self.on_proposal(&proposal, now),
+            FbftMessage::Vote(vote) => self.on_vote(&vote, now),
+            FbftMessage::Timeout { msg, high_qc } => self.on_timeout_msg(&msg, &high_qc, now),
+            FbftMessage::Certificate(qc) => self.on_certificate(&qc, now),
+            FbftMessage::SyncResponse(response) => self.on_sync_response(&response, now),
+            FbftMessage::SyncRequest(_) => Outcome::default(), // the engine serves it
+        }
+    }
+
+    fn vote_route(&self, vote: &StrongVote) -> Route {
+        Route::To(self.kernel.config().leader(vote.round().next()))
+    }
+
+    fn restore(&mut self, record: &WalRecord, now: SimTime) {
+        self.replay(record, now);
+    }
+
+    /// Across vote and timeout aggregation and certificate intake.
+    fn sig_stats(&self) -> SigStats {
+        let mut stats = self.kernel.sig_stats();
+        stats.merge(self.timeouts.sig_stats());
+        stats
+    }
+}
+
 impl fmt::Debug for FbftReplica {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -698,7 +745,7 @@ mod tests {
     use super::*;
     use sft_core::{Admission, Block};
     use sft_crypto::{IdMap, IdState, Signature};
-    use sft_types::{EndorseInfo, SignerSet, Transaction, VoteData};
+    use sft_types::{BlockRequest, EndorseInfo, ReplicaId, SignerSet, Transaction, VoteData};
     use std::collections::HashSet;
 
     fn system(n: usize) -> Vec<FbftReplica> {
@@ -735,10 +782,9 @@ mod tests {
         for vote in votes {
             replicas[next].on_vote(vote, now);
         }
-        let qc = replicas[next]
-            .on_due(now)
-            .certificate
-            .expect("a leader without payloads forwards its certificate");
+        let Some(FbftMessage::Certificate(qc)) = replicas[next].on_due(now).certificate else {
+            panic!("a leader without payloads forwards its certificate");
+        };
         for (i, replica) in replicas.iter_mut().enumerate() {
             if i != next {
                 replica.on_certificate(&qc, now);
@@ -1062,16 +1108,18 @@ mod tests {
         votes.push(vote);
         for vote in &votes {
             let out = replicas[0].on_vote(vote, now);
-            assert!(out.next_proposal.is_none(), "the QC waits for the instant");
+            assert!(out.proposal.is_none(), "the QC waits for the instant");
         }
         assert_eq!(replicas[0].next_deadline(), now, "due at once");
         let out = replicas[0].on_due(now);
-        let proposal = out.next_proposal.expect("the next leader proposes");
+        let Some(FbftMessage::Proposal(proposal)) = out.proposal else {
+            panic!("the next leader proposes");
+        };
         assert!(out.certificate.is_none(), "the proposal carries the QC");
         assert_eq!(proposal.block().round(), Round::new(4));
         assert_eq!(proposal.block().parent_id(), p3.block().id());
         assert_eq!(proposal.qc().signers().len(), 4, "every vote rides it");
-        assert!(replicas[0].on_due(now).next_proposal.is_none(), "once");
+        assert!(replicas[0].on_due(now).proposal.is_none(), "once");
     }
 
     #[test]
@@ -1163,7 +1211,7 @@ mod tests {
         }
         let out = replicas[2].on_due(now);
         assert!(
-            out.next_proposal.is_none(),
+            out.proposal.is_none(),
             "cannot propose on an unknown high-QC parent"
         );
         assert!(out.certificate.is_some(), "the QC goes out bare instead");
@@ -1205,12 +1253,11 @@ mod tests {
             replicas[2].on_vote(vote, now);
         }
         let out = replicas[2].on_due(now);
-        assert!(out.next_proposal.is_none(), "ahead of the pace");
-        assert_eq!(
-            out.certificate.map(|qc| qc.signers().len()),
-            Some(4),
-            "the QC goes out bare while the proposal waits"
-        );
+        assert!(out.proposal.is_none(), "ahead of the pace");
+        let Some(FbftMessage::Certificate(qc)) = out.certificate else {
+            panic!("the QC goes out bare while the proposal waits");
+        };
+        assert_eq!(qc.signers().len(), 4);
         assert_eq!(replicas[2].current_round(), Round::new(2));
         assert!(replicas[2].proposal_held());
         let due = SimTime::from_millis(11);

@@ -63,9 +63,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod fbft_driver;
+pub mod engines;
 pub mod runner;
-pub mod streamlet_driver;
 
 use std::sync::Arc;
 
@@ -78,10 +77,9 @@ use sft_types::{
     Transaction,
 };
 
-pub use fbft_driver::{build_fbft_engines, build_paced_fbft_engines, FbftMischief};
-pub use runner::{EngineRunner, Mischief, NoMischief, RunPlan, RunnerConfig};
+pub use engines::{build_fbft_engines, build_paced_fbft_engines, build_streamlet_engines};
+pub use runner::{EngineRunner, RunPlan, RunnerConfig};
 pub use sft_network::{FaultSchedule, Partition, SimTransport, TcpCluster, Transport};
-pub use streamlet_driver::{build_streamlet_engines, StreamletMischief};
 
 /// Per-replica fault model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -109,6 +107,16 @@ pub enum Protocol {
     Streamlet,
     /// SFT-DiemBFT (§2–§3): round-based, pacemaker-driven with timeouts.
     Fbft,
+}
+
+impl Protocol {
+    /// The envelope tag this protocol's replica traffic rides under.
+    pub fn tag(self) -> ProtocolTag {
+        match self {
+            Protocol::Streamlet => ProtocolTag::Streamlet,
+            Protocol::Fbft => ProtocolTag::Fbft,
+        }
+    }
 }
 
 /// How a run persists (and waits for) its write-ahead log.
@@ -197,27 +205,19 @@ type Instruments = (Option<SharedRecorder>, Option<Wals>);
 /// simulator and the loopback-TCP harness alike: pacing and safety bounds
 /// from `config` (`drain_step` is the transport's δ), one behavior per
 /// engine, then the run's instruments.
-fn build_runner<E: ReplicaEngine, T: Transport, M: Mischief<E>>(
+fn build_runner<E: ReplicaEngine, T: Transport>(
     config: &SimConfig,
     engines: Vec<E>,
     transport: T,
-    mischief: M,
     plan: RunPlan,
     drain_step: SimDuration,
     (recorder, wals): Instruments,
-) -> EngineRunner<E, T, M> {
-    let mut runner = EngineRunner::new(
-        engines,
-        config.behaviors.clone(),
-        transport,
-        mischief,
-        RunnerConfig {
-            plan,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step,
-        },
-    );
+) -> EngineRunner<E, T> {
+    let bounds = RunnerConfig {
+        drain_step,
+        ..config.runner_config(plan)
+    };
+    let mut runner = EngineRunner::new(engines, config.behaviors.clone(), transport, bounds);
     if let Some(recorder) = recorder {
         runner.set_recorder(recorder);
     }
@@ -376,6 +376,18 @@ impl SimConfig {
             .unwrap_or_else(|| default_horizon(self.base_timeout(), self.epochs))
     }
 
+    /// How a simulated run of this configuration under `plan` is bounded:
+    /// its [`run_horizon`](Self::run_horizon) and
+    /// [`drain_sync_bound`](Self::drain_sync_bound), draining in δ steps.
+    pub fn runner_config(&self, plan: RunPlan) -> RunnerConfig {
+        RunnerConfig {
+            plan,
+            horizon: SimTime::ZERO + self.run_horizon(),
+            drain_bound: self.drain_sync_bound(),
+            drain_step: self.delay,
+        }
+    }
+
     /// Sets the synthetic workload shape.
     pub fn with_workload(mut self, txns_per_block: u32, txn_bytes: u32) -> Self {
         self.txns_per_block = txns_per_block;
@@ -501,7 +513,6 @@ impl SimConfig {
                 &self,
                 build_streamlet_engines(&self, self.delay * 2),
                 self.sim_transport(),
-                StreamletMischief::new(self.n),
                 RunPlan::UntilQuiescent,
                 self.delay,
                 instruments,
@@ -511,7 +522,6 @@ impl SimConfig {
                 &self,
                 build_fbft_engines(&self, self.base_timeout()),
                 self.sim_transport(),
-                FbftMischief::new(self.n),
                 RunPlan::PastRound(Round::new(self.epochs)),
                 self.delay,
                 instruments,
@@ -628,11 +638,7 @@ pub fn run_over_tcp_serving(
         horizon: Some(pacing.horizon),
         ..config.clone()
     };
-    let tag = match config.protocol {
-        Protocol::Streamlet => ProtocolTag::Streamlet,
-        Protocol::Fbft => ProtocolTag::Fbft,
-    };
-    let mut cluster = TcpCluster::loopback(config.n, tag)?;
+    let mut cluster = TcpCluster::loopback(config.n, config.protocol.tag())?;
     // One registry serves the transport's frame counters and the
     // runner's phase timings alike, so the report's metrics are whole.
     let recorder = run_recorder(config);
@@ -652,7 +658,6 @@ pub fn run_over_tcp_serving(
             config,
             build_streamlet_engines(config, pacing.delta * 2),
             cluster,
-            NoMischief,
             RunPlan::UntilQuiescent,
             pacing.delta,
             instruments,
@@ -662,7 +667,6 @@ pub fn run_over_tcp_serving(
             config,
             build_paced_fbft_engines(config, pacing.base_timeout),
             cluster,
-            NoMischief,
             RunPlan::PastRound(Round::new(config.epochs)),
             pacing.delta,
             instruments,

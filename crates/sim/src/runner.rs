@@ -12,9 +12,8 @@
 //! assembly. The simulator and the loopback-TCP harness host all `n`
 //! replicas in one runner; `sft-node` hosts the one replica its process
 //! is — same loop, so what the tests and the benchmark drive is what
-//! ships. The protocol crates contribute engines; the drivers contribute
-//! only construction and the protocol-specific Byzantine payloads
-//! ([`Mischief`]).
+//! ships. The protocol crates contribute engines, built per protocol in
+//! [`engines`](crate::engines).
 //!
 //! Engines are found by [`ReplicaEngine::id`]; a delivery for a replica
 //! hosted elsewhere is dropped. Index-taking accessors (`engine(i)`, …)
@@ -29,14 +28,14 @@
 //! - [`Behavior::Silent`] — never delivered to, never ticked;
 //! - [`Behavior::WithholdVote`] — its `Vote`s are dropped at the source;
 //! - [`Behavior::StallLeader`] — its `Proposal`s are dropped (and the
-//!   drivers additionally give it no payload source, so it never builds
-//!   one);
+//!   engine builders additionally give it no payload source, so it never
+//!   builds one);
 //! - [`Behavior::Equivocate`] — its honest `Vote`s are replaced by forged
 //!   ones (sent where the protocol sends an honest vote) and its
 //!   `Proposal` broadcasts become split-brain twin pairs.
 //!
-//! Only the *contents* of the forged votes and twin proposals are
-//! protocol-specific; the [`Mischief`] hook supplies those.
+//! The forged votes and twin proposals themselves come from the engine
+//! ([`ReplicaEngine::forge_vote`], [`ReplicaEngine::twin_proposal`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -83,38 +82,6 @@ pub enum RunPlan {
     PastRound(Round),
 }
 
-/// The protocol-specific payloads Byzantine behaviors need: everything
-/// else about the fault model is generic routing policy in the runner.
-/// `engine` is the misbehaving replica's.
-pub trait Mischief<E: ReplicaEngine> {
-    /// Twin an equivocating leader's proposal: returns the two conflicting
-    /// encodings (the honest half and a sibling with a different payload)
-    /// for split-brain delivery, or `None` if `proposal_bytes` cannot be
-    /// twinned (the runner then broadcasts it honestly).
-    fn twin(&mut self, engine: &E, proposal_bytes: &[u8]) -> Option<(Vec<u8>, Vec<u8>)>;
-
-    /// The forged vote an equivocator sends for an ingested proposal (at
-    /// most once per block), addressed as the protocol addresses an honest
-    /// vote, or `None` if `incoming` is not a proposal or was already voted
-    /// on.
-    fn forge_vote(&mut self, engine: &E, incoming: &[u8]) -> Option<OutboundMsg>;
-}
-
-/// The no-op [`Mischief`]: every replica is honest. This is what real
-/// deployments (the TCP transport) run with.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoMischief;
-
-impl<E: ReplicaEngine> Mischief<E> for NoMischief {
-    fn twin(&mut self, _: &E, _: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
-        None
-    }
-
-    fn forge_vote(&mut self, _: &E, _: &[u8]) -> Option<OutboundMsg> {
-        None
-    }
-}
-
 /// Pacing and safety bounds for a run, independent of protocol and
 /// transport.
 #[derive(Clone, Copy, Debug)]
@@ -137,16 +104,15 @@ pub struct RunnerConfig {
 /// transport delay.
 type Inbox = VecDeque<(ReplicaId, ReplicaId, Arc<[u8]>)>;
 
-/// The run loop: the hosted engines, their behaviors, one transport, and
-/// one [`Mischief`] hook. See the [module docs](self).
-pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
+/// The run loop: the hosted engines, their behaviors and one transport.
+/// See the [module docs](self).
+pub struct EngineRunner<E: ReplicaEngine, T: Transport> {
     engines: Vec<E>,
     behaviors: Vec<Behavior>,
     /// Replica id → index into `engines`; `None` for the transport's
     /// replicas hosted elsewhere.
     slots: Vec<Option<usize>>,
     transport: T,
-    mischief: M,
     config: RunnerConfig,
     timelines: Vec<Vec<(SimTime, StrongCommitUpdate)>>,
     /// Per-replica write-ahead logs, when a crash test asked for them
@@ -188,7 +154,7 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     recorder: SharedRecorder,
 }
 
-impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
+impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
     /// Builds a runner.
     ///
     /// # Panics
@@ -200,7 +166,6 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         engines: Vec<E>,
         behaviors: Vec<Behavior>,
         transport: T,
-        mischief: M,
         config: RunnerConfig,
     ) -> Self {
         assert_eq!(engines.len(), behaviors.len(), "one behavior per replica");
@@ -216,7 +181,6 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             behaviors,
             slots,
             transport,
-            mischief,
             config,
             timelines: vec![Vec::new(); n],
             persisted: None,
@@ -558,7 +522,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         // clean-history marker, in place of the honest vote the policy
         // below discards.
         if self.behaviors[i] == Behavior::Equivocate {
-            if let Some(forged) = self.mischief.forge_vote(&self.engines[i], &bytes) {
+            if let Some(forged) = self.engines[i].forge_vote(&bytes) {
                 self.route(i, forged, inbox);
             }
         }
@@ -698,16 +662,17 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         self.transport.send_to(from, dest, out.bytes, gate);
     }
 
-    /// Split-brain delivery of an equivocating leader's twin proposals:
-    /// low ids see A, high ids see B, and the equivocator itself sees both
-    /// (so it casts the conflicting votes honest trackers will flag). Each
-    /// twin is encoded once; its recipients share the buffer.
+    /// Split-brain delivery of an equivocating leader's honest proposal
+    /// and its twin: low ids see the honest one, high ids the twin, and the
+    /// equivocator itself sees both (so it casts the conflicting votes
+    /// honest trackers will flag). Each is encoded once; its recipients
+    /// share the buffer.
     fn split_brain(&mut self, i: usize, honest: Arc<[u8]>, inbox: &mut Inbox) {
-        let Some((a, b)) = self.mischief.twin(&self.engines[i], &honest) else {
+        let Some(twin) = self.engines[i].twin_proposal(&honest) else {
             self.route(i, OutboundMsg::broadcast(MsgKind::Proposal, honest), inbox);
             return;
         };
-        let halves: [Arc<[u8]>; 2] = [a.into(), b.into()];
+        let halves: [Arc<[u8]>; 2] = [honest, twin.into()];
         let n = self.transport.replica_count();
         let from = self.engines[i].id();
         for to in 0..n as u16 {

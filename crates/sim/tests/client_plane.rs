@@ -17,8 +17,8 @@ use std::time::Duration;
 use sft_core::{scan_wal, MemSink, ReplicaEngine, Wal, WalRecord};
 use sft_network::{SimNetwork, SimTransport};
 use sft_sim::{
-    build_streamlet_engines, run_over_tcp_serving, Behavior, EngineRunner, NoMischief, Protocol,
-    RunPlan, RunnerConfig, SimConfig, TcpPacing,
+    build_streamlet_engines, run_over_tcp_serving, Behavior, EngineRunner, Protocol, RunPlan,
+    SimConfig, TcpPacing,
 };
 use sft_types::{
     ClientAck, ClientFrame, ClientRequest, Decode, Encode, Envelope, ProtocolTag, ReplicaId,
@@ -203,13 +203,7 @@ fn wal_replay_restores_client_dedup_across_restart() {
         engines,
         vec![Behavior::Honest; 4],
         transport,
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::UntilQuiescent,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(RunPlan::UntilQuiescent),
     );
     runner.keep_persist_log();
     let end = SimTime::ZERO + period * 8;

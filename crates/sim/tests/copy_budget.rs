@@ -26,10 +26,7 @@ use std::sync::Arc;
 
 use sft_crypto::sha256::blocks_compressed;
 use sft_network::{ClientDelivery, NetworkStats, SimNetwork, SimTransport, Transport};
-use sft_sim::{
-    build_fbft_engines, Behavior, EngineRunner, NoMischief, Protocol, RunPlan, RunnerConfig,
-    SimConfig,
-};
+use sft_sim::{build_fbft_engines, Behavior, EngineRunner, Protocol, RunPlan, SimConfig};
 use sft_types::{
     ClientFrame, ClientRequest, Dest, Encode, ReplicaId, Round, SendGate, SimTime, Transaction,
 };
@@ -125,13 +122,7 @@ fn copy_one_run(txns: u64) -> Spent {
         build_fbft_engines(&config, config.base_timeout()),
         vec![Behavior::Honest; n],
         transport,
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::PastRound(Round::new(config.epochs)),
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
     );
 
     let (bytes, large) = (allocated(), large_allocs());

@@ -24,13 +24,14 @@
 //! rebuilds the committed chain it had.
 
 use sft_core::{
-    scan_wal, Block, MemSink, ProtocolConfig, QuorumCertificate, ReplicaEngine, Wal, WalRecord,
+    scan_wal, Block, MemSink, ProtocolConfig, QuorumCertificate, ReplicaEngine, ReplicaRules, Wal,
+    WalRecord,
 };
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::{SimNetwork, SimTransport, Transport};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, Protocol,
-    RunPlan, RunnerConfig, SimConfig,
+    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
+    SimConfig,
 };
 use sft_types::{Decode, Encode, EndorseMode, Payload, Round, SimTime};
 
@@ -66,13 +67,7 @@ fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
         build_fbft_engines(&config, config.base_timeout()),
         vec![Behavior::Honest; n],
         SimTransport::new(SimNetwork::new(config.delay), n),
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::PastRound(Round::new(10)),
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(RunPlan::PastRound(Round::new(10))),
     );
     runner.keep_persist_log();
     runner.run_until(SimTime::ZERO + config.delay * 24).unwrap();
@@ -194,13 +189,7 @@ fn drive_crash<E: ReplicaEngine>(
         build(),
         vec![Behavior::Honest; n],
         SimTransport::new(SimNetwork::new(config.delay), n),
-        NoMischief,
-        RunnerConfig {
-            plan,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(plan),
     );
     runner.keep_persist_log();
 

@@ -19,8 +19,8 @@ use sft_core::ReplicaEngine;
 use sft_crypto::{RngCore, SplitMix64};
 use sft_fbft::FbftEngine;
 use sft_sim::{
-    build_fbft_engines, Behavior, DurabilityMode, EngineRunner, FaultSchedule, NoMischief,
-    Protocol, RunPlan, RunnerConfig, SimConfig, SimReport, SimTransport,
+    build_fbft_engines, Behavior, DurabilityMode, EngineRunner, FaultSchedule, Protocol, RunPlan,
+    SimConfig, SimReport, SimTransport,
 };
 use sft_streamlet::EndorseMode;
 use sft_types::{ReplicaId, Round, SimTime};
@@ -244,13 +244,7 @@ fn audit_run<E: sft_core::ReplicaEngine>(
         engines,
         config.behaviors.clone(),
         transport,
-        sft_sim::NoMischief,
-        sft_sim::RunnerConfig {
-            plan,
-            horizon: sft_types::SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(plan),
     );
     let wals: Vec<Box<dyn DurableWal>> = (0..config.n)
         .map(|_| {
@@ -392,7 +386,7 @@ const STRAGGLER: usize = 3;
 fn straggler_runner(
     config: &SimConfig,
     heal_at: SimTime,
-) -> EngineRunner<FbftEngine, SimTransport, NoMischief> {
+) -> EngineRunner<FbftEngine, SimTransport> {
     let net = sft_network::SimNetwork::new(config.delay).with_faults(FaultSchedule::partition(
         vec![ReplicaId::new(STRAGGLER as u16)],
         heal_at,
@@ -401,20 +395,14 @@ fn straggler_runner(
         build_fbft_engines(config, config.base_timeout()),
         config.behaviors.clone(),
         SimTransport::new(net, config.n),
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::PastRound(Round::new(config.epochs)),
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
     )
 }
 
 /// Runs `runner` on from `from`, one δ at a time, until the straggler is
 /// past `config`'s last round and done syncing, or the run horizon ends.
 fn run_until_caught_up(
-    runner: &mut EngineRunner<FbftEngine, SimTransport, NoMischief>,
+    runner: &mut EngineRunner<FbftEngine, SimTransport>,
     config: &SimConfig,
     from: SimTime,
 ) {
@@ -422,7 +410,7 @@ fn run_until_caught_up(
         Round::new(config.epochs),
         SimTime::ZERO + config.run_horizon(),
     );
-    let behind = |runner: &EngineRunner<FbftEngine, SimTransport, NoMischief>| {
+    let behind = |runner: &EngineRunner<FbftEngine, SimTransport>| {
         let straggler = runner.engine(STRAGGLER);
         straggler.round() <= target || straggler.kernel().is_syncing()
     };

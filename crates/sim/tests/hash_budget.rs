@@ -18,10 +18,7 @@ use std::sync::Arc;
 use sft_core::{DurableWal, GroupCommitWal, MemSink};
 use sft_crypto::sha256::blocks_compressed;
 use sft_network::{ClientDelivery, NetworkStats, SimNetwork, SimTransport, Transport};
-use sft_sim::{
-    build_fbft_engines, Behavior, EngineRunner, NoMischief, Protocol, RunPlan, RunnerConfig,
-    SimConfig,
-};
+use sft_sim::{build_fbft_engines, Behavior, EngineRunner, Protocol, RunPlan, SimConfig};
 use sft_types::{
     ClientFrame, ClientRequest, Dest, Encode, ReplicaId, Round, SendGate, SimTime, Transaction,
 };
@@ -102,13 +99,7 @@ fn hash_one_run(txns: u64) -> (u64, u64) {
         build_fbft_engines(&config, config.base_timeout()),
         vec![Behavior::Honest; n],
         transport,
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::PastRound(Round::new(config.epochs)),
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
     );
     // Group commit on memory sinks: every record is framed on this thread
     // by `append`; the writer threads only copy and "sync" those frames,

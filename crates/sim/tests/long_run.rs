@@ -19,8 +19,7 @@
 
 use sft_network::{SimNetwork, SimTransport};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, EngineRunner, NoMischief, Protocol, RunPlan,
-    RunnerConfig, SimConfig,
+    build_fbft_engines, build_streamlet_engines, EngineRunner, Protocol, RunPlan, SimConfig,
 };
 use sft_types::{Round, SimTime};
 
@@ -90,15 +89,9 @@ fn timed<E: sft_core::ReplicaEngine>(
         engines,
         config.behaviors.clone(),
         SimTransport::new(SimNetwork::new(config.delay), config.n),
-        NoMischief,
-        RunnerConfig {
-            plan,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(plan),
     );
-    let slowest = |runner: &EngineRunner<E, SimTransport, NoMischief>| {
+    let slowest = |runner: &EngineRunner<E, SimTransport>| {
         (0..config.n)
             .map(|i| runner.engine(i).round().as_u64())
             .min()

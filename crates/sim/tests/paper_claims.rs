@@ -24,12 +24,11 @@ use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::SimNetwork;
 use sft_obs::{names, Recorder, TraceEvent};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, Protocol,
-    RunPlan, RunnerConfig, SimConfig, SimReport, SimTransport,
+    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
+    SimConfig, SimReport, SimTransport,
 };
 use sft_types::{
-    Encode, EndorseInfo, EndorseMode, Round, RoundIntervalSet, SimDuration, SimTime, StrongVote,
-    VoteData,
+    Encode, EndorseInfo, EndorseMode, Round, RoundIntervalSet, SimDuration, StrongVote, VoteData,
 };
 
 const PROTOCOLS: [Protocol; 2] = [Protocol::Streamlet, Protocol::Fbft];
@@ -317,8 +316,7 @@ impl Recorder for ProposalClock {
 }
 
 /// Runs `engines` the way [`SimConfig::run`] does, with a [`ProposalClock`]
-/// attached. No [`sft_sim::Mischief`]: only honest, withholding and silent
-/// replicas take part.
+/// attached.
 fn run_clocked<E: ReplicaEngine>(
     config: &SimConfig,
     engines: Vec<E>,
@@ -329,13 +327,7 @@ fn run_clocked<E: ReplicaEngine>(
         engines,
         config.behaviors.clone(),
         SimTransport::new(SimNetwork::new(config.delay), config.n),
-        NoMischief,
-        RunnerConfig {
-            plan,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(plan),
     );
     runner.set_recorder(clock.clone());
     let report = runner.run().expect("simulated WALs are in memory");

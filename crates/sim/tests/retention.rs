@@ -18,8 +18,8 @@ use sft_core::{ProtocolConfig, ReplicaEngine, WalRecord};
 use sft_network::{FaultSchedule, SimNetwork, SimTransport};
 use sft_obs::{names, Registry};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, Protocol,
-    RunPlan, RunnerConfig, SimConfig, SimReport,
+    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
+    SimConfig, SimReport,
 };
 use sft_types::{ReplicaId, Round, SimDuration, SimTime};
 
@@ -38,7 +38,7 @@ struct Steps {
 }
 
 impl Steps {
-    fn sample<E: ReplicaEngine>(runner: &EngineRunner<E, SimTransport, NoMischief>) -> Self {
+    fn sample<E: ReplicaEngine>(runner: &EngineRunner<E, SimTransport>) -> Self {
         let report = runner.report();
         Self {
             round: runner.engine(0).round().as_u64(),
@@ -66,7 +66,7 @@ fn runner<E: ReplicaEngine>(
     engines: Vec<E>,
     plan: RunPlan,
     faults: Option<FaultSchedule>,
-) -> EngineRunner<E, SimTransport, NoMischief> {
+) -> EngineRunner<E, SimTransport> {
     let mut net = SimNetwork::new(config.delay);
     if let Some(faults) = faults {
         net = net.with_faults(faults);
@@ -75,13 +75,7 @@ fn runner<E: ReplicaEngine>(
         engines,
         vec![Behavior::Honest; config.n],
         SimTransport::new(net, config.n),
-        NoMischief,
-        RunnerConfig {
-            plan,
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(plan),
     );
     runner.set_recorder(Arc::new(Registry::new()));
     runner
@@ -90,7 +84,7 @@ fn runner<E: ReplicaEngine>(
 /// Runs `runner` through the three sampling points of a long run and
 /// returns the step samples plus the final report.
 fn long_run<E: ReplicaEngine>(
-    mut runner: EngineRunner<E, SimTransport, NoMischief>,
+    mut runner: EngineRunner<E, SimTransport>,
     round_span: SimDuration,
 ) -> (Vec<[f64; 3]>, SimReport, Vec<WalRecord>) {
     runner.keep_persist_log();

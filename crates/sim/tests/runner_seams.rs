@@ -11,8 +11,8 @@ use sft_core::{scan_wal, DurableWal, GroupCommitWal, MemSink, ReplicaEngine, Rou
 use sft_network::{Delivery, Dest, NetworkStats, SimNetwork, SimTransport};
 use sft_obs::names;
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, Protocol,
-    RunPlan, RunnerConfig, SimConfig, Transport,
+    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
+    SimConfig, Transport,
 };
 use sft_types::{PersistSeq, ReplicaId, Round, SendGate, SimDuration, SimTime};
 
@@ -112,15 +112,6 @@ impl Transport for Wire {
     }
 }
 
-fn runner_config(config: &SimConfig, plan: RunPlan) -> RunnerConfig {
-    RunnerConfig {
-        plan,
-        horizon: SimTime::ZERO + config.run_horizon(),
-        drain_bound: config.drain_sync_bound(),
-        drain_step: config.delay,
-    }
-}
-
 /// What `sft-node` is: a runner hosting replica 2 of a 4-replica
 /// transport. It steps its engine on deliveries addressed to 2, drops the
 /// ones addressed elsewhere (or nowhere), speaks only as 2, and counts a
@@ -157,8 +148,7 @@ fn a_runner_hosting_one_of_n_steps_only_on_its_own_deliveries() {
         vec![hosted],
         vec![Behavior::Honest],
         wire,
-        NoMischief,
-        runner_config(&config, RunPlan::UntilQuiescent),
+        config.runner_config(RunPlan::UntilQuiescent),
     );
     runner.set_recorder(Arc::new(sft_obs::Registry::new()));
     runner.run_until(SimTime::ZERO).unwrap();
@@ -196,8 +186,7 @@ fn run_until_the_log_dies(fail_at: u64) -> (Vec<Frame>, PersistSeq) {
         build_fbft_engines(&config, config.base_timeout()),
         config.behaviors.clone(),
         wire,
-        NoMischief,
-        runner_config(&config, RunPlan::PastRound(Round::new(config.epochs))),
+        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
     );
     let mut wals =
         vec![

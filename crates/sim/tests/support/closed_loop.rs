@@ -9,10 +9,7 @@ use std::sync::Arc;
 use sft_core::ReplicaEngine;
 use sft_fbft::FbftEngine;
 use sft_network::{ClientDelivery, NetworkStats, SimNetwork, SimTransport, Transport};
-use sft_sim::{
-    build_fbft_engines, Behavior, EngineRunner, NoMischief, Protocol, RunPlan, RunnerConfig,
-    SimConfig,
-};
+use sft_sim::{build_fbft_engines, Behavior, EngineRunner, Protocol, RunPlan, SimConfig};
 use sft_types::{
     ClientFrame, ClientRequest, Decode, Dest, Encode, ReplicaId, Round, SendGate, SimTime,
     Transaction,
@@ -114,7 +111,7 @@ pub fn config() -> SimConfig {
 }
 
 /// The cluster, ready to run, with no logs installed.
-pub fn runner(config: &SimConfig) -> EngineRunner<FbftEngine, ClosedLoop, NoMischief> {
+pub fn runner(config: &SimConfig) -> EngineRunner<FbftEngine, ClosedLoop> {
     let transport = ClosedLoop {
         inner: SimTransport::new(SimNetwork::new(config.delay), N),
         in_flight: 0,
@@ -124,22 +121,16 @@ pub fn runner(config: &SimConfig) -> EngineRunner<FbftEngine, ClosedLoop, NoMisc
         build_fbft_engines(config, config.base_timeout()),
         vec![Behavior::Honest; N],
         transport,
-        NoMischief,
-        RunnerConfig {
-            plan: RunPlan::PastRound(Round::new(ROUNDS)),
-            horizon: SimTime::ZERO + config.run_horizon(),
-            drain_bound: config.drain_sync_bound(),
-            drain_step: config.delay,
-        },
+        config.runner_config(RunPlan::PastRound(Round::new(ROUNDS))),
     )
 }
 
 /// Runs `runner` past [`ROUNDS`] one δ at a time, calling `check` with
 /// each instant it stopped at.
 pub fn run_checked(
-    runner: &mut EngineRunner<FbftEngine, ClosedLoop, NoMischief>,
+    runner: &mut EngineRunner<FbftEngine, ClosedLoop>,
     config: &SimConfig,
-    mut check: impl FnMut(&EngineRunner<FbftEngine, ClosedLoop, NoMischief>, SimTime),
+    mut check: impl FnMut(&EngineRunner<FbftEngine, ClosedLoop>, SimTime),
 ) {
     let mut at = SimTime::ZERO;
     while (0..N).any(|i| runner.engine(i).round() <= Round::new(ROUNDS)) {

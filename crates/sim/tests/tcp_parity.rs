@@ -17,7 +17,7 @@ use sft_fbft::FbftMessage;
 use sft_network::{Envelope, ProtocolTag};
 use sft_obs::names;
 use sft_sim::{
-    build_paced_fbft_engines, run_over_tcp, Behavior, EngineRunner, NoMischief, Protocol, RunPlan,
+    build_paced_fbft_engines, run_over_tcp, Behavior, EngineRunner, Protocol, RunPlan,
     RunnerConfig, SimConfig, TcpCluster, TcpPacing, Transport,
 };
 use sft_types::{BlockRequest, Encode, ReplicaId, Round, SimDuration, SimTime};
@@ -182,7 +182,6 @@ fn a_sync_request_for_a_requester_outside_the_replica_set_is_a_counted_drop() {
         build_paced_fbft_engines(&config, SimDuration::from_secs(1)),
         vec![Behavior::Honest; 4],
         cluster,
-        NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(config.epochs)),
             horizon: SimTime::from_secs(3_600),
@@ -190,7 +189,7 @@ fn a_sync_request_for_a_requester_outside_the_replica_set_is_a_counted_drop() {
             drain_step: SimDuration::from_millis(10),
         },
     );
-    let run_for = |runner: &mut EngineRunner<_, TcpCluster, _>, ms: u64| {
+    let run_for = |runner: &mut EngineRunner<_, TcpCluster>, ms: u64| {
         let until = runner.transport().now() + SimDuration::from_millis(ms);
         while runner.transport().now() < until {
             runner.run_until(until).expect("in-memory run");
@@ -259,7 +258,6 @@ fn group_commit_over_tcp_fsyncs_about_once_per_replica_per_block() {
         build_paced_fbft_engines(&config, SimDuration::from_secs(5)),
         vec![Behavior::Honest; N],
         cluster,
-        NoMischief,
         RunnerConfig {
             plan: RunPlan::PastRound(Round::new(config.epochs)),
             horizon: SimTime::from_secs(60),

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sft_core::{Block, BlockResponse, ProposalMessage};
+use sft_core::{Block, BlockResponse, ProtocolMessage};
 use sft_crypto::{Hasher, KeyPair, KeyRegistry, Signature};
 use sft_types::codec::{Decode, DecodeError, Encode, Reader};
 use sft_types::{BlockRequest, StrongVote};
@@ -147,7 +147,7 @@ impl Decode for Message {
     }
 }
 
-impl ProposalMessage for Message {
+impl ProtocolMessage for Message {
     fn encode_around_block(
         &mut self,
         before: &mut Vec<u8>,
@@ -159,6 +159,37 @@ impl ProposalMessage for Message {
         before.push(0);
         p.signature.encode(after);
         Some(&mut p.block)
+    }
+
+    fn proposed(&self) -> Option<&Block> {
+        match self {
+            Message::Proposal(p) => Some(p.block()),
+            _ => None,
+        }
+    }
+
+    fn rewrapped(&self, block: Block, key_pair: &KeyPair) -> Option<Self> {
+        matches!(self, Message::Proposal(_))
+            .then(|| Message::Proposal(Proposal::new(block, key_pair)))
+    }
+
+    fn sync_request(&self) -> Option<&BlockRequest> {
+        match self {
+            Message::SyncRequest(request) => Some(request),
+            _ => None,
+        }
+    }
+
+    fn vote(vote: StrongVote) -> Self {
+        Message::Vote(vote)
+    }
+
+    fn request(request: BlockRequest) -> Self {
+        Message::SyncRequest(request)
+    }
+
+    fn response(response: BlockResponse) -> Self {
+        Message::SyncResponse(response)
     }
 }
 

@@ -2,11 +2,16 @@
 
 use std::fmt;
 
-use sft_core::{Block, BlockStore, ChainKernel, Intake, ProtocolConfig, WalRecord};
+use sft_core::{
+    Block, BlockStore, ChainKernel, Intake, Outcome, ProtocolConfig, ReplicaRules, Route, WalRecord,
+};
 use sft_crypto::{HashValue, IdMap, KeyRegistry};
-use sft_types::{EndorseMode, Height, Payload, Round, SimTime, StrongCommitUpdate, StrongVote};
+use sft_types::{
+    BlockRequest, EndorseMode, Height, Payload, ReplicaId, Round, SimDuration, SimTime,
+    StrongCommitUpdate, StrongVote,
+};
 
-use crate::message::Proposal;
+use crate::message::{Message, Proposal};
 
 pub use sft_core::BlockResponse;
 
@@ -36,7 +41,7 @@ pub use sft_core::BlockResponse;
 /// Driving one full epoch of a 4-replica system by hand:
 ///
 /// ```
-/// use sft_core::ProtocolConfig;
+/// use sft_core::{ProtocolConfig, ReplicaRules};
 /// use sft_crypto::KeyRegistry;
 /// use sft_streamlet::{EndorseMode, Replica};
 /// use sft_types::{Payload, Round};
@@ -74,6 +79,9 @@ pub struct Replica {
     kernel: ChainKernel,
     notarized: Notarized,
     epoch: Round,
+    /// When each epoch opens, for a replica on a transport (see
+    /// [`Replica::with_epoch_clock`]); stopped otherwise.
+    clock: EpochClock,
 }
 
 /// The notarized index: what Streamlet's proposal and commit rules read.
@@ -228,25 +236,19 @@ impl Replica {
             notarized: Notarized::new(kernel.store().genesis_id()),
             kernel,
             epoch: Round::ZERO,
+            clock: EpochClock::default(),
         }
     }
 
-    /// The replica's protocol-agnostic state: store, commit log, mempool,
-    /// sync and every gauge.
-    pub fn kernel(&self) -> &ChainKernel {
-        &self.kernel
-    }
-
-    /// Mutable access to the kernel: setup (payload source, verify policy,
-    /// sync retry, retention, caps), client submissions, block-sync
-    /// serving, and the write-ahead buffer.
-    pub fn kernel_mut(&mut self) -> &mut ChainKernel {
-        &mut self.kernel
-    }
-
-    /// Consumes the replica into its kernel.
-    pub fn into_kernel(self) -> ChainKernel {
-        self.kernel
+    /// Runs this replica on an epoch clock of `period` (use `2δ`) through
+    /// epoch `last`.
+    pub fn with_epoch_clock(mut self, period: SimDuration, last: u64) -> Self {
+        self.clock = EpochClock {
+            period,
+            last,
+            opened: 0,
+        };
+        self
     }
 
     /// The current epoch.
@@ -467,6 +469,105 @@ impl Replica {
         updates.extend(self.kernel.settle_deferred());
         self.sweep();
         updates
+    }
+}
+
+/// When each epoch opens: epoch `e` at `(e − 1) × period`, through a last
+/// epoch. The default clock never opens one.
+#[derive(Clone, Copy, Debug, Default)]
+struct EpochClock {
+    /// One full epoch: two message delays (propose + vote).
+    period: SimDuration,
+    /// The last epoch the clock opens.
+    last: u64,
+    /// Epochs opened so far.
+    opened: u64,
+}
+
+impl EpochClock {
+    /// When the next epoch opens, if there is one.
+    fn deadline(&self) -> Option<SimTime> {
+        (self.opened < self.last).then(|| SimTime::ZERO + self.period * self.opened)
+    }
+
+    /// Opens the next epoch if it is due at `now`.
+    fn open(&mut self, now: SimTime) -> Option<Round> {
+        let at = self.deadline()?;
+        (at <= now).then(|| {
+            self.opened += 1;
+            Round::new(self.opened)
+        })
+    }
+}
+
+/// SFT-Streamlet on a transport ([`StreamletEngine`](crate::StreamletEngine);
+/// see [`crate::engine`]).
+impl ReplicaRules for Replica {
+    type Message = Message;
+
+    /// The replica's protocol-agnostic state: store, commit log, mempool,
+    /// sync and every gauge.
+    fn kernel(&self) -> &ChainKernel {
+        &self.kernel
+    }
+
+    fn kernel_mut(&mut self) -> &mut ChainKernel {
+        &mut self.kernel
+    }
+
+    fn into_kernel(self) -> ChainKernel {
+        self.kernel
+    }
+
+    fn round(&self) -> Round {
+        self.epoch()
+    }
+
+    fn deadline(&self) -> Option<SimTime> {
+        self.clock.deadline()
+    }
+
+    /// Every epoch whose start has passed opens in order (a wall-clock run
+    /// can overshoot a deadline).
+    fn open_due(&mut self, now: SimTime) -> Option<Message> {
+        while let Some(epoch) = self.clock.open(now) {
+            if let Some(proposal) = self.begin_epoch_sourced(epoch) {
+                return Some(Message::Proposal(proposal));
+            }
+        }
+        None
+    }
+
+    fn handle(&mut self, msg: Message, now: SimTime) -> Outcome<Message> {
+        let (vote, updates) = match msg {
+            Message::Proposal(proposal) => {
+                let intake = self.on_proposal(&proposal);
+                (intake.vote, intake.updates)
+            }
+            Message::Vote(vote) => (None, self.on_vote(&vote)),
+            Message::SyncResponse(response) => (None, self.on_sync_response(&response, now)),
+            Message::SyncRequest(_) => (None, Vec::new()), // the engine serves it
+        };
+        Outcome {
+            vote,
+            updates,
+            ..Outcome::default()
+        }
+    }
+
+    fn vote_route(&self, _: &StrongVote) -> Route {
+        Route::Broadcast
+    }
+
+    fn poll_sync(&mut self, now: SimTime) -> Vec<(ReplicaId, BlockRequest)> {
+        self.kernel.take_sync_requests(now)
+    }
+
+    /// Never re-opens (and re-proposes in) an epoch the pre-crash self
+    /// already reached: the clock resumes strictly after it.
+    fn restore(&mut self, record: &WalRecord, _now: SimTime) {
+        self.replay(record);
+        self.clock.opened = self.clock.opened.max(self.epoch().as_u64());
     }
 }
 
