@@ -17,17 +17,20 @@
 //! Durability has one discipline, group commit with gated sends: the
 //! runner appends every [`EngineStep::persist`](sft_core::EngineStep)
 //! record to the log *before* routing the messages it justifies, and each
-//! frame waits in the transport's writer until the log's watermark covers
+//! frame waits in the transport's ring until the log's watermark covers
 //! it — an fsync per record's guarantee without the fsync stall on the
 //! engine thread. The runner asks the log, once per instant, to make the
 //! frames it gated durable; the log's writer thread then fsyncs once and
-//! wakes the transport's writer ([`NodeTransport::writer_wake_hook`]), so
-//! a gated frame leaves the moment it may, and nothing polls a closed
-//! gate. At exit the node records its fsyncs and the blocks it committed
-//! in the trace's `node_stop` event (and on stdout).
+//! wakes the run loop's poll ([`NodeTransport::wake_hook`]), so a gated
+//! frame leaves the moment it may, and nothing polls a closed gate. At
+//! exit the node records its fsyncs, peer messages and committed blocks in
+//! the trace's `node_stop` event (and on stdout) — over its whole life,
+//! and again as they stood when its stop rule first held, before it
+//! lingered.
 //!
-//! A node process runs five threads for any `n`: the engine's, the log's
-//! writer, and the transport's I/O thread, writer and dialer.
+//! A node process runs three threads for any `n`: the engine's, which
+//! also does the transport's socket I/O, the log's writer, and the
+//! transport's dialer.
 //!
 //! ## Data directory
 //!
@@ -234,10 +237,10 @@ fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome
         ],
     ));
     // Recovery reads through the classic store; the file then goes to the
-    // WAL-writer thread, whose completed fsyncs wake the transport's
-    // writer: that signal alone releases the frames they gate.
+    // WAL-writer thread, whose completed fsyncs wake the run loop's
+    // poll: that signal alone releases the frames they gate.
     let wal = store
-        .into_group_commit(Arc::clone(&recorder), Some(transport.writer_wake_hook()))
+        .into_group_commit(Arc::clone(&recorder), Some(transport.wake_hook()))
         .map_err(|e| format!("wal writer: {e}"))?;
     let durable = wal.watermark();
 
@@ -263,6 +266,17 @@ fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome
 
     let wal_err = |e: sft_core::WalError| format!("wal: {e}");
     let mut done_at: Option<SimTime> = None;
+    // fsyncs, peer messages and committed blocks when the stop rule first
+    // held: the run's course, without the linger's rounds.
+    let mut course: Option<[u64; 3]> = None;
+    let counts = |runner: &EngineRunner<E, NodeTransport>| {
+        let blocks = runner.engine(0).kernel().committed_chain().len();
+        [
+            runner.wal_fsyncs(),
+            runner.transport().stats().messages,
+            blocks.saturating_sub(replayed_blocks) as u64,
+        ]
+    };
     loop {
         let now = runner.transport().now();
         if now >= budget_end {
@@ -274,6 +288,7 @@ fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome
         let engine = runner.engine(0);
         let course_run = engine.next_deadline().is_none() || engine.round() > target;
         if course_run && !engine.kernel().is_syncing() {
+            course.get_or_insert_with(|| counts(&runner));
             let at = *done_at.get_or_insert(now);
             if now >= at + linger {
                 break;
@@ -285,6 +300,7 @@ fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome
     }
 
     let round = runner.engine(0).round().as_u64();
+    let [done_fsyncs, done_messages, done_blocks] = course.unwrap_or_else(|| counts(&runner));
     let mut report = runner.finish().map_err(wal_err)?;
     let blocks_committed = report.chains[0].len().saturating_sub(replayed_blocks) as u64;
     recorder.trace(&TraceEvent::new(
@@ -295,6 +311,9 @@ fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome
             ("wal_fsyncs", report.wal_fsyncs),
             ("messages", report.net.messages),
             ("blocks", blocks_committed),
+            ("done_wal_fsyncs", done_fsyncs),
+            ("done_messages", done_messages),
+            ("done_blocks", done_blocks),
         ],
     ));
     if let Some(registry) = &registry {

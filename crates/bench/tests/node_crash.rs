@@ -19,7 +19,7 @@
 //!    a `Committed` ack for every transaction it submitted — the deployed
 //!    binary serves clients, not only the in-process cluster;
 //! 6. just before the kill, no live node ran more threads than
-//!    [`NODE_THREADS`] (read from `/proc/<pid>/status`): five threads for
+//!    [`NODE_THREADS`] (read from `/proc/<pid>/status`): three threads for
 //!    any `n` and any number of clients;
 //! 7. every incarnation that ran to completion (its trace ends in a
 //!    `node_stop`) issued at most [`FSYNCS_PER_BLOCK`] WAL fsyncs per
@@ -27,7 +27,11 @@
 //!    fsync per round — and, running SFT-DiemBFT, sent at most
 //!    [`FBFT_MESSAGES_PER_BLOCK`] peer messages per block: votes go to the
 //!    next leader only, so a node sends about 3 − 3/n a round, where
-//!    broadcast votes cost about n. Every node's ratios are printed.
+//!    broadcast votes cost about n. The ratios are taken over the run's
+//!    course — the counts `node_stop` records for when the node's stop
+//!    rule first held — not over the linger that follows, in which the
+//!    node keeps committing rounds for its slower peers. Every node's
+//!    ratios are printed.
 //!
 //! The cells are `#[ignore]`d (each runs a real cluster for up to the
 //! 45 s budget); run them in a release build:
@@ -67,10 +71,10 @@ const BUDGET: Duration = Duration::from_secs(45);
 /// Per-node NDJSON trace file, appended across incarnations.
 const TRACE_FILE_NAME: &str = "trace.ndjson";
 
-/// Threads one `sft-node` runs for any `n`: the engine's, the
-/// group-commit WAL writer, and the transport's I/O thread, writer and
-/// dialer.
-const NODE_THREADS: usize = 5;
+/// Threads one `sft-node` runs for any `n`: the engine's (which does the
+/// transport's socket I/O too), the group-commit WAL writer, and the
+/// transport's dialer.
+const NODE_THREADS: usize = 3;
 
 /// Verdict 7's budget: WAL fsyncs per committed block. The group-commit
 /// WAL syncs once per round, when the replica's vote goes out; rounds
@@ -188,9 +192,11 @@ fn check_thread_counts(nodes: &[Child]) {
     }
 }
 
-/// Verdict 7: every completed incarnation's `wal_fsyncs` and `messages`
-/// over its committed `blocks`, from the `node_stop` events of each node's
-/// trace, printed and held to [`FSYNCS_PER_BLOCK`] and (SFT-DiemBFT only)
+/// Verdict 7: every completed incarnation's fsyncs and peer messages
+/// over its committed blocks, as they stood when its stop rule first held
+/// (`done_wal_fsyncs`, `done_messages` and `done_blocks` of the
+/// `node_stop` events of each node's trace), printed and held to
+/// [`FSYNCS_PER_BLOCK`] and (SFT-DiemBFT only)
 /// [`FBFT_MESSAGES_PER_BLOCK`].
 fn check_stop_budgets(dirs: &[PathBuf], protocol: &str) {
     for (id, dir) in dirs.iter().enumerate() {
@@ -202,13 +208,17 @@ fn check_stop_budgets(dirs: &[PathBuf], protocol: &str) {
                 stop.get(key)
                     .unwrap_or_else(|| panic!("replica {id}'s node_stop lacks {key}"))
             };
-            let (fsyncs, messages, blocks) =
-                (count("wal_fsyncs"), count("messages"), count("blocks"));
+            let (fsyncs, messages, blocks) = (
+                count("done_wal_fsyncs"),
+                count("done_messages"),
+                count("done_blocks"),
+            );
             let per_block = |count: u64| count as f64 / blocks.max(1) as f64;
             let (fsync_ratio, message_ratio) = (per_block(fsyncs), per_block(messages));
             println!(
-                "drill: replica {id} per committed block: {fsync_ratio:.2} WAL fsyncs \
-                 (budget {FSYNCS_PER_BLOCK}), {message_ratio:.2} peer messages"
+                "drill: replica {id} per committed block over {blocks} blocks before the \
+                 linger: {fsync_ratio:.2} WAL fsyncs (budget {FSYNCS_PER_BLOCK}), \
+                 {message_ratio:.2} peer messages"
             );
             assert!(
                 fsync_ratio <= FSYNCS_PER_BLOCK,
@@ -376,10 +386,15 @@ fn drill(protocol: &str, n: usize, epochs: u64) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// 100 rounds: verdict 7 divides by the blocks committed before the
+/// linger, and the victim's restart costs a fixed handful of messages
+/// (block-sync requests, a timeout), which 12 rounds — all inside the
+/// 32-round burst, with the victim back for its last 3 to 5 — could not
+/// amortize.
 #[test]
 #[ignore = "real processes for up to 45 s; CI runs it with --ignored"]
 fn fbft_n4_recovers_from_kill_9() {
-    drill("fbft", 4, 12);
+    drill("fbft", 4, 100);
 }
 
 /// A second size, so the per-node thread budget (which must not grow
@@ -387,7 +402,7 @@ fn fbft_n4_recovers_from_kill_9() {
 #[test]
 #[ignore = "real processes for up to 45 s; CI runs it with --ignored"]
 fn fbft_n7_recovers_from_kill_9() {
-    drill("fbft", 7, 12);
+    drill("fbft", 7, 100);
 }
 
 /// 60 epochs: the client's two windows each wait for a block led by

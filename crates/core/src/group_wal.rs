@@ -185,10 +185,10 @@ pub struct GroupCommitWal {
 
 impl GroupCommitWal {
     /// Spawns the writer thread over `sink`. `wake` (if given) runs
-    /// after every watermark advance — transports hook their writer
-    /// notifier here so a completed fsync releases gated frames
-    /// (the socket transports' writer sleeps until signalled; it has no
-    /// retry tick for a closed gate).
+    /// after every watermark advance — transports hook their waker here
+    /// so a completed fsync releases gated frames (a socket transport's
+    /// poll sleeps until woken; it has no retry tick for a closed
+    /// gate).
     ///
     /// # Errors
     ///

@@ -740,7 +740,7 @@ impl WalStore {
     /// unsynced, then hands the file sink to a dedicated WAL-writer
     /// thread (see [`GroupCommitWal`](crate::group_wal::GroupCommitWal)).
     /// `wake` runs after every watermark advance — hook the transport's
-    /// writer notifier here so a completed fsync releases gated frames.
+    /// waker here so a completed fsync releases gated frames.
     ///
     /// # Errors
     ///

@@ -6,7 +6,7 @@
 //! the connection is — a [`ProtocolTag::Client`] hello makes it a client
 //! (whatever identity it claims), a hello in the replica protocol naming
 //! another member of the replica set makes it a peer, and anything else
-//! is a [`Violation`]. The socket core's I/O thread calls
+//! is a [`Violation`]. The socket core's polls call
 //! [`FrameDecoder::read_from`] — one `read` of whatever the socket has,
 //! fed into the connection's decoder — and gets back fully validated
 //! [`Delivery`]s, or [`Closed`], after which the connection must be

@@ -51,7 +51,6 @@
 #![deny(unsafe_code)]
 
 mod frame;
-mod inbox;
 pub mod node;
 mod outbox;
 #[allow(unsafe_code)] // the one `epoll(7)` dispatch; scripts/check_unsafe holds the line
@@ -93,7 +92,8 @@ pub trait Transport {
     /// With a `gate`, the frame may reach the wire only once the gate is
     /// open — the durability watermark covers the WAL records justifying
     /// the message. Socket transports enqueue at once and hold the frame
-    /// in their writer threads, so the caller never waits on an fsync;
+    /// on its ring until a poll finds the gate open, so the caller never
+    /// waits on an fsync;
     /// the simulator waits for the gate before sending, which costs no
     /// virtual time (its clock does not advance while the caller waits).
     /// Either way persist-before-send holds.
@@ -112,7 +112,9 @@ pub trait Transport {
     /// Waits until at least one delivery is available or `deadline` is
     /// reached, and returns everything deliverable at that point. The
     /// simulator *advances virtual time* (never past `deadline`); a socket
-    /// transport blocks on its inbound queue. May return early with
+    /// transport flushes what it queued, reads what is ready and, with
+    /// nothing to hand out, sleeps until a socket, the WAL's waker or the
+    /// deadline ends the wait. May return early with
     /// deliveries that arrived before `deadline`; returns empty once
     /// `deadline` has passed with nothing pending.
     fn poll_deliver(&mut self, deadline: SimTime) -> Vec<Delivery>;
@@ -319,7 +321,7 @@ pub struct NetworkStats {
     /// Messages the fault schedule dropped (partition cuts and lossy-link
     /// losses); always zero on a lossless network.
     pub dropped: u64,
-    /// Peer connections lost (reader EOF/error, writer failures). Always
+    /// Peer connections lost (a read's EOF or error, a failed write). Always
     /// zero on the simulator; socket transports count every drop so
     /// reconnection logic has an observable signal instead of a silent
     /// thread exit.
@@ -421,11 +423,12 @@ impl SimNetwork {
             self.now
         );
         self.now = until;
-        let mut due = Vec::new();
-        while self.queue.front().is_some_and(|e| e.deliver_at <= until) {
-            due.push(self.queue.pop_front().expect("checked front"));
-        }
-        due
+        let due = self
+            .queue
+            .iter()
+            .take_while(|e| e.deliver_at <= until)
+            .count();
+        self.queue.drain(..due).collect()
     }
 
     /// Number of messages still in flight.
@@ -508,6 +511,36 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `sock` until it holds one whole frame, polling `transport`
+    /// meanwhile: a socket transport writes only inside its polls.
+    pub(crate) fn read_frame(
+        transport: &mut impl Transport,
+        sock: &mut std::net::TcpStream,
+    ) -> Envelope {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        use std::io::Read;
+        use std::time::{Duration, Instant};
+        sock.set_read_timeout(Some(Duration::from_millis(5)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = Vec::new();
+        let mut tmp = [0u8; 1024];
+        loop {
+            transport.poll_clients();
+            match sock.read(&mut tmp) {
+                Ok(0) => panic!("gateway closed instead of acking"),
+                Ok(n) => buf.extend_from_slice(&tmp[..n]),
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                    assert!(Instant::now() < deadline, "a frame within 5 s");
+                }
+                Err(e) => panic!("reading the gateway: {e}"),
+            }
+            if let Some((env, _)) = Envelope::decode_frame(&buf).unwrap() {
+                return env;
+            }
+        }
+    }
 
     fn r(v: u16) -> ReplicaId {
         ReplicaId::new(v)

@@ -5,17 +5,17 @@
 //! for a real deployment where each replica is its own process that must
 //! survive peers being down, crashing, and coming back. A
 //! [`NodeTransport`] is one replica's endpoint on the same socket core
-//! ([`SocketTransport`]), on **three threads for any `n` and any number of
-//! clients**:
+//! ([`SocketTransport`]), on **one thread of its own for any `n` and any
+//! number of clients**:
 //!
-//! - the **I/O thread** serves this replica's one listener: the hello of
-//!   each accepted connection makes it a peer (a valid other replica id,
-//!   in this protocol) or a client (the gateway), or gets it hung up on;
-//! - the **writer** flushes every outbound ring — one per peer, one per
-//!   client — onto its non-blocking socket, holding gated frames until the
-//!   WAL's wake hook reports the watermark covering them;
-//! - the **dialer** connects each peer with capped exponential backoff,
-//!   and reconnects it whenever the writer reports the link dead. The
+//! - the run loop's polls serve this replica's one listener — the hello
+//!   of each accepted connection makes it a peer (a valid other replica
+//!   id, in this protocol) or a client (the gateway), or gets it hung up
+//!   on — and flush every outbound ring, one per peer and one per client,
+//!   onto its non-blocking socket, holding gated frames until the WAL's
+//!   wake hook reports the watermark covering them;
+//! - the **dialer** thread connects each peer with capped exponential
+//!   backoff, and reconnects it whenever a write finds the link dead. The
 //!   peer's ring keeps queuing meanwhile, and a frame torn by the loss
 //!   goes out whole on the next connection — so a peer's crash never
 //!   wedges the consensus loop, and its restart is picked up without any
@@ -68,7 +68,7 @@ impl NodeTransport {
     /// # Errors
     ///
     /// Returns any socket error raised while binding the listener or
-    /// spawning threads.
+    /// spawning the dialer.
     pub fn bind(
         id: ReplicaId,
         protocol: ProtocolTag,
@@ -90,7 +90,7 @@ impl NodeTransport {
     /// # Errors
     ///
     /// Returns any socket error raised while binding the listener or
-    /// spawning threads.
+    /// spawning the dialer.
     pub fn bind_observed(
         id: ReplicaId,
         protocol: ProtocolTag,
@@ -147,6 +147,7 @@ impl NodeTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::read_frame;
     use crate::{Delivery, Transport};
     use sft_types::{Envelope, SimDuration};
     use std::io::{Read, Write};
@@ -162,11 +163,29 @@ mod tests {
         holds.iter().map(|l| l.local_addr().unwrap()).collect()
     }
 
-    fn collect(node: &mut NodeTransport, want: usize, secs: u64) -> Vec<Delivery> {
-        let deadline = node.now() + SimDuration::from_secs(secs);
+    fn bind(id: u16, addrs: &[SocketAddr]) -> NodeTransport {
+        NodeTransport::bind(
+            ReplicaId::new(id),
+            ProtocolTag::Fbft,
+            addrs[id as usize],
+            addrs,
+        )
+        .unwrap()
+    }
+
+    /// Polls `node` until `want` peer frames arrived (or `secs` passed),
+    /// polling `sender` too: a transport writes only inside its polls.
+    fn collect(
+        node: &mut NodeTransport,
+        sender: &mut NodeTransport,
+        want: usize,
+        secs: u64,
+    ) -> Vec<Delivery> {
+        let deadline = Instant::now() + Duration::from_secs(secs);
         let mut got = Vec::new();
-        while got.len() < want && node.now() < deadline {
-            got.extend(node.poll_deliver(node.now() + SimDuration::from_millis(50)));
+        while got.len() < want && Instant::now() < deadline {
+            sender.poll_deliver(sender.now());
+            got.extend(node.poll_deliver(node.now() + SimDuration::from_millis(5)));
         }
         got
     }
@@ -174,14 +193,15 @@ mod tests {
     #[test]
     fn two_nodes_exchange_broadcasts() {
         let addrs = free_addrs(2);
-        let mut a =
-            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
-        let mut b =
-            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
+        let (mut a, mut b) = (bind(0, &addrs), bind(1, &addrs));
         a.broadcast(ReplicaId::new(0), vec![1, 2].into());
         b.broadcast(ReplicaId::new(1), vec![3].into());
-        let at_b = collect(&mut b, 1, 10);
-        let at_a = collect(&mut a, 1, 10);
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while (at_a.is_empty() || at_b.is_empty()) && Instant::now() < deadline {
+            at_a.extend(a.poll_deliver(a.now() + SimDuration::from_millis(5)));
+            at_b.extend(b.poll_deliver(b.now() + SimDuration::from_millis(5)));
+        }
         assert_eq!(at_b.len(), 1);
         assert_eq!(at_b[0].payload[..], [1, 2]);
         assert_eq!(at_a.len(), 1);
@@ -191,10 +211,7 @@ mod tests {
     #[test]
     fn client_hello_routes_to_the_gateway_not_the_engine_path() {
         let addrs = free_addrs(2);
-        let mut a =
-            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
-        let _b =
-            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
+        let (mut a, _b) = (bind(0, &addrs), bind(1, &addrs));
 
         let mut sock = TcpStream::connect(a.listen_addr()).unwrap();
         sock.set_nodelay(true).unwrap();
@@ -227,18 +244,7 @@ mod tests {
             .is_empty());
 
         a.send_client(got[0].conn, ReplicaId::new(0), vec![0xAC].into());
-        sock.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut buf = Vec::new();
-        let mut tmp = [0u8; 1024];
-        let env = loop {
-            let n = sock.read(&mut tmp).expect("ack within the timeout");
-            assert!(n > 0, "gateway closed instead of acking");
-            buf.extend_from_slice(&tmp[..n]);
-            if let Some((env, _)) = Envelope::decode_frame(&buf).unwrap() {
-                break env;
-            }
-        };
+        let env = read_frame(&mut a, &mut sock);
         assert_eq!(env.src, ReplicaId::new(0));
         assert_eq!(env.protocol, ProtocolTag::Client);
         assert_eq!(env.payload[..], [0xAC]);
@@ -248,6 +254,7 @@ mod tests {
         drop(sock);
         std::thread::sleep(Duration::from_millis(50));
         a.send_client(got[0].conn, ReplicaId::new(0), vec![1].into());
+        a.poll_clients();
         a.send_client(got[0].conn, ReplicaId::new(0), vec![2].into());
         a.send_client(999, ReplicaId::new(0), vec![3].into());
     }
@@ -255,24 +262,22 @@ mod tests {
     #[test]
     fn writer_reconnects_after_peer_restart_and_counts_the_loss() {
         let addrs = free_addrs(2);
-        let mut a =
-            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
+        let mut a = bind(0, &addrs);
         {
-            let mut b = NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs)
-                .unwrap();
+            let mut b = bind(1, &addrs);
             a.send(ReplicaId::new(0), ReplicaId::new(1), vec![1].into());
-            assert_eq!(collect(&mut b, 1, 10).len(), 1, "first incarnation hears");
+            let heard = collect(&mut b, &mut a, 1, 10);
+            assert_eq!(heard.len(), 1, "first incarnation hears");
         } // kill -9: b's process (and its listener) is gone
 
-        // Writes toward the dead peer fail; the writer starts re-dialing.
+        // Writes toward the dead peer fail; the dialer starts re-dialing.
         // Eventually the restarted incarnation must hear a later send.
-        let mut b2 =
-            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
+        let mut b2 = bind(1, &addrs);
         let deadline = Instant::now() + Duration::from_secs(20);
         let mut heard = Vec::new();
         while heard.is_empty() && Instant::now() < deadline {
             a.send(ReplicaId::new(0), ReplicaId::new(1), vec![7].into());
-            heard = collect(&mut b2, 1, 1);
+            heard = collect(&mut b2, &mut a, 1, 1);
         }
         assert_eq!(heard.len(), 1, "reconnection reaches the restarted peer");
         assert_eq!(heard[0].payload[..], [7]);
@@ -285,37 +290,38 @@ mod tests {
     #[test]
     fn a_frame_torn_by_a_lost_connection_arrives_whole_once_on_the_next() {
         let addrs = free_addrs(2);
-        let mut a =
-            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
+        let mut a = bind(0, &addrs);
         // Far beyond what loopback socket buffers hold, so the first
         // connection dies mid-frame.
         let big: Arc<[u8]> = (0..12 << 20).map(|i| (i % 251) as u8).collect();
         a.send(ReplicaId::new(0), ReplicaId::new(1), Arc::clone(&big));
-        {
-            // Replica 1's first incarnation takes the hello and the
-            // frame's first bytes, then dies with the rest unread.
-            let first = TcpListener::bind(addrs[1]).unwrap();
+        // Replica 1's first incarnation takes the hello and the frame's
+        // first bytes, then dies with the rest unread; `a` keeps polling
+        // meanwhile, as its run loop would.
+        let first = TcpListener::bind(addrs[1]).unwrap();
+        let victim = std::thread::spawn(move || {
             let (mut sock, _) = first.accept().unwrap();
             let mut head = vec![0u8; 64 * 1024];
             sock.read_exact(&mut head).unwrap();
+        });
+        while !victim.is_finished() {
+            a.poll_deliver(a.now() + SimDuration::from_millis(5));
         }
-        let mut b =
-            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
-        let got = collect(&mut b, 1, 20);
+        victim.join().unwrap();
+        let mut b = bind(1, &addrs);
+        let got = collect(&mut b, &mut a, 1, 20);
         assert_eq!(got.len(), 1, "the torn frame is redelivered");
         assert!(got[0].payload[..] == big[..], "whole, from its first byte");
-        assert!(collect(&mut b, 1, 1).is_empty(), "exactly once");
+        assert!(collect(&mut b, &mut a, 1, 1).is_empty(), "exactly once");
         assert!(a.stats().disconnects >= 1, "the lost link was counted");
     }
 
     #[test]
-    fn three_threads_for_any_replica_count_and_any_number_of_clients() {
+    fn one_thread_for_any_replica_count_and_any_number_of_clients() {
         for n in [4, 31] {
             let addrs = free_addrs(n);
-            let mut node =
-                NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs)
-                    .unwrap();
-            assert_eq!(node.thread_count(), 3, "n = {n}, no clients");
+            let mut node = bind(0, &addrs);
+            assert_eq!(node.thread_count(), 1, "n = {n}, no clients");
             let me = ReplicaId::new(0);
             let _clients: Vec<TcpStream> = (0..16u16)
                 .map(|c| {
@@ -340,17 +346,14 @@ mod tests {
                 served += node.poll_clients().len();
             }
             assert_eq!(served, 16, "n = {n}: every client is served");
-            assert_eq!(node.thread_count(), 3, "n = {n}, 16 clients");
+            assert_eq!(node.thread_count(), 1, "n = {n}, 16 clients");
         }
     }
 
     #[test]
     fn frames_to_a_peer_that_never_reads_are_counted_drops_not_waits() {
         let addrs = free_addrs(3);
-        let mut a =
-            NodeTransport::bind(ReplicaId::new(0), ProtocolTag::Fbft, addrs[0], &addrs).unwrap();
-        let mut b =
-            NodeTransport::bind(ReplicaId::new(1), ProtocolTag::Fbft, addrs[1], &addrs).unwrap();
+        let (mut a, mut b) = (bind(0, &addrs), bind(1, &addrs));
         // Replica 2 accepts and never reads a byte.
         let sink = TcpListener::bind(addrs[2]).unwrap();
         let (_held, _) = sink.accept().unwrap();
@@ -362,6 +365,9 @@ mod tests {
                 ReplicaId::new(2),
                 vec![i as u8; 4096].into(),
             );
+            if i % 256 == 0 {
+                a.poll_deliver(a.now());
+            }
         }
         assert!(
             sending.elapsed() < Duration::from_secs(5),
@@ -372,7 +378,7 @@ mod tests {
         assert!(dropped < frames as u64, "what fit is queued");
         // The healthy peer is served all the while.
         a.send(ReplicaId::new(0), ReplicaId::new(1), vec![7].into());
-        let got = collect(&mut b, 1, 10);
+        let got = collect(&mut b, &mut a, 1, 10);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload[..], [7]);
     }

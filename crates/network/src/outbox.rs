@@ -2,40 +2,29 @@
 //!
 //! Every outbound connection — a mesh link, a dialled peer, a client's
 //! ack stream — queues pre-framed buffers on an [`OutRing`]: a bounded
-//! `VecDeque` under a mutex, with a partial-write cursor so the core's
-//! *single* non-blocking writer thread can round-robin every connection
-//! and resume a half-written frame where it left off
-//! ([`OutRing::flush_nonblocking`]: every gate-open frame of a pass in one
-//! vectored write, until the socket would block). What a full ring means
-//! is the producer's choice:
+//! `VecDeque` with a partial-write cursor, owned by the run loop, which
+//! flushes it onto the non-blocking socket and resumes a half-written
+//! frame where it left off ([`OutRing::flush_nonblocking`]: every
+//! gate-open frame of a pass in one vectored write, until the socket would
+//! block). What a full ring means is the producer's choice:
 //!
-//! - [`OutRing::push_blocking_gated`] waits for space — the in-process
-//!   mesh's lossless backpressure;
-//! - [`OutRing::push_gated`] fails, and the caller counts a drop — a
-//!   remote peer that is down or hopelessly behind block-syncs what it
-//!   missed;
+//! - [`OutRing::push_gated`] fails, and the caller either makes room by
+//!   pumping its own sockets (the in-process mesh's lossless
+//!   backpressure) or counts a drop (a remote peer that is down or
+//!   hopelessly behind block-syncs what it missed);
 //! - [`OutRing::push_or_cut_off`] closes and empties the ring — a client
 //!   that stopped reading its acks is hung up on, never waited for.
 //!
 //! When a dialled connection dies mid-frame, [`OutRing::rewind`] moves the
 //! cursor back to the torn frame's first byte, so the next connection
 //! carries it whole.
-//!
-//! A [`Notifier`] is the writer thread's wake-up channel for work it is
-//! handed: enqueues of sendable frames and completed fsyncs signal it. A
-//! socket that pushed back announces its own room through the writer's
-//! readiness set, so the thread sleeps — not spins, and not on a timer —
-//! while nothing is writable.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use sft_types::SendGate;
-
-use crate::readiness::Waker;
 
 /// Per-connection ring depth. Deep enough that a burst of pipelined
 /// rounds never stalls the consensus loop; bounded so a dead peer or a
@@ -56,8 +45,8 @@ pub(crate) enum Flush {
     /// The socket would block with frames still queued; retry once it has
     /// room (kernel buffers drain without any enqueue to signal it).
     Blocked,
-    /// The front frame's durability gate is closed. Nothing to retry:
-    /// the WAL writer's wake hook signals the moment the watermark moves.
+    /// The front frame's durability gate is closed: retry once the WAL
+    /// writer's wake hook reports the watermark moved.
     Gated,
     /// Ring drained *and* closed: no frame will ever follow. The caller
     /// should shut the connection down and forget it.
@@ -76,150 +65,112 @@ struct QueuedFrame {
     gate: Option<SendGate>,
 }
 
-/// The guarded interior of an [`OutRing`].
-struct RingState {
+/// One connection's bounded outbound frame queue. See the
+/// [module docs](self).
+pub(crate) struct OutRing {
     queue: VecDeque<QueuedFrame>,
     /// Bytes of the front frame already written (the partial-write
     /// cursor of the non-blocking flush path).
     offset: usize,
-    /// No further frames will be accepted; the writer drains and stops.
+    /// No further frames will be accepted; the ring drains and stops.
     closed: bool,
     /// No write has moved bytes since the socket last refused one: the
-    /// next pass probes it with the front frame alone instead of
-    /// gathering a batch, so a peer that stopped reading costs each
-    /// retry one slice, not [`MAX_BATCH`].
+    /// socket's room is what the next flush waits for, and it probes with
+    /// the front frame alone instead of gathering a batch, so a peer that
+    /// stopped reading costs each retry one slice, not [`MAX_BATCH`].
     pushed_back: bool,
-    /// Producers asleep on `wake`: with none, a pop skips the notify — a
-    /// futex syscall whether or not anyone listens.
-    waiting: usize,
-}
-
-/// One connection's bounded outbound frame queue. See the
-/// [module docs](self).
-pub(crate) struct OutRing {
-    state: Mutex<RingState>,
-    /// Woken on pop and close while a blocking producer waits for space.
-    wake: Condvar,
 }
 
 impl OutRing {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(RingState {
-                queue: VecDeque::new(),
-                offset: 0,
-                closed: false,
-                pushed_back: false,
-                waiting: 0,
-            }),
-            wake: Condvar::new(),
-        })
-    }
-
-    /// Sleeps on `wake` until the next pop or close.
-    fn wait<'a>(&self, mut state: MutexGuard<'a, RingState>) -> MutexGuard<'a, RingState> {
-        state.waiting += 1;
-        let mut state = self.wake.wait(state).expect("ring lock");
-        state.waiting -= 1;
-        state
-    }
-
-    /// Wakes whoever sleeps in [`wait`](Self::wait), if anyone does.
-    fn notify(&self, state: &RingState) {
-        if state.waiting > 0 {
-            self.wake.notify_all();
+    pub(crate) fn new() -> Self {
+        Self {
+            queue: VecDeque::new(),
+            offset: 0,
+            closed: false,
+            pushed_back: false,
         }
     }
 
-    /// Enqueues without blocking. `false` — the caller counts a drop —
-    /// when the ring is closed or full. (The transports always go
-    /// through the gated variant; this shorthand serves the tests.)
+    /// Enqueues an ungated frame (the transports always go through the
+    /// gated variant; this shorthand serves the tests).
     #[cfg(test)]
-    pub(crate) fn push(&self, frame: Arc<[u8]>) -> bool {
+    pub(crate) fn push(&mut self, frame: Arc<[u8]>) -> bool {
         self.push_gated(frame, None)
     }
 
-    /// [`push`](Self::push) with an optional durability gate the
-    /// consumer must see open before writing the frame.
-    pub(crate) fn push_gated(&self, frame: Arc<[u8]>, gate: Option<SendGate>) -> bool {
-        let mut state = self.state.lock().expect("ring lock");
-        if state.closed || state.queue.len() >= RING_DEPTH {
+    /// Enqueues `frame` behind an optional durability gate the flush
+    /// must see open before writing it. `false` — the caller makes room
+    /// or counts a drop — when the ring is closed or full.
+    pub(crate) fn push_gated(&mut self, frame: Arc<[u8]>, gate: Option<SendGate>) -> bool {
+        if self.closed || self.is_full() {
             return false;
         }
-        state.queue.push_back(QueuedFrame { bytes: frame, gate });
+        self.queue.push_back(QueuedFrame { bytes: frame, gate });
         true
     }
 
-    /// Enqueues, waiting for space while the ring is full — the
-    /// backpressure of a producer that must not silently lose frames.
-    /// `false` only when the ring is (or gets) closed. (Transports go
-    /// through the gated variant; this shorthand serves the tests.)
-    #[cfg(test)]
-    pub(crate) fn push_blocking(&self, frame: Arc<[u8]>) -> bool {
-        self.push_blocking_gated(frame, None)
+    /// Whether the ring holds [`RING_DEPTH`] frames.
+    pub(crate) fn is_full(&self) -> bool {
+        self.queue.len() >= RING_DEPTH
     }
 
-    /// [`push_blocking`](Self::push_blocking) with an optional
-    /// durability gate. A full ring's frames may all wait on a gate no one
-    /// has asked to open yet — the run loop asks at the end of its
-    /// instant, and it is the caller blocked here — so the newest queued
-    /// gate is requested before sleeping: gates on one ring rise, so it
-    /// covers every frame ahead of it.
-    pub(crate) fn push_blocking_gated(&self, frame: Arc<[u8]>, gate: Option<SendGate>) -> bool {
-        let mut state = self.state.lock().expect("ring lock");
-        while !state.closed && state.queue.len() >= RING_DEPTH {
-            if let Some(queued) = state.queue.iter().rev().find_map(|f| f.gate.as_ref()) {
-                queued.request();
-            }
-            state = self.wait(state);
+    /// Whether the ring is closed: pushes fail, and it only drains.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Whether the socket refused the last write: its room, not another
+    /// enqueue, is what lets the next flush move bytes.
+    pub(crate) fn is_pushed_back(&self) -> bool {
+        self.pushed_back
+    }
+
+    /// Asks for the newest queued durability gate: gates on one ring
+    /// rise, so it covers every frame ahead of it. What a producer that
+    /// must wait for room does first — the frames in its way may all wait
+    /// on a gate no one has asked to open yet.
+    pub(crate) fn request_gates(&self) {
+        if let Some(gate) = self.queue.iter().rev().find_map(|f| f.gate.as_ref()) {
+            gate.request();
         }
-        if state.closed {
-            return false;
-        }
-        state.queue.push_back(QueuedFrame { bytes: frame, gate });
-        true
     }
 
     /// Enqueues an ungated frame for a reader that may have stopped
     /// reading, without ever waiting on it: a full ring is closed and
-    /// emptied instead, so the writer hangs the connection up on its next
-    /// pass. Returns how many frames will never be delivered — the caller
+    /// emptied instead, so the connection is hung up on at the next
+    /// flush. Returns how many frames will never be delivered — the caller
     /// counts them as drops: none when the frame was queued, it alone on
     /// a closed ring, and on a cut-off it plus everything still queued.
-    pub(crate) fn push_or_cut_off(&self, frame: Arc<[u8]>) -> u64 {
-        let mut state = self.state.lock().expect("ring lock");
-        if state.closed {
+    pub(crate) fn push_or_cut_off(&mut self, frame: Arc<[u8]>) -> u64 {
+        if self.closed {
             return 1;
         }
-        if state.queue.len() >= RING_DEPTH {
-            let lost = 1 + state.queue.len() as u64;
-            state.closed = true;
-            state.queue.clear();
-            state.offset = 0;
+        if self.is_full() {
+            let lost = 1 + self.queue.len() as u64;
+            self.closed = true;
+            self.queue.clear();
+            self.offset = 0;
             return lost;
         }
-        state.queue.push_back(QueuedFrame {
+        self.queue.push_back(QueuedFrame {
             bytes: frame,
             gate: None,
         });
         0
     }
 
-    /// Marks the ring closed: pushes fail from now on, and the writer
-    /// stops once the remaining frames are drained.
-    pub(crate) fn close(&self) {
-        let mut state = self.state.lock().expect("ring lock");
-        state.closed = true;
-        self.notify(&state);
+    /// Marks the ring closed: pushes fail from now on, and the flush
+    /// reports [`Flush::Done`] once the remaining frames are drained.
+    pub(crate) fn close(&mut self) {
+        self.closed = true;
     }
 
     /// Moves the partial-write cursor back to the front frame's first
     /// byte: the connection that carried its beginning is gone, and the
     /// next one must carry it whole.
-    pub(crate) fn rewind(&self) {
-        let mut state = self.state.lock().expect("ring lock");
-        state.offset = 0;
-        state.pushed_back = false;
+    pub(crate) fn rewind(&mut self) {
+        self.offset = 0;
+        self.pushed_back = false;
     }
 
     /// Writes queued frames onto a non-blocking `stream` until the ring
@@ -230,108 +181,57 @@ impl OutRing {
     /// `write_vectored` and resumes a half-written frame at its cursor. A
     /// gate is only consulted before its frame's first byte, which is
     /// sound because gates open monotonically. Returns how many writes
-    /// moved bytes and the [`Flush`] status. The lock is never held across
-    /// a write syscall.
-    pub(crate) fn flush_nonblocking(&self, stream: &mut TcpStream) -> (u64, Flush) {
+    /// moved bytes and the [`Flush`] status.
+    pub(crate) fn flush_nonblocking(&mut self, stream: &mut TcpStream) -> (u64, Flush) {
         let mut writes = 0;
-        let mut batch: Vec<Arc<[u8]>> = Vec::new();
         loop {
-            let offset = {
-                let mut state = self.state.lock().expect("ring lock");
-                batch.clear();
-                let limit = if state.pushed_back { 1 } else { MAX_BATCH };
-                for (i, frame) in state.queue.iter().take(limit).enumerate() {
-                    let mid_frame = i == 0 && state.offset > 0;
-                    if !mid_frame && frame.gate.as_ref().is_some_and(|gate| !gate.is_open()) {
-                        break;
-                    }
-                    batch.push(Arc::clone(&frame.bytes));
+            let limit = if self.pushed_back { 1 } else { MAX_BATCH };
+            let mut slices: Vec<IoSlice<'_>> = Vec::new();
+            for (i, frame) in self.queue.iter().take(limit).enumerate() {
+                let mid_frame = i == 0 && self.offset > 0;
+                if !mid_frame && frame.gate.as_ref().is_some_and(|gate| !gate.is_open()) {
+                    break;
                 }
-                if batch.is_empty() {
-                    let status = match state.queue.front() {
-                        Some(_) => Flush::Gated,
-                        None if state.closed => Flush::Done,
-                        None => Flush::Clean,
-                    };
-                    return (writes, status);
-                }
-                // Cleared below by a write that moves bytes.
-                state.pushed_back = true;
-                state.offset
-            };
-            let mut slices: Vec<IoSlice<'_>> = batch.iter().map(|f| IoSlice::new(f)).collect();
-            slices[0] = IoSlice::new(&batch[0][offset..]);
-            match stream.write_vectored(&slices) {
+                let skip = if i == 0 { self.offset } else { 0 };
+                slices.push(IoSlice::new(&frame.bytes[skip..]));
+            }
+            if slices.is_empty() {
+                let status = match self.queue.front() {
+                    Some(_) => Flush::Gated,
+                    None if self.closed => Flush::Done,
+                    None => Flush::Clean,
+                };
+                return (writes, status);
+            }
+            let batch = slices.len();
+            let wrote = stream.write_vectored(&slices);
+            drop(slices);
+            match wrote {
                 Ok(0) => return (writes, Flush::Dead),
                 Ok(written) => {
                     writes += 1;
-                    let mut state = self.state.lock().expect("ring lock");
-                    state.pushed_back = false;
+                    self.pushed_back = false;
                     // Frames the write covered whole are done; what is
                     // left of `written` is the cursor into the next one.
-                    let mut cursor = offset + written;
-                    for frame in &batch {
-                        if cursor < frame.len() {
+                    let mut cursor = self.offset + written;
+                    for _ in 0..batch {
+                        let len = self.queue.front().map_or(0, |frame| frame.bytes.len());
+                        if cursor < len {
                             break;
                         }
-                        cursor -= frame.len();
-                        state.queue.pop_front();
+                        cursor -= len;
+                        self.queue.pop_front();
                     }
-                    state.offset = cursor;
-                    self.notify(&state);
+                    self.offset = cursor;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (writes, Flush::Blocked),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.pushed_back = true;
+                    return (writes, Flush::Blocked);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return (writes, Flush::Dead),
             }
         }
-    }
-}
-
-/// The writer thread's wake-up line: a raised flag plus a [`Waker`] the
-/// writer's readiness set holds, so one wait covers both an enqueue and
-/// a socket that has room again. Producers [`signal`](Self::signal)
-/// after every enqueue; only the signal that raises the flag wakes, so
-/// the burst of enqueues behind one step costs one syscall, not one
-/// each. The writer [`take`](Self::take)s the signal before the pass that
-/// serves it.
-pub(crate) struct Notifier {
-    raised: AtomicBool,
-    waker: Waker,
-}
-
-impl Notifier {
-    /// A lowered notifier.
-    ///
-    /// # Errors
-    ///
-    /// The OS error when its waker cannot be made.
-    pub(crate) fn new() -> io::Result<Arc<Self>> {
-        Ok(Arc::new(Self {
-            raised: AtomicBool::new(false),
-            waker: Waker::new()?,
-        }))
-    }
-
-    /// What the writer's readiness set watches.
-    pub(crate) fn waker(&self) -> &Waker {
-        &self.waker
-    }
-
-    /// Raises the flag and, if it was down, wakes the writer. A flag
-    /// already up means the writer has been woken and has not taken the
-    /// signal yet: nothing more to say.
-    pub(crate) fn signal(&self) {
-        if !self.raised.swap(true, Ordering::SeqCst) {
-            self.waker.wake();
-        }
-    }
-
-    /// Lowers the flag; returns whether it was up. A signal after this
-    /// call wakes anew, and the pass that follows it sees every frame
-    /// whose signal found the flag up, so no enqueue is ever missed.
-    pub(crate) fn take(&self) -> bool {
-        self.raised.swap(false, Ordering::SeqCst)
     }
 }
 
@@ -340,7 +240,6 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
-    use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
     fn frame(byte: u8, len: usize) -> Arc<[u8]> {
@@ -358,19 +257,19 @@ mod tests {
 
     #[test]
     fn push_respects_depth_and_close() {
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         for _ in 0..RING_DEPTH {
             assert!(ring.push(frame(1, 4)));
         }
         assert!(!ring.push(frame(1, 4)), "full ring rejects");
         ring.close();
-        assert!(!ring.push_blocking(frame(1, 4)), "closed ring rejects");
+        assert!(!ring.push(frame(1, 4)), "closed ring rejects");
     }
 
     #[test]
     fn a_full_ring_cuts_its_reader_off_instead_of_waiting() {
         let (mut tx, _rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         for _ in 0..RING_DEPTH {
             assert_eq!(ring.push_or_cut_off(frame(1, 4)), 0);
         }
@@ -383,14 +282,14 @@ mod tests {
         assert_eq!(
             ring.flush_nonblocking(&mut tx),
             (0, Flush::Done),
-            "nothing queued is written: the writer just hangs up"
+            "nothing queued is written: the flush just hangs up"
         );
     }
 
     #[test]
     fn rewind_sends_a_torn_frame_whole_on_the_next_connection() {
         let (mut first, mut first_rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         // Distinct bytes, so a resend starting anywhere but byte 0 shows.
         let big: Arc<[u8]> = (0..16 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
         assert!(ring.push(Arc::clone(&big)));
@@ -417,7 +316,7 @@ mod tests {
         use sft_types::Watermark;
         let (mut tx, mut rx) = socket_pair();
         rx.set_nonblocking(true).unwrap();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         let wm = Watermark::new();
         assert!(ring.push(frame(1, 2)));
         assert!(ring.push_gated(frame(2, 2), Some(SendGate::new(wm.clone(), 3))));
@@ -456,7 +355,7 @@ mod tests {
     fn a_gate_mid_batch_ends_the_vectored_write_there() {
         use sft_types::Watermark;
         let (mut tx, mut rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         let wm = Watermark::new();
         wm.advance(1);
         // open, open (gate already covered), closed, open.
@@ -477,7 +376,7 @@ mod tests {
     #[test]
     fn many_small_frames_leave_in_one_write() {
         let (mut tx, mut rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         for i in 0..128u8 {
             assert!(ring.push(frame(i, 3)));
         }
@@ -492,7 +391,7 @@ mod tests {
     #[test]
     fn flush_drains_frames_onto_the_socket() {
         let (mut tx, mut rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         assert!(ring.push(frame(1, 3)));
         assert!(ring.push(frame(2, 2)));
         assert_eq!(ring.flush_nonblocking(&mut tx), (1, Flush::Clean));
@@ -504,7 +403,7 @@ mod tests {
     #[test]
     fn flush_resumes_a_partial_write_after_blocking() {
         let (mut tx, mut rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         // A frame far larger than loopback socket buffers: the first
         // flush must hit WouldBlock partway through.
         let big = frame(9, 32 * 1024 * 1024);
@@ -535,7 +434,7 @@ mod tests {
     #[test]
     fn flush_reports_done_when_closed_and_drained() {
         let (mut tx, _rx) = socket_pair();
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         assert!(ring.push(frame(4, 2)));
         ring.close();
         assert_eq!(
@@ -549,7 +448,7 @@ mod tests {
     fn flush_reports_dead_on_a_broken_socket() {
         let (mut tx, rx) = socket_pair();
         drop(rx);
-        let ring = OutRing::new();
+        let mut ring = OutRing::new();
         // Large enough to overrun the kernel buffer of a closed peer.
         assert!(ring.push(frame(1, 32 * 1024 * 1024)));
         // The first write may land in the kernel buffer; keep flushing
@@ -564,45 +463,5 @@ mod tests {
                 _ => std::thread::sleep(Duration::from_millis(1)),
             }
         }
-    }
-
-    #[test]
-    fn push_blocking_waits_for_space() {
-        let ring = OutRing::new();
-        for _ in 0..RING_DEPTH {
-            assert!(ring.push(frame(1, 1)));
-        }
-        let producer = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || ring.push_blocking(frame(2, 1)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        let (mut tx, _rx) = socket_pair();
-        ring.flush_nonblocking(&mut tx); // the writer frees the slots
-        assert!(producer.join().unwrap(), "blocked push lands after a pop");
-    }
-
-    #[test]
-    fn notifier_is_level_triggered() {
-        use crate::readiness::PollSet;
-        use std::os::fd::AsRawFd;
-        let notifier = Notifier::new().unwrap();
-        let mut set = PollSet::new().unwrap();
-        set.push_waker(notifier.waker()).unwrap();
-        notifier.signal();
-        notifier.signal();
-        // A signal before the wait is not lost.
-        set.wait().unwrap();
-        assert!(set.is_ready(0));
-        assert!(notifier.take(), "the flag was up");
-        assert!(!notifier.take(), "and is down once taken");
-        let (mut other_tx, other_rx) = UnixStream::pair().unwrap();
-        set.push(other_rx.as_raw_fd()).unwrap();
-        other_tx.write_all(&[1]).unwrap();
-        set.wait().unwrap();
-        assert!(!set.is_ready(0), "one signal burst, one wake-up");
-        notifier.signal();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "a signal after the take wakes anew");
     }
 }

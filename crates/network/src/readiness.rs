@@ -1,20 +1,26 @@
-//! Readiness: block until one of many sockets can be read (or written).
+//! Readiness: block until one of many sockets can be read (or written),
+//! or until a deadline, to the microsecond.
 //!
 //! std can wait on one socket (a blocking `read`) or on none (a
 //! non-blocking `read` that returns `WouldBlock`), but not on several —
 //! and a blocking reader per connection is the O(n²) thread model the
-//! mesh left behind. [`PollSet`] is the missing primitive: a
-//! level-triggered `epoll(7)` instance, so a descriptor is registered once
-//! and a wait costs what is ready, not what is watched. A [`Waker`] is
-//! the descriptor another thread makes ready to end a wait. The kernel is
-//! reached through the foreign declarations below (std already links
-//! libc, so this adds no dependency), every call through the one dispatch
-//! function [`sys`]. Its block is this crate's only `unsafe` and one of
-//! two in the workspace; `scripts/check_unsafe` keeps it that way.
+//! mesh left behind. [`PollSet`] is the missing primitive: an `epoll(7)`
+//! instance in which every descriptor is registered once under a token
+//! the caller picks, so a wait costs what is ready, not what is watched,
+//! and reports tokens, not positions. Its waits end at a deadline given
+//! in nanoseconds (`epoll_pwait2(2)`; kernels before 5.11 fall back to
+//! `epoll_wait(2)` rounded up to the next millisecond, never down). A
+//! [`Waker`] is the descriptor another thread makes ready to end a wait.
+//! The kernel is reached through the foreign declarations below (std
+//! already links libc, so this adds no dependency), every call through the
+//! one dispatch function [`sys`]. Its block is this crate's only `unsafe`
+//! and one of two in the workspace; `scripts/check_unsafe` keeps it that
+//! way.
 
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::{c_int, c_long, c_uint, c_void};
+use std::time::Duration;
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("sft-network waits on sockets with epoll(7), which only Linux provides");
@@ -26,8 +32,15 @@ compile_error!("sft-network waits on sockets with epoll(7), which only Linux pro
 #[derive(Clone, Copy)]
 struct EpollEvent {
     events: u32,
-    /// The watched descriptor's index in its [`PollSet`].
+    /// The watched descriptor's token.
     data: u64,
+}
+
+/// `struct timespec` of `<time.h>`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
 }
 
 /// `EPOLLIN`: data to read (or a pending accept, EOF, or error — the
@@ -42,7 +55,8 @@ const EFD_CLOEXEC: c_int = 0o2_000_000;
 const EFD_NONBLOCK: c_int = 0o4_000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
+/// `ENOSYS`: the kernel predates the call.
+const ENOSYS: i32 = 38;
 
 /// Most events one wait takes in. Level-triggered readiness left over
 /// is reported again by the next wait, so this bounds a buffer, not what
@@ -52,6 +66,13 @@ const MAX_EVENTS: usize = 256;
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -69,10 +90,19 @@ enum Call<'a> {
         fd: RawFd,
         event: EpollEvent,
     },
-    /// Blocks until `epfd` has a ready descriptor; fills `events`.
+    /// Blocks until `epfd` has a ready descriptor or `timeout` (none:
+    /// no limit) passes; fills `events`.
     Wait {
         epfd: RawFd,
         events: &'a mut [EpollEvent],
+        timeout: Option<Timespec>,
+    },
+    /// [`Call::Wait`] with a timeout in whole milliseconds (-1: none),
+    /// for kernels without `epoll_pwait2`.
+    WaitMs {
+        epfd: RawFd,
+        events: &'a mut [EpollEvent],
+        timeout_ms: c_int,
     },
     /// A new non-blocking, close-on-exec event counter at zero.
     EventFd,
@@ -85,16 +115,18 @@ enum Call<'a> {
 /// Makes `call`, returning its non-negative result or the OS error.
 fn sys(call: Call<'_>) -> io::Result<usize> {
     let one = 1u64.to_ne_bytes();
+    let max = |events: &[EpollEvent]| events.len().min(c_int::MAX as usize) as c_int;
     // SAFETY: each call passes the kernel only plain integers and
     // pointers to memory this function holds for the call's whole
     // duration: `Ctl` a pointer to its own `EpollEvent` (laid out as
-    // `struct epoll_event`, which the kernel only reads), `Wait` the
-    // buffer's pointer with its length (capped to `c_int`) as
-    // `maxevents`, so the kernel writes only inside the exclusively
-    // borrowed slice, and `Increment` the 8 bytes of `one`, which the
-    // kernel only reads. `Close` is only ever given a descriptor `Create`
-    // or `EventFd` returned, by the one `PollSet` or `Waker` that owns
-    // it, once, as that owner drops.
+    // `struct epoll_event`, which the kernel only reads), `Wait` and
+    // `WaitMs` the buffer's pointer with its length (capped to `c_int`)
+    // as `maxevents`, so the kernel writes only inside the exclusively
+    // borrowed slice — `Wait` also a pointer to its own `Timespec` or
+    // null, and a null signal mask, both only read — and `Increment` the
+    // 8 bytes of `one`, which the kernel only reads. `Close` is only ever
+    // given a descriptor `Create` or `EventFd` returned, by the one
+    // `PollSet` or `Waker` that owns it, once, as that owner drops.
     let ret = unsafe {
         match call {
             Call::Create => epoll_create1(EPOLL_CLOEXEC) as isize,
@@ -104,12 +136,24 @@ fn sys(call: Call<'_>) -> io::Result<usize> {
                 fd,
                 mut event,
             } => epoll_ctl(epfd, op, fd, &mut event) as isize,
-            Call::Wait { epfd, events } => epoll_wait(
+            Call::Wait {
+                epfd,
+                events,
+                timeout,
+            } => epoll_pwait2(
                 epfd,
                 events.as_mut_ptr(),
-                events.len().min(c_int::MAX as usize) as c_int,
-                -1,
+                max(events),
+                timeout
+                    .as_ref()
+                    .map_or(std::ptr::null(), |t| t as *const Timespec),
+                std::ptr::null(),
             ) as isize,
+            Call::WaitMs {
+                epfd,
+                events,
+                timeout_ms,
+            } => epoll_wait(epfd, events.as_mut_ptr(), max(events), timeout_ms) as isize,
             Call::EventFd => eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) as isize,
             Call::Increment(fd) => write(fd, one.as_ptr().cast(), one.len()),
             Call::Close(fd) => close(fd) as isize,
@@ -122,23 +166,12 @@ fn sys(call: Call<'_>) -> io::Result<usize> {
     }
 }
 
-/// A watched descriptor and what it is watched for.
-#[derive(Clone, Copy)]
-struct Watched {
-    fd: RawFd,
-    interest: u32,
-}
-
-/// The descriptors one thread waits on, in caller-chosen index order,
-/// each registered once with the kernel under its index. The caller
-/// keeps every descriptor open while it is in the set.
+/// The descriptors one thread waits on, each registered once with the
+/// kernel under a token its caller chose and reported by that token. The
+/// caller keeps every descriptor open while it is in the set, and
+/// [`remove`](Self::remove)s it before closing it.
 pub(crate) struct PollSet {
     epfd: RawFd,
-    watched: Vec<Watched>,
-    /// Per index, the number of the last wait that reported it.
-    ready_in: Vec<u64>,
-    /// Waits so far: the number the next one stamps is this plus one.
-    waits: u64,
     events: Vec<EpollEvent>,
 }
 
@@ -153,132 +186,110 @@ impl PollSet {
         let epfd = sys(Call::Create)? as RawFd;
         Ok(Self {
             epfd,
-            watched: Vec::new(),
-            ready_in: Vec::new(),
-            waits: 0,
             events: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
         })
     }
 
-    /// Adds `fd` at the next index, watched for readability.
+    /// Watches `fd` for readability, reported as `token` by every wait
+    /// while it has something to read (level-triggered).
     ///
     /// # Errors
     ///
     /// The OS error of the registration; `fd` is then not in the set.
-    pub(crate) fn push(&mut self, fd: RawFd) -> io::Result<()> {
-        self.add(Watched {
-            fd,
-            interest: EPOLLIN,
-        })
+    pub(crate) fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, token)
     }
 
-    /// Adds `waker` at the next index: reported by the first wait after
-    /// each [`wake`](Waker::wake), never read back (edge-triggered).
+    /// Watches `waker`, reported as `token` by the first wait after each
+    /// [`wake`](Waker::wake), never read back (edge-triggered).
     ///
     /// # Errors
     ///
     /// The OS error of the registration; `waker` is then not in the set.
-    pub(crate) fn push_waker(&mut self, waker: &Waker) -> io::Result<()> {
-        self.add(Watched {
-            fd: waker.fd,
-            interest: EPOLLIN | EPOLLET,
-        })
+    pub(crate) fn add_waker(&self, waker: &Waker, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, waker.fd, EPOLLIN | EPOLLET, token)
     }
 
-    /// Adds `fd` at the next index, watched for room to write
-    /// (edge-triggered): reported by the first wait after it joins, then
-    /// only when room returns. A TCP socket's room returns only after a
-    /// write that pushed back, so a socket that keeps up wakes no one.
+    /// Watches `fd` for room to write, reported as `token`
+    /// (edge-triggered): by the first wait after it joins, then only when
+    /// room returns. A TCP socket's room returns only after a write that
+    /// pushed back, so a socket that keeps up wakes no one.
     ///
     /// # Errors
     ///
     /// The OS error of the registration; `fd` is then not in the set.
-    pub(crate) fn push_writable(&mut self, fd: RawFd) -> io::Result<()> {
-        self.add(Watched {
-            fd,
-            interest: EPOLLOUT | EPOLLET,
-        })
+    pub(crate) fn add_writable(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, EPOLLOUT | EPOLLET, token)
     }
 
-    fn add(&mut self, watched: Watched) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, watched, self.watched.len())?;
-        self.watched.push(watched);
-        self.ready_in.push(0);
-        Ok(())
+    /// Stops watching `fd`. A descriptor shared by `dup` stays registered
+    /// until removed, even once this copy is closed, so every descriptor
+    /// leaves the set before it closes.
+    pub(crate) fn remove(&self, fd: RawFd) {
+        // Fails only for a descriptor that is not registered; the caller
+        // closes it next either way.
+        let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    fn ctl(&self, op: c_int, watched: Watched, index: usize) -> io::Result<usize> {
+    fn ctl(&self, op: c_int, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         sys(Call::Ctl {
             epfd: self.epfd,
             op,
-            fd: watched.fd,
+            fd,
             event: EpollEvent {
-                events: watched.interest,
-                data: index as u64,
+                events: interest,
+                data: token,
             },
         })
+        .map(drop)
     }
 
-    /// How many descriptors the set holds.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.watched.len()
-    }
-
-    /// Removes index `i`; the last descriptor takes its place (and keeps
-    /// the readiness [`wait`](Self::wait) reported for it), re-registered
-    /// under its new index.
+    /// Blocks until at least one descriptor is ready or `timeout` (none:
+    /// no limit; zero: a check that never sleeps) has passed, never less,
+    /// and replaces `ready` with the tokens reported — those readable,
+    /// writable again, hung up or failed: anything a `read` (or `write`)
+    /// would not block on.
     ///
     /// # Errors
     ///
-    /// The OS error of that re-registration. The moved descriptor is then
-    /// still at index `i` but would be reported under its old index,
-    /// which no longer exists: the caller removes it too.
-    pub(crate) fn swap_remove(&mut self, i: usize) -> io::Result<()> {
-        // Fails only for a descriptor that is not registered, and every
-        // one in `watched` is; the caller closes it next either way.
-        let _ = self.ctl(EPOLL_CTL_DEL, self.watched[i], i);
-        self.watched.swap_remove(i);
-        self.ready_in.swap_remove(i);
-        match self.watched.get(i) {
-            Some(&moved) => self.ctl(EPOLL_CTL_MOD, moved, i).map(drop),
-            None => Ok(()),
-        }
-    }
-
-    /// Blocks until at least one descriptor is ready.
-    ///
-    /// # Errors
-    ///
-    /// Returns the OS error when `epoll_wait` fails for any reason other
-    /// than an interrupting signal (which is retried).
-    pub(crate) fn wait(&mut self) -> io::Result<()> {
-        let ready = loop {
-            match sys(Call::Wait {
+    /// Returns the OS error when the wait fails for any reason other than
+    /// an interrupting signal (which is retried).
+    pub(crate) fn wait(
+        &mut self,
+        timeout: Option<Duration>,
+        ready: &mut Vec<u64>,
+    ) -> io::Result<()> {
+        ready.clear();
+        let timespec = || {
+            timeout.map(|t| Timespec {
+                tv_sec: t.as_secs().min(c_long::MAX as u64) as c_long,
+                tv_nsec: t.subsec_nanos() as c_long,
+            })
+        };
+        let reported = loop {
+            let waited = sys(Call::Wait {
                 epfd: self.epfd,
                 events: &mut self.events,
-            }) {
-                Ok(ready) => break ready,
+                timeout: timespec(),
+            });
+            let waited = match waited {
+                Err(err) if err.raw_os_error() == Some(ENOSYS) => sys(Call::WaitMs {
+                    epfd: self.epfd,
+                    events: &mut self.events,
+                    timeout_ms: timeout.map_or(-1, |t| {
+                        t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+                    }),
+                }),
+                waited => waited,
+            };
+            match waited {
+                Ok(reported) => break reported,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 Err(err) => return Err(err),
             }
         };
-        self.waits += 1;
-        for event in &self.events[..ready] {
-            let index = { event.data } as usize;
-            if let Some(stamp) = self.ready_in.get_mut(index) {
-                *stamp = self.waits;
-            }
-        }
+        ready.extend(self.events[..reported].iter().map(|event| event.data));
         Ok(())
-    }
-
-    /// Whether the last [`wait`](Self::wait) found index `i` ready for
-    /// what it is watched for, hung up, or failed — anything a `read` (or
-    /// `write`) would not block on. Indices pushed since that wait report
-    /// `false`.
-    pub(crate) fn is_ready(&self, i: usize) -> bool {
-        self.waits > 0 && self.ready_in[i] == self.waits
     }
 }
 
@@ -328,18 +339,31 @@ mod tests {
     use std::io::{Read, Write};
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    /// The tokens one wait of `set` reports, in ascending order.
+    fn wait(set: &mut PollSet, timeout: Option<Duration>) -> Vec<u64> {
+        let mut ready = Vec::new();
+        set.wait(timeout, &mut ready).unwrap();
+        ready.sort_unstable();
+        ready
+    }
+
+    /// A wait that reports nothing it was not asked for: 50 ms is far
+    /// longer than any readiness already there takes to show.
+    fn settle(set: &mut PollSet) -> Vec<u64> {
+        wait(set, Some(Duration::from_millis(50)))
+    }
 
     #[test]
     fn wait_reports_exactly_the_readable_descriptors() {
         let (mut a_tx, a_rx) = UnixStream::pair().unwrap();
         let (_b_tx, b_rx) = UnixStream::pair().unwrap();
         let mut set = PollSet::new().unwrap();
-        set.push(a_rx.as_raw_fd()).unwrap();
-        set.push(b_rx.as_raw_fd()).unwrap();
+        set.add(a_rx.as_raw_fd(), 10).unwrap();
+        set.add(b_rx.as_raw_fd(), 11).unwrap();
         a_tx.write_all(&[1]).unwrap();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "a byte is waiting");
-        assert!(!set.is_ready(1), "the quiet socket is not reported");
+        assert_eq!(wait(&mut set, None), [10], "only the socket with a byte");
     }
 
     #[test]
@@ -347,87 +371,56 @@ mod tests {
         let (mut tx, mut rx) = UnixStream::pair().unwrap();
         let (mut other_tx, other_rx) = UnixStream::pair().unwrap();
         let mut set = PollSet::new().unwrap();
-        set.push(rx.as_raw_fd()).unwrap();
-        set.push(other_rx.as_raw_fd()).unwrap();
+        set.add(rx.as_raw_fd(), 0).unwrap();
+        set.add(other_rx.as_raw_fd(), 1).unwrap();
         tx.write_all(&[1, 2]).unwrap();
-        set.wait().unwrap();
-        assert!(set.is_ready(0));
+        assert_eq!(wait(&mut set, None), [0]);
         // Nothing read: level-triggered, so the next wait says so again.
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "unread bytes are still ready");
+        assert_eq!(wait(&mut set, None), [0], "unread bytes are still ready");
         let mut byte = [0u8; 1];
         rx.read_exact(&mut byte).unwrap();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "one byte of two is still unread");
+        assert_eq!(wait(&mut set, None), [0], "one byte of two is still unread");
         rx.read_exact(&mut byte).unwrap();
         other_tx.write_all(&[3]).unwrap();
-        set.wait().unwrap();
-        assert!(!set.is_ready(0), "drained: no longer reported");
-        assert!(set.is_ready(1));
-    }
-
-    #[test]
-    fn after_swap_remove_the_moved_descriptor_answers_at_its_new_index() {
-        let (_a_tx, a_rx) = UnixStream::pair().unwrap();
-        let (_b_tx, b_rx) = UnixStream::pair().unwrap();
-        let (mut c_tx, c_rx) = UnixStream::pair().unwrap();
-        let mut set = PollSet::new().unwrap();
-        for rx in [&a_rx, &b_rx, &c_rx] {
-            set.push(rx.as_raw_fd()).unwrap();
-        }
-        set.swap_remove(0).unwrap(); // c moves from index 2 to 0
-        assert_eq!(set.len(), 2);
-        c_tx.write_all(&[1]).unwrap();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "c is reported under its new index");
-        assert!(!set.is_ready(1));
+        assert_eq!(wait(&mut set, None), [1], "drained: no longer reported");
     }
 
     #[test]
     fn a_removed_descriptor_is_never_reported() {
         let (mut a_tx, a_rx) = UnixStream::pair().unwrap();
-        let (mut b_tx, b_rx) = UnixStream::pair().unwrap();
-        let (_c_tx, c_rx) = UnixStream::pair().unwrap();
+        let (b_tx, b_rx) = UnixStream::pair().unwrap();
         let mut set = PollSet::new().unwrap();
-        for rx in [&a_rx, &b_rx, &c_rx] {
-            set.push(rx.as_raw_fd()).unwrap();
-        }
+        set.add(a_rx.as_raw_fd(), 0).unwrap();
+        set.add(b_rx.as_raw_fd(), 1).unwrap();
         a_tx.write_all(&[1]).unwrap(); // ready, and never read
-        set.swap_remove(0).unwrap(); // c moves to 0
-        set.swap_remove(1).unwrap(); // b goes too
-        assert_eq!(set.len(), 1);
-        b_tx.write_all(&[1]).unwrap();
-        // Only the removed descriptors have anything to say; a wait that
-        // reported them would return at once. Give the only watched one
-        // a byte from another thread after a pause instead.
-        let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
-        set.push(wake_rx.as_raw_fd()).unwrap();
-        let late = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            wake_tx.write_all(&[1]).unwrap();
-            wake_tx
-        });
-        set.wait().unwrap();
-        assert!(!set.is_ready(0), "c is quiet");
-        assert!(set.is_ready(1), "the wait ended on the late byte");
-        drop(late.join().unwrap());
+        drop(b_tx); // hung up: ready too
+        assert_eq!(wait(&mut set, None), [0, 1], "a hung-up peer is ready");
+        set.remove(a_rx.as_raw_fd());
+        set.remove(b_rx.as_raw_fd());
+        assert!(settle(&mut set).is_empty(), "neither is watched any more");
+        // A copy made by `dup` is a registration of its own.
+        let copy = a_rx.try_clone().unwrap();
+        set.add(copy.as_raw_fd(), 2).unwrap();
+        assert_eq!(wait(&mut set, None), [2]);
     }
 
+    /// The set once kept descriptors by index and moved the last one into
+    /// a removed slot; tokens replaced that, so the check is now that a
+    /// removal leaves every other descriptor reporting under its own token.
     #[test]
     fn a_hung_up_peer_is_ready_and_swap_remove_keeps_indices_aligned() {
         let (a_tx, a_rx) = UnixStream::pair().unwrap();
         let (_b_tx, b_rx) = UnixStream::pair().unwrap();
         let (c_tx, c_rx) = UnixStream::pair().unwrap();
         let mut set = PollSet::new().unwrap();
-        for rx in [&a_rx, &b_rx, &c_rx] {
-            set.push(rx.as_raw_fd()).unwrap();
+        for (token, rx) in [&a_rx, &b_rx, &c_rx].into_iter().enumerate() {
+            set.add(rx.as_raw_fd(), token as u64).unwrap();
         }
         drop(a_tx);
         drop(c_tx);
-        set.wait().unwrap();
-        assert!(set.is_ready(0) && !set.is_ready(1) && set.is_ready(2));
-        set.swap_remove(0).unwrap(); // c takes a's place, readiness and all
-        assert!(set.is_ready(0) && !set.is_ready(1));
+        assert_eq!(wait(&mut set, None), [0, 2], "hung-up peers are ready");
+        set.remove(a_rx.as_raw_fd());
+        assert_eq!(wait(&mut set, None), [2], "c keeps its token, readiness and all");
     }
 
     #[test]
@@ -436,17 +429,12 @@ mod tests {
             (0..500).map(|_| UnixStream::pair().unwrap()).collect();
         let (mut busy_tx, busy_rx) = UnixStream::pair().unwrap();
         let mut set = PollSet::new().unwrap();
-        for (_, rx) in &idle[..250] {
-            set.push(rx.as_raw_fd()).unwrap();
+        for (token, (_, rx)) in idle.iter().enumerate() {
+            set.add(rx.as_raw_fd(), token as u64).unwrap();
         }
-        set.push(busy_rx.as_raw_fd()).unwrap();
-        for (_, rx) in &idle[250..] {
-            set.push(rx.as_raw_fd()).unwrap();
-        }
+        set.add(busy_rx.as_raw_fd(), 1000).unwrap();
         busy_tx.write_all(&[1]).unwrap();
-        set.wait().unwrap();
-        let ready: Vec<usize> = (0..set.len()).filter(|&i| set.is_ready(i)).collect();
-        assert_eq!(ready, [250]);
+        assert_eq!(wait(&mut set, None), [1000]);
     }
 
     #[test]
@@ -454,41 +442,33 @@ mod tests {
         let waker = Waker::new().unwrap();
         let (mut tx, mut rx) = UnixStream::pair().unwrap();
         let mut set = PollSet::new().unwrap();
-        set.push_waker(&waker).unwrap();
-        set.push(rx.as_raw_fd()).unwrap();
+        set.add_waker(&waker, 0).unwrap();
+        set.add(rx.as_raw_fd(), 1).unwrap();
         waker.wake();
         waker.wake();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "woken");
+        assert_eq!(wait(&mut set, None), [0], "woken");
         tx.write_all(&[1]).unwrap();
-        set.wait().unwrap();
-        assert!(!set.is_ready(0), "two wakes before a wait are one report");
-        assert!(set.is_ready(1));
+        assert_eq!(
+            wait(&mut set, None),
+            [1],
+            "two wakes before a wait are one report"
+        );
         rx.read_exact(&mut [0u8; 1]).unwrap();
-        waker.wake();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "a wake after the wait is reported anew");
-        assert!(!set.is_ready(1));
-    }
-
-    /// Waits on `set` with one more descriptor, given a byte 50 ms from
-    /// now so that a wait with nothing else to report still returns.
-    /// Returns whether that byte was reported; the descriptor is gone
-    /// again, and the other indices keep what the wait found.
-    fn wait_with_a_late_byte(set: &mut PollSet) -> bool {
-        let (mut late_tx, late_rx) = UnixStream::pair().unwrap();
-        set.push(late_rx.as_raw_fd()).unwrap();
-        let writer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            late_tx.write_all(&[1]).unwrap();
-            late_tx
+        // Another thread's wake ends a wait with no deadline.
+        let waker = std::sync::Arc::new(waker);
+        let late = std::thread::spawn({
+            let waker = std::sync::Arc::clone(&waker);
+            move || {
+                std::thread::sleep(Duration::from_millis(20));
+                waker.wake();
+            }
         });
-        set.wait().unwrap();
-        drop(writer.join().unwrap());
-        let late = set.len() - 1;
-        let reported = set.is_ready(late);
-        set.swap_remove(late).unwrap();
-        reported
+        assert_eq!(
+            wait(&mut set, None),
+            [0],
+            "a wake after the wait is reported anew"
+        );
+        late.join().unwrap();
     }
 
     #[test]
@@ -498,24 +478,45 @@ mod tests {
         let (mut rx, _) = listener.accept().unwrap();
         tx.set_nonblocking(true).unwrap();
         let mut set = PollSet::new().unwrap();
-        set.push_writable(tx.as_raw_fd()).unwrap();
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "an empty send buffer has room");
-        assert!(wait_with_a_late_byte(&mut set));
-        assert!(!set.is_ready(0), "reported once, not while room lasts");
+        set.add_writable(tx.as_raw_fd(), 7).unwrap();
+        assert_eq!(wait(&mut set, None), [7], "an empty send buffer has room");
+        assert!(
+            settle(&mut set).is_empty(),
+            "reported once, not while room lasts"
+        );
         let chunk = [0u8; 4096];
         let mut sent = 0;
         while let Ok(wrote) = (&tx).write(&chunk) {
             sent += wrote;
         }
-        assert!(wait_with_a_late_byte(&mut set));
-        assert!(!set.is_ready(0), "a full send buffer has no room");
+        assert!(
+            settle(&mut set).is_empty(),
+            "a full send buffer has no room"
+        );
         let mut buf = vec![0u8; 1 << 16];
         let mut read = 0;
         while read < sent {
             read += rx.read(&mut buf).unwrap();
         }
-        set.wait().unwrap();
-        assert!(set.is_ready(0), "room returned after the push back");
+        assert_eq!(
+            wait(&mut set, None),
+            [7],
+            "room returned after the push back"
+        );
+    }
+
+    #[test]
+    fn a_timed_wait_with_nothing_ready_ends_at_its_deadline_never_before() {
+        let mut set = PollSet::new().unwrap();
+        let (_tx, rx) = UnixStream::pair().unwrap();
+        set.add(rx.as_raw_fd(), 0).unwrap();
+        assert!(wait(&mut set, Some(Duration::ZERO)).is_empty(), "a check");
+        for micros in [300, 2_300] {
+            let timeout = Duration::from_micros(micros);
+            let started = Instant::now();
+            assert!(wait(&mut set, Some(timeout)).is_empty());
+            let waited = started.elapsed();
+            assert!(waited >= timeout, "{waited:?} is short of {timeout:?}");
+        }
     }
 }

@@ -2,21 +2,22 @@
 //! mesh of `n` replica endpoints in one process, speaking length-prefixed
 //! [`Envelope`](crate::Envelope) frames.
 //!
-//! Hand-rolled on `std::net` + threads — there is no registry access,
-//! hence no async runtime, and none is needed: the FeBFT shape (typed
-//! envelopes consumed from an executor-agnostic transport) works just as
-//! well over two threads that sleep in `epoll(7)` until a socket has work
-//! for them.
+//! Hand-rolled on `std::net` — there is no registry access, hence no
+//! async runtime, and none is needed: the FeBFT shape (typed envelopes
+//! consumed from an executor-agnostic transport) works just as well over
+//! a run loop whose polls do the socket I/O and sleep in `epoll(7)` until
+//! a socket has work for them.
 //!
 //! A [`TcpCluster`] connects the full mesh over `127.0.0.1` ephemeral
 //! ports at construction: one TCP connection per ordered pair
-//! `(i → j)` — 14 520 at n = 121 — on the socket core's **two threads
-//! for any n** (one I/O thread, one writer; see [`SocketTransport`]). A
-//! broadcast enqueues one shared pre-framed buffer on `n − 1` rings, and
-//! a full peer ring blocks the sender: the mesh is lossless, with
-//! bounded memory. The listeners stay open as the replicas' gateways, for
-//! clients (and for any peer that reconnects): the first frame of an
-//! accepted connection says which it is.
+//! `(i → j)` — 14 520 at n = 121 — on **no thread of its own for any n**:
+//! the socket core ([`SocketTransport`]) writes, reads and waits inside
+//! the caller's polls. A broadcast enqueues one shared pre-framed buffer
+//! on `n − 1` rings, and a sender that finds a peer ring full pumps the
+//! mesh's sockets until it has room: the mesh is lossless, with bounded
+//! memory. The listeners stay open as the replicas' gateways, for clients
+//! (and for any peer that reconnects): the first frame of an accepted
+//! connection says which it is.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -75,7 +76,7 @@ impl TcpCluster {
             .collect::<io::Result<_>>()?;
         // Connect the mesh: for each ordered pair (from → to), `from`
         // dials `to`'s listener, hello first. Accepting inline (rather
-        // than on the I/O thread) keeps construction deterministic and
+        // than in a later poll) keeps construction deterministic and
         // turns connection failures into immediate errors.
         let mut wiring = Wiring::new(n, protocol, true);
         let ids = || (0..n as u16).map(ReplicaId::new);
@@ -101,8 +102,8 @@ impl TcpCluster {
     }
 
     /// Severs the `from → to` connection — what the receiving endpoint
-    /// observes when the sender's process dies. The writer drains any
-    /// queued frames, shuts the socket down, the I/O thread reads the
+    /// observes when the sender's process dies. The next poll drains any
+    /// queued frames and shuts the socket down, and a later one reads the
     /// EOF and counts a disconnect in
     /// [`Transport::stats`](crate::Transport::stats); later sends on the
     /// severed link count as drops.
@@ -114,6 +115,7 @@ impl TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::read_frame;
     use crate::{ClientDelivery, Delivery, NetworkStats, Transport};
     use sft_types::{Envelope, SimDuration};
     use std::io::{Read, Write};
@@ -184,10 +186,10 @@ mod tests {
         let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
         assert_eq!(cluster.stats().disconnects, 0);
         cluster.sever(ReplicaId::new(0), ReplicaId::new(1));
-        // The reader notices the EOF asynchronously; wait for the count.
+        // A poll shuts the socket down, and a later one reads the EOF.
         let deadline = Instant::now() + Duration::from_secs(5);
         while cluster.stats().disconnects == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+            cluster.poll_deliver(cluster.now() + SimDuration::from_millis(5));
         }
         assert_eq!(
             cluster.stats().disconnects,
@@ -245,17 +247,7 @@ mod tests {
         assert_eq!(got[0].payload[..], request[..]);
 
         cluster.send_client(got[0].conn, replica, vec![0x5e].into());
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut buf = Vec::new();
-        let mut tmp = [0u8; 1024];
-        let env = loop {
-            let n = sock.read(&mut tmp).expect("ack within the timeout");
-            assert!(n > 0, "gateway closed instead of acking");
-            buf.extend_from_slice(&tmp[..n]);
-            if let Some((env, _)) = Envelope::decode_frame(&buf).unwrap() {
-                break env;
-            }
-        };
+        let env = read_frame(&mut cluster, &mut sock);
         assert_eq!(env.src, replica);
         assert_eq!(env.protocol, ProtocolTag::Client);
         assert_eq!(
@@ -324,22 +316,33 @@ mod tests {
         let conn = poll_clients_until(&mut cluster, 5)[0].conn;
 
         // The client is not reading. Acking it never waits on it: the
-        // run loop gets through every ack at once.
+        // run loop gets through every ack at once, polling as it goes.
         let acking = Instant::now();
         for i in 0..ACKS {
             let mut ack = vec![0u8; ACK_LEN];
             ack[..4].copy_from_slice(&i.to_be_bytes());
             cluster.send_client(conn, replica, ack.into());
+            if i % 100 == 0 {
+                cluster.poll_clients();
+            }
         }
         assert!(acking.elapsed() < Duration::from_secs(5), "acks waited");
         let dropped = cluster.stats().dropped;
         assert!(dropped > 0, "a full ring is a counted drop");
 
-        // Reading at last: whole acks in send order, then the hang-up.
+        // Reading at last: whole acks in send order, then the hang-up,
+        // which the cluster's polls carry out.
         sock.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let mut bytes = Vec::new();
-        let _ = sock.read_to_end(&mut bytes); // EOF, or reset
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            let _ = sock.read_to_end(&mut bytes); // EOF, or reset
+            bytes
+        });
+        while !reader.is_finished() {
+            cluster.poll_deliver(cluster.now() + SimDuration::from_millis(5));
+        }
+        let bytes = reader.join().unwrap();
         let mut used = 0;
         let mut next = 0u32;
         while let Ok(Some((env, len))) = Envelope::decode_frame(&bytes[used..]) {
@@ -358,8 +361,8 @@ mod tests {
     #[test]
     fn frames_larger_than_socket_buffers_arrive_whole() {
         // A payload far beyond the loopback kernel buffer forces the
-        // writer through its partial-write path (WouldBlock mid-frame,
-        // cursor resume on a later pass).
+        // flush through its partial-write path (WouldBlock mid-frame,
+        // cursor resume once the reading side made room).
         let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
         let payload: Arc<[u8]> = vec![0x5a; 8 * 1024 * 1024].into();
         cluster.send(ReplicaId::new(1), ReplicaId::new(0), Arc::clone(&payload));

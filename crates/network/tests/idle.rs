@@ -1,9 +1,9 @@
 //! What the readiness-driven socket core promises beyond delivering
-//! frames: a quiet cluster costs nothing, a blocked run loop wakes on a
-//! client, teardown never waits on a socket — and a set of standalone
-//! nodes on the same core is just as quiet, even with a frame held behind
-//! a closed durability gate. One test, in a process of its own, because
-//! it measures the whole process's CPU.
+//! frames: a quiet cluster costs nothing, a run loop blocked in a poll
+//! wakes on a client, teardown never waits on a socket — and a set of
+//! standalone nodes on the same core is just as quiet, even with a frame
+//! held behind a closed durability gate. One test, in a process of its
+//! own, because it measures the whole process's CPU.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,7 +46,8 @@ fn request(sock: &mut TcpStream, replica: ReplicaId, id: u16, payload: Vec<u8>) 
     sock.write_all(&frame).unwrap();
 }
 
-/// Reader wake-ups counted into `registry` so far.
+/// Poll wake-ups (waits that returned readiness) counted into
+/// `registry` so far.
 fn wakeups(registry: &Registry) -> u64 {
     registry
         .snapshot()
@@ -56,22 +57,28 @@ fn wakeups(registry: &Registry) -> u64 {
 
 /// Holds both idle bounds over a 500 ms quiet window: at most one 10 ms
 /// CPU tick (sleep-polling readers spent ≈ 25 ms here; nothing runs now,
-/// so the honest expectation is 0) and at most 4 reader wake-ups.
+/// so the honest expectation is 0) and at most 4 wake-ups.
 fn assert_idle(registry: &Registry, what: &str) {
     let (cpu_before, woken_before) = (process_cpu_ms(), wakeups(registry));
     std::thread::sleep(Duration::from_millis(500));
     let cpu = process_cpu_ms() - cpu_before;
     assert!(cpu <= 10, "{what} burned {cpu} ms of CPU in 500 ms");
     let woken = wakeups(registry) - woken_before;
-    assert!(woken <= 4, "{what}: I/O threads woke {woken} times");
+    assert!(woken <= 4, "{what}: the transports woke {woken} times");
 }
 
-/// Polls `node` until `want` peer frames arrived (or 10 s passed).
-fn collect(node: &mut NodeTransport, want: usize) -> Vec<sft_network::Delivery> {
+/// Polls every node until node `i` has `want[i]` peer frames (or 10 s
+/// passed), and returns how many each got: a node sends only inside its
+/// polls.
+fn collect_all(nodes: &mut [NodeTransport], want: &[usize]) -> Vec<usize> {
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut got = Vec::new();
-    while got.len() < want && Instant::now() < deadline {
-        got.extend(node.poll_deliver(node.now() + SimDuration::from_millis(50)));
+    let mut got = vec![0; nodes.len()];
+    while got.iter().zip(want).any(|(got, want)| got < want) && Instant::now() < deadline {
+        for (node, count) in nodes.iter_mut().zip(&mut got) {
+            *count += node
+                .poll_deliver(node.now() + SimDuration::from_millis(2))
+                .len();
+        }
     }
     got
 }
@@ -79,7 +86,7 @@ fn collect(node: &mut NodeTransport, want: usize) -> Vec<sft_network::Delivery> 
 #[test]
 fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
     let mut cluster = TcpCluster::loopback(10, ProtocolTag::Fbft).unwrap();
-    assert_eq!(cluster.thread_count(), 2, "one writer, one I/O thread");
+    assert_eq!(cluster.thread_count(), 0, "the caller's polls do the I/O");
     let registry = Arc::new(Registry::new());
     cluster.set_recorder(registry.clone());
 
@@ -118,12 +125,12 @@ fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
     cluster.sever(ReplicaId::new(0), ReplicaId::new(1));
     let deadline = Instant::now() + Duration::from_secs(5);
     while cluster.stats().disconnects == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
+        cluster.poll_deliver(cluster.now() + SimDuration::from_millis(2));
     }
-    std::thread::sleep(Duration::from_millis(50));
+    cluster.poll_deliver(cluster.now() + SimDuration::from_millis(50));
     assert_eq!(cluster.stats().disconnects, 1);
 
-    // --- drop joins both threads, whatever the clients are doing ---
+    // --- drop never waits, whatever the clients are doing ---
     // One client mid-conversation, one that never reads with far more
     // acks queued than its socket will take.
     cluster.send_client(got[0].conn, replica, vec![0xAC].into());
@@ -170,19 +177,16 @@ fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
             .unwrap()
         })
         .collect();
-    assert!(nodes.iter().all(|node| node.thread_count() == 3));
+    assert!(nodes.iter().all(|node| node.thread_count() == 1));
     // Connected: every node has heard from every other.
     for node in &mut nodes {
         node.broadcast(node.id(), vec![0x11].into());
     }
-    for node in &mut nodes {
-        assert_eq!(
-            collect(node, 3).len(),
-            3,
-            "node {} heard everyone",
-            node.id()
-        );
-    }
+    assert_eq!(
+        collect_all(&mut nodes, &[3; 4]),
+        [3; 4],
+        "every node heard everyone"
+    );
     // A frame held behind a durability gate no fsync has opened yet.
     let durable = Watermark::new();
     let gate = SendGate::new(durable.clone(), 1);
@@ -192,14 +196,18 @@ fn a_quiet_cluster_sleeps_a_blocked_one_wakes_and_a_dropped_one_lets_go() {
         vec![0x6a].into(),
         Some(gate),
     );
+    let now = nodes[0].now();
+    nodes[0].poll_deliver(now);
     assert_idle(&registry, "four idle nodes with a gated frame");
     let now = nodes[1].now();
-    let early = nodes[1].poll_deliver(now);
+    let early = nodes[1].poll_deliver(now + SimDuration::from_millis(20));
     assert!(early.is_empty(), "not one frame past a closed gate");
     // The fsync completes and the WAL's wake hook fires: the frame leaves.
     durable.advance(1);
-    (nodes[0].writer_wake_hook())();
-    let got = collect(&mut nodes[1], 1);
-    assert_eq!(got.len(), 1, "the gate's opening released the frame");
-    assert_eq!(got[0].payload[..], [0x6a]);
+    (nodes[0].wake_hook())();
+    assert_eq!(
+        collect_all(&mut nodes[..2], &[0, 1]),
+        [0, 1],
+        "the gate's opening released the frame"
+    );
 }

@@ -1,7 +1,8 @@
-//! Scale stress for the loopback TCP mesh: the readiness-driven thread
-//! model must hold its two-thread budget and lose nothing under an
-//! all-to-all broadcast storm at n = 31 (f = 10, the first of the
-//! paper's large sweep sizes).
+//! Scale stress for the loopback TCP mesh: the socket core, which runs
+//! on its caller's thread, must start no thread of its own and lose
+//! nothing under an all-to-all broadcast storm at n = 31 (f = 10, the
+//! first of the paper's large sweep sizes) — a storm that fills rings,
+//! so each full one is drained by the sender pumping the mesh inline.
 
 use std::sync::Arc;
 
@@ -9,20 +10,20 @@ use sft_network::{ProtocolTag, TcpCluster, Transport};
 use sft_types::{ReplicaId, SimDuration};
 
 #[test]
-fn n31_broadcast_storm_loses_nothing_on_two_threads() {
+fn n31_broadcast_storm_loses_nothing_on_no_threads() {
     const N: usize = 31;
     const ROUNDS: usize = 8;
 
     let mut cluster = TcpCluster::loopback(N, ProtocolTag::Streamlet).unwrap();
 
-    // One writer and one I/O thread for all 930 connections, not a
-    // thread per endpoint (33) or per direction (~1.9k). Counted from
-    // the handles the cluster itself holds, so tests running beside this
-    // one (each with a mesh of its own) cannot move it.
-    assert_eq!(cluster.thread_count(), 2);
+    // No thread for all 930 connections, not a thread per endpoint (33)
+    // or per direction (~1.9k). Counted from the handles the cluster
+    // itself holds, so tests running beside this one (each with a mesh of
+    // its own) cannot move it.
+    assert_eq!(cluster.thread_count(), 0);
 
     // Every replica broadcasts every round: n × rounds × (n − 1)
-    // deliveries in flight through one writer thread and one reader.
+    // deliveries in flight, written and read by this thread alone.
     let mut expected = 0usize;
     for round in 0..ROUNDS {
         for from in 0..N as u16 {
@@ -49,9 +50,9 @@ fn n31_broadcast_storm_loses_nothing_on_two_threads() {
 }
 
 /// The full pipelined runtime at n = 31 — mesh and one group-commit WAL
-/// writer per replica — still holds an O(n) thread budget: 2 for the mesh
-/// whatever its size and n WAL writers. Nothing in the pipeline spawns
-/// per-message or per-connection threads.
+/// writer per replica — still holds an O(n) thread budget: none for the
+/// mesh whatever its size and n WAL writers. Nothing in the pipeline
+/// spawns per-message or per-connection threads.
 #[test]
 fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
     use sft_core::{DurableWal, GroupCommitWal, MemSink};
@@ -69,11 +70,11 @@ fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
     // Each component reports the threads it owns.
     let spawned =
         cluster.thread_count() + wals.iter().map(GroupCommitWal::thread_count).sum::<usize>();
-    let budget = 2 + N;
+    let budget = N;
     assert!(
         spawned <= budget,
         "pipelined runtime spawned {spawned} threads; budget is \
-         2 mesh + n wal writers = {budget}"
+         n wal writers = {budget}"
     );
 
     // The writers are healthy, not just counted: a synced append on each
@@ -98,10 +99,11 @@ fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
     drop(cluster);
 }
 
-/// The lossless mesh blocks a sender on a full ring. When every frame in
-/// it waits on a durability gate nobody has requested yet — the run loop
-/// requests at the end of its instant, and it is the sender blocked here
-/// — the blocked push must ask for the gate itself, or the run deadlocks.
+/// The lossless mesh holds a sender on a full ring while it pumps the
+/// mesh for room. When every frame in it waits on a durability gate
+/// nobody has requested yet — the run loop requests at the end of its
+/// instant, and it is the sender held here — the pump must ask for the
+/// gate itself, or the run deadlocks.
 #[test]
 fn a_ring_full_of_frames_behind_an_unrequested_gate_still_drains() {
     use sft_core::{Block, DurableWal, GroupCommitWal, MemSink, WalRecord};
@@ -110,12 +112,8 @@ fn a_ring_full_of_frames_behind_an_unrequested_gate_still_drains() {
     const FRAMES: usize = 3000; // well past one ring's depth
 
     let mut cluster = TcpCluster::loopback(2, ProtocolTag::Fbft).unwrap();
-    let mut wal = GroupCommitWal::spawn(
-        MemSink::new(),
-        sft_obs::noop(),
-        Some(cluster.writer_wake_hook()),
-    )
-    .unwrap();
+    let mut wal =
+        GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), Some(cluster.wake_hook())).unwrap();
     let seq = wal
         .append(&WalRecord::BlockCommitted(Block::genesis()))
         .unwrap();
@@ -125,7 +123,7 @@ fn a_ring_full_of_frames_behind_an_unrequested_gate_still_drains() {
         let payload: Arc<[u8]> = (i as u32).to_be_bytes().to_vec().into();
         cluster.send_to(from, sft_types::Dest::Peer(to), payload, Some(gate));
     }
-    assert!(wal.watermark().covers(seq), "the blocked push asked for it");
+    assert!(wal.watermark().covers(seq), "the held sender asked for it");
 
     let mut got = Vec::new();
     let deadline = cluster.now() + SimDuration::from_secs(10);

@@ -207,15 +207,15 @@ pub mod names {
     /// Total framed bytes enqueued toward peers.
     pub const NET_FRAME_BYTES: &str = "net_frame_bytes";
 
-    /// Times the socket core's I/O thread (`TcpCluster` /
-    /// `NodeTransport`) returned from `epoll_wait` with at least one
-    /// socket ready.
+    /// Times a socket transport's poll (`TcpCluster` / `NodeTransport`)
+    /// returned from its `epoll(7)` wait with at least one descriptor
+    /// ready.
     pub const NET_READER_WAKEUPS: &str = "net_reader_wakeups";
-    /// `read` calls the socket core's I/O thread issued (one per ready
+    /// `read` calls a socket transport's polls issued (one per ready
     /// socket, more only while reads keep filling the 64 KiB buffer).
     pub const NET_READ_SYSCALLS: &str = "net_read_syscalls";
-    /// Vectored writes of the socket core's writer thread that moved
-    /// bytes (one carries every gate-open frame queued on a connection).
+    /// Vectored writes of a socket transport's flushes that moved bytes
+    /// (one carries every gate-open frame queued on a connection).
     pub const NET_WRITE_SYSCALLS: &str = "net_write_syscalls";
 
     // ---- real-socket transport health ----
@@ -247,7 +247,9 @@ pub mod names {
     pub const EV_STRENGTH: &str = "strength";
     /// A node finished and flushed its state (fields: `round`, and
     /// `wal_fsyncs`, `messages` and `blocks` — fsyncs issued, peer
-    /// messages sent and blocks committed by this incarnation).
+    /// messages sent and blocks committed by this incarnation — and
+    /// `done_wal_fsyncs`, `done_messages` and `done_blocks`, the same
+    /// counts when its stop rule first held, before it lingered).
     pub const EV_NODE_STOP: &str = "node_stop";
 }
 

@@ -413,20 +413,30 @@ impl SimConfig {
     /// The lossy-link preset: drop each message with probability
     /// `drop_probability` until GST at half the nominal run length
     /// (`epochs × δ`), reliable delivery after — the scenario every
-    /// Byzantine behavior is re-run under in CI.
-    pub fn with_lossy_links(self, seed: u64, drop_probability: f64) -> Self {
+    /// Byzantine behavior is re-run under in CI. Layers onto the schedule
+    /// already set: a partition stays in force.
+    pub fn with_lossy_links(mut self, seed: u64, drop_probability: f64) -> Self {
         let gst = SimTime::ZERO + self.delay * self.epochs;
-        self.with_faults(FaultSchedule::lossy(seed, drop_probability, gst))
+        let partition = self.faults.take().and_then(|faults| faults.partition);
+        self.with_faults(FaultSchedule {
+            partition,
+            ..FaultSchedule::lossy(seed, drop_probability, gst)
+        })
     }
 
     /// The partition preset: replica `n − 1` is cut off from everyone else
     /// until half the nominal run length (`epochs × δ`), then the cut
     /// heals — the scenario the block-sync acceptance criterion measures
-    /// (the isolated replica must recover the committed prefix).
-    pub fn with_partitioned_straggler(self) -> Self {
+    /// (the isolated replica must recover the committed prefix). Layers
+    /// onto the schedule already set: its loss stays in force.
+    pub fn with_partitioned_straggler(mut self) -> Self {
         let straggler = ReplicaId::new((self.n - 1) as u16);
         let heal_at = SimTime::ZERO + self.delay * self.epochs;
-        self.with_faults(FaultSchedule::partition(vec![straggler], heal_at))
+        let faults = match self.faults.take() {
+            Some(faults) => faults.with_partition(vec![straggler], heal_at),
+            None => FaultSchedule::partition(vec![straggler], heal_at),
+        };
+        self.with_faults(faults)
     }
 
     /// The simulated network of this configuration: delay δ, the fault
@@ -692,9 +702,9 @@ static TCP_WAL_RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 
 /// Builds the file-backed per-replica durable logs for a TCP run (and the
 /// scratch directory root to remove afterwards), or `(None, None)` under
-/// [`DurabilityMode::InMemory`]. Each log gets the cluster's writer wake
-/// hook: a completed fsync releases the frames it gates through that
-/// signal alone (the writer does not poll a closed gate).
+/// [`DurabilityMode::InMemory`]. Each log gets the cluster's wake hook:
+/// a completed fsync releases the frames it gates through that signal
+/// alone (a poll asleep in its wait does not look at a closed gate).
 fn tcp_wals(
     config: &SimConfig,
     cluster: &TcpCluster,
@@ -711,7 +721,7 @@ fn tcp_wals(
         std::fs::create_dir_all(&dir)?;
         let recorder = recorder.map_or_else(sft_obs::noop, Arc::clone);
         let wal = sft_core::WalStore::open(&dir, 1)
-            .and_then(|store| store.into_group_commit(recorder, Some(cluster.writer_wake_hook())))
+            .and_then(|store| store.into_group_commit(recorder, Some(cluster.wake_hook())))
             .map_err(wal_io_error)?;
         wals.push(Box::new(wal));
     }
@@ -928,6 +938,38 @@ mod tests {
         assert_eq!(a.chains, b.chains);
         assert_eq!(a.commit_logs, b.commit_logs);
         assert_eq!(a.net, b.net);
+    }
+
+    #[test]
+    fn lossy_and_partition_presets_compose_in_either_order() {
+        let base = SimConfig::new(4, 12);
+        let heal_at = SimTime::ZERO + base.delay * base.epochs;
+        let want =
+            FaultSchedule::lossy(5, 0.1, heal_at).with_partition(vec![ReplicaId::new(3)], heal_at);
+        let loss_first = base
+            .clone()
+            .with_lossy_links(5, 0.1)
+            .with_partitioned_straggler();
+        let partition_first = base
+            .clone()
+            .with_partitioned_straggler()
+            .with_lossy_links(5, 0.1);
+        assert_eq!(loss_first.faults.as_ref(), Some(&want));
+        assert_eq!(partition_first.faults.as_ref(), Some(&want));
+        // Both are in force on the network each builds: before GST and
+        // the heal, some frames between connected replicas are lost, and
+        // every one to the straggler is.
+        for config in [loss_first, partition_first] {
+            let mut net = config.sim_transport();
+            let payload: Arc<[u8]> = vec![7].into();
+            for _ in 0..200 {
+                net.send(ReplicaId::new(0), ReplicaId::new(1), Arc::clone(&payload));
+            }
+            let lost = net.stats().dropped;
+            assert!(lost > 0 && lost < 200, "{lost} of 200 lost to a 10 % loss");
+            net.send(ReplicaId::new(0), ReplicaId::new(3), payload);
+            assert_eq!(net.stats().dropped, lost + 1, "the straggler is cut off");
+        }
     }
 
     #[test]

@@ -234,6 +234,14 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
         &self.engines[i]
     }
 
+    /// Fsyncs the hosted replicas' logs have issued so far (0 without
+    /// logs).
+    pub fn wal_fsyncs(&self) -> u64 {
+        self.wals
+            .as_ref()
+            .map_or(0, |wals| wals.iter().map(|w| w.fsyncs()).sum())
+    }
+
     /// Starts mirroring every persisted record into an in-memory log per
     /// replica, readable through [`persisted`](Self::persisted) — what the
     /// crash-restart tests replay into a replacement engine. Call before
@@ -809,10 +817,7 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
         for engine in &self.engines {
             sig_stats.merge(engine.sig_stats());
         }
-        let wal_fsyncs = self
-            .wals
-            .as_ref()
-            .map_or(0, |wals| wals.iter().map(|w| w.fsyncs()).sum());
+        let wal_fsyncs = self.wal_fsyncs();
         if self.recorder.enabled() {
             let residents: Vec<_> = kernels().map(ChainKernel::resident).collect();
             let gauge = |pick: fn(&sft_core::ResidentState) -> u64| {

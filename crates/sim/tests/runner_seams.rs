@@ -34,7 +34,7 @@ struct Frame {
 }
 
 /// A [`SimTransport`] that records every send and transmits only what a
-/// socket transport's writer would: a gated frame leaves once its gate
+/// socket transport's flush would: a gated frame leaves once its gate
 /// opens, and never if the log behind it crashed first.
 struct Wire {
     inner: SimTransport,

@@ -43,8 +43,8 @@ fn tcp_matches_sim(protocol: Protocol) {
         .check_prefix_parity(&sim_report, &tcp_report)
         .unwrap_or_else(|e| panic!("{protocol:?}: {e}"));
 
-    // A recorded run can say what the socket core cost per block: the
-    // I/O thread reads only sockets `poll` reported, and a vectored
+    // A recorded run can say what the socket core cost per block: a
+    // poll reads only sockets its wait reported, and a vectored
     // write never takes more syscalls than it carries frames.
     let count = |name| tcp_report.metrics.counter(name).unwrap_or(0);
     let (wakeups, reads) = (
@@ -79,7 +79,7 @@ fn wide_mesh_pacing(n: usize) -> TcpPacing {
 }
 
 /// The same parity claim at the first large sweep size. n = 31 means
-/// 930 live connections through one writer thread and one I/O thread —
+/// 930 live connections through the run loop's own polls —
 /// the scale the readiness-driven mesh exists for. Epochs are few:
 /// the point is that a wide mesh agrees with the simulator, not a long
 /// chain — but it must commit, or parity holds vacuously.
@@ -249,7 +249,7 @@ fn group_commit_over_tcp_fsyncs_about_once_per_replica_per_block() {
     let cluster = TcpCluster::loopback(N, ProtocolTag::Fbft).expect("loopback mesh");
     let wals: Vec<Box<dyn DurableWal>> = (0..N)
         .map(|_| {
-            let wake = Some(cluster.writer_wake_hook());
+            let wake = Some(cluster.wake_hook());
             Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), wake).unwrap())
                 as Box<dyn DurableWal>
         })

@@ -8,7 +8,7 @@
 //!
 //! - the WAL-writer thread [`advance`](Watermark::advance)s it after
 //!   every fsync;
-//! - transport writer threads hold an outbound frame until the
+//! - socket transports hold an outbound frame on its ring until the
 //!   watermark [`covers`](Watermark::covers) the frame's
 //!   [`SendGate`] — persist-before-send becomes watermark-before-flush,
 //!   so the consensus loop never blocks on an fsync;

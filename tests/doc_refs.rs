@@ -464,8 +464,8 @@ fn the_checker_catches_a_moved_function_and_a_missing_file() {
     let doc = dir.join("DOC.md");
     fs::write(
         &doc,
-        "| row | `crates/network/src/tcp.rs` (`flush_loop` writer), \
-         `crates/network/src/socket.rs` (`flush_loop`, `io_loop`), \
+        "| row | `crates/network/src/tcp.rs` (`make_room` pump), \
+         `crates/network/src/socket.rs` (`make_room`, `adopt_dialled`), \
          `crates/network/src/gone.rs`, `FrameDecoder::read_from` in \
          `crates/network/src/frame.rs` |\n",
     )
@@ -473,7 +473,7 @@ fn the_checker_catches_a_moved_function_and_a_missing_file() {
     let problems = check_document(root, doc.to_str().expect("utf-8 path"));
     let _ = fs::remove_dir_all(&dir);
     assert_eq!(problems.len(), 2, "{problems:#?}");
-    assert!(problems[0].ends_with("`flush_loop` is not defined in `crates/network/src/tcp.rs`"));
+    assert!(problems[0].ends_with("`make_room` is not defined in `crates/network/src/tcp.rs`"));
     assert!(problems[1].ends_with("`crates/network/src/gone.rs` does not exist"));
 }
 
@@ -485,7 +485,7 @@ fn the_checker_reads_short_crate_paths_and_skips_patterns() {
     let doc = dir.join("DOC.md");
     fs::write(
         &doc,
-        "- `network/src/frame.rs` (`FrameDecoder`, `flush_loop`), \
+        "- `network/src/frame.rs` (`FrameDecoder`, `make_room`), \
          `network/tests/gone.rs`, `crates/*/src`, `sim/src/…`, \
          `benchmark/src/cluster.rs`\n",
     )
@@ -493,6 +493,6 @@ fn the_checker_reads_short_crate_paths_and_skips_patterns() {
     let problems = check_document(root, doc.to_str().expect("utf-8 path"));
     let _ = fs::remove_dir_all(&dir);
     assert_eq!(problems.len(), 2, "{problems:#?}");
-    assert!(problems[0].ends_with("`flush_loop` is not defined in `crates/network/src/frame.rs`"));
+    assert!(problems[0].ends_with("`make_room` is not defined in `crates/network/src/frame.rs`"));
     assert!(problems[1].ends_with("`crates/network/tests/gone.rs` does not exist"));
 }
