@@ -262,7 +262,7 @@ fn serve<E: ReplicaEngine>(mut engine: E, opts: &NodeOpts) -> Result<NodeOutcome
         },
     );
     runner.set_recorder(Arc::clone(&recorder));
-    runner.set_wals(vec![Box::new(wal)]);
+    runner.set_wals(vec![wal]);
 
     let wal_err = |e: sft_core::WalError| format!("wal: {e}");
     let mut done_at: Option<SimTime> = None;

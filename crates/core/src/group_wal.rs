@@ -71,27 +71,6 @@ pub trait DurableWal: Send {
     /// behind it) has failed.
     fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError>;
 
-    /// Appends one record as [`append`](Self::append) does, and also says
-    /// where its frame lands in the log when the log can be read back
-    /// through [`reader`](Self::reader) (`None` otherwise, the default).
-    ///
-    /// # Errors
-    ///
-    /// As [`append`](Self::append).
-    fn append_spanned(
-        &mut self,
-        record: &WalRecord,
-    ) -> Result<(PersistSeq, Option<WalSpan>), WalError> {
-        Ok((self.append(record)?, None))
-    }
-
-    /// A reader over this log's bytes, for the spans
-    /// [`append_spanned`](Self::append_spanned) reports; `None` (the
-    /// default) when the log cannot be read back.
-    fn reader(&self) -> Option<WalReader> {
-        None
-    }
-
     /// A handle to this log's durability watermark.
     fn watermark(&self) -> Watermark;
 
@@ -257,14 +236,15 @@ impl GroupCommitWal {
             let _ = writer.join();
         }
     }
-}
 
-impl DurableWal for GroupCommitWal {
-    fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError> {
-        self.append_spanned(record).map(|(seq, _)| seq)
-    }
-
-    fn append_spanned(
+    /// Appends one record as [`append`](DurableWal::append) does, and
+    /// also says where its frame lands in the log when the log can be read
+    /// back through [`reader`](Self::reader) (`None` otherwise).
+    ///
+    /// # Errors
+    ///
+    /// As [`append`](DurableWal::append).
+    pub fn append_spanned(
         &mut self,
         record: &WalRecord,
     ) -> Result<(PersistSeq, Option<WalSpan>), WalError> {
@@ -297,8 +277,17 @@ impl DurableWal for GroupCommitWal {
         Ok((seq, span))
     }
 
-    fn reader(&self) -> Option<WalReader> {
+    /// A reader over this log's bytes, for the spans
+    /// [`append_spanned`](Self::append_spanned) reports; `None` when the
+    /// sink cannot be read back.
+    pub fn reader(&self) -> Option<WalReader> {
         self.reader.as_ref().map(|(reader, _)| reader.clone())
+    }
+}
+
+impl DurableWal for GroupCommitWal {
+    fn append(&mut self, record: &WalRecord) -> Result<PersistSeq, WalError> {
+        self.append_spanned(record).map(|(seq, _)| seq)
     }
 
     fn watermark(&self) -> Watermark {

@@ -133,6 +133,6 @@ pub use qc::{QuorumCertificate, VoteOutcome, VoteTracker};
 pub use sync::{BlockResponse, SyncConfig, SyncManager, SyncStats};
 pub use timeout::{TimeoutAggregator, TimeoutOutcome};
 pub use wal::{
-    scan_wal, FileSink, FrameError, MemSink, Wal, WalError, WalReader, WalRecord, WalScan, WalSink,
+    scan_wal, FileSink, FrameError, MemSink, WalError, WalReader, WalRecord, WalScan, WalSink,
     WalSpan, WalStore, WAL_FILE_NAME,
 };

@@ -59,13 +59,15 @@
 //!
 //! ## Durability knob
 //!
-//! [`Wal`] batches fsyncs: `sync_every = 1` syncs after every append (a
-//! record is durable before the message it shadows is sent), larger values
-//! amortize the fsync over a batch at the cost of a wider window of
-//! recent records a crash may lose. Losing *recent* records is safe —
-//! a lost `VoteSent` means the replica forgets a vote it made, which can
-//! only make it vote the same way again, never differently — the log's
-//! safety property is that it never *invents* records.
+//! [`WalStore`] batches fsyncs: `sync_every = 1` syncs after every append
+//! (a record is durable before the message it shadows is sent), larger
+//! values amortize the fsync over a batch at the cost of a wider window of
+//! recent records a crash may lose. A replica's run appends through the
+//! group-commit log the store becomes, which syncs on demand instead.
+//! Losing *recent* records is safe — a lost `VoteSent` means the replica
+//! forgets a vote it made, which can only make it vote the same way
+//! again, never differently — the log's safety property is that it never
+//! *invents* records.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -484,15 +486,13 @@ fn lock(bytes: &Mutex<Vec<u8>>) -> MutexGuard<'_, Vec<u8>> {
     bytes.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// An in-memory sink: the log image is a shared `Vec<u8>`. Used by the
-/// in-process crash/restart tests, which "reboot" a replica by scanning
-/// the bytes this sink accumulated, and by simulated group-commit runs,
-/// whose replicas read spilled blocks back from it. Clones share the
-/// image.
+/// An in-memory sink: the log image is a shared `Vec<u8>`. Simulated
+/// group-commit runs write their replicas' logs here and read spilled
+/// blocks back from it, and the in-process crash/restart tests "reboot"
+/// a replica by scanning the bytes its log wrote. Clones share the image.
 #[derive(Clone, Debug, Default)]
 pub struct MemSink {
     bytes: Arc<Mutex<Vec<u8>>>,
-    syncs: u64,
 }
 
 impl MemSink {
@@ -505,12 +505,6 @@ impl MemSink {
     pub fn bytes(&self) -> Vec<u8> {
         lock(&self.bytes).clone()
     }
-
-    /// How many times [`WalSink::sync`] was called — what the fsync
-    /// batching tests assert on.
-    pub fn syncs(&self) -> u64 {
-        self.syncs
-    }
 }
 
 impl WalSink for MemSink {
@@ -520,7 +514,6 @@ impl WalSink for MemSink {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.syncs += 1;
         Ok(())
     }
 
@@ -563,75 +556,6 @@ impl WalSink for FileSink {
     }
 }
 
-/// The append path: frames records into a [`WalSink`] with batched
-/// fsyncs. `sync_every = 1` makes every record durable before the caller
-/// proceeds; `k > 1` amortizes one sync over `k` appends.
-#[derive(Debug)]
-pub struct Wal<S: WalSink> {
-    sink: S,
-    sync_every: u64,
-    unsynced: u64,
-    appended: u64,
-}
-
-impl<S: WalSink> Wal<S> {
-    /// Wraps `sink`, syncing after every `sync_every` appends (clamped to
-    /// at least 1).
-    pub fn new(sink: S, sync_every: u64) -> Self {
-        Self {
-            sink,
-            sync_every: sync_every.max(1),
-            unsynced: 0,
-            appended: 0,
-        }
-    }
-
-    /// Appends one record, syncing if the batch is full.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink failures as [`WalError::Io`].
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        let frame = record.to_frame();
-        self.sink.append(&frame)?;
-        self.appended += 1;
-        self.unsynced += 1;
-        if self.unsynced >= self.sync_every {
-            self.sink.sync()?;
-            self.unsynced = 0;
-        }
-        Ok(())
-    }
-
-    /// Forces a sync of any unsynced appends.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink failures as [`WalError::Io`].
-    pub fn flush(&mut self) -> Result<(), WalError> {
-        if self.unsynced > 0 {
-            self.sink.sync()?;
-            self.unsynced = 0;
-        }
-        Ok(())
-    }
-
-    /// Total records appended since construction.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// The underlying sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Consumes the log, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-}
-
 /// File name of the log inside a node's data directory.
 pub const WAL_FILE_NAME: &str = "wal.log";
 
@@ -646,7 +570,13 @@ pub const WAL_FILE_NAME: &str = "wal.log";
 #[derive(Debug)]
 pub struct WalStore {
     path: PathBuf,
-    wal: Wal<FileSink>,
+    sink: FileSink,
+    /// Appends per sync (at least 1), appends since the last sync,
+    /// appends since open, and syncs since open.
+    sync_every: u64,
+    unsynced: u64,
+    appended: u64,
+    syncs: u64,
     recovered: Vec<WalRecord>,
     tail_truncated: bool,
 }
@@ -680,7 +610,11 @@ impl WalStore {
         file.seek(SeekFrom::Start(scanned.valid_len as u64))?;
         Ok(Self {
             path,
-            wal: Wal::new(FileSink::new(file), sync_every),
+            sink: FileSink::new(file),
+            sync_every: sync_every.max(1),
+            unsynced: 0,
+            appended: 0,
+            syncs: 0,
             recovered: scanned.records,
             tail_truncated,
         })
@@ -719,7 +653,13 @@ impl WalStore {
     ///
     /// Propagates [`WalError::Io`] from the file.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        self.wal.append(record)
+        self.sink.append(&record.to_frame())?;
+        self.appended += 1;
+        self.unsynced += 1;
+        if self.unsynced >= self.sync_every {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Forces any batched appends to disk.
@@ -728,12 +668,22 @@ impl WalStore {
     ///
     /// Propagates [`WalError::Io`] from the file.
     pub fn flush(&mut self) -> Result<(), WalError> {
-        self.wal.flush()
+        if self.unsynced > 0 {
+            self.sink.sync()?;
+            self.unsynced = 0;
+            self.syncs += 1;
+        }
+        Ok(())
     }
 
     /// Records appended since open (recovered records not included).
     pub fn appended(&self) -> u64 {
-        self.wal.appended()
+        self.appended
+    }
+
+    /// Syncs of appended records since open.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Upgrades this store into a group-commit log: flushes anything
@@ -751,8 +701,7 @@ impl WalStore {
         wake: Option<Box<dyn Fn() + Send + Sync>>,
     ) -> Result<crate::group_wal::GroupCommitWal, WalError> {
         self.flush()?;
-        crate::group_wal::GroupCommitWal::spawn(self.wal.into_sink(), recorder, wake)
-            .map_err(WalError::Io)
+        crate::group_wal::GroupCommitWal::spawn(self.sink, recorder, wake).map_err(WalError::Io)
     }
 }
 
@@ -923,28 +872,36 @@ mod tests {
         ));
     }
 
+    /// A store opened on a fresh temp directory, and the directory.
+    fn temp_store(name: &str, sync_every: u64) -> (WalStore, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("sft-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (WalStore::open(&dir, sync_every).unwrap(), dir)
+    }
+
     #[test]
     fn sync_batching_counts_syncs() {
-        let mut wal = Wal::new(MemSink::new(), 3);
-        let records = sample_records();
-        for r in &records {
-            wal.append(r).unwrap();
+        let (mut store, dir) = temp_store("wal-batching", 3);
+        for r in &sample_records() {
+            store.append(r).unwrap();
         }
-        assert_eq!(wal.appended(), 4);
-        assert_eq!(wal.sink().syncs(), 1, "one full batch of 3");
-        wal.flush().unwrap();
-        assert_eq!(wal.sink().syncs(), 2, "flush covers the partial batch");
-        wal.flush().unwrap();
-        assert_eq!(wal.sink().syncs(), 2, "flush with nothing unsynced is free");
+        assert_eq!(store.appended(), 4);
+        assert_eq!(store.syncs(), 1, "one full batch of 3");
+        store.flush().unwrap();
+        assert_eq!(store.syncs(), 2, "flush covers the partial batch");
+        store.flush().unwrap();
+        assert_eq!(store.syncs(), 2, "flush with nothing unsynced is free");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn write_through_syncs_every_append() {
-        let mut wal = Wal::new(MemSink::new(), 1);
+        let (mut store, dir) = temp_store("wal-write-through", 1);
         for r in &sample_records() {
-            wal.append(r).unwrap();
+            store.append(r).unwrap();
         }
-        assert_eq!(wal.sink().syncs(), 4);
+        assert_eq!(store.syncs(), 4);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //! checksum-covered region is detected; a hostile length prefix is
 //! rejected before allocation.
 //!
-//! Crash points: a [`WalSink`] test double fails or truncates the k-th
-//! append, for every k over seeded schedules, and recovery from the
-//! resulting log image must yield exactly the records that were durably
-//! appended before the fault — then keep working when appends resume.
+//! Crash points: a [`WalSink`] test double under the group-commit log
+//! fails or truncates the k-th append, for every k over seeded schedules,
+//! and recovery from the resulting log image must yield exactly the
+//! records that were durably appended before the fault — then keep
+//! working when appends resume.
 
 use std::io;
+use std::sync::{Arc, Mutex};
 
 use sft_core::{
-    scan_wal, Block, FrameError, MemSink, QuorumCertificate, Wal, WalError, WalRecord, WalSink,
+    scan_wal, Block, DurableWal, FrameError, GroupCommitWal, QuorumCertificate, WalError,
+    WalRecord, WalSink, WalStore, WAL_FILE_NAME,
 };
 use sft_crypto::rng::{RngCore, SplitMix64};
 use sft_crypto::{HashValue, KeyRegistry};
@@ -222,9 +225,11 @@ fn length_prefix_flips_are_torn_tail_or_corruption_never_wrong_records() {
 
 /// Fails the k-th append after writing only a prefix of the frame — the
 /// torn-write shape of a crash mid-`write(2)`. Appends after the fault
-/// also fail (the process is "dead").
+/// also fail (the process is "dead"). Clones share the byte image, so the
+/// test reads what the log's writer thread wrote.
+#[derive(Clone)]
 struct TornSink {
-    bytes: Vec<u8>,
+    bytes: Arc<Mutex<Vec<u8>>>,
     fail_at: u64,
     keep_bytes: usize,
     appends: u64,
@@ -233,7 +238,7 @@ struct TornSink {
 impl TornSink {
     fn new(fail_at: u64, keep_bytes: usize) -> Self {
         Self {
-            bytes: Vec::new(),
+            bytes: Arc::default(),
             fail_at,
             keep_bytes,
             appends: 0,
@@ -244,12 +249,13 @@ impl TornSink {
 impl WalSink for TornSink {
     fn append(&mut self, frame: &[u8]) -> io::Result<()> {
         self.appends += 1;
+        let mut bytes = self.bytes.lock().unwrap();
         if self.appends >= self.fail_at {
             let keep = self.keep_bytes.min(frame.len());
-            self.bytes.extend_from_slice(&frame[..keep]);
+            bytes.extend_from_slice(&frame[..keep]);
             return Err(io::Error::other("injected crash"));
         }
-        self.bytes.extend_from_slice(frame);
+        bytes.extend_from_slice(frame);
         Ok(())
     }
 
@@ -271,11 +277,15 @@ fn recovery_from_every_crash_point_yields_the_durable_prefix() {
             // including zero bytes (nothing of the frame landed).
             let frame_len = records[(fail_at - 1) as usize].to_frame().len();
             let keep = (rng.next_u64() as usize) % (frame_len + 1);
-            let mut wal = Wal::new(TornSink::new(fail_at, keep), 1);
+            let sink = TornSink::new(fail_at, keep);
+            let mut wal = GroupCommitWal::spawn(sink.clone(), sft_obs::noop(), None)
+                .expect("spawn wal writer");
             let mut wrote = 0usize;
             let mut died = false;
             for record in &records {
-                match wal.append(record) {
+                // A barrier per record makes each record one append of
+                // the sink, so the k-th append is record k's.
+                match wal.append(record).and_then(|_| wal.barrier()) {
                     Ok(()) => wrote += 1,
                     Err(WalError::Io(_)) => {
                         died = true;
@@ -286,10 +296,12 @@ fn recovery_from_every_crash_point_yields_the_durable_prefix() {
             }
             assert!(died, "schedule {schedule}: the sink must fail at {fail_at}");
             assert_eq!(wrote, (fail_at - 1) as usize);
+            drop(wal); // joins the (dead) writer thread
 
             // "Reboot": recovery over the bytes the sink actually holds.
-            let scanned = scan_wal(&wal.sink().bytes)
-                .expect("a torn append is a tolerated tail, not corruption");
+            let image = sink.bytes.lock().unwrap().clone();
+            let scanned =
+                scan_wal(&image).expect("a torn append is a tolerated tail, not corruption");
             assert_eq!(
                 scanned.records,
                 records[..wrote],
@@ -298,7 +310,7 @@ fn recovery_from_every_crash_point_yields_the_durable_prefix() {
 
             // Recovery truncates to the valid prefix and appends continue:
             // the rebooted log carries old and new records in order.
-            let mut rebooted = Vec::from(&wal.sink().bytes[..scanned.valid_len]);
+            let mut rebooted = Vec::from(&image[..scanned.valid_len]);
             let resumed = random_records(&mut rng, 2);
             for record in &resumed {
                 rebooted.extend_from_slice(&record.to_frame());
@@ -331,7 +343,6 @@ use fsync_crash::FsyncCrashSink;
 /// disk never saw.
 #[test]
 fn gates_released_under_fsync_crashes_are_always_backed_by_the_disk() {
-    use sft_core::{DurableWal, GroupCommitWal};
     use sft_types::SendGate;
 
     let mut rng = SplitMix64::new(0xf5_c4a5);
@@ -390,21 +401,24 @@ fn batched_sync_crash_loses_at_most_the_unsynced_window() {
     // With sync_every = k, a crash can lose up to k−1 recent records, and
     // the durable prefix is always an append-order prefix — never a gap.
     let mut rng = SplitMix64::new(0x5afe_ba7c);
+    let root = std::env::temp_dir().join(format!("sft-wal-prop-batched-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     for sync_every in [1u64, 2, 4, 8] {
         let records = random_records(&mut rng, 9);
-        let mut wal = Wal::new(MemSink::new(), sync_every);
+        let dir = root.join(format!("sync-every-{sync_every}"));
+        let mut store = WalStore::open(&dir, sync_every).unwrap();
         for record in &records {
-            wal.append(record).unwrap();
+            store.append(record).unwrap();
         }
-        // The sink holds everything appended; what a crash preserves is at
-        // least the synced prefix. Model the worst case: drop everything
-        // after the last full batch boundary.
+        // The file holds everything appended; what a crash preserves is
+        // at least the synced prefix. Model the worst case: drop
+        // everything after the last full batch boundary.
         let synced = (records.len() as u64 / sync_every * sync_every) as usize;
         let mut boundaries = vec![0usize];
         for record in &records {
             boundaries.push(boundaries.last().unwrap() + record.to_frame().len());
         }
-        let image = wal.sink().bytes();
+        let image = std::fs::read(dir.join(WAL_FILE_NAME)).unwrap();
         let preserved = &image[..boundaries[synced]];
         let scanned = scan_wal(preserved).expect("synced prefix is clean");
         assert_eq!(
@@ -417,6 +431,7 @@ fn batched_sync_crash_loses_at_most_the_unsynced_window() {
             "the window is bounded by the batch size"
         );
     }
+    let _ = std::fs::remove_dir_all(root);
 }
 
 /// Durability on demand, at the layer that enforces it: over random
@@ -426,7 +441,6 @@ fn batched_sync_crash_loses_at_most_the_unsynced_window() {
 /// never is — and the watermark never covers a byte the disk lacks.
 #[test]
 fn gates_open_iff_the_crash_image_covers_them_under_random_request_schedules() {
-    use sft_core::{DurableWal, GroupCommitWal};
     use sft_types::SendGate;
 
     let mut rng = SplitMix64::new(0xde_3a4d);

@@ -420,7 +420,11 @@ mod tests {
         drop(c_tx);
         assert_eq!(wait(&mut set, None), [0, 2], "hung-up peers are ready");
         set.remove(a_rx.as_raw_fd());
-        assert_eq!(wait(&mut set, None), [2], "c keeps its token, readiness and all");
+        assert_eq!(
+            wait(&mut set, None),
+            [2],
+            "c keeps its token, readiness and all"
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod runner;
 
 use std::sync::Arc;
 
-use sft_core::{ChainKernel, DurableWal, PayloadSource, ReplicaEngine, SyncStats};
+use sft_core::{ChainKernel, GroupCommitWal, MemSink, PayloadSource, ReplicaEngine, SyncStats};
 use sft_crypto::{HashValue, IdMap};
 use sft_network::{NetworkStats, ProtocolTag, SimNetwork};
 use sft_obs::SharedRecorder;
@@ -122,9 +122,10 @@ impl Protocol {
 /// How a run persists (and waits for) its write-ahead log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
-    /// The classic harness: persist records are mirrored into the
-    /// runner's in-memory log (crash tests replay it) but nothing is
-    /// fsynced and nothing is gated. Zero overhead; no durability.
+    /// No log: persist records are dropped once the step that made them
+    /// is routed, nothing is fsynced and nothing is gated. Zero overhead;
+    /// no durability. (Crash tests install group-commit logs on memory
+    /// sinks and restart from the bytes those wrote.)
     #[default]
     InMemory,
     /// Group commit: appends are buffered for a dedicated WAL-writer
@@ -194,7 +195,7 @@ pub struct SimConfig {
 }
 
 /// One durable log per replica of a run.
-type Wals = Vec<Box<dyn DurableWal>>;
+type Wals = Vec<GroupCommitWal>;
 
 /// What a run observes and persists with: the live recorder when
 /// [`SimConfig::recording`] is on, and the per-replica durable logs
@@ -240,20 +241,28 @@ fn run_recorder(config: &SimConfig) -> Option<SharedRecorder> {
 /// boundaries are exercised for real while the "disk" stays a byte
 /// vector.
 fn sim_instruments(config: &SimConfig) -> Instruments {
-    use sft_core::{GroupCommitWal, MemSink};
     let recorder = run_recorder(config);
-    let wals = (config.durability == DurabilityMode::GroupCommit).then(|| {
-        (0..config.n)
-            .map(|_| {
-                let recorder = recorder.clone().unwrap_or_else(sft_obs::noop);
-                Box::new(
-                    GroupCommitWal::spawn(MemSink::new(), recorder, None)
-                        .expect("spawn wal writer"),
-                ) as Box<dyn DurableWal>
-            })
-            .collect()
-    });
+    let wals = (config.durability == DurabilityMode::GroupCommit)
+        .then(|| memory_wals(config.n, &recorder.clone().unwrap_or_else(sft_obs::noop)).0);
     (recorder, wals)
+}
+
+/// One group-commit log per replica of `n` on a memory sink, reporting
+/// to `recorder`, and a clone of each sink: the bytes its log wrote,
+/// which a crash test restarts the replica from.
+///
+/// # Panics
+///
+/// Panics if a log's writer thread cannot be spawned.
+pub fn memory_wals(n: usize, recorder: &SharedRecorder) -> (Vec<GroupCommitWal>, Vec<MemSink>) {
+    (0..n)
+        .map(|_| {
+            let sink = MemSink::new();
+            let wal = GroupCommitWal::spawn(sink.clone(), Arc::clone(recorder), None)
+                .expect("spawn wal writer");
+            (wal, sink)
+        })
+        .unzip()
 }
 
 /// The default run horizon for `base_timeout` and `epochs`.
@@ -723,7 +732,7 @@ fn tcp_wals(
         let wal = sft_core::WalStore::open(&dir, 1)
             .and_then(|store| store.into_group_commit(recorder, Some(cluster.wake_hook())))
             .map_err(wal_io_error)?;
-        wals.push(Box::new(wal));
+        wals.push(wal);
     }
     Ok((Some(wals), Some(root)))
 }

@@ -41,8 +41,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sft_core::{
-    ChainKernel, DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError,
-    WalRecord, WalSpan,
+    ChainKernel, DurableWal, EngineStep, GroupCommitWal, MsgKind, OutboundMsg, ReplicaEngine,
+    Route, WalError, WalRecord, WalSpan,
 };
 use sft_crypto::{HashValue, IdMap};
 use sft_network::Transport;
@@ -115,19 +115,13 @@ pub struct EngineRunner<E: ReplicaEngine, T: Transport> {
     transport: T,
     config: RunnerConfig,
     timelines: Vec<Vec<(SimTime, StrongCommitUpdate)>>,
-    /// Per-replica write-ahead logs, when a crash test asked for them
-    /// ([`keep_persist_log`](Self::keep_persist_log)): every durable
-    /// record the engines emitted, appended *before* the messages it
-    /// justifies were routed — the in-memory stand-in for the on-disk WAL a
-    /// real node keeps. `None` otherwise: a second copy of every committed
-    /// block is not something a long run should carry.
-    persisted: Option<Vec<Vec<WalRecord>>>,
-    /// Per-replica durable logs, when the run is pipelined: every persist
-    /// record is appended here too, and every outbound message is gated on
-    /// the watermark covering the replica's last appended sequence —
-    /// persist-before-send becomes watermark-before-flush. `None` keeps
-    /// the classic in-memory-only discipline (no gating, no fsyncs).
-    wals: Option<Vec<Box<dyn DurableWal>>>,
+    /// One durable log per hosted replica, when the run is pipelined:
+    /// every persist record is appended here, and every outbound message
+    /// is gated on the watermark covering the replica's last appended
+    /// sequence — persist-before-send becomes watermark-before-flush.
+    /// Empty keeps the in-memory discipline (no log, no gating, no
+    /// fsyncs).
+    wals: Vec<GroupCommitWal>,
     /// Replica `i`'s last appended persist sequence (0 = nothing appended)
     /// — the sequence its next outbound frames are gated on.
     last_seq: Vec<PersistSeq>,
@@ -183,8 +177,7 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
             transport,
             config,
             timelines: vec![Vec::new(); n],
-            persisted: None,
-            wals: None,
+            wals: Vec::new(),
             last_seq: vec![0; n],
             vote_seq: vec![0; n],
             demand: vec![0; n],
@@ -207,9 +200,9 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
 
     /// Installs one durable log per hosted replica and switches the run to the
     /// pipelined persistence discipline: every persist record is appended
-    /// to the replica's [`DurableWal`] before its step's messages are
-    /// routed, every outbound message carries a [`SendGate`] that holds it
-    /// in the transport until the log's durability watermark covers the
+    /// to the replica's log before its step's messages are routed, every
+    /// outbound message carries a [`SendGate`] that holds it in the
+    /// transport until the log's durability watermark covers the
     /// replica's last appended record, and each instant ends by requesting
     /// durability for the frames it gated — one request per replica.
     /// A log that can be read back also takes committed blocks' bytes off
@@ -219,14 +212,14 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
     /// # Panics
     ///
     /// Panics if `wals` is not exactly one log per hosted replica.
-    pub fn set_wals(&mut self, wals: Vec<Box<dyn DurableWal>>) {
+    pub fn set_wals(&mut self, wals: Vec<GroupCommitWal>) {
         assert_eq!(wals.len(), self.engines.len(), "one wal per replica");
         for (engine, wal) in self.engines.iter_mut().zip(&wals) {
             if let Some(reader) = wal.reader() {
                 engine.kernel_mut().set_log_reader(reader);
             }
         }
-        self.wals = Some(wals);
+        self.wals = wals;
     }
 
     /// Immutable access to engine `i`, for tests and harnesses.
@@ -237,39 +230,15 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
     /// Fsyncs the hosted replicas' logs have issued so far (0 without
     /// logs).
     pub fn wal_fsyncs(&self) -> u64 {
-        self.wals
-            .as_ref()
-            .map_or(0, |wals| wals.iter().map(|w| w.fsyncs()).sum())
-    }
-
-    /// Starts mirroring every persisted record into an in-memory log per
-    /// replica, readable through [`persisted`](Self::persisted) — what the
-    /// crash-restart tests replay into a replacement engine. Call before
-    /// the run starts.
-    pub fn keep_persist_log(&mut self) {
-        self.persisted = Some(vec![Vec::new(); self.engines.len()]);
-    }
-
-    /// Replica `i`'s write-ahead log so far, in persistence order — what
-    /// a crash at this instant would leave on disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`keep_persist_log`](Self::keep_persist_log) was
-    /// called first.
-    pub fn persisted(&self, i: usize) -> &[WalRecord] {
-        &self
-            .persisted
-            .as_ref()
-            .expect("keep_persist_log() turns the in-memory WAL mirror on")[i]
+        self.wals.iter().map(GroupCommitWal::fsyncs).sum()
     }
 
     /// Swaps in a replacement engine for replica `i` and returns the old
     /// one — the in-process analogue of `kill -9` plus restart. The
     /// replacement arrives with whatever state the caller rebuilt (nothing
     /// for an amnesiac restart, a [`restore`](ReplicaEngine::restore)
-    /// replay of [`persisted`](Self::persisted) for a recovering one); its
-    /// WAL keeps growing where the old engine's left off, and the
+    /// replay of the records its log holds for a recovering one); its
+    /// log keeps growing where the old engine's left off, and the
     /// replacement reads its spilled blocks back from it.
     pub fn replace_engine(&mut self, i: usize, mut engine: E) -> E {
         assert_eq!(
@@ -277,7 +246,7 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
             self.engines[i].id(),
             "replacement must keep the replica's identity"
         );
-        if let Some(reader) = self.wals.as_ref().and_then(|wals| wals[i].reader()) {
+        if let Some(reader) = self.wals.get(i).and_then(GroupCommitWal::reader) {
             engine.kernel_mut().set_log_reader(reader);
         }
         std::mem::replace(&mut self.engines[i], engine)
@@ -338,10 +307,21 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
     ///
     /// Returns the WAL failure that kept the log from becoming durable.
     pub fn finish(mut self) -> Result<SimReport, WalError> {
-        for wal in self.wals.iter_mut().flatten() {
-            wal.barrier()?;
-        }
+        self.barrier()?;
         Ok(self.into_report())
+    }
+
+    /// Waits until every record the hosted replicas appended so far is
+    /// durable in their logs — what a crash at this instant leaves on
+    /// disk is then everything they logged. [`finish`](Self::finish) ends
+    /// a run with it; a crash test takes its image after it mid-run. A
+    /// no-op without logs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the WAL failure that kept a log from becoming durable.
+    pub fn barrier(&mut self) -> Result<(), WalError> {
+        self.wals.iter_mut().try_for_each(DurableWal::barrier)
     }
 
     /// Advances through every scheduled event at or before `until`, then
@@ -431,10 +411,7 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
     /// look at each watermark tells the replica which committed blocks
     /// became durable since the last one, and those leave memory.
     fn request_durability(&mut self) {
-        let Some(wals) = &self.wals else {
-            return;
-        };
-        for (i, wal) in wals.iter().enumerate() {
+        for (i, wal) in self.wals.iter().enumerate() {
             let watermark = wal.watermark();
             let demand = std::mem::take(&mut self.demand[i]);
             if demand > 0 {
@@ -561,10 +538,10 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
         // separately as the persist-wait phase.
         let persist = PhaseTimer::start(&*self.recorder);
         if !step.persist.is_empty() {
-            if let Some(wals) = &mut self.wals {
+            if let Some(wal) = self.wals.get_mut(i) {
                 let wait = PhaseTimer::start(&*self.recorder);
                 for record in &step.persist {
-                    let (seq, span) = wals[i].append_spanned(record)?;
+                    let (seq, span) = wal.append_spanned(record)?;
                     self.last_seq[i] = seq;
                     match (record, span) {
                         (WalRecord::VoteSent(_), _) => self.vote_seq[i] = seq,
@@ -576,9 +553,6 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
                 }
                 wait.finish(&*self.recorder, names::PHASE_PERSIST_WAIT_NS);
             }
-        }
-        if let Some(persisted) = &mut self.persisted {
-            persisted[i].extend(step.persist);
         }
         persist.finish(&*self.recorder, names::PHASE_PERSIST_NS);
         self.timelines[i].extend(step.updates.into_iter().map(|u| (now, u)));
@@ -615,12 +589,12 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
     /// certificate's record. `None` when no durable logs are installed or
     /// nothing was appended (nothing to justify — sending is free).
     fn gate_for(&self, i: usize, kind: MsgKind) -> Option<SendGate> {
-        let wals = self.wals.as_ref()?;
+        let wal = self.wals.get(i)?;
         let seq = match kind {
             MsgKind::Proposal | MsgKind::Certificate => self.vote_seq[i],
             _ => self.last_seq[i],
         };
-        (seq > 0).then(|| SendGate::new(wals[i].watermark(), seq))
+        (seq > 0).then(|| SendGate::new(wal.watermark(), seq))
     }
 
     /// Sends one message: broadcasts go over the transport (encoded once,
@@ -747,7 +721,8 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
 
     /// The smallest current round among honest replicas (the run's
     /// progress measure). Falls back to the global maximum if the
-    /// configuration has no fully honest replica.
+    /// configuration has no fully honest replica, and to round 0 if it
+    /// hosts none at all.
     fn honest_min_round(&self) -> Round {
         self.engines
             .iter()
@@ -755,13 +730,8 @@ impl<E: ReplicaEngine, T: Transport> EngineRunner<E, T> {
             .filter(|(_, b)| matches!(**b, Behavior::Honest | Behavior::StallLeader))
             .map(|(e, _)| e.round())
             .min()
-            .unwrap_or_else(|| {
-                self.engines
-                    .iter()
-                    .map(ReplicaEngine::round)
-                    .max()
-                    .expect("at least one replica")
-            })
+            .or_else(|| self.engines.iter().map(ReplicaEngine::round).max())
+            .unwrap_or(Round::ZERO)
     }
 
     /// Snapshot of the current run state as a report (copies the chains,

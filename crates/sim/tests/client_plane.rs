@@ -14,11 +14,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use sft_core::{scan_wal, MemSink, ReplicaEngine, Wal, WalRecord};
+use sft_core::{scan_wal, ReplicaEngine};
 use sft_network::{SimNetwork, SimTransport};
 use sft_sim::{
-    build_streamlet_engines, run_over_tcp_serving, Behavior, EngineRunner, Protocol, RunPlan,
-    SimConfig, TcpPacing,
+    build_streamlet_engines, memory_wals, run_over_tcp_serving, Behavior, EngineRunner, Protocol,
+    RunPlan, SimConfig, TcpPacing,
 };
 use sft_types::{
     ClientAck, ClientFrame, ClientRequest, Decode, Encode, Envelope, ProtocolTag, ReplicaId,
@@ -175,19 +175,6 @@ fn submit_verdicts_admit_duplicate_and_busy() {
     );
 }
 
-/// Round-trips `records` through the on-disk frame codec so the replay
-/// exercises what a restarted process reads, not in-memory records.
-fn through_wal_codec(records: &[WalRecord]) -> Vec<WalRecord> {
-    let mut wal = Wal::new(MemSink::new(), 4);
-    for record in records {
-        wal.append(record).expect("memory sink never fails");
-    }
-    wal.flush().expect("memory sink never fails");
-    let scan = scan_wal(&wal.sink().bytes()).expect("own frames scan clean");
-    assert_eq!(scan.records.len(), records.len(), "lossless round-trip");
-    scan.records
-}
-
 /// Client dedup survives a crash: a replica rebuilt from its WAL refuses
 /// a transaction it already committed (`Duplicate`), while an amnesiac
 /// rebuild re-admits it — double inclusion, were a client to retry into
@@ -205,9 +192,11 @@ fn wal_replay_restores_client_dedup_across_restart() {
         transport,
         config.runner_config(RunPlan::UntilQuiescent),
     );
-    runner.keep_persist_log();
+    let (wals, sinks) = memory_wals(4, &sft_obs::noop());
+    runner.set_wals(wals);
     let end = SimTime::ZERO + period * 8;
     runner.run_until(end).unwrap();
+    runner.barrier().unwrap();
     let report = runner.report();
     assert!(
         report.txns_committed > 0,
@@ -219,10 +208,12 @@ fn wal_replay_restores_client_dedup_across_restart() {
     let committed_txn = Transaction::new(0, 0, vec![0xc5; config.txn_bytes as usize]);
     let req = ClientRequest::new(committed_txn, 0);
 
-    // Restart from the WAL: fresh engine (no pre-feed), replay, submit.
+    // Restart from the bytes replica 0's log wrote: fresh engine (no
+    // pre-feed), replay, submit.
     let fresh_config = config.clone().with_live_clients(true);
     let mut recovered = build_streamlet_engines(&fresh_config, period).remove(0);
-    for record in &through_wal_codec(runner.persisted(0)) {
+    let wal = scan_wal(&sinks[0].bytes()).expect("own frames scan clean");
+    for record in &wal.records {
         recovered.restore(record, end);
     }
     assert_eq!(

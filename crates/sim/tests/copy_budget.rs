@@ -22,17 +22,11 @@
 //! retention horizon, and 72 KiB, in 14.4 allocations of 4 KiB or more,
 //! before blocks held their bytes.
 
-use std::sync::Arc;
-
 use sft_crypto::sha256::blocks_compressed;
-use sft_network::{ClientDelivery, NetworkStats, SimNetwork, SimTransport, Transport};
-use sft_sim::{build_fbft_engines, Behavior, EngineRunner, Protocol, RunPlan, SimConfig};
-use sft_types::{
-    ClientFrame, ClientRequest, Dest, Encode, ReplicaId, Round, SendGate, SimTime, Transaction,
-};
 
-/// Payload bytes per transaction.
-const TXN_BYTES: usize = 4096;
+#[path = "support/closed_loop.rs"]
+mod closed_loop;
+use closed_loop::TXN_BYTES;
 
 #[path = "../../core/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -41,47 +35,6 @@ use counting_alloc::{allocated, large_allocs, LARGE};
 // A large allocation is payload-sized: a copy of a transaction, or a
 // buffer of many.
 const _: () = assert!(LARGE == TXN_BYTES);
-
-/// The simulator plus a client gateway that hands the run loop a fixed
-/// set of encoded submissions on its first poll.
-struct WithClients {
-    inner: SimTransport,
-    submissions: Vec<ClientDelivery>,
-}
-
-impl Transport for WithClients {
-    fn replica_count(&self) -> usize {
-        self.inner.replica_count()
-    }
-
-    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>) {
-        self.inner.send_to(from, dest, payload, gate);
-    }
-
-    fn poll_deliver(&mut self, deadline: SimTime) -> Vec<sft_network::Delivery> {
-        self.inner.poll_deliver(deadline)
-    }
-
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn next_deliver_at(&self) -> Option<SimTime> {
-        self.inner.next_deliver_at()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.inner.is_idle()
-    }
-
-    fn stats(&self) -> NetworkStats {
-        self.inner.stats()
-    }
-
-    fn poll_clients(&mut self) -> Vec<ClientDelivery> {
-        std::mem::take(&mut self.submissions)
-    }
-}
 
 /// What the run loop spent on `txns` committed 4 KiB transactions.
 struct Spent {
@@ -95,35 +48,7 @@ struct Spent {
 /// submitted to one replica's gateway (round robin), and counts what the
 /// run loop allocated and hashed.
 fn copy_one_run(txns: u64) -> Spent {
-    let n = 4;
-    let config = SimConfig::new(n, 12)
-        .with_protocol(Protocol::Fbft)
-        .with_batch_size(64)
-        .with_live_clients(true);
-    // Built before the count starts: the client's own encoding is not the
-    // cluster's.
-    let submissions = (0..txns)
-        .map(|seq| {
-            let txn = Transaction::new(seq % 8, seq / 8, vec![(seq % 251) as u8; TXN_BYTES]);
-            ClientDelivery {
-                conn: seq,
-                replica: ReplicaId::new((seq % n as u64) as u16),
-                payload: ClientFrame::Request(ClientRequest::new(txn, 1))
-                    .to_bytes()
-                    .into(),
-            }
-        })
-        .collect();
-    let transport = WithClients {
-        inner: SimTransport::new(SimNetwork::new(config.delay), n),
-        submissions,
-    };
-    let runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout()),
-        vec![Behavior::Honest; n],
-        transport,
-        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
-    );
+    let runner = closed_loop::budget_runner(txns);
 
     let (bytes, large) = (allocated(), large_allocs());
     let compressions = blocks_compressed();

@@ -1,7 +1,9 @@
 //! In-process crash/restart recovery: a replica is killed mid-run (its
 //! engine dropped, exactly what `kill -9` does to a process's memory),
-//! rebuilt from nothing, and fed its write-ahead log through the real
-//! frame codec before rejoining. The suite proves the two halves of the
+//! rebuilt from nothing, and fed the records its write-ahead log holds
+//! before rejoining. Every replica logs as `sft-node` does — through a
+//! group-commit log, its sends gated on the log's durability watermark —
+//! onto a memory sink, and the restart scans the bytes that log wrote. The suite proves the two halves of the
 //! recovery contract on both protocols and both `f ∈ {1, 2}` system
 //! sizes:
 //!
@@ -23,41 +25,46 @@
 //! a block encoded field by field writes, and a replica replaying them
 //! rebuilds the committed chain it had.
 
+use std::sync::Arc;
+
+use sft_core::wal::WAL_HEADER_LEN;
 use sft_core::{
-    scan_wal, Block, MemSink, ProtocolConfig, QuorumCertificate, ReplicaEngine, ReplicaRules, Wal,
+    scan_wal, Block, MemSink, ProtocolConfig, QuorumCertificate, ReplicaEngine, ReplicaRules,
     WalRecord,
 };
 use sft_crypto::{HashValue, KeyRegistry};
 use sft_network::{SimNetwork, SimTransport, Transport};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
-    SimConfig,
+    build_fbft_engines, build_streamlet_engines, memory_wals, Behavior, EngineRunner, Protocol,
+    RunPlan, SimConfig,
 };
-use sft_types::{Decode, Encode, EndorseMode, Payload, Round, SimTime};
+use sft_types::{Decode, EndorseMode, Payload, Round, SimTime};
 
-/// Round-trips `records` through the on-disk frame codec — encode, then
-/// scan back — so the replay below exercises exactly what a restarted
-/// process would read, not the in-memory records the runner collected.
-fn through_wal_codec(records: &[WalRecord]) -> Vec<WalRecord> {
-    let scan = scan_wal(&wal_image(records)).expect("own frames scan clean");
-    assert_eq!(scan.records.len(), records.len(), "lossless round-trip");
-    scan.records
+/// The log image `records` frame to, back to back.
+fn image(records: &[WalRecord]) -> Vec<u8> {
+    records.iter().flat_map(WalRecord::to_frame).collect()
 }
 
-/// The log image `records` leave in a memory sink.
-fn wal_image(records: &[WalRecord]) -> Vec<u8> {
-    let mut wal = Wal::new(MemSink::new(), 4);
-    for record in records {
-        wal.append(record).expect("memory sink never fails");
-    }
-    wal.flush().expect("memory sink never fails");
-    wal.sink().bytes()
+/// The records of a log image, as a restarted process reads them back.
+fn records_of(image: &[u8]) -> Vec<WalRecord> {
+    scan_wal(image).expect("own frames scan clean").records
+}
+
+/// Installs one group-commit log per replica of `runner`, each on a
+/// memory sink, and returns the sinks: what each log wrote.
+fn log_to_memory<E: ReplicaEngine>(
+    runner: &mut EngineRunner<E, SimTransport>,
+    n: usize,
+) -> Vec<MemSink> {
+    let (wals, sinks) = memory_wals(n, &sft_obs::noop());
+    runner.set_wals(wals);
+    sinks
 }
 
 /// A seeded n = 4 SFT-DiemBFT run whose blocks carry real transactions,
-/// 16 of 512 B each: every replica's persisted records and committed
-/// chain.
-fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
+/// 16 of 512 B each: every replica's log image, once everything it
+/// appended is durable, and committed chain.
+fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<u8>>, Vec<Vec<HashValue>>) {
     let n = 4;
     let config = SimConfig::new(n, 10)
         .with_protocol(Protocol::Fbft)
@@ -69,48 +76,60 @@ fn seeded_fbft_logs() -> (SimConfig, Vec<Vec<WalRecord>>, Vec<Vec<HashValue>>) {
         SimTransport::new(SimNetwork::new(config.delay), n),
         config.runner_config(RunPlan::PastRound(Round::new(10))),
     );
-    runner.keep_persist_log();
+    let sinks = log_to_memory(&mut runner, n);
     runner.run_until(SimTime::ZERO + config.delay * 24).unwrap();
-    let logs = (0..n).map(|i| runner.persisted(i).to_vec()).collect();
+    runner.barrier().unwrap();
+    let images = sinks.iter().map(MemSink::bytes).collect();
     let chains = (0..n)
         .map(|i| runner.engine(i).kernel().committed_chain().to_vec())
         .collect();
-    (config, logs, chains)
+    (config, images, chains)
 }
 
 #[test]
 fn blocks_holding_their_bytes_write_the_wal_frames_field_by_field_encoding_writes() {
-    let (_, logs, _) = seeded_fbft_logs();
+    let (_, images, _) = seeded_fbft_logs();
     let (mut held, mut txns) = (0, 0);
-    let mut images = Vec::new();
-    for log in &logs {
-        // The same records, every block re-decoded by the copying decode,
-        // which holds no bytes: those blocks encode field by field.
-        let unheld: Vec<WalRecord> = log
-            .iter()
-            .map(|record| match record {
-                WalRecord::BlockCommitted(block) => {
-                    held += usize::from(block.encoding().is_some());
-                    txns += block.payload().txn_count();
-                    let copy = Block::from_bytes(&block.to_bytes()).expect("own bytes decode");
-                    assert!(copy.encoding().is_none(), "a copying decode holds nothing");
-                    WalRecord::BlockCommitted(copy)
-                }
-                other => other.clone(),
-            })
-            .collect();
-        let image = wal_image(log);
-        assert_eq!(
-            image,
-            wal_image(&unheld),
-            "held bytes frame a block exactly as its fields do"
-        );
-        images.extend(image);
+    for log in &images {
+        let mut at = 0;
+        while let Some((record, used)) =
+            WalRecord::decode_frame(&log[at..]).expect("own frames scan clean")
+        {
+            let frame = &log[at..at + used];
+            at += used;
+            let WalRecord::BlockCommitted(copied) = &record else {
+                continue;
+            };
+            // The scan decodes by copying, so its block holds no bytes and
+            // frames field by field.
+            assert!(
+                copied.encoding().is_none(),
+                "a copying decode holds nothing"
+            );
+            assert_eq!(record.to_frame(), frame, "fields frame the block as logged");
+            // Decoded from a shared buffer, the same body is held, and the
+            // block frames from those bytes.
+            let body: Arc<[u8]> = Arc::from(&frame[WAL_HEADER_LEN + 1..]);
+            let holding = Block::from_shared(&body).expect("a logged block decodes");
+            assert!(
+                holding.encoding().is_some(),
+                "a shared decode holds its bytes"
+            );
+            assert_eq!(
+                WalRecord::BlockCommitted(holding).to_frame(),
+                frame,
+                "held bytes frame a block exactly as its fields do"
+            );
+            held += 1;
+            txns += copied.payload().txn_count();
+        }
+        assert_eq!(at, log.len(), "the log is whole frames");
     }
     assert!(
         held > 0 && txns > 0,
-        "committed blocks held their bytes ({held}) and carried transactions ({txns})"
+        "logged blocks framed from held bytes ({held}) and carried transactions ({txns})"
     );
+    let images = images.concat();
     // What the implementation that encoded every block field by field
     // wrote for this run, byte for byte.
     assert_eq!(
@@ -125,12 +144,11 @@ const PINNED_WAL_IMAGES: &str = "e4cd1dca 376037B";
 
 #[test]
 fn a_replica_restarted_from_held_byte_frames_replays_the_same_committed_chain() {
-    let (config, logs, chains) = seeded_fbft_logs();
-    for (i, (log, chain)) in logs.iter().zip(&chains).enumerate() {
+    let (config, images, chains) = seeded_fbft_logs();
+    for (i, (log, chain)) in images.iter().zip(&chains).enumerate() {
         assert!(!chain.is_empty(), "replica {i} committed");
-        let scan = scan_wal(&wal_image(log)).expect("own frames scan clean");
         let mut fresh = build_fbft_engines(&config, config.base_timeout()).remove(i);
-        for record in &scan.records {
+        for record in &records_of(log) {
             fresh.restore(record, SimTime::ZERO);
         }
         assert_eq!(
@@ -164,10 +182,10 @@ fn crash(config: &SimConfig, crash_at: SimTime, restart_at: Option<SimTime>, end
 }
 
 /// Kills replica 0 at `crash_at`: its engine (all in-memory state) is
-/// dropped on the floor, and only the WAL the runner persisted ahead of
-/// its sends survives. Given `restart_at`, a fresh engine replays that
-/// log, round-tripped through the frame codec, then and rejoins; without,
-/// the replica stays dead. The run is then driven to `end` in δ steps,
+/// dropped on the floor, and only the bytes its log wrote survive, every
+/// record it appended made durable first. Given `restart_at`, a fresh
+/// engine replays the records scanned from those bytes and rejoins;
+/// without, the replica stays dead. The run is then driven to `end` in δ steps,
 /// plus a 60-step sync drain, so catch-up fetches and their retries fire.
 ///
 /// Asserts agreement, no safety violation and no equivocation; that the
@@ -191,20 +209,22 @@ fn drive_crash<E: ReplicaEngine>(
         SimTransport::new(SimNetwork::new(config.delay), n),
         config.runner_config(plan),
     );
-    runner.keep_persist_log();
+    let sinks = log_to_memory(&mut runner, n);
 
     runner.run_until(crash_at).unwrap();
+    runner.barrier().unwrap();
     let pre_crash = runner.engine(victim).kernel().committed_chain().to_vec();
+    let wal = records_of(&sinks[victim].bytes());
     assert!(
-        !runner.persisted(victim).is_empty(),
-        "the victim voted before the crash, so its WAL is non-empty"
+        wal.iter().any(|r| matches!(r, WalRecord::VoteSent(_))),
+        "the victim voted before the crash, so its WAL holds a vote"
     );
     runner.set_behavior(victim, Behavior::Silent);
 
     if let Some(restart_at) = restart_at {
         runner.run_until(restart_at).unwrap();
         let mut fresh = build().remove(victim);
-        for record in &through_wal_codec(runner.persisted(victim)) {
+        for record in &wal {
             fresh.restore(record, restart_at);
         }
         runner.replace_engine(victim, fresh);
@@ -347,7 +367,7 @@ fn streamlet_amnesiac_restart_equivocates_recovered_does_not() {
         .on_proposal(&Proposal::new(block_a, &leader_key))
         .vote
         .expect("first proposal of the epoch wins the vote");
-    let wal = through_wal_codec(&victim.kernel_mut().drain_wal());
+    let wal = records_of(&image(&victim.kernel_mut().drain_wal()));
     assert!(
         wal.iter().any(|r| matches!(r, WalRecord::VoteSent(_))),
         "the vote was logged before it was sent"
@@ -434,7 +454,7 @@ fn fbft_amnesiac_restart_equivocates_recovered_does_not() {
         .on_proposal(&proposal_a, now)
         .vote
         .expect("round-1 proposal wins the vote");
-    let wal = through_wal_codec(&victim.kernel_mut().drain_wal());
+    let wal = records_of(&image(&victim.kernel_mut().drain_wal()));
     assert!(
         wal.iter().any(|r| matches!(r, WalRecord::VoteSent(_))),
         "the vote was logged before it was sent"

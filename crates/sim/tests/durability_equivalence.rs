@@ -234,7 +234,6 @@ fn audit_run<E: sft_core::ReplicaEngine>(
     config: &SimConfig,
     plan: sft_sim::RunPlan,
 ) -> (SimReport, u64) {
-    use sft_core::{DurableWal, GroupCommitWal, MemSink};
     let gated = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
     let transport = GateAudit {
         inner: sft_network::SimTransport::new(sft_network::SimNetwork::new(config.delay), config.n),
@@ -246,15 +245,7 @@ fn audit_run<E: sft_core::ReplicaEngine>(
         transport,
         config.runner_config(plan),
     );
-    let wals: Vec<Box<dyn DurableWal>> = (0..config.n)
-        .map(|_| {
-            Box::new(
-                GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None)
-                    .expect("spawn wal writer"),
-            ) as Box<dyn DurableWal>
-        })
-        .collect();
-    runner.set_wals(wals);
+    runner.set_wals(sft_sim::memory_wals(config.n, &sft_obs::noop()).0);
     let report = runner.run().expect("in-memory sinks");
     let gated = gated.load(std::sync::atomic::Ordering::Relaxed);
     (report, gated)
@@ -428,21 +419,19 @@ fn run_until_caught_up(
 /// and it catches up all the same.
 #[test]
 fn a_peer_whose_log_rotted_declines_and_the_straggler_catches_up_elsewhere() {
-    use sft_core::{DurableWal, WalStore, WAL_FILE_NAME};
+    use sft_core::{WalStore, WAL_FILE_NAME};
 
     let config = SimConfig::new(4, STRAGGLER_ROUNDS).with_protocol(Protocol::Fbft);
     let heal_at = SimTime::ZERO + config.delay * STRAGGLER_ROUNDS;
     let mut runner = straggler_runner(&config, heal_at);
     let root = std::env::temp_dir().join(format!("sft-rotted-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let wals: Vec<Box<dyn DurableWal>> = (0..config.n)
+    let wals = (0..config.n)
         .map(|id| {
             let store = WalStore::open(&root.join(format!("replica-{id}")), 1).expect("open log");
-            Box::new(
-                store
-                    .into_group_commit(sft_obs::noop(), None)
-                    .expect("spawn wal writer"),
-            ) as Box<dyn DurableWal>
+            store
+                .into_group_commit(sft_obs::noop(), None)
+                .expect("spawn wal writer")
         })
         .collect();
     runner.set_wals(wals);

@@ -13,104 +13,26 @@
 //! passes, 4 × 65, and its share of the per-round hashing (votes,
 //! certificates, proposal signatures), which is per round, not per byte.
 
-use std::sync::Arc;
-
-use sft_core::{DurableWal, GroupCommitWal, MemSink};
 use sft_crypto::sha256::blocks_compressed;
-use sft_network::{ClientDelivery, NetworkStats, SimNetwork, SimTransport, Transport};
-use sft_sim::{build_fbft_engines, Behavior, EngineRunner, Protocol, RunPlan, SimConfig};
-use sft_types::{
-    ClientFrame, ClientRequest, Dest, Encode, ReplicaId, Round, SendGate, SimTime, Transaction,
-};
+use sft_sim::memory_wals;
+
+#[path = "support/closed_loop.rs"]
+mod closed_loop;
+use closed_loop::N;
 
 /// Compressions in one 4 KiB transaction id: the domain tag and the
 /// client, sequence and payload fields with their length prefixes, padded.
 const TXN_ID_BLOCKS: u64 = 65;
 
-/// The simulator plus a client gateway that hands the run loop a fixed
-/// set of encoded submissions on its first poll.
-struct WithClients {
-    inner: SimTransport,
-    submissions: Vec<ClientDelivery>,
-}
-
-impl Transport for WithClients {
-    fn replica_count(&self) -> usize {
-        self.inner.replica_count()
-    }
-
-    fn send_to(&mut self, from: ReplicaId, dest: Dest, payload: Arc<[u8]>, gate: Option<SendGate>) {
-        self.inner.send_to(from, dest, payload, gate);
-    }
-
-    fn poll_deliver(&mut self, deadline: SimTime) -> Vec<sft_network::Delivery> {
-        self.inner.poll_deliver(deadline)
-    }
-
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn next_deliver_at(&self) -> Option<SimTime> {
-        self.inner.next_deliver_at()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.inner.is_idle()
-    }
-
-    fn stats(&self) -> NetworkStats {
-        self.inner.stats()
-    }
-
-    fn poll_clients(&mut self) -> Vec<ClientDelivery> {
-        std::mem::take(&mut self.submissions)
-    }
-}
-
 /// Runs n = 4 SFT-DiemBFT with `txns` client transactions of 4 KiB, each
 /// submitted to one replica's gateway (round robin), and returns the
 /// compressions the run loop spent and the transactions committed.
 fn hash_one_run(txns: u64) -> (u64, u64) {
-    let n = 4;
-    let config = SimConfig::new(n, 12)
-        .with_protocol(Protocol::Fbft)
-        .with_batch_size(64)
-        .with_live_clients(true);
-    // Built before the count starts: the client's own id computation is
-    // not the cluster's.
-    let submissions = (0..txns)
-        .map(|seq| {
-            let txn = Transaction::new(seq % 8, seq / 8, vec![(seq % 251) as u8; 4096]);
-            ClientDelivery {
-                conn: seq,
-                replica: ReplicaId::new((seq % n as u64) as u16),
-                payload: ClientFrame::Request(ClientRequest::new(txn, 1))
-                    .to_bytes()
-                    .into(),
-            }
-        })
-        .collect();
-    let transport = WithClients {
-        inner: SimTransport::new(SimNetwork::new(config.delay), n),
-        submissions,
-    };
-    let mut runner = EngineRunner::new(
-        build_fbft_engines(&config, config.base_timeout()),
-        vec![Behavior::Honest; n],
-        transport,
-        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
-    );
+    let mut runner = closed_loop::budget_runner(txns);
     // Group commit on memory sinks: every record is framed on this thread
     // by `append`; the writer threads only copy and "sync" those frames,
     // and the compression count is per thread.
-    let wals: Vec<Box<dyn DurableWal>> = (0..n)
-        .map(|_| {
-            Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap())
-                as Box<dyn DurableWal>
-        })
-        .collect();
-    runner.set_wals(wals);
+    runner.set_wals(memory_wals(N, &sft_obs::noop()).0);
 
     let before = blocks_compressed();
     let report = runner.run().expect("memory sinks do not fail");

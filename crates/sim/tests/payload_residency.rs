@@ -21,14 +21,14 @@
 //! 0.1 MiB of it is payload in a block store.
 //! `payload_residency_in_memory.rs` runs the same cluster without logs.
 
-use sft_core::{DurableWal, ReplicaEngine, WalStore};
+use sft_core::{ReplicaEngine, WalStore};
 
 #[path = "support/closed_loop.rs"]
 mod closed_loop;
 #[path = "../../core/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use closed_loop::{BATCH, N, ROUNDS, TXN_BYTES};
+use closed_loop::{ClosedLoop, BATCH, N, ROUNDS, TXN_BYTES};
 
 /// Peak live heap allowed, in bytes: well above the spilling cluster's
 /// peak, well below what holding every committed block for the horizon
@@ -38,17 +38,15 @@ const LIVE_HEAP_BOUND: usize = 10 << 20;
 #[test]
 fn a_durable_replica_holds_a_few_rounds_of_payload_not_the_horizon() {
     let config = closed_loop::config();
-    let mut runner = closed_loop::runner(&config);
+    let mut runner = closed_loop::runner(&config, ClosedLoop::windowed(&config));
     let root = std::env::temp_dir().join(format!("sft-payload-residency-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let wals: Vec<Box<dyn DurableWal>> = (0..N)
+    let wals = (0..N)
         .map(|id| {
             let store = WalStore::open(&root.join(format!("replica-{id}")), 1).expect("open log");
-            Box::new(
-                store
-                    .into_group_commit(sft_obs::noop(), None)
-                    .expect("spawn wal writer"),
-            ) as Box<dyn DurableWal>
+            store
+                .into_group_commit(sft_obs::noop(), None)
+                .expect("spawn wal writer")
         })
         .collect();
     runner.set_wals(wals);

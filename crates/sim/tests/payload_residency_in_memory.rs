@@ -25,12 +25,12 @@ mod closed_loop;
 #[path = "../../core/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use closed_loop::{CLIENTS, N, ROUNDS, TXN_BYTES, WINDOW};
+use closed_loop::{ClosedLoop, CLIENTS, N, ROUNDS, TXN_BYTES, WINDOW};
 
 #[test]
 fn a_log_less_replica_holds_a_transactions_state_only_while_it_is_in_flight() {
     let config = closed_loop::config();
-    let mut runner = closed_loop::runner(&config);
+    let mut runner = closed_loop::runner(&config, ClosedLoop::windowed(&config));
 
     // One watermark per client; ids of what is in flight: the client's
     // window, and the next one a replica may store before it commits the

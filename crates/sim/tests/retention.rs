@@ -14,12 +14,12 @@
 
 use std::sync::Arc;
 
-use sft_core::{ProtocolConfig, ReplicaEngine, WalRecord};
+use sft_core::{scan_wal, ProtocolConfig, ReplicaEngine, WalRecord};
 use sft_network::{FaultSchedule, SimNetwork, SimTransport};
 use sft_obs::{names, Registry};
 use sft_sim::{
-    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, Protocol, RunPlan,
-    SimConfig, SimReport,
+    build_fbft_engines, build_streamlet_engines, memory_wals, Behavior, EngineRunner, Protocol,
+    RunPlan, SimConfig, SimReport,
 };
 use sft_types::{ReplicaId, Round, SimDuration, SimTime};
 
@@ -81,13 +81,16 @@ fn runner<E: ReplicaEngine>(
     runner
 }
 
-/// Runs `runner` through the three sampling points of a long run and
-/// returns the step samples plus the final report.
+/// Runs `runner` through the three sampling points of a long run, its
+/// replicas logging through group-commit logs on memory sinks, and
+/// returns the step samples, the final report and the records one log
+/// wrote.
 fn long_run<E: ReplicaEngine>(
     mut runner: EngineRunner<E, SimTransport>,
     round_span: SimDuration,
 ) -> (Vec<[f64; 3]>, SimReport, Vec<WalRecord>) {
-    runner.keep_persist_log();
+    let (wals, sinks) = memory_wals(N, &sft_obs::noop());
+    runner.set_wals(wals);
     let start = Steps::sample(&runner);
     runner
         .run_until(SimTime::ZERO + round_span * WINDOW)
@@ -112,12 +115,13 @@ fn long_run<E: ReplicaEngine>(
     let longest = (0..N)
         .max_by_key(|&i| runner.engine(i).kernel().committed_chain().len())
         .expect("replicas");
-    let wal = runner.persisted(longest).to_vec();
+    runner.barrier().unwrap();
+    let wal = scan_wal(&sinks[longest].bytes()).expect("own frames scan clean");
     let rates = vec![
         early.per_round_since(&start),
         end.per_round_since(&late_start),
     ];
-    (rates, runner.report(), wal)
+    (rates, runner.report(), wal.records)
 }
 
 fn assert_history_independent(

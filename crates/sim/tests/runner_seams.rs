@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sft_core::{scan_wal, DurableWal, GroupCommitWal, MemSink, ReplicaEngine, Route};
+use sft_core::{scan_wal, GroupCommitWal, MemSink, ReplicaEngine, Route};
 use sft_network::{Delivery, Dest, NetworkStats, SimNetwork, SimTransport};
 use sft_obs::names;
 use sft_sim::{
@@ -188,15 +188,11 @@ fn run_until_the_log_dies(fail_at: u64) -> (Vec<Frame>, PersistSeq) {
         wire,
         config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
     );
-    let mut wals =
-        vec![
-            Box::new(GroupCommitWal::spawn(sink.clone(), sft_obs::noop(), None).unwrap())
-                as Box<dyn DurableWal>,
-        ];
-    wals.extend((1..config.n).map(|_| {
-        Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap())
-            as Box<dyn DurableWal>
-    }));
+    let mut wals = vec![GroupCommitWal::spawn(sink.clone(), sft_obs::noop(), None).unwrap()];
+    wals.extend(
+        (1..config.n)
+            .map(|_| GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), None).unwrap()),
+    );
     runner.set_wals(wals);
 
     let mut at = SimTime::ZERO;

@@ -1,8 +1,14 @@
-//! The cluster the two residency suites run — `payload_residency.rs` on
-//! file-backed logs, `payload_residency_in_memory.rs` with none: n = 4
-//! SFT-DiemBFT on the run loop for [`ROUNDS`] rounds, fed by a closed-loop
-//! client that keeps [`WINDOW`] submissions of [`TXN_BYTES`] in flight
-//! through the replicas' gateways, from [`CLIENTS`] clients.
+//! The client-fed cluster of the residency and budget suites: n = 4
+//! SFT-DiemBFT on the run loop, fed [`TXN_BYTES`] submissions through the
+//! replicas' gateways by [`ClosedLoop`]. The two residency suites —
+//! `payload_residency.rs` on file-backed logs,
+//! `payload_residency_in_memory.rs` with none — run it for [`ROUNDS`]
+//! rounds with [`WINDOW`] submissions in flight from [`CLIENTS`] clients;
+//! `hash_budget.rs` and `copy_budget.rs` hand it a fixed list of
+//! submissions built before they start counting.
+
+// Each suite uses its own part of this file.
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
@@ -33,13 +39,59 @@ pub const ROUNDS: u64 = 600;
 /// Replicas in the cluster.
 pub const N: usize = 4;
 
-/// The simulator plus a closed-loop client: it keeps [`WINDOW`]
-/// submissions in flight, round robin over the replicas' gateways, and
-/// sends the next one when a replica answers one.
+/// The simulator plus a client at the replicas' gateways. A windowed
+/// client keeps [`WINDOW`] submissions in flight and sends the next one
+/// when a replica answers one; a fixed list is handed over on the first
+/// poll, and answers to it go nowhere.
 pub struct ClosedLoop {
     inner: SimTransport,
+    /// Submissions built ahead, handed over on the next poll.
+    queued: Vec<ClientDelivery>,
+    /// Submissions kept in flight by making new ones; 0 for a fixed list.
+    window: usize,
     in_flight: usize,
     next_seq: u64,
+}
+
+impl ClosedLoop {
+    /// A client keeping [`WINDOW`] submissions in flight.
+    pub fn windowed(config: &SimConfig) -> Self {
+        Self {
+            window: WINDOW,
+            ..Self::fixed(config, Vec::new())
+        }
+    }
+
+    /// A client that submits `submissions` at the first poll, and nothing
+    /// after.
+    pub fn fixed(config: &SimConfig, submissions: Vec<ClientDelivery>) -> Self {
+        Self {
+            inner: SimTransport::new(SimNetwork::new(config.delay), N),
+            queued: submissions,
+            window: 0,
+            in_flight: 0,
+            next_seq: 0,
+        }
+    }
+}
+
+/// Submission `seq`: client `seq % CLIENTS`'s request number
+/// `seq / CLIENTS` — each client numbers its own requests contiguously,
+/// as a real one does — of [`TXN_BYTES`], sent to replica `seq % N` and
+/// asking for an ack at strength `ack_at`.
+pub fn submission(seq: u64, ack_at: u64) -> ClientDelivery {
+    let txn = Transaction::new(
+        seq % CLIENTS,
+        seq / CLIENTS,
+        vec![(seq % 251) as u8; TXN_BYTES],
+    );
+    ClientDelivery {
+        conn: seq,
+        replica: ReplicaId::new((seq % N as u64) as u16),
+        payload: ClientFrame::Request(ClientRequest::new(txn, ack_at))
+            .to_bytes()
+            .into(),
+    }
 }
 
 impl Transport for ClosedLoop {
@@ -72,31 +124,19 @@ impl Transport for ClosedLoop {
     }
 
     fn poll_clients(&mut self) -> Vec<ClientDelivery> {
-        let n = self.replica_count() as u64;
-        let mut out = Vec::new();
-        while self.in_flight < WINDOW {
-            let seq = self.next_seq;
+        let mut out = std::mem::take(&mut self.queued);
+        while self.in_flight < self.window {
+            out.push(submission(self.next_seq, 0));
             self.next_seq += 1;
             self.in_flight += 1;
-            // Each client numbers its own requests contiguously, as a
-            // real one does.
-            let (client, client_seq) = (seq % CLIENTS, seq / CLIENTS);
-            let payload = vec![(seq % 251) as u8; TXN_BYTES];
-            let txn = Transaction::new(client, client_seq, payload);
-            out.push(ClientDelivery {
-                conn: seq,
-                replica: ReplicaId::new((seq % n) as u16),
-                payload: ClientFrame::Request(ClientRequest::new(txn, 0))
-                    .to_bytes()
-                    .into(),
-            });
         }
         out
     }
 
     fn send_client(&mut self, _conn: u64, _replica: ReplicaId, payload: Arc<[u8]>) {
-        // Every answer — committed, busy or duplicate — frees a slot.
-        if let Ok(ClientFrame::Ack(_)) = ClientFrame::from_bytes(&payload) {
+        // Every answer — committed, busy or duplicate — frees a slot of
+        // the window.
+        if self.window > 0 && matches!(ClientFrame::from_bytes(&payload), Ok(ClientFrame::Ack(_))) {
             self.in_flight -= 1;
         }
     }
@@ -110,19 +150,28 @@ pub fn config() -> SimConfig {
         .with_live_clients(true)
 }
 
-/// The cluster, ready to run, with no logs installed.
-pub fn runner(config: &SimConfig) -> EngineRunner<FbftEngine, ClosedLoop> {
-    let transport = ClosedLoop {
-        inner: SimTransport::new(SimNetwork::new(config.delay), N),
-        in_flight: 0,
-        next_seq: 0,
-    };
+/// The cluster fed by `client`, ready to run past `config.epochs`
+/// rounds, with no logs installed.
+pub fn runner(config: &SimConfig, client: ClosedLoop) -> EngineRunner<FbftEngine, ClosedLoop> {
     EngineRunner::new(
         build_fbft_engines(config, config.base_timeout()),
         vec![Behavior::Honest; N],
-        transport,
-        config.runner_config(RunPlan::PastRound(Round::new(ROUNDS))),
+        client,
+        config.runner_config(RunPlan::PastRound(Round::new(config.epochs))),
     )
+}
+
+/// The budget suites' cluster: 12 rounds, blocks of up to 64
+/// transactions, fed `txns` submissions that ask for acks at strength 1.
+/// They are built here, before the suite starts counting: the client's
+/// own hashing and encoding are not the cluster's.
+pub fn budget_runner(txns: u64) -> EngineRunner<FbftEngine, ClosedLoop> {
+    let config = SimConfig::new(N, 12)
+        .with_protocol(Protocol::Fbft)
+        .with_batch_size(64)
+        .with_live_clients(true);
+    let submissions = (0..txns).map(|seq| submission(seq, 1)).collect();
+    runner(&config, ClosedLoop::fixed(&config, submissions))
 }
 
 /// Runs `runner` past [`ROUNDS`] one δ at a time, calling `check` with

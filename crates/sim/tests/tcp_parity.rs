@@ -12,7 +12,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 
-use sft_core::{DurableWal, GroupCommitWal, MemSink, ReplicaEngine};
+use sft_core::{GroupCommitWal, MemSink, ReplicaEngine};
 use sft_fbft::FbftMessage;
 use sft_network::{Envelope, ProtocolTag};
 use sft_obs::names;
@@ -247,11 +247,10 @@ fn group_commit_over_tcp_fsyncs_about_once_per_replica_per_block() {
     const N: usize = 4;
     let config = SimConfig::new(N, 48).with_protocol(Protocol::Fbft);
     let cluster = TcpCluster::loopback(N, ProtocolTag::Fbft).expect("loopback mesh");
-    let wals: Vec<Box<dyn DurableWal>> = (0..N)
+    let wals = (0..N)
         .map(|_| {
             let wake = Some(cluster.wake_hook());
-            Box::new(GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), wake).unwrap())
-                as Box<dyn DurableWal>
+            GroupCommitWal::spawn(MemSink::new(), sft_obs::noop(), wake).unwrap()
         })
         .collect();
     let mut runner = EngineRunner::new(

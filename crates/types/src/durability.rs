@@ -33,7 +33,7 @@
 //! [`advance`](Watermark::advance) notifies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A persist sequence number assigned by a WAL to one appended record.
@@ -104,12 +104,22 @@ impl Watermark {
         self.get() >= seq
     }
 
+    /// Locks the durable sequence. Every write under the lock is one
+    /// store of a whole `u64`, so a poisoned lock still guards a sound
+    /// value and is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, PersistSeq> {
+        self.inner
+            .durable
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publishes durability up to `seq` and wakes every waiter. The
     /// watermark is monotone: an advance below the current value is a
     /// no-op (batches may race only in tests; the WAL writer is one
     /// thread).
     pub fn advance(&self, seq: PersistSeq) {
-        let mut durable = self.inner.durable.lock().expect("watermark lock");
+        let mut durable = self.lock();
         if seq > *durable {
             *durable = seq;
             self.inner.cached.store(seq, Ordering::Release);
@@ -138,9 +148,13 @@ impl Watermark {
     /// Requests `seq`, then blocks until the watermark covers it.
     pub fn wait_covers(&self, seq: PersistSeq) {
         self.request(seq);
-        let mut durable = self.inner.durable.lock().expect("watermark lock");
+        let mut durable = self.lock();
         while *durable < seq {
-            durable = self.inner.advanced.wait(durable).expect("watermark lock");
+            durable = self
+                .inner
+                .advanced
+                .wait(durable)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -150,7 +164,7 @@ impl Watermark {
     /// WAL writer cannot wedge them.
     pub fn wait_covers_timeout(&self, seq: PersistSeq, timeout: Duration) -> bool {
         self.request(seq);
-        let mut durable = self.inner.durable.lock().expect("watermark lock");
+        let mut durable = self.lock();
         let deadline = std::time::Instant::now() + timeout;
         while *durable < seq {
             let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
@@ -160,7 +174,7 @@ impl Watermark {
                 .inner
                 .advanced
                 .wait_timeout(durable, left)
-                .expect("watermark lock");
+                .unwrap_or_else(PoisonError::into_inner);
             durable = guard;
             if timed_out.timed_out() {
                 return *durable >= seq;
