@@ -68,6 +68,14 @@ const KILL_AFTER_RECORDS: usize = 8;
 /// whole cell.
 const BUDGET: Duration = Duration::from_secs(45);
 
+/// How long a node whose stop rule held keeps running for its slower
+/// peers. Over five runs of each cell on a 2-core VM, the last node's stop
+/// rule held at most 26 ms after the first one's (the restarted victim's
+/// at most 2 ms after its first peer's), and the client was done at least
+/// 0.37 s before replica 0's; one second covers that many times over. A
+/// cell fails outright when its spread exceeds a third of the linger.
+const LINGER: Duration = Duration::from_millis(1000);
+
 /// Per-node NDJSON trace file, appended across incarnations.
 const TRACE_FILE_NAME: &str = "trace.ndjson";
 
@@ -125,10 +133,10 @@ fn spawn_node(
             &epochs.to_string(),
             "--budget-ms",
             &BUDGET.as_millis().to_string(),
-            // Long linger: finished peers keep answering block-sync so
-            // the restarted victim can catch up before anyone exits.
+            // Finished peers keep answering block-sync and voting so the
+            // restarted victim can catch up before anyone exits.
             "--linger-ms",
-            "8000",
+            &LINGER.as_millis().to_string(),
             // One shared genesis instant: every incarnation — the restart
             // included — runs the same cluster-wide protocol clock.
             "--start-at-unix-ms",
@@ -233,6 +241,23 @@ fn check_stop_budgets(dirs: &[PathBuf], protocol: &str) {
             );
         }
     }
+}
+
+/// How much later than the first node's stop rule the last one's held:
+/// the time a slow finisher, the restarted victim among them, still needs
+/// its peers, which [`LINGER`] must cover. Each node's last `node_stop` is
+/// stamped on the shared genesis clock one linger after its stop rule
+/// held, so the stamps spread as the stop instants do.
+fn stop_spread(dirs: &[PathBuf]) -> Duration {
+    let stops: Vec<u64> = dirs
+        .iter()
+        .map(|dir| {
+            let events = read_trace(dir);
+            let stop = events.iter().rev().find(|e| e.name == names::EV_NODE_STOP);
+            stop.expect("every node stopped").ts_us
+        })
+        .collect();
+    Duration::from_micros(stops.iter().max().unwrap() - stops.iter().min().unwrap())
 }
 
 /// Verdict 4: the restarted incarnation's trace must show WAL replay
@@ -358,7 +383,15 @@ fn drill(protocol: &str, n: usize, epochs: u64) {
     nodes.0[VICTIM] = spawn(VICTIM);
     await_all(&mut nodes.0, deadline);
 
-    // Phase 3: verdicts.
+    // Phase 3: verdicts. The linger's own check comes first: a linger too
+    // short for the spread starves the restarted victim, which the later
+    // verdicts would report only as its symptoms.
+    let spread = stop_spread(&dirs);
+    println!("drill: stop rules held within {spread:?} of each other (linger {LINGER:?})");
+    assert!(
+        spread * 3 <= LINGER,
+        "stop rules held {spread:?} apart: LINGER ({LINGER:?}) must be at least 3x that"
+    );
     let chains = committed_chains(&dirs);
     let victim_chain = &chains[VICTIM];
     assert!(

@@ -378,9 +378,8 @@ pub trait ReplicaEngine {
     fn restore(&mut self, record: &WalRecord, now: SimTime);
 
     /// Signature-verification counters accumulated by the replica's vote
-    /// (and, where the protocol has them, timeout) aggregation — the
-    /// evidence behind the verify-on-quorum scaling claim (individual
-    /// verifies drop from O(n²) to O(n) per certified round).
+    /// (and, where the protocol has them, timeout) aggregation: checks in
+    /// quorum batches and checks outside them.
     fn sig_stats(&self) -> SigStats;
 
     /// This replica's id.

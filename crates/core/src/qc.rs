@@ -472,7 +472,7 @@ impl VoteTracker {
     }
 
     /// Claimed authors of counted votes whose signatures turned out forged
-    /// — the output of the bisection over a bad batch.
+    /// — the items a batch check at quorum rejected.
     pub fn forged_signers(&self) -> &[ReplicaId] {
         self.votes.forged_signers()
     }

@@ -9,14 +9,14 @@
 //! a key's unchecked slots are checked in one batch when its count reaches
 //! the quorum.
 //!
-//! The protocol only ever *acts* on a quorum, so checking each message as
-//! it arrives would spend `O(n)` checks per replica per round — `O(n²)`
-//! across the system — mostly on messages that merely raise a count.
-//! Checking at quorum is one batch pass per certificate, and a
-//! byte-identical retransmission is never checked at all. The trade: a
-//! forged message can inflate a count until the batch at quorum exposes it
-//! (the aggregate comparison fails, the bisection names the forged signer,
-//! and its slot rolls back), so a certificate, and the feed of verified
+//! The protocol only ever *acts* on a quorum, so the checks wait for it:
+//! one batch call per certificate, and a message that arrives after its
+//! quorum closed is checked on its own. Every counted message is still
+//! checked once — `O(n)` checks per replica per round, as checking on
+//! arrival would spend — but a byte-identical retransmission is never
+//! checked at all. The trade: a forged message can inflate a count until
+//! the batch at quorum exposes it (the batch names the forged signer and
+//! its slot rolls back), so a certificate, and the feed of verified
 //! messages, only ever hold valid signatures; only transient counts see the
 //! forgery. `core/tests/quorum_prop.rs` holds the per-message reference
 //! this is checked against.

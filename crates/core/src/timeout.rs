@@ -98,7 +98,7 @@ impl TimeoutAggregator {
     }
 
     /// Claimed authors of counted timeouts whose signatures turned out
-    /// forged — the output of the bisection over a bad batch.
+    /// forged — the items a batch check at quorum rejected.
     pub fn forged_signers(&self) -> &[ReplicaId] {
         self.timeouts.forged_signers()
     }

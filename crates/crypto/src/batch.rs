@@ -1,32 +1,16 @@
 //! Batched signature verification.
 //!
 //! Verifying a forming quorum certificate means checking `2f + 1` (or
-//! `f + x + 1`) signatures that all cover the *same* vote data. Checking
-//! them one at a time costs one registry lookup and one constant-time
-//! comparison each. [`KeyRegistry::verify_batch`] does
-//! the whole set in a single pass: every MAC is computed once, each
-//! item's *contribution* `Sha256(i ‖ computed) ⊕ Sha256(i ‖ claimed)`
-//! is cached and XOR-folded into one accumulator, and a single
-//! constant-time comparison against zero settles the batch. Only when
-//! that aggregate check fails does the rejection path run — a bisection
-//! over the *cached* contributions (no MAC is ever recomputed) that
-//! pinpoints exactly which signatures are forged.
-//!
-//! The aggregate-then-bisect shape mirrors real batch verification for
-//! aggregatable schemes (BLS-style): a threshold scheme can slot in
-//! behind the same API. For the HMAC stand-in the concrete savings are
-//! the single pass over the registry and the one-comparison accept
-//! path. Folding raw `computed ⊕ claimed`
-//! differences would be unsound here: a Byzantine relayer who flips the
-//! same bit in two honest signatures makes both differences equal that
-//! flip mask, and they cancel. Hashing each side with the item index as
-//! a domain separator closes that — a valid item contributes exactly
-//! zero, and cancelling any non-zero contribution requires a SHA-256
-//! collision (the index prefix rules out cross-item replays).
+//! `f + x + 1`) signatures that all cover the *same* vote data.
+//! [`KeyRegistry::verify_batch`] takes the whole set in one call and
+//! gives every item exactly [`KeyRegistry::verify`]'s verdict: one MAC
+//! and one constant-time comparison per signature, the forged ones named
+//! by index. The HMAC stand-in has no aggregate check cheaper than that,
+//! so the batch call is only the seam where a scheme that has one
+//! (random-linear-combination Ed25519, BLS) checks a quorum at once.
 
-use crate::hmac::ct_eq;
 use crate::keys::KeyRegistry;
-use crate::signature::{Signature, SIGNATURE_LEN};
+use crate::signature::Signature;
 
 /// One (signer, message, signature) claim inside a batch.
 ///
@@ -69,7 +53,7 @@ pub struct SigStats {
     pub batch_calls: u64,
     /// Signatures checked inside batch passes (valid and forged alike).
     pub batch_verified: u64,
-    /// Batches whose aggregate check failed and took the bisection path.
+    /// Batches that held at least one forged signature.
     pub batch_rejects: u64,
 }
 
@@ -97,93 +81,23 @@ impl SigStats {
     }
 }
 
-/// XOR-folds `contribution` into `acc`.
-fn fold(acc: &mut [u8; 32], contribution: &[u8; 32]) {
-    for (a, c) in acc.iter_mut().zip(contribution) {
-        *a ^= c;
-    }
-}
-
-/// `Sha256(index ‖ tag)` — one side of an item's fold contribution. The
-/// index prefix domain-separates items so contributions of distinct
-/// items can never cancel without a hash collision.
-fn side(index: usize, tag: &[u8; SIGNATURE_LEN]) -> [u8; 32] {
-    let mut buf = [0u8; 8 + SIGNATURE_LEN];
-    buf[..8].copy_from_slice(&(index as u64).to_be_bytes());
-    buf[8..].copy_from_slice(tag);
-    crate::sha256::Sha256::digest(&buf)
-}
-
-/// Bisects over cached per-item contributions, appending the indices of
-/// every item whose contribution is provably non-zero. `range` indexes
-/// into `contributions`; indices are reported through `map` (the
-/// caller's original item indices).
-fn bisect(
-    contributions: &[[u8; 32]],
-    map: &[usize],
-    range: std::ops::Range<usize>,
-    forged: &mut Vec<usize>,
-) {
-    let mut acc = [0u8; 32];
-    for contribution in &contributions[range.clone()] {
-        fold(&mut acc, contribution);
-    }
-    if ct_eq(&acc, &[0u8; 32]) {
-        return;
-    }
-    if range.len() == 1 {
-        forged.push(map[range.start]);
-        return;
-    }
-    let mid = range.start + range.len() / 2;
-    bisect(contributions, map, range.start..mid, forged);
-    bisect(contributions, map, mid..range.end, forged);
-}
-
 impl KeyRegistry {
-    /// Verifies every item in one pass.
-    ///
-    /// Accept path: one MAC per item (cached), one XOR fold, one
-    /// constant-time comparison for the whole batch. Reject path:
-    /// bisection over the cached differences — `O(log n)` aggregate
-    /// re-folds, zero MAC recomputation — naming exactly the forged
-    /// item indices.
+    /// Checks every item as [`verify`](Self::verify) does: one MAC and
+    /// one constant-time comparison each, whatever the other items hold.
     ///
     /// # Errors
     ///
-    /// Returns the sorted indices (into `items`) of every signature
+    /// Returns the ascending indices (into `items`) of every signature
     /// that does not verify.
     pub fn verify_batch(&self, items: &[BatchItem<'_>]) -> Result<(), Vec<usize>> {
-        // Items whose claimed signer is malformed (mismatched or
-        // unregistered) are forged by inspection: no MAC to compute.
-        let mut forged = Vec::new();
-        let mut contributions: Vec<[u8; 32]> = Vec::with_capacity(items.len());
-        let mut map: Vec<usize> = Vec::with_capacity(items.len());
-        let mut acc = [0u8; 32];
-        for (index, item) in items.iter().enumerate() {
-            if item.signature.signer() != item.signer {
-                forged.push(index);
-                continue;
-            }
-            let Some(secret) = self.secret(item.signer) else {
-                forged.push(index);
-                continue;
-            };
-            let computed = secret.mac(item.signer, item.message);
-            let mut contribution = side(index, &computed);
-            fold(&mut contribution, &side(index, item.signature.tag()));
-            fold(&mut acc, &contribution);
-            contributions.push(contribution);
-            map.push(index);
+        let forged: Vec<usize> = (0..items.len())
+            .filter(|&i| !self.verify(items[i].signer, items[i].message, items[i].signature))
+            .collect();
+        if forged.is_empty() {
+            Ok(())
+        } else {
+            Err(forged)
         }
-        if forged.is_empty() && ct_eq(&acc, &[0u8; 32]) {
-            return Ok(());
-        }
-        if !ct_eq(&acc, &[0u8; 32]) {
-            bisect(&contributions, &map, 0..contributions.len(), &mut forged);
-        }
-        forged.sort_unstable();
-        Err(forged)
     }
 
     // Kept only so the frozen benchmark probe
@@ -199,6 +113,8 @@ impl KeyRegistry {
 mod tests {
     use super::*;
     use crate::keys::KeyPair;
+    use crate::rng::SplitMix64;
+    use crate::signature::SIGNATURE_LEN;
 
     fn signed(registry: &KeyRegistry, signer: u64, message: &[u8]) -> Signature {
         registry.key_pair(signer).unwrap().sign(message)
@@ -299,13 +215,60 @@ mod tests {
             .enumerate()
             .map(|(i, sig)| BatchItem::new(i as u64, msg, sig))
             .collect();
-        let individually: Vec<usize> = items
+        let individually = forged_one_by_one(&reg, &items);
+        assert_eq!(reg.verify_batch(&items), Err(individually));
+
+        // Seeded random batches of every size below 32, each item valid or
+        // forged one of four ways. Odd trials also flip the same bit in two
+        // items: XOR-folding raw `computed ⊕ claimed` differences would let
+        // that pair cancel.
+        let mut rng = SplitMix64::new(0x5eed_ba7c);
+        let ghost = KeyPair::new(99, crate::keys::SecretKey::deterministic(99)).sign(msg);
+        for size in 0..32u64 {
+            for trial in 0..8 {
+                let (byte, bit) = (rng.next_below(SIGNATURE_LEN as u64), rng.next_below(8));
+                let twin = (trial % 2 == 1 && size >= 2).then(|| rng.next_below(size));
+                let claims: Vec<(u64, Signature)> = (0..size)
+                    .map(|i| {
+                        let signer = rng.next_below(16);
+                        let sig = signed(&reg, signer, msg);
+                        let is_twin = twin.is_some_and(|t| i == t || i == (t + 1) % size);
+                        match if is_twin { 0 } else { rng.next_below(8) } {
+                            0 => {
+                                let mut tag = *sig.tag();
+                                tag[byte as usize] ^= 1 << bit;
+                                (signer, Signature::from_tag(signer, tag))
+                            }
+                            1 => (signer, signed(&reg, (signer + 1) % 16, msg)),
+                            2 => (signer, signed(&reg, signer, b"superseded")),
+                            3 => (99, ghost),
+                            _ => (signer, sig),
+                        }
+                    })
+                    .collect();
+                let items: Vec<BatchItem> = claims
+                    .iter()
+                    .map(|(signer, sig)| BatchItem::new(*signer, msg, sig))
+                    .collect();
+                let forged = forged_one_by_one(&reg, &items);
+                let expected = Some(forged).filter(|f| !f.is_empty()).map_or(Ok(()), Err);
+                assert_eq!(
+                    reg.verify_batch(&items),
+                    expected,
+                    "{size} items, trial {trial}"
+                );
+            }
+        }
+    }
+
+    /// The indices `verify` rejects, checked one item at a time.
+    fn forged_one_by_one(reg: &KeyRegistry, items: &[BatchItem<'_>]) -> Vec<usize> {
+        items
             .iter()
             .enumerate()
             .filter(|(_, item)| !reg.verify(item.signer, item.message, item.signature))
             .map(|(i, _)| i)
-            .collect();
-        assert_eq!(reg.verify_batch(&items), Err(individually));
+            .collect()
     }
 
     #[test]

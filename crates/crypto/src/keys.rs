@@ -142,11 +142,6 @@ impl KeyRegistry {
             .map(|secret| KeyPair::new(signer, secret.clone()))
     }
 
-    /// Looks up `signer`'s verification material, if registered.
-    pub(crate) fn secret(&self, signer: u64) -> Option<&SecretKey> {
-        self.secrets.get(signer as usize)
-    }
-
     /// Verifies that `sig` is `signer`'s signature over `message`.
     pub fn verify(&self, signer: u64, message: &[u8], sig: &Signature) -> bool {
         if sig.signer() != signer {

@@ -8,7 +8,7 @@
 //! in a deterministic order.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::hist::{HistSummary, Histogram};
 use crate::recorder::Recorder;
@@ -49,14 +49,28 @@ impl Registry {
     /// Attaches an NDJSON trace sink; subsequent
     /// [`trace`](Recorder::trace) calls append to it.
     pub fn set_sink(&self, sink: TraceSink) {
-        *self.sink.lock().expect("sink lock") = Some(sink);
+        *self.sink() = Some(sink);
     }
 
     /// Flushes the attached trace sink, if any.
     pub fn flush_sink(&self) {
-        if let Some(sink) = self.sink.lock().expect("sink lock").as_mut() {
+        if let Some(sink) = self.sink().as_mut() {
             let _ = sink.flush();
         }
+    }
+
+    /// Locks the counters and histograms. Each update under the lock
+    /// changes one map entry, so after a panic under it every entry still
+    /// holds a value it was given and the maps stay whole.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the trace sink. An event is formatted into the sink's own
+    /// line buffer, which the next event clears, and reaches the file in
+    /// one write, so a panic under the lock leaves no torn line behind.
+    fn sink(&self) -> MutexGuard<'_, Option<TraceSink>> {
+        self.sink.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -66,22 +80,19 @@ impl Recorder for Registry {
     }
 
     fn add(&self, counter: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        *inner.counters.entry(counter).or_insert(0) += delta;
+        *self.inner().counters.entry(counter).or_insert(0) += delta;
     }
 
     fn set(&self, gauge: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.counters.insert(gauge, value);
+        self.inner().counters.insert(gauge, value);
     }
 
     fn observe(&self, hist: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.hists.entry(hist).or_default().record(value);
+        self.inner().hists.entry(hist).or_default().record(value);
     }
 
     fn trace(&self, event: &TraceEvent<'_>) {
-        if let Some(sink) = self.sink.lock().expect("sink lock").as_mut() {
+        if let Some(sink) = self.sink().as_mut() {
             // A full disk or yanked path must not take consensus down;
             // the trace just goes quiet.
             let _ = sink.emit(event);
@@ -89,7 +100,7 @@ impl Recorder for Registry {
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = self.inner();
         MetricsSnapshot {
             counters: inner
                 .counters
@@ -170,6 +181,20 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.max, 30);
         assert!(s.p50 >= 20);
+    }
+
+    #[test]
+    fn a_panic_under_either_lock_does_not_stop_recording() {
+        let reg = Registry::new();
+        let poison = || {
+            let _locks = (reg.inner.lock(), reg.sink.lock());
+            panic!("poison both locks");
+        };
+        assert!(std::thread::scope(|s| s.spawn(poison).join()).is_err());
+        assert!(reg.inner.is_poisoned() && reg.sink.is_poisoned());
+        reg.add("after", 2);
+        reg.flush_sink();
+        assert_eq!(reg.snapshot().counter("after"), Some(2));
     }
 
     #[test]
