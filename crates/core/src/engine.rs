@@ -378,8 +378,8 @@ pub trait ReplicaEngine {
     fn restore(&mut self, record: &WalRecord, now: SimTime);
 
     /// Signature-verification counters accumulated by the replica's vote
-    /// (and, where the protocol has them, timeout) aggregation: checks in
-    /// quorum batches and checks outside them.
+    /// (and, where the protocol has them, timeout) aggregation and its
+    /// certificate intake: single checks and certificate batches.
     fn sig_stats(&self) -> SigStats;
 
     /// This replica's id.
@@ -426,14 +426,15 @@ impl<R: ReplicaRules> Engine<R> {
         &mut self.replica
     }
 
-    /// Runs one input through the rules. A batch check dominates any input
-    /// that runs one (a vote quorum, a certificate's members, a timeout
-    /// certificate), so such an input's duration is the batch-verify phase.
+    /// Runs one input through the rules. Signature checks dominate any
+    /// input that makes them (a vote, a timeout, a certificate's members),
+    /// so such an input's duration is the batch-verify phase.
     fn timed(&mut self, input: impl FnOnce(&mut R) -> Outcome<R::Message>) -> Outcome<R::Message> {
-        let batches = self.replica.sig_stats().batch_calls;
+        let checked = |stats: SigStats| stats.verifications + stats.batch_verified;
+        let before = checked(self.replica.sig_stats());
         let timer = PhaseTimer::start(&**self.replica.kernel().recorder());
         let out = input(&mut self.replica);
-        if self.replica.sig_stats().batch_calls > batches {
+        if checked(self.replica.sig_stats()) > before {
             let recorder = self.replica.kernel().recorder();
             timer.finish(&**recorder, names::PHASE_BATCH_VERIFY_NS);
         }

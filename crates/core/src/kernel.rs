@@ -387,19 +387,18 @@ impl ChainKernel {
     /// vote commits reports its commit before any earlier block reports a
     /// strength increase.
     ///
-    /// Endorsements are credited only from verified votes: the batch the
-    /// quorum check validated, and each straggler checked after it
-    /// (optimistically counted votes carry no endorsement weight until
-    /// their signatures clear).
+    /// Only a counted vote is credited: its signature was checked as it
+    /// arrived.
     pub fn add_vote(&mut self, vote: &StrongVote) -> (Option<QuorumCertificate>, Vec<HashValue>) {
-        let outcome = self.votes.add_vote(vote);
-        let mut grown = Vec::new();
-        for verified in self.votes.take_newly_verified() {
-            grown.extend(self.endorsements.record_vote(&verified, &self.store));
-        }
-        let certified = match outcome {
-            VoteOutcome::Certified(qc) => Some(qc),
-            _ => None,
+        let (certified, counted) = match self.votes.add_vote(vote) {
+            VoteOutcome::Certified(qc) => (Some(qc), true),
+            VoteOutcome::Counted(_) => (None, true),
+            _ => (None, false),
+        };
+        let grown = if counted {
+            self.endorsements.record_vote(vote, &self.store)
+        } else {
+            Vec::new()
         };
         (certified, grown)
     }
@@ -418,14 +417,13 @@ impl ChainKernel {
     /// [`admit_qc`](Self::admit_qc). Returns the voted block's id if this
     /// vote completed its quorum.
     pub fn collect_vote(&mut self, vote: &StrongVote) -> Option<HashValue> {
-        let outcome = self.votes.add_vote(vote);
-        for verified in self.votes.take_newly_verified() {
-            self.members.insert(*verified.data(), verified.member());
-        }
-        match outcome {
+        let certified = match self.votes.add_vote(vote) {
             VoteOutcome::Certified(qc) => Some(qc.block_id()),
-            _ => None,
-        }
+            VoteOutcome::Counted(_) => None,
+            _ => return None,
+        };
+        self.members.insert(*vote.data(), vote.member());
+        certified
     }
 
     /// A certificate for `block_id` carrying every verified vote this
@@ -823,9 +821,9 @@ impl ChainKernel {
         self.endorsements.walk_steps()
     }
 
-    /// Signature-verification counters from vote aggregation and
-    /// certificate intake — the evidence behind the verify-on-quorum
-    /// scaling claim.
+    /// Signature-verification counters from vote aggregation (one check
+    /// per vote, on arrival) and certificate intake (one batch per
+    /// certificate with members not yet held).
     pub fn sig_stats(&self) -> SigStats {
         let mut stats = self.votes.sig_stats();
         stats.merge(self.member_stats);

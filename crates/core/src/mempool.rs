@@ -64,9 +64,11 @@ impl SeenSeqs {
         if seq < self.watermark || !self.above.insert(seq) {
             return;
         }
-        if self.above.len() > DEDUP_WINDOW {
-            // Close the oldest gap: whatever it skipped is forfeited.
-            self.watermark = *self.above.first().expect("non-empty");
+        if let Some(&oldest) = self.above.first() {
+            if self.above.len() > DEDUP_WINDOW {
+                // Close the oldest gap: whatever it skipped is forfeited.
+                self.watermark = oldest;
+            }
         }
         // `u64::MAX` has no successor to move the watermark to: it stays
         // in `above`.
@@ -373,26 +375,24 @@ impl Mempool {
         let mut drained = Vec::new();
         let mut bytes: u64 = 0;
         while drained.len() < batch.max_txns as usize {
-            let Some(txn) = self.queue.front() else {
+            let Some(txn) = self.queue.pop_front() else {
                 break;
             };
             // Lazily drop entries removed by `mark_included`, and those
             // whose `(client, seq)` committed under another payload.
             let id = txn.id();
             let Some(&txn_bytes) = self.pending.get(&id) else {
-                self.queue.pop_front();
                 continue;
             };
-            if self.is_committed(txn) {
+            if self.is_committed(&txn) {
                 self.unqueue(&id);
-                self.queue.pop_front();
                 continue;
             }
             if !drained.is_empty() && bytes + txn_bytes > batch.max_bytes {
+                self.queue.push_front(txn);
                 break;
             }
             bytes += txn_bytes;
-            let txn = self.queue.pop_front().expect("front checked");
             self.unqueue(&id);
             self.in_flight.insert(id, None);
             drained.push(txn);

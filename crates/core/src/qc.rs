@@ -24,7 +24,7 @@ use sft_types::{
     ReplicaId, Round, SignerSet, StrongVote, VerifyPolicy, VoteData,
 };
 
-use crate::quorum::{verify_signed, Added, Quorum, Signed};
+use crate::quorum::{Added, Quorum, Signed};
 use crate::{Block, ProtocolConfig};
 
 /// Proof that `2f + 1` distinct replicas voted for the same [`VoteData`].
@@ -238,7 +238,7 @@ impl fmt::Debug for QuorumCertificate {
 
 /// The strong-votes a replica holds as verified, per block: every member
 /// of a certificate it admitted and, at a leader, every vote its
-/// [`VoteTracker`] verified. A member is credited to the endorsement
+/// [`VoteTracker`] counted. A member is credited to the endorsement
 /// tracker once, when its block is known, and never checked twice.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MemberLedger {
@@ -322,7 +322,7 @@ impl MemberLedger {
                 )
             })
             .collect();
-        if !verify_signed(registry, &items, stats).is_empty() {
+        if !verify_signed(registry, &items, stats) {
             return false;
         }
         for member in fresh {
@@ -371,6 +371,18 @@ impl MemberLedger {
     }
 }
 
+/// Checks `items` in one batch and counts the work into `stats`: the one
+/// batch check, where a certificate's members arrive together. True if
+/// every signature holds.
+fn verify_signed(registry: &KeyRegistry, items: &[BatchItem<'_>], stats: &mut SigStats) -> bool {
+    if items.is_empty() {
+        return true;
+    }
+    let verdict = registry.verify_batch(items);
+    stats.count_batch(items.len(), verdict.is_err());
+    verdict.is_ok()
+}
+
 /// Outcome of feeding one vote to a [`VoteTracker`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VoteOutcome {
@@ -397,9 +409,8 @@ pub enum VoteOutcome {
 ///
 /// The signed-quorum collector it shares with the
 /// [`TimeoutAggregator`](crate::TimeoutAggregator) holds the votes per
-/// block and checks their signatures in one batch at quorum; the tracker
-/// adds what only votes have: same-round equivocation, the feed of
-/// verified votes the endorsement tracker consumes, and the certificate.
+/// block and checks each signature once, as it arrives; the tracker adds
+/// what only votes have: same-round equivocation and the certificate.
 ///
 /// # Examples
 ///
@@ -423,9 +434,8 @@ pub enum VoteOutcome {
 pub struct VoteTracker {
     /// The votes, per block id.
     votes: Quorum<HashValue, StrongVote>,
-    /// First block each replica voted for in each round, for equivocation
-    /// detection. An entry whose vote was since found forged no longer
-    /// holds a slot in `votes` and is ignored.
+    /// First block each replica voted for in each round (a counted, so
+    /// checked, vote), for equivocation detection.
     first_vote: HashMap<(Round, ReplicaId), HashValue>,
     /// Replicas caught voting for two blocks in one round.
     equivocators: Vec<ReplicaId>,
@@ -471,43 +481,25 @@ impl VoteTracker {
         self.votes.sig_stats()
     }
 
-    /// Claimed authors of counted votes whose signatures turned out forged
-    /// — the items a batch check at quorum rejected.
-    pub fn forged_signers(&self) -> &[ReplicaId] {
-        self.votes.forged_signers()
-    }
-
-    /// Drains the votes accepted *and signature-verified* since the last
-    /// call, in acceptance order (batch survivors surface in signer-index
-    /// order when their quorum's check runs). Endorsement recording feeds
-    /// from this instead of from raw arrivals, so deferred verification
-    /// can never credit an endorsement to an unchecked signature.
-    pub fn take_newly_verified(&mut self) -> Vec<StrongVote> {
-        self.votes.take_newly_verified()
-    }
-
-    /// Counts one vote, its signature checked when its block's quorum
-    /// forms. See [`VoteOutcome`] for the cases.
+    /// Counts one vote if its signature holds, checking it now. See
+    /// [`VoteOutcome`] for the cases.
     pub fn add_vote(&mut self, vote: &StrongVote) -> VoteOutcome {
         if let Err(rejected) = self.votes.screen(vote) {
             return self.outcome(rejected, vote);
         }
         let (block_id, author) = (vote.data().block_id(), vote.author());
-        // A vote for another block than the author's first in this round:
-        // the first vote's signature is settled before judging, so a forger
-        // can neither frame an honest replica as an equivocator nor keep a
-        // forged first vote counted. Forged conflicts are not evidence.
-        let first = self.first_vote.get(&(vote.round(), author)).copied();
-        if let Some(first) = first.filter(|first| *first != block_id) {
-            if self.votes.settle(first, author) {
-                if !self.votes.check(vote) {
-                    return VoteOutcome::BadSignature;
-                }
-                if !self.equivocators.contains(&author) {
-                    self.equivocators.push(author);
-                }
-                return VoteOutcome::Equivocation;
+        // A vote for another block than the author's first in this round,
+        // which was checked when it was counted: a valid conflict is
+        // evidence, a forged one frames no one.
+        let first = self.first_vote.get(&(vote.round(), author));
+        if first.is_some_and(|first| *first != block_id) {
+            if !self.votes.check(vote) {
+                return VoteOutcome::BadSignature;
             }
+            if !self.equivocators.contains(&author) {
+                self.equivocators.push(author);
+            }
+            return VoteOutcome::Equivocation;
         }
         let added = self.votes.insert(block_id, vote.clone());
         if matches!(added, Added::Counted(_) | Added::Certified) {
@@ -652,21 +644,20 @@ mod tests {
             honest.author(),
             *honest.signature(),
         );
-        // Counted unchecked, then rolled back by the batch at quorum.
-        assert_eq!(tracker.add_vote(&forged), VoteOutcome::Counted(1));
+        // Refused on arrival and never counted, before or after the real
+        // vote of its claimed author.
+        assert_eq!(tracker.add_vote(&forged), VoteOutcome::BadSignature);
+        assert_eq!(tracker.votes_for(d.block_id()), 0);
+        assert_eq!(tracker.add_vote(&honest), VoteOutcome::Counted(1));
+        assert_eq!(tracker.add_vote(&forged), VoteOutcome::BadSignature);
         tracker.add_vote(&vote(&registry, 1, d));
-        assert_eq!(
-            tracker.add_vote(&vote(&registry, 2, d)),
-            VoteOutcome::Counted(2)
-        );
-        assert_eq!(tracker.forged_signers(), &[ReplicaId::new(0)]);
-        let VoteOutcome::Certified(qc) = tracker.add_vote(&vote(&registry, 3, d)) else {
+        let VoteOutcome::Certified(qc) = tracker.add_vote(&vote(&registry, 2, d)) else {
             panic!("the honest quorum certifies");
         };
-        assert!(!qc.signers().contains(ReplicaId::new(0)));
-        let verified = tracker.take_newly_verified();
-        assert_eq!(verified.len(), 3);
-        assert!(verified.iter().all(|v| v.author() != ReplicaId::new(0)));
+        assert!(qc.signers().contains(ReplicaId::new(0)));
+        let stats = tracker.sig_stats();
+        assert_eq!(stats.verifications, 5, "each vote checked once, on arrival");
+        assert_eq!(stats.batch_calls, 0);
     }
 
     #[test]
@@ -756,77 +747,18 @@ mod tests {
     }
 
     #[test]
-    fn deferred_quorum_certifies_with_one_batch_pass() {
-        let (_, registry, mut tracker) = setup();
-        let d = data(b"B", 1);
-        assert_eq!(
-            tracker.add_vote(&vote(&registry, 0, d)),
-            VoteOutcome::Counted(1)
-        );
-        assert_eq!(
-            tracker.add_vote(&vote(&registry, 1, d)),
-            VoteOutcome::Counted(2)
-        );
-        assert!(
-            tracker.take_newly_verified().is_empty(),
-            "nothing verified before quorum"
-        );
-        let VoteOutcome::Certified(qc) = tracker.add_vote(&vote(&registry, 2, d)) else {
-            panic!("third vote certifies");
-        };
-        assert_eq!(qc.signers().len(), 3);
-        let stats = tracker.sig_stats();
-        assert_eq!(stats.verifications, 0);
-        assert_eq!(stats.batch_calls, 1);
-        assert_eq!(stats.batch_verified, 3);
-        let verified = tracker.take_newly_verified();
-        assert_eq!(verified.len(), 3, "batch survivors surface together");
-        assert!(verified.iter().all(|v| v.data().block_id() == d.block_id()));
-    }
-
-    #[test]
     fn deferred_retransmission_never_verifies() {
         let (_, registry, mut tracker) = setup();
         let d = data(b"B", 1);
         let v = vote(&registry, 0, d);
-        tracker.add_vote(&v);
+        assert_eq!(tracker.add_vote(&v), VoteOutcome::Counted(1));
+        assert_eq!(tracker.sig_stats().verifications, 1);
         assert_eq!(tracker.add_vote(&v), VoteOutcome::Duplicate);
-        let stats = tracker.sig_stats();
-        assert_eq!(stats.verifications + stats.batch_verified, 0);
-    }
-
-    #[test]
-    fn deferred_bisection_rolls_back_forged_vote() {
-        let (_, registry, mut tracker) = setup();
-        let d = data(b"B", 1);
-        // A forged vote claiming replica 3 is counted optimistically.
-        let honest = vote(&registry, 0, d);
-        let forged = StrongVote::from_parts(
-            d,
-            EndorseInfo::Marker(Round::ZERO),
-            ReplicaId::new(3),
-            *honest.signature(),
-        );
-        assert_eq!(tracker.add_vote(&forged), VoteOutcome::Counted(1));
         assert_eq!(
-            tracker.add_vote(&vote(&registry, 1, d)),
-            VoteOutcome::Counted(2)
+            tracker.sig_stats().verifications,
+            1,
+            "a byte-identical copy is not checked again"
         );
-        // The batch check at quorum exposes it: count rolls back, no QC.
-        assert_eq!(
-            tracker.add_vote(&vote(&registry, 2, d)),
-            VoteOutcome::Counted(2)
-        );
-        assert!(!tracker.is_certified(d.block_id()));
-        assert_eq!(tracker.forged_signers(), &[ReplicaId::new(3)]);
-        assert_eq!(tracker.sig_stats().batch_rejects, 1);
-        // Only the two valid survivors were credited.
-        assert_eq!(tracker.take_newly_verified().len(), 2);
-        // The real replica 3 vote is not blocked by the forgery.
-        let VoteOutcome::Certified(qc) = tracker.add_vote(&vote(&registry, 3, d)) else {
-            panic!("honest quorum certifies");
-        };
-        assert_eq!(qc.signers().len(), 3);
     }
 
     #[test]
@@ -834,17 +766,20 @@ mod tests {
         let (_, registry, mut tracker) = setup();
         let a = data(b"A", 1);
         let b = data(b"B", 1);
-        tracker.add_vote(&vote(&registry, 0, a));
+        for signer in 0..3 {
+            tracker.add_vote(&vote(&registry, signer, a));
+        }
+        assert!(tracker.is_certified(a.block_id()));
+        // A certified block's voter signing another block of the round is
+        // caught; its conflicting vote is checked once and not counted.
         assert_eq!(
             tracker.add_vote(&vote(&registry, 0, b)),
             VoteOutcome::Equivocation
         );
         assert_eq!(tracker.equivocators(), &[ReplicaId::new(0)]);
-        // Settling the conflict verified the stored first vote: it now
-        // counts as verified and feeds the endorsement tracker.
-        let verified = tracker.take_newly_verified();
-        assert_eq!(verified.len(), 1);
-        assert_eq!(verified[0].data().block_id(), a.block_id());
+        assert_eq!(tracker.votes_for(a.block_id()), 3);
+        assert_eq!(tracker.votes_for(b.block_id()), 0);
+        assert_eq!(tracker.sig_stats().verifications, 4);
     }
 
     #[test]
@@ -852,44 +787,23 @@ mod tests {
         let (_, registry, mut tracker) = setup();
         let a = data(b"A", 1);
         let b = data(b"B", 1);
-        // A forged vote squats on replica 0's round-1 slot for block A.
-        let honest_b = vote(&registry, 0, b);
-        let forged = StrongVote::from_parts(
-            a,
-            EndorseInfo::Marker(Round::ZERO),
-            ReplicaId::new(0),
-            *honest_b.signature(),
-        );
-        assert_eq!(tracker.add_vote(&forged), VoteOutcome::Counted(1));
-        // The author's real vote evicts the forgery instead of branding
-        // the author an equivocator.
+        let honest_a = vote(&registry, 0, a);
+        let honest_b = vote(&registry, 1, b);
+        // Replica 1's signature over block B, claimed for block A: refused,
+        // so replica 1's real vote for B is its first and is counted.
+        let marker = EndorseInfo::Marker(Round::ZERO);
+        let forged_a =
+            StrongVote::from_parts(a, marker.clone(), ReplicaId::new(1), *honest_b.signature());
+        assert_eq!(tracker.add_vote(&forged_a), VoteOutcome::BadSignature);
         assert_eq!(tracker.add_vote(&honest_b), VoteOutcome::Counted(1));
+        // Replica 0's signature over block A, claimed for block B after its
+        // real vote for A: a forged conflict is no evidence.
+        assert_eq!(tracker.add_vote(&honest_a), VoteOutcome::Counted(1));
+        let forged_b = StrongVote::from_parts(b, marker, ReplicaId::new(0), *honest_a.signature());
+        assert_eq!(tracker.add_vote(&forged_b), VoteOutcome::BadSignature);
         assert!(tracker.equivocators().is_empty());
-        assert_eq!(tracker.votes_for(a.block_id()), 0);
+        assert_eq!(tracker.votes_for(a.block_id()), 1);
         assert_eq!(tracker.votes_for(b.block_id()), 1);
-        assert_eq!(tracker.forged_signers(), &[ReplicaId::new(0)]);
-    }
-
-    #[test]
-    fn deferred_straggler_verifies_individually_after_qc() {
-        let (_, registry, mut tracker) = setup();
-        let d = data(b"B", 1);
-        for signer in 0..3 {
-            tracker.add_vote(&vote(&registry, signer, d));
-        }
-        assert!(tracker.is_certified(d.block_id()));
-        tracker.take_newly_verified();
-        assert_eq!(
-            tracker.add_vote(&vote(&registry, 3, d)),
-            VoteOutcome::Counted(4)
-        );
-        assert_eq!(tracker.sig_stats().verifications, 1);
-        assert_eq!(tracker.take_newly_verified().len(), 1);
-        // A forged straggler is rejected on the spot.
-        let honest = vote(&registry, 2, d);
-        let forged =
-            StrongVote::from_parts(d, EndorseInfo::None, ReplicaId::new(2), *honest.signature());
-        assert_eq!(tracker.add_vote(&forged), VoteOutcome::BadSignature);
     }
 
     #[test]

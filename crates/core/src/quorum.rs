@@ -3,33 +3,21 @@
 //!
 //! A [`Quorum`] holds signed messages per key — the block id for votes
 //! ([`VoteTracker`](crate::VoteTracker)), the round for timeouts
-//! ([`TimeoutAggregator`](crate::TimeoutAggregator)) — one slot per author,
-//! each with a verified flag, and certifies a key once a quorum of its slots
-//! hold valid signatures, at most once. A message is counted unchecked, and
-//! a key's unchecked slots are checked in one batch when its count reaches
-//! the quorum.
+//! ([`TimeoutAggregator`](crate::TimeoutAggregator)) — one per author, and
+//! certifies a key once, at its quorum-th valid author. Each message's
+//! signature is checked once, as it arrives, so only valid messages are
+//! ever counted; a byte-identical copy of a held message is a duplicate,
+//! never checked again. `core/tests/quorum_prop.rs` holds the per-message
+//! reference this is checked against.
 //!
-//! The protocol only ever *acts* on a quorum, so the checks wait for it:
-//! one batch call per certificate, and a message that arrives after its
-//! quorum closed is checked on its own. Every counted message is still
-//! checked once — `O(n)` checks per replica per round, as checking on
-//! arrival would spend — but a byte-identical retransmission is never
-//! checked at all. The trade: a forged message can inflate a count until
-//! the batch at quorum exposes it (the batch names the forged signer and
-//! its slot rolls back), so a certificate, and the feed of verified
-//! messages, only ever hold valid signatures; only transient counts see the
-//! forgery. `core/tests/quorum_prop.rs` holds the per-message reference
-//! this is checked against.
-//!
-//! [`verify_signed`] is where every signature check of a certificate's
-//! members happens and is counted: this collector and certificate intake
-//! ([`ChainKernel::admit_qc`](crate::ChainKernel::admit_qc)) both call it.
+//! [`verify_signed`] is the one batch check, used where a certificate's
+//! members arrive together: certificate intake
+//! ([`ChainKernel::admit_qc`](crate::ChainKernel::admit_qc)).
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-use sft_crypto::{BatchItem, HashValue, IdState, KeyRegistry, SigStats, Signature};
+use sft_crypto::{HashValue, IdState, KeyRegistry, SigStats, Signature};
 use sft_types::{ReplicaId, Round, SignerSet};
 
 use crate::RETENTION_ROUNDS;
@@ -46,28 +34,6 @@ pub(crate) trait Signed: Clone + PartialEq {
     fn signing_digest(&self) -> HashValue;
 }
 
-/// Checks `items` in one batch and counts the work into `stats`. Returns
-/// the indices of the forged items, ascending.
-pub(crate) fn verify_signed(
-    registry: &KeyRegistry,
-    items: &[BatchItem<'_>],
-    stats: &mut SigStats,
-) -> Vec<usize> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let verdict = registry.verify_batch(items);
-    stats.count_batch(items.len(), verdict.is_err());
-    verdict.err().unwrap_or_default()
-}
-
-/// One counted check of `msg`'s signature.
-fn check_one<M: Signed>(registry: &KeyRegistry, stats: &mut SigStats, msg: &M) -> bool {
-    stats.count_verify();
-    let digest = msg.signing_digest();
-    registry.verify(msg.author().as_u64(), digest.as_ref(), msg.signature())
-}
-
 /// What [`Quorum::screen`] or [`Quorum::insert`] made of a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Added {
@@ -77,7 +43,7 @@ pub(crate) enum Added {
     /// [`members`](Quorum::members) and [`signers`](Quorum::signers) are
     /// the certificate's.
     Certified,
-    /// Its author's slot already holds a valid message.
+    /// Its author already holds a message under its key.
     Duplicate,
     /// Forged, or from no replica of the system.
     BadSignature,
@@ -85,8 +51,7 @@ pub(crate) enum Added {
     Stale,
 }
 
-/// Signed messages per key, verified at quorum (see the
-/// [module docs](self)).
+/// Valid signed messages per key (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub(crate) struct Quorum<K, M> {
     n: usize,
@@ -94,13 +59,7 @@ pub(crate) struct Quorum<K, M> {
     registry: KeyRegistry,
     /// By block id (votes) or round (timeouts).
     keys: HashMap<K, Slots<M>, IdState>,
-    /// Counted messages whose signatures cleared since the last
-    /// [`take_newly_verified`](Self::take_newly_verified), in the order
-    /// they cleared.
-    newly_verified: Vec<M>,
     stats: SigStats,
-    /// Claimed authors of counted messages found forged.
-    forged: Vec<ReplicaId>,
     /// Rounds below this are stale.
     floor: Round,
     /// Rounds above this are refused: [`RETENTION_ROUNDS`] past the
@@ -113,15 +72,9 @@ pub(crate) struct Quorum<K, M> {
 #[derive(Clone, Debug)]
 struct Slots<M> {
     round: Round,
-    by_author: BTreeMap<ReplicaId, Slot<M>>,
+    by_author: BTreeMap<ReplicaId, M>,
     /// Set when the key certified (emit-once).
     certified: bool,
-}
-
-#[derive(Clone, Debug)]
-struct Slot<M> {
-    msg: M,
-    verified: bool,
 }
 
 impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
@@ -133,9 +86,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
             quorum,
             registry,
             keys: HashMap::default(),
-            newly_verified: Vec::new(),
             stats: SigStats::default(),
-            forged: Vec::new(),
             floor: Round::ZERO,
             ceiling: Round::new(RETENTION_ROUNDS),
         }
@@ -149,17 +100,8 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
         self.stats
     }
 
-    pub(crate) fn forged_signers(&self) -> &[ReplicaId] {
-        &self.forged
-    }
-
-    pub(crate) fn take_newly_verified(&mut self) -> Vec<M> {
-        std::mem::take(&mut self.newly_verified)
-    }
-
-    /// The checks before a message may take a slot, none of them a
-    /// signature check: its round inside the window and its author a
-    /// replica.
+    /// The checks made before a message's signature is: its round inside
+    /// the window and its author a replica.
     pub(crate) fn screen(&self, msg: &M) -> Result<(), Added> {
         if msg.round() < self.floor || msg.round() > self.ceiling {
             return Err(Added::Stale);
@@ -172,66 +114,31 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
 
     /// One counted check of `msg`'s signature.
     pub(crate) fn check(&mut self, msg: &M) -> bool {
-        check_one(&self.registry, &mut self.stats, msg)
+        self.stats.count_verify();
+        let digest = msg.signing_digest();
+        let author = msg.author().as_u64();
+        self.registry
+            .verify(author, digest.as_ref(), msg.signature())
     }
 
-    /// Settles the signature of the message in `author`'s slot of `key`,
-    /// checking it now if it has not been. True if a valid message holds
-    /// the slot; false if none does — the slot was empty or held a forgery,
-    /// now rolled back.
-    pub(crate) fn settle(&mut self, key: K, author: ReplicaId) -> bool {
-        let Some(slots) = self.keys.get_mut(&key) else {
-            return false;
-        };
-        let Entry::Occupied(mut slot) = slots.by_author.entry(author) else {
-            return false;
-        };
-        if slot.get().verified {
-            return true;
-        }
-        if check_one(&self.registry, &mut self.stats, &slot.get().msg) {
-            slot.get_mut().verified = true;
-            self.newly_verified.push(slot.get().msg.clone());
-            return true;
-        }
-        slot.remove();
-        self.forged.push(author);
-        false
-    }
-
-    /// Counts a [screened](Self::screen) `msg` under `key`, unchecked.
+    /// Counts a [screened](Self::screen) `msg` under `key` if its
+    /// signature holds.
     ///
-    /// An author holds one slot per key. A byte-identical copy of its
-    /// message is a duplicate, never checked. A different one settles the
-    /// held message first, so a forger can neither displace a valid message
-    /// nor keep a forged one counted: a valid holder makes the newcomer a
-    /// duplicate (or a forgery), a forged one yields the slot to it. After
-    /// certification no batch will run, so stragglers are checked one by
-    /// one.
+    /// An author holds one message per key. A byte-identical copy of it is
+    /// a duplicate, never checked; any other message is checked, and a
+    /// valid one from an author already held is a duplicate too.
     pub(crate) fn insert(&mut self, key: K, msg: M) -> Added {
         let author = msg.author();
-        let held = self
-            .keys
-            .get(&key)
-            .and_then(|slots| slots.by_author.get(&author));
-        if let Some(held) = held {
-            if held.msg == msg {
-                return Added::Duplicate;
-            }
-            if self.settle(key, author) {
-                return if self.check(&msg) {
-                    Added::Duplicate
-                } else {
-                    Added::BadSignature
-                };
-            }
+        let held = self.keys.get(&key).and_then(|s| s.by_author.get(&author));
+        let (held, identical) = (held.is_some(), held == Some(&msg));
+        if identical {
+            return Added::Duplicate;
         }
-        let certified = self.is_certified(key);
-        if certified {
-            if !self.check(&msg) {
-                return Added::BadSignature;
-            }
-            self.newly_verified.push(msg.clone());
+        if !self.check(&msg) {
+            return Added::BadSignature;
+        }
+        if held {
+            return Added::Duplicate;
         }
         let round = msg.round();
         let slots = self.keys.entry(key).or_insert_with(|| Slots {
@@ -239,68 +146,13 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
             by_author: BTreeMap::new(),
             certified: false,
         });
-        slots.by_author.insert(
-            author,
-            Slot {
-                msg,
-                verified: certified,
-            },
-        );
+        slots.by_author.insert(author, msg);
         let count = slots.by_author.len();
-        if certified || count < self.quorum {
+        if slots.certified || count < self.quorum {
             return Added::Counted(count);
         }
-        if self.certify(key) {
-            return Added::Certified;
-        }
-        match self.keys.get(&key) {
-            Some(slots) if slots.by_author.contains_key(&author) => {
-                Added::Counted(slots.by_author.len())
-            }
-            // The batch this message triggered exposed it as forged.
-            _ => Added::BadSignature,
-        }
-    }
-
-    /// Certifies `key` if it holds a quorum of valid messages, first
-    /// checking the unchecked ones in one batch and rolling back the forged.
-    fn certify(&mut self, key: K) -> bool {
-        let Some(slots) = self.keys.get_mut(&key) else {
-            return false;
-        };
-        // Author order, so the batch (and every count after it) is
-        // deterministic.
-        let unchecked: Vec<(ReplicaId, HashValue, Signature)> = slots
-            .by_author
-            .iter()
-            .filter(|(_, slot)| !slot.verified)
-            .map(|(author, slot)| (*author, slot.msg.signing_digest(), *slot.msg.signature()))
-            .collect();
-        let items: Vec<BatchItem<'_>> = unchecked
-            .iter()
-            .map(|(author, digest, signature)| {
-                BatchItem::new(author.as_u64(), digest.as_ref(), signature)
-            })
-            .collect();
-        let forged = verify_signed(&self.registry, &items, &mut self.stats);
-        let mut forged = forged
-            .into_iter()
-            .map(|index| unchecked[index].0)
-            .peekable();
-        slots.by_author.retain(|author, slot| {
-            if forged.peek() == Some(author) {
-                forged.next();
-                self.forged.push(*author);
-                return false;
-            }
-            if !slot.verified {
-                slot.verified = true;
-                self.newly_verified.push(slot.msg.clone());
-            }
-            true
-        });
-        slots.certified = slots.by_author.len() >= self.quorum;
-        slots.certified
+        slots.certified = true;
+        Added::Certified
     }
 
     /// The messages counted under `key`, in author order.
@@ -308,7 +160,7 @@ impl<K: Copy + Eq + Hash, M: Signed> Quorum<K, M> {
         self.keys
             .get(&key)
             .into_iter()
-            .flat_map(|slots| slots.by_author.values().map(|slot| &slot.msg))
+            .flat_map(|slots| slots.by_author.values())
     }
 
     /// The authors of the messages counted under `key`.

@@ -3,9 +3,9 @@
 //!
 //! A [`TimeoutAggregator`] is to [`TimeoutMsg`]s what the
 //! [`VoteTracker`](crate::VoteTracker) is to votes, over the same
-//! signed-quorum collector: one slot per author and round, signatures
-//! checked in one batch at quorum, each round's [`TimeoutCertificate`] emitted
-//! exactly once. What only timeouts have is the certificate itself: it
+//! signed-quorum collector: one message per author and round, each
+//! signature checked once as it arrives, each round's [`TimeoutCertificate`]
+//! emitted exactly once. What only timeouts have is the certificate itself: it
 //! carries the freshest high-QC round among its messages.
 
 use sft_crypto::{HashValue, KeyRegistry, SigStats, Signature};
@@ -97,14 +97,8 @@ impl TimeoutAggregator {
         self.timeouts.sig_stats()
     }
 
-    /// Claimed authors of counted timeouts whose signatures turned out
-    /// forged — the items a batch check at quorum rejected.
-    pub fn forged_signers(&self) -> &[ReplicaId] {
-        self.timeouts.forged_signers()
-    }
-
-    /// Counts one timeout message, its signature checked when its round's
-    /// quorum forms. See [`TimeoutOutcome`].
+    /// Counts one timeout message if its signature holds, checking it now.
+    /// See [`TimeoutOutcome`].
     pub fn add(&mut self, msg: &TimeoutMsg) -> TimeoutOutcome {
         let added = match self.timeouts.screen(msg) {
             // The justification rides outside the signature: copies that
@@ -115,8 +109,6 @@ impl TimeoutAggregator {
             }
             Err(rejected) => rejected,
         };
-        // Timeouts credit nothing: the verified feed is the votes'.
-        self.timeouts.take_newly_verified();
         match added {
             Added::Counted(count) => TimeoutOutcome::Counted(count),
             Added::Certified => TimeoutOutcome::Certified(self.certificate(msg.round())),
@@ -134,8 +126,8 @@ impl TimeoutAggregator {
         TimeoutCertificate::new(round, max_high, self.timeouts.signers(round))
     }
 
-    /// Number of distinct replicas that timed out in `round` so far
-    /// (unchecked ones included until the batch at quorum settles them).
+    /// Number of distinct replicas whose valid timeouts for `round` were
+    /// counted so far.
     pub fn timeouts_for(&self, round: Round) -> usize {
         self.timeouts.count(round)
     }
@@ -244,15 +236,21 @@ mod tests {
             ReplicaId::new(2), // wrong author for the signature
             *honest.signature(),
         );
-        // Counted unchecked, then rolled back by the batch at quorum.
-        assert_eq!(agg.add(&forged), TimeoutOutcome::Counted(2));
+        // Refused on arrival and never counted.
+        assert_eq!(agg.add(&forged), TimeoutOutcome::BadSignature);
+        assert_eq!(agg.timeouts_for(Round::new(1)), 1);
         assert_eq!(agg.add(&honest), TimeoutOutcome::Counted(2));
-        assert_eq!(agg.forged_signers(), &[ReplicaId::new(2)]);
         assert!(!agg.is_certified(Round::new(1)));
         let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 3, 1, 0)) else {
             panic!("the honest quorum certifies");
         };
         assert!(!tc.signers().contains(ReplicaId::new(2)));
+        let stats = agg.sig_stats();
+        assert_eq!(
+            stats.verifications, 4,
+            "each timeout checked once, on arrival"
+        );
+        assert_eq!(stats.batch_calls, 0);
     }
 
     #[test]
@@ -302,71 +300,16 @@ mod tests {
     }
 
     #[test]
-    fn on_quorum_certifies_with_one_batch_pass() {
-        let (registry, mut agg) = setup();
-        assert_eq!(
-            agg.add(&msg(&registry, 0, 2, 0)),
-            TimeoutOutcome::Counted(1)
-        );
-        assert_eq!(
-            agg.add(&msg(&registry, 1, 2, 1)),
-            TimeoutOutcome::Counted(2)
-        );
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 2, 0)) else {
-            panic!("third timeout certifies");
-        };
-        assert_eq!(tc.round(), Round::new(2));
-        assert_eq!(tc.max_high_qc_round(), Round::new(1));
-        assert_eq!(tc.signers().len(), 3);
-        let stats = agg.sig_stats();
-        assert_eq!(stats.verifications, 0, "nothing verified before quorum");
-        assert_eq!(stats.batch_calls, 1);
-        assert_eq!(stats.batch_verified, 3);
-        assert_eq!(stats.batch_rejects, 0);
-    }
-
-    #[test]
     fn on_quorum_retransmission_never_verifies() {
         let (registry, mut agg) = setup();
         let m = msg(&registry, 0, 1, 0);
-        agg.add(&m);
+        assert_eq!(agg.add(&m), TimeoutOutcome::Counted(1));
         assert_eq!(agg.add(&m), TimeoutOutcome::Duplicate);
-        let stats = agg.sig_stats();
-        assert_eq!(stats.verifications + stats.batch_verified, 0);
-    }
-
-    #[test]
-    fn on_quorum_bisection_rolls_back_forged_count() {
-        let (registry, mut agg) = setup();
-        // A forged message claiming replica 3 is counted optimistically...
-        let forged = TimeoutMsg::from_parts(
-            Round::new(1),
-            Round::ZERO,
-            ReplicaId::new(3),
-            sft_crypto::Signature::from_tag(3, [0x5a; 32]),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::Counted(1));
         assert_eq!(
-            agg.add(&msg(&registry, 0, 1, 0)),
-            TimeoutOutcome::Counted(2)
+            agg.sig_stats().verifications,
+            1,
+            "a byte-identical copy is not checked again"
         );
-        // ...until the batch check at quorum exposes it: the count rolls
-        // back and no certificate forms.
-        assert_eq!(
-            agg.add(&msg(&registry, 1, 1, 2)),
-            TimeoutOutcome::Counted(2)
-        );
-        assert!(!agg.is_certified(Round::new(1)));
-        assert_eq!(agg.forged_signers(), &[ReplicaId::new(3)]);
-        assert_eq!(agg.sig_stats().batch_rejects, 1);
-        // A third honest replica restores the quorum; the earlier
-        // survivors are not re-verified.
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 1, 1)) else {
-            panic!("honest quorum certifies");
-        };
-        assert_eq!(tc.max_high_qc_round(), Round::new(2));
-        assert!(!tc.signers().contains(ReplicaId::new(3)));
-        assert_eq!(agg.sig_stats().batch_verified, 3 + 1);
     }
 
     #[test]
@@ -390,8 +333,8 @@ mod tests {
         let (registry, mut agg) = setup();
         let honest = msg(&registry, 0, 1, 2);
         agg.add(&honest);
-        // A forged variant under the same author resolves the stored
-        // message (valid) and rejects the imposter.
+        // A forged variant under the same author is refused on arrival;
+        // the held message stays.
         let forged = TimeoutMsg::from_parts(
             Round::new(1),
             Round::new(9),
@@ -408,30 +351,6 @@ mod tests {
             Round::new(2),
             "honest high survives"
         );
-    }
-
-    #[test]
-    fn on_quorum_forged_slot_is_reclaimed_by_honest_message() {
-        let (registry, mut agg) = setup();
-        // Forged message squats on replica 0's slot...
-        let forged = TimeoutMsg::from_parts(
-            Round::new(1),
-            Round::new(9),
-            ReplicaId::new(0),
-            sft_crypto::Signature::from_tag(0, [0x77; 32]),
-        );
-        assert_eq!(agg.add(&forged), TimeoutOutcome::Counted(1));
-        // ...but the honest original evicts it on arrival.
-        assert_eq!(
-            agg.add(&msg(&registry, 0, 1, 2)),
-            TimeoutOutcome::Counted(1)
-        );
-        assert_eq!(agg.forged_signers(), &[ReplicaId::new(0)]);
-        agg.add(&msg(&registry, 1, 1, 0));
-        let TimeoutOutcome::Certified(tc) = agg.add(&msg(&registry, 2, 1, 0)) else {
-            panic!("quorum certifies");
-        };
-        assert_eq!(tc.max_high_qc_round(), Round::new(2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Batched signature verification.
 //!
-//! Verifying a forming quorum certificate means checking `2f + 1` (or
-//! `f + x + 1`) signatures that all cover the *same* vote data.
+//! Admitting a received quorum certificate means checking its members'
+//! `2f + 1` (or more) signatures, which all cover the *same* vote data.
 //! [`KeyRegistry::verify_batch`] takes the whole set in one call and
 //! gives every item exactly [`KeyRegistry::verify`]'s verdict: one MAC
 //! and one constant-time comparison per signature, the forged ones named

@@ -63,8 +63,8 @@ pub mod names {
     pub const PHASE_ROUTE_NS: &str = "phase_route_ns";
     /// One `ReplicaEngine::on_tick` deadline firing.
     pub const PHASE_ON_TICK_NS: &str = "phase_on_tick_ns";
-    /// A vote-ingest step that ran a deferred batch signature
-    /// verification (the verify-on-quorum path; batch check included).
+    /// An engine input that checked a signature: a vote, a timeout, or
+    /// a certificate's members in one batch.
     pub const PHASE_BATCH_VERIFY_NS: &str = "phase_batch_verify_ns";
     /// One writer-loop pass flushing queued outbound frames to
     /// non-blocking sockets (`TcpCluster` / `NodeTransport`).

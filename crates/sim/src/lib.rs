@@ -776,15 +776,13 @@ pub struct SimReport {
     /// Total endorsement-walk steps across all replicas — how much work
     /// the §3 ancestor walk did while grading commits.
     pub walk_steps: u64,
-    /// Signature checks outside a batch (post-quorum stragglers, settled
-    /// conflicting copies), across all replicas. Every counted message is
-    /// checked once, here or in a batch: Streamlet at n = 4 over 10 epochs
-    /// makes 40 + 40 batches of 3 = 160 = 4 replicas × 4 votes × 10 epochs.
-    /// `RESULTS.md` pins it for its run-counter rows.
+    /// Signature checks outside a batch, across all replicas: each vote
+    /// and timeout a replica received, checked once as it arrived.
+    /// Streamlet at n = 4 over 10 epochs makes 160 = 4 replicas × 4 votes
+    /// × 10 epochs. `RESULTS.md` pins it for its run-counter rows.
     pub sig_verifications: u64,
-    /// Batched quorum verifications run across all replicas (one per
-    /// certificate formed, plus one per admitted certificate with members
-    /// not yet held).
+    /// Batch checks run across all replicas: one per admitted certificate
+    /// with members not yet held.
     pub batch_verify_calls: u64,
     /// WAL fsyncs across all replicas. 0 under
     /// [`DurabilityMode::InMemory`]; one per durability request under

@@ -216,7 +216,7 @@ fn truncated_and_unknown_frames_step_no_engine() {
 
 /// A DiemBFT follower checks the members of the certificate a proposal
 /// carries in one batch, and that input is timed as the batch-verify
-/// phase, like a leader's vote quorum.
+/// phase, like each vote input a leader checks.
 #[test]
 fn a_followers_certificate_check_is_timed_as_batch_verify() {
     let config = SimConfig::new(4, 10)
@@ -227,6 +227,9 @@ fn a_followers_certificate_check_is_timed_as_batch_verify() {
     let registry = Arc::new(Registry::new());
     let kernel = engines[follower].kernel_mut();
     kernel.set_recorder(Arc::clone(&registry) as _);
+    let leader_registry = Arc::new(Registry::new());
+    let kernel = engines[2].kernel_mut();
+    kernel.set_recorder(Arc::clone(&leader_registry) as _);
 
     // Round 1: replica 1 proposes on its bootstrap tick, everyone votes
     // to round 2's leader, which certifies at the end of the instant and
@@ -239,9 +242,17 @@ fn a_followers_certificate_check_is_timed_as_batch_verify() {
         .filter(|m| m.kind == MsgKind::Vote)
         .collect();
     assert_eq!(votes.len(), 4);
+    let mut checked = 0;
     for vote in &votes {
+        let before = engines[2].sig_stats();
         engines[2].on_envelope(ReplicaId::new(0), &vote.bytes, now);
+        checked += usize::from(engines[2].sig_stats() != before);
     }
+    assert_eq!(checked, votes.len(), "the leader checks each vote");
+    let timed = leader_registry
+        .snapshot()
+        .hist(names::PHASE_BATCH_VERIFY_NS);
+    assert_eq!(timed.map(|h| h.count), Some(checked as u64), "one per vote");
     assert_eq!(engines[2].next_deadline(), Some(now), "the quorum is due");
     let round2 = engines[2]
         .on_tick(now)

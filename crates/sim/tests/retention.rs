@@ -364,32 +364,32 @@ fn seeded_runs_inside_the_horizon_are_byte_identical_to_the_unpruned_implementat
     let cases = [
         (
             base(Protocol::Streamlet, 4),
-            "e7a214d6 msgs=600 bytes=77280 txns=39000 sync=0/0 walk=624 sigv=160",
+            "e7a214d6 msgs=600 bytes=77280 txns=39000 sync=0/0 walk=624 sigv=640",
         ),
         (
             base(Protocol::Fbft, 4).with_batch_size(8),
-            "28450532 msgs=246 bytes=532371 txns=312 sync=0/0 walk=624 sigv=40",
+            "28450532 msgs=246 bytes=532371 txns=312 sync=0/0 walk=624 sigv=162",
         ),
         (
             base(Protocol::Fbft, 7)
                 .with_endorse_mode(EndorseMode::Interval)
                 .with_behavior(0, Behavior::Equivocate)
                 .with_lossy_links(7, 0.2),
-            "d5e40d97 msgs=1146 bytes=569407 txns=31000 sync=18/18 walk=1768 sigv=64",
+            "d5e40d97 msgs=1146 bytes=569407 txns=31000 sync=18/18 walk=1768 sigv=770",
         ),
         (
             base(Protocol::Streamlet, 7)
                 .with_batch_size(8)
                 .with_behavior(0, Behavior::WithholdVote)
                 .with_partitioned_straggler(),
-            "00cd14ea msgs=1484 bytes=1165699 txns=288 sync=1/18 walk=1393 sigv=133",
+            "00cd14ea msgs=1484 bytes=1165699 txns=288 sync=1/18 walk=1393 sigv=1346",
         ),
         (
             base(Protocol::Fbft, 10)
                 .with_endorse_mode(EndorseMode::Vanilla)
                 .with_behavior(0, Behavior::StallLeader)
                 .with_partitioned_straggler(),
-            "9b48849f msgs=1354 bytes=578972 txns=34000 sync=1/9 walk=0 sigv=112",
+            "9b48849f msgs=1354 bytes=578972 txns=34000 sync=1/9 walk=0 sigv=820",
         ),
     ];
     for (config, expected) in cases {

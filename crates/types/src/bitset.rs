@@ -79,10 +79,7 @@ impl SignerSet {
         fresh
     }
 
-    /// Removes `id` from the set. Returns `true` if it was present —
-    /// the rollback path deferred verification takes when a batched
-    /// quorum check exposes a forged signer that was counted
-    /// optimistically.
+    /// Removes `id` from the set. Returns `true` if it was present.
     pub fn remove(&mut self, id: ReplicaId) -> bool {
         let idx = id.as_usize();
         if idx >= self.capacity {
